@@ -19,7 +19,9 @@ traceback:
    ``latency-target`` scaling policy with per-item latency inflated by a
    delay fault: the controller must scale the pool up *and* back down
    (both counters nonzero) while the result stays bit-exact with the
-   serial reference.
+   serial reference, and every retired worker finishes the items already
+   in its inbox — each item is handed out exactly once, nothing is
+   drained back or answered twice.
 4. **Shared fabric with a client crash.**  Three concurrent seeded
    campaigns run as clients of one :class:`~repro.fabric.ScoringFabric`;
    one client is closed mid-run (a campaign crashing and abandoning its
@@ -218,6 +220,16 @@ def _scenario_elastic_resize(world, non_targets, reference) -> bool:
                 telemetry.gauge("parallel.item_latency_ewma").value > 0.0
             ),
             "no deaths (resizes are clean)": provider.worker_deaths == 0,
+            # A retiring worker finishes what its inbox holds: nothing is
+            # drained back, re-dispatched or answered twice.
+            "every item handed out exactly once": (
+                provider.dispatched == provider.cache_stats["misses"]
+                and provider.retries == 0
+                and provider.stale_dropped == 0
+            ),
+            "queue depth decayed to 0": (
+                telemetry.gauge("parallel.queue_depth").value == 0.0
+            ),
             "telemetry agrees": (
                 telemetry.counter("parallel.scale_up").value
                 == stats["scale_ups"]

@@ -295,6 +295,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print(
                 f"  worker {wid}: items={int(w['items'])} "
                 f"busy={w['busy_s']:.3f}s "
+                f"inbox_wait={w['inbox_wait_s']:.3f}s "
                 f"throughput={w['throughput_per_s']:.1f}/s "
                 f"utilisation={w['utilisation'] * 100:.0f}%"
             )

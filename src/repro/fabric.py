@@ -28,8 +28,8 @@ pattern from inference serving, applied to protein design.
   each fused dispatch is capped at ``max_items``, so a 10x-larger
   campaign cannot starve a small one: a client with ``k`` pending items
   waits at most ``ceil(k * n_clients / max_items)`` dispatches.
-* Sticky/delta dispatch is untouched: similarity structures are keyed by
-  sequence bytes, not by problem, so affinity routing and delta
+* Delta re-scoring is untouched: similarity structures are keyed by
+  sequence bytes, not by problem, so the pool's one LRU and delta
   provenance work across clients exactly as within one campaign.
 * A client closing (or its campaign crashing and abandoning a
   submission mid-batch) never wedges the fabric: its pending items are

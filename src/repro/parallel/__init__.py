@@ -4,11 +4,16 @@ The paper runs a two-level master-worker / all-workers scheme: an MPI
 master owns the GA and dispatches candidate sequences *on demand* to worker
 processes, which compute the PIPE scores against the target and non-targets
 and send them back.  This package reproduces that architecture on
-:mod:`multiprocessing`:
+:mod:`multiprocessing` as one request-on-demand protocol: each worker
+blocks on a private inbox, the master keeps the backlog and tops up a
+small per-worker in-flight window as replies arrive, and workers are
+stateless — the similarity structures delta re-scoring patches from
+travel with the work and live in one master-side LRU.
 
 * :mod:`repro.parallel.messages` — the wire protocol;
-* :mod:`repro.parallel.scheduler` — master-side on-demand (and, for
-  ablation, static) work scheduling, testable without processes;
+* :mod:`repro.parallel.scheduler` — the master-side on-demand scheduler
+  the pool dispatches through (and, for ablation, a static one),
+  testable without processes;
 * :mod:`repro.parallel.worker` — the worker main loop (Algorithm 2);
 * :mod:`repro.parallel.mp_backend` — the
   :class:`~repro.ga.fitness.ScoreProvider` implementation that the GA
@@ -16,7 +21,7 @@ and send them back.  This package reproduces that architecture on
 * :mod:`repro.parallel.elastic` — the telemetry-driven elastic pool
   control loop (:class:`~repro.parallel.elastic.ScalingPolicy` and
   friends) that resizes the pool between ``min_workers`` and
-  ``max_workers`` and chunks dispatch to a latency target;
+  ``max_workers``;
 * :mod:`repro.parallel.multirack` — the paper's proposed multi-rack
   extension (one master per rack, elite synchronisation each generation).
 
@@ -60,7 +65,6 @@ from repro.parallel.scheduler import (
     OnDemandScheduler,
     Scheduler,
     StaticScheduler,
-    StickyScheduler,
 )
 from repro.parallel.worker import (
     FaultPlan,
@@ -87,7 +91,6 @@ __all__ = [
     "Scheduler",
     "ScalingPolicy",
     "StaticScheduler",
-    "StickyScheduler",
     "WorkFailure",
     "WorkItem",
     "WorkResult",

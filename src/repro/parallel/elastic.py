@@ -1,27 +1,23 @@
 """Elastic, telemetry-driven control of the parallel worker pool.
 
-The fixed-size master/worker runtime has two throughput ceilings the
-paper's Blue Gene/Q deployment never had to face on shared hardware:
-
-* the pool size is chosen once, so an idle campaign burns worker memory
-  while a bursty one queues behind too few processes;
-* each generation is dispatched as one undifferentiated flood, so the
-  master only learns about a cold or hung worker after the whole batch
-  is already committed to the queues.
+A fixed-size master/worker runtime has a throughput ceiling the paper's
+Blue Gene/Q deployment never had to face on shared hardware: the pool
+size is chosen once, so an idle campaign burns worker memory while a
+bursty one queues behind too few processes.
 
 This module closes the loop from *observed* runtime behaviour — queue
-depth, a per-item latency EWMA, and sticky-backlog skew — back to the
-pool itself:
+depth and a per-item latency EWMA — back to the pool itself:
 
 * :class:`PoolSnapshot` — the observation record the provider assembles
   on every scheduling step (pure data, trivially testable);
 * :class:`ScalingPolicy` — the pluggable decision interface mapping a
-  snapshot to a desired worker count and an optional dispatch chunk
-  limit.  Three implementations ship: :class:`FixedScaling` (the legacy
-  behaviour — never resizes, floods the queue), :class:`QueueDepthScaling`
+  snapshot to a desired worker count.  Three implementations ship:
+  :class:`FixedScaling` (never resizes), :class:`QueueDepthScaling`
   (size the pool to the backlog) and :class:`LatencyTargetScaling`
-  (size the pool *and* the in-flight window so the backlog drains within
-  a wall-clock target);
+  (size the pool so the backlog drains within a wall-clock target).
+  How much of a batch is in flight is not a policy decision: the
+  provider hands out on demand into a fixed per-worker window and the
+  rest of the backlog waits in the master;
 * :class:`ElasticController` — wraps a policy with the latency EWMA and
   a resize cooldown built on the injectable-clock
   :class:`~repro.resilience.Deadline` from the resilience layer, so the
@@ -72,14 +68,10 @@ class PoolSnapshot:
     backlog:
         Items of the current batch not yet completed (dispatched or not).
     outstanding:
-        Items dispatched to the queues and not yet acknowledged.
+        Items handed to worker inboxes and not yet acknowledged.
     latency_ewma_s:
         Exponentially weighted moving average of worker-reported per-item
         wall time; 0.0 until the first result arrives.
-    max_sticky_backlog:
-        The largest per-worker sticky (affinity) backlog of the batch —
-        the skew signal: one hot worker hoarding children while siblings
-        idle.
     batch_size:
         Total items in the current batch.
     """
@@ -88,12 +80,11 @@ class PoolSnapshot:
     backlog: int
     outstanding: int
     latency_ewma_s: float
-    max_sticky_backlog: int
     batch_size: int
 
 
 class ScalingPolicy(ABC):
-    """Maps a :class:`PoolSnapshot` to a desired pool size and chunking.
+    """Maps a :class:`PoolSnapshot` to a desired pool size.
 
     Policies are pure decision objects — they never spawn, retire or
     sleep.  The provider clamps and executes; a policy therefore cannot
@@ -122,11 +113,6 @@ class ScalingPolicy(ABC):
     def desired_workers(self, snap: PoolSnapshot) -> int:
         """The pool size this policy wants, given the observation."""
 
-    def chunk_limit(self, snap: PoolSnapshot) -> int | None:
-        """Cap on items in flight (dispatch chunking); ``None`` floods
-        the whole batch at once (the legacy behaviour)."""
-        return None
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(min_workers={self.min_workers}, "
@@ -135,7 +121,7 @@ class ScalingPolicy(ABC):
 
 
 class FixedScaling(ScalingPolicy):
-    """The legacy behaviour: never resize, dispatch the whole batch."""
+    """The classic constant pool: never resize."""
 
     name = "fixed"
 
@@ -149,9 +135,7 @@ class QueueDepthScaling(ScalingPolicy):
     The pool grows toward one worker per ``items_per_worker`` backlog
     items and shrinks as the batch drains, so a bursty campaign gets
     workers when the queue is deep and releases them (and their memory)
-    between bursts.  A sticky-backlog skew larger than twice the fair
-    share asks for one extra worker — the stealing target that relieves
-    a hot affinity queue.
+    between bursts.
     """
 
     name = "queue-depth"
@@ -171,27 +155,16 @@ class QueueDepthScaling(ScalingPolicy):
         self.items_per_worker = int(items_per_worker)
 
     def desired_workers(self, snap: PoolSnapshot) -> int:
-        desired = math.ceil(snap.backlog / self.items_per_worker)
-        live = max(1, snap.live_workers)
-        fair = snap.backlog / live
-        if snap.max_sticky_backlog > 2 * fair and snap.backlog > live:
-            desired += 1
-        return self.clamp(desired)
+        return self.clamp(math.ceil(snap.backlog / self.items_per_worker))
 
 
 class LatencyTargetScaling(ScalingPolicy):
-    """Size the pool and the in-flight window to a wall-clock target.
+    """Size the pool to a wall-clock target.
 
-    Two decisions from one signal (the per-item latency EWMA):
-
-    * **pool size** — enough workers that the remaining backlog drains
-      within ``target_s``: ``ceil(backlog * ewma / target_s)``;
-    * **chunk size** — per worker, only as many queued items as fit in
-      ``target_s`` of work, so dispatch stays responsive to stragglers
-      instead of committing the whole generation to the queues up front.
-
-    Until the first result arrives there is no EWMA; the policy then
-    holds the pool and dispatches a small bootstrap chunk per worker.
+    Enough workers that the remaining backlog drains within ``target_s``
+    at the observed per-item latency EWMA:
+    ``ceil(backlog * ewma / target_s)``.  Until the first result arrives
+    there is no EWMA and the policy holds the pool.
     """
 
     name = "latency-target"
@@ -202,37 +175,17 @@ class LatencyTargetScaling(ScalingPolicy):
         max_workers: int,
         *,
         target_s: float = 0.25,
-        bootstrap_chunk: int = 2,
-        max_chunk: int = 64,
     ) -> None:
         super().__init__(min_workers, max_workers)
         if target_s <= 0:
             raise ValueError(f"target_s must be > 0, got {target_s}")
-        if bootstrap_chunk < 1:
-            raise ValueError(
-                f"bootstrap_chunk must be >= 1, got {bootstrap_chunk}"
-            )
-        if max_chunk < 1:
-            raise ValueError(f"max_chunk must be >= 1, got {max_chunk}")
         self.target_s = float(target_s)
-        self.bootstrap_chunk = int(bootstrap_chunk)
-        self.max_chunk = int(max_chunk)
-
-    def per_worker_window(self, latency_ewma_s: float) -> int:
-        """Queued items per worker worth ~``target_s`` of work."""
-        if latency_ewma_s <= 0.0:
-            return self.bootstrap_chunk
-        return max(1, min(self.max_chunk, round(self.target_s / latency_ewma_s)))
 
     def desired_workers(self, snap: PoolSnapshot) -> int:
         if snap.latency_ewma_s <= 0.0:
             return self.clamp(snap.live_workers)
         drain_s = snap.backlog * snap.latency_ewma_s
         return self.clamp(math.ceil(drain_s / self.target_s))
-
-    def chunk_limit(self, snap: PoolSnapshot) -> int | None:
-        live = max(1, snap.live_workers)
-        return live * self.per_worker_window(snap.latency_ewma_s)
 
 
 #: Recognised ``scaling=`` names, in the order the CLI lists them.
@@ -328,10 +281,6 @@ class ElasticController:
         if self.cooldown_s > 0:
             self._cooldown = Deadline(self.cooldown_s, clock=self._clock)
         return desired
-
-    def chunk_limit(self, snap: PoolSnapshot) -> int | None:
-        """The policy's cap on in-flight items (``None`` = flood)."""
-        return self.policy.chunk_limit(snap)
 
     def stats(self) -> dict[str, object]:
         """Inspectable summary (JSON-safe)."""

@@ -3,10 +3,18 @@
 Mirrors the MPI message flow of Algorithms 1–2: the master answers each
 work request with either a candidate sequence to analyse or an END signal;
 workers attach the result of their previous assignment to the next request.
-With :mod:`multiprocessing` queues the request/response pair collapses into
-a shared task queue (the queue *is* the on-demand dispatcher), but the
-message payloads are kept explicit so the scheduler logic stays testable
-and transport-independent.
+Here every worker has one private *inbox* queue and all workers share one
+result queue: a :class:`WorkResult` arriving at the master *is* the
+worker's next work request, answered by putting the next
+:class:`WorkItem` on that worker's inbox.  :class:`EndSignal` and
+:class:`RetireSignal` travel on the inbox too, so a worker only ever
+blocks on one queue.
+
+Workers are stateless between items.  The similarity structures a delta
+re-score patches from travel *with the work*: a :class:`WorkItem` carries
+the structures the master already holds for the candidate or its
+provenance parents, and the :class:`WorkResult` brings the newly built
+structure back for the master's bounded LRU.
 
 Every dispatch-side message carries a ``batch_epoch``: the master tags each
 batch with a monotonically increasing epoch and drops any reply stamped
@@ -24,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ga.fitness import ScoreSet
+from repro.ppi.database import SequenceSimilarity
 from repro.ppi.delta import DeltaStats, Provenance
 
 __all__ = ["WorkItem", "WorkResult", "WorkFailure", "EndSignal", "RetireSignal"]
@@ -34,17 +43,19 @@ class WorkItem:
     """One candidate sequence dispatched for PIPE analysis.
 
     ``provenance`` (optional) records how the candidate was derived from
-    its parent(s); a worker holding the parents' similarity structures in
-    its local LRU re-sweeps only the dirty windows.  It is advisory —
-    a worker that never saw the parents simply does the full sweep.
+    its parent(s).  ``similarities`` holds the ``(sequence bytes,
+    structure)`` pairs the master knows for the candidate itself or, failing
+    that, for its provenance parents; the worker patches from exactly these
+    and re-sweeps only the dirty windows.  Both are advisory — an item
+    carrying neither simply gets the full sweep.
 
     ``problem_id`` (optional) binds the item to a fabric-registered
     ``(target, non_targets)`` problem instead of the worker context's
     default one, so one pool can serve many concurrent design campaigns
     (see :mod:`repro.fabric`).  ``problem`` carries the problem spec
     itself; a worker seeing an unknown id registers it from the spec on
-    first sight — self-describing items make registration race-free on
-    the shared queue (no control-message ordering to get wrong).
+    first sight — self-describing items make registration race-free
+    (no control-message ordering to get wrong).
     """
 
     sequence_id: int
@@ -53,6 +64,7 @@ class WorkItem:
     provenance: Provenance | None = None
     problem_id: int | None = None
     problem: tuple[str, tuple[str, ...]] | None = None
+    similarities: tuple[tuple[bytes, SequenceSimilarity], ...] = ()
 
     def __post_init__(self) -> None:
         if self.sequence_id < 0:
@@ -76,6 +88,7 @@ class WorkItem:
         provenance: Provenance | None = None,
         problem_id: int | None = None,
         problem: tuple[str, tuple[str, ...]] | None = None,
+        similarities: tuple[tuple[bytes, SequenceSimilarity], ...] = (),
     ) -> "WorkItem":
         return cls(
             sequence_id,
@@ -84,6 +97,7 @@ class WorkItem:
             provenance,
             problem_id,
             problem,
+            similarities,
         )
 
     def decode(self) -> np.ndarray:
@@ -101,7 +115,11 @@ class WorkResult:
     stale replies from an earlier, abandoned batch.  ``delta`` reports the
     worker-side delta-scoring outcome (worker registries are process-local,
     so the accounting rides the reply and the master folds it into the
-    ``pipe.delta.*`` counters).
+    ``pipe.delta.*`` counters).  ``similarity`` is the structure the worker
+    built for the candidate (``None`` when the item already carried it, or
+    delta scoring is off).  ``inbox_wait`` is how long the worker sat
+    blocked on its empty inbox before this item arrived — the dispatch
+    latency the master cannot observe from its side.
     """
 
     sequence_id: int
@@ -110,6 +128,8 @@ class WorkResult:
     elapsed: float = 0.0
     batch_epoch: int = 0
     delta: DeltaStats | None = None
+    similarity: SequenceSimilarity | None = None
+    inbox_wait: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -137,14 +157,13 @@ class EndSignal:
 
 @dataclass(frozen=True)
 class RetireSignal:
-    """Master → one worker: drain out and exit (elastic scale-down).
+    """Master → one worker: finish your inbox and exit (elastic
+    scale-down).
 
-    Unlike :class:`EndSignal` (broadcast on the shared queue and
-    re-enqueued by each worker for its siblings), a retire travels on a
-    single worker's *private* queue and is never re-enqueued: exactly one
-    worker leaves, the rest of the pool keeps serving.  The master drains
-    the worker's private queue back onto the shared queue *before*
-    sending the signal, so no parked item can be lost behind it.
+    Inboxes are FIFO, so the worker scores every item handed to it before
+    the signal and then leaves; the master stops handing it new work the
+    moment it sends this.  Nothing is drained back and nothing can be
+    trapped behind the signal.
     """
 
     reason: str = "scale_down"

@@ -6,6 +6,30 @@
 from this parallel backend or the serial reference path — the property the
 integration tests assert.
 
+Request-on-demand dispatch (Algorithms 1–2)
+-------------------------------------------
+Every worker owns one private *inbox* and blocks on it; nothing is
+polled and no queue is shared on the way out.  The master keeps a batch's
+backlog in an :class:`~repro.parallel.scheduler.OnDemandScheduler` and
+hands items out to keep :data:`IN_FLIGHT_WINDOW` items in flight per
+worker — one executing, one prefetched, so a worker never idles for a
+master round trip.  Each reply on the shared result queue is that
+worker's request for more: the master records it and tops the worker's
+window up.  Because the scheduler knows which worker holds which item,
+recovery and retirement are precise (see below).
+
+Workers are stateless.  The similarity structure a worker builds for a
+candidate rides back on the reply into the master's bounded
+:class:`~repro.ppi.delta.SimilarityLRU` (``similarity_cache_size ×
+max_workers`` entries); each outgoing item carries the candidate's own
+structure when the master holds it, else those of its provenance
+parents, and the worker patches from exactly what the item carries.  So
+every worker takes the serial provider's delta route — same rows
+re-swept, same fallbacks — whichever worker scored the parents and
+whatever the pool size.
+
+Fault tolerance
+---------------
 The runtime is fault tolerant at the task level, the property the paper's
 days-long Blue Gene/Q campaigns depend on:
 
@@ -13,11 +37,12 @@ days-long Blue Gene/Q campaigns depend on:
   a reply from an earlier epoch (orphaned by a timeout or a dead worker)
   is counted and dropped, never assigned to a later candidate that reuses
   the same ``sequence_id``;
-* the collection loop polls on short sub-timeouts and checks
-  ``Process.is_alive()`` whenever the result queue is quiet — a dead
-  worker is reaped, a replacement (with a fresh worker id) is spawned,
-  and the epoch's unacknowledged items are re-dispatched under a bounded
-  per-item retry budget;
+* the collection loop polls the result queue on short sub-timeouts and
+  checks ``Process.is_alive()`` whenever it is quiet — a dead worker is
+  reaped, a replacement (with a fresh worker id) is spawned, and exactly
+  the items that were in the dead worker's window go back to the front
+  of the backlog under a bounded per-item retry budget; the survivors'
+  items are untouched;
 * a worker-side scoring exception arrives as a
   :class:`~repro.parallel.messages.WorkFailure` and is re-raised on the
   master as :class:`WorkerFailureError` carrying the worker traceback,
@@ -29,42 +54,39 @@ By default the provider **never abandons a batch to the pool**: when the
 re-dispatch retry budget is exhausted (workers keep dying) or the
 collection loop stalls past ``timeout`` (workers hang), the lost items
 are scored *serially in the master* through the same
-``score_candidate_with_delta`` path the workers run — bit-exact with the
-pool's answers — and counted as ``parallel.degraded_items`` /
-``parallel.degraded_batches``.  A
-:class:`~repro.resilience.CircuitBreaker` then keeps subsequent batches
-serial (no respawn-and-die thrash); every few batches it lets one
-*half-open probe* try the pool again, closing the breaker on success.
-``fail_fast=True`` restores the pre-supervisor behaviour: exhausting the
-budget raises :class:`DeadWorkerError` naming the dead workers and lost
-items, and a stall raises ``RuntimeError``.
+``score_candidate_with_delta`` path the workers run, patching from the
+LRU the replies filled — bit-exact with the pool's answers — and
+counted as ``parallel.degraded_items`` / ``parallel.degraded_batches``.
+A :class:`~repro.resilience.CircuitBreaker` then keeps subsequent
+batches serial (no respawn-and-die thrash); every few batches it lets
+one *half-open probe* try the pool again, closing the breaker on
+success.  ``fail_fast=True`` restores the pre-supervisor behaviour:
+exhausting the budget raises :class:`DeadWorkerError` naming the dead
+workers and lost items, and a stall raises ``RuntimeError``.
 
-Shutdown is bounded: ``close()`` joins each worker under a grace period,
-then escalates ``terminate()`` → ``kill()`` (counted as
+Shutdown is bounded: ``close()`` sends every inbox an
+:class:`~repro.parallel.messages.EndSignal`, joins each worker under a
+grace period, then escalates ``terminate()`` → ``kill()`` (counted as
 ``parallel.force_killed``), so a hung worker cannot wedge the master.
 
 Elastic pool (the telemetry-driven control loop)
 ------------------------------------------------
 The pool is *elastic*: a :class:`~repro.parallel.elastic.ScalingPolicy`
 (``scaling="fixed" | "queue-depth" | "latency-target"``, or any policy
-instance) observes queue depth, a per-item latency EWMA and
-sticky-backlog skew on every scheduling step and resizes the pool
-between ``min_workers`` and ``max_workers``:
+instance) observes queue depth and a per-item latency EWMA on every
+scheduling step and resizes the pool between ``min_workers`` and
+``max_workers``:
 
 * **scale-up** spawns workers that *late-attach* to the existing
   :class:`~repro.ppi.shm.SharedProteomeView` segment (a handle, not a
   pickled engine, crosses the process boundary — the same broadcast the
-  initial pool got);
-* **scale-down** retires a worker through a private
-  :class:`~repro.parallel.messages.RetireSignal` after draining its
-  sticky queue back to the shared pool, so affinity routing and the
-  retry accounting survive the resize — a retiring worker that crashes
-  instead of exiting cleanly is recovered by the exact death machinery
-  above;
-* **chunked dispatch**: instead of flooding the task queue with the
-  whole generation, the policy may cap in-flight items
-  (latency-target sizes the window to ``target_s`` of work per worker),
-  keeping the master responsive to stragglers.
+  initial pool got); the next hand-out fills their windows;
+* **scale-down** puts a
+  :class:`~repro.parallel.messages.RetireSignal` on the inbox of the
+  worker with the least in flight and stops handing it work: the worker
+  finishes what its inbox already holds and exits — nothing is drained
+  back, nothing can be trapped.  A retiring worker that crashes instead
+  of exiting cleanly is recovered by the exact death machinery above.
 
 Policies decide, the provider executes — so elastic runs return scores
 bit-exact with the fixed pool, whatever the policy does.  The control
@@ -82,20 +104,19 @@ size and latency signals (``parallel.pool_size``,
 ``parallel.item_latency_ewma``, ``parallel.scale_{up,down}``,
 ``parallel.retired``), the fault-tolerance counters
 (``parallel.{worker_deaths,respawns,retries,stale_dropped,failures}``)
-and — from the worker-reported per-item wall times — per-worker busy
-time, item counts, throughput and utilisation
-(:meth:`MultiprocessScoreProvider.worker_stats`), exactly the quantities
+and — from what each worker stamps on its replies — per-worker busy
+time, item counts, throughput, utilisation and the time spent blocked on
+an empty inbox (``parallel.inbox_wait``;
+:meth:`MultiprocessScoreProvider.worker_stats`), exactly the quantities
 behind the paper's Figures 5–6.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import os
 import queue as queue_mod
 import time
-from collections import OrderedDict, deque
 
 import numpy as np
 
@@ -113,6 +134,7 @@ from repro.parallel.messages import (
     WorkItem,
     WorkResult,
 )
+from repro.parallel.scheduler import OnDemandScheduler
 from repro.parallel.worker import (
     FaultPlan,
     WorkerContext,
@@ -126,10 +148,16 @@ from repro.resilience.policies import BreakerState, CircuitBreaker
 from repro.telemetry import MetricsRegistry
 
 __all__ = [
+    "IN_FLIGHT_WINDOW",
     "MultiprocessScoreProvider",
     "WorkerFailureError",
     "DeadWorkerError",
 ]
+
+#: Items in flight per worker: one executing plus one prefetched, so a
+#: worker finds its next item already in the inbox when it replies.  The
+#: rest of a batch's backlog waits in the master's scheduler.
+IN_FLIGHT_WINDOW = 2
 
 
 class WorkerFailureError(RuntimeError):
@@ -140,11 +168,9 @@ class DeadWorkerError(RuntimeError):
     """Workers died and an item exhausted its re-dispatch retry budget."""
 
 
-def _worker_entry(worker_id, context, task_queue, result_queue, sticky_queue=None):
+def _worker_entry(worker_id, context, inbox, result_queue):
     """Top-level function so it pickles under any start method."""
-    worker_loop(
-        worker_id, context, task_queue, result_queue, sticky_queue=sticky_queue
-    )
+    worker_loop(worker_id, context, inbox, result_queue)
 
 
 class MultiprocessScoreProvider(CachingScoreProvider):
@@ -214,19 +240,13 @@ class MultiprocessScoreProvider(CachingScoreProvider):
     cache_size:
         Bound of the shared LRU score cache.
     similarity_cache_size:
-        Bound of each worker's local similarity-structure LRU (the delta
-        path's patch source) and of the master's parent→worker affinity
-        map that mirrors it.
+        Per-worker share of the master's similarity-structure LRU (the
+        delta path's patch source): it holds ``similarity_cache_size ×
+        max_workers`` structures.
     use_delta:
         When False, workers always run the full similarity sweep and no
-        sticky routing happens (the benchmark baseline).
-    sticky:
-        When True (default), a child whose parents were scored by a live
-        worker is routed to that worker's private queue so its similarity
-        LRU can answer the delta re-score; per-worker sticky backlog is
-        capped at roughly twice the fair share of the batch, the overflow
-        going to the shared on-demand queue.  Routing is advisory: a
-        mis-route only costs a full sweep, never a wrong score.
+        provenance or similarity structure travels (the benchmark
+        baseline).
     share_memory:
         When True (default), the database's read-only arrays are placed
         in a single ``multiprocessing.shared_memory`` segment
@@ -263,7 +283,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         cache_size: int = 100_000,
         similarity_cache_size: int = 256,
         use_delta: bool = True,
-        sticky: bool = True,
         fail_fast: bool = False,
         breaker: CircuitBreaker | None = None,
         close_grace_s: float = 10.0,
@@ -291,7 +310,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             target,
             list(non_targets),
             faults,
-            similarity_cache_size=similarity_cache_size,
             use_delta=use_delta,
         )
         self.num_workers = num_workers or max(1, os.cpu_count() or 1)
@@ -323,7 +341,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self.poll_interval = float(poll_interval)
         self.max_retries = int(max_retries)
         self.use_delta = bool(use_delta)
-        self.sticky = bool(sticky) and self.use_delta
         self.fail_fast = bool(fail_fast)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.close_grace_s = float(close_grace_s)
@@ -332,11 +349,11 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self.share_memory = bool(share_memory)
         self._shm_view: SharedProteomeView | None = None
         self._ship_context: WorkerContext = self.context
-        self._task_queue = None
         self._result_queue = None
         self._workers: dict[int, mp.Process] = {}
-        self._sticky_queues: dict[int, object] = {}
         self._retiring: dict[int, mp.Process] = {}
+        # One private queue per live or retiring worker.
+        self._inboxes: dict[int, object] = {}
         self._next_worker_id = 0
         # Fabric-registered problems: items dispatched through
         # :meth:`score_fused` carry one of these ids and are scored
@@ -356,20 +373,18 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self.degraded_items = 0
         self.degraded_batches = 0
         self.force_killed = 0
-        # Master-side similarity LRU backing the serial-degradation path
-        # (same role as each worker's local LRU).
-        self._master_similarity = SimilarityLRU(int(similarity_cache_size))
+        # The pool's only similarity cache: filled from worker replies,
+        # read when items are built and by the serial-degradation path.
+        self._master_similarity = SimilarityLRU(
+            int(similarity_cache_size) * self.max_workers
+        )
         self.delta_hits = 0
         self.delta_fallbacks = 0
         self.delta_rows_rescored = 0
         self.delta_rows_total = 0
-        self.sticky_routed = 0
-        # Which worker last scored each sequence (by encoded bytes),
-        # bounded to mirror the worker-side similarity LRUs it predicts.
-        self._affinity: OrderedDict[bytes, int] = OrderedDict()
-        self._affinity_size = int(similarity_cache_size)
         self._worker_items: dict[int, int] = {}
         self._worker_busy: dict[int, float] = {}
+        self._worker_inbox_wait: dict[int, float] = {}
         self._batches = 0
         self._batch_wall = 0.0
 
@@ -428,9 +443,10 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         cache: that LRU is keyed by sequence bytes alone, which is only
         correct when every item shares one problem.  Fabric clients keep
         their own per-problem caches instead.  Degradation, retries,
-        sticky routing and the elastic pool behave exactly as in
+        delta re-scoring and the elastic pool behave exactly as in
         :meth:`scores` — the similarity sweep is problem-independent, so
-        affinity routing across problems stays valid.
+        one problem's children patch from structures another problem's
+        candidates left in the master's LRU.
         """
         arrs = [np.asarray(a, dtype=np.uint8) for a in arrays]
         provs = (
@@ -453,9 +469,7 @@ class MultiprocessScoreProvider(CachingScoreProvider):
     def _spawn_worker(self) -> int:
         """Start one worker process under a fresh, never-reused worker id.
 
-        Every worker gets a private queue — the sticky (affinity) lane
-        when routing is on, and always the control lane a
-        :class:`~repro.parallel.messages.RetireSignal` travels on.  A
+        Every worker gets a private inbox, the only queue it reads.  A
         worker spawned mid-campaign (elastic scale-up) late-attaches to
         the existing shared proteome segment; if the segment is somehow
         gone the pickled engine is shipped instead — slower, never wrong.
@@ -468,21 +482,15 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                 self._shm_view.handle
             ):  # pragma: no cover - defensive, segment lives while open
                 ship = self.context
-        sticky_queue = self._ctx.Queue()
+        inbox = self._ctx.Queue()
         proc = self._ctx.Process(
             target=_worker_entry,
-            args=(
-                wid,
-                ship,
-                self._task_queue,
-                self._result_queue,
-                sticky_queue,
-            ),
+            args=(wid, ship, inbox, self._result_queue),
             daemon=True,
         )
         proc.start()
         self._workers[wid] = proc
-        self._sticky_queues[wid] = sticky_queue
+        self._inboxes[wid] = inbox
         self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
         return wid
 
@@ -510,7 +518,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                 self._ship_context = self.context.for_shipment(
                     self._shm_view.handle
                 )
-            self._task_queue = self._ctx.Queue()
             self._result_queue = self._ctx.Queue()
             for _ in range(self._target_workers):
                 self._spawn_worker()
@@ -522,32 +529,17 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             super().close()
             return
         # Drain replies orphaned by a failed batch so worker result puts
-        # cannot block shutdown; likewise sticky items never pulled.
+        # cannot block shutdown.
         while True:
             try:
                 self._result_queue.get_nowait()
             except queue_mod.Empty:
                 break
-        for sticky_queue in self._sticky_queues.values():
-            while True:
-                try:
-                    sticky_queue.get_nowait()
-                except queue_mod.Empty:
-                    break
-        # WorkItems orphaned on the *shared* queue by a failed/timed-out
-        # batch would otherwise be scored ahead of the EndSignal — wasted
-        # work that delays shutdown.  Pull them off first and account for
-        # them as stale, like their orphaned replies.
-        while True:
-            try:
-                orphan = self._task_queue.get_nowait()
-            except queue_mod.Empty:
-                break
-            if isinstance(orphan, EndSignal):  # pragma: no cover - defensive
-                continue
-            self._drop_stale()
-        if self._task_queue is not None:
-            self._task_queue.put(EndSignal())
+        # Retiring workers already hold their RetireSignal.  A failed
+        # batch strands at most IN_FLIGHT_WINDOW items ahead of the
+        # signal per worker; its backlog never left the master.
+        for wid in self._workers:
+            self._inboxes[wid].put(EndSignal())
         for proc in [*self._workers.values(), *self._retiring.values()]:
             proc.join(timeout=self.close_grace_s)
             if proc.is_alive():
@@ -561,15 +553,22 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                 self.force_killed += 1
                 self.telemetry.count("parallel.force_killed")
         self._workers = {}
-        self._sticky_queues = {}
         self._retiring = {}
-        self._affinity.clear()
-        self._task_queue = None
+        for wid in list(self._inboxes):
+            self._discard_inbox(wid)
         self._result_queue = None
         # Workers are gone (joined, terminated or killed above), so this
         # is the last mapping in our ownership scope: unlink-on-last-close.
         self._release_shm()
         super().close()
+
+    def _discard_inbox(self, wid: int) -> None:
+        """Release the inbox of a worker that is gone.  Whatever is still
+        buffered for it has no reader, so interpreter exit must not wait
+        for the queue's feeder thread to flush it."""
+        inbox = self._inboxes.pop(wid)
+        inbox.cancel_join_thread()
+        inbox.close()
 
     def _release_shm(self) -> None:
         """Drop the shared proteome segment; safe with dead workers (the
@@ -580,20 +579,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self._ship_context = self.context
 
     # -- scoring -----------------------------------------------------------
-
-    def _preferred_worker(self, provenance: Provenance | None) -> int | None:
-        """The live worker most likely to hold the parents' similarity
-        structures (by the master's scored-by affinity map)."""
-        if provenance is None:
-            return None
-        votes: dict[int, int] = {}
-        for key in provenance.parent_keys():
-            wid = self._affinity.get(key)
-            if wid is not None and wid in self._workers:
-                votes[wid] = votes.get(wid, 0) + 1
-        if not votes:
-            return None
-        return max(votes, key=lambda wid: (votes[wid], -wid))
 
     def _score_uncached(
         self,
@@ -641,32 +626,66 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self._batch_wall += time.perf_counter() - start
         return results
 
-    def _sticky_cap(self, batch_size: int) -> int:
-        """Sticky backlog cap: at most ~2x the fair share per *live*
-        worker, so affinity routing cannot starve the on-demand load
-        balance — computed against the pool that actually exists, not the
-        configured size (deaths and elastic resizes make them differ)."""
-        return max(2, math.ceil(2 * batch_size / max(1, len(self._workers))))
-
-    def _snapshot(
+    def _work_item(
         self,
-        pending: set[int],
-        outstanding: set[int],
-        sticky_load: dict[int, int],
-        batch_size: int,
-    ) -> PoolSnapshot:
+        sid: int,
+        epoch: int,
+        arr: np.ndarray,
+        prov: Provenance | None,
+        pid: int | None,
+    ) -> WorkItem:
+        """One wire item, carrying what the master's LRU holds for it: the
+        candidate's own structure if known, else those of its provenance
+        parents (a parent the LRU evicted only enlarges the re-sweep)."""
+        key = arr.tobytes()
+        carried = ()
+        if self.use_delta:
+            own = self._master_similarity.get(key)
+            if own is not None:
+                carried = ((key, own),)
+            elif prov is not None:
+                carried = tuple(
+                    (parent, similarity)
+                    for parent in prov.parent_keys()
+                    if (similarity := self._master_similarity.get(parent))
+                    is not None
+                )
+        return WorkItem(
+            sequence_id=sid,
+            payload=key,
+            batch_epoch=epoch,
+            provenance=prov if self.use_delta else None,
+            problem_id=pid,
+            problem=self._problems[pid] if pid is not None else None,
+            similarities=carried,
+        )
+
+    def _snapshot(self, sched: OnDemandScheduler, batch_size: int) -> PoolSnapshot:
         """The observation record the elastic controller decides from."""
         return PoolSnapshot(
             live_workers=len(self._workers),
-            backlog=len(pending),
-            outstanding=len(outstanding),
+            backlog=sched.remaining,
+            outstanding=sched.outstanding,
             latency_ewma_s=self._controller.latency_ewma_s,
-            max_sticky_backlog=max(sticky_load.values(), default=0),
             batch_size=batch_size,
         )
 
     def _set_queue_depth(self, depth: int) -> None:
         self.telemetry.set_gauge("parallel.queue_depth", depth)
+
+    def _hand_out(self, sched: OnDemandScheduler) -> None:
+        """Top every live worker's window up from the backlog, one item
+        per worker per pass so a short batch spreads over the pool."""
+        for _ in range(IN_FLIGHT_WINDOW):
+            for wid in self._workers:
+                if sched.in_flight(wid) >= IN_FLIGHT_WINDOW:
+                    continue
+                item = sched.next_for(wid)
+                if item is None:
+                    return
+                self._inboxes[wid].put(item)
+                self.dispatched += 1
+                self.telemetry.count("parallel.dispatched")
 
     def _score_via_pool(
         self,
@@ -677,8 +696,8 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         """Dispatch one batch to the worker pool; returns the scores and
         how many items had to be degraded to master-serial scoring."""
         self._ensure_started()
-        # Workers lost *between* batches: reap them now so the sticky cap
-        # and the controller observe the real pool, then refill to target.
+        # Workers lost *between* batches: reap them now so the controller
+        # observes the real pool, then refill to target.
         if self._reap_dead_workers():
             self._respawn_to_target()
         self._epoch += 1
@@ -686,99 +705,57 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         degraded = 0
         results: list[ScoreSet | None] = [None] * len(arrays)
         with self.telemetry.span("parallel.batch"):
-            sticky_cap = self._sticky_cap(len(arrays))
-            sticky_load: dict[int, int] = {}
-            items: dict[int, WorkItem] = {}
-            for sid, (arr, prov) in enumerate(zip(arrays, provs)):
-                pid = pids[sid]
-                items[sid] = WorkItem.from_encoded(
-                    sid,
-                    arr,
-                    batch_epoch=epoch,
-                    provenance=prov if self.use_delta else None,
-                    problem_id=pid,
-                    problem=self._problems[pid] if pid is not None else None,
-                )
-            pending = set(items)
-            outstanding: set[int] = set()
-            undispatched = deque(sorted(items))
-            retries: dict[int, int] = {}
+            sched = OnDemandScheduler(
+                [
+                    self._work_item(sid, epoch, arr, provs[sid], pids[sid])
+                    for sid, arr in enumerate(arrays)
+                ]
+            )
 
-            def dispatch_next() -> None:
-                sid = undispatched.popleft()
-                item = items[sid]
-                wid = self._preferred_worker(provs[sid]) if self.sticky else None
-                if wid is not None and sticky_load.get(wid, 0) < sticky_cap:
-                    self._sticky_queues[wid].put(item)
-                    sticky_load[wid] = sticky_load.get(wid, 0) + 1
-                    self.sticky_routed += 1
-                    self.telemetry.count("parallel.sticky_routed")
-                else:
-                    self._task_queue.put(item)
-                outstanding.add(sid)
-                self.dispatched += 1
-                self.telemetry.count("parallel.dispatched")
-
-            def fill() -> None:
-                # Chunked dispatch: keep only the policy's in-flight window
-                # on the queues (None = flood, the fixed-policy behaviour);
-                # never less than one item per live worker.
-                limit = self._controller.chunk_limit(
-                    self._snapshot(pending, outstanding, sticky_load, len(arrays))
-                )
-                if limit is not None:
-                    limit = max(limit, len(self._workers), 1)
-                while undispatched and (
-                    limit is None or len(outstanding) < limit
-                ):
-                    dispatch_next()
-                self._set_queue_depth(len(pending))
-
-            def resize() -> None:
-                self._maybe_resize(
-                    self._snapshot(pending, outstanding, sticky_load, len(arrays)),
-                    sticky_load,
-                )
+            def pump() -> None:
+                # Resize first: fresh workers get work in the same step
+                # and a retiring one is never handed more.
+                self._maybe_resize(self._snapshot(sched, len(arrays)), sched)
+                self._hand_out(sched)
+                self._set_queue_depth(sched.remaining)
 
             try:
-                fill()
-                resize()
+                pump()
                 last_progress = self._clock()
-                while pending:
+                while not sched.done:
                     try:
                         msg = self._result_queue.get(timeout=self.poll_interval)
                     except queue_mod.Empty:
                         dead = self._reap_dead_workers()
                         if dead:
                             try:
-                                self._recover(dead, items, outstanding, retries)
+                                self._recover(dead, sched)
                             except DeadWorkerError as exc:
                                 if self.fail_fast:
                                     raise
                                 degraded += self._degrade_pending(
-                                    arrays, provs, pids, pending, results,
-                                    reason=str(exc),
+                                    arrays, provs, pids, sched.missing(),
+                                    results, reason=str(exc),
                                 )
                                 break
                             last_progress = self._clock()
-                            fill()
                         elif self._clock() - last_progress > self.timeout:
-                            missing = sorted(pending)
+                            missing = sched.missing()
                             if self.fail_fast:
                                 raise RuntimeError(
                                     f"timed out waiting for worker results "
-                                    f"({len(arrays) - len(pending)}/{len(arrays)} "
+                                    f"({len(arrays) - len(missing)}/{len(arrays)} "
                                     f"received; missing sequence ids {missing[:10]})"
                                 ) from None
                             degraded += self._degrade_pending(
-                                arrays, provs, pids, pending, results,
+                                arrays, provs, pids, missing, results,
                                 reason=(
                                     f"collection stalled for {self.timeout}s "
-                                    f"with {len(pending)} item(s) outstanding"
+                                    f"with {len(missing)} item(s) outstanding"
                                 ),
                             )
                             break
-                        resize()
+                        pump()
                         continue
                     last_progress = self._clock()
                     if isinstance(msg, WorkFailure):
@@ -794,17 +771,14 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                         )
                     if not isinstance(msg, WorkResult):  # pragma: no cover
                         raise TypeError(f"unexpected result {type(msg).__name__}")
-                    if msg.batch_epoch != epoch or msg.sequence_id not in pending:
-                        # Stale epoch, or a duplicate of a re-dispatched item
-                        # that completed twice — either way, not this batch's.
+                    if msg.batch_epoch != epoch or not sched.record(msg):
+                        # Stale epoch, or a late reply for an item that was
+                        # requeued after a death — either way, not wanted.
                         self._drop_stale()
                         continue
                     results[msg.sequence_id] = msg.scores
-                    pending.discard(msg.sequence_id)
-                    outstanding.discard(msg.sequence_id)
-                    self._record_result(msg, items[msg.sequence_id].payload)
-                    fill()
-                    resize()
+                    self._record_result(msg, arrays[msg.sequence_id].tobytes())
+                    pump()
             finally:
                 # Whatever path ended the batch, consumers of the gauge
                 # must never read a stale mid-batch depth.
@@ -843,7 +817,7 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         arrays: list[np.ndarray],
         provs: list[Provenance | None],
         pids: list[int | None],
-        pending: set[int],
+        missing: list[int],
         results: list[ScoreSet | None],
         *,
         reason: str,
@@ -851,23 +825,23 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         """Score this batch's unacknowledged items serially in the master.
 
         Called when the pool is lost (retry budget exhausted) or stalled
-        (no progress past ``timeout``); fills ``results`` in place, emits
-        the ``parallel.degraded_*`` telemetry and empties ``pending``.
+        (no progress past ``timeout``); fills ``results`` in place for the
+        ``missing`` sequence ids and emits the ``parallel.degraded_*``
+        telemetry.
         """
-        count = len(pending)
+        count = len(missing)
         self.degraded_batches += 1
         self.telemetry.count("parallel.degraded_batches")
         self.telemetry.event(
             "parallel.degraded", items=count, reason=reason
         )
         with self.telemetry.span("parallel.degraded_scoring"):
-            for sid in sorted(pending):
+            for sid in missing:
                 results[sid] = self._score_serial(
                     arrays[sid], provs[sid], pids[sid]
                 )
                 self.degraded_items += 1
                 self.telemetry.count("parallel.degraded_items")
-        pending.clear()
         return count
 
     def _score_batch_serial(
@@ -899,14 +873,12 @@ class MultiprocessScoreProvider(CachingScoreProvider):
 
     # -- elastic control ---------------------------------------------------
 
-    def _maybe_resize(
-        self, snap: PoolSnapshot, sticky_load: dict[int, int] | None = None
-    ) -> None:
+    def _maybe_resize(self, snap: PoolSnapshot, sched: OnDemandScheduler) -> None:
         """Converge the pool toward the controller's decision.
 
         Scale-up spawns workers (late-attaching to the shared proteome
-        segment); scale-down retires the workers with the lightest sticky
-        load first, never dropping below one live worker mid-batch.  The
+        segment); scale-down retires the workers with the least in flight
+        first, never dropping below one live worker mid-batch.  The
         target is then pinned to the executed size so death recovery
         (:meth:`_respawn_to_target`) refills to what the policy last
         wanted, not the original ``num_workers``.
@@ -922,11 +894,9 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             self.telemetry.count("parallel.scale_up", added)
         elif desired < live:
             floor = max(1, self.min_workers)
-            load = sticky_load or {}
-            # Retire the coldest workers first: the fewest parked sticky
-            # items to drain back, the least affinity state thrown away.
+            # Retire the idlest workers first: they exit soonest.
             candidates = sorted(
-                self._workers, key=lambda wid: (load.get(wid, 0), -wid)
+                self._workers, key=lambda wid: (sched.in_flight(wid), -wid)
             )
             removed = 0
             for wid in candidates:
@@ -940,20 +910,12 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self._target_workers = len(self._workers)
 
     def _retire_worker(self, wid: int) -> None:
-        """Retire one worker: drain its private queue back to the shared
-        pool, then send the :class:`RetireSignal` (FIFO guarantees no
-        parked item can be trapped behind the signal)."""
-        proc = self._workers.pop(wid)
-        self._retiring[wid] = proc
-        sticky_queue = self._sticky_queues.pop(wid)
-        while True:
-            try:
-                parked = sticky_queue.get_nowait()
-            except queue_mod.Empty:
-                break
-            if isinstance(parked, WorkItem):
-                self._task_queue.put(parked)
-        sticky_queue.put(RetireSignal())
+        """Retire one worker: stop handing it work and send the
+        :class:`RetireSignal`; the inbox is FIFO, so the worker finishes
+        the items already in its window first and their replies are
+        recorded as usual."""
+        self._retiring[wid] = self._workers.pop(wid)
+        self._inboxes[wid].put(RetireSignal())
         self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
 
     def _respawn_to_target(self) -> None:
@@ -977,14 +939,13 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         for wid in dead:
             proc = self._workers.pop(wid)
             proc.join(timeout=0.1)
-            # Items parked on the dead worker's sticky queue are still in
-            # `pending`; recovery re-dispatches them on the shared queue.
-            self._sticky_queues.pop(wid, None)
+            self._discard_inbox(wid)
             self.worker_deaths += 1
             self.telemetry.count("parallel.worker_deaths")
         for wid in [w for w, p in self._retiring.items() if not p.is_alive()]:
             proc = self._retiring.pop(wid)
             proc.join(timeout=0.1)
+            self._discard_inbox(wid)
             if proc.exitcode not in (0, None):
                 # Died mid-retirement — its in-flight item needs recovery.
                 dead.append(wid)
@@ -997,54 +958,42 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
         return dead
 
-    def _recover(
-        self,
-        dead: list[int],
-        items: dict[int, WorkItem],
-        outstanding: set[int],
-        retries: dict[int, int],
-    ) -> None:
-        """Respawn replacements and re-dispatch unacknowledged items.
-
-        The shared task queue hides *which* item a dead worker held, so
-        every unacknowledged *dispatched* item of the epoch is
-        re-dispatched (chunked dispatch keeps the undispatched remainder
-        safe in the master); the epoch/pending guard in the collection
-        loop drops the duplicate replies this can produce.
-        """
+    def _recover(self, dead: list[int], sched: OnDemandScheduler) -> None:
+        """Respawn replacements and readmit exactly the items the dead
+        workers held (the scheduler knows who held what); they go to the
+        front of the backlog and the next hand-out re-dispatches them."""
         self._respawn_to_target()
+        lost = [sid for wid in dead for sid in sched.requeue_lost(wid)]
         exhausted = sorted(
-            sid for sid in outstanding if retries.get(sid, 0) >= self.max_retries
+            sid for sid in lost if sched.retries(sid) > self.max_retries
         )
         if exhausted:
             raise DeadWorkerError(
                 f"worker(s) {sorted(dead)} died and sequence(s) "
                 f"{exhausted[:10]} exhausted the retry budget of "
-                f"{self.max_retries}; {len(outstanding)} item(s) lost"
+                f"{self.max_retries}; {len(lost)} item(s) lost"
             )
-        for sid in sorted(outstanding):
-            retries[sid] = retries.get(sid, 0) + 1
-            self.retries += 1
-            self.telemetry.count("parallel.retries")
-            self._task_queue.put(items[sid])
+        if lost:
+            self.retries += len(lost)
+            self.telemetry.count("parallel.retries", len(lost))
 
     def _drop_stale(self) -> None:
         self.stale_dropped += 1
         self.telemetry.count("parallel.stale_dropped")
 
-    def _record_result(self, msg: WorkResult, payload: bytes | None = None) -> None:
+    def _record_result(self, msg: WorkResult, payload: bytes) -> None:
         wid = msg.worker_id
         self._worker_items[wid] = self._worker_items.get(wid, 0) + 1
         self._worker_busy[wid] = self._worker_busy.get(wid, 0.0) + msg.elapsed
+        self._worker_inbox_wait[wid] = (
+            self._worker_inbox_wait.get(wid, 0.0) + msg.inbox_wait
+        )
+        self.telemetry.observe("parallel.inbox_wait", msg.inbox_wait)
         ewma = self._controller.observe_latency(msg.elapsed)
         self.telemetry.set_gauge("parallel.item_latency_ewma", ewma)
-        if payload is not None:
-            # This worker now holds the sequence's similarity structure in
-            # its local LRU — future children of this sequence stick here.
-            self._affinity[payload] = wid
-            self._affinity.move_to_end(payload)
-            while len(self._affinity) > self._affinity_size:
-                self._affinity.popitem(last=False)
+        if msg.similarity is not None:
+            # Future children of this sequence patch from it, on any worker.
+            self._master_similarity.put(payload, msg.similarity)
         if msg.delta is not None:
             if msg.delta.hit:
                 self.delta_hits += 1
@@ -1067,7 +1016,9 @@ class MultiprocessScoreProvider(CachingScoreProvider):
 
         ``utilisation`` divides a worker's busy time by the provider's
         total batch wall time — the per-worker efficiency panel of the
-        paper's worker-scaling figures.
+        paper's worker-scaling figures.  ``inbox_wait_s`` is the time the
+        worker sat blocked on an empty inbox before its items arrived
+        (idle time between batches included).
         """
         out: dict[int, dict[str, float]] = {}
         for wid in sorted(self._worker_items):
@@ -1076,6 +1027,7 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             out[wid] = {
                 "items": float(items),
                 "busy_s": busy,
+                "inbox_wait_s": self._worker_inbox_wait[wid],
                 "throughput_per_s": items / busy if busy > 0 else 0.0,
                 "utilisation": (
                     busy / self._batch_wall if self._batch_wall > 0 else 0.0
@@ -1086,16 +1038,16 @@ class MultiprocessScoreProvider(CachingScoreProvider):
     def delta_stats(self) -> dict[str, int]:
         """Delta-scoring counters aggregated from worker replies.
 
-        Mirrors the ``pipe.delta.*`` telemetry; ``sticky_routed`` counts
-        dispatches that took a worker's private affinity queue instead of
-        the shared on-demand queue.
+        Mirrors the ``pipe.delta.*`` telemetry.  ``sticky_routed`` is
+        kept for consumers of the old affinity dispatch and reads 0 by
+        construction: every item is handed out on demand.
         """
         return {
             "hits": self.delta_hits,
             "fallbacks": self.delta_fallbacks,
             "rows_rescored": self.delta_rows_rescored,
             "rows_total": self.delta_rows_total,
-            "sticky_routed": self.sticky_routed,
+            "sticky_routed": 0,
         }
 
     def fault_stats(self) -> dict[str, object]:

@@ -3,7 +3,11 @@
 The paper stresses that "candidate sequences are issued by the master
 process in an on-demand fashion, ensuring a balanced load across all of
 the worker processes".  :class:`OnDemandScheduler` implements exactly that
-policy; :class:`StaticScheduler` implements the naive alternative (fixed
+policy and is the dispatch core of
+:class:`~repro.parallel.mp_backend.MultiprocessScoreProvider`: the master
+keeps a batch's backlog here, hands items out to fill each worker's
+in-flight window, records replies and readmits a dead worker's items.
+:class:`StaticScheduler` implements the naive alternative (fixed
 round-robin pre-assignment) as the ablation baseline — under heterogeneous
 per-sequence costs it exhibits the load imbalance on-demand dispatch
 avoids, which the scheduling benchmark quantifies.
@@ -19,7 +23,6 @@ from repro.parallel.messages import WorkItem, WorkResult
 __all__ = [
     "Scheduler",
     "OnDemandScheduler",
-    "StickyScheduler",
     "StaticScheduler",
 ]
 
@@ -29,10 +32,10 @@ class Scheduler(ABC):
 
     Fault tolerance: when the master detects a dead worker it calls
     :meth:`requeue_lost` to move that worker's outstanding items back into
-    the pending pool (incrementing their retry counts); a late duplicate
-    reply for an item that was ever requeued is *dropped* by
-    :meth:`record` (returns ``False``) instead of raising, because
-    re-dispatch legitimately produces duplicates.
+    the pending pool (incrementing their retry counts); a late reply for
+    an item that was ever requeued is *dropped* by :meth:`record`
+    (returns ``False``) instead of raising, because re-dispatch
+    legitimately produces duplicates.
     """
 
     def __init__(self, items: list[WorkItem]) -> None:
@@ -41,6 +44,7 @@ class Scheduler(ABC):
             raise ValueError("duplicate sequence ids in work list")
         self._items = {it.sequence_id: it for it in items}
         self._outstanding: dict[int, int] = {}  # sequence_id -> worker_id
+        self._in_flight: dict[int, int] = {}  # worker_id -> outstanding count
         self._completed: dict[int, WorkResult] = {}
         self._retries: dict[int, int] = {}
 
@@ -63,6 +67,7 @@ class Scheduler(ABC):
             del self._outstanding[sid]
             self._retries[sid] = self._retries.get(sid, 0) + 1
             self._readmit(self._items[sid])
+        self._in_flight.pop(worker_id, None)
         return lost
 
     def retries(self, sequence_id: int) -> int:
@@ -73,30 +78,38 @@ class Scheduler(ABC):
         """Register a completed result; validates it was outstanding.
 
         Returns ``True`` when the result was recorded, ``False`` when it
-        was a late duplicate of a requeued (re-dispatched) item and was
-        dropped.  Duplicates of never-requeued items still raise — outside
-        a recovery they indicate a protocol bug.
+        was dropped: a late reply for an item that was ever requeued —
+        a duplicate of a re-dispatched item, or the answer of the worker
+        the item was declared lost with.  The same anomalies on a
+        never-requeued item still raise — outside a recovery they
+        indicate a protocol bug.
         """
         sid = result.sequence_id
         if sid not in self._items:
             raise KeyError(f"result for unknown sequence {sid}")
-        if sid in self._completed:
-            if self._retries.get(sid, 0) > 0:
-                return False  # duplicate reply from a re-dispatch
-            raise ValueError(f"duplicate result for sequence {sid}")
-        expected = self._outstanding.pop(sid, None)
-        if expected is None:
-            raise ValueError(f"result for sequence {sid} that was never dispatched")
-        if expected != result.worker_id:
+        requeued = self._retries.get(sid, 0) > 0
+        expected = self._outstanding.get(sid)
+        if sid in self._completed or expected != result.worker_id:
+            if requeued:
+                return False
+            if sid in self._completed:
+                raise ValueError(f"duplicate result for sequence {sid}")
+            if expected is None:
+                raise ValueError(
+                    f"result for sequence {sid} that was never dispatched"
+                )
             raise ValueError(
                 f"sequence {sid} dispatched to worker {expected} "
                 f"but completed by {result.worker_id}"
             )
+        del self._outstanding[sid]
+        self._in_flight[expected] -= 1
         self._completed[sid] = result
         return True
 
     def _mark_dispatched(self, item: WorkItem, worker_id: int) -> WorkItem:
         self._outstanding[item.sequence_id] = worker_id
+        self._in_flight[worker_id] = self._in_flight.get(worker_id, 0) + 1
         return item
 
     @property
@@ -107,11 +120,25 @@ class Scheduler(ABC):
     def outstanding(self) -> int:
         return len(self._outstanding)
 
+    def in_flight(self, worker_id: int) -> int:
+        """Items handed to ``worker_id`` and not yet recorded or requeued."""
+        return self._in_flight.get(worker_id, 0)
+
+    @property
+    def remaining(self) -> int:
+        """Items without a recorded result (handed out or not)."""
+        return len(self._items) - len(self._completed)
+
+    def missing(self) -> list[int]:
+        """Sequence ids without a recorded result, ascending."""
+        return sorted(set(self._items) - set(self._completed))
+
     def results_in_order(self) -> list[WorkResult]:
         """All results ordered by sequence id; raises when incomplete."""
         if not self.done:
-            missing = sorted(set(self._items) - set(self._completed))
-            raise RuntimeError(f"incomplete: missing results for {missing[:10]}")
+            raise RuntimeError(
+                f"incomplete: missing results for {self.missing()[:10]}"
+            )
         return [self._completed[sid] for sid in sorted(self._completed)]
 
 
@@ -130,93 +157,6 @@ class OnDemandScheduler(Scheduler):
     def _readmit(self, item: WorkItem) -> None:
         # Front of the deque: a recovered item is the batch's critical path.
         self._pending.appendleft(item)
-
-
-class StickyScheduler(Scheduler):
-    """On-demand dispatch with parent affinity (sticky dispatch).
-
-    ``preferred`` maps a sequence id to the worker that scored the item's
-    parent(s): handing the child to that worker lets its local similarity
-    LRU answer the delta re-score instead of paying a full sweep.
-    Stickiness is a *routing preference*, not a partition — a worker with
-    no preferred work left drains the unpreferred pool and finally steals
-    from other workers' preferred queues (losing only the delta speedup,
-    never correctness), so a hot worker cannot idle the rest and the
-    paper's on-demand load balance is preserved.
-    """
-
-    def __init__(
-        self,
-        items: list[WorkItem],
-        preferred: dict[int, int] | None = None,
-    ) -> None:
-        super().__init__(items)
-        self._sticky: dict[int, deque[WorkItem]] = {}
-        self._general: deque[WorkItem] = deque()
-        preferred = preferred or {}
-        for item in items:
-            wid = preferred.get(item.sequence_id)
-            if wid is None:
-                self._general.append(item)
-            else:
-                self._sticky.setdefault(wid, deque()).append(item)
-
-    def _pop(self, queue: deque[WorkItem], worker_id: int) -> WorkItem | None:
-        if not queue:
-            return None
-        return self._mark_dispatched(queue.popleft(), worker_id)
-
-    def next_for(self, worker_id: int) -> WorkItem | None:
-        item = self._pop(self._sticky.get(worker_id, deque()), worker_id)
-        if item is not None:
-            return item
-        item = self._pop(self._general, worker_id)
-        if item is not None:
-            return item
-        # Steal from the most loaded sibling: its delta advantage is lost
-        # for the stolen item, but no worker ever idles while work exists.
-        for wid, queue in sorted(
-            self._sticky.items(), key=lambda kv: -len(kv[1])
-        ):
-            if wid == worker_id:
-                continue
-            item = self._pop(queue, worker_id)
-            if item is not None:
-                return item
-        return None
-
-    def sticky_backlog(self, worker_id: int) -> int:
-        """Items currently parked for ``worker_id`` (load-balance probe)."""
-        return len(self._sticky.get(worker_id, ()))
-
-    def sticky_backlogs(self) -> dict[int, int]:
-        """All non-empty per-worker sticky backlogs — the skew signal the
-        elastic controller reads (one hot queue while siblings idle)."""
-        return {wid: len(q) for wid, q in self._sticky.items() if q}
-
-    def rebalance(self, live_workers: set[int]) -> int:
-        """Release the sticky queues of workers no longer in the pool.
-
-        The elastic runtime retires (or loses) workers mid-batch; items
-        parked on a departed worker's affinity queue would otherwise wait
-        for a steal.  Moving them to the front of the general pool keeps
-        affinity advisory under resizes: the items lose only their delta
-        speedup, never their place in the batch.  Returns how many items
-        were released.
-        """
-        moved = 0
-        for wid in sorted(set(self._sticky) - set(live_workers)):
-            queue = self._sticky.pop(wid)
-            while queue:
-                self._general.appendleft(queue.pop())
-                moved += 1
-        return moved
-
-    def _readmit(self, item: WorkItem) -> None:
-        # A recovered item is the batch's critical path, and its preferred
-        # worker just died — the front of the shared pool is the fastest
-        # correct route.
-        self._general.appendleft(item)
 
 
 class StaticScheduler(Scheduler):

@@ -2,9 +2,18 @@
 
 A worker receives the broadcast data once (here: via process inheritance /
 pickled arguments, standing in for the paper's MPI broadcast that "relieves
-considerable stress from the shared disks"), then loops: request work,
-build the candidate's ``sequence_similarity`` structure, run PIPE against
-the target and every non-target, and return the scores.
+considerable stress from the shared disks"), then loops: block on its
+private inbox for the next item, build the candidate's
+``sequence_similarity`` structure, run PIPE against the target and every
+non-target, and return the scores — the reply doubles as the request for
+more work.
+
+Workers keep no state between items.  The similarity structures a delta
+re-score patches from arrive on the
+:class:`~repro.parallel.messages.WorkItem`, the structure built for the
+candidate leaves on the :class:`~repro.parallel.messages.WorkResult`, and
+the master's bounded LRU is the only cache — so every worker takes the
+serial provider's delta route whichever worker scored the parents.
 
 A candidate whose evaluation raises does **not** kill the worker: the
 exception is captured as a :class:`~repro.parallel.messages.WorkFailure`
@@ -18,7 +27,6 @@ chosen item.
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 import time
 import traceback as traceback_mod
 from dataclasses import dataclass, replace
@@ -54,7 +62,7 @@ class FaultPlan:
     """Test-only fault injection for the worker loop.
 
     Item indices are 0-based counts of items *this worker* has pulled from
-    the task queue.  ``only_worker`` restricts injection to one worker id;
+    its inbox.  ``only_worker`` restricts injection to one worker id;
     respawned workers receive fresh (monotonically increasing) ids, so a
     crash plan targeting worker 0 fires at most once per run — the
     replacement worker is unaffected and recovery is deterministic.
@@ -67,6 +75,8 @@ class FaultPlan:
     crash_on_item:
         Hard-exit the worker process (``os._exit``) after pulling this
         item — the item is lost in flight, simulating a node failure.
+        Replies to earlier items are flushed first, so what the master
+        has lost is exactly the worker's window.
     hang_on_item / hang_s:
         Stop responding at this item: sleep ``hang_s`` seconds (bounded,
         so an orphaned test process still dies) while holding the item —
@@ -106,10 +116,9 @@ class WorkerContext:
     ``faults`` is a test-only :class:`FaultPlan`; production runs leave it
     ``None`` (the default) and pay nothing for it.
 
-    ``similarity_cache_size`` bounds the worker-local LRU of per-sequence
-    similarity structures that the delta-scoring path patches from;
     ``use_delta=False`` disables incremental re-scoring entirely (every
-    candidate pays the full sweep, the pre-delta behaviour).
+    candidate pays the full sweep and no similarity structure travels in
+    either direction, the pre-delta behaviour).
 
     ``problems`` (optional) is the fabric's registered-problem table:
     ``problem_id -> (target, non_targets)``.  Items carrying a
@@ -123,7 +132,6 @@ class WorkerContext:
     target: str
     non_targets: list[str]
     faults: FaultPlan | None = None
-    similarity_cache_size: int = 256
     use_delta: bool = True
     shm_handle: "SharedProteomeHandle | None" = None
     config: "PipeConfig | None" = None
@@ -234,60 +242,31 @@ def score_candidate(context: WorkerContext, encoded: np.ndarray) -> ScoreSet:
     return scores
 
 
-def worker_loop(
-    worker_id: int,
-    context: WorkerContext,
-    task_queue,
-    result_queue,
-    *,
-    sticky_queue=None,
-    poll_timeout: float = 1.0,
-) -> int:
+def worker_loop(worker_id: int, context: WorkerContext, inbox, result_queue) -> int:
     """Worker main loop; returns the number of candidates processed.
 
-    Runs until an :class:`EndSignal` arrives on the task queue.  The task
-    queue is shared by all workers, so pulling from it is the
-    multiprocessing realisation of the paper's on-demand master dispatch.
-    ``sticky_queue`` (when given) is this worker's private queue: the
-    master routes children there when this worker scored their parents,
-    so the delta path finds the parent similarity structures in the local
-    LRU.  The sticky queue is drained before the shared one; the
-    :class:`EndSignal` travels only on the shared queue, while a
-    :class:`RetireSignal` (elastic scale-down) arrives on the private
-    queue and stops *this* worker only — it is never re-enqueued.  A
-    scoring exception is reported as a :class:`WorkFailure` and the loop
-    continues with the next item.
+    Blocks on ``inbox`` — this worker's private queue, the only one it
+    reads — until an :class:`EndSignal` (pool shutdown) or a
+    :class:`RetireSignal` (elastic scale-down) arrives; inboxes are FIFO,
+    so every item handed out before either signal is scored first.  Each
+    reply on the shared ``result_queue`` is what prompts the master to
+    hand this worker its next item.  A scoring exception is reported as a
+    :class:`WorkFailure` and the loop continues with the next item.
     """
     view = context.ensure_engine()
     try:
-        return _worker_loop_inner(
-            worker_id,
-            context,
-            task_queue,
-            result_queue,
-            sticky_queue=sticky_queue,
-            poll_timeout=poll_timeout,
-        )
+        return _worker_loop_inner(worker_id, context, inbox, result_queue)
     finally:
         if view is not None:
             view.close()
 
 
 def _worker_loop_inner(
-    worker_id: int,
-    context: WorkerContext,
-    task_queue,
-    result_queue,
-    *,
-    sticky_queue=None,
-    poll_timeout: float = 1.0,
+    worker_id: int, context: WorkerContext, inbox, result_queue
 ) -> int:
     context.warm_cache()
     faults = context.faults
     inject = faults is not None and faults.applies_to(worker_id)
-    similarity_cache = (
-        SimilarityLRU(context.similarity_cache_size) if context.use_delta else None
-    )
     # Fabric problem table: seeded from the shipped context, extended
     # in place from self-describing items (problems registered after
     # this worker spawned).
@@ -296,29 +275,22 @@ def _worker_loop_inner(
     )
     processed = 0
     while True:
-        message = None
-        if sticky_queue is not None:
-            try:
-                message = sticky_queue.get_nowait()
-            except queue_mod.Empty:
-                message = None
-        if message is None:
-            try:
-                message = task_queue.get(timeout=poll_timeout)
-            except queue_mod.Empty:
-                continue
-        if isinstance(message, EndSignal):
-            # Let sibling workers see the signal too.
-            task_queue.put(message)
-            break
-        if isinstance(message, RetireSignal):
-            # Private scale-down: only this worker leaves the pool.
+        waited = time.perf_counter()
+        message = inbox.get()
+        inbox_wait = time.perf_counter() - waited
+        if isinstance(message, (EndSignal, RetireSignal)):
             break
         if not isinstance(message, WorkItem):
             raise TypeError(f"unexpected message {type(message).__name__}")
         if inject:
             if faults.crash_on_item == processed:
                 # Simulated node failure: the pulled item dies with us.
+                # Replies already handed to the queue are flushed first:
+                # exiting while the feeder thread is mid-send would take
+                # the result queue's cross-process write lock with us — a
+                # transport failure, not the node failure simulated here.
+                result_queue.close()
+                result_queue.join_thread()
                 os._exit(1)
             if faults.hang_on_item == processed:
                 # Simulated hung node: hold the item without replying.
@@ -353,11 +325,23 @@ def _worker_loop_inner(
                     context.engine.database.precompute(
                         [problem[0], *problem[1]]
                     )
+            carried = None
+            if context.use_delta:
+                # A throwaway cache holding exactly what the item carries
+                # (plus room for the structure about to be built): the
+                # same cheapest-correct-route policy as the serial
+                # provider, with no state surviving the item.
+                carried = SimilarityLRU(len(message.similarities) + 1)
+                for key, similarity in message.similarities:
+                    carried.put(key, similarity)
+            # Ship the built structure back unless the master already
+            # holds it (or delta scoring is off).
+            fresh = carried is not None and carried.get(message.payload) is None
             scores, delta = score_candidate_with_delta(
                 context,
                 message.decode(),
                 provenance=message.provenance,
-                similarity_cache=similarity_cache,
+                similarity_cache=carried,
                 problem=problem,
             )
         except Exception as exc:
@@ -381,6 +365,8 @@ def _worker_loop_inner(
                 elapsed,
                 batch_epoch=message.batch_epoch,
                 delta=delta,
+                similarity=carried.get(message.payload) if fresh else None,
+                inbox_wait=inbox_wait,
             )
         )
         processed += 1

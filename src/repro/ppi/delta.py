@@ -186,7 +186,8 @@ class SimilarityLRU:
     """Bounded LRU of per-sequence similarity structures.
 
     One instance lives in each :class:`~repro.ga.fitness.SerialScoreProvider`
-    and in each parallel worker process.  Keys are the candidate's encoded
+    and in the master of each process pool (workers seed a throwaway one
+    from what a work item carries).  Keys are the candidate's encoded
     bytes (the same identity the score cache uses); values are the
     immutable :class:`~repro.ppi.database.SequenceSimilarity` structures,
     so sharing entries between a parent and the children patched from it

@@ -19,9 +19,7 @@ from repro.telemetry import MetricsRegistry
 pytestmark = pytest.mark.faults
 
 
-def _dead_worker_entry(
-    worker_id, context, task_queue, result_queue, sticky_queue=None
-):
+def _dead_worker_entry(worker_id, context, inbox, result_queue):
     """A worker that exits immediately without taking any work."""
     return
 

@@ -1,0 +1,141 @@
+"""Request-on-demand dispatch through real worker processes.
+
+Three contracts of the inbox/window protocol that unit tests on the
+scheduler cannot see:
+
+* **liveness** — a worker never sits idle while an item addressed to it
+  is queued, so a bred generation costs its work, not a poll interval;
+* **the serial delta route, exactly** — structures travel with the work,
+  so the pool re-sweeps the very rows the serial provider re-sweeps,
+  whichever worker scored the parents;
+* **precise recovery** — the master knows which worker holds which item,
+  so a death re-dispatches that worker's window and nothing else.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from repro.ga.config import GAParams
+from repro.ga.engine import InSiPSEngine
+from repro.ga.fitness import SerialScoreProvider
+from repro.parallel.mp_backend import IN_FLIGHT_WINDOW, MultiprocessScoreProvider
+from repro.parallel.worker import FaultPlan
+from repro.service import history_digest
+from repro.telemetry import MetricsRegistry
+
+pytestmark = pytest.mark.faults
+
+POPULATION = 24
+LENGTH = 20
+BRED_GENERATIONS = 4
+SEED = 18
+
+
+def _campaign(provider):
+    return InSiPSEngine(
+        provider,
+        GAParams(),
+        population_size=POPULATION,
+        candidate_length=LENGTH,
+        seed=SEED,
+    ).run(BRED_GENERATIONS + 1)  # generation 0 is the initial population
+
+
+def test_bred_generations_never_wait_out_a_poll(tiny_engine, tiny_problem):
+    """Every bred generation of a seeded campaign returns in well under
+    half a second on a 2-worker pool (a worker sleeping on the wrong
+    queue made each one cost a full second), and the queue-depth gauge
+    reads 0 afterwards."""
+    target, non_targets = tiny_problem
+    registry = MetricsRegistry()
+    with MultiprocessScoreProvider(
+        tiny_engine,
+        target,
+        non_targets,
+        num_workers=2,
+        timeout=120.0,
+        telemetry=registry,
+    ) as provider:
+        walls = []
+        inner = provider.scores_with_provenance
+
+        def timed(sequences, provenances):
+            start = time.perf_counter()
+            out = inner(sequences, provenances)
+            walls.append(time.perf_counter() - start)
+            return out
+
+        provider.scores_with_provenance = timed
+        result = _campaign(provider)
+        stats = provider.worker_stats()
+    assert result.completed
+    # The first call scores the initial population and pays the spawn.
+    bred = walls[1:]
+    assert len(bred) == BRED_GENERATIONS
+    assert max(bred) < 0.5, bred
+    assert registry.gauge("parallel.queue_depth").value == 0.0
+    # The stall would have been visible here: time blocked on the inbox
+    # while the master had work is bounded by the campaign, not by polls.
+    waits = registry.histogram("parallel.inbox_wait")
+    assert waits.count == sum(int(w["items"]) for w in stats.values())
+    assert all(w["inbox_wait_s"] >= 0.0 for w in stats.values())
+
+
+def test_pool_takes_the_serial_delta_route_exactly(tiny_engine, tiny_problem):
+    """Same seed, same rows: the pool's delta accounting equals the
+    serial provider's counters, with no full-sweep fallback, and the
+    campaigns' histories are identical."""
+    target, non_targets = tiny_problem
+    serial_registry = MetricsRegistry()
+    serial = _campaign(
+        SerialScoreProvider(
+            tiny_engine, target, non_targets, telemetry=serial_registry
+        )
+    )
+    with MultiprocessScoreProvider(
+        tiny_engine, target, non_targets, num_workers=2, timeout=120.0
+    ) as provider:
+        pooled = _campaign(provider)
+        delta = provider.runtime_stats()["delta"]
+    assert history_digest(pooled.history) == history_digest(serial.history)
+    assert delta["fallbacks"] == 0
+    assert delta["hits"] > 0
+    assert delta["rows_rescored"] == (
+        serial_registry.counter("pipe.delta.rows_rescored").value
+    )
+    assert delta["rows_total"] == (
+        serial_registry.counter("pipe.delta.rows_total").value
+    )
+    assert delta["rows_rescored"] < delta["rows_total"]
+    assert delta["sticky_routed"] == 0
+
+
+def test_death_redispatches_only_the_dead_workers_window(
+    tiny_engine, tiny_problem, rng
+):
+    """Every worker is slow and dies pulling its third item, so deaths are
+    detected while the survivors still hold work.  Each death costs at
+    most the dead worker's in-flight window in retries, the survivors'
+    replies are all wanted (nothing was duplicated), and the scores are
+    bit-exact."""
+    target, non_targets = tiny_problem
+    seqs = [rng.integers(0, 20, size=25).astype(np.uint8) for _ in range(8)]
+    expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(seqs)
+    with MultiprocessScoreProvider(
+        tiny_engine,
+        target,
+        non_targets,
+        num_workers=2,
+        timeout=60.0,
+        poll_interval=0.02,
+        faults=FaultPlan(crash_on_item=2, delay=0.1),
+    ) as provider:
+        out = provider.scores(seqs)
+        faults = provider.fault_stats()
+    assert out == expected
+    assert faults["worker_deaths"] >= 2
+    assert 1 <= faults["retries"] <= IN_FLIGHT_WINDOW * faults["worker_deaths"]
+    assert faults["stale_dropped"] == 0
+    assert faults["degraded_items"] == 0

@@ -4,8 +4,7 @@ Policy and controller tests are pure (no processes); the integration
 tests at the bottom drive a real :class:`MultiprocessScoreProvider` and
 include the regression tests for the dispatch/telemetry bugfix sweep:
 the ``parallel.queue_depth`` gauge must track the *live* backlog (not be
-set once to the batch size) and the sticky backlog cap must divide by
-the live pool (not the configured ``num_workers``).
+set once to the batch size).
 """
 
 import numpy as np
@@ -30,7 +29,6 @@ def snap(
     backlog=0,
     outstanding=0,
     ewma=0.0,
-    max_sticky=0,
     batch=10,
 ) -> PoolSnapshot:
     return PoolSnapshot(
@@ -38,7 +36,6 @@ def snap(
         backlog=backlog,
         outstanding=outstanding,
         latency_ewma_s=ewma,
-        max_sticky_backlog=max_sticky,
         batch_size=batch,
     )
 
@@ -76,7 +73,9 @@ class TestPolicies:
     def test_fixed_never_resizes_never_chunks(self):
         policy = FixedScaling(1, 8)
         assert policy.desired_workers(snap(live=3, backlog=100)) == 3
-        assert policy.chunk_limit(snap(live=3, backlog=100)) is None
+        # How much is in flight is the provider's window, not a policy
+        # decision.
+        assert not hasattr(policy, "chunk_limit")
 
     def test_queue_depth_sizes_to_backlog(self):
         policy = QueueDepthScaling(1, 8, items_per_worker=4)
@@ -84,21 +83,9 @@ class TestPolicies:
         assert policy.desired_workers(snap(live=4, backlog=2)) == 1
         assert policy.desired_workers(snap(live=2, backlog=100)) == 8  # clamped
 
-    def test_queue_depth_skew_asks_for_one_more(self):
-        policy = QueueDepthScaling(1, 8, items_per_worker=4)
-        base = policy.desired_workers(snap(live=4, backlog=8))
-        # One sticky queue holds 5 of 8 items (> 2x the fair share of 2):
-        # the policy asks for one extra worker as a stealing target.
-        skewed = policy.desired_workers(snap(live=4, backlog=8, max_sticky=5))
-        assert skewed == base + 1
-
     def test_latency_target_holds_until_first_ewma(self):
         policy = LatencyTargetScaling(1, 8, target_s=0.25)
         assert policy.desired_workers(snap(live=3, backlog=50, ewma=0.0)) == 3
-        assert (
-            policy.chunk_limit(snap(live=3, ewma=0.0))
-            == 3 * policy.bootstrap_chunk
-        )
 
     def test_latency_target_sizes_pool_to_drain_time(self):
         policy = LatencyTargetScaling(1, 8, target_s=0.5)
@@ -106,13 +93,6 @@ class TestPolicies:
         assert policy.desired_workers(snap(live=2, backlog=20, ewma=0.1)) == 4
         # 2 items x 0.01s: one worker is plenty.
         assert policy.desired_workers(snap(live=4, backlog=2, ewma=0.01)) == 1
-
-    def test_latency_target_chunk_window(self):
-        policy = LatencyTargetScaling(1, 8, target_s=0.5, max_chunk=16)
-        assert policy.per_worker_window(0.1) == 5  # 0.5/0.1
-        assert policy.per_worker_window(10.0) == 1  # floor
-        assert policy.per_worker_window(0.001) == 16  # max_chunk cap
-        assert policy.chunk_limit(snap(live=3, ewma=0.1)) == 15
 
     def test_make_scaling_policy_names_and_passthrough(self):
         for name in SCALING_POLICIES:
@@ -195,25 +175,6 @@ class TestProviderIntegration:
         assert gauge.value == 0.0  # drained
         assert gauge.max == 6.0  # peaked at the batch size
         assert gauge.updates > 2  # actually tracked, not set-and-forget
-
-    def test_sticky_cap_divides_by_live_pool(self, tiny_engine, tiny_problem):
-        # Regression: the cap used to divide by the configured
-        # num_workers; with half the pool dead that starves the sticky
-        # lanes of the survivors.
-        target, non_targets = tiny_problem
-        provider = MultiprocessScoreProvider(
-            tiny_engine, target, non_targets, num_workers=4
-        )
-        try:
-            provider._workers = {0: object(), 1: object()}
-            assert provider._sticky_cap(16) == 16  # 2 * 16 / 2 live
-            provider._workers = {0: object()}
-            assert provider._sticky_cap(16) == 32  # 2 * 16 / 1 live
-            provider._workers = {}
-            assert provider._sticky_cap(16) == 32  # floor guard, no div-by-0
-        finally:
-            provider._workers = {}
-            provider.close()
 
     def test_elastic_matches_serial(self, tiny_engine, tiny_problem, rng):
         target, non_targets = tiny_problem

@@ -14,9 +14,7 @@ import repro.parallel.mp_backend as mp_backend
 from repro.parallel.mp_backend import DeadWorkerError, MultiprocessScoreProvider
 
 
-def _dead_worker_entry(
-    worker_id, context, task_queue, result_queue, sticky_queue=None
-):
+def _dead_worker_entry(worker_id, context, inbox, result_queue):
     """A worker that exits immediately without taking any work."""
     return
 

@@ -10,6 +10,8 @@ later batch; an exhausted retry budget raises a diagnostic error naming
 the dead workers and the lost items.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -147,12 +149,14 @@ def test_stale_epoch_result_dropped_on_reuse(tiny_engine, tiny_problem, rng):
         provider.close()
 
 
-def test_close_drains_orphaned_task_queue(tiny_engine, tiny_problem, rng):
-    """After a failed batch abandons WorkItems on the shared task queue,
-    close() must pull them off (accounted as stale) instead of letting the
-    worker score them ahead of the EndSignal."""
+def test_failed_batch_keeps_its_backlog_in_the_master(
+    tiny_engine, tiny_problem, rng
+):
+    """A batch aborted by a worker failure has handed out only the
+    in-flight window; the rest of it never left the master, so close()
+    has nothing to drain and the worker exits on its own after the one
+    prefetched item."""
     target, non_targets = tiny_problem
-    telemetry = MetricsRegistry()
     provider = MultiprocessScoreProvider(
         tiny_engine,
         target,
@@ -160,27 +164,24 @@ def test_close_drains_orphaned_task_queue(tiny_engine, tiny_problem, rng):
         num_workers=1,
         timeout=60.0,
         poll_interval=0.05,
-        # Item 0 fails fast (aborting the batch); item 1 then parks the
-        # worker for 2 s, so the rest of the batch is still queued when
-        # close() runs.
-        faults=FaultPlan(fail_on_item=0, delay_on_item=1, delay=2.0),
-        telemetry=telemetry,
+        # Item 0 fails fast (aborting the batch); the prefetched item 1
+        # keeps the worker busy while close() runs.
+        faults=FaultPlan(fail_on_item=0, delay_on_item=1, delay=0.5),
     )
     try:
         with pytest.raises(WorkerFailureError):
             provider.scores(_seqs(rng, 8))
+        assert provider.dispatched == mp_backend.IN_FLIGHT_WINDOW
     finally:
+        start = time.monotonic()
         provider.close()
-    assert provider.stale_dropped >= 1
-    assert (
-        telemetry.counter("parallel.stale_dropped").value
-        == provider.stale_dropped
-    )
+        closed_in = time.monotonic() - start
+    assert closed_in < 5.0  # one delayed item, not six more sweeps or a kill
+    assert provider.force_killed == 0
+    assert provider.stale_dropped == 0
 
 
-def _dead_worker_entry(
-    worker_id, context, task_queue, result_queue, sticky_queue=None
-):
+def _dead_worker_entry(worker_id, context, inbox, result_queue):
     """A worker that exits immediately without taking any work."""
     return
 

@@ -67,3 +67,22 @@ def test_messages_picklable():
     failure = WorkFailure(1, 0, "ValueError: x", "Traceback ...", batch_epoch=4)
     for msg in (item, result, failure, EndSignal()):
         assert pickle.loads(pickle.dumps(msg)) == msg
+
+
+def test_similarity_structures_ride_the_messages(tiny_engine):
+    import pickle
+
+    seq = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5], dtype=np.uint8)
+    similarity = tiny_engine.database.sequence_similarity(seq)
+    item = WorkItem.from_encoded(0, seq, similarities=((seq.tobytes(), similarity),))
+    ((key, carried),) = pickle.loads(pickle.dumps(item)).similarities
+    assert key == seq.tobytes()
+    assert (carried.counts != similarity.counts).nnz == 0
+    reply = WorkResult(0, 1, ScoreSet(0.5, ()), similarity=similarity, inbox_wait=0.25)
+    loaded = pickle.loads(pickle.dumps(reply))
+    assert (loaded.similarity.counts != similarity.counts).nnz == 0
+    assert loaded.inbox_wait == 0.25
+    # Items and replies carry nothing unless told to.
+    assert WorkItem.from_encoded(0, seq).similarities == ()
+    bare = WorkResult(0, 1, ScoreSet(0.5, ()))
+    assert bare.similarity is None and bare.inbox_wait == 0.0

@@ -44,6 +44,17 @@ class TestOnDemand:
         assert sched.done
         assert sched.outstanding == 0
 
+    def test_in_flight_remaining_and_missing_track_the_batch(self):
+        sched = OnDemandScheduler(_items(4))
+        first = sched.next_for(7)
+        sched.next_for(7)
+        sched.next_for(3)
+        assert (sched.in_flight(7), sched.in_flight(3), sched.in_flight(9)) == (2, 1, 0)
+        assert sched.remaining == 4 and sched.missing() == [0, 1, 2, 3]
+        sched.record(_result(first, 7))
+        assert sched.in_flight(7) == 1
+        assert sched.remaining == 3 and sched.missing() == [1, 2, 3]
+
     def test_results_in_order(self):
         items = _items(3)
         sched = OnDemandScheduler(items)
@@ -121,6 +132,16 @@ class TestRequeue:
         assert sched.record(_result(item, 1)) is False
         assert sched.done
 
+    def test_late_reply_from_the_lost_worker_dropped_not_raised(self):
+        sched = OnDemandScheduler(_items(2))
+        item = sched.next_for(0)
+        sched.requeue_lost(0)
+        # Worker 0 was declared dead, yet its answer turns up before the
+        # item is handed out again: dropped, and the item stays pending.
+        assert sched.record(_result(item, 0)) is False
+        assert sched.missing() == [0, 1]
+        assert sched.next_for(1).sequence_id == item.sequence_id
+
     def test_requeue_unknown_worker_is_noop(self):
         sched = OnDemandScheduler(_items(2))
         sched.next_for(0)
@@ -185,101 +206,3 @@ class TestStatic:
         assert ondemand <= static
         assert ondemand == 10.0  # worker 1 absorbs all cheap items
         assert static == 12.0  # worker 0 stuck with items 0, 2, 4
-
-
-class TestSticky:
-    def test_preferred_items_go_to_their_worker_first(self):
-        from repro.parallel.scheduler import StickyScheduler
-
-        items = _items(4)
-        sched = StickyScheduler(items, preferred={0: 1, 2: 1})
-        # Worker 1 drains its sticky queue before the general pool.
-        assert sched.next_for(1).sequence_id == 0
-        assert sched.next_for(1).sequence_id == 2
-        assert sched.next_for(1).sequence_id == 1  # then the general pool
-
-    def test_unpreferred_worker_takes_general_pool(self):
-        from repro.parallel.scheduler import StickyScheduler
-
-        items = _items(3)
-        sched = StickyScheduler(items, preferred={0: 7})
-        assert sched.next_for(3).sequence_id == 1
-        assert sched.next_for(3).sequence_id == 2
-
-    def test_idle_worker_steals_rather_than_starve(self):
-        from repro.parallel.scheduler import StickyScheduler
-
-        items = _items(4)
-        sched = StickyScheduler(items, preferred={i: 0 for i in range(4)})
-        # Everything is parked for worker 0, but worker 1 must not idle.
-        stolen = sched.next_for(1)
-        assert stolen is not None
-        # Steal comes from the most loaded sibling queue.
-        assert sched.sticky_backlog(0) == 3
-        own = sched.next_for(0)
-        assert own is not None and own.sequence_id != stolen.sequence_id
-
-    def test_no_preference_behaves_like_ondemand(self):
-        from repro.parallel.scheduler import StickyScheduler
-
-        items = _items(3)
-        sched = StickyScheduler(items)
-        assert [sched.next_for(w).sequence_id for w in (5, 2, 5)] == [0, 1, 2]
-        assert sched.next_for(0) is None
-
-    def test_requeue_lost_goes_to_general_pool(self):
-        from repro.parallel.scheduler import StickyScheduler
-
-        items = _items(2)
-        sched = StickyScheduler(items, preferred={0: 0})
-        lost = sched.next_for(0)
-        assert sched.requeue_lost(0) == [lost.sequence_id]
-        # The recovered item is handed to whoever asks next, preference or
-        # not (its preferred worker just died).
-        assert sched.next_for(3).sequence_id == lost.sequence_id
-
-    def test_all_items_complete_under_mixed_dispatch(self):
-        from repro.parallel.scheduler import StickyScheduler
-
-        items = _items(6)
-        sched = StickyScheduler(items, preferred={0: 0, 1: 0, 2: 1})
-        while not sched.done:
-            for w in (0, 1, 2):
-                item = sched.next_for(w)
-                if item is not None:
-                    sched.record(_result(item, w))
-        assert [r.sequence_id for r in sched.results_in_order()] == list(range(6))
-
-    def test_sticky_backlogs_reports_only_nonempty_queues(self):
-        from repro.parallel.scheduler import StickyScheduler
-
-        items = _items(5)
-        sched = StickyScheduler(items, preferred={0: 0, 1: 0, 2: 0, 3: 1})
-        assert sched.sticky_backlogs() == {0: 3, 1: 1}
-        sched.next_for(1)  # drains worker 1's only parked item
-        assert sched.sticky_backlogs() == {0: 3}
-
-    def test_rebalance_moves_departed_workers_items_to_general_pool(self):
-        from repro.parallel.scheduler import StickyScheduler
-
-        items = _items(4)
-        sched = StickyScheduler(items, preferred={0: 0, 1: 0, 2: 1})
-        # Worker 0 leaves the pool with two items still parked for it.
-        assert sched.rebalance(live_workers={1}) == 2
-        assert sched.sticky_backlogs() == {1: 1}  # worker 1 keeps item 2
-        # The orphaned items are dispatchable again — nothing is trapped.
-        seen = set()
-        while True:
-            item = sched.next_for(1)
-            if item is None:
-                break
-            seen.add(item.sequence_id)
-        assert seen == {0, 1, 2, 3}
-
-    def test_rebalance_with_all_workers_live_is_a_no_op(self):
-        from repro.parallel.scheduler import StickyScheduler
-
-        items = _items(3)
-        sched = StickyScheduler(items, preferred={0: 0, 1: 1})
-        assert sched.rebalance(live_workers={0, 1}) == 0
-        assert sched.sticky_backlogs() == {0: 1, 1: 1}

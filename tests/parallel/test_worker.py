@@ -5,7 +5,7 @@ import queue
 import numpy as np
 import pytest
 
-from repro.parallel.messages import EndSignal, WorkItem, WorkResult
+from repro.parallel.messages import EndSignal, RetireSignal, WorkItem, WorkResult
 from repro.parallel.worker import WorkerContext, score_candidate, worker_loop
 
 
@@ -38,30 +38,123 @@ def test_warm_cache(context):
 
 
 def test_worker_loop_processes_until_end(context, rng):
-    task_q = queue.Queue()
+    inbox = queue.Queue()
     result_q = queue.Queue()
     for i in range(3):
-        task_q.put(WorkItem.from_encoded(i, rng.integers(0, 20, size=20).astype(np.uint8)))
-    task_q.put(EndSignal())
-    processed = worker_loop(0, context, task_q, result_q, poll_timeout=0.05)
+        inbox.put(WorkItem.from_encoded(i, rng.integers(0, 20, size=20).astype(np.uint8)))
+    inbox.put(EndSignal())
+    processed = worker_loop(0, context, inbox, result_q)
     assert processed == 3
     results = [result_q.get_nowait() for _ in range(3)]
     assert {r.sequence_id for r in results} == {0, 1, 2}
     assert all(isinstance(r, WorkResult) for r in results)
-    # The END signal is re-enqueued for sibling workers.
-    assert isinstance(task_q.get_nowait(), EndSignal)
+    # The inbox is private: the END signal is consumed, not passed on.
+    assert inbox.empty()
 
 
 def test_worker_loop_rejects_garbage(context):
-    task_q = queue.Queue()
+    inbox = queue.Queue()
     result_q = queue.Queue()
-    task_q.put("garbage")
+    inbox.put("garbage")
     with pytest.raises(TypeError):
-        worker_loop(0, context, task_q, result_q, poll_timeout=0.05)
+        worker_loop(0, context, inbox, result_q)
 
 
 def test_worker_loop_immediate_end(context):
-    task_q = queue.Queue()
+    inbox = queue.Queue()
     result_q = queue.Queue()
-    task_q.put(EndSignal())
-    assert worker_loop(1, context, task_q, result_q, poll_timeout=0.05) == 0
+    inbox.put(EndSignal())
+    assert worker_loop(1, context, inbox, result_q) == 0
+
+
+def test_worker_patches_from_what_the_item_carries(context, rng):
+    """Stateless delta scoring: the parent's structure arrives on the item,
+    the child's leaves on the reply, and a second item naming the same
+    parent *without* carrying it falls back — nothing was cached."""
+    from repro.ppi.delta import mutation_provenance
+
+    database = context.engine.database
+    parent = rng.integers(0, 20, size=30).astype(np.uint8)
+    child = parent.copy()
+    child[10] = (child[10] + 3) % 20
+    prov = mutation_provenance(parent, [10])
+    parent_sim = database.sequence_similarity(parent)
+    inbox = queue.Queue()
+    result_q = queue.Queue()
+    inbox.put(
+        WorkItem.from_encoded(
+            0, child, provenance=prov,
+            similarities=((parent.tobytes(), parent_sim),),
+        )
+    )
+    inbox.put(WorkItem.from_encoded(1, child, provenance=prov))
+    inbox.put(EndSignal())
+    assert worker_loop(0, context, inbox, result_q) == 2
+    patched, swept = result_q.get_nowait(), result_q.get_nowait()
+    assert patched.delta.hit
+    assert 0 < patched.delta.rows_rescored < patched.delta.rows_total
+    assert not swept.delta.hit
+    assert swept.delta.rows_rescored == swept.delta.rows_total
+    full = database.sequence_similarity(child)
+    for reply in (patched, swept):
+        assert reply.scores == score_candidate(context, child)
+        assert (reply.similarity.counts != full.counts).nnz == 0
+
+
+def test_worker_does_not_echo_a_structure_the_item_carried(context, rng):
+    seq = rng.integers(0, 20, size=25).astype(np.uint8)
+    own = context.engine.database.sequence_similarity(seq)
+    inbox = queue.Queue()
+    result_q = queue.Queue()
+    inbox.put(WorkItem.from_encoded(0, seq, similarities=((seq.tobytes(), own),)))
+    inbox.put(EndSignal())
+    worker_loop(0, context, inbox, result_q)
+    reply = result_q.get_nowait()
+    assert reply.similarity is None
+    assert reply.scores == score_candidate(context, seq)
+
+
+def test_worker_without_delta_ships_no_structure(tiny_engine, tiny_problem, rng):
+    target, non_targets = tiny_problem
+    context = WorkerContext(tiny_engine, target, non_targets, use_delta=False)
+    inbox = queue.Queue()
+    result_q = queue.Queue()
+    inbox.put(WorkItem.from_encoded(0, rng.integers(0, 20, size=20).astype(np.uint8)))
+    inbox.put(EndSignal())
+    worker_loop(0, context, inbox, result_q)
+    reply = result_q.get_nowait()
+    assert reply.similarity is None and reply.delta is None
+
+
+def test_retire_signal_stops_the_worker_after_its_inbox(context, rng):
+    inbox = queue.Queue()
+    result_q = queue.Queue()
+    inbox.put(WorkItem.from_encoded(0, rng.integers(0, 20, size=20).astype(np.uint8)))
+    inbox.put(RetireSignal())
+    inbox.put(WorkItem.from_encoded(1, rng.integers(0, 20, size=20).astype(np.uint8)))
+    assert worker_loop(0, context, inbox, result_q) == 1
+    assert result_q.get_nowait().sequence_id == 0
+    assert inbox.qsize() == 1  # nothing past the signal was touched
+
+
+def test_worker_stamps_inbox_wait(context, rng):
+    import threading
+    import time
+
+    inbox = queue.Queue()
+    result_q = queue.Queue()
+    item = WorkItem.from_encoded(0, rng.integers(0, 20, size=20).astype(np.uint8))
+
+    def feed():
+        time.sleep(0.3)
+        inbox.put(item)
+        inbox.put(EndSignal())
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        worker_loop(0, context, inbox, result_q)
+    finally:
+        feeder.join(timeout=5.0)
+    assert not feeder.is_alive()
+    assert result_q.get_nowait().inbox_wait >= 0.1

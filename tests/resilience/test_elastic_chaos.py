@@ -1,12 +1,15 @@
 """Elastic pool resizes under chaos: correctness must survive scaling.
 
 The elastic contract extends the supervisor contract: whatever the
-scaling policy does — growing the pool mid-batch, retiring workers with
-sticky backlogs parked, losing a worker in the middle of a scale-down —
-scores stay bit-exact with the fixed-pool/serial reference and no item
-is ever lost.  Every scenario here pins exactness alongside the scaling
-accounting (``scale_ups``, ``scale_downs``, ``retired``,
-``worker_deaths``).
+scaling policy does — growing the pool mid-batch, retiring workers that
+still hold items in their inbox window, losing a worker in the middle of
+a scale-down — scores stay bit-exact with the fixed-pool/serial
+reference and no item is ever lost.  The invariant behind the
+scale-down scenarios: a retiring worker finishes what its inbox holds;
+nothing is drained back, re-dispatched or trapped, and no delta state
+leaves with it because similarity structures live in the master.  Every
+scenario here pins exactness alongside the scaling accounting
+(``scale_ups``, ``scale_downs``, ``retired``, ``worker_deaths``).
 """
 
 import time
@@ -18,7 +21,7 @@ from repro.ga.config import GAParams
 from repro.ga.engine import InSiPSEngine
 from repro.ga.fitness import SerialScoreProvider
 from repro.parallel.elastic import LatencyTargetScaling, QueueDepthScaling
-from repro.parallel.mp_backend import MultiprocessScoreProvider
+from repro.parallel.mp_backend import IN_FLIGHT_WINDOW, MultiprocessScoreProvider
 from repro.parallel.worker import FaultPlan
 from repro.telemetry import MetricsRegistry
 
@@ -66,9 +69,13 @@ def test_scale_up_mid_batch_bit_exact(tiny_engine, tiny_problem, rng):
 def test_scale_down_with_sticky_backlog_loses_nothing(
     tiny_engine, tiny_problem, rng
 ):
-    """Retiring a worker drains its private (sticky) queue back to the
-    shared pool before the RetireSignal: children parked behind affinity
-    routing are re-scored elsewhere, bit-exact, never lost."""
+    """Workers retired mid-batch finish the items already in their inbox
+    window: every item is handed out exactly once (nothing drained back,
+    nothing re-dispatched, no stale reply), and children of parents a
+    retired worker scored still take the delta route, bit-exact — the
+    structures never lived in the worker.  (The scenario keeps its
+    historical name; the backlog once parked on a sticky queue is now
+    the retiring worker's window.)"""
     from repro.ppi.delta import mutation_provenance
 
     target, non_targets = tiny_problem
@@ -82,14 +89,16 @@ def test_scale_down_with_sticky_backlog_loses_nothing(
         scaling=QueueDepthScaling(1, 3, items_per_worker=4),
         timeout=120.0,
         poll_interval=0.05,
+        # Slow items: a worker is still busy in its window when the
+        # draining backlog tells the policy to retire it.
+        faults=FaultPlan(delay=0.02),
         telemetry=telemetry,
     ) as provider:
-        # Deep batch keeps 3 workers busy and seeds the affinity map.
+        # Deep batch: 3 workers at the start, one by the time it drains.
         parents = _seqs(rng, 12)
-        provider.scores(parents)
-        # Children of scored parents get sticky-routed; the tiny batch
-        # drives the queue-depth policy down to one worker, so two
-        # workers retire with children potentially parked on their lanes.
+        assert _same_scores(provider.scores(parents), serial.scores(parents))
+        assert provider.scale_downs > 0
+        assert len(provider._workers) < 3
         children, provs = [], []
         for parent in parents[:4]:
             child = parent.copy()
@@ -97,17 +106,23 @@ def test_scale_down_with_sticky_backlog_loses_nothing(
             children.append(child)
             provs.append(mutation_provenance(parent, [7]))
         out = provider.scores_with_provenance(children, provs)
-        assert provider.scale_downs > 0
-        assert len(provider._workers) < 3
-        expected = serial.scores(children)
-        assert _same_scores(out, expected)
+        assert _same_scores(out, serial.scores(children))
+        assert provider.dispatched == len(parents) + len(children)
+        assert provider.retries == 0
+        assert provider.stale_dropped == 0
+        delta = provider.delta_stats()
+        assert delta["hits"] == len(children)
+        assert delta["fallbacks"] == 0
         # Clean retirements are eventually reaped as retired, not deaths:
-        # give the retiring workers a bounded window to drain and exit.
+        # give the retiring workers a bounded window to exit.
         deadline = time.monotonic() + 15.0
-        while provider.retired == 0 and time.monotonic() < deadline:
+        while (
+            provider.retired < provider.scale_downs
+            and time.monotonic() < deadline
+        ):
             time.sleep(0.1)
             provider._reap_dead_workers()
-        assert provider.retired > 0
+        assert provider.retired == provider.scale_downs
         assert provider.worker_deaths == 0
         assert telemetry.counter("parallel.retired").value == provider.retired
 
@@ -117,7 +132,8 @@ def test_worker_death_during_scale_down_recovers(
 ):
     """A worker crashing while the pool is shrinking exercises death
     recovery and retirement in the same run: the crash is counted as a
-    death (items re-dispatched), the clean exits as retirements, and
+    death and costs at most the dead worker's window in retries, the
+    retiring workers' items are left alone (no duplicate reply), and
     every score stays bit-exact."""
     target, non_targets = tiny_problem
     serial = SerialScoreProvider(tiny_engine, target, non_targets)
@@ -130,13 +146,18 @@ def test_worker_death_during_scale_down_recovers(
         timeout=120.0,
         poll_interval=0.05,
         max_retries=3,
-        faults=FaultPlan(crash_on_item=2, only_worker=1),
+        # Both items of worker 1's first window are in its inbox before
+        # any retire signal can be, so the crash is certain.
+        faults=FaultPlan(crash_on_item=1, only_worker=1),
         telemetry=MetricsRegistry(),
     ) as provider:
-        # Deep batch: worker 1 dies on its third item mid-batch.
+        # Deep batch: worker 1 dies on its second item while the draining
+        # backlog retires its siblings.
         big = _seqs(rng, 12)
         assert _same_scores(provider.scores(big), serial.scores(big))
         assert provider.worker_deaths >= 1
+        assert provider.retries <= IN_FLIGHT_WINDOW * provider.worker_deaths
+        assert provider.stale_dropped == 0
         # Tiny batch: the policy shrinks the pool to one worker.
         small = _seqs(rng, 2)
         assert _same_scores(provider.scores(small), serial.scores(small))
