@@ -15,7 +15,8 @@ from repro.ga.config import WETLAB_PARAMS
 from repro.ga.engine import InSiPSEngine
 from repro.ga.fitness import SerialScoreProvider
 from repro.parallel.multirack import MultiRackGA
-from repro.ppi.pipe import PipeConfig, PipeEngine
+from repro.ppi.pipe import PipeConfig
+from repro.providers import make_engine
 
 
 def test_ablation_ondemand_vs_static_dispatch(benchmark):
@@ -45,8 +46,8 @@ def test_ablation_pam120_vs_blosum62(benchmark, tiny_world):
     def build_both():
         pam_cfg = PipeConfig(window_size=5, match_rate=1e-5)
         blosum_cfg = pam_cfg.with_matrix("BLOSUM62")
-        pam = PipeEngine.build(tiny_world.graph, pam_cfg)
-        blosum = PipeEngine.build(tiny_world.graph, blosum_cfg)
+        pam = make_engine(tiny_world.graph, pam_cfg)
+        blosum = make_engine(tiny_world.graph, blosum_cfg)
         return pam, blosum
 
     pam, blosum = benchmark.pedantic(build_both, rounds=1, iterations=1)

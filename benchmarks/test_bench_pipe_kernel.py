@@ -200,9 +200,9 @@ def test_bench_worker_rss(benchmark, small_world, population, share_memory):
             out = provider.scores(population)
             rss = {
                 wid: _rss_breakdown_kb(proc.pid)
-                for wid, proc in provider._workers.items()
+                for wid, proc in provider.pool._workers.items()
             }
-            shipped = len(pickle.dumps(provider._ship_context))
+            shipped = len(pickle.dumps(provider.pool._ship_context))
         return out, rss, shipped
 
     out, rss, shipped = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -69,7 +69,7 @@ def main() -> None:
         t0 = time.perf_counter()
         mp_result = engine.run(args.generations)
         t_mp = time.perf_counter() - t0
-        worker_stats = mp_provider.worker_stats()
+        worker_stats = mp_provider.runtime_stats()["workers"]
     identical = np.array_equal(serial_result.best.encoded, mp_result.best.encoded)
     print(f"master/worker: best fitness {mp_result.best_fitness:.4f} "
           f"in {t_mp:.1f}s with {args.workers} workers "

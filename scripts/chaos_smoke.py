@@ -130,12 +130,12 @@ def _scenario_pool_loss(world, non_targets, reference) -> bool:
             ),
             "history bit-exact": json.dumps(result.history.to_payload())
             == json.dumps(reference.history.to_payload()),
-            "degraded_items > 0": provider.degraded_items > 0,
-            "worker deaths observed": provider.worker_deaths > 0,
-            "breaker open": provider.breaker.state == BreakerState.OPEN,
+            "degraded_items > 0": provider.pool.degraded_items > 0,
+            "worker deaths observed": provider.pool.worker_deaths > 0,
+            "breaker open": provider.pool.breaker.state == BreakerState.OPEN,
             "telemetry agrees": (
                 telemetry.counter("parallel.degraded_items").value
-                == provider.degraded_items
+                == provider.pool.degraded_items
             ),
         }
     return _check(checks)
@@ -203,7 +203,7 @@ def _scenario_elastic_resize(world, non_targets, reference) -> bool:
         telemetry=telemetry,
     ) as provider:
         result = _engine(provider).run(GENERATIONS)
-        stats = provider.elastic_stats()
+        stats = provider.runtime_stats()["elastic"]
         checks = {
             "campaign completed": result.completed,
             "best sequence bit-exact": (
@@ -219,13 +219,13 @@ def _scenario_elastic_resize(world, non_targets, reference) -> bool:
             "latency EWMA tracked": (
                 telemetry.gauge("parallel.item_latency_ewma").value > 0.0
             ),
-            "no deaths (resizes are clean)": provider.worker_deaths == 0,
+            "no deaths (resizes are clean)": provider.pool.worker_deaths == 0,
             # A retiring worker finishes what its inbox holds: nothing is
             # drained back, re-dispatched or answered twice.
             "every item handed out exactly once": (
-                provider.dispatched == provider.cache_stats["misses"]
-                and provider.retries == 0
-                and provider.stale_dropped == 0
+                provider.pool.dispatched == provider.cache_stats["misses"]
+                and provider.pool.retries == 0
+                and provider.pool.stale_dropped == 0
             ),
             "queue depth decayed to 0": (
                 telemetry.gauge("parallel.queue_depth").value == 0.0

@@ -95,7 +95,7 @@ def _scenario_parallel_runtime(world, non_targets) -> bool:
         world.engine, TARGET, non_targets, num_workers=NUM_WORKERS
     ) as provider:
         out = provider.scores(seqs)
-        stats = provider.shm_stats()
+        stats = provider.runtime_stats()["shm"]
     exact = all(
         got.target_score == want.target_score
         and got.non_target_scores == want.non_target_scores
@@ -128,7 +128,7 @@ def _scenario_worker_crash(world, non_targets) -> bool:
         faults=FaultPlan(crash_on_item=1, only_worker=0),
     ) as provider:
         out = provider.scores(seqs)
-        deaths = provider.worker_deaths
+        deaths = provider.pool.worker_deaths
     exact = all(
         got.target_score == want.target_score
         for got, want in zip(out, expected)

@@ -224,7 +224,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     profile = get_profile(args.profile)
     provider_factory = None
-    created = []
+    runtimes = []  # one stats-tree reader per worker pool the run built
     fabrics = []
     backend = args.backend
     if backend == "serial" and args.workers:
@@ -251,7 +251,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 )
                 # Report the shared pool's worker stats alongside the
                 # fabric line below.
-                created.append(fabric.provider)
+                runtimes.append(fabric.pool.stats)
                 return client
             if backend == "process":
                 extra["share_memory"] = not args.no_shm
@@ -267,7 +267,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 workers=args.workers or None,
                 **extra,
             )
-            created.append(provider)
+            if backend == "process":
+                # thread backend: telemetry spans cover it
+                runtimes.append(provider.runtime_stats)
             return provider
 
     designer = InhibitorDesigner.from_profile(
@@ -285,13 +287,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         f"fitness {result.fitness:.4f}\n"
     )
     print(summary(registry))
-    for provider in created:
-        if not hasattr(provider, "runtime_stats"):
-            continue  # thread backend: telemetry spans cover it
-        stats = provider.runtime_stats()
+    for read_stats in runtimes:
+        stats = read_stats()
         print(f"\nworkers ({stats['num_workers']} processes, "
               f"{stats['dispatched']} items dispatched):")
-        for wid, w in provider.worker_stats().items():
+        for wid, w in stats["workers"].items():
             print(
                 f"  worker {wid}: items={int(w['items'])} "
                 f"busy={w['busy_s']:.3f}s "

@@ -10,15 +10,18 @@ targets can ride in the same dispatch batches — the continuous-batching
 pattern from inference serving, applied to protein design.
 
 * :class:`ScoringFabric` owns exactly one
-  :class:`~repro.parallel.mp_backend.MultiprocessScoreProvider` (one
-  shared proteome segment, one elastic pool) and hands out
-  :class:`FabricClient` handles.
+  :class:`~repro.parallel.mp_backend.WorkerPool` (one shared proteome
+  segment, one elastic pool) — the same pool, driven through the same
+  ``score(arrays, provenances, problems)`` call, that a dedicated
+  :class:`~repro.parallel.mp_backend.MultiprocessScoreProvider` wraps —
+  and hands out :class:`FabricClient` handles.
 * :class:`FabricClient` is a full
   :class:`~repro.ga.fitness.ScoreProvider` bound to its own
   ``(target, non_targets)`` problem — any existing GA engine runs on it
-  unchanged, with its *own* bounded LRU score cache (the fabric-level
-  dispatch bypasses the pool provider's shared cache, which would be
-  wrong across problems).
+  unchanged, with its *own* bounded LRU score cache (the pool caches no
+  scores: a sequence-keyed cache is only correct per problem).  Every
+  item of a fused dispatch names its client's problem, so problems
+  travel with the work and need no registration.
 * A dispatcher thread coalesces concurrently submitted batches into
   fused dispatches.  Flush triggers: ``max_items`` pending,
   ``max_wait_ms`` elapsed since the oldest submission, or every active
@@ -34,7 +37,7 @@ pattern from inference serving, applied to protein design.
 * A client closing (or its campaign crashing and abandoning a
   submission mid-batch) never wedges the fabric: its pending items are
   discarded (``fabric.abandoned_items``) and the remaining clients keep
-  being served; pool faults degrade through the provider's supervisor
+  being served; pool faults degrade through the pool's supervisor
   machinery as usual and fail only the submissions fused into the
   faulty dispatch.
 
@@ -57,7 +60,8 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from repro.ga.fitness import CachingScoreProvider, ScoreSet
-from repro.parallel.mp_backend import MultiprocessScoreProvider
+from repro.parallel.messages import Problem
+from repro.parallel.mp_backend import WorkerPool
 from repro.telemetry import NULL_REGISTRY, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -111,9 +115,7 @@ class _ClientState:
     """Master-side record of one registered client."""
 
     client_id: int
-    problem_id: int
-    target: str
-    non_targets: tuple[str, ...]
+    problem: Problem
     closed: bool = False
     items_scored: int = 0
 
@@ -180,13 +182,15 @@ class ScoringFabric:
         client is *between* generations — once every active client has
         work pending, the fabric flushes immediately.
     telemetry:
-        Registry for the ``fabric.*`` metrics (and the underlying
-        provider's ``parallel.*`` ones).  Updated from the dispatcher
-        thread under the fabric lock.
-    **provider_kwargs:
+        Registry for the ``fabric.*`` metrics (and the pool's
+        ``parallel.*`` ones).  Updated from the dispatcher thread under
+        the fabric lock.
+    **pool_settings:
         Forwarded to the single
-        :class:`~repro.parallel.mp_backend.MultiprocessScoreProvider`
-        (``num_workers=``, ``scaling=``, ``timeout=``, ``faults=`` ...).
+        :class:`~repro.parallel.mp_backend.WorkerPool`
+        (``num_workers=``, ``scaling=``, ``timeout=``, ``faults=`` ...),
+        which is built here — a bad setting fails the constructor, not
+        the first job — while its workers still spawn on first use.
 
     Use as a context manager; :meth:`close` closes every client, stops
     the dispatcher and reaps the pool.
@@ -200,7 +204,7 @@ class ScoringFabric:
         max_items: int = 64,
         max_wait_ms: float = 5.0,
         telemetry: MetricsRegistry | None = None,
-        **provider_kwargs: object,
+        **pool_settings: object,
     ) -> None:
         if max_items < 1:
             raise ValueError(f"max_items must be >= 1, got {max_items}")
@@ -212,8 +216,9 @@ class ScoringFabric:
         self._engine = make_engine(source, config, telemetry=telemetry)
         self.max_items = int(max_items)
         self.max_wait_s = float(max_wait_ms) / 1000.0
-        self._provider_kwargs = dict(provider_kwargs)
-        self._provider: MultiprocessScoreProvider | None = None
+        self.pool = WorkerPool(
+            self._engine, telemetry=self.telemetry, **pool_settings
+        )
         self._lock = threading.Lock()
         self._clients: dict[int, _ClientState] = {}
         self._next_client_id = 0
@@ -236,33 +241,20 @@ class ScoringFabric:
         cache_size: int = 100_000,
         telemetry: MetricsRegistry | None = None,
     ) -> "FabricClient":
-        """Register a design problem and return its scoring handle.
+        """Validate a design problem and return its scoring handle.
 
-        The first client's problem also seeds the pool provider's
-        context (workers need *a* default problem to warm); every
-        client's problem is registered with the provider so fused items
-        carry its id.  ``cache_size``/``telemetry`` configure the
-        client's own LRU score cache — same defaults as a dedicated
-        provider, so campaign cache behaviour (and hence the scores,
-        history and RNG trajectory) is bit-exact with one.
+        ``cache_size``/``telemetry`` configure the client's own LRU
+        score cache — same defaults as a dedicated provider, so campaign
+        cache behaviour (and hence the scores, history and RNG
+        trajectory) is bit-exact with one.
         """
         with self._lock:
             if self._closed:
                 raise FabricClosedError("cannot register on a closed fabric")
-            if self._provider is None:
-                self._provider = MultiprocessScoreProvider(
-                    self._engine,
-                    target,
-                    list(non_targets),
-                    telemetry=self.telemetry,
-                    **self._provider_kwargs,
-                )
-            problem_id = self._provider.register_problem(
-                target, list(non_targets)
-            )
+            problem = self.pool.warm(target, non_targets)
             cid = self._next_client_id
             self._next_client_id += 1
-            state = _ClientState(cid, problem_id, target, tuple(non_targets))
+            state = _ClientState(cid, problem)
             self._clients[cid] = state
             if self._dispatcher is None:
                 self._dispatcher = threading.Thread(
@@ -289,11 +281,6 @@ class ScoringFabric:
         # abandoned promptly instead of at the next natural wake-up.
         self._inbox.put(_WAKE)
 
-    @property
-    def provider(self) -> MultiprocessScoreProvider | None:
-        """The one pool provider (None until the first client)."""
-        return self._provider
-
     def close(self) -> None:
         """Close every client, stop the dispatcher, reap the pool.
 
@@ -311,8 +298,7 @@ class ScoringFabric:
         if dispatcher is not None:
             self._inbox.put(_Shutdown())
             dispatcher.join(timeout=60.0)
-        if self._provider is not None:
-            self._provider.close()
+        self.pool.close()
 
     def __enter__(self) -> "ScoringFabric":
         return self
@@ -518,16 +504,14 @@ class ScoringFabric:
                     order.append(lanes[cid].popleft())
         arrays = [sub.arrays[i] for sub, i in order]
         provs = [sub.provenances[i] for sub, i in order]
-        pids: list[int | None] = [
-            sub.client.problem_id for sub, _ in order
-        ]
+        problems = [sub.client.problem for sub, _ in order]
         with self._lock:
             for sub, _ in order:
                 self.telemetry.observe(
                     "fabric.queue_wait", now - sub.enqueued_at
                 )
         try:
-            scores = self._provider.score_fused(arrays, provs, pids)
+            scores = self.pool.score(arrays, provs, problems)
         except BaseException as exc:
             # Fail exactly the submissions fused into this dispatch; the
             # rest of the backlog (and future submissions) keep flowing.
@@ -595,7 +579,7 @@ class ScoringFabric:
         with self._lock:
             per_client = {
                 state.client_id: {
-                    "target": state.target,
+                    "target": state.problem[0],
                     "items": state.items_scored,
                     "closed": state.closed,
                 }
@@ -649,8 +633,8 @@ class FabricClient(CachingScoreProvider):
         super().__init__(cache_size=cache_size, telemetry=telemetry)
         self._fabric = fabric
         self._state = state
-        self.target = state.target
-        self.non_targets = list(state.non_targets)
+        self.target, non_targets = state.problem
+        self.non_targets = list(non_targets)
 
     @property
     def client_id(self) -> int:

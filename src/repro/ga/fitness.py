@@ -26,14 +26,12 @@ Both concrete providers share one caching surface,
 :class:`CachingScoreProvider`: an exact sequence-keyed **bounded LRU**
 (the paper's ``copy`` operation re-submits identical sequences every
 generation, so the cache is load-bearing).  Hit/miss/eviction counts are
-reported through the telemetry registry under ``provider.cache.*``;
-the legacy ``cache_hits`` / ``cache_misses`` attributes remain available
-as deprecated read-only properties for one release.
+reported through the telemetry registry under ``provider.cache.*`` and
+by the ``cache_stats`` property.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -280,32 +278,6 @@ class CachingScoreProvider(ScoreProvider):
             "evictions": self._evictions,
             "size": len(self._cache),
         }
-
-    # -- deprecated pre-telemetry surface -----------------------------------
-
-    @property
-    def cache_hits(self) -> int:
-        """Deprecated: read ``cache_stats['hits']`` or the telemetry
-        counter ``provider.cache.hits`` instead."""
-        warnings.warn(
-            "cache_hits is deprecated; use cache_stats or the telemetry "
-            "counter provider.cache.hits",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Deprecated: read ``cache_stats['misses']`` or the telemetry
-        counter ``provider.cache.misses`` instead."""
-        warnings.warn(
-            "cache_misses is deprecated; use cache_stats or the telemetry "
-            "counter provider.cache.misses",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._misses
 
 
 class SerialScoreProvider(CachingScoreProvider):

@@ -7,17 +7,21 @@ and send them back.  This package reproduces that architecture on
 :mod:`multiprocessing` as one request-on-demand protocol: each worker
 blocks on a private inbox, the master keeps the backlog and tops up a
 small per-worker in-flight window as replies arrive, and workers are
-stateless — the similarity structures delta re-scoring patches from
-travel with the work and live in one master-side LRU.
+stateless and problem-agnostic — every item names the design problem it
+is scored against, and the similarity structures delta re-scoring
+patches from travel with the work and live in one master-side LRU.
 
 * :mod:`repro.parallel.messages` — the wire protocol;
 * :mod:`repro.parallel.scheduler` — the master-side on-demand scheduler
-  the pool dispatches through (and, for ablation, a static one),
-  testable without processes;
-* :mod:`repro.parallel.worker` — the worker main loop (Algorithm 2);
-* :mod:`repro.parallel.mp_backend` — the
-  :class:`~repro.ga.fitness.ScoreProvider` implementation that the GA
-  engine plugs in unchanged;
+  the pool dispatches through, testable without processes;
+* :mod:`repro.parallel.worker` — the worker main loop (Algorithm 2) and
+  ``score_candidate``, the one engine + candidate + problem → scores
+  function;
+* :mod:`repro.parallel.mp_backend` — :class:`WorkerPool`, the runtime
+  itself, and :class:`MultiprocessScoreProvider`, the
+  :class:`~repro.ga.fitness.ScoreProvider` over a pool of its own that
+  the GA engine plugs in unchanged (:mod:`repro.fabric` is the other
+  front: many campaigns on one pool);
 * :mod:`repro.parallel.elastic` — the telemetry-driven elastic pool
   control loop (:class:`~repro.parallel.elastic.ScalingPolicy` and
   friends) that resizes the pool between ``min_workers`` and
@@ -50,6 +54,7 @@ from repro.parallel.elastic import (
 )
 from repro.parallel.messages import (
     EndSignal,
+    Problem,
     RetireSignal,
     WorkFailure,
     WorkItem,
@@ -59,19 +64,11 @@ from repro.parallel.mp_backend import (
     DeadWorkerError,
     MultiprocessScoreProvider,
     WorkerFailureError,
+    WorkerPool,
 )
 from repro.parallel.multirack import MultiRackGA, RackResult
-from repro.parallel.scheduler import (
-    OnDemandScheduler,
-    Scheduler,
-    StaticScheduler,
-)
-from repro.parallel.worker import (
-    FaultPlan,
-    WorkerContext,
-    score_candidate,
-    score_candidate_with_delta,
-)
+from repro.parallel.scheduler import OnDemandScheduler
+from repro.parallel.worker import FaultPlan, WorkerContext, score_candidate
 
 __all__ = [
     "SCALING_POLICIES",
@@ -85,18 +82,17 @@ __all__ = [
     "MultiprocessScoreProvider",
     "OnDemandScheduler",
     "PoolSnapshot",
+    "Problem",
     "QueueDepthScaling",
     "RackResult",
     "RetireSignal",
-    "Scheduler",
     "ScalingPolicy",
-    "StaticScheduler",
     "WorkFailure",
     "WorkItem",
     "WorkResult",
     "WorkerContext",
     "WorkerFailureError",
+    "WorkerPool",
     "make_scaling_policy",
     "score_candidate",
-    "score_candidate_with_delta",
 ]

@@ -8,7 +8,7 @@ bursty one queues behind too few processes.
 This module closes the loop from *observed* runtime behaviour — queue
 depth and a per-item latency EWMA — back to the pool itself:
 
-* :class:`PoolSnapshot` — the observation record the provider assembles
+* :class:`PoolSnapshot` — the observation record the pool assembles
   on every scheduling step (pure data, trivially testable);
 * :class:`ScalingPolicy` — the pluggable decision interface mapping a
   snapshot to a desired worker count.  Three implementations ship:
@@ -16,7 +16,7 @@ depth and a per-item latency EWMA — back to the pool itself:
   (size the pool to the backlog) and :class:`LatencyTargetScaling`
   (size the pool so the backlog drains within a wall-clock target).
   How much of a batch is in flight is not a policy decision: the
-  provider hands out on demand into a fixed per-worker window and the
+  pool hands out on demand into a fixed per-worker window and the
   rest of the backlog waits in the master;
 * :class:`ElasticController` — wraps a policy with the latency EWMA and
   a resize cooldown built on the injectable-clock
@@ -26,7 +26,7 @@ depth and a per-item latency EWMA — back to the pool itself:
   ``make_score_provider(..., scaling=...)`` and the CLI ``--scaling``
   flag.
 
-Decisions are *advisory*: the provider executes them by spawning workers
+Decisions are *advisory*: the pool executes them by spawning workers
 that late-attach to the existing shared proteome segment and by retiring
 workers through the same death/respawn machinery that already guarantees
 no item is ever lost — so an elastic run returns scores bit-exact with
@@ -59,7 +59,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PoolSnapshot:
-    """One observation of the pool, assembled by the provider each step.
+    """One observation of the pool, assembled on each scheduling step.
 
     Attributes
     ----------
@@ -87,7 +87,7 @@ class ScalingPolicy(ABC):
     """Maps a :class:`PoolSnapshot` to a desired pool size.
 
     Policies are pure decision objects — they never spawn, retire or
-    sleep.  The provider clamps and executes; a policy therefore cannot
+    sleep.  The pool clamps and executes; a policy therefore cannot
     compromise correctness, only throughput.
     """
 
@@ -197,27 +197,19 @@ def make_scaling_policy(
     *,
     min_workers: int,
     max_workers: int,
-    latency_target_s: float = 0.25,
-    items_per_worker: int = 4,
 ) -> ScalingPolicy:
     """Resolve a policy name (or pass an instance through).
 
-    Names mirror the CLI ``--scaling`` choices; an instance is returned
-    as-is (its own min/max bounds win — the keyword bounds describe
-    construction, not mutation).
+    Names mirror the CLI ``--scaling`` choices and build the policy with
+    its own defaults; an instance — the way to set a policy's knobs — is
+    returned as-is (its own min/max bounds win: the keyword bounds
+    describe construction, not mutation).
     """
     if isinstance(scaling, ScalingPolicy):
         return scaling
-    if scaling == "fixed":
-        return FixedScaling(min_workers, max_workers)
-    if scaling == "queue-depth":
-        return QueueDepthScaling(
-            min_workers, max_workers, items_per_worker=items_per_worker
-        )
-    if scaling == "latency-target":
-        return LatencyTargetScaling(
-            min_workers, max_workers, target_s=latency_target_s
-        )
+    for policy in (FixedScaling, QueueDepthScaling, LatencyTargetScaling):
+        if scaling == policy.name:
+            return policy(min_workers, max_workers)
     raise ValueError(
         f"unknown scaling policy {scaling!r}; "
         f"available: {', '.join(SCALING_POLICIES)}"
@@ -231,7 +223,7 @@ class ElasticController:
     and a resize cooldown built on :class:`~repro.resilience.Deadline`
     with an injectable clock, so hysteresis is testable by advancing a
     fake clock instead of sleeping.  ``decide`` returns the pool size
-    the provider should converge to *right now*; during a cooldown it
+    the pool should converge to *right now*; during a cooldown it
     returns the current size, suppressing resize thrash.
     """
 

@@ -10,8 +10,11 @@ worker's next work request, answered by putting the next
 :class:`RetireSignal` travel on the inbox too, so a worker only ever
 blocks on one queue.
 
-Workers are stateless between items.  The similarity structures a delta
-re-score patches from travel *with the work*: a :class:`WorkItem` carries
+Workers are stateless between items and know no design problem of their
+own: every :class:`WorkItem` names the :data:`Problem` it is scored
+against, so one pool serves one campaign or many (see
+:mod:`repro.fabric`) through the same path.  The similarity structures a
+delta re-score patches from travel *with the work* too: an item carries
 the structures the master already holds for the candidate or its
 provenance parents, and the :class:`WorkResult` brings the newly built
 structure back for the master's bounded LRU.
@@ -35,12 +38,28 @@ from repro.ga.fitness import ScoreSet
 from repro.ppi.database import SequenceSimilarity
 from repro.ppi.delta import DeltaStats, Provenance
 
-__all__ = ["WorkItem", "WorkResult", "WorkFailure", "EndSignal", "RetireSignal"]
+__all__ = [
+    "Problem",
+    "WorkItem",
+    "WorkResult",
+    "WorkFailure",
+    "EndSignal",
+    "RetireSignal",
+]
+
+#: A design problem as it travels on the wire: ``(target, non_targets)``.
+Problem = tuple[str, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
 class WorkItem:
     """One candidate sequence dispatched for PIPE analysis.
+
+    ``problem`` is the ``(target, non_targets)`` the candidate is scored
+    against.  Items are self-describing: a worker's engine fills its
+    known-protein cache with the problem's structures on first sight, so
+    a problem first named while the pool is running needs no control
+    message (and no ordering to get wrong).
 
     ``provenance`` (optional) records how the candidate was derived from
     its parent(s).  ``similarities`` holds the ``(sequence bytes,
@@ -48,22 +67,13 @@ class WorkItem:
     that, for its provenance parents; the worker patches from exactly these
     and re-sweeps only the dirty windows.  Both are advisory — an item
     carrying neither simply gets the full sweep.
-
-    ``problem_id`` (optional) binds the item to a fabric-registered
-    ``(target, non_targets)`` problem instead of the worker context's
-    default one, so one pool can serve many concurrent design campaigns
-    (see :mod:`repro.fabric`).  ``problem`` carries the problem spec
-    itself; a worker seeing an unknown id registers it from the spec on
-    first sight — self-describing items make registration race-free
-    (no control-message ordering to get wrong).
     """
 
     sequence_id: int
     payload: bytes  # encoded (uint8) sequence bytes; cheap to pickle
+    problem: Problem
     batch_epoch: int = 0
     provenance: Provenance | None = None
-    problem_id: int | None = None
-    problem: tuple[str, tuple[str, ...]] | None = None
     similarities: tuple[tuple[bytes, SequenceSimilarity], ...] = ()
 
     def __post_init__(self) -> None:
@@ -73,30 +83,24 @@ class WorkItem:
             raise ValueError("payload must be non-empty")
         if self.batch_epoch < 0:
             raise ValueError(f"batch_epoch must be >= 0, got {self.batch_epoch}")
-        if self.problem_id is not None and self.problem_id < 0:
-            raise ValueError(f"problem_id must be >= 0, got {self.problem_id}")
-        if self.problem is not None and self.problem_id is None:
-            raise ValueError("problem spec requires a problem_id")
 
     @classmethod
     def from_encoded(
         cls,
         sequence_id: int,
         encoded: np.ndarray,
+        problem: Problem,
         *,
         batch_epoch: int = 0,
         provenance: Provenance | None = None,
-        problem_id: int | None = None,
-        problem: tuple[str, tuple[str, ...]] | None = None,
         similarities: tuple[tuple[bytes, SequenceSimilarity], ...] = (),
     ) -> "WorkItem":
         return cls(
             sequence_id,
             np.asarray(encoded, dtype=np.uint8).tobytes(),
+            problem,
             batch_epoch,
             provenance,
-            problem_id,
-            problem,
             similarities,
         )
 

@@ -1,10 +1,24 @@
 """Multiprocessing realisation of the master/worker runtime.
 
-:class:`MultiprocessScoreProvider` plugs into the GA engine through the
+One scoring stack, two thin fronts.  :class:`WorkerPool` is the runtime:
+worker processes, request-on-demand dispatch, recovery, the elastic
+control loop and the shared proteome segment.  It owns no design problem
+and no score cache — every item it is handed names the
+:data:`~repro.parallel.messages.Problem` it is scored against, so one
+campaign or many take the same path through it.  Its whole surface is
+:meth:`~WorkerPool.warm`, :meth:`~WorkerPool.score`,
+:meth:`~WorkerPool.stats` and :meth:`~WorkerPool.close`.
+
+:class:`MultiprocessScoreProvider` is the dedicated front: one problem,
+the bounded-LRU score cache of
+:class:`~repro.ga.fitness.CachingScoreProvider`, and a pool of its own.
+It plugs into the GA engine through the
 :class:`~repro.ga.fitness.ScoreProvider` interface, so
 ``InSiPSEngine(provider, ...)`` runs the identical GA whether scores come
 from this parallel backend or the serial reference path — the property the
-integration tests assert.
+integration tests assert.  The shared front is
+:class:`repro.fabric.ScoringFabric`, whose clients' batches are fused
+onto one pool.
 
 Request-on-demand dispatch (Algorithms 1–2)
 -------------------------------------------
@@ -20,8 +34,9 @@ recovery and retirement are precise (see below).
 
 Workers are stateless.  The similarity structure a worker builds for a
 candidate rides back on the reply into the master's bounded
-:class:`~repro.ppi.delta.SimilarityLRU` (``similarity_cache_size ×
-max_workers`` entries); each outgoing item carries the candidate's own
+:class:`~repro.ppi.delta.SimilarityLRU`
+(:data:`SIMILARITY_CACHE_PER_WORKER` ``× max_workers`` entries); each
+outgoing item carries the candidate's own
 structure when the master holds it, else those of its provenance
 parents, and the worker patches from exactly what the item carries.  So
 every worker takes the serial provider's delta route — same rows
@@ -50,13 +65,14 @@ days-long Blue Gene/Q campaigns depend on:
 
 Graceful degradation (the campaign-supervisor contract)
 -------------------------------------------------------
-By default the provider **never abandons a batch to the pool**: when the
-re-dispatch retry budget is exhausted (workers keep dying) or the
-collection loop stalls past ``timeout`` (workers hang), the lost items
-are scored *serially in the master* through the same
-``score_candidate_with_delta`` path the workers run, patching from the
-LRU the replies filled — bit-exact with the pool's answers — and
-counted as ``parallel.degraded_items`` / ``parallel.degraded_batches``.
+By default the pool **never abandons a batch**: when the re-dispatch
+retry budget is exhausted (workers keep dying) or the collection loop
+stalls past ``timeout`` (workers hang), the lost items are scored
+*serially in the master* through the same
+:func:`~repro.parallel.worker.score_candidate` the workers run, each
+against its own problem, patching from the LRU the replies filled —
+bit-exact with the pool's answers — and counted as
+``parallel.degraded_items`` / ``parallel.degraded_batches``.
 A :class:`~repro.resilience.CircuitBreaker` then keeps subsequent
 batches serial (no respawn-and-die thrash); every few batches it lets
 one *half-open probe* try the pool again, closing the breaker on
@@ -88,16 +104,14 @@ scheduling step and resizes the pool between ``min_workers`` and
   back, nothing can be trapped.  A retiring worker that crashes instead
   of exiting cleanly is recovered by the exact death machinery above.
 
-Policies decide, the provider executes — so elastic runs return scores
-bit-exact with the fixed pool, whatever the policy does.  The control
-loop shares the resilience layer's injectable clock
-(:class:`~repro.resilience.Deadline` cooldowns; the provider's ``clock``
-parameter also drives stall detection, making timeout paths testable
-without real sleeps).
+Policies decide, the pool executes — so elastic runs return scores
+bit-exact with the fixed pool, whatever the policy does.  The pool's
+``clock`` parameter drives stall detection, making timeout paths
+testable without real sleeps.
 
-The provider shares the bounded-LRU score cache with the serial path
-through :class:`~repro.ga.fitness.CachingScoreProvider` and reports the
-master-side view of the runtime through telemetry: batch wall time
+The pool reports the master-side view of the runtime through telemetry
+and, as one tree with the same figures, :meth:`WorkerPool.stats`: batch
+wall time
 (``parallel.batch``), dispatch counters, the live outstanding-item count
 (``parallel.queue_depth``, decaying to 0 as each batch drains), the pool
 size and latency signals (``parallel.pool_size``,
@@ -106,9 +120,8 @@ size and latency signals (``parallel.pool_size``,
 (``parallel.{worker_deaths,respawns,retries,stale_dropped,failures}``)
 and — from what each worker stamps on its replies — per-worker busy
 time, item counts, throughput, utilisation and the time spent blocked on
-an empty inbox (``parallel.inbox_wait``;
-:meth:`MultiprocessScoreProvider.worker_stats`), exactly the quantities
-behind the paper's Figures 5–6.
+an empty inbox (``parallel.inbox_wait``), exactly the quantities behind
+the paper's Figures 5–6.
 """
 
 from __future__ import annotations
@@ -129,6 +142,7 @@ from repro.parallel.elastic import (
 )
 from repro.parallel.messages import (
     EndSignal,
+    Problem,
     RetireSignal,
     WorkFailure,
     WorkItem,
@@ -138,17 +152,19 @@ from repro.parallel.scheduler import OnDemandScheduler
 from repro.parallel.worker import (
     FaultPlan,
     WorkerContext,
-    score_candidate_with_delta,
+    score_candidate,
     worker_loop,
 )
-from repro.ppi.delta import Provenance, SimilarityLRU
+from repro.ppi.delta import DeltaStats, Provenance, SimilarityLRU
 from repro.ppi.pipe import PipeEngine
 from repro.ppi.shm import SharedProteomeView
 from repro.resilience.policies import BreakerState, CircuitBreaker
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import NULL_REGISTRY, MetricsRegistry
 
 __all__ = [
     "IN_FLIGHT_WINDOW",
+    "SIMILARITY_CACHE_PER_WORKER",
+    "WorkerPool",
     "MultiprocessScoreProvider",
     "WorkerFailureError",
     "DeadWorkerError",
@@ -158,6 +174,11 @@ __all__ = [
 #: worker finds its next item already in the inbox when it replies.  The
 #: rest of a batch's backlog waits in the master's scheduler.
 IN_FLIGHT_WINDOW = 2
+
+#: Per-worker share of the master's similarity-structure LRU (the delta
+#: path's patch source): it holds this many structures per worker of
+#: ``max_workers`` — the serial provider's default for each.
+SIMILARITY_CACHE_PER_WORKER = 256
 
 
 class WorkerFailureError(RuntimeError):
@@ -173,21 +194,20 @@ def _worker_entry(worker_id, context, inbox, result_queue):
     worker_loop(worker_id, context, inbox, result_queue)
 
 
-class MultiprocessScoreProvider(CachingScoreProvider):
-    """Master-side score provider dispatching candidates to worker
-    processes on demand, with task-level fault tolerance (see the module
-    docstring for the recovery semantics).
+class WorkerPool:
+    """Supervised, elastic pool of worker processes scoring candidates on
+    demand, each against the problem its item names (see the module
+    docstring for the dispatch and recovery semantics).
 
-    Use as a context manager (``with MultiprocessScoreProvider(...) as p:``)
-    so the workers are reaped even when the surrounding GA raises.
+    Use as a context manager so the workers are reaped on any exit path.
+    Spawning is lazy (the first :meth:`score`), and a closed pool starts
+    again on the next one.
 
     Parameters
     ----------
     engine:
         The broadcast PIPE engine (pickled to each worker at spawn — the
         paper's "broadcast all loaded data to worker processes").
-    target, non_targets:
-        The design problem.
     num_workers:
         Initial worker process count (paper: nodes - 1; default:
         available CPUs).  Under an elastic policy this is where the pool
@@ -201,16 +221,12 @@ class MultiprocessScoreProvider(CachingScoreProvider):
     scaling:
         ``"fixed"`` (default — the classic constant pool),
         ``"queue-depth"``, ``"latency-target"``, or any
-        :class:`~repro.parallel.elastic.ScalingPolicy` instance.
-    latency_target_s:
-        The ``latency-target`` policy's wall-clock drain target.
-    scale_cooldown_s:
-        Minimum time (by ``clock``) between resizes — hysteresis against
-        scale thrash; 0 disables.
+        :class:`~repro.parallel.elastic.ScalingPolicy` instance (the way
+        to set a policy's own knobs, e.g.
+        ``LatencyTargetScaling(1, 8, target_s=0.1)``).
     clock:
-        Monotonic clock used by stall detection and the elastic
-        controller's cooldowns (injectable for tests; default
-        :func:`time.monotonic`).
+        Monotonic clock used by stall detection (injectable for tests;
+        default :func:`time.monotonic`).
     timeout:
         Seconds of *no progress* (no reply received, no dead worker
         recovered) the collection loop tolerates before declaring the
@@ -228,8 +244,8 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         When True, pool loss raises (:class:`DeadWorkerError` /
         ``RuntimeError``) exactly as before the supervisor existed; when
         False (default) lost items are scored serially in the master and
-        the circuit breaker keeps the provider serial until a half-open
-        probe finds the pool healthy again.
+        the circuit breaker keeps the pool serial until a half-open
+        probe finds it healthy again.
     breaker:
         The :class:`~repro.resilience.CircuitBreaker` guarding the pool;
         defaults to one that probes every 4th batch while open.  Ignored
@@ -237,12 +253,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
     close_grace_s:
         Per-worker join grace during :meth:`close` before escalating to
         ``terminate()`` then ``kill()`` (``parallel.force_killed``).
-    cache_size:
-        Bound of the shared LRU score cache.
-    similarity_cache_size:
-        Per-worker share of the master's similarity-structure LRU (the
-        delta path's patch source): it holds ``similarity_cache_size ×
-        max_workers`` structures.
     use_delta:
         When False, workers always run the full similarity sweep and no
         provenance or similarity structure travels (the benchmark
@@ -253,9 +263,9 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         (:class:`~repro.ppi.shm.SharedProteomeView`) and workers receive
         a kilobyte-scale handle instead of a pickled engine — every
         worker maps the same physical proteome pages.  The segment is
-        refcounted and unlinked on the provider's last :meth:`close`;
-        a SIGKILLed worker cannot leak it.  Set False to restore the
-        classic pickle-the-engine broadcast.
+        refcounted and unlinked on the pool's :meth:`close`; a SIGKILLed
+        worker cannot leak it.  Set False to restore the classic
+        pickle-the-engine broadcast.
     faults:
         Test-only :class:`~repro.parallel.worker.FaultPlan` forwarded to
         the workers; leave ``None`` in production.
@@ -266,22 +276,16 @@ class MultiprocessScoreProvider(CachingScoreProvider):
     def __init__(
         self,
         engine: PipeEngine,
-        target: str,
-        non_targets: list[str],
         *,
         num_workers: int | None = None,
         min_workers: int | None = None,
         max_workers: int | None = None,
         scaling: "ScalingPolicy | str" = "fixed",
-        latency_target_s: float = 0.25,
-        scale_cooldown_s: float = 0.0,
         clock=time.monotonic,
         timeout: float = 300.0,
         poll_interval: float = 0.25,
         max_retries: int = 3,
         start_method: str | None = None,
-        cache_size: int = 100_000,
-        similarity_cache_size: int = 256,
         use_delta: bool = True,
         fail_fast: bool = False,
         breaker: CircuitBreaker | None = None,
@@ -298,20 +302,10 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             raise ValueError(f"poll_interval must be > 0, got {poll_interval}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if similarity_cache_size < 1:
-            raise ValueError(
-                f"similarity_cache_size must be >= 1, got {similarity_cache_size}"
-            )
         if close_grace_s < 0:
             raise ValueError(f"close_grace_s must be >= 0, got {close_grace_s}")
-        super().__init__(cache_size=cache_size, telemetry=telemetry)
-        self.context = WorkerContext(
-            engine,
-            target,
-            list(non_targets),
-            faults,
-            use_delta=use_delta,
-        )
+        self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
+        self.context = WorkerContext(engine, faults, use_delta=use_delta)
         self.num_workers = num_workers or max(1, os.cpu_count() or 1)
         if isinstance(scaling, ScalingPolicy):
             self._policy = scaling
@@ -325,17 +319,12 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                     self.num_workers, min_workers or 1
                 )
             self._policy = make_scaling_policy(
-                scaling,
-                min_workers=lo,
-                max_workers=hi,
-                latency_target_s=latency_target_s,
+                scaling, min_workers=lo, max_workers=hi
             )
         self.min_workers = self._policy.min_workers
         self.max_workers = self._policy.max_workers
         self._clock = clock
-        self._controller = ElasticController(
-            self._policy, cooldown_s=scale_cooldown_s, clock=clock
-        )
+        self._controller = ElasticController(self._policy)
         self._target_workers = self._policy.clamp(self.num_workers)
         self.timeout = float(timeout)
         self.poll_interval = float(poll_interval)
@@ -355,11 +344,9 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         # One private queue per live or retiring worker.
         self._inboxes: dict[int, object] = {}
         self._next_worker_id = 0
-        # Fabric-registered problems: items dispatched through
-        # :meth:`score_fused` carry one of these ids and are scored
-        # against that problem instead of the context default.
-        self._problems: dict[int, tuple[str, tuple[str, ...]]] = {}
-        self._next_problem_id = 0
+        # Proteins of every warmed problem, in first-seen order: what is
+        # precomputed before the fork and placed in the shm segment.
+        self._warm_names: dict[str, None] = {}
         self._epoch = 0
         self.dispatched = 0
         self.scale_ups = 0
@@ -376,7 +363,7 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         # The pool's only similarity cache: filled from worker replies,
         # read when items are built and by the serial-degradation path.
         self._master_similarity = SimilarityLRU(
-            int(similarity_cache_size) * self.max_workers
+            SIMILARITY_CACHE_PER_WORKER * self.max_workers
         )
         self.delta_hits = 0
         self.delta_fallbacks = 0
@@ -388,81 +375,26 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self._batches = 0
         self._batch_wall = 0.0
 
-    @property
-    def target(self) -> str:
-        """The design problem's target, mirroring the serial provider's
-        attribute — checkpoint fingerprints read it off any provider."""
-        return self.context.target
+    def warm(self, target: str, non_targets: list[str]) -> Problem:
+        """Validate one design problem and return it in wire form.
 
-    @property
-    def non_targets(self) -> list[str]:
-        return list(self.context.non_targets)
-
-    # -- fused multi-problem scoring (the fabric surface) --------------------
-
-    def register_problem(self, target: str, non_targets: list[str]) -> int:
-        """Register one ``(target, non_targets)`` design problem and
-        return its id for :meth:`score_fused` items.
-
-        Validates the names against the proteome up front (a typo fails
-        here, not inside a worker).  Problems registered before the pool
-        starts contribute their similarity structures to the shared
-        proteome segment; later registrations are self-describing on the
-        wire and warmed worker-side on first sight.
+        The one place a problem is checked against the proteome (a typo
+        fails here, not inside a worker).  Problems warmed before the
+        pool starts have their similarity structures precomputed before
+        the fork and placed in the shared proteome segment; one first
+        named later is warmed worker-side on first sight.
         """
-        non_targets = list(non_targets)
-        if target in non_targets:
+        problem = (target, tuple(non_targets))
+        if target in problem[1]:
             raise ValueError(
                 f"target {target!r} also appears in the non-target list"
             )
+        names = (target, *problem[1])
         graph = self.context.engine.database.graph
-        graph.index_of(target)
-        for nt in non_targets:
-            graph.index_of(nt)
-        pid = self._next_problem_id
-        self._next_problem_id += 1
-        spec = (target, tuple(non_targets))
-        self._problems[pid] = spec
-        if self.context.problems is None:
-            self.context.problems = {}
-        # The ship context shares this dict (dataclasses.replace copies
-        # the reference), so workers spawned later inherit the table.
-        self.context.problems[pid] = spec
-        return pid
-
-    def score_fused(
-        self,
-        arrays: list[np.ndarray],
-        provenances: list[Provenance | None] | None,
-        problem_ids: list[int | None],
-    ) -> list[ScoreSet]:
-        """Score one fused batch whose items may belong to *different*
-        registered problems.
-
-        This entry point deliberately bypasses the provider-level score
-        cache: that LRU is keyed by sequence bytes alone, which is only
-        correct when every item shares one problem.  Fabric clients keep
-        their own per-problem caches instead.  Degradation, retries,
-        delta re-scoring and the elastic pool behave exactly as in
-        :meth:`scores` — the similarity sweep is problem-independent, so
-        one problem's children patch from structures another problem's
-        candidates left in the master's LRU.
-        """
-        arrs = [np.asarray(a, dtype=np.uint8) for a in arrays]
-        provs = (
-            list(provenances) if provenances is not None else [None] * len(arrs)
-        )
-        pids = list(problem_ids)
-        if len(provs) != len(arrs) or len(pids) != len(arrs):
-            raise ValueError(
-                f"{len(arrs)} sequences, {len(provs)} provenances, "
-                f"{len(pids)} problem ids — lengths must match"
-            )
-        for pid in pids:
-            if pid is not None and pid not in self._problems:
-                raise ValueError(f"unregistered problem id {pid}")
-        self._closed = False
-        return self._score_problem_batch(arrs, provs, pids)
+        for name in names:
+            graph.index_of(name)
+        self._warm_names.update(dict.fromkeys(names))
+        return problem
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -501,19 +433,15 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         # inherits the preprocessed target/non-target structures instead of
         # recomputing them (the paper's offline preprocessing + broadcast).
         with self.telemetry.span("parallel.spawn"):
-            self.context.warm_cache()
+            names = list(self._warm_names)
+            database = self.context.engine.database
+            database.precompute(names)
             if self.share_memory and self._shm_view is None:
                 # One segment holds the proteome arrays plus the
                 # preprocessed target/non-target similarity CSRs; workers
                 # get the handle, not the engine.
-                names = [self.context.target, *self.context.non_targets]
-                for tgt, nts in self._problems.values():
-                    names.append(tgt)
-                    names.extend(nts)
                 self._shm_view = SharedProteomeView.share(
-                    self.context.engine.database,
-                    similarity_names=list(dict.fromkeys(names)),
-                    telemetry=self.telemetry,
+                    database, similarity_names=names, telemetry=self.telemetry
                 )
                 self._ship_context = self.context.for_shipment(
                     self._shm_view.handle
@@ -524,43 +452,51 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self.telemetry.count("parallel.spawns")
 
     def close(self) -> None:
-        if not self._workers and not self._retiring:
-            self._release_shm()
-            super().close()
-            return
-        # Drain replies orphaned by a failed batch so worker result puts
-        # cannot block shutdown.
-        while True:
-            try:
-                self._result_queue.get_nowait()
-            except queue_mod.Empty:
-                break
-        # Retiring workers already hold their RetireSignal.  A failed
-        # batch strands at most IN_FLIGHT_WINDOW items ahead of the
-        # signal per worker; its backlog never left the master.
-        for wid in self._workers:
-            self._inboxes[wid].put(EndSignal())
-        for proc in [*self._workers.values(), *self._retiring.values()]:
-            proc.join(timeout=self.close_grace_s)
-            if proc.is_alive():
-                # A hung or wedged worker will never see the EndSignal;
-                # escalate so close() stays bounded.
-                proc.terminate()
-                proc.join(timeout=2.0)
+        """Reap the workers and release the segment; idempotent, bounded."""
+        if self._workers or self._retiring:
+            # Drain replies orphaned by a failed batch so worker result
+            # puts cannot block shutdown.
+            while True:
+                try:
+                    self._result_queue.get_nowait()
+                except queue_mod.Empty:
+                    break
+            # Retiring workers already hold their RetireSignal.  A failed
+            # batch strands at most IN_FLIGHT_WINDOW items ahead of the
+            # signal per worker; its backlog never left the master.
+            for wid in self._workers:
+                self._inboxes[wid].put(EndSignal())
+            for proc in [*self._workers.values(), *self._retiring.values()]:
+                proc.join(timeout=self.close_grace_s)
                 if proc.is_alive():
-                    proc.kill()
-                    proc.join(timeout=1.0)
-                self.force_killed += 1
-                self.telemetry.count("parallel.force_killed")
-        self._workers = {}
-        self._retiring = {}
-        for wid in list(self._inboxes):
-            self._discard_inbox(wid)
-        self._result_queue = None
+                    # A hung or wedged worker will never see the
+                    # EndSignal; escalate so close() stays bounded.
+                    proc.terminate()
+                    proc.join(timeout=2.0)
+                    if proc.is_alive():
+                        proc.kill()
+                        proc.join(timeout=1.0)
+                    self.force_killed += 1
+                    self.telemetry.count("parallel.force_killed")
+            self._workers = {}
+            self._retiring = {}
+            for wid in list(self._inboxes):
+                self._discard_inbox(wid)
+            self._result_queue = None
         # Workers are gone (joined, terminated or killed above), so this
         # is the last mapping in our ownership scope: unlink-on-last-close.
-        self._release_shm()
-        super().close()
+        # Safe with dead workers too (the kernel frees the memory when the
+        # last mapping disappears).
+        if self._shm_view is not None:
+            self._shm_view.close()
+            self._shm_view = None
+        self._ship_context = self.context
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def _discard_inbox(self, wid: int) -> None:
         """Release the inbox of a worker that is gone.  Whatever is still
@@ -570,41 +506,43 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         inbox.cancel_join_thread()
         inbox.close()
 
-    def _release_shm(self) -> None:
-        """Drop the shared proteome segment; safe with dead workers (the
-        kernel frees memory when the last mapping disappears)."""
-        if self._shm_view is not None:
-            self._shm_view.close()
-            self._shm_view = None
-        self._ship_context = self.context
-
     # -- scoring -----------------------------------------------------------
 
-    def _score_uncached(
+    def score(
         self,
         arrays: list[np.ndarray],
-        provenances: list[Provenance | None] | None = None,
+        provenances: list[Provenance | None] | None,
+        problems: list[Problem],
     ) -> list[ScoreSet]:
+        """Score one batch, item ``i`` against ``problems[i]``, in input
+        order.
+
+        The items of a batch may belong to different problems: the
+        similarity sweep is problem-independent, so one problem's
+        children patch from structures another problem's candidates left
+        in the master's LRU.  Nothing is cached by sequence here — a
+        score cache is only correct per problem and belongs to the
+        caller.
+        """
+        arrays = [np.asarray(a, dtype=np.uint8) for a in arrays]
         provs = (
             list(provenances) if provenances is not None else [None] * len(arrays)
         )
-        return self._score_problem_batch(arrays, provs, [None] * len(arrays))
-
-    def _score_problem_batch(
-        self,
-        arrays: list[np.ndarray],
-        provs: list[Provenance | None],
-        pids: list[int | None],
-    ) -> list[ScoreSet]:
-        """One batch through the supervised pool; ``pids`` binds each item
-        to a registered problem (None = the context default)."""
+        problems = list(problems)
+        if len(provs) != len(arrays) or len(problems) != len(arrays):
+            raise ValueError(
+                f"{len(arrays)} sequences, {len(provs)} provenances, "
+                f"{len(problems)} problems — lengths must match"
+            )
         start = time.perf_counter()
+        results: list[ScoreSet | None] = [None] * len(arrays)
         degrade = not self.fail_fast
         if degrade and not self.breaker.allow():
             # Breaker open: the pool recently lost a batch; stay serial
             # (no respawn-and-die thrash) until a probe is due.
-            results = self._score_batch_serial(
-                arrays, provs, pids, reason="breaker_open"
+            self._degrade(
+                arrays, provs, problems, range(len(arrays)), results,
+                reason="breaker_open",
             )
         else:
             probing = degrade and self.breaker.state == BreakerState.HALF_OPEN
@@ -612,7 +550,7 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                 self.telemetry.count("parallel.breaker_probes")
             degraded = 0
             try:
-                results, degraded = self._score_via_pool(arrays, provs, pids)
+                degraded = self._score_via_pool(arrays, provs, problems, results)
             finally:
                 # A WorkerFailureError (scoring bug) says nothing about
                 # pool health, so only batches that ran to completion
@@ -624,7 +562,8 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                         self.breaker.record_success()
         self._batches += 1
         self._batch_wall += time.perf_counter() - start
-        return results
+        assert all(r is not None for r in results)
+        return results  # type: ignore[return-value]
 
     def _work_item(
         self,
@@ -632,7 +571,7 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         epoch: int,
         arr: np.ndarray,
         prov: Provenance | None,
-        pid: int | None,
+        problem: Problem,
     ) -> WorkItem:
         """One wire item, carrying what the master's LRU holds for it: the
         candidate's own structure if known, else those of its provenance
@@ -653,10 +592,9 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         return WorkItem(
             sequence_id=sid,
             payload=key,
+            problem=problem,
             batch_epoch=epoch,
             provenance=prov if self.use_delta else None,
-            problem_id=pid,
-            problem=self._problems[pid] if pid is not None else None,
             similarities=carried,
         )
 
@@ -691,10 +629,12 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self,
         arrays: list[np.ndarray],
         provs: list[Provenance | None],
-        pids: list[int | None],
-    ) -> tuple[list[ScoreSet], int]:
-        """Dispatch one batch to the worker pool; returns the scores and
-        how many items had to be degraded to master-serial scoring."""
+        problems: list[Problem],
+        results: list[ScoreSet | None],
+    ) -> int:
+        """Dispatch one batch to the worker pool, filling ``results``;
+        returns how many items had to be degraded to master-serial
+        scoring."""
         self._ensure_started()
         # Workers lost *between* batches: reap them now so the controller
         # observes the real pool, then refill to target.
@@ -702,12 +642,10 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             self._respawn_to_target()
         self._epoch += 1
         epoch = self._epoch
-        degraded = 0
-        results: list[ScoreSet | None] = [None] * len(arrays)
         with self.telemetry.span("parallel.batch"):
             sched = OnDemandScheduler(
                 [
-                    self._work_item(sid, epoch, arr, provs[sid], pids[sid])
+                    self._work_item(sid, epoch, arr, provs[sid], problems[sid])
                     for sid, arr in enumerate(arrays)
                 ]
             )
@@ -718,6 +656,12 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                 self._maybe_resize(self._snapshot(sched, len(arrays)), sched)
                 self._hand_out(sched)
                 self._set_queue_depth(sched.remaining)
+
+            def degrade_missing(reason: str) -> int:
+                return self._degrade(
+                    arrays, provs, problems, sched.missing(), results,
+                    reason=reason,
+                )
 
             try:
                 pump()
@@ -733,11 +677,7 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                             except DeadWorkerError as exc:
                                 if self.fail_fast:
                                     raise
-                                degraded += self._degrade_pending(
-                                    arrays, provs, pids, sched.missing(),
-                                    results, reason=str(exc),
-                                )
-                                break
+                                return degrade_missing(str(exc))
                             last_progress = self._clock()
                         elif self._clock() - last_progress > self.timeout:
                             missing = sched.missing()
@@ -747,14 +687,10 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                                     f"({len(arrays) - len(missing)}/{len(arrays)} "
                                     f"received; missing sequence ids {missing[:10]})"
                                 ) from None
-                            degraded += self._degrade_pending(
-                                arrays, provs, pids, missing, results,
-                                reason=(
-                                    f"collection stalled for {self.timeout}s "
-                                    f"with {len(missing)} item(s) outstanding"
-                                ),
+                            return degrade_missing(
+                                f"collection stalled for {self.timeout}s "
+                                f"with {len(missing)} item(s) outstanding"
                             )
-                            break
                         pump()
                         continue
                     last_progress = self._clock()
@@ -783,93 +719,49 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                 # Whatever path ended the batch, consumers of the gauge
                 # must never read a stale mid-batch depth.
                 self._set_queue_depth(0)
-        assert all(r is not None for r in results)
-        return results, degraded  # type: ignore[return-value]
+        return 0
 
     # -- graceful degradation ----------------------------------------------
 
-    def _score_serial(
-        self,
-        arr: np.ndarray,
-        prov: Provenance | None,
-        pid: int | None = None,
-    ) -> ScoreSet:
-        """Score one candidate in the master, exactly as a worker would.
-
-        Runs the same :func:`~repro.parallel.worker.score_candidate_with_delta`
-        code path the workers run (delta re-scoring is bit-exact with the
-        full sweep), so a degraded item's scores match the pool's answer
-        bit for bit.  ``pid`` binds the item to a registered problem (the
-        fused path's degradations stay per-problem correct).
-        """
-        scores, stats = score_candidate_with_delta(
-            self.context,
-            arr,
-            provenance=prov if self.use_delta else None,
-            similarity_cache=self._master_similarity if self.use_delta else None,
-            problem=self._problems[pid] if pid is not None else None,
-        )
-        self._record_delta(stats)
-        return scores
-
-    def _degrade_pending(
+    def _degrade(
         self,
         arrays: list[np.ndarray],
         provs: list[Provenance | None],
-        pids: list[int | None],
-        missing: list[int],
+        problems: list[Problem],
+        sids,
         results: list[ScoreSet | None],
         *,
         reason: str,
     ) -> int:
-        """Score this batch's unacknowledged items serially in the master.
+        """Score items ``sids`` serially in the master, exactly as a
+        worker would, filling ``results`` in place; returns their count.
 
-        Called when the pool is lost (retry budget exhausted) or stalled
-        (no progress past ``timeout``); fills ``results`` in place for the
-        ``missing`` sequence ids and emits the ``parallel.degraded_*``
-        telemetry.
+        Called for a batch's unacknowledged items when the pool is lost
+        (retry budget exhausted) or stalled (no progress past
+        ``timeout``), and for a whole batch while the breaker is open.
+        It runs the workers' own :func:`score_candidate` (delta
+        re-scoring is bit-exact with the full sweep), each item against
+        its own problem, so a degraded item's scores match the pool's
+        answer bit for bit.
         """
-        count = len(missing)
         self.degraded_batches += 1
         self.telemetry.count("parallel.degraded_batches")
-        self.telemetry.event(
-            "parallel.degraded", items=count, reason=reason
-        )
+        self.telemetry.event("parallel.degraded", items=len(sids), reason=reason)
         with self.telemetry.span("parallel.degraded_scoring"):
-            for sid in missing:
-                results[sid] = self._score_serial(
-                    arrays[sid], provs[sid], pids[sid]
+            for sid in sids:
+                results[sid], stats = score_candidate(
+                    self.context.engine,
+                    arrays[sid],
+                    problems[sid],
+                    provenance=provs[sid] if self.use_delta else None,
+                    similarity_cache=(
+                        self._master_similarity if self.use_delta else None
+                    ),
                 )
+                self._record_delta(stats)
                 self.degraded_items += 1
                 self.telemetry.count("parallel.degraded_items")
-        return count
-
-    def _score_batch_serial(
-        self,
-        arrays: list[np.ndarray],
-        provs: list[Provenance | None],
-        pids: list[int | None],
-        *,
-        reason: str,
-    ) -> list[ScoreSet]:
-        """Score a whole batch serially without touching the pool (the
-        breaker-open path; also counts as a degraded batch)."""
-        # The pool may never have started (breaker tripped on batch one of
-        # a fresh provider after resume); make sure the master's engine
-        # holds the preprocessed problem structures.
-        self.context.warm_cache()
-        self.degraded_batches += 1
-        self.telemetry.count("parallel.degraded_batches")
-        self.telemetry.event(
-            "parallel.degraded", items=len(arrays), reason=reason
-        )
-        with self.telemetry.span("parallel.degraded_scoring"):
-            out: list[ScoreSet] = []
-            for arr, prov, pid in zip(arrays, provs, pids):
-                out.append(self._score_serial(arr, prov, pid))
-                self.degraded_items += 1
-                self.telemetry.count("parallel.degraded_items")
-        return out
+        return len(sids)
 
     # -- elastic control ---------------------------------------------------
 
@@ -981,6 +873,23 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self.stale_dropped += 1
         self.telemetry.count("parallel.stale_dropped")
 
+    def _record_delta(self, stats: DeltaStats | None) -> None:
+        """Fold one delta-or-fallback accounting — a worker's reply or a
+        degraded item alike — into the counters and their ``pipe.delta.*``
+        telemetry mirror."""
+        if stats is None:
+            return
+        if stats.hit:
+            self.delta_hits += 1
+            self.telemetry.count("pipe.delta.hits")
+        else:
+            self.delta_fallbacks += 1
+            self.telemetry.count("pipe.delta.fallbacks")
+        self.delta_rows_rescored += stats.rows_rescored
+        self.delta_rows_total += stats.rows_total
+        self.telemetry.count("pipe.delta.rows_rescored", stats.rows_rescored)
+        self.telemetry.count("pipe.delta.rows_total", stats.rows_total)
+
     def _record_result(self, msg: WorkResult, payload: bytes) -> None:
         wid = msg.worker_id
         self._worker_items[wid] = self._worker_items.get(wid, 0) + 1
@@ -994,37 +903,32 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         if msg.similarity is not None:
             # Future children of this sequence patch from it, on any worker.
             self._master_similarity.put(payload, msg.similarity)
-        if msg.delta is not None:
-            if msg.delta.hit:
-                self.delta_hits += 1
-                self.telemetry.count("pipe.delta.hits")
-            else:
-                self.delta_fallbacks += 1
-                self.telemetry.count("pipe.delta.fallbacks")
-            self.delta_rows_rescored += msg.delta.rows_rescored
-            self.delta_rows_total += msg.delta.rows_total
-            self.telemetry.count("pipe.delta.rows_rescored", msg.delta.rows_rescored)
-            self.telemetry.count("pipe.delta.rows_total", msg.delta.rows_total)
+        self._record_delta(msg.delta)
         if self.telemetry.enabled:
             self.telemetry.count(f"parallel.worker.{wid}.items")
             self.telemetry.record_timing(f"parallel.worker.{wid}.busy", msg.elapsed)
 
     # -- runtime statistics --------------------------------------------------
 
-    def worker_stats(self) -> dict[int, dict[str, float]]:
-        """Per-worker throughput summary from worker-reported wall times.
+    def stats(self) -> dict[str, object]:
+        """The master-side view of the runtime as one tree (mirrors the
+        ``parallel.*`` / ``pipe.delta.*`` / ``shm.*`` telemetry).
 
-        ``utilisation`` divides a worker's busy time by the provider's
-        total batch wall time — the per-worker efficiency panel of the
-        paper's worker-scaling figures.  ``inbox_wait_s`` is the time the
-        worker sat blocked on an empty inbox before its items arrived
-        (idle time between batches included).
+        ``workers[wid]["utilisation"]`` divides a worker's busy time by
+        the pool's total batch wall time — the per-worker efficiency
+        panel of the paper's worker-scaling figures; ``inbox_wait_s`` is
+        the time the worker sat blocked on an empty inbox before its
+        items arrived (idle time between batches included).
+        ``delta["sticky_routed"]`` is kept for consumers of the old
+        affinity dispatch and reads 0 by construction: every item is
+        handed out on demand.  ``shm`` is None when ``share_memory`` is
+        off or the pool has not started.
         """
-        out: dict[int, dict[str, float]] = {}
+        workers: dict[int, dict[str, float]] = {}
         for wid in sorted(self._worker_items):
             items = self._worker_items[wid]
             busy = self._worker_busy[wid]
-            out[wid] = {
+            workers[wid] = {
                 "items": float(items),
                 "busy_s": busy,
                 "inbox_wait_s": self._worker_inbox_wait[wid],
@@ -1033,65 +937,85 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                     busy / self._batch_wall if self._batch_wall > 0 else 0.0
                 ),
             }
-        return out
-
-    def delta_stats(self) -> dict[str, int]:
-        """Delta-scoring counters aggregated from worker replies.
-
-        Mirrors the ``pipe.delta.*`` telemetry.  ``sticky_routed`` is
-        kept for consumers of the old affinity dispatch and reads 0 by
-        construction: every item is handed out on demand.
-        """
-        return {
-            "hits": self.delta_hits,
-            "fallbacks": self.delta_fallbacks,
-            "rows_rescored": self.delta_rows_rescored,
-            "rows_total": self.delta_rows_total,
-            "sticky_routed": 0,
-        }
-
-    def fault_stats(self) -> dict[str, object]:
-        """Fault-tolerance counters (mirrors the ``parallel.*`` telemetry)."""
-        return {
-            "worker_deaths": self.worker_deaths,
-            "respawns": self.respawns,
-            "retries": self.retries,
-            "stale_dropped": self.stale_dropped,
-            "failures": self.failures,
-            "degraded_items": self.degraded_items,
-            "degraded_batches": self.degraded_batches,
-            "force_killed": self.force_killed,
-            "breaker": self.breaker.stats(),
-            "epoch": self._epoch,
-        }
-
-    def elastic_stats(self) -> dict[str, object]:
-        """Elastic-pool counters (mirrors the scaling telemetry)."""
-        return {
-            **self._controller.stats(),
-            "live_workers": len(self._workers),
-            "target_workers": self._target_workers,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "retired": self.retired,
-        }
-
-    def runtime_stats(self) -> dict[str, object]:
-        """Master-side runtime summary (batches, wall time, cache, workers)."""
         return {
             "num_workers": self.num_workers,
             "dispatched": self.dispatched,
             "batches": self._batches,
             "batch_wall_s": self._batch_wall,
-            "cache": self.cache_stats,
-            "workers": self.worker_stats(),
-            "fault_tolerance": self.fault_stats(),
-            "elastic": self.elastic_stats(),
-            "delta": self.delta_stats(),
-            "shm": self.shm_stats(),
+            "workers": workers,
+            "fault_tolerance": {
+                "worker_deaths": self.worker_deaths,
+                "respawns": self.respawns,
+                "retries": self.retries,
+                "stale_dropped": self.stale_dropped,
+                "failures": self.failures,
+                "degraded_items": self.degraded_items,
+                "degraded_batches": self.degraded_batches,
+                "force_killed": self.force_killed,
+                "breaker": self.breaker.stats(),
+                "epoch": self._epoch,
+            },
+            "elastic": {
+                **self._controller.stats(),
+                "live_workers": len(self._workers),
+                "target_workers": self._target_workers,
+                "scale_ups": self.scale_ups,
+                "scale_downs": self.scale_downs,
+                "retired": self.retired,
+            },
+            "delta": {
+                "hits": self.delta_hits,
+                "fallbacks": self.delta_fallbacks,
+                "rows_rescored": self.delta_rows_rescored,
+                "rows_total": self.delta_rows_total,
+                "sticky_routed": 0,
+            },
+            "shm": self._shm_view.stats() if self._shm_view is not None else None,
         }
 
-    def shm_stats(self) -> dict[str, object] | None:
-        """Shared-proteome segment accounting; None when ``share_memory``
-        is off or the pool has not started."""
-        return self._shm_view.stats() if self._shm_view is not None else None
+
+class MultiprocessScoreProvider(CachingScoreProvider):
+    """The dedicated front: one design problem, a bounded-LRU score cache
+    and a :class:`WorkerPool` of its own.
+
+    ``cache_size`` bounds the score cache; every other keyword is a
+    :class:`WorkerPool` setting (``num_workers=``, ``scaling=``,
+    ``timeout=``, ``faults=`` ...).  The runtime's state — counters,
+    breaker, processes — lives on :attr:`pool`.  ``target`` /
+    ``non_targets`` mirror the serial provider's attributes (checkpoint
+    fingerprints read them off any provider).
+
+    Use as a context manager (``with MultiprocessScoreProvider(...) as p:``)
+    so the workers are reaped even when the surrounding GA raises.
+    """
+
+    def __init__(
+        self,
+        engine: PipeEngine,
+        target: str,
+        non_targets: list[str],
+        *,
+        cache_size: int = 100_000,
+        telemetry: MetricsRegistry | None = None,
+        **pool_settings: object,
+    ) -> None:
+        super().__init__(cache_size=cache_size, telemetry=telemetry)
+        self.pool = WorkerPool(engine, telemetry=telemetry, **pool_settings)
+        self.problem = self.pool.warm(target, non_targets)
+        self.target = target
+        self.non_targets = list(non_targets)
+
+    def _score_uncached(
+        self,
+        arrays: list[np.ndarray],
+        provenances: list[Provenance | None] | None = None,
+    ) -> list[ScoreSet]:
+        return self.pool.score(arrays, provenances, [self.problem] * len(arrays))
+
+    def runtime_stats(self) -> dict[str, object]:
+        """:meth:`WorkerPool.stats` plus this provider's ``cache`` counters."""
+        return {**self.pool.stats(), "cache": self.cache_stats}
+
+    def close(self) -> None:
+        self.pool.close()
+        super().close()

@@ -4,16 +4,24 @@ A worker receives the broadcast data once (here: via process inheritance /
 pickled arguments, standing in for the paper's MPI broadcast that "relieves
 considerable stress from the shared disks"), then loops: block on its
 private inbox for the next item, build the candidate's
-``sequence_similarity`` structure, run PIPE against the target and every
-non-target, and return the scores — the reply doubles as the request for
-more work.
+``sequence_similarity`` structure, run PIPE against the item's target and
+every non-target, and return the scores — the reply doubles as the
+request for more work.
 
-Workers keep no state between items.  The similarity structures a delta
-re-score patches from arrive on the
-:class:`~repro.parallel.messages.WorkItem`, the structure built for the
-candidate leaves on the :class:`~repro.parallel.messages.WorkResult`, and
-the master's bounded LRU is the only cache — so every worker takes the
-serial provider's delta route whichever worker scored the parents.
+Workers keep no state between items and own no design problem.  The
+problem arrives on the :class:`~repro.parallel.messages.WorkItem` (the
+engine's known-protein cache fills with a problem's structures the first
+time an item names it, unless they were inherited at spawn or found in
+the shm segment), and so do the similarity structures a delta re-score
+patches from; the
+structure built for the candidate leaves on the
+:class:`~repro.parallel.messages.WorkResult`, and the master's bounded
+LRU is the only cache — so every worker takes the serial provider's
+delta route whichever worker scored the parents.
+
+:func:`score_candidate` is the one function that turns an engine, a
+candidate and a problem into a :class:`~repro.ga.fitness.ScoreSet`; the
+worker loop and the master's degradation path both call it.
 
 A candidate whose evaluation raises does **not** kill the worker: the
 exception is captured as a :class:`~repro.parallel.messages.WorkFailure`
@@ -30,13 +38,14 @@ import os
 import time
 import traceback as traceback_mod
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.ga.fitness import ScoreSet
 from repro.parallel.messages import (
     EndSignal,
+    Problem,
     RetireSignal,
     WorkFailure,
     WorkItem,
@@ -52,7 +61,6 @@ __all__ = [
     "FaultPlan",
     "WorkerContext",
     "score_candidate",
-    "score_candidate_with_delta",
     "worker_loop",
 ]
 
@@ -103,7 +111,8 @@ class FaultPlan:
 
 @dataclass
 class WorkerContext:
-    """Everything a worker needs: the broadcast engine and the problem.
+    """What a worker is spawned with: the broadcast engine.  The design
+    problem is not here — every item names its own.
 
     The engine travels one of two ways.  Classic broadcast: ``engine`` is
     set and the whole database pickles into the worker at spawn.
@@ -119,37 +128,20 @@ class WorkerContext:
     ``use_delta=False`` disables incremental re-scoring entirely (every
     candidate pays the full sweep and no similarity structure travels in
     either direction, the pre-delta behaviour).
-
-    ``problems`` (optional) is the fabric's registered-problem table:
-    ``problem_id -> (target, non_targets)``.  Items carrying a
-    ``problem_id`` are scored against that problem instead of the context
-    default; a worker spawned after registration inherits the table at
-    spawn, and items are self-describing anyway (see
-    :class:`~repro.parallel.messages.WorkItem`).
     """
 
     engine: PipeEngine | None
-    target: str
-    non_targets: list[str]
     faults: FaultPlan | None = None
     use_delta: bool = True
     shm_handle: "SharedProteomeHandle | None" = None
     config: "PipeConfig | None" = None
-    problems: dict[int, tuple[str, tuple[str, ...]]] | None = None
 
     def __post_init__(self) -> None:
-        if self.engine is None:
-            if self.shm_handle is None or self.config is None:
-                raise ValueError(
-                    "WorkerContext needs an engine, or a shm_handle + config "
-                    "to rebuild one from shared memory"
-                )
-            # Name validation happens in ensure_engine, worker-side.
-            return
-        graph = self.engine.database.graph
-        graph.index_of(self.target)
-        for nt in self.non_targets:
-            graph.index_of(nt)
+        if self.engine is None and (self.shm_handle is None or self.config is None):
+            raise ValueError(
+                "WorkerContext needs an engine, or a shm_handle + config "
+                "to rebuild one from shared memory"
+            )
 
     def for_shipment(self, handle: "SharedProteomeHandle") -> "WorkerContext":
         """A lightweight copy to pickle to workers: the engine is replaced
@@ -171,53 +163,32 @@ class WorkerContext:
         from repro.ppi.shm import SharedProteomeView
 
         view = SharedProteomeView.attach(self.shm_handle)
-        database = view.build_database()
-        self.engine = PipeEngine(database, self.config)
-        graph = database.graph
-        graph.index_of(self.target)
-        for nt in self.non_targets:
-            graph.index_of(nt)
+        self.engine = PipeEngine(view.build_database(), self.config)
         return view
 
-    def warm_cache(self) -> None:
-        """Precompute target/non-target similarity structures (the paper's
-        offline preprocessing of natural proteins) — for the context
-        problem and every registered fabric problem."""
-        names = [self.target, *self.non_targets]
-        for tgt, nts in (self.problems or {}).values():
-            names.append(tgt)
-            names.extend(nts)
-        self.engine.database.precompute(list(dict.fromkeys(names)))
 
-
-def score_candidate_with_delta(
-    context: WorkerContext,
+def score_candidate(
+    engine: PipeEngine,
     encoded: np.ndarray,
+    problem: Problem,
     *,
     provenance: Provenance | None = None,
     similarity_cache: SimilarityLRU | None = None,
-    problem: tuple[str, Sequence[str]] | None = None,
 ) -> tuple[ScoreSet, DeltaStats | None]:
-    """One unit of worker work: candidate vs target + all non-targets.
+    """One unit of work: a candidate vs its problem's target + non-targets.
 
     Builds the candidate's similarity structure once and reuses it for all
     predictions, exactly as Algorithm 2 prescribes.  With a
     ``similarity_cache``, the structure is built incrementally from the
     cached parent(s) named by ``provenance`` (re-sweeping only dirty
     windows); the returned :class:`~repro.ppi.delta.DeltaStats` reports
-    which route was taken so the master can aggregate the accounting.
+    which route was taken (``None`` without a cache: the full sweep).
 
-    ``problem`` overrides the context's ``(target, non_targets)`` for
-    this one candidate (the fabric's fused-dispatch path); the similarity
-    sweep is problem-independent, so the cache and delta route are shared
-    across problems untouched.
+    The similarity sweep is problem-independent, so the cache and the
+    delta route are shared across problems untouched.
     """
-    engine = context.engine
     arr = np.asarray(encoded, dtype=np.uint8)
-    if problem is None:
-        target, non_targets = context.target, context.non_targets
-    else:
-        target, non_targets = problem[0], list(problem[1])
+    target, non_targets = problem
     if similarity_cache is not None:
         with engine.telemetry.span("pipe.window_build"):
             similarity, stats = similarity_cache.similarity_for(
@@ -225,21 +196,10 @@ def score_candidate_with_delta(
             )
     else:
         similarity, stats = engine.similarity_of(arr), None
-    names = [target, *non_targets]
-    scored = engine.score_against(arr, names, similarity=similarity)
-    return (
-        ScoreSet(
-            target_score=scored[target],
-            non_target_scores=tuple(scored[nt] for nt in non_targets),
-        ),
-        stats,
+    scored = engine.score_against(
+        arr, [target, *non_targets], similarity=similarity
     )
-
-
-def score_candidate(context: WorkerContext, encoded: np.ndarray) -> ScoreSet:
-    """Full-sweep scoring of one candidate (the delta-unaware surface)."""
-    scores, _ = score_candidate_with_delta(context, encoded)
-    return scores
+    return scored.score_set(target, non_targets), stats
 
 
 def worker_loop(worker_id: int, context: WorkerContext, inbox, result_queue) -> int:
@@ -264,15 +224,9 @@ def worker_loop(worker_id: int, context: WorkerContext, inbox, result_queue) -> 
 def _worker_loop_inner(
     worker_id: int, context: WorkerContext, inbox, result_queue
 ) -> int:
-    context.warm_cache()
     faults = context.faults
     inject = faults is not None and faults.applies_to(worker_id)
-    # Fabric problem table: seeded from the shipped context, extended
-    # in place from self-describing items (problems registered after
-    # this worker spawned).
-    problems: dict[int, tuple[str, tuple[str, ...]]] = dict(
-        context.problems or {}
-    )
+    engine = context.engine
     processed = 0
     while True:
         waited = time.perf_counter()
@@ -308,23 +262,6 @@ def _worker_loop_inner(
                 raise RuntimeError(
                     f"injected failure on item {processed} of worker {worker_id}"
                 )
-            problem = None
-            if message.problem_id is not None:
-                problem = problems.get(message.problem_id)
-                if problem is None:
-                    if message.problem is None:
-                        raise RuntimeError(
-                            f"unknown problem id {message.problem_id} "
-                            "(item carries no spec)"
-                        )
-                    problem = message.problem
-                    problems[message.problem_id] = problem
-                    # One-time warm-up per newly seen problem: its
-                    # target/non-target structures enter the shared
-                    # known-protein cache.
-                    context.engine.database.precompute(
-                        [problem[0], *problem[1]]
-                    )
             carried = None
             if context.use_delta:
                 # A throwaway cache holding exactly what the item carries
@@ -337,12 +274,12 @@ def _worker_loop_inner(
             # Ship the built structure back unless the master already
             # holds it (or delta scoring is off).
             fresh = carried is not None and carried.get(message.payload) is None
-            scores, delta = score_candidate_with_delta(
-                context,
+            scores, delta = score_candidate(
+                engine,
                 message.decode(),
+                message.problem,
                 provenance=message.provenance,
                 similarity_cache=carried,
-                problem=problem,
             )
         except Exception as exc:
             result_queue.put(

@@ -23,7 +23,6 @@ likelihoods*, not probabilities.
 from __future__ import annotations
 
 import time
-import warnings
 from collections import OrderedDict
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
@@ -34,7 +33,6 @@ import scipy.ndimage as ndi
 
 from repro.ppi.database import PipeDatabase, SequenceSimilarity
 from repro.ppi.delta import DeltaStats
-from repro.ppi.graph import InteractionGraph
 from repro.ppi.similarity import calibrate_threshold
 from repro.substitution import PAM120, get_matrix
 from repro.substitution.matrix import SubstitutionMatrix
@@ -261,31 +259,6 @@ class PipeEngine:
         """
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         self.database.set_telemetry(telemetry)
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def build(
-        cls, graph: InteractionGraph, config: PipeConfig | None = None
-    ) -> "PipeEngine":
-        """Build database + engine from an interaction graph in one call.
-
-        .. deprecated::
-            Use :func:`repro.providers.make_engine` (or
-            :func:`repro.providers.make_score_provider` for a full scoring
-            backend); this shim stays for compatibility.
-        """
-        warnings.warn(
-            "PipeEngine.build is deprecated; use repro.providers.make_engine "
-            "(or make_score_provider for a scoring backend)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        cfg = config or PipeConfig()
-        database = PipeDatabase(
-            graph, cfg.matrix, cfg.window_size, cfg.resolved_threshold()
-        )
-        return cls(database, cfg)
 
     # -- scoring ---------------------------------------------------------------
 

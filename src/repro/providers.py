@@ -21,10 +21,6 @@ scores:
   release the GIL).
 
 * :class:`ThreadScoreProvider` — the ``backend="thread"`` implementation.
-
-The ad-hoc combinations this replaces (``PipeEngine.build`` + a provider
-constructor) keep working but ``PipeEngine.build`` now emits a
-``DeprecationWarning`` pointing here.
 """
 
 from __future__ import annotations
@@ -82,7 +78,7 @@ def _kwarg_tables() -> tuple[dict[str, frozenset[str]], frozenset[str]]:
         import inspect
 
         from repro.fabric import ScoringFabric
-        from repro.parallel.mp_backend import MultiprocessScoreProvider
+        from repro.parallel.mp_backend import MultiprocessScoreProvider, WorkerPool
 
         def params(func) -> frozenset[str]:
             return frozenset(
@@ -95,7 +91,9 @@ def _kwarg_tables() -> tuple[dict[str, frozenset[str]], frozenset[str]]:
         allowed = {
             "serial": params(SerialScoreProvider.__init__),
             "thread": params(ThreadScoreProvider.__init__),
-            "process": params(MultiprocessScoreProvider.__init__),
+            # The provider's own keyword (cache_size) + the pool's.
+            "process": params(MultiprocessScoreProvider.__init__)
+            | params(WorkerPool.__init__),
             "fabric": params(ScoringFabric.client) | {"fabric"},
         }
         _KWARG_TABLES = (allowed, params(ScoringFabric.__init__))
@@ -155,8 +153,7 @@ def make_engine(
     * a :class:`~repro.ppi.database.PipeDatabase` — wrapped in an engine
       (``config`` defaults to one matching the database's parameters);
     * an :class:`~repro.ppi.graph.InteractionGraph` — database + engine
-      are built from scratch (the replacement for the deprecated
-      ``PipeEngine.build``);
+      are built from scratch;
     * anything with an ``engine`` attribute holding a ``PipeEngine``
       (e.g. a :class:`~repro.synthetic.world.SyntheticWorld`).
     """

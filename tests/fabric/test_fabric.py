@@ -101,12 +101,12 @@ def test_concurrent_campaigns_bit_exact(tiny_engine, problems, dedicated_results
 
 def test_campaign_uses_delta_rescoring(tiny_engine, problems):
     # The delta/provenance path must ride through the fabric exactly as
-    # on a dedicated provider (sticky dispatch is keyed by sequence
-    # bytes, not by problem).
+    # on a dedicated provider (similarity structures are keyed by
+    # sequence bytes, not by problem).
     target, non_targets = problems[0]
     with ScoringFabric(tiny_engine, num_workers=1) as fabric:
         _campaign(fabric.client(target, non_targets))
-        delta = fabric.provider.delta_stats()
+        delta = fabric.pool.stats()["delta"]
     assert delta["hits"] > 0
 
 
@@ -122,7 +122,7 @@ def test_campaign_bit_exact_under_elastic_resize(
         faults=FaultPlan(delay=0.03),  # inflate latency to force scale-up
     ) as fabric:
         result = _campaign(fabric.client(target, non_targets))
-        stats = fabric.provider.elastic_stats()
+        stats = fabric.pool.stats()["elastic"]
     ref = dedicated_results[0]
     assert stats["scale_ups"] > 0
     assert result.best.sequence == ref.best.sequence
@@ -194,6 +194,20 @@ def test_fabric_validation(tiny_engine):
         ScoringFabric(tiny_engine, max_items=0)
     with pytest.raises(ValueError, match="max_wait_ms"):
         ScoringFabric(tiny_engine, max_wait_ms=-1.0)
+
+
+def test_bad_pool_setting_fails_at_construction(tiny_engine):
+    # Regression: the pool used to be built by the first client(), so a
+    # misconfigured fabric constructed fine and then failed every
+    # campaign.  The pool is now built here (its workers still spawn on
+    # first use).
+    with pytest.raises(ValueError, match="num_workers"):
+        ScoringFabric(tiny_engine, num_workers=0)
+    with pytest.raises(TypeError, match="workers"):
+        ScoringFabric(tiny_engine, workers=2)  # misspelt num_workers
+    with ScoringFabric(tiny_engine, num_workers=1) as fabric:
+        assert fabric.pool.num_workers == 1
+        assert not fabric.pool._workers
 
 
 def test_fabric_telemetry(tiny_engine, problems, rng):

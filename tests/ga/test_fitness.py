@@ -156,11 +156,17 @@ class TestSerialProvider:
     def test_deprecated_cache_attributes(self, tiny_engine, tiny_problem, rng):
         target, nts = tiny_problem
         provider = SerialScoreProvider(tiny_engine, target, nts[:1])
-        provider.scores([rng.integers(0, 20, size=20).astype(np.uint8)])
-        with pytest.warns(DeprecationWarning):
-            assert provider.cache_hits == 0
-        with pytest.warns(DeprecationWarning):
-            assert provider.cache_misses == 1
+        seq = rng.integers(0, 20, size=20).astype(np.uint8)
+        provider.scores([seq])
+        # The pre-telemetry cache_hits / cache_misses shims are gone;
+        # cache_stats is the one read-out.
+        assert not hasattr(provider, "cache_hits")
+        assert not hasattr(provider, "cache_misses")
+        assert provider.cache_stats == {
+            "hits": 0, "misses": 1, "evictions": 0, "size": 1,
+        }
+        provider.scores([seq.copy()])
+        assert provider.cache_stats["hits"] == 1
 
     def test_cache_telemetry_counters(self, tiny_engine, tiny_problem, rng):
         target, nts = tiny_problem

@@ -51,11 +51,12 @@ class TestInteractomeRoundtrip:
             load_interactome(path)
 
     def test_loaded_world_drives_pipe(self, graph, tmp_path):
-        from repro.ppi.pipe import PipeConfig, PipeEngine
+        from repro.ppi.pipe import PipeConfig
+        from repro.providers import make_engine
 
         path = tmp_path / "world.json"
         save_interactome(graph, path)
-        engine = PipeEngine.build(
+        engine = make_engine(
             load_interactome(path),
             PipeConfig(window_size=3, similarity_threshold=15.0),
         )

@@ -72,4 +72,4 @@ def test_designer_with_parallel_provider_factory(tiny_world, tiny_problem):
     result = designer.design(target, seed=5, termination=2)
     assert result.fitness >= 0.0
     assert created  # the factory was actually used
-    assert not created[0]._workers  # closed by design()
+    assert not created[0].pool._workers  # closed by design()

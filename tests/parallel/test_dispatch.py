@@ -69,7 +69,7 @@ def test_bred_generations_never_wait_out_a_poll(tiny_engine, tiny_problem):
 
         provider.scores_with_provenance = timed
         result = _campaign(provider)
-        stats = provider.worker_stats()
+        stats = provider.pool.stats()["workers"]
     assert result.completed
     # The first call scores the initial population and pays the spawn.
     bred = walls[1:]
@@ -133,7 +133,7 @@ def test_death_redispatches_only_the_dead_workers_window(
         faults=FaultPlan(crash_on_item=2, delay=0.1),
     ) as provider:
         out = provider.scores(seqs)
-        faults = provider.fault_stats()
+        faults = provider.pool.stats()["fault_tolerance"]
     assert out == expected
     assert faults["worker_deaths"] >= 2
     assert 1 <= faults["retries"] <= IN_FLIGHT_WINDOW * faults["worker_deaths"]

@@ -191,7 +191,7 @@ class TestProviderIntegration:
             timeout=120.0,
         ) as provider:
             elastic_scores = provider.scores(seqs)
-            stats = provider.elastic_stats()
+            stats = provider.pool.stats()["elastic"]
             assert stats["policy"] == "queue-depth"
             assert stats["decisions"] > 0
         for e, s in zip(elastic_scores, serial.scores(seqs)):

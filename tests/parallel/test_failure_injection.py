@@ -69,4 +69,4 @@ def test_cached_scores_survive_worker_shutdown(tiny_engine, tiny_problem, rng):
         provider.close()
     again = provider.scores([seq.copy()])[0]
     assert again.target_score == first.target_score
-    assert not provider._workers  # cache hit: nothing respawned
+    assert not provider.pool._workers  # cache hit: nothing respawned

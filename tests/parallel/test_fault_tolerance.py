@@ -58,13 +58,13 @@ def test_crashed_worker_respawned_batch_completes(
         for got, want in zip(out, expected):
             assert got.target_score == pytest.approx(want.target_score)
             assert got.non_target_scores == pytest.approx(want.non_target_scores)
-        assert provider.worker_deaths >= 1
-        assert provider.respawns >= 1
-        assert provider.retries >= 1
+        assert provider.pool.worker_deaths >= 1
+        assert provider.pool.respawns >= 1
+        assert provider.pool.retries >= 1
         assert telemetry.counter("parallel.respawns").value >= 1
         assert telemetry.counter("parallel.worker_deaths").value >= 1
         # The replacement got a fresh id beyond the initial worker range.
-        assert provider._next_worker_id > provider.num_workers
+        assert provider.pool._next_worker_id > provider.pool.num_workers
 
 
 def test_work_failure_surfaces_worker_traceback(tiny_engine, tiny_problem, rng):
@@ -85,7 +85,7 @@ def test_work_failure_surfaces_worker_traceback(tiny_engine, tiny_problem, rng):
             provider.scores(_seqs(rng, 1))
         assert "worker traceback" in str(exc.value)
         assert "RuntimeError" in str(exc.value)
-        assert provider.failures == 1
+        assert provider.pool.failures == 1
     finally:
         provider.close()
 
@@ -109,7 +109,7 @@ def test_worker_survives_failed_item(tiny_engine, tiny_problem, rng):
             provider.scores(_seqs(rng, 1))
         out = provider.scores(_seqs(rng, 2))
         assert len(out) == 2
-        assert provider.respawns == 0
+        assert provider.pool.respawns == 0
     finally:
         provider.close()
 
@@ -139,12 +139,12 @@ def test_stale_epoch_result_dropped_on_reuse(tiny_engine, tiny_problem, rng):
             provider.scores([seq_a])
         # Batch 2 (epoch 2): sequence_id 0 now means seq_b.  The stale
         # epoch-1 reply for seq_a arrives first and must be dropped.
-        provider.timeout = 60.0
+        provider.pool.timeout = 60.0
         out = provider.scores([seq_b])
         want = serial.scores([seq_b])[0]
         assert out[0].target_score == pytest.approx(want.target_score)
         assert out[0].non_target_scores == pytest.approx(want.non_target_scores)
-        assert provider.stale_dropped >= 1
+        assert provider.pool.stale_dropped >= 1
     finally:
         provider.close()
 
@@ -171,14 +171,14 @@ def test_failed_batch_keeps_its_backlog_in_the_master(
     try:
         with pytest.raises(WorkerFailureError):
             provider.scores(_seqs(rng, 8))
-        assert provider.dispatched == mp_backend.IN_FLIGHT_WINDOW
+        assert provider.pool.dispatched == mp_backend.IN_FLIGHT_WINDOW
     finally:
         start = time.monotonic()
         provider.close()
         closed_in = time.monotonic() - start
     assert closed_in < 5.0  # one delayed item, not six more sweeps or a kill
-    assert provider.force_killed == 0
-    assert provider.stale_dropped == 0
+    assert provider.pool.force_killed == 0
+    assert provider.pool.stale_dropped == 0
 
 
 def _dead_worker_entry(worker_id, context, inbox, result_queue):
@@ -208,9 +208,9 @@ def test_retry_budget_exhaustion_names_workers_and_items(
         with pytest.raises(DeadWorkerError, match="died") as exc:
             provider.scores(_seqs(rng, 1))
         assert "retry budget" in str(exc.value)
-        assert provider.worker_deaths >= 1
-        assert provider.respawns >= 1
-        assert provider.retries == provider.max_retries
+        assert provider.pool.worker_deaths >= 1
+        assert provider.pool.respawns >= 1
+        assert provider.pool.retries == provider.pool.max_retries
     finally:
         provider.close()
 
@@ -255,5 +255,5 @@ def test_fault_plan_only_targets_named_worker(tiny_engine, tiny_problem, rng):
     ) as provider:
         out = provider.scores(_seqs(rng, 3))
         assert len(out) == 3
-        assert provider.worker_deaths == 0
-        assert provider.failures == 0
+        assert provider.pool.worker_deaths == 0
+        assert provider.pool.failures == 0

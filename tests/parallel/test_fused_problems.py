@@ -1,19 +1,19 @@
-"""Per-item problem binding through the dispatch path.
+"""Several design problems in one batch, on the pool alone.
 
-The scoring fabric (:mod:`repro.fabric`) fuses batches from campaigns
-with *different* ``(target, non_targets)`` problems into one dispatch.
-These tests cover the plumbing underneath it: ``register_problem`` /
-``score_fused`` on the provider, workers resolving a ``WorkItem``'s
-``problem_id`` (including self-registration from the item's spec), and
-the degradation path scoring fused items serially with the right
-problem.
+Every ``WorkItem`` names the ``(target, non_targets)`` problem it is
+scored against, so a :class:`~repro.parallel.mp_backend.WorkerPool` —
+driven here directly, with no provider or fabric in front — serves
+batches whose items belong to different problems: workers warm a problem
+on first sight, and the degradation path scores each lost item against
+its own problem.  (The test ids predate the pool/provider split, when
+this was ``register_problem`` / ``score_fused`` on the provider.)
 """
 
 import numpy as np
 import pytest
 
 from repro.ga.fitness import SerialScoreProvider
-from repro.parallel import MultiprocessScoreProvider
+from repro.parallel import WorkerPool
 from repro.parallel.messages import WorkItem
 from repro.resilience import ChaosSpec
 
@@ -30,107 +30,99 @@ def _candidates(rng, n, length=20):
     return [rng.integers(0, 20, size=length).astype(np.uint8) for _ in range(n)]
 
 
+def _serial(engine, problem, arrays):
+    target, non_targets = problem
+    return SerialScoreProvider(engine, target, list(non_targets)).scores(
+        [a.copy() for a in arrays]
+    )
+
+
 def test_work_item_problem_validation():
-    with pytest.raises(ValueError, match="problem_id must be >= 0"):
-        WorkItem(0, b"x", problem_id=-1)
-    with pytest.raises(ValueError, match="requires a problem_id"):
-        WorkItem(0, b"x", problem=("T", ("A",)))
+    # The problem is a required field of the wire item, not an option.
+    with pytest.raises(TypeError, match="problem"):
+        WorkItem(0, b"x")
+    assert WorkItem(0, b"x", ("T", ("A",))).problem == ("T", ("A",))
 
 
 def test_register_problem_validates(tiny_engine, tiny_problem):
+    # warm() is the one place a problem is validated.
     target, non_targets = tiny_problem
-    with MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=1, timeout=120.0
-    ) as provider:
+    with WorkerPool(tiny_engine, num_workers=1, timeout=120.0) as pool:
         with pytest.raises(ValueError, match="also appears"):
-            provider.register_problem(target, [target, *non_targets])
+            pool.warm(target, [target, *non_targets])
         with pytest.raises(KeyError):
-            provider.register_problem("NOT-A-PROTEIN", non_targets)
-        a = provider.register_problem(target, non_targets)
-        b = provider.register_problem(non_targets[0], [target])
-        assert a != b
+            pool.warm("NOT-A-PROTEIN", non_targets)
+        with pytest.raises(KeyError):
+            pool.warm(target, ["NOT-A-PROTEIN"])
+        # The wire form: hashable, equal for equal problems — no ids.
+        assert pool.warm(target, non_targets) == (target, tuple(non_targets))
+        assert pool.warm(target, non_targets) == pool.warm(target, tuple(non_targets))
+        assert pool.warm(non_targets[0], [target]) != pool.warm(target, non_targets)
+        assert not pool._workers  # warming spawns nothing
 
 
 def test_score_fused_mixed_problems_matches_serial(
     tiny_engine, two_problems, rng
 ):
-    (target, non_targets), (other, other_nts) = two_problems
     arrays = _candidates(rng, 6)
-    ref_a = SerialScoreProvider(tiny_engine, target, non_targets).scores(
-        [a.copy() for a in arrays]
-    )
-    ref_b = SerialScoreProvider(tiny_engine, other, other_nts).scores(
-        [a.copy() for a in arrays]
-    )
-    with MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=2, timeout=120.0
-    ) as provider:
-        pid_a = provider.register_problem(target, non_targets)
-        pid_b = provider.register_problem(other, other_nts)
+    with WorkerPool(tiny_engine, num_workers=2, timeout=120.0) as pool:
+        a, b = (pool.warm(*problem) for problem in two_problems)
         # Interleave the two problems over the *same* candidate bytes —
         # scores must differ by problem, not by payload.
-        fused = [a for pair in zip(arrays, arrays) for a in pair]
-        pids = [pid_a, pid_b] * len(arrays)
-        got = provider.score_fused(fused, None, pids)
-    assert got[0::2] == ref_a
-    assert got[1::2] == ref_b
+        fused = [arr for pair in zip(arrays, arrays) for arr in pair]
+        got = pool.score(fused, None, [a, b] * len(arrays))
+        assert pool.stats()["dispatched"] == len(fused)  # nothing cached
+    assert got[0::2] == _serial(tiny_engine, a, arrays)
+    assert got[1::2] == _serial(tiny_engine, b, arrays)
+    assert got[0::2] != got[1::2]
 
 
 def test_score_fused_validates(tiny_engine, tiny_problem, rng):
-    target, non_targets = tiny_problem
     arrays = _candidates(rng, 2)
-    with MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=1, timeout=120.0
-    ) as provider:
-        pid = provider.register_problem(target, non_targets)
-        with pytest.raises(ValueError, match="length"):
-            provider.score_fused(arrays, None, [pid])
-        with pytest.raises(ValueError, match="unregistered"):
-            provider.score_fused(arrays, None, [pid, 999])
+    with WorkerPool(tiny_engine, num_workers=1, timeout=120.0) as pool:
+        problem = pool.warm(*tiny_problem)
+        with pytest.raises(ValueError, match="lengths must match"):
+            pool.score(arrays, None, [problem])
+        with pytest.raises(ValueError, match="lengths must match"):
+            pool.score(arrays, [None], [problem] * 2)
+        assert not pool._workers  # rejected before anything is spawned
 
 
 def test_late_registered_problem_reaches_running_workers(
     tiny_engine, two_problems, rng
 ):
-    # Register the second problem only after the pool has started: the
-    # workers must self-register it from the item's spec mid-stream.
-    (target, non_targets), (other, other_nts) = two_problems
+    # The second problem is first named only after the pool has started:
+    # the workers warm it from the items themselves, mid-stream.
+    first, second = two_problems
     arrays = _candidates(rng, 3)
-    ref = SerialScoreProvider(tiny_engine, other, other_nts).scores(
-        [a.copy() for a in arrays]
-    )
-    with MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=1, timeout=120.0
-    ) as provider:
-        provider.scores([a.copy() for a in arrays])  # pool is now running
-        pid = provider.register_problem(other, other_nts)
-        got = provider.score_fused(arrays, None, [pid] * len(arrays))
-    assert got == ref
+    with WorkerPool(tiny_engine, num_workers=1, timeout=120.0) as pool:
+        problem = pool.warm(*first)
+        pool.score(arrays, None, [problem] * len(arrays))  # pool is now running
+        assert pool._workers
+        late = pool.warm(*second)
+        got = pool.score(arrays, None, [late] * len(arrays))
+    assert got == _serial(tiny_engine, late, arrays)
 
 
 @pytest.mark.faults
 def test_fused_items_degrade_with_their_problem(
     tiny_engine, two_problems, rng
 ):
-    # Permanent pool loss: fused items must be re-scored serially in the
-    # master against *their own* problem, not the context default.
-    (target, non_targets), (other, other_nts) = two_problems
+    # Permanent pool loss: every lost item must be re-scored serially in
+    # the master against *its own* problem.
     arrays = _candidates(rng, 4)
-    ref = SerialScoreProvider(tiny_engine, other, other_nts).scores(
-        [a.copy() for a in arrays]
-    )
     spec = ChaosSpec().with_worker_crash(on_item=0)
-    with MultiprocessScoreProvider(
+    with WorkerPool(
         tiny_engine,
-        target,
-        non_targets,
         num_workers=1,
         max_retries=1,
         poll_interval=0.05,
         timeout=120.0,
         faults=spec.fault_plan(),
-    ) as provider:
-        pid = provider.register_problem(other, other_nts)
-        got = provider.score_fused(arrays, None, [pid] * len(arrays))
-        assert provider.degraded_items > 0
-    assert got == ref
+    ) as pool:
+        a, b = (pool.warm(*problem) for problem in two_problems)
+        fused = [arr for pair in zip(arrays, arrays) for arr in pair]
+        got = pool.score(fused, None, [a, b] * len(arrays))
+        assert pool.degraded_items > 0
+    assert got[0::2] == _serial(tiny_engine, a, arrays)
+    assert got[1::2] == _serial(tiny_engine, b, arrays)

@@ -6,24 +6,30 @@ import pytest
 from repro.ga.fitness import ScoreSet
 from repro.parallel.messages import EndSignal, WorkFailure, WorkItem, WorkResult
 
+PROBLEM = ("T", ("A", "B"))
+
 
 def test_work_item_roundtrip():
     seq = np.array([3, 1, 4, 1, 5], dtype=np.uint8)
-    item = WorkItem.from_encoded(7, seq)
+    item = WorkItem.from_encoded(7, seq, PROBLEM)
     assert item.sequence_id == 7
+    assert item.problem == PROBLEM
     assert np.array_equal(item.decode(), seq)
 
 
 def test_work_item_validation():
     with pytest.raises(ValueError):
-        WorkItem(-1, b"x")
+        WorkItem(-1, b"x", PROBLEM)
     with pytest.raises(ValueError):
-        WorkItem(0, b"")
+        WorkItem(0, b"", PROBLEM)
+    # Every item names its problem: there is no default one to fall back on.
+    with pytest.raises(TypeError):
+        WorkItem(0, b"x")
 
 
 def test_work_item_payload_compact():
     seq = np.arange(10, dtype=np.uint8)
-    assert len(WorkItem.from_encoded(0, seq).payload) == 10
+    assert len(WorkItem.from_encoded(0, seq, PROBLEM).payload) == 10
 
 
 def test_work_result_carries_scores():
@@ -38,17 +44,17 @@ def test_end_signal_default_reason():
 
 def test_batch_epoch_roundtrip():
     seq = np.array([1, 2, 3], dtype=np.uint8)
-    item = WorkItem.from_encoded(0, seq, batch_epoch=7)
+    item = WorkItem.from_encoded(0, seq, PROBLEM, batch_epoch=7)
     assert item.batch_epoch == 7
     assert WorkResult(0, 1, ScoreSet(0.5, ()), batch_epoch=7).batch_epoch == 7
     # Messages from the pre-epoch protocol default to epoch 0.
-    assert WorkItem.from_encoded(0, seq).batch_epoch == 0
+    assert WorkItem.from_encoded(0, seq, PROBLEM).batch_epoch == 0
     assert WorkResult(0, 1, ScoreSet(0.5, ())).batch_epoch == 0
 
 
 def test_batch_epoch_validation():
     with pytest.raises(ValueError, match="batch_epoch"):
-        WorkItem(0, b"x", batch_epoch=-1)
+        WorkItem(0, b"x", PROBLEM, batch_epoch=-1)
 
 
 def test_work_failure_carries_traceback():
@@ -62,7 +68,9 @@ def test_work_failure_carries_traceback():
 def test_messages_picklable():
     import pickle
 
-    item = WorkItem.from_encoded(1, np.array([1, 2], dtype=np.uint8), batch_epoch=4)
+    item = WorkItem.from_encoded(
+        1, np.array([1, 2], dtype=np.uint8), PROBLEM, batch_epoch=4
+    )
     result = WorkResult(1, 0, ScoreSet(0.3, (0.1,)), batch_epoch=4)
     failure = WorkFailure(1, 0, "ValueError: x", "Traceback ...", batch_epoch=4)
     for msg in (item, result, failure, EndSignal()):
@@ -74,7 +82,9 @@ def test_similarity_structures_ride_the_messages(tiny_engine):
 
     seq = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5], dtype=np.uint8)
     similarity = tiny_engine.database.sequence_similarity(seq)
-    item = WorkItem.from_encoded(0, seq, similarities=((seq.tobytes(), similarity),))
+    item = WorkItem.from_encoded(
+        0, seq, PROBLEM, similarities=((seq.tobytes(), similarity),)
+    )
     ((key, carried),) = pickle.loads(pickle.dumps(item)).similarities
     assert key == seq.tobytes()
     assert (carried.counts != similarity.counts).nnz == 0
@@ -83,6 +93,6 @@ def test_similarity_structures_ride_the_messages(tiny_engine):
     assert (loaded.similarity.counts != similarity.counts).nnz == 0
     assert loaded.inbox_wait == 0.25
     # Items and replies carry nothing unless told to.
-    assert WorkItem.from_encoded(0, seq).similarities == ()
+    assert WorkItem.from_encoded(0, seq, PROBLEM).similarities == ()
     bare = WorkResult(0, 1, ScoreSet(0.5, ()))
     assert bare.similarity is None and bare.inbox_wait == 0.0

@@ -52,7 +52,7 @@ def test_close_idempotent(mp_provider, rng):
 def test_workers_lazy(tiny_engine, tiny_problem):
     target, non_targets = tiny_problem
     provider = MultiprocessScoreProvider(tiny_engine, target, non_targets, num_workers=1)
-    assert not provider._workers  # nothing spawned before first use
+    assert not provider.pool._workers  # nothing spawned before first use
     provider.close()
 
 
@@ -68,8 +68,8 @@ def test_context_manager_reaps_workers(tiny_engine, tiny_problem, rng):
         tiny_engine, target, non_targets, num_workers=1, timeout=120.0
     ) as provider:
         provider.scores([rng.integers(0, 20, size=25).astype(np.uint8)])
-        assert provider._workers
-    assert not provider._workers
+        assert provider.pool._workers
+    assert not provider.pool._workers
     assert provider.closed
 
 
@@ -82,14 +82,14 @@ def test_context_manager_reaps_on_exception(tiny_engine, tiny_problem, rng):
         with provider:
             provider.scores([rng.integers(0, 20, size=25).astype(np.uint8)])
             raise RuntimeError("boom")
-    assert not provider._workers
+    assert not provider.pool._workers
     assert provider.closed
 
 
 def test_worker_stats_recorded(mp_provider, rng):
     seqs = [rng.integers(0, 20, size=25).astype(np.uint8) for _ in range(6)]
     mp_provider.scores(seqs)
-    stats = mp_provider.worker_stats()
+    stats = mp_provider.pool.stats()["workers"]
     assert stats  # at least one worker reported
     assert sum(int(w["items"]) for w in stats.values()) == 6
     assert all(w["busy_s"] >= 0.0 for w in stats.values())
@@ -117,7 +117,7 @@ class TestDeltaAndSticky:
             child[10] = (child[10] + 3) % 20
             prov = mutation_provenance(parent, [10])
             with_delta = provider.scores_with_provenance([child], [prov])
-            stats = provider.delta_stats()
+            stats = provider.pool.stats()["delta"]
             assert stats["hits"] >= 1
             assert stats["rows_rescored"] < stats["rows_total"]
             assert stats["sticky_routed"] == 0  # retained key, no routing left
@@ -144,7 +144,7 @@ class TestDeltaAndSticky:
             prov = mutation_provenance(parent, [5])
             # Parent never scored: workers must fall back to the full sweep.
             (scored,) = provider.scores_with_provenance([child], [prov])
-            stats = provider.delta_stats()
+            stats = provider.pool.stats()["delta"]
             assert stats["fallbacks"] >= 1
             serial = SerialScoreProvider(
                 tiny_engine, target, non_targets, use_delta=False
@@ -173,7 +173,7 @@ class TestDeltaAndSticky:
             provider.scores_with_provenance(
                 [child], [mutation_provenance(parent, [3])]
             )
-            stats = provider.delta_stats()
+            stats = provider.pool.stats()["delta"]
             assert stats == {
                 "hits": 0,
                 "fallbacks": 0,

@@ -1,16 +1,19 @@
-"""Tests for on-demand and static scheduling."""
+"""Tests for the on-demand scheduler."""
 
 import numpy as np
 import pytest
 
 from repro.ga.fitness import ScoreSet
 from repro.parallel.messages import WorkItem, WorkResult
-from repro.parallel.scheduler import OnDemandScheduler, StaticScheduler
+from repro.parallel.scheduler import OnDemandScheduler
+
+
+PROBLEM = ("T", ("A",))
 
 
 def _items(n):
     return [
-        WorkItem.from_encoded(i, np.array([i % 20 + 1], dtype=np.uint8))
+        WorkItem.from_encoded(i, np.array([i % 20 + 1], dtype=np.uint8), PROBLEM)
         for i in range(n)
     ]
 
@@ -59,16 +62,19 @@ class TestOnDemand:
         items = _items(3)
         sched = OnDemandScheduler(items)
         handed = [(sched.next_for(w), w) for w in (2, 0, 1)]
-        for item, w in reversed(handed):
+        # Replies arrive in any order; what is still owed stays sorted.
+        for (item, w), owed in zip(reversed(handed), ([0, 1], [0], [])):
             sched.record(_result(item, w))
-        ordered = sched.results_in_order()
-        assert [r.sequence_id for r in ordered] == [0, 1, 2]
+            assert sched.missing() == owed
+        assert sched.done
 
     def test_results_in_order_incomplete_raises(self):
+        # An incomplete batch is never "done", and says what it is owed.
         sched = OnDemandScheduler(_items(2))
-        sched.next_for(0)
-        with pytest.raises(RuntimeError, match="missing"):
-            sched.results_in_order()
+        item = sched.next_for(0)
+        sched.record(_result(item, 0))
+        assert not sched.done
+        assert sched.missing() == [1] and sched.remaining == 1
 
     def test_duplicate_result_rejected(self):
         sched = OnDemandScheduler(_items(1))
@@ -95,7 +101,7 @@ class TestOnDemand:
 
     def test_duplicate_ids_rejected(self):
         items = _items(2)
-        items[1] = WorkItem(0, b"\x01")
+        items[1] = WorkItem(0, b"\x01", PROBLEM)
         with pytest.raises(ValueError, match="duplicate"):
             OnDemandScheduler(items)
 
@@ -147,62 +153,3 @@ class TestRequeue:
         sched.next_for(0)
         assert sched.requeue_lost(99) == []
         assert sched.outstanding == 1
-
-    def test_static_cannot_requeue(self):
-        sched = StaticScheduler(_items(2), num_workers=2)
-        sched.next_for(0)
-        with pytest.raises(NotImplementedError):
-            sched.requeue_lost(0)
-
-
-class TestStatic:
-    def test_round_robin_assignment(self):
-        sched = StaticScheduler(_items(6), num_workers=2)
-        assert [sched.next_for(0).sequence_id for _ in range(3)] == [0, 2, 4]
-        assert [sched.next_for(1).sequence_id for _ in range(3)] == [1, 3, 5]
-
-    def test_worker_cannot_steal(self):
-        sched = StaticScheduler(_items(2), num_workers=2)
-        sched.next_for(0)
-        assert sched.next_for(0) is None  # worker 0's slice is exhausted
-        assert sched.next_for(1) is not None
-
-    def test_unknown_worker(self):
-        sched = StaticScheduler(_items(2), num_workers=2)
-        with pytest.raises(KeyError):
-            sched.next_for(5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StaticScheduler(_items(2), num_workers=0)
-
-    def test_imbalance_vs_ondemand(self):
-        """The paper's argument for on-demand dispatch: with heterogeneous
-        costs, static round-robin leaves some workers idle.  Simulate two
-        workers, one slow item first: on-demand lets worker 1 take all the
-        remaining cheap items; static forces worker 0 to hold half of them.
-        """
-        costs = [10.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-        items = _items(6)
-
-        def makespan(sched_cls, **kw):
-            sched = sched_cls(items, **kw) if kw else sched_cls(items)
-            t = [0.0, 0.0]
-            # Greedy event loop: whichever worker is free first asks next.
-            while True:
-                w = int(np.argmin(t))
-                item = sched.next_for(w)
-                if item is None:
-                    other = 1 - w
-                    item = sched.next_for(other)
-                    if item is None:
-                        break
-                    w = other
-                t[w] += costs[item.sequence_id]
-            return max(t)
-
-        ondemand = makespan(OnDemandScheduler)
-        static = makespan(StaticScheduler, num_workers=2)
-        assert ondemand <= static
-        assert ondemand == 10.0  # worker 1 absorbs all cheap items
-        assert static == 12.0  # worker 0 stuck with items 0, 2, 4

@@ -36,9 +36,9 @@ def test_shm_provider_matches_serial(tiny_engine, tiny_problem, rng):
     with MultiprocessScoreProvider(
         tiny_engine, target, non_targets, num_workers=2, timeout=120.0
     ) as provider:
-        assert provider.share_memory is True
+        assert provider.pool.share_memory is True
         out = provider.scores(seqs)
-        stats = provider.shm_stats()
+        stats = provider.pool.stats()["shm"]
         assert stats is not None and stats["owner"] is True
     for got, want in zip(out, expected):
         assert got.target_score == pytest.approx(want.target_score)
@@ -53,11 +53,11 @@ def test_shipped_context_is_lightweight(tiny_engine, tiny_problem, rng):
     )
     try:
         provider.scores(_seqs(rng, 2))
-        shipped = pickle.dumps(provider._ship_context)
-        full = pickle.dumps(provider.context)
+        shipped = pickle.dumps(provider.pool._ship_context)
+        full = pickle.dumps(provider.pool.context)
         assert len(shipped) < len(full)
-        assert provider._ship_context.engine is None
-        assert provider._ship_context.shm_handle is not None
+        assert provider.pool._ship_context.engine is None
+        assert provider.pool._ship_context.shm_handle is not None
     finally:
         provider.close()
 
@@ -73,8 +73,8 @@ def test_share_memory_off_ships_engine(tiny_engine, tiny_problem, rng):
         share_memory=False,
     ) as provider:
         out = provider.scores(_seqs(rng, 2))
-        assert provider.shm_stats() is None
-        assert provider._ship_context.engine is not None
+        assert provider.pool.stats()["shm"] is None
+        assert provider.pool._ship_context.engine is not None
     assert len(out) == 2
 
 
@@ -117,7 +117,7 @@ def test_no_segment_leak_after_worker_sigkill(tiny_engine, tiny_problem, rng):
         out = provider.scores(seqs)
         for got, want in zip(out, expected):
             assert got.target_score == pytest.approx(want.target_score)
-        assert provider.worker_deaths >= 1
+        assert provider.pool.worker_deaths >= 1
     assert set(_live_segments()) == before
 
 

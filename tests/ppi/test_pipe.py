@@ -200,9 +200,14 @@ def test_count_positions_mode(world):
 
 
 def test_build_classmethod(world):
+    # One way to build an engine from a graph: the make_engine factory
+    # (the PipeEngine.build classmethod it replaced is gone).
+    from repro.providers import make_engine
+
     graph, _ = world
-    engine = PipeEngine.build(graph, PipeConfig(window_size=W, match_rate=1e-4))
+    engine = make_engine(graph, PipeConfig(window_size=W, match_rate=1e-4))
     assert engine.database.window_size == W
+    assert not hasattr(PipeEngine, "build")
 
 
 def test_window_size_mismatch_rejected(world):

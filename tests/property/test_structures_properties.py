@@ -47,24 +47,34 @@ def test_graph_edge_invariants(pairs):
     st.randoms(use_true_random=False),
 )
 def test_ondemand_scheduler_complete_and_ordered(n_items, n_workers, pyrandom):
-    items = [WorkItem(i, bytes([i % 250 + 1])) for i in range(n_items)]
+    items = [WorkItem(i, bytes([i % 250 + 1]), ("T", ())) for i in range(n_items)]
     sched = OnDemandScheduler(items)
     outstanding = []
+    handed = []
+    recorded = set()
+
+    def complete(done, worker):
+        assert sched.record(WorkResult(done.sequence_id, worker, ScoreSet(0.5, ())))
+        recorded.add(done.sequence_id)
+        # What is still owed is exactly what has no reply, ascending.
+        assert sched.missing() == sorted(set(range(n_items)) - recorded)
+
     while True:
         w = pyrandom.randrange(n_workers)
         item = sched.next_for(w)
         if item is None:
             break
+        handed.append(item.sequence_id)
         outstanding.append((item, w))
         # Randomly complete some outstanding work.
         while outstanding and pyrandom.random() < 0.5:
-            done, worker = outstanding.pop(pyrandom.randrange(len(outstanding)))
-            sched.record(WorkResult(done.sequence_id, worker, ScoreSet(0.5, ())))
+            complete(*outstanding.pop(pyrandom.randrange(len(outstanding))))
+    assert not sched.done or not outstanding
     for done, worker in outstanding:
-        sched.record(WorkResult(done.sequence_id, worker, ScoreSet(0.5, ())))
-    assert sched.done
-    results = sched.results_in_order()
-    assert [r.sequence_id for r in results] == list(range(n_items))
+        complete(done, worker)
+    # Complete: every item handed out once, in order, and answered.
+    assert handed == list(range(n_items))
+    assert sched.done and sched.missing() == [] and sched.remaining == 0
 
 
 # --- diversity ---------------------------------------------------------------

@@ -67,17 +67,17 @@ def test_permanent_pool_loss_campaign_completes_bit_exact(
         assert result.completed
         assert result.best.sequence == reference.best.sequence
         assert result.history.to_payload() == reference.history.to_payload()
-        assert provider.degraded_items > 0
-        assert provider.degraded_batches > 0
-        assert provider.worker_deaths > 0
-        assert provider.breaker.state == BreakerState.OPEN
+        assert provider.pool.degraded_items > 0
+        assert provider.pool.degraded_batches > 0
+        assert provider.pool.worker_deaths > 0
+        assert provider.pool.breaker.state == BreakerState.OPEN
         assert (
             telemetry.counter("parallel.degraded_items").value
-            == provider.degraded_items
+            == provider.pool.degraded_items
         )
         assert (
             telemetry.counter("parallel.degraded_batches").value
-            == provider.degraded_batches
+            == provider.pool.degraded_batches
         )
 
 
@@ -101,24 +101,24 @@ def test_breaker_open_probe_close_cycle(tiny_engine, tiny_problem, rng):
         # Batch 1: worker 0 dies, the batch degrades, the breaker trips.
         batch1 = _seqs(rng, 2)
         assert _same_scores(provider.scores(batch1), serial.scores(batch1))
-        assert provider.breaker.state == BreakerState.OPEN
-        assert provider.degraded_batches == 1
+        assert provider.pool.breaker.state == BreakerState.OPEN
+        assert provider.pool.degraded_batches == 1
         # Batch 2: breaker open, first denial -> serial without the pool.
         batch2 = _seqs(rng, 2)
         assert _same_scores(provider.scores(batch2), serial.scores(batch2))
-        assert provider.degraded_batches == 2
-        assert provider.breaker.state == BreakerState.OPEN
+        assert provider.pool.degraded_batches == 2
+        assert provider.pool.breaker.state == BreakerState.OPEN
         # Batch 3: second denial grants the probe; the respawned worker
         # (fresh id, outside the fault plan) answers and closes the breaker.
         batch3 = _seqs(rng, 2)
         assert _same_scores(provider.scores(batch3), serial.scores(batch3))
-        assert provider.breaker.state == BreakerState.CLOSED
-        assert provider.breaker.probes == 1
-        assert provider.degraded_batches == 2  # the probe went to the pool
+        assert provider.pool.breaker.state == BreakerState.CLOSED
+        assert provider.pool.breaker.probes == 1
+        assert provider.pool.degraded_batches == 2  # the probe went to the pool
         # Batch 4: back to normal pool scoring.
         batch4 = _seqs(rng, 2)
         assert _same_scores(provider.scores(batch4), serial.scores(batch4))
-        assert provider.degraded_batches == 2
+        assert provider.pool.degraded_batches == 2
 
 
 def _same_scores(got, want):
@@ -172,14 +172,14 @@ def test_stalled_pool_degrades_and_close_escalates(
         seqs = _seqs(rng, 2)
         out = provider.scores(seqs)
         assert _same_scores(out, serial.scores(seqs))
-        assert provider.degraded_items == 2
-        assert provider.breaker.state == BreakerState.OPEN
+        assert provider.pool.degraded_items == 2
+        assert provider.pool.breaker.state == BreakerState.OPEN
     finally:
         started = time.monotonic()
         provider.close()
         elapsed = time.monotonic() - started
     assert elapsed < 10.0  # nowhere near the 60 s hang
-    assert provider.force_killed == 1
+    assert provider.pool.force_killed == 1
     assert telemetry.counter("parallel.force_killed").value == 1
 
 
@@ -201,8 +201,8 @@ def test_fail_fast_restores_raising_behaviour(tiny_engine, tiny_problem, rng):
     try:
         with pytest.raises(DeadWorkerError, match="retry budget"):
             provider.scores(_seqs(rng, 2))
-        assert provider.degraded_items == 0
-        assert provider.degraded_batches == 0
-        assert provider.breaker.state == BreakerState.CLOSED
+        assert provider.pool.degraded_items == 0
+        assert provider.pool.degraded_batches == 0
+        assert provider.pool.breaker.state == BreakerState.CLOSED
     finally:
         provider.close()

@@ -59,7 +59,7 @@ def test_scale_up_mid_batch_bit_exact(tiny_engine, tiny_problem, rng):
         telemetry=telemetry,
     ) as provider:
         out = provider.scores(seqs)
-        assert provider.scale_ups > 0
+        assert provider.pool.scale_ups > 0
         # The gauge proves the pool really grew mid-batch (it may have
         # already shrunk back by the time the batch drained).
         assert telemetry.gauge("parallel.pool_size").max > 1
@@ -97,8 +97,8 @@ def test_scale_down_with_sticky_backlog_loses_nothing(
         # Deep batch: 3 workers at the start, one by the time it drains.
         parents = _seqs(rng, 12)
         assert _same_scores(provider.scores(parents), serial.scores(parents))
-        assert provider.scale_downs > 0
-        assert len(provider._workers) < 3
+        assert provider.pool.scale_downs > 0
+        assert len(provider.pool._workers) < 3
         children, provs = [], []
         for parent in parents[:4]:
             child = parent.copy()
@@ -107,24 +107,24 @@ def test_scale_down_with_sticky_backlog_loses_nothing(
             provs.append(mutation_provenance(parent, [7]))
         out = provider.scores_with_provenance(children, provs)
         assert _same_scores(out, serial.scores(children))
-        assert provider.dispatched == len(parents) + len(children)
-        assert provider.retries == 0
-        assert provider.stale_dropped == 0
-        delta = provider.delta_stats()
+        assert provider.pool.dispatched == len(parents) + len(children)
+        assert provider.pool.retries == 0
+        assert provider.pool.stale_dropped == 0
+        delta = provider.pool.stats()["delta"]
         assert delta["hits"] == len(children)
         assert delta["fallbacks"] == 0
         # Clean retirements are eventually reaped as retired, not deaths:
         # give the retiring workers a bounded window to exit.
         deadline = time.monotonic() + 15.0
         while (
-            provider.retired < provider.scale_downs
+            provider.pool.retired < provider.pool.scale_downs
             and time.monotonic() < deadline
         ):
             time.sleep(0.1)
-            provider._reap_dead_workers()
-        assert provider.retired == provider.scale_downs
-        assert provider.worker_deaths == 0
-        assert telemetry.counter("parallel.retired").value == provider.retired
+            provider.pool._reap_dead_workers()
+        assert provider.pool.retired == provider.pool.scale_downs
+        assert provider.pool.worker_deaths == 0
+        assert telemetry.counter("parallel.retired").value == provider.pool.retired
 
 
 def test_worker_death_during_scale_down_recovers(
@@ -155,14 +155,14 @@ def test_worker_death_during_scale_down_recovers(
         # backlog retires its siblings.
         big = _seqs(rng, 12)
         assert _same_scores(provider.scores(big), serial.scores(big))
-        assert provider.worker_deaths >= 1
-        assert provider.retries <= IN_FLIGHT_WINDOW * provider.worker_deaths
-        assert provider.stale_dropped == 0
+        assert provider.pool.worker_deaths >= 1
+        assert provider.pool.retries <= IN_FLIGHT_WINDOW * provider.pool.worker_deaths
+        assert provider.pool.stale_dropped == 0
         # Tiny batch: the policy shrinks the pool to one worker.
         small = _seqs(rng, 2)
         assert _same_scores(provider.scores(small), serial.scores(small))
-        assert provider.scale_downs >= 1
-        assert len(provider._workers) == 1
+        assert provider.pool.scale_downs >= 1
+        assert len(provider.pool._workers) == 1
 
 
 def test_elastic_ga_campaign_bit_exact_with_fixed(tiny_engine, tiny_problem):
@@ -200,7 +200,7 @@ def test_elastic_ga_campaign_bit_exact_with_fixed(tiny_engine, tiny_problem):
         telemetry=telemetry,
     ) as elastic_provider:
         elastic = engine_for(elastic_provider).run(generations)
-        stats = elastic_provider.elastic_stats()
+        stats = elastic_provider.pool.stats()["elastic"]
         assert stats["scale_ups"] > 0, stats
         assert stats["scale_downs"] > 0, stats
         assert telemetry.counter("parallel.scale_up").value == stats["scale_ups"]

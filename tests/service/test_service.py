@@ -78,6 +78,21 @@ def _service(tiny_world, root, **overrides):
     return DesignService(tiny_world, root, **kwargs)
 
 
+def test_bad_pool_setting_fails_at_construction(tiny_world, tmp_path):
+    # Regression: a misspelt or invalid pool setting used to construct
+    # fine, admit jobs, and end every one FAILED inside an engine thread.
+    import threading
+
+    before = set(threading.enumerate())
+    with pytest.raises(TypeError, match="workers"):
+        DesignService(tiny_world, tmp_path / "svc", workers=2)  # num_workers
+    with pytest.raises(ValueError, match="num_workers"):
+        DesignService(tiny_world, tmp_path / "svc", num_workers=0)
+    # Raised before any engine thread started or any job could be admitted.
+    assert set(threading.enumerate()) == before
+    assert not list((tmp_path / "svc" / "jobs").iterdir())
+
+
 def test_submit_runs_to_done_with_stable_artifacts(tiny_world, tmp_path):
     spec = _spec()
     with _service(tiny_world, tmp_path / "svc") as service:

@@ -78,7 +78,7 @@ def test_serial_and_parallel_identical_through_base(
         # Both report the same cache accounting through the shared base.
         assert parallel.cache_stats["misses"] == serial.cache_stats["misses"] == 5
         # The master recorded per-worker throughput telemetry.
-        stats = parallel.worker_stats()
+        stats = parallel.runtime_stats()["workers"]
         assert sum(int(w["items"]) for w in stats.values()) == 5
         snap = registry.snapshot()
         assert snap["parallel.batch"]["count"] == 1

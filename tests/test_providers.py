@@ -53,11 +53,6 @@ def test_make_engine_rejects_junk():
         make_engine(42)
 
 
-def test_build_classmethod_deprecated(tiny_world, tiny_engine):
-    with pytest.deprecated_call(match="make_engine"):
-        PipeEngine.build(tiny_world.graph, tiny_engine.config)
-
-
 # -------------------------------------------------------- make_score_provider
 
 
@@ -110,7 +105,7 @@ def test_factory_process_backend_kwargs(tiny_engine, tiny_problem, rng):
         from repro.parallel.mp_backend import MultiprocessScoreProvider
 
         assert isinstance(provider, MultiprocessScoreProvider)
-        assert provider.share_memory is False
+        assert provider.pool.share_memory is False
         seq = rng.integers(0, 20, size=20).astype(np.uint8)
         serial = make_score_provider(tiny_engine, target, non_targets)
         assert (
