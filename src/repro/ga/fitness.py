@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.ga.population import Individual
 from repro.ppi.delta import DeltaStats, Provenance, SimilarityLRU
-from repro.ppi.pipe import PipeEngine
+from repro.ppi.pipe import BatchScores, PipeEngine
 from repro.telemetry import NULL_REGISTRY, MetricsRegistry
 
 __all__ = [
@@ -324,32 +324,28 @@ class SerialScoreProvider(CachingScoreProvider):
     ) -> list[ScoreSet]:
         names = [self.target, *self.non_targets]
         provs = provenances if provenances is not None else [None] * len(arrays)
-        out: list[ScoreSet] = []
         with self.telemetry.span("provider.serial.score"):
-            # Build every candidate's similarity structure through the
-            # batched entry points — one stacked kernel pass covers all
-            # full sweeps (and, per delta child, all its dirty rows) —
-            # then collapse each structure into scores.
+            # The whole batch moves through each stage together: one
+            # stacked kernel pass covers all full sweeps, another all
+            # dirty rows of the delta children, and the structures then
+            # collapse into scores one fused group at a time.
             with self.engine.telemetry.span("pipe.window_build"):
                 if self.use_delta:
                     built = self._similarity_cache.similarity_batch(
                         self.engine.database, arrays, provs
                     )
+                    for _, stats in built:
+                        self._record_delta(stats)
+                    similarities = [similarity for similarity, _ in built]
                 else:
-                    built = [
-                        (sim, None)
-                        for sim in self.engine.database.sequence_similarity_batch(
-                            arrays
-                        )
-                    ]
-            for arr, (similarity, stats) in zip(arrays, built):
-                if self.use_delta:
-                    self._record_delta(stats)
-                scored = self.engine.score_against(
-                    arr, names, similarity=similarity, delta=stats
-                )
-                out.append(scored.score_set(self.target, self.non_targets))
-        return out
+                    similarities = self.engine.database.sequence_similarity_batch(
+                        arrays
+                    )
+            scored = self.engine.score_similarities(similarities, names)
+        return [
+            BatchScores(scores).score_set(self.target, self.non_targets)
+            for scores in scored
+        ]
 
 
 class FitnessFunction:

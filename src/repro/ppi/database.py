@@ -9,9 +9,14 @@ implements both halves:
 
 * :class:`PipeDatabase` — the read-only broadcast side: the proteome
   concatenated into one encoded array (so the whole similarity search is a
-  single vectorised pass), the interaction adjacency, and a cache of
-  match matrices for *known* proteins ("the preprocessing is completed
-  offline, beforehand, for the known natural proteins").
+  single vectorised pass) and pre-scored against each residue code
+  (``score_rows``, the batched kernel's contiguous gather source), the
+  interaction adjacency, and a cache of match matrices for *known*
+  proteins ("the preprocessing is completed offline, beforehand, for the
+  known natural proteins").  Every build is batch-shaped —
+  :meth:`~PipeDatabase.sequence_similarity_batch` for full sweeps,
+  :meth:`~PipeDatabase.update_similarity_batch` for delta children — and
+  the one-item methods are calls of those.
 * :class:`SequenceSimilarity` — the per-candidate side: a sparse
   ``windows x proteins`` matrix whose entry (i, p) counts how many
   fragments of protein p are similar to candidate fragment i.
@@ -57,10 +62,8 @@ class SequenceSimilarity:
         """0/1 indicator: does protein p contain any fragment similar to
         query fragment i?  This is the predicate PIPE's result matrix uses.
 
-        Memoised: ``result_matrix``/``score_against`` read it once per
-        evaluation on the hot path, so the CSR copy is built on first
-        access and shared afterwards — treat the returned matrix as
-        read-only.
+        Memoised: the CSR copy is built on first access and shared
+        afterwards — treat the returned matrix as read-only.
         """
         out = self.counts.copy()
         out.data = np.ones_like(out.data)
@@ -90,6 +93,29 @@ class DeltaUpdate:
     similarity: SequenceSimilarity
     rows_rescored: int
     rows_total: int
+
+
+def _stack_row_runs(
+    runs: Sequence[tuple[sp.csr_matrix, int, int]], num_cols: int
+) -> sp.csr_matrix:
+    """The CSR of row runs ``(matrix, first_row, stop_row)`` stacked in
+    order, cut straight from the operands' buffers (``sp.vstack`` of row
+    slices costs more in per-call overhead than the copy itself)."""
+    if not runs:  # a child shorter than the window has no rows
+        return sp.csr_matrix((0, num_cols), dtype=np.int64)
+    data, indices, row_nnz = [], [], []
+    for matrix, first, stop in runs:
+        indptr = matrix.indptr
+        lo, hi = indptr[first], indptr[stop]
+        data.append(matrix.data[lo:hi])
+        indices.append(matrix.indices[lo:hi])
+        row_nnz.append(np.diff(indptr[first : stop + 1]))
+    indptr = np.zeros(sum(r.size for r in row_nnz) + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
+    return sp.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), indptr),
+        shape=(indptr.size - 1, num_cols),
+    )
 
 
 class PipeDatabase:
@@ -168,6 +194,7 @@ class PipeDatabase:
             last_valid = start + max(0, length - self.window_size + 1)
             self.valid_columns[start:last_valid] = True
 
+        self.score_rows = self._build_score_rows()
         self.adjacency = graph.adjacency_matrix()
 
     def _init_common(
@@ -216,6 +243,7 @@ class PipeDatabase:
         offsets: np.ndarray,
         valid_columns: np.ndarray,
         adjacency: sp.csr_matrix,
+        score_rows: np.ndarray | None = None,
         chunk_residues: int = 250_000,
         kernel: SimilarityKernel | str | None = None,
         protein_cache_size: int = 4096,
@@ -226,7 +254,8 @@ class PipeDatabase:
         Used by :class:`~repro.ppi.shm.SharedProteomeView` to attach a
         worker-side database whose arrays are zero-copy views into
         shared-memory segments; the arrays are adopted as-is (treat them
-        as read-only).
+        as read-only).  ``score_rows`` is derived data: when it does not
+        ride along it is rebuilt from ``concatenated`` and the matrix.
         """
         self = cls.__new__(cls)
         self._init_common(
@@ -242,8 +271,31 @@ class PipeDatabase:
         self.concatenated = np.asarray(concatenated, dtype=np.uint8)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.valid_columns = np.asarray(valid_columns, dtype=bool)
+        self.score_rows = (
+            np.asarray(score_rows, dtype=np.int16)
+            if score_rows is not None
+            else self._build_score_rows()
+        )
         self.adjacency = adjacency
         return self
+
+    def _build_score_rows(self) -> np.ndarray | None:
+        """``int16_table[:, concatenated]`` — the proteome pre-scored
+        against every residue code, one contiguous row per code.
+
+        A query's score matrix against any proteome slice is then a take
+        of contiguous row slices (40 bytes per proteome residue buy the
+        batched kernel its gather).  None when integer scoring would not
+        be exact (non-integer matrix entries) or a window sum could
+        overflow int16 (``window_size * max|score|``); kernels then take
+        the float64 reference path.
+        """
+        table = np.asarray(self.matrix.scores)
+        if not np.all(table == np.rint(table)):
+            return None
+        if float(np.abs(table).max()) * self.window_size >= np.iinfo(np.int16).max:
+            return None
+        return np.ascontiguousarray(table.astype(np.int16)[:, self.concatenated])
 
     def set_telemetry(self, telemetry: MetricsRegistry | None) -> None:
         """Attach (or, with None, detach) a metrics registry for the
@@ -256,33 +308,15 @@ class PipeDatabase:
         """Window rows a query of ``length`` residues contributes."""
         return num_windows(int(length), self.window_size)
 
-    def _sweep_counts(self, seq: np.ndarray) -> np.ndarray:
-        """Dense ``(num_windows, num_proteins)`` match counts for ``seq``.
-
-        Delegates to the pluggable similarity kernel
-        (:mod:`repro.ppi.kernels`); both the full sweep and the delta
-        re-sweep of dirty rows run through here, so the two paths are
-        bit-exact by construction (a subsequence's rows reproduce the
-        corresponding rows of the full sweep — same chunking over the
-        proteome, same float64 summation order).
-        """
-        return self.kernel.sweep(self, seq)
-
     def sequence_similarity(self, encoded: np.ndarray) -> SequenceSimilarity:
         """Build the per-candidate similarity structure (Algorithm 2's
-        ``build specified portion of sequence_similarity``).
+        ``build specified portion of sequence_similarity``): the one-item
+        :meth:`sequence_similarity_batch`.
 
         Returns a sparse ``windows x proteins`` count matrix.  The sweep is
         chunked over the concatenated proteome to bound peak memory.
         """
-        seq = np.asarray(encoded, dtype=np.uint8)
-        if seq.ndim != 1 or seq.size == 0:
-            raise ValueError("encoded sequence must be a non-empty 1-D array")
-        n_win = num_windows(seq.size, self.window_size)
-        if n_win == 0:
-            empty = sp.csr_matrix((0, self.num_proteins), dtype=np.int64)
-            return SequenceSimilarity(empty, 0)
-        return SequenceSimilarity(self.kernel.sweep_sparse(self, seq), n_win)
+        return self.sequence_similarity_batch([encoded])[0]
 
     def sequence_similarity_batch(
         self, encoded: Sequence[np.ndarray]
@@ -291,46 +325,41 @@ class PipeDatabase:
 
         The batched entry point of the kernel interface: all queries'
         windows are scored against the proteome through
-        :meth:`~repro.ppi.kernels.SimilarityKernel.sweep_batch` (one
-        stacked array op per pass under the batched kernel), bit-exact
-        per sequence with :meth:`sequence_similarity`.
+        :meth:`~repro.ppi.kernels.SimilarityKernel.sweep_batch_sparse`
+        (one stacked pass under the batched kernel), bit-exact per
+        sequence with the reference kernel's one-query sweep.  A sequence
+        shorter than the window has no rows: an empty structure.
         """
         arrays: list[np.ndarray] = []
         for encoded_seq in encoded:
             seq = np.asarray(encoded_seq, dtype=np.uint8)
             if seq.ndim != 1 or seq.size == 0:
-                raise ValueError(
-                    "encoded sequences must be non-empty 1-D arrays"
-                )
+                raise ValueError("encoded sequence must be a non-empty 1-D array")
             arrays.append(seq)
-        # Sequences shorter than the window have no rows to sweep.
-        sweepable = [
-            i
-            for i, seq in enumerate(arrays)
-            if num_windows(seq.size, self.window_size) > 0
+        return [
+            SequenceSimilarity(counts, counts.shape[0])
+            for counts in self.kernel.sweep_batch_sparse(self, arrays)
         ]
-        counts = self.kernel.sweep_batch_sparse(
-            self, [arrays[i] for i in sweepable]
-        )
-        out: list[SequenceSimilarity] = []
-        by_index = dict(zip(sweepable, counts))
-        for i, seq in enumerate(arrays):
-            n_win = num_windows(seq.size, self.window_size)
-            if n_win == 0:
-                empty = sp.csr_matrix((0, self.num_proteins), dtype=np.int64)
-                out.append(SequenceSimilarity(empty, 0))
-            else:
-                out.append(SequenceSimilarity(by_index[i], n_win))
-        return out
 
     def update_similarity(
         self,
         child: np.ndarray,
         sources: Sequence[tuple[SequenceSimilarity, int, int, int]],
     ) -> DeltaUpdate:
-        """Incrementally build a child's similarity from parent structures.
+        """Incrementally build one child's similarity from parent
+        structures: the one-item :meth:`update_similarity_batch`."""
+        return self.update_similarity_batch([(child, sources)])[0]
 
-        ``sources`` resolves a child's provenance: each entry
+    def update_similarity_batch(
+        self,
+        items: Sequence[
+            tuple[np.ndarray, Sequence[tuple[SequenceSimilarity, int, int, int]]]
+        ],
+    ) -> list[DeltaUpdate]:
+        """Incrementally build many children's similarities in one sweep.
+
+        Each item is ``(child, sources)``; ``sources`` resolves the
+        child's provenance: each entry
         ``(parent_sim, parent_start, child_start, length)`` states that
         ``child[child_start : child_start + length]`` is byte-identical to
         the parent residues ``[parent_start, parent_start + length)`` whose
@@ -340,21 +369,52 @@ class PipeDatabase:
 
         A child window row is *clean* when it lies entirely inside one
         source segment: its counts row equals the parent's corresponding
-        row and is patched verbatim (CSR row slice).  Every other row —
-        windows containing a mutated residue, straddling a crossover cut,
-        or belonging to a parent missing from the cache — is *dirty* and
-        re-swept against the proteome through the same kernel as the full
-        sweep, so the result is bit-exact with
-        :meth:`sequence_similarity` on the assembled child.
+        row and is patched verbatim.  Every other row — windows containing
+        a mutated residue, straddling a crossover cut, or belonging to a
+        parent missing from the cache — is *dirty* and re-swept against
+        the proteome through the same kernel as the full sweep, so the
+        result is bit-exact with :meth:`sequence_similarity` on the
+        assembled child.  The dirty runs of *all* items go through the
+        kernel's batched entry point in one call: a generation of point
+        mutants costs one pass over the proteome, not one per child.
+        """
+        plans = [self._plan_update(child, sources) for child, sources in items]
+        dirty = [
+            (runs, slot, seq)
+            for runs, _, slots in plans
+            for slot, seq in slots
+        ]
+        if dirty:
+            swept = self.kernel.sweep_batch_sparse(self, [seq for _, _, seq in dirty])
+            for (runs, slot, _), counts in zip(dirty, swept):
+                runs[slot] = (counts, 0, counts.shape[0])
+        out: list[DeltaUpdate] = []
+        for runs, rows_rescored, _ in plans:
+            counts = _stack_row_runs(runs, self.num_proteins)
+            n_win = counts.shape[0]
+            out.append(
+                DeltaUpdate(SequenceSimilarity(counts, n_win), rows_rescored, n_win)
+            )
+        return out
+
+    def _plan_update(
+        self,
+        child: np.ndarray,
+        sources: Sequence[tuple[SequenceSimilarity, int, int, int]],
+    ) -> tuple[list, int, list[tuple[int, np.ndarray]]]:
+        """Resolve one child's window rows into maximal row runs.
+
+        Returns ``(runs, rows_rescored, dirty)``: ``runs`` lists, in row
+        order, ``(counts, first_row, stop_row)`` slices of parent
+        structures with ``None`` holding the place of each dirty run, and
+        ``dirty`` pairs each such slot with the child subsequence to
+        re-sweep (windows ``[a, j)`` need residues ``[a, j - 1 + w)``).
         """
         seq = np.asarray(child, dtype=np.uint8)
         if seq.ndim != 1 or seq.size == 0:
             raise ValueError("encoded sequence must be a non-empty 1-D array")
         w = self.window_size
         n_win = num_windows(seq.size, w)
-        if n_win == 0:
-            empty = sp.csr_matrix((0, self.num_proteins), dtype=np.int64)
-            return DeltaUpdate(SequenceSimilarity(empty, 0), 0, 0)
 
         # Row resolution: src_of[j] = source index whose parent row
         # src_row[j] supplies child window row j; -1 = dirty.
@@ -381,42 +441,30 @@ class PipeDatabase:
             src_of[rows[take]] = k
             src_row[rows[take]] = parent_rows[take]
 
-        # Assemble the child CSR from maximal row runs: dirty runs are
-        # re-swept as subsequences (windows [a, j) need residues
-        # [a, j - 1 + w)) — all of a child's dirty runs go through the
-        # kernel's batched entry point in one call — while clean runs
-        # slice consecutive parent rows.
-        blocks: list[sp.spmatrix | None] = []
-        dirty_slots: list[int] = []
-        dirty_seqs: list[np.ndarray] = []
+        runs: list = []
+        dirty: list[tuple[int, np.ndarray]] = []
         rows_rescored = 0
+        src_of, src_row = src_of.tolist(), src_row.tolist()
         j = 0
         while j < n_win:
             a = j
-            if src_of[j] < 0:
+            k = src_of[j]
+            if k < 0:
                 while j < n_win and src_of[j] < 0:
                     j += 1
-                dirty_slots.append(len(blocks))
-                dirty_seqs.append(seq[a : j - 1 + w])
-                blocks.append(None)
+                dirty.append((len(runs), seq[a : j - 1 + w]))
+                runs.append(None)
                 rows_rescored += j - a
             else:
-                k = src_of[j]
+                j += 1
                 while (
-                    j + 1 < n_win
-                    and src_of[j + 1] == k
-                    and src_row[j + 1] == src_row[j] + 1
+                    j < n_win
+                    and src_of[j] == k
+                    and src_row[j] == src_row[j - 1] + 1
                 ):
                     j += 1
-                j += 1
-                blocks.append(sources[k][0].counts[src_row[a] : src_row[a] + (j - a)])
-        if dirty_seqs:
-            for slot, counts in zip(
-                dirty_slots, self.kernel.sweep_batch_sparse(self, dirty_seqs)
-            ):
-                blocks[slot] = counts
-        counts = sp.vstack(blocks, format="csr") if len(blocks) > 1 else blocks[0].tocsr()
-        return DeltaUpdate(SequenceSimilarity(counts, n_win), rows_rescored, n_win)
+                runs.append((sources[k][0].counts, src_row[a], src_row[a] + (j - a)))
+        return runs, rows_rescored, dirty
 
     def protein_similarity(self, name: str) -> SequenceSimilarity:
         """Cached similarity structure for a *known* protein.

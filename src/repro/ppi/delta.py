@@ -15,12 +15,13 @@ locality:
   *dirty* and must be re-swept.
 * :class:`SimilarityLRU` — a bounded cache of
   :class:`~repro.ppi.database.SequenceSimilarity` structures keyed by
-  sequence bytes, with :meth:`SimilarityLRU.similarity_for` implementing
-  the hit/fallback policy: when the parents named by a provenance are
-  cached, only the dirty window rows are re-swept
-  (:meth:`~repro.ppi.database.PipeDatabase.update_similarity`); a cache
-  miss silently falls back to the full sweep — a miss can cost time but
-  never correctness.
+  sequence bytes, with :meth:`SimilarityLRU.similarity_batch` the one
+  place the hit/fallback policy lives: when the parents named by a
+  provenance are cached, only the dirty window rows are re-swept — all
+  dirty runs of a round in one kernel pass
+  (:meth:`~repro.ppi.database.PipeDatabase.update_similarity_batch`); a
+  cache miss silently falls back to the full sweep — a miss can cost
+  time but never correctness.
 * :class:`DeltaStats` — the per-candidate accounting behind the
   ``pipe.delta.{hits,fallbacks,rows_rescored,rows_total}`` telemetry.
 
@@ -216,9 +217,6 @@ class SimilarityLRU:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     # -- the delta-or-fallback policy ---------------------------------------
 
     def similarity_for(
@@ -227,57 +225,9 @@ class SimilarityLRU:
         child: np.ndarray,
         provenance: Provenance | None,
     ) -> "tuple[SequenceSimilarity, DeltaStats | None]":
-        """The child's similarity structure, by the cheapest correct route.
-
-        Routes, in order of preference:
-
-        1. the child itself is cached (a re-submitted sequence) — reuse it;
-        2. provenance names parents that are cached — patch their rows and
-           re-sweep only the dirty ones
-           (:meth:`~repro.ppi.database.PipeDatabase.update_similarity`);
-           a parent missing from the cache only enlarges the dirty set;
-        3. otherwise — full sweep (*fallback*; slower, never wrong).
-
-        Returns ``(similarity, stats)``; ``stats`` is ``None`` when no
-        provenance was supplied (nothing to account: e.g. the random
-        initial population).  The result is always cached so the *next*
-        generation's children can patch from it.
-        """
-        child = np.asarray(child, dtype=np.uint8)
-        key = child.tobytes()
-        n_win = database.num_query_windows(child.size)
-        cached = self.get(key)
-        if cached is not None:
-            stats = (
-                DeltaStats(hit=True, rows_rescored=0, rows_total=n_win)
-                if provenance is not None
-                else None
-            )
-            return cached, stats
-        sources = []
-        if provenance is not None:
-            for seg in provenance.segments:
-                parent_sim = self.get(seg.parent_key)
-                if parent_sim is not None:
-                    sources.append(
-                        (parent_sim, seg.parent_start, seg.child_start, seg.length)
-                    )
-        if sources:
-            update = database.update_similarity(child, sources)
-            self.put(key, update.similarity)
-            return update.similarity, DeltaStats(
-                hit=True,
-                rows_rescored=update.rows_rescored,
-                rows_total=update.rows_total,
-            )
-        similarity = database.sequence_similarity(child)
-        self.put(key, similarity)
-        stats = (
-            DeltaStats(hit=False, rows_rescored=n_win, rows_total=n_win)
-            if provenance is not None
-            else None
-        )
-        return similarity, stats
+        """One child's similarity structure by the cheapest correct
+        route: the one-item :meth:`similarity_batch`."""
+        return self.similarity_batch(database, [child], [provenance])[0]
 
     def similarity_batch(
         self,
@@ -285,18 +235,32 @@ class SimilarityLRU:
         children: "Iterable[np.ndarray]",
         provenances: "Iterable[Provenance | None]",
     ) -> "list[tuple[SequenceSimilarity, DeltaStats | None]]":
-        """Batched :meth:`similarity_for` over a whole population.
+        """Similarity structures of a whole population, each by the
+        cheapest correct route.
 
-        Each child takes the same cheapest-correct route as a
-        ``similarity_for`` loop over the batch — cached structure, delta
-        patch, or full sweep — but all full sweeps of a round are scored
-        together through
+        Routes, in order of preference:
+
+        1. the child itself is cached (a re-submitted sequence) — reuse it;
+        2. provenance names parents that are cached — patch their rows and
+           re-sweep only the dirty ones; a parent missing from the cache
+           only enlarges the dirty set;
+        3. otherwise — full sweep (*fallback*; slower, never wrong).
+
+        Each child takes the route a one-at-a-time loop over the batch
+        would give it, but the work of a round runs batched: all dirty
+        runs of the round's delta children go through one
+        :meth:`~repro.ppi.database.PipeDatabase.update_similarity_batch`
+        and all its full sweeps through one
         :meth:`~repro.ppi.database.PipeDatabase.sequence_similarity_batch`
-        (one batched-kernel pass) instead of one sweep per child.  A child
-        whose parent is itself a full-sweep member of the batch is
-        deferred to the next round, so it still patches from the freshly
-        swept parent exactly as the sequential loop would.  Results and
-        per-item :class:`DeltaStats` are identical to the scalar method.
+        (one kernel pass each).  A child whose parent or twin is being
+        built in the current round is deferred to the next, so it still
+        patches from (or hits) the fresh structure exactly as the
+        sequential loop would.
+
+        Returns ``(similarity, stats)`` per child; ``stats`` is ``None``
+        when no provenance was supplied (nothing to account: e.g. the
+        random initial population).  Every result is cached so the *next*
+        generation's children can patch from it.
         """
         work: list[tuple[int, np.ndarray, bytes, Provenance | None]] = []
         for i, (child, provenance) in enumerate(zip(children, provenances)):
@@ -322,29 +286,29 @@ class SimilarityLRU:
 
         while work:
             # One round: route every item against the cache as it stands;
-            # sweeps needed this round run as one batch, and items whose
-            # parents are in that batch wait for the next round.
-            pending: "OrderedDict[bytes, list[tuple[int, Provenance | None]]]" = (
-                OrderedDict()
-            )
-            pending_seqs: dict[bytes, np.ndarray] = {}
+            # the patches and the sweeps needed this round each run as one
+            # batch, and items depending on them wait for the next round.
+            patches: list[tuple[int, bytes, np.ndarray, list]] = []
+            # key -> (sequence, every (index, provenance) submitting it)
+            pending: dict[bytes, tuple[np.ndarray, list]] = {}
             deferred: list[tuple[int, np.ndarray, bytes, Provenance | None]] = []
             # Keys that enter the cache later than "now" in sequential
-            # order: pending sweeps of this round plus every deferred
-            # item.  An item touching one of these (as its own key or as
-            # a provenance parent) must wait, or it would full-sweep
-            # where the sequential loop takes the cached/delta route.
+            # order: patches and pending sweeps of this round plus every
+            # deferred item.  An item touching one of these (as its own
+            # key or as a provenance parent) must wait, or it would
+            # full-sweep where the sequential loop takes the cached/delta
+            # route.
             unresolved: set[bytes] = set()
             for i, child, key, provenance in work:
                 if key in pending:
                     # Identical to an earlier full-sweep member: by the
                     # time the sequential loop reached it, the first copy
                     # would be cached — share the result as a cache hit.
-                    pending[key].append((i, provenance))
+                    pending[key][1].append((i, provenance))
                     continue
                 if key in unresolved:
-                    # Identical to an earlier *deferred* member: once that
-                    # one resolves, this is a plain cache hit.
+                    # Identical to an earlier patched or deferred member:
+                    # once that one resolves, this is a plain cache hit.
                     deferred.append((i, child, key, provenance))
                     continue
                 cached = self.get(key)
@@ -367,12 +331,18 @@ class SimilarityLRU:
                             )
                         elif seg.parent_key in unresolved:
                             parent_unresolved = True
+                unresolved.add(key)
                 if parent_unresolved:
                     deferred.append((i, child, key, provenance))
-                    unresolved.add(key)
-                    continue
-                if sources:
-                    update = database.update_similarity(child, sources)
+                elif sources:
+                    patches.append((i, key, child, sources))
+                else:
+                    pending[key] = (child, [(i, provenance)])
+            if patches:
+                updates = database.update_similarity_batch(
+                    [(child, sources) for _, _, child, sources in patches]
+                )
+                for (i, key, _, _), update in zip(patches, updates):
                     self.put(key, update.similarity)
                     out[i] = (
                         update.similarity,
@@ -382,18 +352,13 @@ class SimilarityLRU:
                             rows_total=update.rows_total,
                         ),
                     )
-                    continue
-                pending[key] = [(i, provenance)]
-                pending_seqs[key] = child
-                unresolved.add(key)
             if pending:
-                keys = list(pending)
                 sims = database.sequence_similarity_batch(
-                    [pending_seqs[k] for k in keys]
+                    [child for child, _ in pending.values()]
                 )
-                for key, similarity in zip(keys, sims):
+                for (key, (_, members)), similarity in zip(pending.items(), sims):
                     self.put(key, similarity)
-                    (first, first_prov), *rest = pending[key]
+                    (first, first_prov), *rest = members
                     n_win = similarity.num_windows
                     out[first] = (
                         similarity,

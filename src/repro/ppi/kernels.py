@@ -4,35 +4,36 @@ The window sweep — "build the specified portion of sequence_similarity"
 (Algorithm 2) — is the hot loop of the whole reproduction: every candidate
 (or every dirty window row of a delta re-score) is aligned against the
 entire concatenated proteome.  This module makes that sweep a *pluggable
-kernel* behind one small interface, so alternative implementations
-(batched numpy today; numba/GPU backends later) can be swapped in without
-touching :class:`~repro.ppi.database.PipeDatabase` or any provider:
+kernel* behind one small interface, so an implementation can be swapped
+without touching :class:`~repro.ppi.database.PipeDatabase` or any
+provider (both kernels here are plain numpy — the gain is in the shape
+of the calls, not in a compiled backend):
 
 * :class:`SimilarityKernel` — the contract: ``sweep`` produces the dense
   ``(num_windows, num_proteins)`` match-count matrix of one query;
-  ``sweep_batch`` produces the same for a whole population of queries.
-* :class:`ChunkedNumpyKernel` — the bit-exact reference: the chunked
-  per-sequence sweep that has been the one kernel since the seed.
+  ``sweep_batch`` the same for a whole population; the ``*_sparse``
+  forms, which the database calls, return CSR.
+* :class:`ChunkedNumpyKernel` — the bit-exact float64 reference: the
+  chunked per-sequence sweep that has been the one kernel since the seed.
 * :class:`BatchedNumpyKernel` — the batched entry point: all queries of a
-  generation (full candidates and the dirty runs of delta re-scores
-  alike) are stacked into one query array and swept against the proteome
-  in a single pass per chunk, amortising the per-call numpy overhead
-  that dominates when candidates are short.  Row-for-row **bit-exact**
+  generation (full candidates, or the dirty runs of every delta child of
+  a round) are stacked into one query array and swept against the
+  proteome tile by tile, each tile's score matrix being one contiguous
+  row take from the database's ``score_rows``.  Row-for-row **bit-exact**
   with the reference: stacking only adds seam rows (later discarded) and
   every retained row accumulates exactly the per-sequence sweep's terms.
 
 Kernels are stateless and hold no references to the database; they read
-the read-only proteome arrays off whatever database-like object is passed
-in (a :class:`~repro.ppi.database.PipeDatabase` or a shared-memory view
-from :mod:`repro.ppi.shm`), so one kernel instance can serve many
-databases and processes.
+the read-only proteome arrays — ``score_rows`` included, which the
+database derives once from its own matrix — off whatever database-like
+object is passed in (a :class:`~repro.ppi.database.PipeDatabase`, built
+in process or over a :mod:`repro.ppi.shm` segment), so one kernel
+instance can serve many databases and processes.
 """
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
@@ -68,6 +69,9 @@ class ProteomeArrays(Protocol):
     concatenated: np.ndarray
     offsets: np.ndarray
     valid_columns: np.ndarray
+    #: ``int16_table[:, concatenated]``, or None when integer scoring
+    #: would not be exact for this matrix and window size.
+    score_rows: "np.ndarray | None"
     matrix: "SubstitutionMatrix"
     window_size: int
     threshold: float
@@ -203,28 +207,35 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
 
     All queries of a batch are concatenated back to back into one array
     and swept against the proteome; each query's window rows are then
-    sliced back out, discarding the ``window_size - 1`` rows per seam
-    that straddle two queries.  Every retained row accumulates exactly
-    the terms of the per-sequence sweep, so the result is bit-exact with
+    cut back out, discarding the ``window_size - 1`` rows per seam that
+    straddle two queries.  Every retained row accumulates exactly the
+    terms of the per-sequence sweep, so the result is bit-exact with
     :class:`ChunkedNumpyKernel` — property-tested, not assumed.
 
-    Two things make the stacked pass faster than a per-sequence loop:
+    Three things make the stacked pass faster than a per-sequence loop:
 
-    * **int16 scoring** — substitution matrices are integer-valued
-      (PAM120/BLOSUM62), so window sums are computed exactly in int16 at
-      a quarter of the float64 memory traffic; the threshold compare uses
-      ``ceil(threshold)``, identical for integer sums.  A non-integer
-      matrix (or one whose window sums could overflow int16) falls back
-      to the float64 reference path.
-    * **cache-sized column chunks** — the score matrix is swept in
+    * **int16 scoring from contiguous score rows** — the database owns
+      ``score_rows`` (``int16_table[:, concatenated]``, built once when
+      the substitution matrix is integer-valued and ``w * max|s|`` fits
+      int16), so a tile's score matrix is one row take of contiguous
+      slices instead of a 2-D gather through the table, and window sums
+      are exact in int16 at a quarter of the float64 memory traffic; the
+      threshold compare uses ``ceil(threshold)``, identical for integer
+      sums.  A database without score rows takes the float64 reference
+      path.
+    * **cache-sized column tiles** — the score matrix is swept in
       ``~stacked_rows x small_cols`` tiles (``fast_chunk_elements``
       bounds the tile) that stay inside the CPU caches, where a
-      population-sized float64 matrix would spill to (slow) main memory.
+      population-sized matrix would spill to (slow) main memory.
+    * **hits, not masks** — matches are overwhelmingly rare, so each tile
+      contributes only the flat indices of its hits; validity, the
+      column → protein map and the per-query cut are applied to that
+      handful after the tile loop.
 
-    ``batch_elements`` bounds the stacked_rows x proteome-chunk product
-    of the fallback path and ``batch_residues`` caps the stacked length,
-    so batches too large for one pass are swept in greedy groups —
-    grouping changes wall time only, never results.
+    ``batch_residues`` caps the stacked length (``batch_elements``
+    further bounds it by the proteome-chunk width), so batches too large
+    for one pass are swept in greedy groups — grouping changes wall time
+    only, never results.
     """
 
     name = "batched"
@@ -236,244 +247,131 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
         batch_elements: int = 33_554_432,
         fast_chunk_elements: int = 524_288,
     ) -> None:
-        if batch_residues < 1:
-            raise ValueError(
-                f"batch_residues must be >= 1, got {batch_residues}"
-            )
-        if batch_elements < 1:
-            raise ValueError(
-                f"batch_elements must be >= 1, got {batch_elements}"
-            )
-        if fast_chunk_elements < 1:
-            raise ValueError(
-                f"fast_chunk_elements must be >= 1, got {fast_chunk_elements}"
-            )
+        for name, value in (
+            ("batch_residues", batch_residues),
+            ("batch_elements", batch_elements),
+            ("fast_chunk_elements", fast_chunk_elements),
+        ):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         self.batch_residues = int(batch_residues)
         self.batch_elements = int(batch_elements)
         self.fast_chunk_elements = int(fast_chunk_elements)
-        # fingerprint -> int16 table, or None when the fast path is unsafe.
-        # Keyed by matrix *content* (plus window size, which the overflow
-        # decision depends on), never by object identity: ``id()`` of a
-        # GC'd matrix can be reused by a different one, which would alias
-        # a stale table.  Bounded LRU — a long-lived kernel serving many
-        # databases must not grow without limit.
-        self._int_tables: "OrderedDict[tuple, np.ndarray | None]" = OrderedDict()
-
-    #: Distinct (matrix, window_size) int16 tables kept; LRU beyond this.
-    _INT_TABLE_CACHE_SIZE = 8
-
-    def _stack_limit(self, db: ProteomeArrays) -> int:
-        """Stacked residues allowed per pass given the chunk width."""
-        chunk_cols = max(1, min(db.chunk_residues, db.valid_columns.size))
-        return max(1, min(self.batch_residues, self.batch_elements // chunk_cols))
-
-    def _int_table(self, db: ProteomeArrays) -> "np.ndarray | None":
-        """The substitution table as int16, or None when fast-path
-        integer scoring would not be exact (non-integer entries) or could
-        overflow (pathologically large scores x window size)."""
-        table = np.asarray(db.matrix.scores)
-        # Content fingerprint (hashing a 20x20 table costs microseconds,
-        # the sweep it guards costs milliseconds).  window_size is part
-        # of the key because the overflow verdict depends on it.
-        key = (
-            db.matrix.name,
-            int(db.window_size),
-            table.shape,
-            table.dtype.str,
-            hashlib.sha1(np.ascontiguousarray(table).tobytes()).digest(),
-        )
-        if key in self._int_tables:
-            self._int_tables.move_to_end(key)
-            return self._int_tables[key]
-        ok = bool(np.all(table == np.rint(table)))
-        if ok:
-            bound = float(np.abs(table).max()) * db.window_size
-            ok = bound < np.iinfo(np.int16).max
-        value = table.astype(np.int16) if ok else None
-        self._int_tables[key] = value
-        while len(self._int_tables) > self._INT_TABLE_CACHE_SIZE:
-            self._int_tables.popitem(last=False)
-        return value
 
     def sweep(self, db: ProteomeArrays, seq: np.ndarray) -> np.ndarray:
-        table = self._int_table(db)
-        if table is None:
+        if db.score_rows is None:
             return super().sweep(db, seq)
-        return self._sweep_int(db, seq, table)
-
-    def sweep_sparse(self, db: ProteomeArrays, seq: np.ndarray) -> sp.csr_matrix:
-        table = self._int_table(db)
-        if table is None:
-            return super().sweep_sparse(db, seq)
-        return self._sweep_int_sparse(db, seq, table)
-
-    def _sweep_int(
-        self, db: ProteomeArrays, seq: np.ndarray, table: np.ndarray
-    ) -> np.ndarray:
-        # The dense API is kept for the kernel contract (and the
-        # bit-exactness property tests); the hot path is the sparse one.
-        return self._sweep_int_sparse(db, seq, table).toarray()
-
-    def _sweep_int_sparse(
-        self, db: ProteomeArrays, seq: np.ndarray, table: np.ndarray
-    ) -> sp.csr_matrix:
-        """The int16 sweep straight to CSR, skipping the dense matrix.
-
-        Match counts are overwhelmingly zero on realistic thresholds, so
-        instead of materialising a dense ``(n_win, num_proteins)`` int64
-        ``counts`` and converting, each chunk contributes the nonzeros of
-        its boolean mask as COO entries — the window-start column maps to
-        its protein via one ``searchsorted`` against the chunk's segment
-        starts, and the COO→CSR conversion sums duplicates (several
-        matching windows on one protein) exactly in int64.  Identical
-        element-for-element to ``sp.csr_matrix(dense counts)``.
-        """
-        seq = np.asarray(seq, dtype=np.uint8)
-        w = db.window_size
-        n_win = num_windows(seq.size, w)
-        shape = (n_win, db.num_proteins)
-        if n_win == 0:
-            return sp.csr_matrix(shape, dtype=np.int64)
-        # Integer window sums reach the same >= verdict at ceil(threshold).
-        ithr = int(np.ceil(db.threshold))
-        # Tile columns so the int16 score matrix stays cache-resident.
-        chunk = max(64, min(db.chunk_residues, self.fast_chunk_elements // n_win))
-        offsets = db.offsets
-        sidx = seq.astype(np.intp)[:, None]
-        total_cols = db.valid_columns.size
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        start = 0
-        while start < total_cols:
-            stop = min(start + chunk, total_cols)
-            segment = db.concatenated[start : stop + w - 1].astype(np.intp)
-            scores = table[sidx, segment[None, :]]
-            sums = _diag_window_sums_int(scores, w, n_win, stop - start)
-            mask = sums >= ithr
-            mask[:, ~db.valid_columns[start:stop]] = False
-            r, c = np.nonzero(mask)
-            if r.size:
-                inner = offsets[(offsets > start) & (offsets < stop)]
-                seg_starts = np.concatenate([[0], inner - start]).astype(np.intp)
-                first_protein = (
-                    int(np.searchsorted(offsets, start, side="right")) - 1
-                )
-                rows.append(r)
-                cols.append(
-                    first_protein
-                    + np.searchsorted(seg_starts, c, side="right")
-                    - 1
-                )
-            start = stop
-        if not rows:
-            return sp.csr_matrix(shape, dtype=np.int64)
-        rr = np.concatenate(rows)
-        cc = np.concatenate(cols)
-        data = np.ones(rr.size, dtype=np.int64)
-        return sp.coo_matrix((data, (rr, cc)), shape=shape).tocsr()
+        return self.sweep_sparse(db, seq).toarray()
 
     def sweep_batch(
         self, db: ProteomeArrays, seqs: Sequence[np.ndarray]
     ) -> list[np.ndarray]:
-        arrays = [np.asarray(s, dtype=np.uint8) for s in seqs]
-        if len(arrays) < 2:
-            return [self.sweep(db, a) for a in arrays]
-        limit = self._stack_limit(db)
-        out: list[np.ndarray | None] = [None] * len(arrays)
-        group: list[int] = []
-        group_len = 0
-        for i, arr in enumerate(arrays):
-            if group and group_len + arr.size > limit:
-                self._sweep_group(db, arrays, group, out)
-                group, group_len = [], 0
-            group.append(i)
-            group_len += arr.size
-        if group:
-            self._sweep_group(db, arrays, group, out)
-        assert all(o is not None for o in out)
-        return out  # type: ignore[return-value]
+        # The dense API is kept for the kernel contract (and the
+        # bit-exactness property tests); the hot path is the sparse one.
+        return [counts.toarray() for counts in self.sweep_batch_sparse(db, seqs)]
 
-    def _sweep_group(
-        self,
-        db: ProteomeArrays,
-        arrays: list[np.ndarray],
-        group: list[int],
-        out: list[np.ndarray | None],
-    ) -> None:
-        """Sweep one group of queries as a single stacked pass.
-
-        Queries are concatenated back to back — no separators needed:
-        a window row straddling two queries is simply never retained
-        (query ``i``'s rows are ``starts[i] .. starts[i] + n_win_i - 1``,
-        all fully inside query ``i``), so the straddle rows' garbage sums
-        are computed and discarded while every retained row accumulates
-        exactly the per-sequence sweep's terms.
-        """
-        w = db.window_size
-        if len(group) == 1:
-            i = group[0]
-            out[i] = self.sweep(db, arrays[i])
-            return
-        starts: list[int] = []
-        pos = 0
-        for i in group:
-            starts.append(pos)
-            pos += arrays[i].size
-        stacked = np.concatenate([arrays[i] for i in group])
-        stacked_counts = self.sweep(db, stacked)
-        for i, start in zip(group, starts):
-            n_win = num_windows(arrays[i].size, w)
-            # Copy so the (much larger) stacked matrix is freed promptly.
-            out[i] = stacked_counts[start : start + n_win].copy()
+    def sweep_sparse(self, db: ProteomeArrays, seq: np.ndarray) -> sp.csr_matrix:
+        if db.score_rows is None:
+            return super().sweep_sparse(db, seq)
+        return self._sweep_stacked(db, [np.asarray(seq, dtype=np.uint8)])[0]
 
     def sweep_batch_sparse(
         self, db: ProteomeArrays, seqs: Sequence[np.ndarray]
     ) -> list[sp.csr_matrix]:
         arrays = [np.asarray(s, dtype=np.uint8) for s in seqs]
-        if len(arrays) < 2:
-            return [self.sweep_sparse(db, a) for a in arrays]
-        if self._int_table(db) is None:
+        if db.score_rows is None:
             return super().sweep_batch_sparse(db, arrays)
-        limit = self._stack_limit(db)
-        out: list[sp.csr_matrix | None] = [None] * len(arrays)
-        group: list[int] = []
+        # Stacked residues allowed per pass given the chunk width.
+        chunk_cols = max(1, min(db.chunk_residues, db.valid_columns.size))
+        limit = max(1, min(self.batch_residues, self.batch_elements // chunk_cols))
+        out: list[sp.csr_matrix] = []
+        group: list[np.ndarray] = []
         group_len = 0
-        for i, arr in enumerate(arrays):
+        for arr in arrays:
             if group and group_len + arr.size > limit:
-                self._sweep_group_sparse(db, arrays, group, out)
+                out.extend(self._sweep_stacked(db, group))
                 group, group_len = [], 0
-            group.append(i)
+            group.append(arr)
             group_len += arr.size
         if group:
-            self._sweep_group_sparse(db, arrays, group, out)
-        assert all(o is not None for o in out)
-        return out  # type: ignore[return-value]
+            out.extend(self._sweep_stacked(db, group))
+        return out
 
-    def _sweep_group_sparse(
-        self,
-        db: ProteomeArrays,
-        arrays: list[np.ndarray],
-        group: list[int],
-        out: list[sp.csr_matrix | None],
-    ) -> None:
-        """Sparse variant of :meth:`_sweep_group`: one stacked CSR sweep,
-        then per-query row slices (slicing a CSR copies, so the stacked
-        matrix is freed promptly; seam rows are simply never retained)."""
+    def _sweep_stacked(
+        self, db: ProteomeArrays, arrays: list[np.ndarray]
+    ) -> list[sp.csr_matrix]:
+        """One stacked int16 pass over ``arrays``, straight to per-query CSR.
+
+        Queries are concatenated back to back — no separators needed: a
+        window row straddling two queries is simply never retained (query
+        ``i``'s rows are ``starts[i] .. starts[i] + n_win_i - 1``, all
+        fully inside query ``i``), so the straddle rows' garbage hits are
+        found and dropped while every retained row sees exactly the
+        per-sequence sweep's terms.  Each hit is one similar (query
+        window, proteome window) pair; counting hits per (row, protein)
+        gives the same int64 counts as ``sp.csr_matrix(dense counts)``,
+        element for element, without the dense matrix.
+        """
         w = db.window_size
-        if len(group) == 1:
-            i = group[0]
-            out[i] = self.sweep_sparse(db, arrays[i])
-            return
-        starts: list[int] = []
-        pos = 0
-        for i in group:
-            starts.append(pos)
-            pos += arrays[i].size
-        stacked = np.concatenate([arrays[i] for i in group])
-        stacked_counts = self.sweep_sparse(db, stacked)
-        for i, start in zip(group, starts):
-            n_win = num_windows(arrays[i].size, w)
-            out[i] = stacked_counts[start : start + n_win]
+        num_proteins = db.num_proteins
+        lengths = np.array([a.size for a in arrays], dtype=np.intp)
+        starts = np.cumsum(lengths) - lengths
+        n_wins = np.maximum(lengths - w + 1, 0)
+        stacked = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        n_rows = num_windows(stacked.size, w)
+        hit_rows: list[np.ndarray] = []
+        hit_cols: list[np.ndarray] = []
+        if n_rows:
+            sidx = stacked.astype(np.intp)
+            # Integer window sums reach the same >= verdict at ceil(threshold).
+            ithr = int(np.ceil(db.threshold))
+            total_cols = db.valid_columns.size
+            # Tile columns so the int16 score matrix stays cache-resident.
+            chunk = max(64, min(db.chunk_residues, self.fast_chunk_elements // n_rows))
+            for start in range(0, total_cols, chunk):
+                cols = min(chunk, total_cols - start)
+                # Overlap by w - 1 residues so windows starting near the
+                # tile edge are complete; the padded tail guarantees it.
+                scores = db.score_rows[:, start : start + cols + w - 1].take(
+                    sidx, axis=0
+                )
+                sums = _diag_window_sums_int(scores, w, n_rows, cols)
+                hits = np.flatnonzero(sums >= ithr)
+                if hits.size:
+                    r, c = np.divmod(hits, cols)
+                    hit_rows.append(r)
+                    hit_cols.append(c + start)
+        if not hit_rows:
+            return [
+                sp.csr_matrix((int(n), num_proteins), dtype=np.int64) for n in n_wins
+            ]
+        rows = np.concatenate(hit_rows)
+        cols = np.concatenate(hit_cols)
+        # Drop windows that run off their protein and seam rows, then map
+        # each surviving hit to (stacked row, protein).
+        query = np.searchsorted(starts, rows, side="right") - 1
+        keep = db.valid_columns[cols] & (rows - starts[query] < n_wins[query])
+        rows = rows[keep]
+        proteins = np.searchsorted(db.offsets, cols[keep], side="right") - 1
+        cells, counts = np.unique(rows * num_proteins + proteins, return_counts=True)
+        cell_rows, indices = np.divmod(cells, num_proteins)
+        indices = indices.astype(np.int32)
+        counts = counts.astype(np.int64)
+        # indptr over all stacked rows; each query's CSR is a cut of it.
+        indptr = np.searchsorted(cell_rows, np.arange(n_rows + 1)).astype(np.int32)
+        out = []
+        for first, n in zip(starts.tolist(), n_wins.tolist()):
+            if n == 0:  # shorter than the window: no rows of its own
+                out.append(sp.csr_matrix((0, num_proteins), dtype=np.int64))
+                continue
+            lo, hi = indptr[first], indptr[first + n]
+            out.append(
+                sp.csr_matrix(
+                    (counts[lo:hi], indices[lo:hi], indptr[first : first + n + 1] - lo),
+                    shape=(n, num_proteins),
+                )
+            )
+        return out
 
 
 DEFAULT_KERNEL = BatchedNumpyKernel.name

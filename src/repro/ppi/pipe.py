@@ -12,6 +12,12 @@ and the symmetric adjacency ``G`` this is one sparse triple product:
 
     H = M_A · G · M_Bᵀ
 
+:meth:`PipeEngine.evaluate` computes exactly that, one pair at a time;
+the GA's path, :meth:`PipeEngine.score_similarities`, stacks candidates
+down the rows and a problem's proteins across the columns so a whole
+group costs one product and one filter pass per axis, bit-identical to
+the pairwise form.
+
 The scalar score follows the MP-PIPE construction the paper cites for
 details [11]: a (2r+1)² box-mean filter smooths single-cell noise out of
 ``H``, and the filtered maximum ``F`` is normalised by the saturating map
@@ -24,12 +30,13 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.ndimage as ndi
+import scipy.sparse as sp
 
 from repro.ppi.database import PipeDatabase, SequenceSimilarity
 from repro.ppi.delta import DeltaStats
@@ -43,6 +50,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ga.fitness import ScoreSet
 
 __all__ = ["BatchScores", "PipeConfig", "PipeEngine", "PipeResult"]
+
+#: Dense cells (candidates x windows x stacked protein windows) one fused
+#: result-matrix group may hold: the 2 MB float64 block a group allocates.
+#: Four candidates per group on the benchmark's campaigns, ~10 % faster
+#: there than one per group (65 536); larger measured no faster.
+GROUP_CELLS = 262_144
 
 
 @dataclass(frozen=True)
@@ -213,15 +226,15 @@ class PipeEngine:
     The engine's *inputs* (database, config) are read-only after
     construction, so it can be shared/broadcast across workers as the
     paper does.  The one piece of mutable state is ``_evidence_cache``, a
-    bounded per-known-protein LRU memoising the right-hand factor of the
-    result-matrix triple product (``adjacency @ M_Bᵀ``), which is
-    identical for every candidate scored against the same
-    target/non-target — the GA's hot loop.  The GA's fixed
-    target/non-target workload fits entirely inside the default bound, so
-    it never evicts there; scan-style workloads touching many proteins
-    are capped at ``evidence_cache_size`` entries instead of growing
-    without bound.  Each forked worker owns an independent copy, so the
-    mutation is process-local and needs no locking.
+    bounded LRU memoising, per *problem* (the tuple of known-protein
+    names a candidate is scored against), the right-hand factor of the
+    result-matrix triple product for all its proteins side by side
+    (``hstack([adjacency @ M_bᵀ for b in names])``), which is identical
+    for every candidate scored against the same target/non-targets — the
+    GA's hot loop.  A campaign is one entry; a service juggling many
+    problems is capped at ``evidence_cache_size`` entries instead of
+    growing without bound.  Each forked worker owns an independent copy,
+    so the mutation is process-local and needs no locking.
     """
 
     def __init__(
@@ -245,7 +258,9 @@ class PipeEngine:
         self.config = config
         self.evidence_cache_size = int(evidence_cache_size)
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
-        self._evidence_cache: OrderedDict[str, object] = OrderedDict()
+        self._evidence_cache: OrderedDict[
+            tuple[str, ...], tuple[sp.csr_matrix, list[int]]
+        ] = OrderedDict()
 
     def set_telemetry(self, telemetry: MetricsRegistry | None) -> None:
         """Attach (or, with None, detach) a metrics registry.
@@ -253,8 +268,10 @@ class PipeEngine:
         Kernel phases are reported as the nestable timer spans
         ``pipe.window_build`` (candidate similarity structure),
         ``pipe.triple_product`` (``M_A · G · M_Bᵀ``) and
-        ``pipe.box_filter`` (mean filter + saturating score map), plus the
-        counter ``pipe.evaluations``.  Forwarded to the database so the
+        ``pipe.box_filter`` (mean filter + saturating score map) — one of
+        each per fused group in :meth:`score_similarities`, per pair in
+        :meth:`evaluate` — plus the counter ``pipe.evaluations`` (always
+        candidate x protein pairs).  Forwarded to the database so the
         ``pipe.protein_cache.*`` accounting lands in the same registry.
         """
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
@@ -375,37 +392,107 @@ class PipeEngine:
 
         This is the worker-process inner loop (Algorithm 2): the candidate's
         similarity structure is built once and reused for the target and
-        every non-target.  Returns a :class:`BatchScores` — a typed,
-        mapping-compatible result that also carries the caller-supplied
-        ``delta`` accounting of the similarity build and the batch's
-        wall-clock time.
+        every non-target — the one-candidate :meth:`score_similarities`.
+        Returns a :class:`BatchScores` — a typed, mapping-compatible result
+        that also carries the caller-supplied ``delta`` accounting of the
+        similarity build and the batch's wall-clock time.
         """
         started = time.perf_counter()
-        telemetry = self.telemetry
         sim = similarity if similarity is not None else self.similarity_of(sequence)
-        ma = sim.counts if self.config.count_positions else sim.binary
-        out: dict[str, float] = {}
-        for name in protein_names:
-            evidence = self._evidence_cache.get(name)
-            if evidence is None:
-                sim_b = self.database.protein_similarity(name)
-                mb = (
-                    sim_b.counts if self.config.count_positions else sim_b.binary
-                )
-                evidence = (self.database.adjacency @ mb.T).tocsc()
-                while len(self._evidence_cache) >= self.evidence_cache_size:
-                    self._evidence_cache.popitem(last=False)
-                    telemetry.count("pipe.evidence_cache.evictions")
-                self._evidence_cache[name] = evidence
-                telemetry.set_gauge(
-                    "pipe.evidence_cache.size", len(self._evidence_cache)
-                )
-            else:
-                self._evidence_cache.move_to_end(name)
-            with telemetry.span("pipe.triple_product"):
-                h = np.asarray((ma @ evidence).toarray(), dtype=np.float64)
-            out[name], _ = self.score_matrix(h)
-        telemetry.count("pipe.evaluations", len(protein_names))
+        (out,) = self.score_similarities([sim], protein_names)
         return BatchScores(
             out, delta=delta, elapsed_s=time.perf_counter() - started
         )
+
+    def score_similarities(
+        self,
+        similarities: Sequence[SequenceSimilarity],
+        protein_names: Sequence[str],
+    ) -> list[dict[str, float]]:
+        """``{protein: PIPE score}`` for each candidate structure, fused.
+
+        Candidates with equally many windows are stacked (in slices of at
+        most :data:`GROUP_CELLS` dense cells) and multiplied against the
+        problem's side-by-side evidence in **one** sparse product per
+        group; the box filter then runs once down the window axis of the
+        whole group and once along each protein's block of columns.
+
+        Bit-identical to per-pair :meth:`evaluate`: the result matrix is
+        integer-valued, so the product's summation order is irrelevant;
+        ndimage's running mean is line-local and history-dependent, and
+        the lines filtered here — (candidate, column) in the first pass,
+        (candidate, row of one protein block) in the second, in that axis
+        order — are exactly the lines ``uniform_filter`` walks per pair.
+        Filtering across a block boundary or across stacked candidates,
+        even zero-padded, would change the running sum's history and the
+        last bits.
+        """
+        names = tuple(protein_names)
+        if not names:
+            return [{} for _ in similarities]
+        evidence, bounds = self._evidence(names)
+        telemetry = self.telemetry
+        size = 2 * self.config.box_radius + 1
+        saturation = self.config.saturation
+        # A candidate without windows, like a protein without, has an
+        # empty result matrix: score 0.0.
+        scores = np.zeros((len(similarities), len(names)))
+        by_windows: dict[int, list[int]] = {}
+        for i, sim in enumerate(similarities):
+            if sim.num_windows and bounds[-1]:
+                by_windows.setdefault(sim.num_windows, []).append(i)
+        for n, members in by_windows.items():
+            step = max(1, GROUP_CELLS // (n * bounds[-1]))
+            for g in range(0, len(members), step):
+                group = members[g : g + step]
+                with telemetry.span("pipe.triple_product"):
+                    ma = sp.vstack([similarities[i].counts for i in group], "csr")
+                    if not self.config.count_positions:
+                        # The paper's binary predicate, once per group.
+                        ma.data = np.ones_like(ma.data)
+                    h = (ma @ evidence).toarray().reshape(len(group), n, -1)
+                with telemetry.span("pipe.box_filter"):
+                    if size > 1:
+                        h = ndi.uniform_filter1d(h, size, axis=1, mode="constant")
+                    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                        if hi == lo:
+                            continue
+                        block = h[:, :, lo:hi]
+                        if size > 1:
+                            block = ndi.uniform_filter1d(
+                                block, size, axis=2, mode="constant"
+                            )
+                        fmax = block.max(axis=(1, 2))
+                        scores[group, b] = fmax / (fmax + saturation)
+        telemetry.count("pipe.evaluations", len(similarities) * len(names))
+        return [dict(zip(names, row)) for row in scores.tolist()]
+
+    def _evidence(self, names: tuple[str, ...]) -> tuple[sp.csr_matrix, list[int]]:
+        """``hstack([adjacency @ M_bᵀ for b in names])`` and the column
+        bounds of each protein's block, through the bounded LRU.
+
+        float64 CSR: the product with a candidate's (CSR) match matrix
+        then needs no format conversion and lands directly in the dtype
+        the box filter works in; every entry is a small integer, exact.
+        """
+        cached = self._evidence_cache.get(names)
+        if cached is not None:
+            self._evidence_cache.move_to_end(names)
+            return cached
+        adjacency = self.database.adjacency
+        blocks = []
+        bounds = [0]
+        for name in names:
+            sim_b = self.database.protein_similarity(name)
+            mb = sim_b.counts if self.config.count_positions else sim_b.binary
+            blocks.append(adjacency @ mb.T)
+            bounds.append(bounds[-1] + sim_b.num_windows)
+        evidence = sp.hstack(blocks, format="csr", dtype=np.float64)
+        while len(self._evidence_cache) >= self.evidence_cache_size:
+            self._evidence_cache.popitem(last=False)
+            self.telemetry.count("pipe.evidence_cache.evictions")
+        self._evidence_cache[names] = evidence, bounds
+        self.telemetry.set_gauge(
+            "pipe.evidence_cache.size", len(self._evidence_cache)
+        )
+        return evidence, bounds

@@ -7,9 +7,10 @@ memory again.  This module implements the broadcast properly:
 
 * :class:`SharedProteomeView` — master side: packs every read-only array
   of a :class:`~repro.ppi.database.PipeDatabase` (``concatenated``,
-  ``offsets``, ``valid_columns``, the adjacency CSR buffers, and the
-  precomputed known-protein similarity CSRs) into **one**
-  ``multiprocessing.shared_memory`` segment.
+  ``offsets``, ``valid_columns``, ``score_rows`` when the database has
+  them, the adjacency CSR buffers, and the precomputed known-protein
+  similarity CSRs) into **one** ``multiprocessing.shared_memory`` segment,
+  so workers map the kernel's gather source instead of rebuilding it.
 * :class:`SharedProteomeHandle` — the lightweight picklable descriptor a
   worker receives instead of the engine: the segment name plus array
   specs and small metadata (protein names, the substitution matrix,
@@ -178,6 +179,8 @@ class SharedProteomeView:
             "offsets": np.ascontiguousarray(database.offsets),
             "valid_columns": np.ascontiguousarray(database.valid_columns),
         }
+        if database.score_rows is not None:
+            arrays["score_rows"] = np.ascontiguousarray(database.score_rows)
         adjacency = database.adjacency.tocsr()
         for part, arr in _csr_parts(adjacency).items():
             arrays[f"adjacency.{part}"] = np.ascontiguousarray(arr)
@@ -367,6 +370,9 @@ class SharedProteomeView:
             offsets=offsets,
             valid_columns=self.array("valid_columns"),
             adjacency=adjacency,
+            score_rows=(
+                self.array("score_rows") if "score_rows" in handle.arrays else None
+            ),
             chunk_residues=handle.chunk_residues,
             kernel=kernel if kernel is not None else handle.kernel_name,
             protein_cache_size=handle.protein_cache_size,

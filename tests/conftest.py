@@ -7,11 +7,20 @@ read-only.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.ga.fitness import SerialScoreProvider
 from repro.synthetic import get_profile
+
+# CI selects this with HYPOTHESIS_PROFILE=ci so a failing property is the
+# same example on every machine; local runs keep hypothesis's default
+# (randomized) profile.
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

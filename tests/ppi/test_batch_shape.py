@@ -1,0 +1,188 @@
+"""The batch shape of serial scoring, as exact, repeatable call counts.
+
+A generation costs O(1) kernel passes and O(groups) sparse products, not
+O(candidates) and O(candidates x proteins): one ``sweep_batch_sparse``
+call covers the dirty runs of every delta child of a round, one covers the
+round's full sweeps, and ``score_similarities`` makes one product per
+fused group.  Counts, not timings — they repeat exactly.
+"""
+
+import numpy as np
+import pytest
+
+from repro.ga import WETLAB_PARAMS, InSiPSEngine
+from repro.ga.fitness import SerialScoreProvider
+from repro.parallel.worker import score_candidate
+from repro.ppi import pipe
+from repro.ppi.delta import SimilarityLRU, mutation_provenance
+from repro.ppi.kernels import BatchedNumpyKernel, _REGISTRY, register_kernel
+from repro.providers import make_engine
+from repro.synthetic import get_profile
+from repro.telemetry import MetricsRegistry
+
+TARGET = "YBL051C"
+POPULATION = 60
+LENGTH = 64
+
+
+class CountingKernel(BatchedNumpyKernel):
+    """The default kernel, recording each batched pass's query count."""
+
+    name = "test-counting"
+    calls: list[int] = []
+
+    def sweep_batch_sparse(self, db, seqs):
+        seqs = list(seqs)
+        CountingKernel.calls.append(len(seqs))
+        return super().sweep_batch_sparse(db, seqs)
+
+
+@pytest.fixture()
+def counted():
+    """(engine on the counting kernel, its registry, non-targets)."""
+    register_kernel(CountingKernel)
+    try:
+        world = get_profile("small").build_world()
+        telemetry = MetricsRegistry()
+        engine = make_engine(
+            world.engine.database.graph,
+            world.engine.config,
+            kernel=CountingKernel.name,
+            telemetry=telemetry,
+        )
+        non_targets = world.non_targets_for(TARGET, limit=8)
+        engine.database.precompute([TARGET, *non_targets])
+        CountingKernel.calls = []
+        yield engine, telemetry, non_targets
+    finally:
+        _REGISTRY.pop(CountingKernel.name, None)
+
+
+class _Recorder:
+    """Provider proxy keeping each generation's (sequences, provenances)."""
+
+    def __init__(self, provider):
+        self.provider = provider
+        self.batches = []
+
+    def scores_with_provenance(self, sequences, provenances):
+        self.batches.append((list(sequences), provenances))
+        return self.provider.scores_with_provenance(sequences, provenances)
+
+    def scores(self, sequences):
+        return self.scores_with_provenance(sequences, None)
+
+
+def _bred_generation(engine, non_targets):
+    """The initial population and the first bred generation of a campaign."""
+    recorder = _Recorder(SerialScoreProvider(engine, TARGET, non_targets))
+    InSiPSEngine(
+        recorder,
+        WETLAB_PARAMS,
+        population_size=POPULATION,
+        candidate_length=LENGTH,
+        seed=2024,
+    ).run(2)
+    initial, bred = recorder.batches[:2]
+    # Unchanged survivors keep their scores; the rest of the 60 is submitted.
+    assert POPULATION // 2 < len(bred[0]) <= POPULATION and bred[1] is not None
+    return initial, bred
+
+
+def _span_count(telemetry, name):
+    return telemetry.snapshot().get(name, {"count": 0})["count"]
+
+
+def test_bred_generation_is_one_pass_per_route(counted):
+    engine, telemetry, non_targets = counted
+    names = [TARGET, *non_targets]
+    initial, bred = _bred_generation(engine, non_targets)
+    provider = SerialScoreProvider(
+        engine, TARGET, non_targets, telemetry=telemetry
+    )
+    provider.scores_with_provenance(*initial)
+    fresh_initial = provider.cache_stats["misses"]
+
+    CountingKernel.calls = []
+    before = telemetry.snapshot()
+    provider.scores_with_provenance(*bred)
+    after = telemetry.snapshot()
+
+    def moved(name, field="value"):
+        return after[name][field] - before.get(name, {field: 0})[field]
+
+    fresh = provider.cache_stats["misses"] - fresh_initial
+    hits = moved("pipe.delta.hits")
+    assert fresh > POPULATION // 2 and hits == fresh  # every parent is warm
+    assert "pipe.delta.fallbacks" not in after
+    # Every child's parents are last generation's members, so the batch
+    # resolves in one round: one pass for all dirty runs, no full sweep.
+    assert len(CountingKernel.calls) == 1
+    assert CountingKernel.calls[0] >= hits - 5  # ~1 dirty run per child
+    assert 0 < moved("pipe.delta.rows_rescored") < 0.25 * moved(
+        "pipe.delta.rows_total"
+    )
+
+    # PIPE: one product and one filter span per fused group, while
+    # evaluations still count candidate x protein pairs.
+    n = engine.database.num_query_windows(LENGTH)
+    columns = sum(
+        engine.database.protein_similarity(name).num_windows for name in names
+    )
+    per_group = max(1, pipe.GROUP_CELLS // (n * columns))
+    groups = -(-fresh // per_group)
+    assert moved("pipe.triple_product", "count") == groups
+    assert moved("pipe.box_filter", "count") == groups
+    assert groups < fresh * len(names)
+    assert moved("pipe.evaluations") == fresh * len(names)
+
+
+def test_initial_population_is_one_full_sweep_pass(counted):
+    engine, telemetry, non_targets = counted
+    initial, _ = _bred_generation(engine, non_targets)
+    provider = SerialScoreProvider(engine, TARGET, non_targets)
+    CountingKernel.calls = []
+    provider.scores_with_provenance(*initial)
+    assert CountingKernel.calls == [provider.cache_stats["misses"]]
+
+
+def test_one_pass_per_round_when_parents_are_in_the_batch(counted):
+    """root -> (a, b) -> a's child: three rounds, one kernel pass each."""
+    engine, _, _ = counted
+    rng = np.random.default_rng(5)
+    root = rng.integers(0, 20, size=LENGTH).astype(np.uint8)
+
+    def mutant(parent, locus):
+        child = parent.copy()
+        child[locus] = (child[locus] + 1) % 20
+        return child, mutation_provenance(parent, [locus])
+
+    a, prov_a = mutant(root, 10)
+    b, prov_b = mutant(root, 40)
+    c, prov_c = mutant(a, 30)
+    CountingKernel.calls = []
+    built = SimilarityLRU(8).similarity_batch(
+        engine.database, [root, a, b, c, b.copy()], [None, prov_a, prov_b, prov_c, prov_b]
+    )
+    # round 1: root's full sweep; round 2: a and b patched together;
+    # round 3: c patched from a, b's twin a plain cache hit.
+    assert CountingKernel.calls == [1, 2, 1]
+    stats = [s for _, s in built]
+    assert stats[0] is None
+    assert all(s.hit for s in stats[1:])
+    w = engine.database.window_size
+    assert [s.rows_rescored for s in stats[1:]] == [w, w, w, 0]
+    for (sim, _), seq in zip(built, [root, a, b, c, b]):
+        expected = engine.database.sequence_similarity(seq)
+        assert (sim.counts != expected.counts).nnz == 0
+
+
+def test_score_candidate_is_one_product(counted):
+    engine, telemetry, non_targets = counted
+    seq = np.random.default_rng(9).integers(0, 20, size=LENGTH).astype(np.uint8)
+    score_set, _ = score_candidate(engine, seq, (TARGET, tuple(non_targets)))
+    assert _span_count(telemetry, "pipe.triple_product") == 1
+    assert _span_count(telemetry, "pipe.box_filter") == 1
+    assert telemetry.snapshot()["pipe.evaluations"]["value"] == 1 + len(non_targets)
+    expected = [engine.evaluate(seq, name).score for name in [TARGET, *non_targets]]
+    assert [score_set.target_score, *score_set.non_target_scores] == expected

@@ -190,24 +190,26 @@ def test_sweep_sparse_non_integer_matrix_falls_back(database):
     matrix = SubstitutionMatrix("half", scores)
     db = PipeDatabase(database.graph, matrix, W, THRESHOLD, kernel="batched")
     kernel = BatchedNumpyKernel()
-    assert kernel._int_table(db) is None
+    assert db.score_rows is None
     seq = np.random.default_rng(47).integers(0, 20, size=20).astype(np.uint8)
     dense = kernel.sweep(db, seq)
     assert (kernel.sweep_sparse(db, seq) != sp.csr_matrix(dense)).nnz == 0
 
 
-# ------------------------------------------------------- int-table cache
+# ----------------------------------------------------------- score rows
 
 
 def test_int_table_never_aliased_across_matrix_lifetimes(database):
     """Two different matrices at a reused ``id()`` never share a table.
 
-    The old cache keyed by ``id(db.matrix)``: once a matrix was GC'd, a
-    new matrix allocated at the same address silently inherited its int16
-    table.  Create-and-drop matrices of *different* content in a loop so
-    CPython reuses addresses, checking bit-exactness against the
-    reference each time — under id-keying the first address reuse yields
-    a stale (wrongly scaled) table and the assertion fires.
+    An early kernel cached its int16 table by ``id(db.matrix)``: once a
+    matrix was GC'd, a new matrix allocated at the same address silently
+    inherited it.  Each database now owns the score rows built from its
+    own matrix and the kernel keeps nothing between calls.  Create-and-
+    drop matrices of *different* content in a loop so CPython reuses
+    addresses, checking bit-exactness against the reference each time —
+    any table outliving its matrix yields wrongly scaled scores and the
+    assertion fires.
     """
     kernel = BatchedNumpyKernel()
     chunked = ChunkedNumpyKernel()
@@ -219,22 +221,26 @@ def test_int_table_never_aliased_across_matrix_lifetimes(database):
         db = PipeDatabase(database.graph, matrix, W, THRESHOLD, kernel=kernel)
         assert np.array_equal(kernel.sweep(db, seq), chunked.sweep(db, seq))
         del db, matrix, scores
-    # ... and a long-lived kernel's table cache stays bounded.
-    assert len(kernel._int_tables) <= kernel._INT_TABLE_CACHE_SIZE
+    # ... and a long-lived kernel holds nothing but its three limits.
+    assert set(vars(kernel)) == {
+        "batch_residues",
+        "batch_elements",
+        "fast_chunk_elements",
+    }
 
 
 def test_int_table_key_includes_window_size(database):
     # The overflow verdict depends on window_size: a matrix safe at w=1
     # can overflow int16 at w=3.  One shared kernel must not let the
-    # first database's cached verdict leak into the second's.
+    # first database's verdict leak into the second's.
     scores = np.where(np.eye(20, dtype=bool), 20_000.0, -1.0)
     matrix = SubstitutionMatrix("huge", scores)
     kernel = BatchedNumpyKernel()
     chunked = ChunkedNumpyKernel()
     db1 = PipeDatabase(database.graph, matrix, 1, 10.0, kernel=kernel)
     db3 = PipeDatabase(database.graph, matrix, 3, 10.0, kernel=kernel)
-    assert kernel._int_table(db1) is not None  # 20000 * 1 fits int16
-    assert kernel._int_table(db3) is None  # 20000 * 3 overflows
+    assert db1.score_rows is not None  # 20000 * 1 fits int16
+    assert db3.score_rows is None  # 20000 * 3 overflows
     rng = np.random.default_rng(37)
     for db in (db1, db3):
         seq = rng.integers(0, 20, size=12).astype(np.uint8)

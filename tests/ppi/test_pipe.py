@@ -276,11 +276,15 @@ def test_evidence_cache_bounded_lru(world):
     names = [p.name for p in graph.proteins]
     assert len(names) > 2
     small = PipeEngine(engine.database, engine.config, evidence_cache_size=2)
-    small.score_against(seq, names)
-    assert len(small._evidence_cache) <= 2
+    # The cache holds one entry per problem (tuple of names scored against).
+    for name in names:
+        small.score_against(seq, [name])
+    assert len(small._evidence_cache) == 2
     # The most recently used entries survive; re-scoring them evicts nothing.
     kept = list(small._evidence_cache)
-    small.score_against(seq, kept)
+    assert kept == [(name,) for name in names[-2:]]
+    for problem in kept:
+        small.score_against(seq, list(problem))
     assert list(small._evidence_cache) == kept
 
 
@@ -293,6 +297,9 @@ def test_evidence_cache_size_in_telemetry(world):
     telemetry = MetricsRegistry()
     fresh = PipeEngine(engine.database, engine.config, telemetry=telemetry)
     fresh.score_against(seq, ["P0", "P1"])
+    assert telemetry.gauge("pipe.evidence_cache.size").value == 1.0
+    fresh.score_against(seq, ["P0", "P1"])  # same problem: same entry
+    fresh.score_against(seq, ["P1"])
     assert telemetry.gauge("pipe.evidence_cache.size").value == 2.0
 
 

@@ -116,3 +116,38 @@ def test_telemetry_counters(tiny_engine):
     view.close()
     assert registry.counter("shm.attaches").value >= 1
     assert registry.counter("shm.unlinks").value == 1
+
+
+def test_segment_carries_score_rows(shared_view, tiny_engine):
+    """The batched kernel's gather source is broadcast, not rebuilt: the
+    segment holds ``score_rows`` and an attached database maps it."""
+    source = tiny_engine.database
+    assert source.score_rows is not None
+    spec = shared_view.handle.arrays["score_rows"]
+    assert spec.shape == source.score_rows.shape == (20, source.concatenated.size)
+    assert np.dtype(spec.dtype) == np.int16
+    assert np.array_equal(shared_view.array("score_rows"), source.score_rows)
+    view = SharedProteomeView.attach(shared_view.handle)
+    try:
+        database = view.build_database()
+        assert np.array_equal(database.score_rows, source.score_rows)
+        assert not database.score_rows.flags.owndata  # a view of the segment
+        assert not database.score_rows.flags.writeable
+        del database
+    finally:
+        view.close()
+
+
+def test_close_leaves_no_segment_file_behind(tiny_engine):
+    import glob
+
+    view = SharedProteomeView.share(tiny_engine.database)
+    path = f"/dev/shm/{view.handle.token}"
+    attached = SharedProteomeView.attach(view.handle)
+    database = attached.build_database()
+    assert database.score_rows is not None
+    assert glob.glob(path) == [path]
+    del database
+    attached.close()
+    view.close()
+    assert glob.glob("/dev/shm/repro-proteome-*") == []

@@ -166,3 +166,92 @@ def test_delta_scores_equal_full_scores(parent, p_mutate):
     via_delta = engine.score_against(child, names, similarity=similarity)
     from_scratch = engine.score_against(child, names)
     assert via_delta == from_scratch
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    sequences,
+    sequences,
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=10),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_batched_delta_equals_sequential_routes(seed_a, seed_b, ops, rng_seed):
+    """One generation — mutants, crossovers, copies, twins, and children
+    of *other members of the batch* — through ``similarity_batch`` gives
+    the structures of a from-scratch sweep and exactly the ``DeltaStats``
+    a one-at-a-time ``similarity_for`` loop reports."""
+    database = DATABASE
+    rng = np.random.default_rng(rng_seed)
+    pool = [seed_a, seed_b]  # warm parents; batch members join as they appear
+    batch = []
+    for op in ops:
+        parent = pool[int(rng.integers(len(pool)))]
+        if op == 0:
+            made = [point_copy_with_provenance(parent)]
+        elif op == 1:
+            made = [mutate_with_provenance(parent, 0.15, rng)]
+        elif op == 2:
+            other = pool[int(rng.integers(len(pool)))]
+            made = list(crossover_with_provenance(parent, other, 0.15, rng))
+        else:  # a twin of an earlier member, under that member's provenance
+            made = [batch[int(rng.integers(len(batch)))]] if batch else []
+        for child, prov in made:
+            batch.append((np.asarray(child), prov))
+            pool.append(np.asarray(child))
+
+    def warm():
+        lru = SimilarityLRU(64)
+        for s in (seed_a, seed_b):
+            lru.similarity_for(database, s, None)
+        return lru
+
+    sequential = warm()
+    expected = [sequential.similarity_for(database, c, p) for c, p in batch]
+    got = warm().similarity_batch(
+        database, [c for c, _ in batch], [p for _, p in batch]
+    )
+    assert len(got) == len(expected)
+    for (child, _), (e_sim, e_stats), (g_sim, g_stats) in zip(batch, expected, got):
+        scratch = database.sequence_similarity(child)
+        assert g_sim.num_windows == scratch.num_windows
+        assert np.array_equal(g_sim.counts.toarray(), scratch.counts.toarray())
+        assert g_sim.counts.dtype == scratch.counts.dtype
+        assert g_stats == e_stats
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    sequences,
+    st.lists(loci_fractions, min_size=1, max_size=6),
+)
+def test_update_similarity_batch_equals_per_item(parent, children_fractions):
+    """``update_similarity_batch`` is ``update_similarity`` per item (one
+    kernel pass instead of one per child), itself the full sweep."""
+    database = DATABASE
+    parent_sim = database.sequence_similarity(parent)
+    items = []
+    for fractions in children_fractions:
+        loci = sorted({int(f * parent.size) for f in fractions})
+        child = parent.copy()
+        for locus in loci:
+            child[locus] = (int(child[locus]) + 1) % 20
+        prov = mutation_provenance(parent, loci)
+        sources = [
+            (parent_sim, seg.parent_start, seg.child_start, seg.length)
+            for seg in prov.segments
+        ]
+        items.append((child, sources))
+    batched = database.update_similarity_batch(items)
+    assert len(batched) == len(items)
+    for (child, sources), update in zip(items, batched):
+        alone = database.update_similarity(child, sources)
+        scratch = database.sequence_similarity(child)
+        assert (update.rows_rescored, update.rows_total) == (
+            alone.rows_rescored,
+            alone.rows_total,
+        )
+        assert update.rows_total == scratch.num_windows
+        for other in (alone.similarity, scratch):
+            assert np.array_equal(
+                update.similarity.counts.toarray(), other.counts.toarray()
+            )

@@ -9,9 +9,15 @@ population and any grouping limits.  `similarity_batch` additionally must
 preserve the *sequential* delta semantics: a child batched together with
 its parent still takes the delta route, and the result is identical to
 calling `similarity_for` one sequence at a time.
+
+Every property checks two databases: the in-process one, and one
+attached from a :class:`~repro.ppi.shm.SharedProteomeView`, whose
+``score_rows`` (the batched kernel's gather source) are read straight
+from the shared segment rather than rebuilt.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +26,7 @@ from repro.ppi.database import PipeDatabase
 from repro.ppi.delta import SimilarityLRU
 from repro.ppi.graph import InteractionGraph
 from repro.ppi.kernels import BatchedNumpyKernel, ChunkedNumpyKernel
+from repro.ppi.shm import SharedProteomeView
 from repro.sequences.encoding import decode
 from repro.sequences.protein import Protein
 from repro.substitution import PAM120
@@ -44,8 +51,24 @@ def _build_database():
     )
 
 
-# Read-only after construction, so one shared instance serves every example.
+# Read-only after construction, so one shared instance serves every example
+# (and is the reference every sweep is compared against).
 DATABASE = _build_database()
+
+
+@pytest.fixture(scope="module")
+def databases():
+    """The in-process database and its shm-attached twin."""
+    with SharedProteomeView.share(DATABASE) as owner:
+        with SharedProteomeView.attach(owner.handle) as view:
+            attached = view.build_database(kernel="batched")
+            # Mapped, not rebuilt: a read-only view of the segment's copy.
+            assert not attached.score_rows.flags.owndata
+            assert not attached.score_rows.flags.writeable
+            assert np.array_equal(attached.score_rows, DATABASE.score_rows)
+            yield DATABASE, attached
+            del attached
+
 
 populations = st.lists(
     st.lists(st.integers(min_value=0, max_value=19), min_size=1, max_size=30).map(
@@ -58,14 +81,15 @@ populations = st.lists(
 
 @settings(deadline=None, max_examples=30)
 @given(populations)
-def test_batched_kernel_bit_exact(population):
+def test_batched_kernel_bit_exact(databases, population):
     chunked = ChunkedNumpyKernel()
     batched = BatchedNumpyKernel()
     swept = [s for s in population if s.size >= W]
     expected = [chunked.sweep(DATABASE, s) for s in swept]
-    got = batched.sweep_batch(DATABASE, swept)
-    for e, g in zip(expected, got):
-        assert np.array_equal(e, g)
+    for database in databases:
+        got = batched.sweep_batch(database, swept)
+        for e, g in zip(expected, got):
+            assert np.array_equal(e, g)
 
 
 @settings(deadline=None, max_examples=20)
@@ -74,26 +98,26 @@ def test_batched_kernel_bit_exact(population):
     st.integers(min_value=1, max_value=16),
     st.integers(min_value=64, max_value=4096),
 )
-def test_batched_kernel_grouping_invariant(population, residues, elements):
+def test_batched_kernel_grouping_invariant(databases, population, residues, elements):
     """Any (batch_residues, batch_elements) split yields identical counts —
     grouping is a wall-clock decision, never a numerical one."""
     swept = [s for s in population if s.size >= W]
     reference = BatchedNumpyKernel().sweep_batch(DATABASE, swept)
-    limited = BatchedNumpyKernel(
-        batch_residues=residues, batch_elements=elements
-    ).sweep_batch(DATABASE, swept)
-    for r, l in zip(reference, limited):
-        assert np.array_equal(r, l)
+    limited = BatchedNumpyKernel(batch_residues=residues, batch_elements=elements)
+    for database in databases:
+        for r, l in zip(reference, limited.sweep_batch(database, swept)):
+            assert np.array_equal(r, l)
 
 
 @settings(deadline=None, max_examples=25)
 @given(populations)
-def test_database_batch_bit_exact(population):
+def test_database_batch_bit_exact(databases, population):
     singles = [DATABASE.sequence_similarity(s) for s in population]
-    batch = DATABASE.sequence_similarity_batch(population)
-    for a, b in zip(singles, batch):
-        assert a.num_windows == b.num_windows
-        assert (a.counts != b.counts).nnz == 0
+    for database in databases:
+        batch = database.sequence_similarity_batch(population)
+        for a, b in zip(singles, batch):
+            assert a.num_windows == b.num_windows
+            assert (a.counts != b.counts).nnz == 0
 
 
 @settings(deadline=None, max_examples=15)
@@ -104,7 +128,7 @@ def test_database_batch_bit_exact(population):
     st.integers(min_value=0, max_value=2**31 - 1),
     st.integers(min_value=1, max_value=4),
 )
-def test_similarity_batch_matches_sequential_deltas(parent, rng_seed, depth):
+def test_similarity_batch_matches_sequential_deltas(databases, parent, rng_seed, depth):
     """A mutation chain scored through `similarity_batch` — parent and all
     descendants in ONE batch — equals the one-at-a-time `similarity_for`
     route, and the descendants still take the delta path (hit=True)."""
@@ -121,18 +145,13 @@ def test_similarity_batch_matches_sequential_deltas(parent, rng_seed, depth):
     expected = [
         sequential.similarity_for(DATABASE, c, p) for c, p in children
     ]
-    batched = SimilarityLRU(16)
-    got = batched.similarity_batch(DATABASE, seqs, provs)
-
-    assert len(got) == len(expected)
-    for (e_sim, e_stats), (g_sim, g_stats) in zip(expected, got):
-        assert e_sim.num_windows == g_sim.num_windows
-        assert (e_sim.counts != g_sim.counts).nnz == 0
-        if e_stats is not None:
-            assert g_stats is not None
-            assert e_stats.hit == g_stats.hit
-            assert e_stats.rows_rescored == g_stats.rows_rescored
-            assert e_stats.rows_total == g_stats.rows_total
+    for database in databases:
+        got = SimilarityLRU(16).similarity_batch(database, seqs, provs)
+        assert len(got) == len(expected)
+        for (e_sim, e_stats), (g_sim, g_stats) in zip(expected, got):
+            assert e_sim.num_windows == g_sim.num_windows
+            assert (e_sim.counts != g_sim.counts).nnz == 0
+            assert e_stats == g_stats
 
 
 @settings(deadline=None, max_examples=10)
