@@ -20,7 +20,7 @@ traceback:
    delay fault: the controller must scale the pool up *and* back down
    (both counters nonzero) while the result stays bit-exact with the
    serial reference, and every retired worker finishes the items already
-   in its inbox — each item is handed out exactly once, nothing is
+   in its pipe — each item is handed out exactly once, nothing is
    drained back or answered twice.
 4. **Shared fabric with a client crash.**  Three concurrent seeded
    campaigns run as clients of one :class:`~repro.fabric.ScoringFabric`;
@@ -30,12 +30,14 @@ traceback:
    campaign must surface ``ClientClosedError`` instead of wedging the
    fabric.
 
-5. **Service SIGKILL.**  A ``python -m repro serve`` process is
-   SIGKILLed mid-job — no shutdown hook, no eviction, nothing but the
-   durable ``jobs/<id>/`` artifacts survive.  A restarted service must
-   re-admit the interrupted job from its status/spec files, resume from
-   the newest snapshot, and finish bit-exact against a dedicated serial
-   run of the same JobSpec.
+5. **Service SIGKILL.**  A ``python -m repro serve`` process — that
+   pid alone, not its process group — is SIGKILLed mid-job: no shutdown
+   hook, no eviction, nothing but the durable ``jobs/<id>/`` artifacts
+   survive.  Its workers must see their pipes close and leave, and the
+   proteome segment must go with the last of them (no orphan, nothing in
+   ``/dev/shm``).  A restarted service must re-admit the interrupted job
+   from its status/spec files, resume from the newest snapshot, and
+   finish bit-exact against a dedicated serial run of the same JobSpec.
 
 Every fault is scheduled deterministically (no timing races, no random
 kill points), so a failure here is a regression, not flake.  (The fabric
@@ -118,7 +120,6 @@ def _scenario_pool_loss(world, non_targets, reference) -> bool:
         non_targets,
         num_workers=NUM_WORKERS,
         max_retries=1,
-        poll_interval=0.05,
         faults=spec.fault_plan(),
         telemetry=telemetry,
     ) as provider:
@@ -198,7 +199,6 @@ def _scenario_elastic_resize(world, non_targets, reference) -> bool:
         non_targets,
         num_workers=1,
         scaling=LatencyTargetScaling(1, 3, target_s=0.08),
-        poll_interval=0.05,
         faults=FaultPlan(delay=0.03),  # ~30 ms/item inflates the EWMA
         telemetry=telemetry,
     ) as provider:
@@ -220,7 +220,7 @@ def _scenario_elastic_resize(world, non_targets, reference) -> bool:
                 telemetry.gauge("parallel.item_latency_ewma").value > 0.0
             ),
             "no deaths (resizes are clean)": provider.pool.worker_deaths == 0,
-            # A retiring worker finishes what its inbox holds: nothing is
+            # A retiring worker finishes what its pipe holds: nothing is
             # drained back, re-dispatched or answered twice.
             "every item handed out exactly once": (
                 provider.pool.dispatched == provider.cache_stats["misses"]
@@ -324,7 +324,6 @@ def _scenario_fabric(world, non_targets, reference) -> bool:
 def _scenario_service(world, non_targets, reference) -> bool:
     """Scenario 5: SIGKILL ``repro serve`` mid-job; a restart resumes."""
     import os
-    import signal
     import subprocess
     import time
 
@@ -341,20 +340,39 @@ def _scenario_service(world, non_targets, reference) -> bool:
     generations = GENERATIONS * 3
     job_id = "job-chaos"
 
-    # A SIGKILLed master cannot unlink its shared-memory proteome
-    # segment (that is the point of the drill); sweep the orphans this
-    # scenario creates so the environment stays hermetic for whatever
-    # runs next.
     import glob
 
     segments_before = set(glob.glob("/dev/shm/repro-proteome-*"))
 
-    def sweep_orphaned_segments() -> None:
-        for path in set(glob.glob("/dev/shm/repro-proteome-*")) - segments_before:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+    def proc_stat(pid: int | str) -> list[str]:
+        """``[state, ppid, ...]`` of a process, ``["X"]`` once it is gone."""
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                return stat.read().rsplit(")", 1)[1].split()
+        except (FileNotFoundError, ProcessLookupError):
+            return ["X"]
+
+    def children_of(pid: int) -> list[int]:
+        return [
+            int(entry)
+            for entry in os.listdir("/proc")
+            if entry.isdigit() and proc_stat(entry)[1:2] == [str(pid)]
+        ]
+
+    def running(pid: int) -> bool:
+        # A zombie has exited; it only waits for whoever adopted it.
+        return proc_stat(pid)[0] not in ("Z", "X")
+
+    def left_behind(pids: list[int]) -> tuple[list[int], set[str]]:
+        """What a killed service has not released 2 s on: its children
+        (the workers and the resource tracker) and proteome segments."""
+        deadline = time.monotonic() + 2.0
+        while True:
+            alive = [pid for pid in pids if running(pid)]
+            segments = set(glob.glob("/dev/shm/repro-proteome-*")) - segments_before
+            if not (alive or segments) or time.monotonic() > deadline:
+                return alive, segments
+            time.sleep(0.02)
 
     with tempfile.TemporaryDirectory(prefix="chaos-service-") as tmp:
         root = Path(tmp) / "svc"
@@ -376,9 +394,6 @@ def _scenario_service(world, non_targets, reference) -> bool:
         def serve() -> subprocess.Popen:
             env = dict(os.environ)
             env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-            # Own process group: SIGKILLing the master would otherwise
-            # orphan its forked workers (they block on the task queue
-            # forever), so the drill kills the whole group.
             return subprocess.Popen(
                 [
                     sys.executable, "-m", "repro", "serve",
@@ -393,20 +408,16 @@ def _scenario_service(world, non_targets, reference) -> bool:
                 env=env,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
-                start_new_session=True,
             )
 
-        def kill_group(proc, sig=signal.SIGKILL) -> None:
-            try:
-                os.killpg(proc.pid, sig)
-            except (ProcessLookupError, PermissionError):
-                pass
-
         # Run until the job is mid-flight with at least one durable
-        # snapshot, then SIGKILL the whole service process.
+        # snapshot, then SIGKILL the service process — it alone.
         proc = serve()
         checkpoints = root / "jobs" / job_id / "checkpoints"
         killed_mid_job = False
+        children: list[int] = []
+        orphans: list[int] = []
+        segments: set[str] = set()
         deadline = time.monotonic() + 180.0
         while time.monotonic() < deadline and proc.poll() is None:
             if list(checkpoints.glob("ckpt-*.json")):
@@ -415,15 +426,16 @@ def _scenario_service(world, non_targets, reference) -> bool:
                 except (FileNotFoundError, ValueError):
                     state = None
                 if state == "RUNNING":
-                    kill_group(proc)
+                    children = children_of(proc.pid)
+                    proc.kill()
                     proc.wait(timeout=30.0)
                     killed_mid_job = True
+                    orphans, segments = left_behind(children)
                     break
             time.sleep(0.02)
         if not killed_mid_job and proc.poll() is None:
-            kill_group(proc)
+            proc.kill()
             proc.wait(timeout=30.0)
-        sweep_orphaned_segments()
 
         # The restarted service must recover the job from disk alone.
         proc = serve()
@@ -444,13 +456,12 @@ def _scenario_service(world, non_targets, reference) -> bool:
         try:
             proc.wait(timeout=30.0)
         except subprocess.TimeoutExpired:
-            kill_group(proc, signal.SIGTERM)
+            proc.terminate()
             try:
                 proc.wait(timeout=30.0)
             except subprocess.TimeoutExpired:
-                kill_group(proc)
+                proc.kill()
                 proc.wait(timeout=30.0)
-        sweep_orphaned_segments()
 
         status = read_status(root, job_id)
         result = read_result(root, job_id) if finished else {}
@@ -459,6 +470,8 @@ def _scenario_service(world, non_targets, reference) -> bool:
         ).run(generations)
         checks = {
             "SIGKILL landed mid-job": killed_mid_job,
+            "killed service left no worker behind": bool(children) and not orphans,
+            "killed service left no proteome segment": not segments,
             "restart recovered and finished": status["state"] == "DONE",
             "second attempt recorded": status.get("attempts", 0) >= 2,
             "resume trail in status": "recovered" in (status.get("reason") or "")

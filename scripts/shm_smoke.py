@@ -12,9 +12,13 @@ segment accounting hold — bit-exact scores, zero leaked segments:
    the segment from other processes) scores a population bit-exact
    against the serial reference; on `close()` no
    ``/dev/shm/repro-proteome-*`` entry may survive.
-3. **Worker crash.**  A deterministically SIGKILLed worker must not
-   leak its attachment: the master respawns, finishes bit-exact, and
-   still unlinks on close.
+3. **Worker crash.**  A worker hard-exiting on a chosen item must not
+   leak its attachment: the master sees its process sentinel fire,
+   respawns, finishes bit-exact, and still unlinks on close.  (The
+   opposite case — the *master* SIGKILLed, its workers leaving when
+   their pipes close and the segment going with the last of them — is
+   ``scripts/chaos_smoke.py --only service`` and
+   ``tests/parallel/test_transport.py``.)
 
 Exit status 0 when every check holds, 1 otherwise.
 
@@ -124,7 +128,6 @@ def _scenario_worker_crash(world, non_targets) -> bool:
         TARGET,
         non_targets,
         num_workers=NUM_WORKERS,
-        poll_interval=0.1,
         faults=FaultPlan(crash_on_item=1, only_worker=0),
     ) as provider:
         out = provider.scores(seqs)

@@ -4,12 +4,14 @@ The paper runs a two-level master-worker / all-workers scheme: an MPI
 master owns the GA and dispatches candidate sequences *on demand* to worker
 processes, which compute the PIPE scores against the target and non-targets
 and send them back.  This package reproduces that architecture on
-:mod:`multiprocessing` as one request-on-demand protocol: each worker
-blocks on a private inbox, the master keeps the backlog and tops up a
-small per-worker in-flight window as replies arrive, and workers are
-stateless and problem-agnostic — every item names the design problem it
-is scored against, and the similarity structures delta re-scoring
-patches from travel with the work and live in one master-side LRU.
+:mod:`multiprocessing` as one request-on-demand protocol over
+point-to-point channels: each worker blocks on its own duplex pipe to
+the master, the master waits on every pipe and process sentinel at once,
+keeps the backlog and tops up a small per-worker in-flight window as
+replies arrive, and workers are stateless and problem-agnostic — every
+item names the design problem it is scored against, and the similarity
+structures delta re-scoring patches from travel with the work and live
+in one master-side LRU.
 
 * :mod:`repro.parallel.messages` — the wire protocol;
 * :mod:`repro.parallel.scheduler` — the master-side on-demand scheduler
@@ -33,9 +35,10 @@ The runtime is supervised by default: permanent pool loss degrades a
 batch to bit-exact master-serial scoring behind a
 :class:`~repro.resilience.CircuitBreaker` instead of raising
 :class:`~repro.parallel.mp_backend.DeadWorkerError` (``fail_fast=True``
-restores the raising behaviour), and ``close()`` escalates
+restores the raising behaviour), ``close()`` escalates
 terminate/kill after a grace period so hung workers cannot wedge
-shutdown.  See :mod:`repro.resilience` and docs/API.md "Resilience".
+shutdown, and a worker whose pipe closes leaves, so a killed master
+orphans nothing.  See :mod:`repro.resilience` and docs/API.md "Resilience".
 
 Python threads cannot reproduce the paper's *intra-worker* OpenMP
 parallelism (GIL); that level is modelled by the Blue Gene/Q discrete-event

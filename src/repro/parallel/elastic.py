@@ -68,7 +68,7 @@ class PoolSnapshot:
     backlog:
         Items of the current batch not yet completed (dispatched or not).
     outstanding:
-        Items handed to worker inboxes and not yet acknowledged.
+        Items handed to workers and not yet acknowledged.
     latency_ewma_s:
         Exponentially weighted moving average of worker-reported per-item
         wall time; 0.0 until the first result arrives.

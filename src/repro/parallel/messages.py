@@ -3,12 +3,12 @@
 Mirrors the MPI message flow of Algorithms 1–2: the master answers each
 work request with either a candidate sequence to analyse or an END signal;
 workers attach the result of their previous assignment to the next request.
-Here every worker has one private *inbox* queue and all workers share one
-result queue: a :class:`WorkResult` arriving at the master *is* the
-worker's next work request, answered by putting the next
-:class:`WorkItem` on that worker's inbox.  :class:`EndSignal` and
-:class:`RetireSignal` travel on the inbox too, so a worker only ever
-blocks on one queue.
+Here the channel is one duplex pipe per worker, point-to-point like the
+MPI original: a :class:`WorkResult` arriving at the master *is* the
+worker's next work request, answered by sending the next
+:class:`WorkItem` down that worker's pipe.  :class:`EndSignal` and
+:class:`RetireSignal` are ordinary messages on the same pipe, so a
+worker only ever blocks in one ``recv()``.
 
 Workers are stateless between items and know no design problem of their
 own: every :class:`WorkItem` names the :data:`Problem` it is scored
@@ -122,7 +122,7 @@ class WorkResult:
     ``pipe.delta.*`` counters).  ``similarity`` is the structure the worker
     built for the candidate (``None`` when the item already carried it, or
     delta scoring is off).  ``inbox_wait`` is how long the worker sat
-    blocked on its empty inbox before this item arrived — the dispatch
+    blocked in ``recv()`` before this item arrived — the dispatch
     latency the master cannot observe from its side.
     """
 
@@ -161,10 +161,10 @@ class EndSignal:
 
 @dataclass(frozen=True)
 class RetireSignal:
-    """Master → one worker: finish your inbox and exit (elastic
+    """Master → one worker: finish what your pipe holds and exit (elastic
     scale-down).
 
-    Inboxes are FIFO, so the worker scores every item handed to it before
+    Pipes are FIFO, so the worker scores every item handed to it before
     the signal and then leaves; the master stops handing it new work the
     moment it sends this.  Nothing is drained back and nothing can be
     trapped behind the signal.

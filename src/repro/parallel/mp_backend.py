@@ -22,15 +22,20 @@ onto one pool.
 
 Request-on-demand dispatch (Algorithms 1–2)
 -------------------------------------------
-Every worker owns one private *inbox* and blocks on it; nothing is
-polled and no queue is shared on the way out.  The master keeps a batch's
-backlog in an :class:`~repro.parallel.scheduler.OnDemandScheduler` and
-hands items out to keep :data:`IN_FLIGHT_WINDOW` items in flight per
-worker — one executing, one prefetched, so a worker never idles for a
-master round trip.  Each reply on the shared result queue is that
-worker's request for more: the master records it and tops the worker's
-window up.  Because the scheduler knows which worker holds which item,
-recovery and retirement are precise (see below).
+The channels are point-to-point, as in the paper's MPI: one duplex pipe
+per worker and nothing shared between workers.  A worker blocks in
+``recv()`` on its pipe and answers with a synchronous ``send()``; the
+master blocks in one :func:`multiprocessing.connection.wait` over every
+worker's pipe and process sentinel.  No queue, lock or thread sits in
+between: the window bounds what waits unread in a pipe, so a ``send``
+blocks only on a frame larger than the socket buffer, and then only
+until its peer next reads.  The master keeps a batch's backlog in an
+:class:`~repro.parallel.scheduler.OnDemandScheduler` and hands items out
+to keep :data:`IN_FLIGHT_WINDOW` items in flight per worker — one
+executing, one prefetched, so a worker never idles for a master round
+trip.  Each reply is that worker's request for more: the master records
+it and tops the worker's window up.  Because the scheduler knows which
+worker holds which item, recovery and retirement are precise (see below).
 
 Workers are stateless.  The similarity structure a worker builds for a
 candidate rides back on the reply into the master's bounded
@@ -52,12 +57,15 @@ days-long Blue Gene/Q campaigns depend on:
   a reply from an earlier epoch (orphaned by a timeout or a dead worker)
   is counted and dropped, never assigned to a later candidate that reuses
   the same ``sequence_id``;
-* the collection loop polls the result queue on short sub-timeouts and
-  checks ``Process.is_alive()`` whenever it is quiet — a dead worker is
-  reaped, a replacement (with a fresh worker id) is spawned, and exactly
-  the items that were in the dead worker's window go back to the front
-  of the backlog under a bounded per-item retry budget; the survivors'
-  items are untouched;
+* a worker's process sentinel firing in the collection loop's wait *is*
+  its death notice (a truncated frame or end-of-file on its pipe counts
+  as one too): the dead worker's pipe is read to its end and the replies
+  it completed are recorded, then it is reaped, a replacement (with a
+  fresh worker id) is spawned, and exactly the items still in its window
+  go back to the front of the backlog under a bounded per-item retry
+  budget; the survivors' items and pipes are untouched;
+* a worker leaves its loop when the master's end of its pipe closes, so
+  a killed master leaves no worker (and no proteome segment) behind;
 * a worker-side scoring exception arrives as a
   :class:`~repro.parallel.messages.WorkFailure` and is re-raised on the
   master as :class:`WorkerFailureError` carrying the worker traceback,
@@ -80,9 +88,11 @@ success.  ``fail_fast=True`` restores the pre-supervisor behaviour:
 exhausting the budget raises :class:`DeadWorkerError` naming the dead
 workers and lost items, and a stall raises ``RuntimeError``.
 
-Shutdown is bounded: ``close()`` sends every inbox an
-:class:`~repro.parallel.messages.EndSignal`, joins each worker under a
-grace period, then escalates ``terminate()`` → ``kill()`` (counted as
+Shutdown is bounded: ``close()`` sends every worker an
+:class:`~repro.parallel.messages.EndSignal`, keeps reading (and
+discarding) their pipes until each has exited or the grace period runs
+out — a worker blocked sending an orphaned reply still reaches its
+signal — then escalates ``terminate()`` → ``kill()`` (counted as
 ``parallel.force_killed``), so a hung worker cannot wedge the master.
 
 Elastic pool (the telemetry-driven control loop)
@@ -98,9 +108,9 @@ scheduling step and resizes the pool between ``min_workers`` and
   pickled engine, crosses the process boundary — the same broadcast the
   initial pool got); the next hand-out fills their windows;
 * **scale-down** puts a
-  :class:`~repro.parallel.messages.RetireSignal` on the inbox of the
+  :class:`~repro.parallel.messages.RetireSignal` on the pipe of the
   worker with the least in flight and stops handing it work: the worker
-  finishes what its inbox already holds and exits — nothing is drained
+  finishes what its pipe already holds and exits — nothing is drained
   back, nothing can be trapped.  A retiring worker that crashes instead
   of exiting cleanly is recovered by the exact death machinery above.
 
@@ -119,17 +129,17 @@ size and latency signals (``parallel.pool_size``,
 ``parallel.retired``), the fault-tolerance counters
 (``parallel.{worker_deaths,respawns,retries,stale_dropped,failures}``)
 and — from what each worker stamps on its replies — per-worker busy
-time, item counts, throughput, utilisation and the time spent blocked on
-an empty inbox (``parallel.inbox_wait``), exactly the quantities behind
-the paper's Figures 5–6.
+time, item counts, throughput, utilisation and the time spent blocked in
+``recv()`` on an empty pipe (``parallel.inbox_wait``), exactly the
+quantities behind the paper's Figures 5–6.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue as queue_mod
 import time
+from multiprocessing.connection import Connection, wait
 
 import numpy as np
 
@@ -171,9 +181,14 @@ __all__ = [
 ]
 
 #: Items in flight per worker: one executing plus one prefetched, so a
-#: worker finds its next item already in the inbox when it replies.  The
+#: worker finds its next item already in its pipe when it replies.  The
 #: rest of a batch's backlog waits in the master's scheduler.
 IN_FLIGHT_WINDOW = 2
+
+#: Real seconds between stall checks while every pipe is quiet.  Replies
+#: and deaths wake the master at once; this only bounds how late a stall
+#: is noticed.  Real time, not ``clock``: an injected clock may only step.
+STALL_CHECK_S = 0.25
 
 #: Per-worker share of the master's similarity-structure LRU (the delta
 #: path's patch source): it holds this many structures per worker of
@@ -189,9 +204,15 @@ class DeadWorkerError(RuntimeError):
     """Workers died and an item exhausted its re-dispatch retry budget."""
 
 
-def _worker_entry(worker_id, context, inbox, result_queue):
-    """Top-level function so it pickles under any start method."""
-    worker_loop(worker_id, context, inbox, result_queue)
+def _worker_entry(worker_id, context, conn, master_ends):
+    """Top-level function so it pickles under any start method.
+
+    ``master_ends`` are the master's ends of the pipes open at spawn —
+    this worker's own and its older siblings' — which a forked child
+    inherits; held open here they would hide the master's death."""
+    for end in master_ends:
+        end.close()
+    worker_loop(worker_id, context, conn)
 
 
 class WorkerPool:
@@ -232,10 +253,6 @@ class WorkerPool:
         recovered) the collection loop tolerates before declaring the
         pool stalled (degrading the batch, or raising under
         ``fail_fast``).
-    poll_interval:
-        Sub-timeout of each result-queue poll; between polls the loop
-        checks worker liveness, so a worker death is detected within
-        roughly one interval instead of one full ``timeout``.
     max_retries:
         Per-item budget of re-dispatches after worker deaths; exceeding
         it degrades the batch to master-serial scoring (or raises
@@ -251,8 +268,8 @@ class WorkerPool:
         defaults to one that probes every 4th batch while open.  Ignored
         under ``fail_fast``.
     close_grace_s:
-        Per-worker join grace during :meth:`close` before escalating to
-        ``terminate()`` then ``kill()`` (``parallel.force_killed``).
+        Grace :meth:`close` gives the workers to exit before escalating
+        to ``terminate()`` then ``kill()`` (``parallel.force_killed``).
     use_delta:
         When False, workers always run the full similarity sweep and no
         provenance or similarity structure travels (the benchmark
@@ -283,7 +300,6 @@ class WorkerPool:
         scaling: "ScalingPolicy | str" = "fixed",
         clock=time.monotonic,
         timeout: float = 300.0,
-        poll_interval: float = 0.25,
         max_retries: int = 3,
         start_method: str | None = None,
         use_delta: bool = True,
@@ -298,8 +314,6 @@ class WorkerPool:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
-        if poll_interval <= 0:
-            raise ValueError(f"poll_interval must be > 0, got {poll_interval}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if close_grace_s < 0:
@@ -327,7 +341,6 @@ class WorkerPool:
         self._controller = ElasticController(self._policy)
         self._target_workers = self._policy.clamp(self.num_workers)
         self.timeout = float(timeout)
-        self.poll_interval = float(poll_interval)
         self.max_retries = int(max_retries)
         self.use_delta = bool(use_delta)
         self.fail_fast = bool(fail_fast)
@@ -338,11 +351,10 @@ class WorkerPool:
         self.share_memory = bool(share_memory)
         self._shm_view: SharedProteomeView | None = None
         self._ship_context: WorkerContext = self.context
-        self._result_queue = None
         self._workers: dict[int, mp.Process] = {}
         self._retiring: dict[int, mp.Process] = {}
-        # One private queue per live or retiring worker.
-        self._inboxes: dict[int, object] = {}
+        # The master's end of the pipe to each live or retiring worker.
+        self._conns: dict[int, Connection] = {}
         self._next_worker_id = 0
         # Proteins of every warmed problem, in first-seen order: what is
         # precomputed before the fork and placed in the shm segment.
@@ -401,7 +413,7 @@ class WorkerPool:
     def _spawn_worker(self) -> int:
         """Start one worker process under a fresh, never-reused worker id.
 
-        Every worker gets a private inbox, the only queue it reads.  A
+        Every worker gets a duplex pipe of its own, its only channel.  A
         worker spawned mid-campaign (elastic scale-up) late-attaches to
         the existing shared proteome segment; if the segment is somehow
         gone the pickled engine is shipped instead — slower, never wrong.
@@ -414,15 +426,18 @@ class WorkerPool:
                 self._shm_view.handle
             ):  # pragma: no cover - defensive, segment lives while open
                 ship = self.context
-        inbox = self._ctx.Queue()
+        conn, worker_end = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_entry,
-            args=(wid, ship, inbox, self._result_queue),
+            args=(wid, ship, worker_end, [*self._conns.values(), conn]),
             daemon=True,
         )
         proc.start()
+        # The worker holds its end now; a copy kept here would hide the
+        # worker's death from recv().
+        worker_end.close()
         self._workers[wid] = proc
-        self._inboxes[wid] = inbox
+        self._conns[wid] = conn
         self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
         return wid
 
@@ -446,43 +461,39 @@ class WorkerPool:
                 self._ship_context = self.context.for_shipment(
                     self._shm_view.handle
                 )
-            self._result_queue = self._ctx.Queue()
             for _ in range(self._target_workers):
                 self._spawn_worker()
         self.telemetry.count("parallel.spawns")
 
     def close(self) -> None:
         """Reap the workers and release the segment; idempotent, bounded."""
-        if self._workers or self._retiring:
-            # Drain replies orphaned by a failed batch so worker result
-            # puts cannot block shutdown.
-            while True:
-                try:
-                    self._result_queue.get_nowait()
-                except queue_mod.Empty:
-                    break
-            # Retiring workers already hold their RetireSignal.  A failed
-            # batch strands at most IN_FLIGHT_WINDOW items ahead of the
-            # signal per worker; its backlog never left the master.
-            for wid in self._workers:
-                self._inboxes[wid].put(EndSignal())
-            for proc in [*self._workers.values(), *self._retiring.values()]:
-                proc.join(timeout=self.close_grace_s)
-                if proc.is_alive():
-                    # A hung or wedged worker will never see the
-                    # EndSignal; escalate so close() stays bounded.
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join(timeout=1.0)
-                    self.force_killed += 1
-                    self.telemetry.count("parallel.force_killed")
-            self._workers = {}
-            self._retiring = {}
-            for wid in list(self._inboxes):
-                self._discard_inbox(wid)
-            self._result_queue = None
+        # Retiring workers already hold their RetireSignal.  A failed
+        # batch strands at most IN_FLIGHT_WINDOW items ahead of the
+        # signal per worker; its backlog never left the master.
+        for wid in self._workers:
+            self._send(wid, EndSignal())
+        # Keep reading while they exit: a worker blocked sending a reply
+        # nobody wants must get past it to reach its signal.
+        procs = self._procs()
+        deadline = time.monotonic() + self.close_grace_s
+        while procs and (left := deadline - time.monotonic()) > 0:
+            self._wait(procs, left)
+            procs = {wid: proc for wid, proc in procs.items() if proc.is_alive()}
+        for proc in procs.values():
+            # A hung or wedged worker will never see the EndSignal;
+            # escalate so close() stays bounded.
+            proc.terminate()
+            proc.join(timeout=2.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=1.0)
+            self.force_killed += 1
+            self.telemetry.count("parallel.force_killed")
+        for conn in self._conns.values():
+            conn.close()
+        self._workers = {}
+        self._retiring = {}
+        self._conns = {}
         # Workers are gone (joined, terminated or killed above), so this
         # is the last mapping in our ownership scope: unlink-on-last-close.
         # Safe with dead workers too (the kernel frees the memory when the
@@ -498,13 +509,45 @@ class WorkerPool:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _discard_inbox(self, wid: int) -> None:
-        """Release the inbox of a worker that is gone.  Whatever is still
-        buffered for it has no reader, so interpreter exit must not wait
-        for the queue's feeder thread to flush it."""
-        inbox = self._inboxes.pop(wid)
-        inbox.cancel_join_thread()
-        inbox.close()
+    # -- transport ---------------------------------------------------------
+
+    def _procs(self) -> dict[int, mp.Process]:
+        """Every worker that holds a pipe: the live and the retiring."""
+        return {**self._workers, **self._retiring}
+
+    def _send(self, wid: int, message: object) -> None:
+        try:
+            self._conns[wid].send(message)
+        except OSError:
+            # Died since the last wait: its sentinel is about to fire and
+            # requeues whatever the scheduler says it held.
+            pass
+
+    def _wait(
+        self, procs: dict[int, mp.Process], timeout: float
+    ) -> tuple[list[object], list[int]]:
+        """Block until one of ``procs`` replies or ends, ``timeout`` real
+        seconds at most; returns the replies read and the ids of the
+        workers that are gone.
+
+        A gone worker's pipe is read to its end first, so every reply it
+        completed is in the list.  End-of-file or a frame truncated by a
+        kill mid-``send`` marks the worker gone; it is never data.
+        """
+        conns = {self._conns[wid]: wid for wid in procs}
+        sentinels = {proc.sentinel: wid for wid, proc in procs.items()}
+        ready = set(wait([*conns, *sentinels], timeout))
+        replies: list[object] = []
+        gone = {wid for sentinel, wid in sentinels.items() if sentinel in ready}
+        for conn, wid in conns.items():
+            try:
+                if conn in ready:
+                    replies.append(conn.recv())
+                while wid in gone and conn.poll():
+                    replies.append(conn.recv())
+            except (EOFError, OSError):
+                gone.add(wid)
+        return replies, sorted(gone)
 
     # -- scoring -----------------------------------------------------------
 
@@ -621,7 +664,7 @@ class WorkerPool:
                 item = sched.next_for(wid)
                 if item is None:
                     return
-                self._inboxes[wid].put(item)
+                self._send(wid, item)
                 self.dispatched += 1
                 self.telemetry.count("parallel.dispatched")
 
@@ -638,7 +681,9 @@ class WorkerPool:
         self._ensure_started()
         # Workers lost *between* batches: reap them now so the controller
         # observes the real pool, then refill to target.
-        if self._reap_dead_workers():
+        if self._reap(
+            [wid for wid, proc in self._procs().items() if not proc.is_alive()]
+        ):
             self._respawn_to_target()
         self._epoch += 1
         epoch = self._epoch
@@ -667,53 +712,55 @@ class WorkerPool:
                 pump()
                 last_progress = self._clock()
                 while not sched.done:
-                    try:
-                        msg = self._result_queue.get(timeout=self.poll_interval)
-                    except queue_mod.Empty:
-                        dead = self._reap_dead_workers()
-                        if dead:
-                            try:
-                                self._recover(dead, sched)
-                            except DeadWorkerError as exc:
-                                if self.fail_fast:
-                                    raise
-                                return degrade_missing(str(exc))
-                            last_progress = self._clock()
-                        elif self._clock() - last_progress > self.timeout:
-                            missing = sched.missing()
-                            if self.fail_fast:
-                                raise RuntimeError(
-                                    f"timed out waiting for worker results "
-                                    f"({len(arrays) - len(missing)}/{len(arrays)} "
-                                    f"received; missing sequence ids {missing[:10]})"
-                                ) from None
-                            return degrade_missing(
-                                f"collection stalled for {self.timeout}s "
-                                f"with {len(missing)} item(s) outstanding"
+                    replies, gone = self._wait(self._procs(), STALL_CHECK_S)
+                    # Record what the dead completed, only then requeue
+                    # their windows and refill — and all of it before the
+                    # next resize, which would count the refill as a
+                    # scale-up.
+                    for msg in replies:
+                        if isinstance(msg, WorkFailure):
+                            if msg.batch_epoch != epoch:
+                                self._drop_stale()
+                                continue
+                            self.failures += 1
+                            self.telemetry.count("parallel.failures")
+                            raise WorkerFailureError(
+                                f"worker {msg.worker_id} failed on sequence "
+                                f"{msg.sequence_id}: {msg.error}\n"
+                                f"--- worker traceback ---\n{msg.traceback}"
                             )
-                        pump()
-                        continue
-                    last_progress = self._clock()
-                    if isinstance(msg, WorkFailure):
-                        if msg.batch_epoch != epoch:
+                        if not isinstance(msg, WorkResult):  # pragma: no cover
+                            raise TypeError(f"unexpected result {type(msg).__name__}")
+                        if msg.batch_epoch != epoch or not sched.record(msg):
+                            # Stale epoch, or a late reply for an item that
+                            # was requeued after a death — either way, not
+                            # wanted.
                             self._drop_stale()
                             continue
-                        self.failures += 1
-                        self.telemetry.count("parallel.failures")
-                        raise WorkerFailureError(
-                            f"worker {msg.worker_id} failed on sequence "
-                            f"{msg.sequence_id}: {msg.error}\n"
-                            f"--- worker traceback ---\n{msg.traceback}"
+                        results[msg.sequence_id] = msg.scores
+                        self._record_result(msg, arrays[msg.sequence_id].tobytes())
+                    dead = self._reap(gone)
+                    if dead:
+                        try:
+                            self._recover(dead, sched)
+                        except DeadWorkerError as exc:
+                            if self.fail_fast:
+                                raise
+                            return degrade_missing(str(exc))
+                    if replies or dead:
+                        last_progress = self._clock()
+                    elif self._clock() - last_progress > self.timeout:
+                        missing = sched.missing()
+                        if self.fail_fast:
+                            raise RuntimeError(
+                                f"timed out waiting for worker results "
+                                f"({len(arrays) - len(missing)}/{len(arrays)} "
+                                f"received; missing sequence ids {missing[:10]})"
+                            )
+                        return degrade_missing(
+                            f"collection stalled for {self.timeout}s "
+                            f"with {len(missing)} item(s) outstanding"
                         )
-                    if not isinstance(msg, WorkResult):  # pragma: no cover
-                        raise TypeError(f"unexpected result {type(msg).__name__}")
-                    if msg.batch_epoch != epoch or not sched.record(msg):
-                        # Stale epoch, or a late reply for an item that was
-                        # requeued after a death — either way, not wanted.
-                        self._drop_stale()
-                        continue
-                    results[msg.sequence_id] = msg.scores
-                    self._record_result(msg, arrays[msg.sequence_id].tobytes())
                     pump()
             finally:
                 # Whatever path ended the batch, consumers of the gauge
@@ -803,11 +850,11 @@ class WorkerPool:
 
     def _retire_worker(self, wid: int) -> None:
         """Retire one worker: stop handing it work and send the
-        :class:`RetireSignal`; the inbox is FIFO, so the worker finishes
+        :class:`RetireSignal`; the pipe is FIFO, so the worker finishes
         the items already in its window first and their replies are
         recorded as usual."""
         self._retiring[wid] = self._workers.pop(wid)
-        self._inboxes[wid].put(RetireSignal())
+        self._send(wid, RetireSignal())
         self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
 
     def _respawn_to_target(self) -> None:
@@ -819,33 +866,29 @@ class WorkerPool:
 
     # -- fault handling ----------------------------------------------------
 
-    def _reap_dead_workers(self) -> list[int]:
-        """Remove and count workers whose processes have exited.
+    def _reap(self, gone: list[int]) -> list[int]:
+        """Remove the workers ``gone`` (their processes have ended) and
+        return those whose windows need recovery.
 
-        Retiring workers (elastic scale-down) are reaped here too: a clean
-        exit (``exitcode`` 0) is the expected retirement and counts as
-        ``parallel.retired``; a nonzero exit is a death like any other and
-        joins the returned list so recovery re-dispatches its items.
+        A live worker that is gone died.  A retiring worker (elastic
+        scale-down) that left cleanly (``exitcode`` 0) is the expected
+        retirement and counts as ``parallel.retired``; a nonzero exit is a
+        death like any other.
         """
-        dead = [wid for wid, proc in self._workers.items() if not proc.is_alive()]
-        for wid in dead:
-            proc = self._workers.pop(wid)
+        dead = []
+        for wid in gone:
+            retiring = wid in self._retiring
+            proc = (self._retiring if retiring else self._workers).pop(wid)
             proc.join(timeout=0.1)
-            self._discard_inbox(wid)
-            self.worker_deaths += 1
-            self.telemetry.count("parallel.worker_deaths")
-        for wid in [w for w, p in self._retiring.items() if not p.is_alive()]:
-            proc = self._retiring.pop(wid)
-            proc.join(timeout=0.1)
-            self._discard_inbox(wid)
-            if proc.exitcode not in (0, None):
-                # Died mid-retirement — its in-flight item needs recovery.
+            self._conns.pop(wid).close()
+            if retiring and proc.exitcode in (0, None):
+                self.retired += 1
+                self.telemetry.count("parallel.retired")
+            else:
+                # Died — mid-retirement included: its window needs recovery.
                 dead.append(wid)
                 self.worker_deaths += 1
                 self.telemetry.count("parallel.worker_deaths")
-            else:
-                self.retired += 1
-                self.telemetry.count("parallel.retired")
         if dead:
             self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
         return dead
@@ -917,7 +960,7 @@ class WorkerPool:
         ``workers[wid]["utilisation"]`` divides a worker's busy time by
         the pool's total batch wall time — the per-worker efficiency
         panel of the paper's worker-scaling figures; ``inbox_wait_s`` is
-        the time the worker sat blocked on an empty inbox before its
+        the time the worker sat blocked in ``recv()`` before its
         items arrived (idle time between batches included).
         ``delta["sticky_routed"]`` is kept for consumers of the old
         affinity dispatch and reads 0 by construction: every item is

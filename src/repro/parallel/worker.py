@@ -2,11 +2,13 @@
 
 A worker receives the broadcast data once (here: via process inheritance /
 pickled arguments, standing in for the paper's MPI broadcast that "relieves
-considerable stress from the shared disks"), then loops: block on its
-private inbox for the next item, build the candidate's
-``sequence_similarity`` structure, run PIPE against the item's target and
-every non-target, and return the scores — the reply doubles as the
-request for more work.
+considerable stress from the shared disks"), then loops: block in
+``recv()`` on its own pipe to the master for the next item, build the
+candidate's ``sequence_similarity`` structure, run PIPE against the item's
+target and every non-target, and ``send()`` the scores back on the same
+pipe — the reply doubles as the request for more work.  When the master's
+end of the pipe closes (the master exited or was killed) the worker
+leaves its loop: no worker outlives its master.
 
 Workers keep no state between items and own no design problem.  The
 problem arrives on the :class:`~repro.parallel.messages.WorkItem` (the
@@ -69,8 +71,8 @@ __all__ = [
 class FaultPlan:
     """Test-only fault injection for the worker loop.
 
-    Item indices are 0-based counts of items *this worker* has pulled from
-    its inbox.  ``only_worker`` restricts injection to one worker id;
+    Item indices are 0-based counts of items *this worker* has received
+    on its pipe.  ``only_worker`` restricts injection to one worker id;
     respawned workers receive fresh (monotonically increasing) ids, so a
     crash plan targeting worker 0 fires at most once per run — the
     replacement worker is unaffected and recovery is deterministic.
@@ -81,10 +83,10 @@ class FaultPlan:
         Raise inside the scoring path at this item (surfaces as a
         :class:`~repro.parallel.messages.WorkFailure`).
     crash_on_item:
-        Hard-exit the worker process (``os._exit``) after pulling this
+        Hard-exit the worker process (``os._exit``) after receiving this
         item — the item is lost in flight, simulating a node failure.
-        Replies to earlier items are flushed first, so what the master
-        has lost is exactly the worker's window.
+        Replies to earlier items were sent synchronously, so what the
+        master has lost is exactly the worker's window.
     hang_on_item / hang_s:
         Stop responding at this item: sleep ``hang_s`` seconds (bounded,
         so an orphaned test process still dies) while holding the item —
@@ -202,35 +204,39 @@ def score_candidate(
     return scored.score_set(target, non_targets), stats
 
 
-def worker_loop(worker_id: int, context: WorkerContext, inbox, result_queue) -> int:
+def worker_loop(worker_id: int, context: WorkerContext, conn) -> int:
     """Worker main loop; returns the number of candidates processed.
 
-    Blocks on ``inbox`` — this worker's private queue, the only one it
-    reads — until an :class:`EndSignal` (pool shutdown) or a
-    :class:`RetireSignal` (elastic scale-down) arrives; inboxes are FIFO,
-    so every item handed out before either signal is scored first.  Each
-    reply on the shared ``result_queue`` is what prompts the master to
-    hand this worker its next item.  A scoring exception is reported as a
+    Blocks in ``conn.recv()`` — this worker's end of its own duplex pipe
+    to the master, the only channel it has — until an :class:`EndSignal`
+    (pool shutdown) or a :class:`RetireSignal` (elastic scale-down)
+    arrives, or the master's end closes; the pipe is FIFO, so every item
+    handed out before either signal is scored first.  Each reply is sent
+    synchronously on the same pipe and is what prompts the master to hand
+    this worker its next item.  A scoring exception is reported as a
     :class:`WorkFailure` and the loop continues with the next item.
     """
     view = context.ensure_engine()
     try:
-        return _worker_loop_inner(worker_id, context, inbox, result_queue)
+        return _worker_loop_inner(worker_id, context, conn)
     finally:
         if view is not None:
             view.close()
 
 
-def _worker_loop_inner(
-    worker_id: int, context: WorkerContext, inbox, result_queue
-) -> int:
+def _worker_loop_inner(worker_id: int, context: WorkerContext, conn) -> int:
     faults = context.faults
     inject = faults is not None and faults.applies_to(worker_id)
     engine = context.engine
     processed = 0
     while True:
         waited = time.perf_counter()
-        message = inbox.get()
+        try:
+            message = conn.recv()
+        except (EOFError, ConnectionError):
+            # The master's end is closed — it exited or was killed — so
+            # there is nobody left to serve.
+            break
         inbox_wait = time.perf_counter() - waited
         if isinstance(message, (EndSignal, RetireSignal)):
             break
@@ -238,13 +244,7 @@ def _worker_loop_inner(
             raise TypeError(f"unexpected message {type(message).__name__}")
         if inject:
             if faults.crash_on_item == processed:
-                # Simulated node failure: the pulled item dies with us.
-                # Replies already handed to the queue are flushed first:
-                # exiting while the feeder thread is mid-send would take
-                # the result queue's cross-process write lock with us — a
-                # transport failure, not the node failure simulated here.
-                result_queue.close()
-                result_queue.join_thread()
+                # Simulated node failure: the received item dies with us.
                 os._exit(1)
             if faults.hang_on_item == processed:
                 # Simulated hung node: hold the item without replying.
@@ -281,30 +281,27 @@ def _worker_loop_inner(
                 provenance=message.provenance,
                 similarity_cache=carried,
             )
-        except Exception as exc:
-            result_queue.put(
-                WorkFailure(
-                    sequence_id=message.sequence_id,
-                    worker_id=worker_id,
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback=traceback_mod.format_exc(),
-                    batch_epoch=message.batch_epoch,
-                )
-            )
-            processed += 1
-            continue
-        elapsed = time.perf_counter() - start
-        result_queue.put(
-            WorkResult(
+            reply = WorkResult(
                 message.sequence_id,
                 worker_id,
                 scores,
-                elapsed,
+                time.perf_counter() - start,
                 batch_epoch=message.batch_epoch,
                 delta=delta,
                 similarity=carried.get(message.payload) if fresh else None,
                 inbox_wait=inbox_wait,
             )
-        )
+        except Exception as exc:
+            reply = WorkFailure(
+                sequence_id=message.sequence_id,
+                worker_id=worker_id,
+                error=f"{type(exc).__name__}: {exc}",
+                traceback=traceback_mod.format_exc(),
+                batch_epoch=message.batch_epoch,
+            )
+        try:
+            conn.send(reply)
+        except ConnectionError:
+            break  # master gone mid-batch: as above
         processed += 1
     return processed

@@ -118,7 +118,6 @@ def test_campaign_bit_exact_under_elastic_resize(
         tiny_engine,
         num_workers=1,
         scaling=LatencyTargetScaling(1, 3, target_s=0.08),
-        poll_interval=0.05,
         faults=FaultPlan(delay=0.03),  # inflate latency to force scale-up
     ) as fabric:
         result = _campaign(fabric.client(target, non_targets))

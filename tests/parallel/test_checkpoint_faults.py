@@ -19,7 +19,7 @@ from repro.telemetry import MetricsRegistry
 pytestmark = pytest.mark.faults
 
 
-def _dead_worker_entry(worker_id, context, inbox, result_queue):
+def _dead_worker_entry(worker_id, context, conn, master_ends):
     """A worker that exits immediately without taking any work."""
     return
 
@@ -60,7 +60,6 @@ def test_dead_worker_error_triggers_emergency_snapshot_and_resume(
         non_targets,
         num_workers=1,
         timeout=30.0,
-        poll_interval=0.05,
         max_retries=1,
         fail_fast=True,
     )

@@ -129,7 +129,6 @@ def test_death_redispatches_only_the_dead_workers_window(
         non_targets,
         num_workers=2,
         timeout=60.0,
-        poll_interval=0.02,
         faults=FaultPlan(crash_on_item=2, delay=0.1),
     ) as provider:
         out = provider.scores(seqs)

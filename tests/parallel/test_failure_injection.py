@@ -14,7 +14,7 @@ import repro.parallel.mp_backend as mp_backend
 from repro.parallel.mp_backend import DeadWorkerError, MultiprocessScoreProvider
 
 
-def _dead_worker_entry(worker_id, context, inbox, result_queue):
+def _dead_worker_entry(worker_id, context, conn, master_ends):
     """A worker that exits immediately without taking any work."""
     return
 
@@ -26,7 +26,7 @@ def test_dead_workers_cause_error_not_hang(
     monkeypatch.setattr(mp_backend, "_worker_entry", _dead_worker_entry)
     provider = MultiprocessScoreProvider(
         tiny_engine, target, non_targets, num_workers=1,
-        timeout=2.0, poll_interval=0.05, fail_fast=True,
+        timeout=2.0, fail_fast=True,
     )
     try:
         with pytest.raises(DeadWorkerError, match="died"):

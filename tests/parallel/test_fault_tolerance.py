@@ -49,7 +49,6 @@ def test_crashed_worker_respawned_batch_completes(
         non_targets,
         num_workers=2,
         timeout=60.0,
-        poll_interval=0.1,
         faults=FaultPlan(crash_on_item=1, only_worker=0),
         telemetry=telemetry,
     ) as provider:
@@ -77,7 +76,6 @@ def test_work_failure_surfaces_worker_traceback(tiny_engine, tiny_problem, rng):
         non_targets,
         num_workers=1,
         timeout=60.0,
-        poll_interval=0.1,
         faults=FaultPlan(fail_on_item=0, only_worker=0),
     )
     try:
@@ -101,7 +99,6 @@ def test_worker_survives_failed_item(tiny_engine, tiny_problem, rng):
         non_targets,
         num_workers=1,
         timeout=60.0,
-        poll_interval=0.1,
         faults=FaultPlan(fail_on_item=0, only_worker=0),
     )
     try:
@@ -127,7 +124,6 @@ def test_stale_epoch_result_dropped_on_reuse(tiny_engine, tiny_problem, rng):
         non_targets,
         num_workers=1,
         timeout=0.4,
-        poll_interval=0.05,
         max_retries=0,
         fail_fast=True,
         faults=FaultPlan(delay_on_item=0, delay=2.0, only_worker=0),
@@ -163,7 +159,6 @@ def test_failed_batch_keeps_its_backlog_in_the_master(
         non_targets,
         num_workers=1,
         timeout=60.0,
-        poll_interval=0.05,
         # Item 0 fails fast (aborting the batch); the prefetched item 1
         # keeps the worker busy while close() runs.
         faults=FaultPlan(fail_on_item=0, delay_on_item=1, delay=0.5),
@@ -181,7 +176,7 @@ def test_failed_batch_keeps_its_backlog_in_the_master(
     assert provider.pool.stale_dropped == 0
 
 
-def _dead_worker_entry(worker_id, context, inbox, result_queue):
+def _dead_worker_entry(worker_id, context, conn, master_ends):
     """A worker that exits immediately without taking any work."""
     return
 
@@ -200,7 +195,6 @@ def test_retry_budget_exhaustion_names_workers_and_items(
         non_targets,
         num_workers=1,
         timeout=30.0,
-        poll_interval=0.05,
         max_retries=2,
         fail_fast=True,
     )

@@ -116,7 +116,6 @@ def test_fused_items_degrade_with_their_problem(
         tiny_engine,
         num_workers=1,
         max_retries=1,
-        poll_interval=0.05,
         timeout=120.0,
         faults=spec.fault_plan(),
     ) as pool:

@@ -87,7 +87,8 @@ def test_one_stats_tree_under_the_provider(tiny_engine, tiny_problem, rng):
 
 def test_deleted_pool_knobs_are_rejected_by_name(tiny_engine, tiny_problem):
     target, non_targets = tiny_problem
-    for knob in ("latency_target_s", "scale_cooldown_s", "similarity_cache_size"):
+    for knob in ("latency_target_s", "scale_cooldown_s", "similarity_cache_size",
+                 "poll_interval"):
         with pytest.raises(TypeError, match=knob):
             WorkerPool(tiny_engine, **{knob: 1})
         with pytest.raises(ValueError, match=knob):
@@ -112,7 +113,6 @@ def test_degraded_items_stay_in_the_delta_accounting(tiny_engine, tiny_problem):
         non_targets,
         num_workers=1,
         max_retries=0,
-        poll_interval=0.05,
         timeout=120.0,
         faults=FaultPlan(crash_on_item=0),
         telemetry=registry,

@@ -107,7 +107,6 @@ def test_no_segment_leak_after_worker_sigkill(tiny_engine, tiny_problem, rng):
         non_targets,
         num_workers=2,
         timeout=60.0,
-        poll_interval=0.1,
         faults=FaultPlan(crash_on_item=1, only_worker=0),
         telemetry=telemetry,
     ) as provider:
@@ -135,7 +134,6 @@ def test_degraded_serial_fallback_keeps_segment_usable(
         non_targets,
         num_workers=1,
         timeout=10.0,
-        poll_interval=0.1,
         max_retries=0,
         faults=FaultPlan(crash_on_item=0),
         telemetry=MetricsRegistry(),

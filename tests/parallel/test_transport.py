@@ -1,0 +1,334 @@
+"""The point-to-point transport: one duplex pipe per worker, the master
+waiting on pipes and process sentinels.
+
+What the transport must guarantee, whoever dies and whenever: a killed
+master leaves no worker and no proteome segment behind; a worker killed
+from outside mid-batch costs exactly its window and can never wedge its
+siblings; replies a worker completed before dying are recorded, not
+re-scored; and a pool that has spawned, resized, lost a worker, closed
+and restarted hands back every file descriptor, thread, child process
+and segment it took.  None of these asserts a wall-clock figure: a batch
+that reached ``timeout`` would degrade, and ``degraded_items`` is pinned
+to 0 instead.
+"""
+
+import glob
+import multiprocessing
+import os
+import random
+import signal
+import socket
+import struct
+import subprocess
+import sys
+import threading
+import time
+from multiprocessing import resource_tracker
+
+import numpy as np
+import pytest
+
+import repro.parallel.mp_backend as mp_backend
+from repro.ga.fitness import SerialScoreProvider
+from repro.parallel.elastic import ScalingPolicy
+from repro.parallel.messages import EndSignal
+from repro.parallel.mp_backend import (
+    IN_FLIGHT_WINDOW,
+    WorkerFailureError,
+    WorkerPool,
+)
+from repro.parallel.worker import FaultPlan
+
+pytestmark = pytest.mark.faults
+
+
+def _seqs(rng, n, size=20):
+    return [rng.integers(0, 20, size=size).astype(np.uint8) for _ in range(n)]
+
+
+def _segments() -> set[str]:
+    return set(glob.glob("/dev/shm/repro-proteome-*"))
+
+
+def _running(pid: int) -> bool:
+    """False once ``pid`` has exited, reaped or not (an orphan's zombie
+    waits for whoever adopted it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+_ORPHAN_SCRIPT = """
+import time
+import numpy as np
+from repro.parallel import WorkerPool
+from repro.synthetic import get_profile
+
+world = get_profile("tiny").build_world()
+pool = WorkerPool(world.engine, num_workers=3, timeout=60.0)
+problem = pool.warm("YBL051C", world.non_targets_for("YBL051C", limit=4))
+rng = np.random.default_rng(0)
+arrays = [rng.integers(0, 20, size=20).astype(np.uint8) for _ in range(6)]
+pool.score(arrays, None, [problem] * 6)
+print(*(proc.pid for proc in pool._workers.values()), flush=True)
+time.sleep(120.0)
+"""
+
+
+def test_killed_master_leaves_no_worker_and_no_segment():
+    """SIGKILL the master alone: every worker sees its pipe close and
+    leaves, and with the last of them gone the resource tracker unlinks
+    the proteome segment the master could not."""
+    before = _segments()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in ("src", env.get("PYTHONPATH")) if p
+    )
+    master = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT],
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    workers: list[int] = []
+    try:
+        workers = [int(pid) for pid in master.stdout.readline().split()]
+        assert len(workers) == 3 and all(_running(pid) for pid in workers)
+        assert _segments() - before
+        master.kill()
+        master.wait(timeout=30.0)
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline and (
+            any(_running(pid) for pid in workers) or _segments() - before
+        ):
+            time.sleep(0.02)
+        assert [pid for pid in workers if _running(pid)] == []
+        assert _segments() == before
+    finally:
+        master.kill()
+        master.stdout.close()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        for path in _segments() - before:
+            os.unlink(path)
+
+
+def test_outside_sigkill_mid_batch_costs_a_window_and_never_wedges(
+    tiny_engine, tiny_problem, rng
+):
+    """Twenty rounds on one pool, a helper thread SIGKILLing a random
+    live worker from outside while the batch runs.  Nothing is shared
+    between workers, so a death at any instant — mid-``send`` included —
+    is one sentinel and one requeued window: every batch is bit-exact,
+    none stalls into degradation, no reply goes stale."""
+    target, non_targets = tiny_problem
+    seqs = _seqs(rng, 12)
+    expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(
+        [s.copy() for s in seqs]
+    )
+    chooser = random.Random(22)
+    # More workers than cores; slow items keep a batch running while the
+    # kill lands.
+    with WorkerPool(
+        tiny_engine, num_workers=3, timeout=60.0, faults=FaultPlan(delay=0.004)
+    ) as pool:
+        problem = pool.warm(target, non_targets)
+        assert pool.score(seqs, None, [problem] * len(seqs)) == expected
+        for _ in range(20):
+            victim = chooser.choice(
+                [proc.pid for proc in pool._workers.values() if proc.is_alive()]
+            )
+            delay = chooser.uniform(0.0, 0.03)
+
+            def kill(victim=victim, delay=delay):
+                time.sleep(delay)
+                try:
+                    os.kill(victim, signal.SIGKILL)
+                except ProcessLookupError:
+                    # The last round's kill landed after its batch and was
+                    # still in flight when this victim was picked; the
+                    # pool has reaped it since.
+                    pass
+
+            killer = threading.Thread(target=kill)
+            killer.start()
+            try:
+                assert pool.score(seqs, None, [problem] * len(seqs)) == expected
+            finally:
+                killer.join(timeout=10.0)
+            assert not killer.is_alive()
+        assert pool.worker_deaths >= 10  # a kill may land between batches
+        assert pool.degraded_items == 0 and pool.degraded_batches == 0
+        assert pool.stale_dropped == 0
+        assert pool.retries <= IN_FLIGHT_WINDOW * pool.worker_deaths
+        assert pool.dispatched == 21 * len(seqs) + pool.retries
+
+
+def test_replies_completed_before_a_death_are_recorded(
+    tiny_engine, tiny_problem, rng
+):
+    """A worker answers its first item, then dies holding its second:
+    the answer is read off the dead worker's pipe and recorded before
+    its window is requeued, so only what it still held is scored again."""
+    target, non_targets = tiny_problem
+    seqs = _seqs(rng, 6)
+    expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(
+        [s.copy() for s in seqs]
+    )
+    with WorkerPool(
+        tiny_engine,
+        num_workers=1,
+        timeout=60.0,
+        faults=FaultPlan(crash_on_item=1, only_worker=0),
+    ) as pool:
+        problem = pool.warm(target, non_targets)
+        assert pool.score(seqs, None, [problem] * len(seqs)) == expected
+        stats = pool.stats()
+    assert stats["fault_tolerance"]["worker_deaths"] == 1
+    assert stats["workers"][0]["items"] == 1.0  # its one answer counted
+    assert 1 <= pool.retries <= IN_FLIGHT_WINDOW
+    assert pool.dispatched == len(seqs) + pool.retries
+    assert pool.stale_dropped == 0 and pool.degraded_items == 0
+
+
+def test_a_send_to_a_dead_worker_is_left_to_its_sentinel(
+    tiny_engine, tiny_problem, rng
+):
+    """A worker can die between the master's last wait and its next
+    ``send``: the send fails quietly and the sentinel, not the sender,
+    requeues what the scheduler says the worker held."""
+    target, non_targets = tiny_problem
+    seqs = _seqs(rng, 4)
+    with WorkerPool(tiny_engine, num_workers=1, timeout=60.0) as pool:
+        problem = pool.warm(target, non_targets)
+        expected = pool.score(seqs, None, [problem] * len(seqs))
+        ((wid, pid),) = ((w, proc.pid) for w, proc in pool._workers.items())
+        os.kill(pid, signal.SIGKILL)
+        while _running(pid):
+            time.sleep(0.01)
+        pool._send(wid, EndSignal())  # its end is closed: EPIPE, ignored
+        assert pool._wait(dict(pool._workers), 5.0) == ([], [wid])
+        assert pool.score(seqs, None, [problem] * len(seqs)) == expected
+        assert pool.worker_deaths == 1 and pool.respawns == 1
+
+
+def test_a_truncated_frame_is_a_death_never_data(tiny_engine, tiny_problem, rng):
+    """A SIGKILL mid-``send`` leaves a length header and half a payload
+    in the pipe: reading it fails, which marks the worker gone."""
+    target, non_targets = tiny_problem
+    seqs = _seqs(rng, 2)
+    with WorkerPool(tiny_engine, num_workers=1, timeout=60.0) as pool:
+        problem = pool.warm(target, non_targets)
+        pool.score(seqs, None, [problem] * len(seqs))
+        (wid,) = pool._workers
+        real = pool._conns[wid]
+        cut, far_end = multiprocessing.Pipe(duplex=True)
+        os.write(far_end.fileno(), struct.pack("!i", 4096) + b"half a reply")
+        far_end.close()
+        pool._conns[wid] = cut
+        try:
+            # The process itself is alive and idle: only the frame speaks.
+            assert pool._wait(dict(pool._workers), 5.0) == ([], [wid])
+        finally:
+            pool._conns[wid] = real
+            cut.close()
+
+
+_REAL_WORKER_ENTRY = mp_backend._worker_entry
+
+
+def _small_send_buffer_entry(worker_id, context, conn, master_ends):
+    """The real worker, on a pipe that holds a few kilobytes at most."""
+    sock = socket.socket(fileno=os.dup(conn.fileno()))
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1)  # kernel minimum
+    sock.close()
+    _REAL_WORKER_ENTRY(worker_id, context, conn, master_ends)
+
+
+def test_close_reads_a_blocked_worker_through_to_its_end_signal(
+    tiny_engine, tiny_problem, rng, monkeypatch
+):
+    """A batch aborted by a failure orphans the prefetched item's reply.
+    Too large for the pipe, it blocks the worker in ``send`` with the
+    EndSignal queued behind it; ``close()`` must keep reading for the
+    worker to get there — a clean exit, not a force-kill."""
+    target, non_targets = tiny_problem
+    monkeypatch.setattr(mp_backend, "_worker_entry", _small_send_buffer_entry)
+    # A candidate made of proteome proteins hits everywhere: its
+    # similarity structure (tens of kilobytes) rides back on the reply.
+    proteins = list(tiny_engine.database.graph.proteins)[:24]
+    big = np.concatenate([p.encoded for p in proteins]).astype(np.uint8)
+    pool = WorkerPool(
+        tiny_engine,
+        num_workers=1,
+        timeout=60.0,
+        close_grace_s=30.0,
+        faults=FaultPlan(fail_on_item=0),
+    )
+    problem = pool.warm(target, non_targets)
+    try:
+        with pytest.raises(WorkerFailureError):
+            pool.score([_seqs(rng, 1)[0], big], None, [problem] * 2)
+    finally:
+        pool.close()
+    assert pool.force_killed == 0
+
+
+class _Scripted(ScalingPolicy):
+    """Wants whatever the test last set."""
+
+    name = "scripted"
+    want = 1
+
+    def desired_workers(self, snap):
+        return self.want
+
+
+def test_pool_hands_back_every_fd_thread_child_and_segment(
+    tiny_engine, tiny_problem, rng
+):
+    """Spawn, scale up, scale down, lose a worker, close, restart, close:
+    the master ends with the descriptors and threads it started with."""
+    target, non_targets = tiny_problem
+    seqs = _seqs(rng, 8)
+    expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(
+        [s.copy() for s in seqs]
+    )
+    # The tracker's pipe is the process's, not the pool's: open it first.
+    resource_tracker.ensure_running()
+    segments = _segments()
+    children = set(multiprocessing.active_children())
+    fds = len(os.listdir("/proc/self/fd"))
+    threads = threading.active_count()
+
+    policy = _Scripted(1, 3)
+    pool = WorkerPool(tiny_engine, num_workers=1, scaling=policy, timeout=60.0)
+    problem = pool.warm(target, non_targets)
+
+    def score():
+        assert pool.score(seqs, None, [problem] * len(seqs)) == expected
+
+    score()
+    assert len(pool._workers) == 1
+    policy.want = 3
+    score()
+    assert pool.scale_ups == 2 and len(pool._workers) == 3
+    policy.want = 1
+    score()
+    assert pool.scale_downs == 2 and len(pool._workers) == 1
+    (survivor,) = (proc.pid for proc in pool._workers.values())
+    os.kill(survivor, signal.SIGKILL)
+    score()  # noticed between batches or in the batch, whichever it is
+    assert pool.worker_deaths == 1 and pool.respawns == 1
+    pool.close()
+    score()  # a closed pool starts again
+    pool.close()
+
+    assert pool.force_killed == 0
+    assert threading.active_count() == threads
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert set(multiprocessing.active_children()) == children
+    assert _segments() == segments

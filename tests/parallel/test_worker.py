@@ -1,6 +1,9 @@
-"""Tests for the worker main loop (in-process, no child processes)."""
+"""Tests for the worker main loop (in-process over a real
+``multiprocessing.Pipe()``, no child processes)."""
 
-import queue
+import multiprocessing
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +25,15 @@ def problem(tiny_problem):
 
 def _item(sid, seq, problem, **kw):
     return WorkItem.from_encoded(sid, seq, problem, **kw)
+
+
+@pytest.fixture()
+def pipe():
+    """``(master end, worker end)`` of a worker's duplex pipe."""
+    master, worker = multiprocessing.Pipe(duplex=True)
+    yield master, worker
+    master.close()
+    worker.close()
 
 
 def test_context_validates_names(tiny_engine):
@@ -48,52 +60,76 @@ def test_score_candidate_matches_engine(tiny_engine, problem, rng):
     assert len(scores.non_target_scores) == len(problem[1])
 
 
-def test_warm_cache(tiny_engine, problem, rng):
+def test_warm_cache(tiny_engine, problem, rng, pipe):
     """A worker warms a problem's structures the first time an item names
     it — nothing is warmed before, nothing again after."""
     from repro.providers import make_engine
 
     fresh = make_engine(tiny_engine.database.graph, tiny_engine.config)
-    inbox = queue.Queue()
+    master, worker = pipe
     for i in range(2):
-        inbox.put(_item(i, rng.integers(0, 20, size=20).astype(np.uint8), problem))
-    inbox.put(EndSignal())
+        master.send(_item(i, rng.integers(0, 20, size=20).astype(np.uint8), problem))
+    master.send(EndSignal())
     assert fresh.database.cache_info()["entries"] == 0
-    worker_loop(0, WorkerContext(fresh), inbox, queue.Queue())
+    worker_loop(0, WorkerContext(fresh), worker)
     assert fresh.database.cache_info()["entries"] == len(problem[1]) + 1
 
 
-def test_worker_loop_processes_until_end(context, problem, rng):
-    inbox = queue.Queue()
-    result_q = queue.Queue()
+def test_worker_loop_processes_until_end(context, problem, rng, pipe):
+    master, worker = pipe
     for i in range(3):
-        inbox.put(_item(i, rng.integers(0, 20, size=20).astype(np.uint8), problem))
-    inbox.put(EndSignal())
-    processed = worker_loop(0, context, inbox, result_q)
+        master.send(_item(i, rng.integers(0, 20, size=20).astype(np.uint8), problem))
+    master.send(EndSignal())
+    processed = worker_loop(0, context, worker)
     assert processed == 3
-    results = [result_q.get_nowait() for _ in range(3)]
+    results = [master.recv() for _ in range(3)]
     assert {r.sequence_id for r in results} == {0, 1, 2}
     assert all(isinstance(r, WorkResult) for r in results)
-    # The inbox is private: the END signal is consumed, not passed on.
-    assert inbox.empty()
+    # The pipe is private: the END signal is consumed, nothing is echoed.
+    assert not worker.poll() and not master.poll()
 
 
-def test_worker_loop_rejects_garbage(context):
-    inbox = queue.Queue()
-    result_q = queue.Queue()
-    inbox.put("garbage")
+def test_worker_loop_rejects_garbage(context, pipe):
+    master, worker = pipe
+    master.send("garbage")
     with pytest.raises(TypeError):
-        worker_loop(0, context, inbox, result_q)
+        worker_loop(0, context, worker)
 
 
-def test_worker_loop_immediate_end(context):
-    inbox = queue.Queue()
-    result_q = queue.Queue()
-    inbox.put(EndSignal())
-    assert worker_loop(1, context, inbox, result_q) == 0
+def test_worker_loop_immediate_end(context, pipe):
+    master, worker = pipe
+    master.send(EndSignal())
+    assert worker_loop(1, context, worker) == 0
 
 
-def test_worker_patches_from_what_the_item_carries(context, problem, rng):
+def test_worker_loop_ends_when_the_master_end_closes(context, problem, rng, pipe):
+    """No EndSignal ever arrives from a killed master: end-of-file on the
+    pipe ends the loop, which still returns its count — and so does a
+    reply that nobody is left to receive."""
+    master, worker = pipe
+    master.send(_item(0, rng.integers(0, 20, size=20).astype(np.uint8), problem))
+    replies = []
+
+    def master_side():
+        replies.append(master.recv())
+        master.close()
+
+    thread = threading.Thread(target=master_side)
+    thread.start()
+    try:
+        assert worker_loop(0, context, worker) == 1
+    finally:
+        thread.join(timeout=5.0)
+    assert not thread.is_alive() and replies[0].sequence_id == 0
+
+    master, worker = multiprocessing.Pipe(duplex=True)
+    master.send(_item(1, rng.integers(0, 20, size=20).astype(np.uint8), problem))
+    master.close()
+    assert worker_loop(0, context, worker) == 0
+    worker.close()
+
+
+def test_worker_patches_from_what_the_item_carries(context, problem, rng, pipe):
     """Stateless delta scoring: the parent's structure arrives on the item,
     the child's leaves on the reply, and a second item naming the same
     parent *without* carrying it falls back — nothing was cached."""
@@ -105,18 +141,17 @@ def test_worker_patches_from_what_the_item_carries(context, problem, rng):
     child[10] = (child[10] + 3) % 20
     prov = mutation_provenance(parent, [10])
     parent_sim = database.sequence_similarity(parent)
-    inbox = queue.Queue()
-    result_q = queue.Queue()
-    inbox.put(
+    master, worker = pipe
+    master.send(
         _item(
             0, child, problem, provenance=prov,
             similarities=((parent.tobytes(), parent_sim),),
         )
     )
-    inbox.put(_item(1, child, problem, provenance=prov))
-    inbox.put(EndSignal())
-    assert worker_loop(0, context, inbox, result_q) == 2
-    patched, swept = result_q.get_nowait(), result_q.get_nowait()
+    master.send(_item(1, child, problem, provenance=prov))
+    master.send(EndSignal())
+    assert worker_loop(0, context, worker) == 2
+    patched, swept = master.recv(), master.recv()
     assert patched.delta.hit
     assert 0 < patched.delta.rows_rescored < patched.delta.rows_total
     assert not swept.delta.hit
@@ -127,59 +162,54 @@ def test_worker_patches_from_what_the_item_carries(context, problem, rng):
         assert (reply.similarity.counts != full.counts).nnz == 0
 
 
-def test_worker_does_not_echo_a_structure_the_item_carried(context, problem, rng):
+def test_worker_does_not_echo_a_structure_the_item_carried(
+    context, problem, rng, pipe
+):
     seq = rng.integers(0, 20, size=25).astype(np.uint8)
     own = context.engine.database.sequence_similarity(seq)
-    inbox = queue.Queue()
-    result_q = queue.Queue()
-    inbox.put(_item(0, seq, problem, similarities=((seq.tobytes(), own),)))
-    inbox.put(EndSignal())
-    worker_loop(0, context, inbox, result_q)
-    reply = result_q.get_nowait()
+    master, worker = pipe
+    master.send(_item(0, seq, problem, similarities=((seq.tobytes(), own),)))
+    master.send(EndSignal())
+    worker_loop(0, context, worker)
+    reply = master.recv()
     assert reply.similarity is None
     assert reply.scores == score_candidate(context.engine, seq, problem)[0]
 
 
-def test_worker_without_delta_ships_no_structure(tiny_engine, problem, rng):
+def test_worker_without_delta_ships_no_structure(tiny_engine, problem, rng, pipe):
     context = WorkerContext(tiny_engine, use_delta=False)
-    inbox = queue.Queue()
-    result_q = queue.Queue()
-    inbox.put(_item(0, rng.integers(0, 20, size=20).astype(np.uint8), problem))
-    inbox.put(EndSignal())
-    worker_loop(0, context, inbox, result_q)
-    reply = result_q.get_nowait()
+    master, worker = pipe
+    master.send(_item(0, rng.integers(0, 20, size=20).astype(np.uint8), problem))
+    master.send(EndSignal())
+    worker_loop(0, context, worker)
+    reply = master.recv()
     assert reply.similarity is None and reply.delta is None
 
 
-def test_retire_signal_stops_the_worker_after_its_inbox(context, problem, rng):
-    inbox = queue.Queue()
-    result_q = queue.Queue()
-    inbox.put(_item(0, rng.integers(0, 20, size=20).astype(np.uint8), problem))
-    inbox.put(RetireSignal())
-    inbox.put(_item(1, rng.integers(0, 20, size=20).astype(np.uint8), problem))
-    assert worker_loop(0, context, inbox, result_q) == 1
-    assert result_q.get_nowait().sequence_id == 0
-    assert inbox.qsize() == 1  # nothing past the signal was touched
+def test_retire_signal_stops_the_worker_after_its_inbox(context, problem, rng, pipe):
+    master, worker = pipe
+    master.send(_item(0, rng.integers(0, 20, size=20).astype(np.uint8), problem))
+    master.send(RetireSignal())
+    master.send(_item(1, rng.integers(0, 20, size=20).astype(np.uint8), problem))
+    assert worker_loop(0, context, worker) == 1
+    assert master.recv().sequence_id == 0 and not master.poll()
+    assert worker.recv().sequence_id == 1  # nothing past the signal was touched
 
 
-def test_worker_stamps_inbox_wait(context, problem, rng):
-    import threading
-    import time
-
-    inbox = queue.Queue()
-    result_q = queue.Queue()
+def test_worker_stamps_inbox_wait(context, problem, rng, pipe):
+    master, worker = pipe
     item = _item(0, rng.integers(0, 20, size=20).astype(np.uint8), problem)
 
     def feed():
         time.sleep(0.3)
-        inbox.put(item)
-        inbox.put(EndSignal())
+        master.send(item)
+        master.send(EndSignal())
 
     feeder = threading.Thread(target=feed)
     feeder.start()
     try:
-        worker_loop(0, context, inbox, result_q)
+        worker_loop(0, context, worker)
     finally:
         feeder.join(timeout=5.0)
     assert not feeder.is_alive()
-    assert result_q.get_nowait().inbox_wait >= 0.1
+    assert master.recv().inbox_wait >= 0.1

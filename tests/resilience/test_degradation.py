@@ -58,7 +58,6 @@ def test_permanent_pool_loss_campaign_completes_bit_exact(
         non_targets,
         num_workers=2,
         timeout=30.0,
-        poll_interval=0.05,
         max_retries=1,
         faults=spec.fault_plan(),
         telemetry=telemetry,
@@ -93,7 +92,6 @@ def test_breaker_open_probe_close_cycle(tiny_engine, tiny_problem, rng):
         non_targets,
         num_workers=1,
         timeout=30.0,
-        poll_interval=0.05,
         max_retries=0,
         breaker=CircuitBreaker(probe_after=2),
         faults=FaultPlan(crash_on_item=0, only_worker=0),
@@ -162,7 +160,6 @@ def test_stalled_pool_degrades_and_close_escalates(
         non_targets,
         num_workers=1,
         timeout=300.0,
-        poll_interval=0.05,
         close_grace_s=0.3,
         clock=SteppingClock(step=200.0),
         faults=spec.fault_plan(),
@@ -193,7 +190,6 @@ def test_fail_fast_restores_raising_behaviour(tiny_engine, tiny_problem, rng):
         non_targets,
         num_workers=1,
         timeout=30.0,
-        poll_interval=0.05,
         max_retries=0,
         fail_fast=True,
         faults=FaultPlan(crash_on_item=0),

@@ -55,7 +55,6 @@ def test_scale_up_mid_batch_bit_exact(tiny_engine, tiny_problem, rng):
         num_workers=1,
         scaling=QueueDepthScaling(1, 3, items_per_worker=2),
         timeout=120.0,
-        poll_interval=0.05,
         telemetry=telemetry,
     ) as provider:
         out = provider.scores(seqs)
@@ -88,7 +87,6 @@ def test_scale_down_with_sticky_backlog_loses_nothing(
         num_workers=3,
         scaling=QueueDepthScaling(1, 3, items_per_worker=4),
         timeout=120.0,
-        poll_interval=0.05,
         # Slow items: a worker is still busy in its window when the
         # draining backlog tells the policy to retire it.
         faults=FaultPlan(delay=0.02),
@@ -144,7 +142,6 @@ def test_worker_death_during_scale_down_recovers(
         num_workers=3,
         scaling=QueueDepthScaling(1, 3, items_per_worker=4),
         timeout=120.0,
-        poll_interval=0.05,
         max_retries=3,
         # Both items of worker 1's first window are in its inbox before
         # any retire signal can be, so the crash is certain.
@@ -195,7 +192,6 @@ def test_elastic_ga_campaign_bit_exact_with_fixed(tiny_engine, tiny_problem):
         num_workers=1,
         scaling=LatencyTargetScaling(1, 3, target_s=0.08),
         timeout=120.0,
-        poll_interval=0.05,
         faults=FaultPlan(delay=0.03),  # ~30 ms/item: EWMA forces scale-up
         telemetry=telemetry,
     ) as elastic_provider:
