@@ -15,14 +15,7 @@ traceback:
    must quarantine the damaged file (``*.corrupt``), walk back to the
    previous valid snapshot, and still finish bit-exact against the
    uninterrupted reference.
-3. **Elastic resize.**  The same campaign runs under the
-   ``latency-target`` scaling policy with per-item latency inflated by a
-   delay fault: the controller must scale the pool up *and* back down
-   (both counters nonzero) while the result stays bit-exact with the
-   serial reference, and every retired worker finishes the items already
-   in its pipe — each item is handed out exactly once, nothing is
-   drained back or answered twice.
-4. **Shared fabric with a client crash.**  Three concurrent seeded
+3. **Shared fabric with a client crash.**  Three concurrent seeded
    campaigns run as clients of one :class:`~repro.fabric.ScoringFabric`;
    one client is closed mid-run (a campaign crashing and abandoning its
    in-flight batch).  The two surviving campaigns must finish bit-exact
@@ -30,7 +23,7 @@ traceback:
    campaign must surface ``ClientClosedError`` instead of wedging the
    fabric.
 
-5. **Service SIGKILL.**  A ``python -m repro serve`` process — that
+4. **Service SIGKILL.**  A ``python -m repro serve`` process — that
    pid alone, not its process group — is SIGKILLed mid-job: no shutdown
    hook, no eviction, nothing but the durable ``jobs/<id>/`` artifacts
    survive.  Its workers must see their pipes close and leave, and the
@@ -50,7 +43,7 @@ Usage (from the repository root)::
     PYTHONPATH=src python scripts/chaos_smoke.py [--only NAME ...]
 
 ``--only`` limits the run to named scenarios (``pool-loss``,
-``checkpoint``, ``elastic``, ``fabric``, ``service``); default is all of
+``checkpoint``, ``fabric``, ``service``); default is all of
 them.
 """
 
@@ -185,61 +178,8 @@ def _scenario_checkpoint_corruption(world, non_targets, reference) -> bool:
     return _check(checks)
 
 
-def _scenario_elastic_resize(world, non_targets, reference) -> bool:
-    """Scenario 3: latency-target policy resizes both ways, bit-exact."""
-    from repro.parallel import LatencyTargetScaling, MultiprocessScoreProvider
-    from repro.parallel.worker import FaultPlan
-    from repro.telemetry import MetricsRegistry
-
-    print("scenario 3: elastic resize under inflated latency ...", flush=True)
-    telemetry = MetricsRegistry()
-    with MultiprocessScoreProvider(
-        world.engine,
-        TARGET,
-        non_targets,
-        num_workers=1,
-        scaling=LatencyTargetScaling(1, 3, target_s=0.08),
-        faults=FaultPlan(delay=0.03),  # ~30 ms/item inflates the EWMA
-        telemetry=telemetry,
-    ) as provider:
-        result = _engine(provider).run(GENERATIONS)
-        stats = provider.runtime_stats()["elastic"]
-        checks = {
-            "campaign completed": result.completed,
-            "best sequence bit-exact": (
-                result.best.sequence == reference.best.sequence
-            ),
-            "history bit-exact": json.dumps(result.history.to_payload())
-            == json.dumps(reference.history.to_payload()),
-            "scale_up observed": stats["scale_ups"] > 0,
-            "scale_down observed": stats["scale_downs"] > 0,
-            "pool peaked above start": (
-                telemetry.gauge("parallel.pool_size").max > 1
-            ),
-            "latency EWMA tracked": (
-                telemetry.gauge("parallel.item_latency_ewma").value > 0.0
-            ),
-            "no deaths (resizes are clean)": provider.pool.worker_deaths == 0,
-            # A retiring worker finishes what its pipe holds: nothing is
-            # drained back, re-dispatched or answered twice.
-            "every item handed out exactly once": (
-                provider.pool.dispatched == provider.cache_stats["misses"]
-                and provider.pool.retries == 0
-                and provider.pool.stale_dropped == 0
-            ),
-            "queue depth decayed to 0": (
-                telemetry.gauge("parallel.queue_depth").value == 0.0
-            ),
-            "telemetry agrees": (
-                telemetry.counter("parallel.scale_up").value
-                == stats["scale_ups"]
-            ),
-        }
-    return _check(checks)
-
-
 def _scenario_fabric(world, non_targets, reference) -> bool:
-    """Scenario 4: three campaigns share one fabric; one crashes mid-run."""
+    """Scenario 3: three campaigns share one fabric; one crashes mid-run."""
     import threading
     import time
 
@@ -248,7 +188,7 @@ def _scenario_fabric(world, non_targets, reference) -> bool:
     from repro.parallel.worker import FaultPlan
     from repro.telemetry import MetricsRegistry
 
-    print("scenario 4: shared fabric with a client crash ...", flush=True)
+    print("scenario 3: shared fabric with a client crash ...", flush=True)
     spare = [n for n in world.non_targets_for(TARGET, limit=12) if n not in non_targets]
     problems = {"a": (TARGET, non_targets)}
     for key, extra_target in zip(("b", "c"), spare):
@@ -322,7 +262,7 @@ def _scenario_fabric(world, non_targets, reference) -> bool:
 
 
 def _scenario_service(world, non_targets, reference) -> bool:
-    """Scenario 5: SIGKILL ``repro serve`` mid-job; a restart resumes."""
+    """Scenario 4: SIGKILL ``repro serve`` mid-job; a restart resumes."""
     import os
     import subprocess
     import time
@@ -336,7 +276,7 @@ def _scenario_service(world, non_targets, reference) -> bool:
         write_submit_request,
     )
 
-    print("scenario 5: design service SIGKILL mid-job ...", flush=True)
+    print("scenario 4: design service SIGKILL mid-job ...", flush=True)
     generations = GENERATIONS * 3
     job_id = "job-chaos"
 
@@ -489,7 +429,6 @@ def _scenario_service(world, non_targets, reference) -> bool:
 SCENARIOS = {
     "pool-loss": _scenario_pool_loss,
     "checkpoint": _scenario_checkpoint_corruption,
-    "elastic": _scenario_elastic_resize,
     "fabric": _scenario_fabric,
     "service": _scenario_service,
 }

@@ -29,18 +29,6 @@ def _validate_run_args(args: argparse.Namespace) -> int | None:
         check_int_range(args.generations, "--generations", lo=1)
         if getattr(args, "workers", 0):
             check_int_range(args.workers, "--workers", lo=0, hi=256)
-        if getattr(args, "min_workers", None) is not None:
-            check_int_range(args.min_workers, "--min-workers", lo=1, hi=256)
-        if getattr(args, "max_workers", None) is not None:
-            check_int_range(args.max_workers, "--max-workers", lo=1, hi=256)
-            if (
-                args.min_workers is not None
-                and args.max_workers < args.min_workers
-            ):
-                raise ValueError(
-                    f"--max-workers ({args.max_workers}) must be >= "
-                    f"--min-workers ({args.min_workers})"
-                )
         if getattr(args, "checkpoint_every", None) is not None:
             check_int_range(args.checkpoint_every, "--checkpoint-every", lo=1)
         if getattr(args, "deadline_s", None) is not None:
@@ -54,19 +42,13 @@ def _validate_run_args(args: argparse.Namespace) -> int | None:
 def _check_backend_flags(args: argparse.Namespace, backend: str) -> int | None:
     """Reject flags that only apply to the process backend.
 
-    The CLI used to forward elastic/shared-memory/degradation flags only
-    when ``--backend process`` was chosen and silently drop them
-    otherwise — ``--scaling queue-depth --backend thread`` ran happily,
-    unscaled.  Now every ignored flag is named with exit code 2.
+    The CLI used to forward shared-memory/degradation flags only when
+    ``--backend process`` was chosen and silently drop them otherwise —
+    ``--no-shm --backend thread`` ran happily, flag ignored.  Now every
+    ignored flag is named with exit code 2.
     """
     offending = []
     if backend != "process":
-        if getattr(args, "scaling", "fixed") != "fixed":
-            offending.append("--scaling")
-        if getattr(args, "min_workers", None) is not None:
-            offending.append("--min-workers")
-        if getattr(args, "max_workers", None) is not None:
-            offending.append("--max-workers")
         if getattr(args, "no_shm", False):
             offending.append("--no-shm")
         if getattr(args, "fail_fast", None) is not None:
@@ -150,10 +132,6 @@ def _cmd_design(args: argparse.Namespace) -> int:
                 if args.fail_fast is not None:
                     extra["fail_fast"] = args.fail_fast
                 extra["share_memory"] = not args.no_shm
-                if args.scaling != "fixed" or args.min_workers or args.max_workers:
-                    extra["scaling"] = args.scaling
-                    extra["min_workers"] = args.min_workers
-                    extra["max_workers"] = args.max_workers
             return make_score_provider(
                 engine,
                 target,
@@ -255,10 +233,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 return client
             if backend == "process":
                 extra["share_memory"] = not args.no_shm
-                if args.scaling != "fixed" or args.min_workers or args.max_workers:
-                    extra["scaling"] = args.scaling
-                    extra["min_workers"] = args.min_workers
-                    extra["max_workers"] = args.max_workers
             provider = make_score_provider(
                 engine,
                 target,
@@ -308,15 +282,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f"force_killed={ft['force_killed']} "
             f"breaker={ft['breaker']['state']}"
         )
-        el = stats.get("elastic")
-        if el:
-            print(
-                f"  elastic: policy={el['policy']} "
-                f"bounds=[{el['min_workers']},{el['max_workers']}] "
-                f"scale_ups={el['scale_ups']} scale_downs={el['scale_downs']} "
-                f"retired={el['retired']} "
-                f"latency_ewma={el['latency_ewma_s'] * 1000:.1f}ms"
-            )
         shm = stats.get("shm")
         if shm:
             print(
@@ -528,26 +493,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_elastic_flags(parser: argparse.ArgumentParser) -> None:
-    """Elastic-pool flags shared by the ``design`` and ``stats`` commands."""
-    parser.add_argument(
-        "--scaling", choices=("fixed", "queue-depth", "latency-target"),
-        default="fixed",
-        help="elastic pool policy for the process backend: resize between "
-        "--min-workers/--max-workers from queue depth and latency "
-        "telemetry (default: fixed, the classic constant pool)",
-    )
-    parser.add_argument(
-        "--min-workers", type=int, default=None, metavar="N",
-        help="lower bound of the elastic pool (default: 1 for adaptive "
-        "policies, --workers for fixed)",
-    )
-    parser.add_argument(
-        "--max-workers", type=int, default=None, metavar="N",
-        help="upper bound of the elastic pool (default: --workers)",
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro", description=__doc__.split("\n")[0]
@@ -598,7 +543,6 @@ def main(argv: list[str] | None = None) -> int:
         help="with the process backend: pickle the full engine to each "
         "worker instead of sharing one read-only proteome segment",
     )
-    _add_elastic_flags(p_design)
     p_design.add_argument(
         "--deadline-s", type=float, default=None, metavar="S",
         help="wall-clock budget: stop cleanly with the best-so-far design "
@@ -640,7 +584,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-shm", action="store_true",
         help="disable the shared-memory proteome for the process backend",
     )
-    _add_elastic_flags(p_stats)
     p_stats.add_argument("--out", default=None, help="export telemetry here")
     p_stats.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p_stats.set_defaults(func=_cmd_stats)

@@ -1,4 +1,4 @@
-"""Shared scoring fabric: many design campaigns, one elastic worker pool.
+"""Shared scoring fabric: many design campaigns, one worker pool.
 
 Every campaign paying for its own pool — its own shared-memory segment,
 its own spawn cost, its own half-empty batches — is the ceiling on
@@ -11,7 +11,7 @@ pattern from inference serving, applied to protein design.
 
 * :class:`ScoringFabric` owns exactly one
   :class:`~repro.parallel.mp_backend.WorkerPool` (one shared proteome
-  segment, one elastic pool) — the same pool, driven through the same
+  segment, one pool) — the same pool, driven through the same
   ``score(arrays, provenances, problems)`` call, that a dedicated
   :class:`~repro.parallel.mp_backend.MultiprocessScoreProvider` wraps —
   and hands out :class:`FabricClient` handles.
@@ -188,7 +188,7 @@ class ScoringFabric:
     **pool_settings:
         Forwarded to the single
         :class:`~repro.parallel.mp_backend.WorkerPool`
-        (``num_workers=``, ``scaling=``, ``timeout=``, ``faults=`` ...),
+        (``num_workers=``, ``timeout=``, ``faults=`` ...),
         which is built here — a bad setting fails the constructor, not
         the first job — while its workers still spawn on first use.
 

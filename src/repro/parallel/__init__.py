@@ -24,10 +24,6 @@ in one master-side LRU.
   :class:`~repro.ga.fitness.ScoreProvider` over a pool of its own that
   the GA engine plugs in unchanged (:mod:`repro.fabric` is the other
   front: many campaigns on one pool);
-* :mod:`repro.parallel.elastic` — the telemetry-driven elastic pool
-  control loop (:class:`~repro.parallel.elastic.ScalingPolicy` and
-  friends) that resizes the pool between ``min_workers`` and
-  ``max_workers``;
 * :mod:`repro.parallel.multirack` — the paper's proposed multi-rack
   extension (one master per rack, elite synchronisation each generation).
 
@@ -45,20 +41,9 @@ parallelism (GIL); that level is modelled by the Blue Gene/Q discrete-event
 simulator in :mod:`repro.cluster` instead.
 """
 
-from repro.parallel.elastic import (
-    SCALING_POLICIES,
-    ElasticController,
-    FixedScaling,
-    LatencyTargetScaling,
-    PoolSnapshot,
-    QueueDepthScaling,
-    ScalingPolicy,
-    make_scaling_policy,
-)
 from repro.parallel.messages import (
     EndSignal,
     Problem,
-    RetireSignal,
     WorkFailure,
     WorkItem,
     WorkResult,
@@ -74,28 +59,19 @@ from repro.parallel.scheduler import OnDemandScheduler
 from repro.parallel.worker import FaultPlan, WorkerContext, score_candidate
 
 __all__ = [
-    "SCALING_POLICIES",
     "DeadWorkerError",
-    "ElasticController",
     "EndSignal",
     "FaultPlan",
-    "FixedScaling",
-    "LatencyTargetScaling",
     "MultiRackGA",
     "MultiprocessScoreProvider",
     "OnDemandScheduler",
-    "PoolSnapshot",
     "Problem",
-    "QueueDepthScaling",
     "RackResult",
-    "RetireSignal",
-    "ScalingPolicy",
     "WorkFailure",
     "WorkItem",
     "WorkResult",
     "WorkerContext",
     "WorkerFailureError",
     "WorkerPool",
-    "make_scaling_policy",
     "score_candidate",
 ]

@@ -6,9 +6,9 @@ workers attach the result of their previous assignment to the next request.
 Here the channel is one duplex pipe per worker, point-to-point like the
 MPI original: a :class:`WorkResult` arriving at the master *is* the
 worker's next work request, answered by sending the next
-:class:`WorkItem` down that worker's pipe.  :class:`EndSignal` and
-:class:`RetireSignal` are ordinary messages on the same pipe, so a
-worker only ever blocks in one ``recv()``.
+:class:`WorkItem` down that worker's pipe.  :class:`EndSignal` is an
+ordinary message on the same pipe, so a worker only ever blocks in one
+``recv()``.
 
 Workers are stateless between items and know no design problem of their
 own: every :class:`WorkItem` names the :data:`Problem` it is scored
@@ -44,7 +44,6 @@ __all__ = [
     "WorkResult",
     "WorkFailure",
     "EndSignal",
-    "RetireSignal",
 ]
 
 #: A design problem as it travels on the wire: ``(target, non_targets)``.
@@ -157,17 +156,3 @@ class EndSignal:
     """Master → worker: no more work (Algorithm 1's END)."""
 
     reason: str = "complete"
-
-
-@dataclass(frozen=True)
-class RetireSignal:
-    """Master → one worker: finish what your pipe holds and exit (elastic
-    scale-down).
-
-    Pipes are FIFO, so the worker scores every item handed to it before
-    the signal and then leaves; the master stops handing it new work the
-    moment it sends this.  Nothing is drained back and nothing can be
-    trapped behind the signal.
-    """
-
-    reason: str = "scale_down"

@@ -1,8 +1,8 @@
 """Multiprocessing realisation of the master/worker runtime.
 
 One scoring stack, two thin fronts.  :class:`WorkerPool` is the runtime:
-worker processes, request-on-demand dispatch, recovery, the elastic
-control loop and the shared proteome segment.  It owns no design problem
+worker processes, request-on-demand dispatch, recovery and the shared
+proteome segment.  It owns no design problem
 and no score cache — every item it is handed names the
 :data:`~repro.parallel.messages.Problem` it is scored against, so one
 campaign or many take the same path through it.  Its whole surface is
@@ -35,12 +35,15 @@ to keep :data:`IN_FLIGHT_WINDOW` items in flight per worker — one
 executing, one prefetched, so a worker never idles for a master round
 trip.  Each reply is that worker's request for more: the master records
 it and tops the worker's window up.  Because the scheduler knows which
-worker holds which item, recovery and retirement are precise (see below).
+worker holds which item, recovery is precise (see below).
+
+The pool has one size, ``num_workers`` — the paper's nodes − 1 workers —
+spawned on the first batch; death recovery refills it to that size.
 
 Workers are stateless.  The similarity structure a worker builds for a
 candidate rides back on the reply into the master's bounded
 :class:`~repro.ppi.delta.SimilarityLRU`
-(:data:`SIMILARITY_CACHE_PER_WORKER` ``× max_workers`` entries); each
+(:data:`SIMILARITY_CACHE_PER_WORKER` ``× num_workers`` entries); each
 outgoing item carries the candidate's own
 structure when the master holds it, else those of its provenance
 parents, and the worker patches from exactly what the item carries.  So
@@ -94,39 +97,15 @@ discarding) their pipes until each has exited or the grace period runs
 out — a worker blocked sending an orphaned reply still reaches its
 signal — then escalates ``terminate()`` → ``kill()`` (counted as
 ``parallel.force_killed``), so a hung worker cannot wedge the master.
-
-Elastic pool (the telemetry-driven control loop)
-------------------------------------------------
-The pool is *elastic*: a :class:`~repro.parallel.elastic.ScalingPolicy`
-(``scaling="fixed" | "queue-depth" | "latency-target"``, or any policy
-instance) observes queue depth and a per-item latency EWMA on every
-scheduling step and resizes the pool between ``min_workers`` and
-``max_workers``:
-
-* **scale-up** spawns workers that *late-attach* to the existing
-  :class:`~repro.ppi.shm.SharedProteomeView` segment (a handle, not a
-  pickled engine, crosses the process boundary — the same broadcast the
-  initial pool got); the next hand-out fills their windows;
-* **scale-down** puts a
-  :class:`~repro.parallel.messages.RetireSignal` on the pipe of the
-  worker with the least in flight and stops handing it work: the worker
-  finishes what its pipe already holds and exits — nothing is drained
-  back, nothing can be trapped.  A retiring worker that crashes instead
-  of exiting cleanly is recovered by the exact death machinery above.
-
-Policies decide, the pool executes — so elastic runs return scores
-bit-exact with the fixed pool, whatever the policy does.  The pool's
-``clock`` parameter drives stall detection, making timeout paths
-testable without real sleeps.
+The pool's ``clock`` parameter drives stall detection, making timeout
+paths testable without real sleeps.
 
 The pool reports the master-side view of the runtime through telemetry
 and, as one tree with the same figures, :meth:`WorkerPool.stats`: batch
 wall time
 (``parallel.batch``), dispatch counters, the live outstanding-item count
 (``parallel.queue_depth``, decaying to 0 as each batch drains), the pool
-size and latency signals (``parallel.pool_size``,
-``parallel.item_latency_ewma``, ``parallel.scale_{up,down}``,
-``parallel.retired``), the fault-tolerance counters
+size (``parallel.pool_size``), the fault-tolerance counters
 (``parallel.{worker_deaths,respawns,retries,stale_dropped,failures}``)
 and — from what each worker stamps on its replies — per-worker busy
 time, item counts, throughput, utilisation and the time spent blocked in
@@ -144,16 +123,9 @@ from multiprocessing.connection import Connection, wait
 import numpy as np
 
 from repro.ga.fitness import CachingScoreProvider, ScoreSet
-from repro.parallel.elastic import (
-    ElasticController,
-    PoolSnapshot,
-    ScalingPolicy,
-    make_scaling_policy,
-)
 from repro.parallel.messages import (
     EndSignal,
     Problem,
-    RetireSignal,
     WorkFailure,
     WorkItem,
     WorkResult,
@@ -191,8 +163,8 @@ IN_FLIGHT_WINDOW = 2
 STALL_CHECK_S = 0.25
 
 #: Per-worker share of the master's similarity-structure LRU (the delta
-#: path's patch source): it holds this many structures per worker of
-#: ``max_workers`` — the serial provider's default for each.
+#: path's patch source): it holds this many structures per worker — the
+#: serial provider's default for each.
 SIMILARITY_CACHE_PER_WORKER = 256
 
 
@@ -216,9 +188,9 @@ def _worker_entry(worker_id, context, conn, master_ends):
 
 
 class WorkerPool:
-    """Supervised, elastic pool of worker processes scoring candidates on
-    demand, each against the problem its item names (see the module
-    docstring for the dispatch and recovery semantics).
+    """Supervised pool of worker processes scoring candidates on demand,
+    each against the problem its item names (see the module docstring for
+    the dispatch and recovery semantics).
 
     Use as a context manager so the workers are reaped on any exit path.
     Spawning is lazy (the first :meth:`score`), and a closed pool starts
@@ -230,21 +202,8 @@ class WorkerPool:
         The broadcast PIPE engine (pickled to each worker at spawn — the
         paper's "broadcast all loaded data to worker processes").
     num_workers:
-        Initial worker process count (paper: nodes - 1; default:
-        available CPUs).  Under an elastic policy this is where the pool
-        *starts*; it then floats between ``min_workers`` and
-        ``max_workers``.
-    min_workers, max_workers:
-        Bounds of the elastic pool.  Default to ``num_workers`` for the
-        fixed policy (no resizing) and to ``(1, num_workers)`` for the
-        adaptive ones.  Ignored when ``scaling`` is already a policy
-        instance (its own bounds win).
-    scaling:
-        ``"fixed"`` (default — the classic constant pool),
-        ``"queue-depth"``, ``"latency-target"``, or any
-        :class:`~repro.parallel.elastic.ScalingPolicy` instance (the way
-        to set a policy's own knobs, e.g.
-        ``LatencyTargetScaling(1, 8, target_s=0.1)``).
+        Worker process count (paper: nodes - 1; default: available
+        CPUs).  Death recovery refills the pool to it.
     clock:
         Monotonic clock used by stall detection (injectable for tests;
         default :func:`time.monotonic`).
@@ -295,9 +254,6 @@ class WorkerPool:
         engine: PipeEngine,
         *,
         num_workers: int | None = None,
-        min_workers: int | None = None,
-        max_workers: int | None = None,
-        scaling: "ScalingPolicy | str" = "fixed",
         clock=time.monotonic,
         timeout: float = 300.0,
         max_retries: int = 3,
@@ -321,25 +277,7 @@ class WorkerPool:
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         self.context = WorkerContext(engine, faults, use_delta=use_delta)
         self.num_workers = num_workers or max(1, os.cpu_count() or 1)
-        if isinstance(scaling, ScalingPolicy):
-            self._policy = scaling
-        else:
-            if scaling == "fixed":
-                lo = min_workers if min_workers is not None else self.num_workers
-                hi = max_workers if max_workers is not None else self.num_workers
-            else:
-                lo = min_workers if min_workers is not None else 1
-                hi = max_workers if max_workers is not None else max(
-                    self.num_workers, min_workers or 1
-                )
-            self._policy = make_scaling_policy(
-                scaling, min_workers=lo, max_workers=hi
-            )
-        self.min_workers = self._policy.min_workers
-        self.max_workers = self._policy.max_workers
         self._clock = clock
-        self._controller = ElasticController(self._policy)
-        self._target_workers = self._policy.clamp(self.num_workers)
         self.timeout = float(timeout)
         self.max_retries = int(max_retries)
         self.use_delta = bool(use_delta)
@@ -352,8 +290,7 @@ class WorkerPool:
         self._shm_view: SharedProteomeView | None = None
         self._ship_context: WorkerContext = self.context
         self._workers: dict[int, mp.Process] = {}
-        self._retiring: dict[int, mp.Process] = {}
-        # The master's end of the pipe to each live or retiring worker.
+        # The master's end of the pipe to each worker.
         self._conns: dict[int, Connection] = {}
         self._next_worker_id = 0
         # Proteins of every warmed problem, in first-seen order: what is
@@ -361,9 +298,6 @@ class WorkerPool:
         self._warm_names: dict[str, None] = {}
         self._epoch = 0
         self.dispatched = 0
-        self.scale_ups = 0
-        self.scale_downs = 0
-        self.retired = 0
         self.worker_deaths = 0
         self.respawns = 0
         self.retries = 0
@@ -375,7 +309,7 @@ class WorkerPool:
         # The pool's only similarity cache: filled from worker replies,
         # read when items are built and by the serial-degradation path.
         self._master_similarity = SimilarityLRU(
-            SIMILARITY_CACHE_PER_WORKER * self.max_workers
+            SIMILARITY_CACHE_PER_WORKER * self.num_workers
         )
         self.delta_hits = 0
         self.delta_fallbacks = 0
@@ -414,7 +348,7 @@ class WorkerPool:
         """Start one worker process under a fresh, never-reused worker id.
 
         Every worker gets a duplex pipe of its own, its only channel.  A
-        worker spawned mid-campaign (elastic scale-up) late-attaches to
+        worker respawned after a death late-attaches to
         the existing shared proteome segment; if the segment is somehow
         gone the pickled engine is shipped instead — slower, never wrong.
         """
@@ -461,20 +395,19 @@ class WorkerPool:
                 self._ship_context = self.context.for_shipment(
                     self._shm_view.handle
                 )
-            for _ in range(self._target_workers):
+            for _ in range(self.num_workers):
                 self._spawn_worker()
         self.telemetry.count("parallel.spawns")
 
     def close(self) -> None:
         """Reap the workers and release the segment; idempotent, bounded."""
-        # Retiring workers already hold their RetireSignal.  A failed
-        # batch strands at most IN_FLIGHT_WINDOW items ahead of the
-        # signal per worker; its backlog never left the master.
+        # A failed batch strands at most IN_FLIGHT_WINDOW items ahead of
+        # the signal per worker; its backlog never left the master.
         for wid in self._workers:
             self._send(wid, EndSignal())
         # Keep reading while they exit: a worker blocked sending a reply
         # nobody wants must get past it to reach its signal.
-        procs = self._procs()
+        procs = self._workers
         deadline = time.monotonic() + self.close_grace_s
         while procs and (left := deadline - time.monotonic()) > 0:
             self._wait(procs, left)
@@ -492,7 +425,6 @@ class WorkerPool:
         for conn in self._conns.values():
             conn.close()
         self._workers = {}
-        self._retiring = {}
         self._conns = {}
         # Workers are gone (joined, terminated or killed above), so this
         # is the last mapping in our ownership scope: unlink-on-last-close.
@@ -510,10 +442,6 @@ class WorkerPool:
         self.close()
 
     # -- transport ---------------------------------------------------------
-
-    def _procs(self) -> dict[int, mp.Process]:
-        """Every worker that holds a pipe: the live and the retiring."""
-        return {**self._workers, **self._retiring}
 
     def _send(self, wid: int, message: object) -> None:
         try:
@@ -641,16 +569,6 @@ class WorkerPool:
             similarities=carried,
         )
 
-    def _snapshot(self, sched: OnDemandScheduler, batch_size: int) -> PoolSnapshot:
-        """The observation record the elastic controller decides from."""
-        return PoolSnapshot(
-            live_workers=len(self._workers),
-            backlog=sched.remaining,
-            outstanding=sched.outstanding,
-            latency_ewma_s=self._controller.latency_ewma_s,
-            batch_size=batch_size,
-        )
-
     def _set_queue_depth(self, depth: int) -> None:
         self.telemetry.set_gauge("parallel.queue_depth", depth)
 
@@ -679,11 +597,11 @@ class WorkerPool:
         returns how many items had to be degraded to master-serial
         scoring."""
         self._ensure_started()
-        # Workers lost *between* batches: reap them now so the controller
-        # observes the real pool, then refill to target.
-        if self._reap(
-            [wid for wid, proc in self._procs().items() if not proc.is_alive()]
-        ):
+        # Workers lost *between* batches: reap them and refill the pool
+        # before anything is handed out.
+        lost = [wid for wid, proc in self._workers.items() if not proc.is_alive()]
+        if lost:
+            self._reap(lost)
             self._respawn_to_target()
         self._epoch += 1
         epoch = self._epoch
@@ -696,9 +614,6 @@ class WorkerPool:
             )
 
             def pump() -> None:
-                # Resize first: fresh workers get work in the same step
-                # and a retiring one is never handed more.
-                self._maybe_resize(self._snapshot(sched, len(arrays)), sched)
                 self._hand_out(sched)
                 self._set_queue_depth(sched.remaining)
 
@@ -712,11 +627,9 @@ class WorkerPool:
                 pump()
                 last_progress = self._clock()
                 while not sched.done:
-                    replies, gone = self._wait(self._procs(), STALL_CHECK_S)
+                    replies, gone = self._wait(self._workers, STALL_CHECK_S)
                     # Record what the dead completed, only then requeue
-                    # their windows and refill — and all of it before the
-                    # next resize, which would count the refill as a
-                    # scale-up.
+                    # their windows and refill.
                     for msg in replies:
                         if isinstance(msg, WorkFailure):
                             if msg.batch_epoch != epoch:
@@ -739,15 +652,15 @@ class WorkerPool:
                             continue
                         results[msg.sequence_id] = msg.scores
                         self._record_result(msg, arrays[msg.sequence_id].tobytes())
-                    dead = self._reap(gone)
-                    if dead:
+                    if gone:
+                        self._reap(gone)
                         try:
-                            self._recover(dead, sched)
+                            self._recover(gone, sched)
                         except DeadWorkerError as exc:
                             if self.fail_fast:
                                 raise
                             return degrade_missing(str(exc))
-                    if replies or dead:
+                    if replies or gone:
                         last_progress = self._clock()
                     elif self._clock() - last_progress > self.timeout:
                         missing = sched.missing()
@@ -810,88 +723,24 @@ class WorkerPool:
                 self.telemetry.count("parallel.degraded_items")
         return len(sids)
 
-    # -- elastic control ---------------------------------------------------
-
-    def _maybe_resize(self, snap: PoolSnapshot, sched: OnDemandScheduler) -> None:
-        """Converge the pool toward the controller's decision.
-
-        Scale-up spawns workers (late-attaching to the shared proteome
-        segment); scale-down retires the workers with the least in flight
-        first, never dropping below one live worker mid-batch.  The
-        target is then pinned to the executed size so death recovery
-        (:meth:`_respawn_to_target`) refills to what the policy last
-        wanted, not the original ``num_workers``.
-        """
-        desired = self._controller.decide(snap)
-        live = len(self._workers)
-        if desired > live:
-            added = 0
-            while len(self._workers) < desired:
-                self._spawn_worker()
-                added += 1
-            self.scale_ups += added
-            self.telemetry.count("parallel.scale_up", added)
-        elif desired < live:
-            floor = max(1, self.min_workers)
-            # Retire the idlest workers first: they exit soonest.
-            candidates = sorted(
-                self._workers, key=lambda wid: (sched.in_flight(wid), -wid)
-            )
-            removed = 0
-            for wid in candidates:
-                if len(self._workers) <= max(floor, desired):
-                    break
-                self._retire_worker(wid)
-                removed += 1
-            if removed:
-                self.scale_downs += removed
-                self.telemetry.count("parallel.scale_down", removed)
-        self._target_workers = len(self._workers)
-
-    def _retire_worker(self, wid: int) -> None:
-        """Retire one worker: stop handing it work and send the
-        :class:`RetireSignal`; the pipe is FIFO, so the worker finishes
-        the items already in its window first and their replies are
-        recorded as usual."""
-        self._retiring[wid] = self._workers.pop(wid)
-        self._send(wid, RetireSignal())
-        self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
+    # -- fault handling ----------------------------------------------------
 
     def _respawn_to_target(self) -> None:
-        """Refill the pool to the controller's last executed target."""
-        while len(self._workers) < max(1, self._target_workers):
+        """Refill the pool to ``num_workers`` after deaths."""
+        while len(self._workers) < self.num_workers:
             self._spawn_worker()
             self.respawns += 1
             self.telemetry.count("parallel.respawns")
 
-    # -- fault handling ----------------------------------------------------
-
-    def _reap(self, gone: list[int]) -> list[int]:
-        """Remove the workers ``gone`` (their processes have ended) and
-        return those whose windows need recovery.
-
-        A live worker that is gone died.  A retiring worker (elastic
-        scale-down) that left cleanly (``exitcode`` 0) is the expected
-        retirement and counts as ``parallel.retired``; a nonzero exit is a
-        death like any other.
-        """
-        dead = []
-        for wid in gone:
-            retiring = wid in self._retiring
-            proc = (self._retiring if retiring else self._workers).pop(wid)
-            proc.join(timeout=0.1)
+    def _reap(self, dead: list[int]) -> None:
+        """Remove the workers ``dead`` (their processes have ended) and
+        count each as a death."""
+        for wid in dead:
+            self._workers.pop(wid).join(timeout=0.1)
             self._conns.pop(wid).close()
-            if retiring and proc.exitcode in (0, None):
-                self.retired += 1
-                self.telemetry.count("parallel.retired")
-            else:
-                # Died — mid-retirement included: its window needs recovery.
-                dead.append(wid)
-                self.worker_deaths += 1
-                self.telemetry.count("parallel.worker_deaths")
-        if dead:
-            self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
-        return dead
+            self.worker_deaths += 1
+            self.telemetry.count("parallel.worker_deaths")
+        self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
 
     def _recover(self, dead: list[int], sched: OnDemandScheduler) -> None:
         """Respawn replacements and readmit exactly the items the dead
@@ -941,8 +790,6 @@ class WorkerPool:
             self._worker_inbox_wait.get(wid, 0.0) + msg.inbox_wait
         )
         self.telemetry.observe("parallel.inbox_wait", msg.inbox_wait)
-        ewma = self._controller.observe_latency(msg.elapsed)
-        self.telemetry.set_gauge("parallel.item_latency_ewma", ewma)
         if msg.similarity is not None:
             # Future children of this sequence patch from it, on any worker.
             self._master_similarity.put(payload, msg.similarity)
@@ -998,14 +845,6 @@ class WorkerPool:
                 "breaker": self.breaker.stats(),
                 "epoch": self._epoch,
             },
-            "elastic": {
-                **self._controller.stats(),
-                "live_workers": len(self._workers),
-                "target_workers": self._target_workers,
-                "scale_ups": self.scale_ups,
-                "scale_downs": self.scale_downs,
-                "retired": self.retired,
-            },
             "delta": {
                 "hits": self.delta_hits,
                 "fallbacks": self.delta_fallbacks,
@@ -1022,8 +861,8 @@ class MultiprocessScoreProvider(CachingScoreProvider):
     and a :class:`WorkerPool` of its own.
 
     ``cache_size`` bounds the score cache; every other keyword is a
-    :class:`WorkerPool` setting (``num_workers=``, ``scaling=``,
-    ``timeout=``, ``faults=`` ...).  The runtime's state — counters,
+    :class:`WorkerPool` setting (``num_workers=``, ``timeout=``,
+    ``faults=`` ...).  The runtime's state — counters,
     breaker, processes — lives on :attr:`pool`.  ``target`` /
     ``non_targets`` mirror the serial provider's attributes (checkpoint
     fingerprints read them off any provider).

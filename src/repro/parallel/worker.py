@@ -48,7 +48,6 @@ from repro.ga.fitness import ScoreSet
 from repro.parallel.messages import (
     EndSignal,
     Problem,
-    RetireSignal,
     WorkFailure,
     WorkItem,
     WorkResult,
@@ -93,10 +92,10 @@ class FaultPlan:
         simulating a hung node the master can only time out on.
     delay_on_item / delay:
         Sleep ``delay`` seconds before scoring, inside the timed region
-        — the worker-reported elapsed (and hence the master's latency
-        EWMA) includes it, simulating a genuinely slow item.  With
-        ``delay_on_item`` set, only that item is delayed, otherwise
-        every item is.
+        — the worker-reported elapsed (and hence the busy time the
+        master accounts to the worker) includes it, simulating a
+        genuinely slow item.  With ``delay_on_item`` set, only that item
+        is delayed, otherwise every item is.
     """
 
     fail_on_item: int | None = None
@@ -209,12 +208,12 @@ def worker_loop(worker_id: int, context: WorkerContext, conn) -> int:
 
     Blocks in ``conn.recv()`` — this worker's end of its own duplex pipe
     to the master, the only channel it has — until an :class:`EndSignal`
-    (pool shutdown) or a :class:`RetireSignal` (elastic scale-down)
-    arrives, or the master's end closes; the pipe is FIFO, so every item
-    handed out before either signal is scored first.  Each reply is sent
-    synchronously on the same pipe and is what prompts the master to hand
-    this worker its next item.  A scoring exception is reported as a
-    :class:`WorkFailure` and the loop continues with the next item.
+    (pool shutdown) arrives or the master's end closes; the pipe is FIFO,
+    so every item handed out before the signal is scored first.  Each
+    reply is sent synchronously on the same pipe and is what prompts the
+    master to hand this worker its next item.  A scoring exception is
+    reported as a :class:`WorkFailure` and the loop continues with the
+    next item.
     """
     view = context.ensure_engine()
     try:
@@ -238,7 +237,7 @@ def _worker_loop_inner(worker_id: int, context: WorkerContext, conn) -> int:
             # there is nobody left to serve.
             break
         inbox_wait = time.perf_counter() - waited
-        if isinstance(message, (EndSignal, RetireSignal)):
+        if isinstance(message, EndSignal):
             break
         if not isinstance(message, WorkItem):
             raise TypeError(f"unexpected message {type(message).__name__}")
@@ -256,7 +255,7 @@ def _worker_loop_inner(worker_id: int, context: WorkerContext, conn) -> int:
                 processed,
             ):
                 # Simulated slow item: inside the timed region, so the
-                # reported elapsed (and the master's latency EWMA) sees it.
+                # reported elapsed (the worker's busy time) includes it.
                 time.sleep(faults.delay)
             if inject and faults.fail_on_item == processed:
                 raise RuntimeError(

@@ -240,7 +240,7 @@ class SharedProteomeView:
     def attachable(cls, handle: SharedProteomeHandle) -> bool:
         """Whether the segment behind ``handle`` can still be mapped.
 
-        The elastic runtime's late-spawn probe: a worker added
+        The runtime's late-spawn probe: a worker respawned
         mid-campaign attaches to a segment created long before it
         existed, so the master checks the segment is still linked before
         shipping the handle (a closed provider, or a crashed master whose
@@ -264,8 +264,8 @@ class SharedProteomeView:
     ) -> "SharedProteomeView":
         """Map an existing segment described by ``handle``.
 
-        Safe at any point in the segment's lifetime — workers spawned by
-        an elastic scale-up attach long after the initial broadcast
+        Safe at any point in the segment's lifetime — workers respawned
+        after a death attach long after the initial broadcast
         (*late attach*); an attach after the creator unlinked raises a
         diagnostic ``FileNotFoundError`` naming the token.
 

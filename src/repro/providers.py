@@ -105,8 +105,8 @@ def _check_backend_kwargs(backend: str, kwargs: dict[str, object]) -> None:
 
     Silently dropping (or TypeError-ing deep inside a constructor) a
     kwarg meant for another backend hid real configuration mistakes —
-    e.g. ``scaling=`` with ``backend="serial"`` ran unscaled without a
-    word.  Every offending kwarg is now named, along with the backends
+    e.g. ``share_memory=`` with ``backend="serial"`` was dropped without
+    a word.  Every offending kwarg is now named, along with the backends
     that do accept it.
     """
     allowed, fabric_ctor = _kwarg_tables()
@@ -214,9 +214,6 @@ def make_score_provider(
     config: PipeConfig | None = None,
     backend: str = "serial",
     workers: int | None = None,
-    scaling: object | None = None,
-    min_workers: int | None = None,
-    max_workers: int | None = None,
     telemetry: MetricsRegistry | None = None,
     **backend_kwargs: object,
 ) -> CachingScoreProvider:
@@ -240,12 +237,6 @@ def make_score_provider(
     workers:
         Worker count for the parallel backends; rejected for
         ``backend="serial"``.
-    scaling, min_workers, max_workers:
-        Elastic-pool policy for ``backend="process"`` only: a
-        :class:`~repro.parallel.elastic.ScalingPolicy` name (``"fixed"``,
-        ``"queue-depth"``, ``"latency-target"``) or instance, plus the
-        pool bounds.  Rejected for the other backends — they have no
-        pool to resize.
     telemetry:
         One registry wired through the engine and the provider.
     **backend_kwargs:
@@ -255,12 +246,6 @@ def make_score_provider(
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; available: {', '.join(BACKENDS)}"
-        )
-    if backend != "process" and (
-        scaling is not None or min_workers is not None or max_workers is not None
-    ):
-        raise ValueError(
-            "scaling/min_workers/max_workers only apply to backend='process'"
         )
     _check_backend_kwargs(backend, backend_kwargs)
     if backend == "fabric":
@@ -304,12 +289,6 @@ def make_score_provider(
         )
     from repro.parallel.mp_backend import MultiprocessScoreProvider
 
-    if scaling is not None:
-        backend_kwargs["scaling"] = scaling
-    if min_workers is not None:
-        backend_kwargs["min_workers"] = min_workers
-    if max_workers is not None:
-        backend_kwargs["max_workers"] = max_workers
     return MultiprocessScoreProvider(
         engine,
         target,

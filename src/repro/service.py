@@ -9,7 +9,7 @@ turns the fabric into a service many tenants can share:
 
 * **One immutable scoring substrate.**  The service owns exactly one
   :class:`~repro.fabric.ScoringFabric` (one shared-memory proteome, one
-  elastic pool); every job scores through its own
+  worker pool); every job scores through its own
   :class:`~repro.fabric.FabricClient`, so concurrent campaigns coalesce
   into fused dispatch batches and stay bit-exact with dedicated pools.
 * **Jobs, not invocations.**  A :class:`JobSpec` (tenant, design
@@ -314,6 +314,17 @@ def _read_json(path: Path, what: str) -> dict[str, object]:
     return data
 
 
+def _read_request(path: Path) -> dict[str, object]:
+    """A queued submit request's payload.  An entry that cannot be read
+    (a directory, say) is rejected like a malformed one: ValueError."""
+    try:
+        return _read_json(path, "submit request")
+    except OSError as exc:
+        raise ValueError(
+            f"unreadable submit request: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def read_spec(root: str | Path, job_id: str) -> dict[str, object]:
     """The admitted job's ``spec.json`` payload."""
     return _read_json(job_dir(root, job_id) / "spec.json", "job spec")
@@ -488,7 +499,7 @@ class DesignService:
         and its pool).
     **fabric_kwargs:
         Forwarded to :class:`~repro.fabric.ScoringFabric`
-        (``num_workers=``, ``max_items=``, ``scaling=``, ``faults=`` ...).
+        (``num_workers=``, ``max_items=``, ``faults=`` ...).
 
     Use as a context manager; :meth:`close` evicts running jobs
     (checkpoint + release), stops the engine threads and reaps the pool.
@@ -1095,24 +1106,22 @@ class DesignService:
         """Process queued submit requests and cancel markers once.
 
         Returns how many control actions were taken.  Rejected requests
-        (quota, validation) are recorded under ``<root>/rejected/`` with
-        the tenant and reason, then removed from the queue — rejection is
-        deterministic and inspectable, never silent.
+        (quota, validation, an entry that cannot be read) are recorded
+        under ``<root>/rejected/`` with the tenant and reason, then taken
+        out of the queue — rejection is deterministic and inspectable,
+        never silent, and one bad entry never blocks the ones after it.
         """
         if self._closed:
             raise RuntimeError("service is closed")
         actions = 0
         queue = self.root / "queue"
+        rejected_dir = self.root / "rejected"
         if queue.is_dir():
             for request in sorted(queue.glob("*.json")):
                 actions += 1
                 try:
-                    spec = JobSpec.from_payload(
-                        _read_json(request, "submit request")
-                    )
-                    self.submit(spec)
+                    self.submit(JobSpec.from_payload(_read_request(request)))
                 except (QuotaError, ValueError, KeyError) as exc:
-                    rejected_dir = self.root / "rejected"
                     rejected_dir.mkdir(exist_ok=True)
                     atomic_write(
                         rejected_dir / request.name,
@@ -1131,8 +1140,15 @@ class DesignService:
                 finally:
                     try:
                         request.unlink()
-                    except OSError:  # pragma: no cover - racing deletion
+                    except FileNotFoundError:  # pragma: no cover - racing deletion
                         pass
+                    except OSError:
+                        # Not a file (a directory, say): move it next to
+                        # its rejection record, out of the next poll's way.
+                        try:
+                            request.rename(rejected_dir / f"{request.name}.entry")
+                        except OSError:  # pragma: no cover - name taken
+                            pass
         with self._lock:
             live = [
                 job

@@ -120,11 +120,11 @@ def test_no_command_rejected():
     "argv, flag",
     [
         (["design", "YBL051C", "--backend", "thread", "--workers", "2",
-          "--scaling", "queue-depth"], "--scaling"),
+          "--degrade"], "--degrade"),
         (["design", "YBL051C", "--fail-fast"], "--fail-fast"),
         (["design", "YBL051C", "--backend", "fabric", "--no-shm"], "--no-shm"),
         (["stats", "--backend", "thread", "--workers", "2",
-          "--min-workers", "1"], "--min-workers"),
+          "--no-shm"], "--no-shm"),
     ],
 )
 def test_process_only_flags_rejected_for_other_backends(capsys, argv, flag):
@@ -134,6 +134,16 @@ def test_process_only_flags_rejected_for_other_backends(capsys, argv, flag):
     err = capsys.readouterr().err
     assert flag in err
     assert "process" in err
+
+
+@pytest.mark.parametrize("flag", ["scaling", "min-workers", "max-workers"])
+def test_deleted_pool_size_flags_are_unknown_arguments(capsys, flag):
+    # The pool has one size (--workers); the resize flags are gone, and
+    # argparse names whichever one is passed.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["design", "YBL051C", "--workers", "2", f"--{flag}", "2"])
+    assert excinfo.value.code == 2
+    assert f"--{flag}" in capsys.readouterr().err
 
 
 def test_jobs_cli_round_trip(capsys, tmp_path):

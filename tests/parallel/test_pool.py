@@ -71,7 +71,7 @@ def test_one_stats_tree_under_the_provider(tiny_engine, tiny_problem, rng):
         runtime = provider.runtime_stats()
     assert set(tree) == {
         "num_workers", "dispatched", "batches", "batch_wall_s", "workers",
-        "fault_tolerance", "elastic", "delta", "shm",
+        "fault_tolerance", "delta", "shm",
     }
     # The provider adds its own cache counters and nothing else.
     assert set(runtime) == set(tree) | {"cache"}
@@ -88,7 +88,7 @@ def test_one_stats_tree_under_the_provider(tiny_engine, tiny_problem, rng):
 def test_deleted_pool_knobs_are_rejected_by_name(tiny_engine, tiny_problem):
     target, non_targets = tiny_problem
     for knob in ("latency_target_s", "scale_cooldown_s", "similarity_cache_size",
-                 "poll_interval"):
+                 "poll_interval", "scaling", "min_workers", "max_workers"):
         with pytest.raises(TypeError, match=knob):
             WorkerPool(tiny_engine, **{knob: 1})
         with pytest.raises(ValueError, match=knob):
@@ -97,6 +97,27 @@ def test_deleted_pool_knobs_are_rejected_by_name(tiny_engine, tiny_problem):
             )
     # The serial provider keeps its own similarity LRU size.
     make_score_provider(tiny_engine, target, non_targets, similarity_cache_size=8)
+
+
+def test_queue_depth_gauge_tracks_and_decays(tiny_engine, tiny_problem, rng):
+    # Regression: the gauge used to be set once to len(arrays) at
+    # dispatch and never touched again — it must now decay to 0 as the
+    # batch drains.
+    target, non_targets = tiny_problem
+    registry = MetricsRegistry()
+    with MultiprocessScoreProvider(
+        tiny_engine,
+        target,
+        non_targets,
+        num_workers=2,
+        timeout=120.0,
+        telemetry=registry,
+    ) as provider:
+        provider.scores(_candidates(rng, 6, length=25))
+    gauge = registry.gauge("parallel.queue_depth")
+    assert gauge.value == 0.0  # drained
+    assert gauge.max == 6.0  # peaked at the batch size
+    assert gauge.updates > 2  # actually tracked, not set-and-forget
 
 
 @pytest.mark.faults

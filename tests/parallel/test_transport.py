@@ -5,8 +5,8 @@ What the transport must guarantee, whoever dies and whenever: a killed
 master leaves no worker and no proteome segment behind; a worker killed
 from outside mid-batch costs exactly its window and can never wedge its
 siblings; replies a worker completed before dying are recorded, not
-re-scored; and a pool that has spawned, resized, lost a worker, closed
-and restarted hands back every file descriptor, thread, child process
+re-scored; and a pool that has spawned, lost a worker, closed and
+restarted hands back every file descriptor, thread, child process
 and segment it took.  None of these asserts a wall-clock figure: a batch
 that reached ``timeout`` would degrade, and ``degraded_items`` is pinned
 to 0 instead.
@@ -30,7 +30,6 @@ import pytest
 
 import repro.parallel.mp_backend as mp_backend
 from repro.ga.fitness import SerialScoreProvider
-from repro.parallel.elastic import ScalingPolicy
 from repro.parallel.messages import EndSignal
 from repro.parallel.mp_backend import (
     IN_FLIGHT_WINDOW,
@@ -277,21 +276,11 @@ def test_close_reads_a_blocked_worker_through_to_its_end_signal(
     assert pool.force_killed == 0
 
 
-class _Scripted(ScalingPolicy):
-    """Wants whatever the test last set."""
-
-    name = "scripted"
-    want = 1
-
-    def desired_workers(self, snap):
-        return self.want
-
-
 def test_pool_hands_back_every_fd_thread_child_and_segment(
     tiny_engine, tiny_problem, rng
 ):
-    """Spawn, scale up, scale down, lose a worker, close, restart, close:
-    the master ends with the descriptors and threads it started with."""
+    """Spawn three, lose one, close, restart, close: the master ends with
+    the descriptors and threads it started with."""
     target, non_targets = tiny_problem
     seqs = _seqs(rng, 8)
     expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(
@@ -304,25 +293,19 @@ def test_pool_hands_back_every_fd_thread_child_and_segment(
     fds = len(os.listdir("/proc/self/fd"))
     threads = threading.active_count()
 
-    policy = _Scripted(1, 3)
-    pool = WorkerPool(tiny_engine, num_workers=1, scaling=policy, timeout=60.0)
+    pool = WorkerPool(tiny_engine, num_workers=3, timeout=60.0)
     problem = pool.warm(target, non_targets)
 
     def score():
         assert pool.score(seqs, None, [problem] * len(seqs)) == expected
 
     score()
-    assert len(pool._workers) == 1
-    policy.want = 3
-    score()
-    assert pool.scale_ups == 2 and len(pool._workers) == 3
-    policy.want = 1
-    score()
-    assert pool.scale_downs == 2 and len(pool._workers) == 1
-    (survivor,) = (proc.pid for proc in pool._workers.values())
-    os.kill(survivor, signal.SIGKILL)
+    assert len(pool._workers) == 3
+    victim = next(iter(pool._workers.values())).pid
+    os.kill(victim, signal.SIGKILL)
     score()  # noticed between batches or in the batch, whichever it is
     assert pool.worker_deaths == 1 and pool.respawns == 1
+    assert len(pool._workers) == 3
     pool.close()
     score()  # a closed pool starts again
     pool.close()

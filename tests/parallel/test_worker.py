@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.parallel.messages import EndSignal, RetireSignal, WorkItem, WorkResult
+from repro.parallel.messages import EndSignal, WorkItem, WorkResult
 from repro.parallel.worker import WorkerContext, score_candidate, worker_loop
 
 
@@ -187,9 +187,11 @@ def test_worker_without_delta_ships_no_structure(tiny_engine, problem, rng, pipe
 
 
 def test_retire_signal_stops_the_worker_after_its_inbox(context, problem, rng, pipe):
+    # The pipe is FIFO: the end signal stops the worker after the items
+    # ahead of it and before anything behind it.
     master, worker = pipe
     master.send(_item(0, rng.integers(0, 20, size=20).astype(np.uint8), problem))
-    master.send(RetireSignal())
+    master.send(EndSignal())
     master.send(_item(1, rng.integers(0, 20, size=20).astype(np.uint8), problem))
     assert worker_loop(0, context, worker) == 1
     assert master.recv().sequence_id == 0 and not master.poll()

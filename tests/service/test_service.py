@@ -318,6 +318,31 @@ def test_file_control_plane_submit_cancel_and_rejection(tiny_world, tmp_path):
         assert not (root / "jobs" / "job-file-2" / "cancel.request").exists()
 
 
+def test_unreadable_queue_entry_is_rejected_and_moved_aside(tiny_world, tmp_path):
+    # Regression: a directory named like a request made every poll raise
+    # IsADirectoryError, so `serve` exited and the requests sorted after
+    # it were never read.
+    root = tmp_path / "svc"
+    with _service(tiny_world, root) as service:
+        bad = root / "queue" / "req-00000000000000000000-0.json"
+        bad.mkdir(parents=True)
+        write_submit_request(root, _spec(job_id="job-after-bad"))
+        assert sorted(root.joinpath("queue").iterdir())[0] == bad
+
+        assert service.poll_control_plane() == 2
+        assert service.status("job-after-bad")["state"] in (
+            JobState.PENDING,
+            JobState.RUNNING,
+            JobState.DONE,
+        )
+        record = json.loads((root / "rejected" / bad.name).read_text())
+        assert "IsADirectoryError" in record["error"]
+        assert not list((root / "queue").iterdir())
+        assert (root / "rejected" / f"{bad.name}.entry").is_dir()
+
+        assert service.poll_control_plane() == 0
+
+
 def test_recovery_readmits_interrupted_jobs_bit_exact(tiny_world, tmp_path):
     # Simulate a SIGKILL: run a job partway, evict it (leaving durable
     # snapshots), then forge its on-disk state back to RUNNING — exactly

@@ -153,8 +153,9 @@ def test_factory_rejects_backend_foreign_kwargs(
     tiny_engine, tiny_problem, backend, kwargs, match
 ):
     # Regression: kwargs meant for another backend were silently dropped
-    # (scaling= with the serial backend ran unscaled without a word).
-    # Each offending kwarg is now named, with the backends that take it.
+    # (share_memory= with the serial backend was ignored without a word).
+    # Each offending kwarg is now named, with the backends that take it;
+    # the deleted pool-size keywords are named as unknown.
     target, non_targets = tiny_problem
     with pytest.raises(ValueError, match=match):
         make_score_provider(
