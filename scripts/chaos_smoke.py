@@ -17,8 +17,8 @@ traceback:
    uninterrupted reference.
 3. **Shared fabric with a client crash.**  Three concurrent seeded
    campaigns run as clients of one :class:`~repro.fabric.ScoringFabric`;
-   one client is closed mid-run (a campaign crashing and abandoning its
-   in-flight batch).  The two surviving campaigns must finish bit-exact
+   one client is closed mid-run (a campaign crashing between its
+   batches).  The two surviving campaigns must finish bit-exact
    against dedicated-pool runs of the same problems, and the crashed
    campaign must surface ``ClientClosedError`` instead of wedging the
    fabric.
@@ -211,7 +211,6 @@ def _scenario_fabric(world, non_targets, reference) -> bool:
     with ScoringFabric(
         world.engine,
         num_workers=NUM_WORKERS,
-        max_items=16,
         faults=FaultPlan(delay=0.01),  # keep campaign C in flight at close
         telemetry=telemetry,
     ) as fabric:
@@ -232,7 +231,7 @@ def _scenario_fabric(world, non_targets, reference) -> bool:
         for t in threads:
             t.start()
         time.sleep(0.3)
-        clients["c"].close()  # the injected crash: abandons C's batch
+        clients["c"].close()  # the injected crash: C's next call fails
         for t in threads:
             t.join()
         stats = fabric.fabric_stats()

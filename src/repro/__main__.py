@@ -295,10 +295,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f"\nfabric: clients={fs['clients']}/{fs['total_clients']} "
             f"fused_batches={fs['fused_batches']} "
             f"fused_items={fs['fused_items']} "
-            f"mean_fused={fs['mean_fused_size']:.1f} "
-            f"abandoned={fs['abandoned_items']} "
-            f"max_items={fs['max_items']} "
-            f"max_wait={fs['max_wait_ms']:.0f}ms"
+            f"mean_fused={fs['mean_fused_size']:.1f}"
         )
         fabric.close()
     if args.out:
@@ -397,7 +394,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     stats = service.service_stats()
     print(
         f"serving design jobs under {args.root} "
-        f"(profile {args.profile!r}, {args.max_concurrent} engine threads, "
+        f"(profile {args.profile!r}, up to {args.max_concurrent} jobs at once, "
         f"{stats['recovered']} jobs recovered)",
         flush=True,
     )
@@ -578,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         "--backend", choices=("serial", "process", "thread", "fabric"),
         default="serial",
         help="scoring backend (bare --workers N implies 'process'; "
-        "'fabric' reports the coalescer's fabric line too)",
+        "'fabric' reports the fabric's dispatch line too)",
     )
     p_stats.add_argument(
         "--no-shm", action="store_true",
@@ -602,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_serve.add_argument(
         "--max-concurrent", type=int, default=2, metavar="N",
-        help="engine threads = jobs that may RUN at once (default: 2)",
+        help="jobs that may run at once (default: 2)",
     )
     p_serve.add_argument(
         "--max-queue", type=int, default=32, metavar="N",

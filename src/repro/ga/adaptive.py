@@ -152,8 +152,8 @@ class AdaptiveInSiPSEngine(InSiPSEngine):
                     nxt.append(child)
         return nxt
 
-    def evaluate_population(self, population: Population) -> int:
-        evals = super().evaluate_population(population)
+    def apply_scores(self, population, pending, score_sets) -> int:
+        evals = super().apply_scores(population, pending, score_sets)
         outcomes: dict[str, list[bool]] = {"mutate": [], "crossover": []}
         for member in population:
             origin = member.__dict__.get("origin")

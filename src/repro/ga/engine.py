@@ -5,6 +5,14 @@ population generation, fitness combination, operator application and the
 termination decision.  PIPE scoring is delegated to a
 :class:`~repro.ga.fitness.ScoreProvider`, which is either in-process
 (serial reference) or the multiprocessing master/worker runtime.
+
+The loop is written once, as a generator: :meth:`InSiPSEngine.steps`
+yields each generation's unevaluated members and takes their scores
+back, so whoever drives it decides how a batch is scored.
+:meth:`InSiPSEngine.run` is the short driver that scores through the
+engine's provider; :class:`~repro.service.DesignService` drives every
+running job's generator from one loop and scores all of a round's
+batches in one fused dispatch.
 """
 
 from __future__ import annotations
@@ -12,12 +20,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ga.config import GAParams
-from repro.ga.fitness import FitnessFunction, ScoreProvider
+from repro.ga.fitness import FitnessFunction, ScoreProvider, ScoreSet
 from repro.ga.operators import (
     crossover_with_provenance,
     mutate_with_provenance,
@@ -114,6 +123,8 @@ class InSiPSEngine:
         # runs mutate self.params later, so it is captured here, once).
         self._config_fingerprint = self._fingerprint()
         self._restored: dict | None = None
+        # Generation of the batch steps() last yielded (retry events name it).
+        self._scoring_generation = 0
 
     def _fingerprint(self) -> str:
         """Hash of the GA + problem configuration a snapshot belongs to."""
@@ -207,10 +218,26 @@ class InSiPSEngine:
 
     def evaluate_population(self, population: Population) -> int:
         """Evaluate all unevaluated members; returns evaluation count."""
-        pending = len(population.unevaluated_members())
-        self.fitness.evaluate(population.members)
-        self.evaluations += pending
-        return pending
+        pending = population.unevaluated_members()
+        return self.apply_scores(
+            population,
+            pending,
+            self.fitness.score(
+                [m.encoded for m in pending], [m.provenance for m in pending]
+            ),
+        )
+
+    def apply_scores(
+        self,
+        population: Population,
+        pending: list[Individual],
+        score_sets: list[ScoreSet],
+    ) -> int:
+        """Write one generation's scores onto its unevaluated members
+        ``pending`` (aligned with ``score_sets``); returns their count."""
+        self.fitness.apply(pending, score_sets)
+        self.evaluations += len(pending)
+        return len(pending)
 
     # -- checkpoint / resume -----------------------------------------------
 
@@ -331,22 +358,24 @@ class InSiPSEngine:
             duration_s=time.perf_counter() - gen_start,
         )
 
-    def _evaluate_with_retry(self, population, retry, deadline) -> int:
-        """Evaluate ``population``, retrying transient failures.
+    def _score_with_retry(self, batch, retry, deadline) -> list[ScoreSet]:
+        """Score one batch :meth:`steps` yielded, retrying transient
+        failures.
 
         With no ``retry`` policy this is a single attempt (the historical
         behaviour).  With one, transient exceptions (per
         ``retry.is_transient``) are retried with backoff — bit-exact,
-        because scoring is deterministic per sequence and a partially
-        evaluated population only re-scores its unevaluated members.  The
-        backoff sleep never overshoots ``deadline``.
+        because scoring is deterministic per sequence and the batch holds
+        only the generation's unevaluated members.  The backoff sleep
+        never overshoots ``deadline``.
         """
+        arrays, provenances = batch
         telemetry = self.telemetry
         attempt = 0
         while True:
             try:
                 with telemetry.span("ga.evaluate"):
-                    return self.evaluate_population(population)
+                    return self.fitness.score(arrays, provenances)
             except BaseException as exc:
                 out_of_time = deadline is not None and deadline.expired()
                 if (
@@ -363,7 +392,7 @@ class InSiPSEngine:
                 telemetry.count("ga.eval_retries")
                 telemetry.event(
                     "ga.eval_retry",
-                    generation=int(population.generation),
+                    generation=self._scoring_generation,
                     attempt=attempt,
                     error=f"{type(exc).__name__}: {exc}",
                     delay_s=delay,
@@ -380,7 +409,7 @@ class InSiPSEngine:
         except Exception:  # pragma: no cover - best effort
             pass
 
-    def run(
+    def steps(
         self,
         termination: TerminationCriterion | int,
         *,
@@ -388,49 +417,28 @@ class InSiPSEngine:
         checkpoint=None,
         deadline=None,
         retry=None,
-    ) -> GAResult:
-        """Execute the main GA loop until the termination criterion fires.
+    ) -> Generator[tuple[list[np.ndarray], list], list[ScoreSet], GAResult]:
+        """The GA loop as a generator: one step per generation.
 
-        ``termination`` may be an integer (max generations) for
-        convenience.  ``on_generation`` is an optional callback
-        ``(population, stats) -> None`` invoked after each evaluation,
-        used by the experiment drivers to stream learning curves.
-        ``checkpoint`` is an optional
-        :class:`~repro.checkpoint.CheckpointManager`: due generations are
-        snapshotted at the barrier (after evaluation and stats), and a
-        dying evaluation (e.g. the parallel runtime's ``DeadWorkerError``
-        past its retry budget, or a KeyboardInterrupt) triggers a
-        best-effort emergency snapshot before the exception propagates.
+        Each step yields the generation's unevaluated members as
+        ``(arrays, provenances)`` and takes their ``list[ScoreSet]``
+        back through ``send``; the generator returns the
+        :class:`GAResult` (``StopIteration.value``).  The caller decides
+        how a batch is scored: :meth:`run` asks the provider, the design
+        service fuses every running job's batch into one dispatch.
+        Barrier checkpoints, resuming at a barrier, the deadline stop and
+        ``on_generation`` happen in here, as :meth:`run` documents; the
+        arguments mean what they mean there.
 
-        Supervision (both optional):
-
-        ``deadline`` — a :class:`~repro.resilience.policies.Deadline` (or
-        plain seconds) bounding the campaign's wall clock.  Checked at
-        each generation barrier; on expiry the run stops cleanly with the
-        best-so-far result (``completed=False``,
-        ``stop_reason="deadline"``), a final barrier snapshot (when
-        checkpointing) and a degradation record, so ``--resume`` can
-        continue it later.
-
-        ``retry`` — a :class:`~repro.resilience.policies.RetryPolicy`;
-        transient evaluation failures are retried with seeded backoff.
-        If the budget is exhausted after at least one generation
-        completed, the run returns partial results the same way instead
-        of raising; with nothing evaluated yet there is nothing partial
-        to return, and the exception propagates (after the emergency
-        snapshot).
-
-        After :meth:`resume`, the restored state replaces the initial
-        population and the loop continues exactly where the snapshot was
-        taken — a barrier snapshot's generation is not re-evaluated, nor
-        its stats re-appended or callbacks re-fired.
+        A caller whose scoring failed throws the exception in
+        (``throw``).  The generator takes the emergency snapshot, then
+        either ends cleanly with the partial result — the supervised stop,
+        when a generation has completed and ``retry`` (the policy the
+        caller scored under) deems the failure transient — or re-raises.
         """
         if isinstance(termination, int):
             termination = MaxGenerations(termination)
-        if deadline is not None and not hasattr(deadline, "expired"):
-            from repro.resilience.policies import Deadline
-
-            deadline = Deadline.after(float(deadline))
+        deadline = _as_deadline(deadline)
         telemetry = self.telemetry
         restored = self._restored
         self._restored = None
@@ -447,10 +455,16 @@ class InSiPSEngine:
         while True:
             if not at_barrier:
                 gen_start = time.perf_counter()
+                pending = population.unevaluated_members()
+                self._scoring_generation = int(population.generation)
                 try:
-                    evals = self._evaluate_with_retry(
-                        population, retry, deadline
+                    score_sets = yield (
+                        [m.encoded for m in pending],
+                        [m.provenance for m in pending],
                     )
+                    evals = self.apply_scores(population, pending, score_sets)
+                except GeneratorExit:
+                    raise
                 except BaseException as exc:
                     reason = f"{type(exc).__name__}: {exc}"
                     self._save_emergency(
@@ -541,3 +555,83 @@ class InSiPSEngine:
             generations=len(history),
             evaluations=self.evaluations,
         )
+
+    def run(
+        self,
+        termination: TerminationCriterion | int,
+        *,
+        on_generation=None,
+        checkpoint=None,
+        deadline=None,
+        retry=None,
+    ) -> GAResult:
+        """Execute the main GA loop until the termination criterion fires.
+
+        ``termination`` may be an integer (max generations) for
+        convenience.  ``on_generation`` is an optional callback
+        ``(population, stats) -> None`` invoked after each evaluation,
+        used by the experiment drivers to stream learning curves.
+        ``checkpoint`` is an optional
+        :class:`~repro.checkpoint.CheckpointManager`: due generations are
+        snapshotted at the barrier (after evaluation and stats), and a
+        dying evaluation (e.g. the parallel runtime's ``DeadWorkerError``
+        past its retry budget, or a KeyboardInterrupt) triggers a
+        best-effort emergency snapshot before the exception propagates.
+
+        Supervision (both optional):
+
+        ``deadline`` — a :class:`~repro.resilience.policies.Deadline` (or
+        plain seconds) bounding the campaign's wall clock.  Checked at
+        each generation barrier; on expiry the run stops cleanly with the
+        best-so-far result (``completed=False``,
+        ``stop_reason="deadline"``), a final barrier snapshot (when
+        checkpointing) and a degradation record, so ``--resume`` can
+        continue it later.
+
+        ``retry`` — a :class:`~repro.resilience.policies.RetryPolicy`;
+        transient evaluation failures are retried with seeded backoff.
+        If the budget is exhausted after at least one generation
+        completed, the run returns partial results the same way instead
+        of raising; with nothing evaluated yet there is nothing partial
+        to return, and the exception propagates (after the emergency
+        snapshot).
+
+        After :meth:`resume`, the restored state replaces the initial
+        population and the loop continues exactly where the snapshot was
+        taken — a barrier snapshot's generation is not re-evaluated, nor
+        its stats re-appended or callbacks re-fired.
+
+        ``run`` drives :meth:`steps`: it scores each yielded batch
+        through the provider (the ``ga.evaluate`` span, under ``retry``)
+        and throws a failure that outlived the retries into the
+        generator.
+        """
+        deadline = _as_deadline(deadline)
+        steps = self.steps(
+            termination,
+            on_generation=on_generation,
+            checkpoint=checkpoint,
+            deadline=deadline,
+            retry=retry,
+        )
+        try:
+            batch = next(steps)
+            while True:
+                try:
+                    score_sets = self._score_with_retry(batch, retry, deadline)
+                except BaseException as exc:
+                    batch = steps.throw(exc)
+                else:
+                    batch = steps.send(score_sets)
+        except StopIteration as stop:
+            return stop.value
+
+
+def _as_deadline(deadline):
+    """``deadline`` as a :class:`~repro.resilience.policies.Deadline`;
+    plain seconds start the clock now."""
+    if deadline is not None and not hasattr(deadline, "expired"):
+        from repro.resilience.policies import Deadline
+
+        return Deadline.after(float(deadline))
+    return deadline

@@ -47,6 +47,7 @@ __all__ = [
     "ScoreSet",
     "combine_scores",
     "ScoreProvider",
+    "CacheLookup",
     "CachingScoreProvider",
     "SerialScoreProvider",
     "FitnessFunction",
@@ -82,6 +83,23 @@ class ScoreSet:
 def combine_scores(scores: ScoreSet) -> float:
     """The Sec. 2.2 fitness: ``(1 - MAX(non-targets)) * target``."""
     return (1.0 - scores.max_non_target) * scores.target_score
+
+
+@dataclass
+class CacheLookup:
+    """A batch after :meth:`CachingScoreProvider.lookup`.
+
+    ``results`` holds the cache's answers (``None`` where a miss is
+    pending); ``arrays``/``provenances`` are the distinct misses still to
+    score, in first-seen order, and ``misses`` their ``(index, key)``
+    positions in ``batch``.
+    """
+
+    batch: list[np.ndarray]
+    results: list[ScoreSet | None]
+    misses: list[tuple[int, bytes]]
+    arrays: list[np.ndarray]
+    provenances: list[Provenance | None] | None
 
 
 class ScoreProvider(ABC):
@@ -182,6 +200,22 @@ class CachingScoreProvider(ScoreProvider):
         sequences: list[np.ndarray],
         provenances: list[Provenance | None] | None,
     ) -> list[ScoreSet]:
+        lookup = self.lookup(sequences, provenances)
+        fresh = (
+            self._score_uncached(lookup.arrays, lookup.provenances)
+            if lookup.arrays
+            else []
+        )
+        return self.store(lookup, fresh)
+
+    def lookup(
+        self,
+        sequences: list[np.ndarray],
+        provenances: list[Provenance | None] | None,
+    ) -> "CacheLookup":
+        """The cache half of scoring: answer what the LRU holds and list
+        the distinct misses still to score (an in-batch duplicate of a
+        miss is scored once).  :meth:`store` completes the batch."""
         self._closed = False
         arrays = [np.asarray(s, dtype=np.uint8) for s in sequences]
         if provenances is not None and len(provenances) != len(arrays):
@@ -189,8 +223,8 @@ class CachingScoreProvider(ScoreProvider):
                 f"{len(provenances)} provenances for {len(arrays)} sequences"
             )
         results: list[ScoreSet | None] = [None] * len(arrays)
-        pending: list[tuple[int, bytes]] = []
-        seen_in_batch: dict[bytes, int] = {}
+        misses: list[tuple[int, bytes]] = []
+        seen_in_batch: set[bytes] = set()
         for i, arr in enumerate(arrays):
             key = arr.tobytes()
             cached = self._cache.get(key)
@@ -200,40 +234,48 @@ class CachingScoreProvider(ScoreProvider):
                 self._hits += 1
                 self.telemetry.count("provider.cache.hits")
             elif key in seen_in_batch:
-                # Duplicate within the batch: scored once, filled below.
+                # Duplicate within the batch: scored once, filled by store.
                 self._hits += 1
                 self.telemetry.count("provider.cache.hits")
             else:
-                seen_in_batch[key] = i
-                pending.append((i, key))
+                seen_in_batch.add(key)
+                misses.append((i, key))
                 self._misses += 1
                 self.telemetry.count("provider.cache.misses")
-        if pending:
-            fresh = self._score_uncached(
-                [arrays[i] for i, _ in pending],
-                (
-                    [provenances[i] for i, _ in pending]
-                    if provenances is not None
-                    else None
-                ),
+        return CacheLookup(
+            batch=arrays,
+            results=results,
+            misses=misses,
+            arrays=[arrays[i] for i, _ in misses],
+            provenances=(
+                [provenances[i] for i, _ in misses]
+                if provenances is not None
+                else None
+            ),
+        )
+
+    def store(
+        self, lookup: "CacheLookup", fresh: list[ScoreSet]
+    ) -> list[ScoreSet]:
+        """The other half: file the misses' fresh score sets (aligned with
+        ``lookup.arrays``) in the LRU and return the whole batch's."""
+        if len(fresh) != len(lookup.misses):
+            raise RuntimeError(
+                f"{type(self).__name__}: {len(fresh)} fresh results for "
+                f"{len(lookup.misses)} cache misses"
             )
-            if len(fresh) != len(pending):
-                raise RuntimeError(
-                    f"{type(self).__name__}._score_uncached returned "
-                    f"{len(fresh)} results for {len(pending)} sequences"
-                )
-            fresh_by_key: dict[bytes, ScoreSet] = {}
-            for (i, key), score_set in zip(pending, fresh):
-                results[i] = score_set
-                fresh_by_key[key] = score_set
-                self._store(key, score_set)
-            # Fill in-batch duplicates from this batch's fresh results, not
-            # the cache: a cache smaller than the batch may already have
-            # evicted the entry the duplicate needs.
-            for i, arr in enumerate(arrays):
-                if results[i] is None:
-                    results[i] = fresh_by_key[arr.tobytes()]
-        assert all(r is not None for r in results)
+        results = lookup.results
+        fresh_by_key: dict[bytes, ScoreSet] = {}
+        for (i, key), score_set in zip(lookup.misses, fresh):
+            results[i] = score_set
+            fresh_by_key[key] = score_set
+            self._insert(key, score_set)
+        # Fill in-batch duplicates from this batch's fresh results, not
+        # the cache: a cache smaller than the batch may already have
+        # evicted the entry the duplicate needs.
+        for i, arr in enumerate(lookup.batch):
+            if results[i] is None:
+                results[i] = fresh_by_key[arr.tobytes()]
         return results  # type: ignore[return-value]
 
     @abstractmethod
@@ -250,7 +292,7 @@ class CachingScoreProvider(ScoreProvider):
 
     # -- cache management ---------------------------------------------------
 
-    def _store(self, key: bytes, score_set: ScoreSet) -> None:
+    def _insert(self, key: bytes, score_set: ScoreSet) -> None:
         while len(self._cache) >= self.cache_size:
             self._cache.popitem(last=False)  # evict least recently used
             self._evictions += 1
@@ -349,43 +391,64 @@ class SerialScoreProvider(CachingScoreProvider):
 
 
 class FitnessFunction:
-    """Convenience wrapper: evaluate individuals in place.
+    """Evaluate individuals in place, in two halves.
 
-    Binds a :class:`ScoreProvider` and writes ``fitness`` plus the three
-    Figure-7 statistics onto each :class:`Individual`.
+    Binds a :class:`ScoreProvider`.  :meth:`score` turns a batch of
+    sequences into score sets through the provider; :meth:`apply` writes
+    ``fitness`` plus the three Figure-7 statistics onto each
+    :class:`Individual`.  A caller that scores elsewhere (the design
+    service's fused dispatch) uses :meth:`apply` alone.
     """
 
     def __init__(self, provider: ScoreProvider) -> None:
         self.provider = provider
 
-    def evaluate(self, individuals: list[Individual]) -> None:
-        """Evaluate all unevaluated individuals (batch, provider-ordered).
+    def score(
+        self,
+        arrays: list[np.ndarray],
+        provenances: list[Provenance | None] | None,
+    ) -> list[ScoreSet]:
+        """Score sets of ``arrays`` (batch, provider-ordered).
 
-        Each individual's operator provenance rides along so providers
-        can delta-score; providers without ``scores_with_provenance``
+        Each sequence's operator provenance rides along so providers can
+        delta-score; providers without ``scores_with_provenance``
         (minimal duck-typed stubs) are scored the classic way.
         """
-        pending = [ind for ind in individuals if not ind.evaluated]
-        if not pending:
-            return
+        if not arrays:
+            return []
         with_provenance = getattr(self.provider, "scores_with_provenance", None)
         if with_provenance is not None:
-            score_sets = with_provenance(
-                [ind.encoded for ind in pending],
-                [getattr(ind, "provenance", None) for ind in pending],
-            )
+            score_sets = with_provenance(arrays, provenances)
         else:
-            score_sets = self.provider.scores([ind.encoded for ind in pending])
-        if len(score_sets) != len(pending):
+            score_sets = self.provider.scores(arrays)
+        if len(score_sets) != len(arrays):
             raise RuntimeError(
                 f"score provider returned {len(score_sets)} results "
-                f"for {len(pending)} sequences"
+                f"for {len(arrays)} sequences"
             )
-        for ind, scores in zip(pending, score_sets):
+        return score_sets
+
+    @staticmethod
+    def apply(individuals: list[Individual], score_sets: list[ScoreSet]) -> None:
+        """Write each score set's fitness and statistics onto its
+        individual (``score_sets`` aligned with ``individuals``)."""
+        for ind, scores in zip(individuals, score_sets):
             ind.target_score = scores.target_score
             ind.max_non_target = scores.max_non_target
             ind.avg_non_target = scores.avg_non_target
             ind.fitness = combine_scores(scores)
+
+    def evaluate(self, individuals: list[Individual]) -> None:
+        """Evaluate all unevaluated individuals: :meth:`score`, then
+        :meth:`apply`."""
+        pending = [ind for ind in individuals if not ind.evaluated]
+        self.apply(
+            pending,
+            self.score(
+                [ind.encoded for ind in pending],
+                [ind.provenance for ind in pending],
+            ),
+        )
 
     def __call__(self, individuals: list[Individual]) -> None:
         self.evaluate(individuals)

@@ -52,10 +52,10 @@ __all__ = [
 #: Recognised ``backend=`` names of :func:`make_score_provider`.
 BACKENDS = ("serial", "process", "thread", "fabric")
 
-# kwarg-name -> accepting-backends tables, built lazily from the actual
+# backend -> accepted-kwargs table, built lazily from the actual
 # constructor signatures (so a new backend parameter is accepted here the
 # moment it exists, with no second list to keep in sync).
-_KWARG_TABLES: tuple[dict[str, frozenset[str]], frozenset[str]] | None = None
+_KWARG_TABLE: dict[str, frozenset[str]] | None = None
 
 # Parameters spelled explicitly in make_score_provider's own signature (or
 # supplied by it), never via **backend_kwargs.
@@ -71,10 +71,10 @@ _EXCLUDED_PARAMS = {
 }
 
 
-def _kwarg_tables() -> tuple[dict[str, frozenset[str]], frozenset[str]]:
-    """(backend -> allowed backend_kwargs, fabric-constructor settings)."""
-    global _KWARG_TABLES
-    if _KWARG_TABLES is None:
+def _kwarg_table() -> dict[str, frozenset[str]]:
+    """backend -> allowed backend_kwargs."""
+    global _KWARG_TABLE
+    if _KWARG_TABLE is None:
         import inspect
 
         from repro.fabric import ScoringFabric
@@ -88,7 +88,7 @@ def _kwarg_tables() -> tuple[dict[str, frozenset[str]], frozenset[str]]:
                 and p.kind is not inspect.Parameter.VAR_KEYWORD
             )
 
-        allowed = {
+        _KWARG_TABLE = {
             "serial": params(SerialScoreProvider.__init__),
             "thread": params(ThreadScoreProvider.__init__),
             # The provider's own keyword (cache_size) + the pool's.
@@ -96,8 +96,7 @@ def _kwarg_tables() -> tuple[dict[str, frozenset[str]], frozenset[str]]:
             | params(WorkerPool.__init__),
             "fabric": params(ScoringFabric.client) | {"fabric"},
         }
-        _KWARG_TABLES = (allowed, params(ScoringFabric.__init__))
-    return _KWARG_TABLES
+    return _KWARG_TABLE
 
 
 def _check_backend_kwargs(backend: str, kwargs: dict[str, object]) -> None:
@@ -109,7 +108,7 @@ def _check_backend_kwargs(backend: str, kwargs: dict[str, object]) -> None:
     a word.  Every offending kwarg is now named, along with the backends
     that do accept it.
     """
-    allowed, fabric_ctor = _kwarg_tables()
+    allowed = _kwarg_table()
     for name in kwargs:
         if name in allowed[backend]:
             continue
@@ -119,12 +118,6 @@ def _check_backend_kwargs(backend: str, kwargs: dict[str, object]) -> None:
                 "backend)"
             )
         owners = sorted(b for b, names in allowed.items() if name in names)
-        if name in fabric_ctor:
-            raise ValueError(
-                f"{name!r} does not apply to backend={backend!r}; it is a "
-                "ScoringFabric setting — configure it when building the "
-                "fabric, not per provider"
-            )
         if owners:
             raise ValueError(
                 f"{name!r} does not apply to backend={backend!r}; it is "
@@ -233,7 +226,7 @@ def make_score_provider(
         multiprocessing with the shared-memory proteome), ``"thread"``, or
         ``"fabric"`` (a client on a shared
         :class:`~repro.fabric.ScoringFabric` — pass the fabric as
-        ``source``; many campaigns coalesce onto its one pool).
+        ``source``; many campaigns share its one pool).
     workers:
         Worker count for the parallel backends; rejected for
         ``backend="serial"``.

@@ -9,14 +9,25 @@ turns the fabric into a service many tenants can share:
 
 * **One immutable scoring substrate.**  The service owns exactly one
   :class:`~repro.fabric.ScoringFabric` (one shared-memory proteome, one
-  worker pool); every job scores through its own
-  :class:`~repro.fabric.FabricClient`, so concurrent campaigns coalesce
-  into fused dispatch batches and stay bit-exact with dedicated pools.
+  worker pool); every job keeps its own score cache in its own
+  :class:`~repro.fabric.FabricClient` and stays bit-exact with a
+  dedicated pool.
+* **One loop, like Algorithm 1's master.**  One thread drives every
+  running job through its engine's
+  :meth:`~repro.ga.engine.InSiPSEngine.steps` generator, a round at a
+  time.  A round claims jobs into free slots, takes one generation's
+  batch from each running job, scores all their cache misses in one
+  :meth:`~repro.fabric.ScoringFabric.dispatch` (in claim order) and
+  hands each job its scores back.  Fusion happens at the generation
+  barrier, so a fused batch is an exact count; every running job
+  advances exactly one generation per round, so a large job cannot
+  starve a small one.  Cancel, evict and close take effect at the next
+  barrier.  Idle, the loop sleeps on a condition that submit, resume,
+  cancel, :meth:`DesignService.set_quota` and close notify.
 * **Jobs, not invocations.**  A :class:`JobSpec` (tenant, design
   problem, GA geometry, checkpoint/deadline policy) is validated *before*
   admission; an admitted job moves through the lifecycle
-  ``PENDING -> RUNNING -> {DONE, FAILED, CANCELLED, EVICTED}`` driven by
-  a bounded pool of engine threads.
+  ``PENDING -> RUNNING -> {DONE, FAILED, CANCELLED, EVICTED}``.
 * **Quotas and fairness.**  Per-tenant quotas
   (:class:`TenantQuota`) bound how many jobs a tenant may *run*
   concurrently (excess jobs wait in the queue) and how much total
@@ -63,10 +74,12 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.checkpoint import CheckpointManager, find_latest
 from repro.ga.config import GAParams
 from repro.ga.engine import GAResult, InSiPSEngine
+from repro.ga.fitness import ScoreSet
 from repro.ga.stats import RunHistory
 from repro.ga.termination import MaxGenerations, TerminationCriterion
 from repro.telemetry import (
@@ -76,6 +89,9 @@ from repro.telemetry import (
 )
 from repro.util.atomic import atomic_write
 from repro.util.validation import check_int_range, check_positive
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fabric import FabricClient
 
 __all__ = [
     "JobState",
@@ -200,6 +216,10 @@ class JobSpec:
         if not isinstance(self.target, str) or not self.target:
             raise ValueError(f"target must be a protein name, got {self.target!r}")
         if self.non_targets is not None:
+            if not all(isinstance(name, str) for name in self.non_targets):
+                raise ValueError(
+                    f"non_targets must be protein names, got {self.non_targets!r}"
+                )
             if self.target in self.non_targets:
                 raise ValueError(
                     f"target {self.target!r} also appears in the non-target list"
@@ -216,7 +236,9 @@ class JobSpec:
         if self.deadline_s is not None:
             check_positive(self.deadline_s, "deadline_s")
         check_int_range(self.demand, "demand", lo=1)
-        if self.job_id is not None and not _JOB_ID_RE.match(self.job_id):
+        if self.job_id is not None and not (
+            isinstance(self.job_id, str) and _JOB_ID_RE.match(self.job_id)
+        ):
             raise ValueError(
                 f"job_id must match {_JOB_ID_RE.pattern}, got {self.job_id!r}"
             )
@@ -256,30 +278,42 @@ class JobSpec:
         version = payload.get("version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported job spec version {version!r}")
-        non_targets = payload.get("non_targets")
         spec = cls(
             tenant=payload.get("tenant", ""),
             target=payload.get("target", ""),
-            non_targets=(
-                tuple(non_targets) if non_targets is not None else None
-            ),
+            non_targets=_field(payload, "non_targets", tuple, None),
             non_target_limit=payload.get("non_target_limit"),
-            seed=int(payload.get("seed", 0)),
-            generations=int(payload.get("generations", 10)),
-            population_size=int(payload.get("population_size", 12)),
-            candidate_length=int(payload.get("candidate_length", 20)),
-            params=GAParams.from_payload(dict(payload.get("params") or {})),
-            checkpoint_every=int(payload.get("checkpoint_every", 1)),
-            deadline_s=(
-                float(payload["deadline_s"])
-                if payload.get("deadline_s") is not None
-                else None
+            seed=_field(payload, "seed", int, 0),
+            generations=_field(payload, "generations", int, 10),
+            population_size=_field(payload, "population_size", int, 12),
+            candidate_length=_field(payload, "candidate_length", int, 20),
+            params=_field(
+                payload,
+                "params",
+                lambda p: GAParams.from_payload(dict(p or {})),
+                {},
             ),
-            demand=int(payload.get("demand", 1)),
+            checkpoint_every=_field(payload, "checkpoint_every", int, 1),
+            deadline_s=_field(payload, "deadline_s", float, None),
+            demand=_field(payload, "demand", int, 1),
             job_id=payload.get("job_id"),
         )
         spec.validate()
         return spec
+
+
+def _field(payload: dict[str, object], name: str, convert, default: object):
+    """``convert(payload[name])``, ``default`` when absent; an optional
+    field (``default`` None) may be None.  A wrong-typed value — a
+    ``TypeError`` such as ``int(None)`` — is a ``ValueError`` naming the
+    field, like every other invalid submission."""
+    value = payload.get(name, default)
+    if value is None and default is None:
+        return None
+    try:
+        return convert(value)
+    except TypeError as exc:
+        raise ValueError(f"job spec field {name!r}: {exc}") from exc
 
 
 def _canonical(payload: object) -> str:
@@ -459,6 +493,19 @@ class _Job:
         }
 
 
+class _Run:
+    """One attempt of a RUNNING job: its fabric client and telemetry, its
+    engine's ``steps()`` generator and the batch waiting on scores."""
+
+    def __init__(self, job: _Job) -> None:
+        self.job = job
+        self.registry = MetricsRegistry()
+        self.started = time.perf_counter()
+        self.client: FabricClient | None = None
+        self.steps = None
+        self.batch: tuple[list, list] | None = None
+
+
 # --------------------------------------------------------------------------
 # The service
 # --------------------------------------------------------------------------
@@ -479,7 +526,8 @@ class DesignService:
         The service's durable directory: ``jobs/`` artifacts, ``queue/``
         submit requests, ``rejected/`` rejection records.
     max_concurrent:
-        Engine-thread count — the global bound on RUNNING jobs.
+        How many jobs may run at once — the global bound on RUNNING
+        jobs, each advanced one generation per round of the loop.
     max_queue:
         Bound of the PENDING run queue; a submission past it is rejected
         with :class:`QuotaError` (recovered jobs bypass the bound: they
@@ -499,10 +547,10 @@ class DesignService:
         and its pool).
     **fabric_kwargs:
         Forwarded to :class:`~repro.fabric.ScoringFabric`
-        (``num_workers=``, ``max_items=``, ``faults=`` ...).
+        (``num_workers=``, ``timeout=``, ``faults=`` ...).
 
     Use as a context manager; :meth:`close` evicts running jobs
-    (checkpoint + release), stops the engine threads and reaps the pool.
+    (checkpoint + release), stops the service loop and reaps the pool.
     """
 
     def __init__(
@@ -549,18 +597,12 @@ class DesignService:
         self.rejected = 0
         self.resumed = 0
         self.recovered = 0
-        self._threads = [
-            threading.Thread(
-                target=self._engine_loop,
-                name=f"repro-service-engine-{i}",
-                daemon=True,
-            )
-            for i in range(self.max_concurrent)
-        ]
         if recover:
             self._recover_jobs()
-        for thread in self._threads:
-            thread.start()
+        self._loop = threading.Thread(
+            target=self._serve_loop, name="repro-service-loop", daemon=True
+        )
+        self._loop.start()
 
     # -- admission -----------------------------------------------------------
 
@@ -587,7 +629,7 @@ class DesignService:
                 "spec.non_targets is None and the service source cannot "
                 "resolve them (no non_targets_for); pass the list explicitly"
             )
-        # Fail a typo at admission, not inside an engine thread.
+        # Fail a typo at admission, not inside the service loop.
         self._graph.index_of(spec.target)
         for name in names:
             self._graph.index_of(name)
@@ -839,29 +881,44 @@ class DesignService:
         self._write_status(job)
         return job_id
 
-    # -- the engine threads --------------------------------------------------
+    # -- the service loop ----------------------------------------------------
 
-    def _engine_loop(self) -> None:
+    def _serve_loop(self) -> None:
+        """Drive every running job, one round (one generation each) at a
+        time, until :meth:`close` and the last running job has stopped."""
+        runs: list[_Run] = []
         while True:
-            job = self._claim_next()
-            if job is None:
-                return
-            self._write_status(job)
-            self._run_job(job)
+            with self._cond:
+                while True:
+                    claimed = self._claim_locked(self.max_concurrent - len(runs))
+                    if runs or claimed or self._closing:
+                        break
+                    self._cond.wait()
+                if not runs and not claimed:
+                    return
+            for job in claimed:
+                self._write_status(job)
+                run = self._start_run(job)
+                if run is not None:
+                    runs.append(run)
+            if runs:
+                runs = self._round(runs)
 
-    def _claim_next(self) -> _Job | None:
-        with self._cond:
-            while True:
-                if self._closing:
-                    return None
-                job = self._pick_locked()
-                if job is not None:
-                    job.state = JobState.RUNNING
-                    job.started_at = time.time()
-                    job.attempts += 1
-                    self._update_gauges_locked()
-                    return job
-                self._cond.wait(timeout=0.2)
+    def _claim_locked(self, slots: int) -> list[_Job]:
+        """Claim up to ``slots`` PENDING jobs by the fair rule of
+        :meth:`_pick_locked`; none once the service is closing."""
+        claimed: list[_Job] = []
+        while not self._closing and len(claimed) < slots:
+            job = self._pick_locked()
+            if job is None:
+                break
+            job.state = JobState.RUNNING
+            job.started_at = time.time()
+            job.attempts += 1
+            claimed.append(job)
+        if claimed:
+            self._update_gauges_locked()
+        return claimed
 
     def _pick_locked(self) -> _Job | None:
         """Fair claim: FIFO within a tenant, round-robin across tenants,
@@ -881,30 +938,29 @@ class DesignService:
             return self._queues[tenant].popleft()
         return None
 
-    def _run_job(self, job: _Job) -> None:
+    def _start_run(self, job: _Job) -> "_Run | None":
+        """Open the job's client, engine and checkpoints and advance its
+        ``steps()`` generator to the first batch; ``None`` if the job
+        ended there already (failed, or stopped at a restored barrier)."""
         spec = job.spec
-        started = time.perf_counter()
-        registry = MetricsRegistry()
-        client = None
-        result: GAResult | None = None
-        error: BaseException | None = None
+        run = _Run(job)
         try:
-            client = self._fabric.client(
-                spec.target, job.non_targets, telemetry=registry
+            run.client = self._fabric.client(
+                spec.target, job.non_targets, telemetry=run.registry
             )
             engine = InSiPSEngine(
-                client,
+                run.client,
                 spec.params,
                 population_size=spec.population_size,
                 candidate_length=spec.candidate_length,
                 seed=spec.seed,
-                telemetry=registry,
+                telemetry=run.registry,
             )
             manager = CheckpointManager(
                 job.checkpoint_dir,
                 every=spec.checkpoint_every,
                 fsync=self.fsync,
-                telemetry=registry,
+                telemetry=run.registry,
             )
             with self._lock:
                 job.manager = manager
@@ -919,7 +975,7 @@ class DesignService:
                 job.best_fitness = float(stats.best_fitness)
                 self._write_status(job)
 
-            result = engine.run(
+            run.steps = engine.steps(
                 _ControlledTermination(
                     MaxGenerations(spec.generations), job.control
                 ),
@@ -927,29 +983,74 @@ class DesignService:
                 checkpoint=manager,
                 deadline=spec.deadline_s,
             )
-        except BaseException as exc:  # noqa: BLE001 - recorded on the job
-            error = exc
-        finally:
-            with self._lock:
-                job.manager = None
-            if client is not None:
-                try:
-                    client.close()
-                except Exception:  # pragma: no cover - best effort
-                    pass
+            run.batch = next(run.steps)
+        except StopIteration as stop:
+            self._finish_job(run, stop.value, None)
+            return None
+        except Exception as exc:  # recorded on the job
+            self._finish_job(run, None, exc)
+            return None
+        return run
+
+    def _round(self, runs: list[_Run]) -> list[_Run]:
+        """One generation of every running job: their cache misses go to
+        the pool in one fused dispatch, in claim order, then each job gets
+        its scores back and advances to its next batch.  A failed
+        dispatch fails exactly the jobs with items in it.  Returns the
+        jobs still running."""
+        lookups = [run.client.lookup(*run.batch) for run in runs]
+        fused = [i for i, lookup in enumerate(lookups) if lookup.arrays]
+        fresh: dict[int, list[ScoreSet]] = {}
+        failure: Exception | None = None
+        started = time.perf_counter()
+        try:
+            scored = self._fabric.dispatch(
+                [
+                    (runs[i].client, lookups[i].arrays, lookups[i].provenances)
+                    for i in fused
+                ]
+            )
+            fresh = dict(zip(fused, scored))
+        except Exception as exc:  # fails the fused jobs, below
+            failure = exc
+        elapsed = time.perf_counter() - started
+        still_running: list[_Run] = []
+        for i, (run, lookup) in enumerate(zip(runs, lookups)):
             try:
-                export_jsonl(registry, job.dir / "telemetry.jsonl")
-            except Exception:  # pragma: no cover - best effort
-                pass
-        self._finish_job(job, result, error, time.perf_counter() - started)
+                if failure is not None and lookup.arrays:
+                    run.batch = run.steps.throw(failure)
+                else:
+                    run.registry.record_timing("ga.evaluate", elapsed)
+                    run.batch = run.steps.send(
+                        run.client.store(lookup, fresh.get(i, []))
+                    )
+            except StopIteration as stop:
+                self._finish_job(run, stop.value, None)
+            except Exception as exc:  # recorded on the job
+                self._finish_job(run, None, exc)
+            else:
+                still_running.append(run)
+        return still_running
 
     def _finish_job(
         self,
-        job: _Job,
+        run: "_Run",
         result: GAResult | None,
         error: BaseException | None,
-        elapsed: float,
     ) -> None:
+        job = run.job
+        with self._lock:
+            job.manager = None
+        if run.client is not None:
+            try:
+                run.client.close()
+            except Exception:  # pragma: no cover - best effort
+                pass
+        try:
+            export_jsonl(run.registry, job.dir / "telemetry.jsonl")
+        except Exception:  # pragma: no cover - best effort
+            pass
+        elapsed = time.perf_counter() - run.started
         spec = job.spec
         stopped = job.control.requested
         payload: dict[str, object] | None = None
@@ -970,8 +1071,8 @@ class DesignService:
                 job.reason = f"{stopped} at generation {len(result.history)}"
         elif stopped is not None:
             # The stop raced the run hard enough to surface as an error
-            # (e.g. the fabric client was closed under it) — still a
-            # clean cancel/evict, resumable from the last snapshot.
+            # (e.g. the fabric closed under it) — still a clean
+            # cancel/evict, resumable from the last snapshot.
             state = (
                 JobState.CANCELLED if stopped == "cancel" else JobState.EVICTED
             )
@@ -999,7 +1100,6 @@ class DesignService:
                 elapsed_s=elapsed,
             )
             self._update_gauges_locked()
-            self._cond.notify_all()
         self._write_status(job)
 
     def _result_payload(self, job: _Job, result: GAResult) -> dict[str, object]:
@@ -1057,7 +1157,7 @@ class DesignService:
 
         Their artifact directories already hold spec + snapshots; a
         recovered job resumes from its newest valid snapshot when an
-        engine thread claims it.  Terminal jobs are loaded as records so
+        service loop claims it.  Terminal jobs are loaded as records so
         status/resume keep working across restarts.
         """
         recovered: list[_Job] = []
@@ -1204,8 +1304,9 @@ class DesignService:
     # -- shutdown ------------------------------------------------------------
 
     def close(self, *, join_timeout_s: float = 120.0) -> None:
-        """Evict running jobs (checkpoint + release), stop the engine
-        threads and close the fabric; idempotent."""
+        """Evict running jobs (checkpoint + release, at their next
+        barrier), stop the service loop and close the fabric;
+        idempotent."""
         with self._lock:
             if self._closed:
                 return
@@ -1222,8 +1323,7 @@ class DesignService:
                     if job.manager is not None:
                         job.manager.request_save()
             self._cond.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=join_timeout_s)
+        self._loop.join(timeout=join_timeout_s)
         self._fabric.close()
         with self._lock:
             self._closed = True

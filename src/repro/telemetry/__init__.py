@@ -38,12 +38,12 @@ Metric namespaces in use:
                             ``parallel.degraded_batches``), breaker
                             probes (``parallel.breaker_probes``) and
                             ``parallel.force_killed`` workers at close
-``fabric.*``                scoring-fabric coalescer: ``fused_batches`` /
-                            ``fused_items`` / ``abandoned_items``
-                            counters, the ``fabric.clients`` and
-                            ``fabric.pending_items`` gauges (the latter
-                            reconciled when a client abandons mid-flight)
-                            and the ``fabric.queue_wait`` histogram
+``fabric.*``                scoring-fabric dispatch: ``fused_batches`` /
+                            ``fused_items`` / ``failed_dispatches`` and
+                            per-client ``fabric.client.<id>.items``
+                            counters, the ``fabric.clients`` gauge and
+                            the ``fabric.queue_wait`` histogram (a
+                            dispatch's wait for the fabric lock)
 ``service.*``               design-service job orchestration: the
                             ``service.jobs.{queued,running,evicted}``
                             gauges, lifecycle counters

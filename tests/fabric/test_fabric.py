@@ -75,27 +75,83 @@ def test_single_client_campaign_bit_exact(tiny_engine, problems, dedicated_resul
     assert _payload(result) == _payload(ref)
 
 
-def test_concurrent_campaigns_bit_exact(tiny_engine, problems, dedicated_results):
+def _stepped_campaigns(fabric, problems):
+    """Run one campaign per problem as stepped engines, the way the design
+    service does: each round, every running campaign's cache misses go to
+    the pool in one ``fabric.dispatch``.  Returns (results, rounds with a
+    dispatch)."""
+    clients = [fabric.client(t, nts) for t, nts in problems]
+    steps = [
+        InSiPSEngine(
+            client,
+            GAParams(),
+            population_size=POPULATION,
+            candidate_length=LENGTH,
+            seed=SEED,
+        ).steps(GENERATIONS)
+        for client in clients
+    ]
+    batches = {i: next(s) for i, s in enumerate(steps)}
     results = {}
-    with ScoringFabric(tiny_engine, num_workers=1, max_items=16) as fabric:
-        clients = [fabric.client(t, nts) for t, nts in problems]
+    dispatches = 0
+    while batches:
+        lookups = {i: clients[i].lookup(*batch) for i, batch in batches.items()}
+        fused = [i for i, lookup in lookups.items() if lookup.arrays]
+        scored = fabric.dispatch(
+            [(clients[i], lookups[i].arrays, lookups[i].provenances) for i in fused]
+        )
+        dispatches += bool(fused)
+        fresh = dict(zip(fused, scored))
+        for i, lookup in lookups.items():
+            try:
+                batches[i] = steps[i].send(clients[i].store(lookup, fresh.get(i, [])))
+            except StopIteration as stop:
+                results[i] = stop.value
+                del batches[i]
+    return results, dispatches
 
-        def run(i):
-            results[i] = _campaign(clients[i])
 
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stats = fabric.fabric_stats()
-    for i, ref in enumerate(dedicated_results):
-        assert results[i].best.sequence == ref.best.sequence
-        assert _payload(results[i]) == _payload(ref)
-    assert stats["fused_batches"] > 0
-    assert stats["fused_items"] == sum(
-        stats["per_client"][c]["items"] for c in stats["per_client"]
-    )
+def _threaded_campaigns(fabric, problems):
+    """One campaign per problem, each on its own thread and client (the
+    benchmark harness's two-client run): every cache miss is a one-request
+    dispatch, serialised by the fabric lock."""
+    results = {}
+    clients = [fabric.client(t, nts) for t, nts in problems]
+
+    def run(i):
+        results[i] = _campaign(clients[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(clients))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120.0)
+        assert not t.is_alive()
+    return results
+
+
+def test_concurrent_campaigns_bit_exact(tiny_engine, problems, dedicated_results):
+    # A campaign's scores never depend on what it was fused with: three
+    # campaigns stepped through one fused dispatch per round, and the
+    # same three on threaded clients, each match a dedicated pool.
+    with ScoringFabric(tiny_engine, num_workers=1) as fabric:
+        stepped, dispatches = _stepped_campaigns(fabric, problems)
+        stepped_stats = fabric.fabric_stats()
+    assert 0 < dispatches <= GENERATIONS
+    assert stepped_stats["fused_batches"] == dispatches
+    with ScoringFabric(tiny_engine, num_workers=1) as fabric:
+        threaded = _threaded_campaigns(fabric, problems)
+        threaded_stats = fabric.fabric_stats()
+    for results in (stepped, threaded):
+        for i, ref in enumerate(dedicated_results):
+            assert results[i].best.sequence == ref.best.sequence
+            assert _payload(results[i]) == _payload(ref)
+    for stats in (stepped_stats, threaded_stats):
+        assert stats["fused_items"] == sum(
+            stats["per_client"][c]["items"] for c in stats["per_client"]
+        )
+    # Same campaigns, same cache misses, however they were fused.
+    assert stepped_stats["fused_items"] == threaded_stats["fused_items"]
 
 
 def test_campaign_uses_delta_rescoring(tiny_engine, problems):
@@ -170,10 +226,11 @@ def test_fabric_close_idempotent_and_final(tiny_engine, problems, rng):
 
 
 def test_fabric_validation(tiny_engine):
-    with pytest.raises(ValueError, match="max_items"):
-        ScoringFabric(tiny_engine, max_items=0)
-    with pytest.raises(ValueError, match="max_wait_ms"):
-        ScoringFabric(tiny_engine, max_wait_ms=-1.0)
+    # The timed flush policy is gone: its settings are unknown names now.
+    with pytest.raises(TypeError, match="max_items"):
+        ScoringFabric(tiny_engine, max_items=8)
+    with pytest.raises(TypeError, match="max_wait_ms"):
+        ScoringFabric(tiny_engine, max_wait_ms=5.0)
 
 
 def test_bad_pool_setting_fails_at_construction(tiny_engine):
@@ -206,7 +263,7 @@ def test_fabric_telemetry(tiny_engine, problems, rng):
     assert registry.counter("fabric.fused_items").value == stats["fused_items"] == 4
     assert registry.counter("fabric.fused_batches").value == stats["fused_batches"]
     assert registry.counter("fabric.client.0.items").value == 4
-    assert registry.histogram("fabric.queue_wait").count == 4
+    assert registry.histogram("fabric.queue_wait").count == 1  # one dispatch
     assert stats["mean_fused_size"] > 0
 
 

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.checkpoint import CheckpointManager
 from repro.ga.adaptive import AdaptiveInSiPSEngine, AdaptiveOperatorController
 from repro.ga.config import GAParams
 from repro.ga.fitness import ScoreProvider, ScoreSet
+from repro.ga.termination import MaxGenerations
+from repro.service import history_digest
 
 
 class TrivialProvider(ScoreProvider):
@@ -115,3 +118,53 @@ class TestAdaptiveEngine:
             seed=11,
         ).run(15)
         assert adaptive.best_fitness >= 0.5 * static.best_fitness
+
+
+def _drive_steps(engine, termination, **kwargs):
+    """A hand-driven ``steps()`` loop scoring on ``engine.provider``."""
+    steps = engine.steps(termination, **kwargs)
+    try:
+        batch = next(steps)
+        while True:
+            arrays, _ = batch
+            batch = steps.send(engine.provider.scores(arrays) if arrays else [])
+    except StopIteration as stop:
+        return stop.value
+
+
+def _witness(engine, result):
+    return (
+        history_digest(result.history),
+        result.evaluations,
+        engine._rng.bit_generator.state,
+        engine.params_history,
+        engine.controller.success_rates(),
+    )
+
+
+class TestAdaptiveSteps:
+    def _engine(self):
+        return AdaptiveInSiPSEngine(
+            TrivialProvider(),
+            GAParams(),
+            population_size=16,
+            candidate_length=24,
+            seed=21,
+        )
+
+    def test_hand_driven_steps_match_run(self):
+        ran, stepped = self._engine(), self._engine()
+        reference = ran.run(8)
+        result = _drive_steps(stepped, 8)
+        assert len(stepped.params_history) > 1
+        assert _witness(stepped, result) == _witness(ran, reference)
+
+    def test_stop_resume_and_step_to_end_match_run(self, tmp_path):
+        ran = self._engine()
+        reference = ran.run(8)
+        manager = CheckpointManager(tmp_path, every=1, fsync=False)
+        _drive_steps(self._engine(), MaxGenerations(4), checkpoint=manager)
+        resumed = self._engine()
+        assert resumed.resume(tmp_path) == 3
+        result = _drive_steps(resumed, 8)
+        assert _witness(resumed, result) == _witness(ran, reference)

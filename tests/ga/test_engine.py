@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.checkpoint import CheckpointManager
 from repro.ga.config import GAParams
 from repro.ga.engine import InSiPSEngine
 from repro.ga.fitness import ScoreProvider, ScoreSet
 from repro.ga.termination import MaxGenerations
+from repro.service import history_digest
 
 
 class CountingProvider(ScoreProvider):
@@ -142,3 +144,88 @@ class TestValidation:
     def test_candidate_length(self):
         with pytest.raises(ValueError):
             _engine(length=1)
+
+
+def drive_steps(engine, provider, termination, **kwargs):
+    """A hand-driven ``steps()`` loop: score each yielded batch on
+    ``provider`` and send the scores back; a scoring failure is thrown
+    into the generator."""
+    steps = engine.steps(termination, **kwargs)
+    try:
+        batch = next(steps)
+        while True:
+            arrays, _ = batch
+            try:
+                score_sets = provider.scores(arrays) if arrays else []
+            except Exception as exc:  # noqa: BLE001 - handed to the engine
+                batch = steps.throw(exc)
+            else:
+                batch = steps.send(score_sets)
+    except StopIteration as stop:
+        return stop.value
+
+
+def _witness(engine, result):
+    return (
+        history_digest(result.history),
+        result.evaluations,
+        engine.evaluations,
+        engine._rng.bit_generator.state,
+        engine._init_rng.bit_generator.state,
+    )
+
+
+class FailingProvider(CountingProvider):
+    """Fails on its ``fail_on``-th call (1-based)."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+        self.batches = 0
+
+    def scores(self, sequences):
+        self.batches += 1
+        if self.batches == self.fail_on:
+            raise RuntimeError(f"injected failure on call {self.batches}")
+        return super().scores(sequences)
+
+
+class TestSteps:
+    def test_hand_driven_steps_match_run(self):
+        ran_provider, stepped_provider = CountingProvider(), CountingProvider()
+        ran = _engine(ran_provider, seed=5)
+        stepped = _engine(stepped_provider, seed=5)
+        reference = ran.run(6)
+        result = drive_steps(stepped, stepped_provider, 6)
+        assert _witness(stepped, result) == _witness(ran, reference)
+        assert stepped_provider.calls == ran_provider.calls
+
+    def test_stop_resume_and_step_to_end_match_run(self, tmp_path):
+        reference_engine = _engine(seed=9)
+        reference = reference_engine.run(7)
+        first = _engine(seed=9)
+        manager = CheckpointManager(tmp_path, every=1, fsync=False)
+        partial = drive_steps(
+            first, CountingProvider(), MaxGenerations(3), checkpoint=manager
+        )
+        assert partial.generations == 3
+        resumed = _engine(seed=9)
+        assert resumed.resume(tmp_path) == 2
+        result = drive_steps(resumed, CountingProvider(), 7)
+        assert _witness(resumed, result) == _witness(reference_engine, reference)
+
+    def test_thrown_failure_writes_the_snapshot_run_writes(self, tmp_path):
+        snapshots = {}
+        for route in ("run", "steps"):
+            directory = tmp_path / route
+            manager = CheckpointManager(directory, every=100, fsync=False)
+            provider = FailingProvider(fail_on=3)
+            engine = _engine(provider, seed=4)
+            with pytest.raises(RuntimeError, match="injected failure"):
+                if route == "run":
+                    engine.run(6, checkpoint=manager)
+                else:
+                    drive_steps(engine, provider, 6, checkpoint=manager)
+            [snapshot] = directory.glob("*-emergency.json")
+            snapshots[route] = (snapshot.name, snapshot.read_bytes())
+        assert snapshots["steps"] == snapshots["run"]

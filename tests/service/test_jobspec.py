@@ -121,3 +121,24 @@ def test_write_submit_request_is_fifo_ordered(tmp_path):
 
 def test_job_dir_layout(tmp_path):
     assert job_dir(tmp_path, "job-1") == tmp_path / "jobs" / "job-1"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", None),
+        ("generations", [1]),
+        ("params", 5),
+        ("params", {"p_copy": 0.1, "not_a_param": 1}),
+        ("non_targets", 5),
+        ("non_targets", [["YBR001A"]]),
+        ("job_id", 5),
+    ],
+)
+def test_spec_from_payload_names_wrong_typed_field(field, value):
+    # Regression: a wrong-typed field raised TypeError out of from_payload,
+    # which the control-plane poll does not catch, so one bad request
+    # killed `serve`.  It is now a ValueError naming the field.
+    payload = {**_spec().to_payload(), field: value}
+    with pytest.raises(ValueError, match=field):
+        JobSpec.from_payload(json.loads(json.dumps(payload)))

@@ -8,6 +8,7 @@ schemas, and crash recovery from the on-disk state alone.
 """
 
 import json
+import threading
 import time
 
 import pytest
@@ -81,14 +82,12 @@ def _service(tiny_world, root, **overrides):
 def test_bad_pool_setting_fails_at_construction(tiny_world, tmp_path):
     # Regression: a misspelt or invalid pool setting used to construct
     # fine, admit jobs, and end every one FAILED inside an engine thread.
-    import threading
-
     before = set(threading.enumerate())
     with pytest.raises(TypeError, match="workers"):
         DesignService(tiny_world, tmp_path / "svc", workers=2)  # num_workers
     with pytest.raises(ValueError, match="num_workers"):
         DesignService(tiny_world, tmp_path / "svc", num_workers=0)
-    # Raised before any engine thread started or any job could be admitted.
+    # Raised before the service loop started or any job could be admitted.
     assert set(threading.enumerate()) == before
     assert not list((tmp_path / "svc" / "jobs").iterdir())
 
@@ -131,7 +130,7 @@ def test_quota_blocked_job_stays_pending_and_runs_after_cancel(
 ):
     # 3 jobs across 2 tenants with a per-tenant quota of 1 concurrent
     # job: alice's second job must sit PENDING while her first runs,
-    # even with a free engine thread; cancelling the first mid-run frees
+    # even with a free run slot; cancelling the first mid-run frees
     # the slot and the pending job completes.
     with _service(
         tiny_world,
@@ -226,7 +225,7 @@ def test_quota_rejections_are_deterministic_with_tenant_and_reason(
         service.submit(
             _spec(tenant="carol", generations=200, demand=2, job_id="job-c1")
         )
-        # Let the engine thread claim it so the run queue is empty and
+        # Let the service loop claim it so the run queue is empty and
         # the *demand* quota (RUNNING jobs count too) is what rejects.
         assert _wait(
             lambda: service.status("job-c1")["state"] == JobState.RUNNING
@@ -375,3 +374,139 @@ def test_recovery_readmits_interrupted_jobs_bit_exact(tiny_world, tmp_path):
     reference = _reference(tiny_world, spec)
     assert result["history_digest"] == history_digest(reference.history)
     assert result["sequence"] == reference.best.sequence
+
+
+def test_wrong_typed_submit_request_is_rejected_and_the_next_admitted(
+    tiny_world, tmp_path
+):
+    # Regression: `"seed": null` made JobSpec.from_payload raise TypeError,
+    # which poll_control_plane did not catch — the poll raised (killing
+    # `serve`), no rejection record was written and the valid request
+    # queued behind it was never admitted.
+    root = tmp_path / "svc"
+    with _service(tiny_world, root) as service:
+        queue = root / "queue"
+        queue.mkdir(parents=True)
+        bad = queue / "req-00000000000000000000-0.json"
+        bad.write_text(
+            json.dumps({**_spec(job_id="job-bad").to_payload(), "seed": None})
+        )
+        write_submit_request(root, _spec(job_id="job-good"))
+
+        assert service.poll_control_plane() == 2
+        record = json.loads((root / "rejected" / bad.name).read_text())
+        assert "seed" in record["error"]
+        assert record["error"].startswith("ValueError")
+        assert service.status("job-good")["state"] in (
+            JobState.PENDING,
+            JobState.RUNNING,
+            JobState.DONE,
+        )
+        with pytest.raises(KeyError):
+            service.status("job-bad")
+        assert not list(queue.iterdir())
+
+
+def _pending_on_disk(tiny_world, root, spec):
+    """Leave ``spec`` PENDING under ``root`` as a killed service does, so a
+    new service admits it before its loop first runs."""
+    directory = root / "jobs" / spec.job_id
+    (directory / "checkpoints").mkdir(parents=True)
+    payload = spec.to_payload()
+    payload["non_targets"] = tiny_world.non_targets_for(
+        spec.target, limit=spec.non_target_limit
+    )
+    (directory / "spec.json").write_text(json.dumps(payload))
+    (directory / "status.json").write_text(
+        json.dumps({"state": JobState.PENDING})
+    )
+
+
+def _dedicated_misses(tiny_world, spec):
+    """(cache misses per generation, history digest) of ``spec`` run on a
+    dedicated serial provider."""
+    non_targets = tiny_world.non_targets_for(
+        spec.target, limit=spec.non_target_limit
+    )
+    provider = SerialScoreProvider(tiny_world.engine, spec.target, non_targets)
+    misses: list[int] = []
+
+    def on_generation(population, stats):
+        misses.append(provider.cache_stats["misses"] - sum(misses))
+
+    result = InSiPSEngine(
+        provider,
+        spec.params,
+        population_size=spec.population_size,
+        candidate_length=spec.candidate_length,
+        seed=spec.seed,
+    ).run(spec.generations, on_generation=on_generation)
+    return misses, history_digest(result.history)
+
+
+@pytest.mark.faults
+def test_fused_dispatch_counts_are_exact(tiny_world, tmp_path):
+    # Two jobs claimed in the same round are fused at every generation
+    # barrier: one dispatch per round that has any cache miss, holding
+    # exactly both jobs' misses.  So the counts are a function of the
+    # jobs, not of timing — two fresh services agree with each other and
+    # with the count read off dedicated runs.  The large job's breeding
+    # and checkpoint take longer than a timed coalescing window, which
+    # would have split its rounds from the small job's.
+    specs = [
+        _spec(tenant="alice", population_size=300, generations=3,
+              job_id="job-big"),
+        _spec(tenant="bob", seed=SEED + 1, generations=5, job_id="job-small"),
+    ]
+    dedicated = [_dedicated_misses(tiny_world, spec) for spec in specs]
+    rounds = max(spec.generations for spec in specs)
+    per_round = [
+        sum(misses[r] for misses, _ in dedicated if r < len(misses))
+        for r in range(rounds)
+    ]
+    expected = {
+        "fused_batches": sum(1 for n in per_round if n),
+        "fused_items": sum(per_round),
+    }
+    for attempt in range(2):
+        root = tmp_path / f"svc-{attempt}"
+        for spec in specs:
+            _pending_on_disk(tiny_world, root, spec)
+        with _service(tiny_world, root, fsync=True) as service:
+            for spec in specs:
+                assert _wait(
+                    lambda: service.status(spec.job_id)["state"] == JobState.DONE
+                ), service.status(spec.job_id)
+            fabric = service.service_stats()["fabric"]
+            digests = [
+                service.result(spec.job_id)["history_digest"] for spec in specs
+            ]
+        assert {key: fabric[key] for key in expected} == expected
+        assert digests == [digest for _, digest in dedicated]
+
+
+@pytest.mark.faults
+def test_service_loop_is_the_only_thread(tiny_world, tmp_path):
+    # One loop drives every running job: with two jobs RUNNING the
+    # service holds exactly one thread of its own (no engine thread per
+    # job, no fabric dispatcher).
+    before = set(threading.enumerate())
+    with _service(
+        tiny_world, tmp_path / "svc", faults=FaultPlan(delay=0.01)
+    ) as service:
+        for tenant in ("alice", "bob"):
+            service.submit(
+                _spec(tenant=tenant, generations=400, job_id=f"job-{tenant}")
+            )
+        assert _wait(
+            lambda: all(
+                service.status(f"job-{tenant}")["state"] == JobState.RUNNING
+                for tenant in ("alice", "bob")
+            )
+        )
+        assert _wait(lambda: service.status("job-bob")["generations_done"] >= 1)
+        own = set(threading.enumerate()) - before
+        assert len(own) == 1, sorted(t.name for t in own)
+        for tenant in ("alice", "bob"):
+            service.cancel(f"job-{tenant}")
+    assert set(threading.enumerate()) <= before

@@ -143,8 +143,8 @@ def test_thread_provider_close_is_final(tiny_engine, tiny_problem, rng):
         ("thread", {"min_workers": 1}, "min_workers"),
         ("serial", {"share_memory": False}, "share_memory"),
         ("thread", {"use_delta": False}, "use_delta"),
-        ("process", {"max_wait_ms": 5.0}, "ScoringFabric setting"),
-        ("serial", {"max_items": 8}, "ScoringFabric setting"),
+        ("process", {"max_wait_ms": 5.0}, "unknown keyword"),
+        ("serial", {"max_items": 8}, "unknown keyword"),
         ("process", {"num_workers": 2}, "workers="),
         ("serial", {"definitely_not_a_kwarg": 1}, "unknown keyword"),
     ],
@@ -155,7 +155,7 @@ def test_factory_rejects_backend_foreign_kwargs(
     # Regression: kwargs meant for another backend were silently dropped
     # (share_memory= with the serial backend was ignored without a word).
     # Each offending kwarg is now named, with the backends that take it;
-    # the deleted pool-size keywords are named as unknown.
+    # the deleted pool-size and fabric flush keywords are named as unknown.
     target, non_targets = tiny_problem
     with pytest.raises(ValueError, match=match):
         make_score_provider(
