@@ -26,7 +26,7 @@ from repro.checkpoint import CheckpointError, CheckpointManager
 from repro.core import DesignResult, InhibitorDesigner
 from repro.ga import GAParams, InSiPSEngine, SerialScoreProvider, WETLAB_PARAMS
 from repro.ppi import BatchScores, InteractionGraph, PipeConfig, PipeEngine
-from repro.providers import ThreadScoreProvider, make_engine, make_score_provider
+from repro.providers import make_engine, make_score_provider
 from repro.resilience import CircuitBreaker, Deadline, RetryPolicy
 from repro.sequences import Protein
 from repro.synthetic import PROFILES, build_world, get_profile
@@ -53,7 +53,6 @@ __all__ = [
     "Protein",
     "RetryPolicy",
     "SerialScoreProvider",
-    "ThreadScoreProvider",
     "WETLAB_PARAMS",
     "build_world",
     "get_profile",

@@ -44,7 +44,7 @@ def _check_backend_flags(args: argparse.Namespace, backend: str) -> int | None:
 
     The CLI used to forward shared-memory/degradation flags only when
     ``--backend process`` was chosen and silently drop them otherwise —
-    ``--no-shm --backend thread`` ran happily, flag ignored.  Now every
+    ``--no-shm --backend fabric`` ran happily, flag ignored.  Now every
     ignored flag is named with exit code 2.
     """
     offending = []
@@ -111,7 +111,6 @@ def _cmd_design(args: argparse.Namespace) -> int:
         from repro.providers import make_score_provider
 
         def provider_factory(engine, target, non_targets):
-            extra = {}
             if backend == "fabric":
                 from repro.fabric import ScoringFabric
 
@@ -128,17 +127,17 @@ def _cmd_design(args: argparse.Namespace) -> int:
                     backend="fabric",
                     telemetry=registry,
                 )
-            if backend == "process":
-                if args.fail_fast is not None:
-                    extra["fail_fast"] = args.fail_fast
-                extra["share_memory"] = not args.no_shm
+            extra = {}
+            if args.fail_fast is not None:
+                extra["fail_fast"] = args.fail_fast
             return make_score_provider(
                 engine,
                 target,
                 non_targets,
-                backend=backend,
+                backend="process",
                 workers=args.workers or None,
                 telemetry=registry,
+                share_memory=not args.no_shm,
                 **extra,
             )
 
@@ -214,7 +213,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         from repro.providers import make_score_provider
 
         def provider_factory(engine, target, non_targets):
-            extra = {}
             if backend == "fabric":
                 from repro.fabric import ScoringFabric
 
@@ -231,19 +229,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 # fabric line below.
                 runtimes.append(fabric.pool.stats)
                 return client
-            if backend == "process":
-                extra["share_memory"] = not args.no_shm
             provider = make_score_provider(
                 engine,
                 target,
                 non_targets,
-                backend=backend,
+                backend="process",
                 workers=args.workers or None,
-                **extra,
+                share_memory=not args.no_shm,
             )
-            if backend == "process":
-                # thread backend: telemetry spans cover it
-                runtimes.append(provider.runtime_stats)
+            runtimes.append(provider.runtime_stats)
             return provider
 
     designer = InhibitorDesigner.from_profile(
@@ -529,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
         help="score through N worker processes (0 = serial)",
     )
     p_design.add_argument(
-        "--backend", choices=("serial", "process", "thread", "fabric"),
+        "--backend", choices=("serial", "process", "fabric"),
         default="serial",
         help="scoring backend (bare --workers N implies 'process'); "
         "'fabric' runs the campaign as a client on a ScoringFabric; "
@@ -572,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
         help="score through N worker processes (0 = serial)",
     )
     p_stats.add_argument(
-        "--backend", choices=("serial", "process", "thread", "fabric"),
+        "--backend", choices=("serial", "process", "fabric"),
         default="serial",
         help="scoring backend (bare --workers N implies 'process'; "
         "'fabric' reports the fabric's dispatch line too)",

@@ -110,8 +110,9 @@ class InhibitorDesigner:
     backend, workers:
         Scoring backend selection, forwarded to
         :func:`repro.providers.make_score_provider` — ``"serial"``
-        (default), ``"process"`` or ``"thread"``; ``workers`` sizes the
-        parallel pools.
+        (default) or ``"process"``; ``workers`` sizes the process pool.
+        A fabric client needs a :class:`~repro.fabric.ScoringFabric`, so
+        it comes through ``provider_factory``.
     provider_factory:
         Optional callable ``(engine, target, non_targets) -> ScoreProvider``
         overriding ``backend`` entirely (escape hatch for custom

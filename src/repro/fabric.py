@@ -53,8 +53,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.ga.fitness import CacheLookup, CachingScoreProvider, ScoreSet
-from repro.parallel.messages import Problem
+from repro.ga.fitness import CacheLookup, CachingScoreProvider, Problem, ScoreSet
 from repro.parallel.mp_backend import WorkerPool
 from repro.telemetry import NULL_REGISTRY, MetricsRegistry
 

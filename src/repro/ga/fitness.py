@@ -8,6 +8,16 @@ serial path) return the raw PIPE scores of a candidate against the target
 and every non-target; the master-side :func:`combine_scores` folds them
 into the scalar fitness.
 
+One scoring function
+--------------------
+:func:`score_batch` is the only route from candidates to score sets
+(Algorithm 2's unit of work, applied to a batch): build every
+candidate's similarity structure in one pass, then score each distinct
+:data:`Problem` with one fused PIPE call.  The serial provider calls it
+on a generation's cache misses, a pool worker on its one item, and the
+pool's degraded path on every item the pool lost.  :func:`make_problem`
+is the one place a problem's names are checked.
+
 Provider lifecycle
 ------------------
 Every provider is a context manager: ``with provider: ...`` guarantees
@@ -15,14 +25,13 @@ Every provider is a context manager: ``with provider: ...`` guarantees
 backend) even when the GA raises.  ``close()`` is idempotent.  Whether
 it is *final* depends on the backend: the serial and multiprocessing
 providers may be reused after closing (the next scoring call re-acquires
-whatever resources were released), while the thread provider and the
-fabric client treat ``close()`` as final and raise ``RuntimeError`` /
-``ClientClosedError`` on further scoring — a released thread pool or
-fabric registration must never silently resurrect.
+whatever resources were released), while a fabric client treats
+``close()`` as final and raises ``ClientClosedError`` on further
+scoring — a released fabric registration must never silently resurrect.
 
 Caching
 -------
-Both concrete providers share one caching surface,
+Every concrete provider shares one caching surface,
 :class:`CachingScoreProvider`: an exact sequence-keyed **bounded LRU**
 (the paper's ``copy`` operation re-submits identical sequences every
 generation, so the cache is load-bearing).  Hit/miss/eviction counts are
@@ -40,11 +49,15 @@ import numpy as np
 
 from repro.ga.population import Individual
 from repro.ppi.delta import DeltaStats, Provenance, SimilarityLRU
-from repro.ppi.pipe import BatchScores, PipeEngine
+from repro.ppi.graph import InteractionGraph
+from repro.ppi.pipe import PipeEngine
 from repro.telemetry import NULL_REGISTRY, MetricsRegistry
 
 __all__ = [
+    "Problem",
     "ScoreSet",
+    "make_problem",
+    "score_batch",
     "combine_scores",
     "ScoreProvider",
     "CacheLookup",
@@ -80,6 +93,73 @@ class ScoreSet:
         )
 
 
+#: A design problem, ``(target, non_targets)``: what a candidate is scored
+#: against, and what every work item names on the wire.
+Problem = tuple[str, tuple[str, ...]]
+
+
+def make_problem(
+    graph: InteractionGraph, target: str, non_targets: list[str]
+) -> Problem:
+    """Check a design problem's names against ``graph`` and return it.
+
+    The one place they are checked: the target must not also be a
+    non-target (``ValueError``), and every name must be a protein of the
+    graph (``KeyError``) — a typo fails here, not mid-run.
+    """
+    problem = (target, tuple(non_targets))
+    if target in problem[1]:
+        raise ValueError(f"target {target!r} also appears in the non-target list")
+    for name in (target, *problem[1]):
+        graph.index_of(name)
+    return problem
+
+
+def score_batch(
+    engine: PipeEngine,
+    arrays: list[np.ndarray],
+    problems: list[Problem],
+    provenances: list[Provenance | None] | None = None,
+    cache: SimilarityLRU | None = None,
+) -> tuple[list[ScoreSet], list[DeltaStats | None]]:
+    """Score sets of ``arrays``, item ``i`` against ``problems[i]``.
+
+    Builds every candidate's similarity structure in one pass — through
+    ``cache`` by the cheapest correct route (re-sweeping only the dirty
+    windows of a child whose parents it holds, and keeping what it
+    builds), or by the full sweep without one — then makes one fused
+    :meth:`~repro.ppi.pipe.PipeEngine.score_similarities` call per
+    distinct problem.  The sweep does not depend on the problem, so a
+    batch may mix problems freely.
+
+    Returns the score sets and, per item, the
+    :class:`~repro.ppi.delta.DeltaStats` of its build (``None`` without a
+    cache or a provenance).
+    """
+    provs = provenances if provenances is not None else [None] * len(arrays)
+    with engine.telemetry.span("pipe.window_build"):
+        if cache is not None:
+            built = cache.similarity_batch(engine.database, arrays, provs)
+        else:
+            built = [
+                (similarity, None)
+                for similarity in engine.database.sequence_similarity_batch(arrays)
+            ]
+    members: dict[Problem, list[int]] = {}
+    for i, problem in enumerate(problems):
+        members.setdefault(problem, []).append(i)
+    score_sets: list[ScoreSet | None] = [None] * len(arrays)
+    for (target, non_targets), indices in members.items():
+        scored = engine.score_similarities(
+            [built[i][0] for i in indices], [target, *non_targets]
+        )
+        for i, scores in zip(indices, scored):
+            score_sets[i] = ScoreSet(
+                scores[target], tuple(scores[name] for name in non_targets)
+            )
+    return score_sets, [stats for _, stats in built]  # type: ignore[return-value]
+
+
 def combine_scores(scores: ScoreSet) -> float:
     """The Sec. 2.2 fitness: ``(1 - MAX(non-targets)) * target``."""
     return (1.0 - scores.max_non_target) * scores.target_score
@@ -105,10 +185,12 @@ class CacheLookup:
 class ScoreProvider(ABC):
     """Something that can produce PIPE score sets for candidate sequences.
 
-    Implementations: :class:`SerialScoreProvider` (direct, in-process) and
+    Implementations: :class:`SerialScoreProvider` (direct, in-process),
     :class:`repro.parallel.mp_backend.MultiprocessScoreProvider` (the
-    paper's master/worker on-demand dispatch).  Both are context managers;
-    prefer ``with provider:`` so resources are released on any exit path.
+    paper's master/worker on-demand dispatch) and
+    :class:`repro.fabric.FabricClient` (one campaign on a shared pool).
+    All are context managers; prefer ``with provider:`` so resources are
+    released on any exit path.
     """
 
     def __init__(self, telemetry: MetricsRegistry | None = None) -> None:
@@ -323,8 +405,8 @@ class CachingScoreProvider(ScoreProvider):
 
 
 class SerialScoreProvider(CachingScoreProvider):
-    """In-process provider: the reference implementation of Algorithm 2's
-    per-candidate work, with the shared cross-generation score cache.
+    """In-process provider: :func:`score_batch` over each generation's
+    cache misses, with the shared cross-generation score cache.
 
     Keeps a bounded LRU of per-sequence similarity structures
     (:class:`~repro.ppi.delta.SimilarityLRU`, ``similarity_cache_size``
@@ -346,12 +428,7 @@ class SerialScoreProvider(CachingScoreProvider):
         use_delta: bool = True,
         telemetry: MetricsRegistry | None = None,
     ) -> None:
-        if target in non_targets:
-            raise ValueError(f"target {target!r} also appears in the non-target list")
-        # Validate all names up front: a typo should fail fast, not mid-run.
-        engine.database.graph.index_of(target)
-        for nt in non_targets:
-            engine.database.graph.index_of(nt)
+        self.problem = make_problem(engine.database.graph, target, non_targets)
         super().__init__(cache_size=cache_size, telemetry=telemetry)
         self.engine = engine
         self.target = target
@@ -364,30 +441,17 @@ class SerialScoreProvider(CachingScoreProvider):
         arrays: list[np.ndarray],
         provenances: list[Provenance | None] | None = None,
     ) -> list[ScoreSet]:
-        names = [self.target, *self.non_targets]
-        provs = provenances if provenances is not None else [None] * len(arrays)
         with self.telemetry.span("provider.serial.score"):
-            # The whole batch moves through each stage together: one
-            # stacked kernel pass covers all full sweeps, another all
-            # dirty rows of the delta children, and the structures then
-            # collapse into scores one fused group at a time.
-            with self.engine.telemetry.span("pipe.window_build"):
-                if self.use_delta:
-                    built = self._similarity_cache.similarity_batch(
-                        self.engine.database, arrays, provs
-                    )
-                    for _, stats in built:
-                        self._record_delta(stats)
-                    similarities = [similarity for similarity, _ in built]
-                else:
-                    similarities = self.engine.database.sequence_similarity_batch(
-                        arrays
-                    )
-            scored = self.engine.score_similarities(similarities, names)
-        return [
-            BatchScores(scores).score_set(self.target, self.non_targets)
-            for scores in scored
-        ]
+            score_sets, deltas = score_batch(
+                self.engine,
+                arrays,
+                [self.problem] * len(arrays),
+                provenances,
+                self._similarity_cache if self.use_delta else None,
+            )
+            for stats in deltas:
+                self._record_delta(stats)
+        return score_sets
 
 
 class FitnessFunction:

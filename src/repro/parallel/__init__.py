@@ -16,9 +16,9 @@ in one master-side LRU.
 * :mod:`repro.parallel.messages` — the wire protocol;
 * :mod:`repro.parallel.scheduler` — the master-side on-demand scheduler
   the pool dispatches through, testable without processes;
-* :mod:`repro.parallel.worker` — the worker main loop (Algorithm 2) and
-  ``score_candidate``, the one engine + candidate + problem → scores
-  function;
+* :mod:`repro.parallel.worker` — the worker main loop (Algorithm 2),
+  which scores each item with :func:`repro.ga.fitness.score_batch`, the
+  one function from candidates to score sets;
 * :mod:`repro.parallel.mp_backend` — :class:`WorkerPool`, the runtime
   itself, and :class:`MultiprocessScoreProvider`, the
   :class:`~repro.ga.fitness.ScoreProvider` over a pool of its own that
@@ -56,7 +56,7 @@ from repro.parallel.mp_backend import (
 )
 from repro.parallel.multirack import MultiRackGA, RackResult
 from repro.parallel.scheduler import OnDemandScheduler
-from repro.parallel.worker import FaultPlan, WorkerContext, score_candidate
+from repro.parallel.worker import FaultPlan, WorkerContext
 
 __all__ = [
     "DeadWorkerError",
@@ -73,5 +73,4 @@ __all__ = [
     "WorkerContext",
     "WorkerFailureError",
     "WorkerPool",
-    "score_candidate",
 ]

@@ -11,9 +11,10 @@ ordinary message on the same pipe, so a worker only ever blocks in one
 ``recv()``.
 
 Workers are stateless between items and know no design problem of their
-own: every :class:`WorkItem` names the :data:`Problem` it is scored
-against, so one pool serves one campaign or many (see
-:mod:`repro.fabric`) through the same path.  The similarity structures a
+own: every :class:`WorkItem` names the
+:data:`~repro.ga.fitness.Problem` it is scored against, so one pool
+serves one campaign or many (see :mod:`repro.fabric`) through the same
+path.  The similarity structures a
 delta re-score patches from travel *with the work* too: an item carries
 the structures the master already holds for the candidate or its
 provenance parents, and the :class:`WorkResult` brings the newly built
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ga.fitness import ScoreSet
+from repro.ga.fitness import Problem, ScoreSet
 from repro.ppi.database import SequenceSimilarity
 from repro.ppi.delta import DeltaStats, Provenance
 
@@ -45,9 +46,6 @@ __all__ = [
     "WorkFailure",
     "EndSignal",
 ]
-
-#: A design problem as it travels on the wire: ``(target, non_targets)``.
-Problem = tuple[str, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ class WorkResult:
 
 @dataclass(frozen=True)
 class WorkFailure:
-    """Worker → master: ``score_candidate`` raised for one candidate.
+    """Worker → master: scoring raised for one candidate.
 
     Carries the exception summary and the full formatted traceback so the
     master can surface the *worker-side* stack in its own error instead of

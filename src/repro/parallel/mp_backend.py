@@ -4,7 +4,7 @@ One scoring stack, two thin fronts.  :class:`WorkerPool` is the runtime:
 worker processes, request-on-demand dispatch, recovery and the shared
 proteome segment.  It owns no design problem
 and no score cache — every item it is handed names the
-:data:`~repro.parallel.messages.Problem` it is scored against, so one
+:data:`~repro.ga.fitness.Problem` it is scored against, so one
 campaign or many take the same path through it.  Its whole surface is
 :meth:`~WorkerPool.warm`, :meth:`~WorkerPool.score`,
 :meth:`~WorkerPool.stats` and :meth:`~WorkerPool.close`.
@@ -79,10 +79,10 @@ Graceful degradation (the campaign-supervisor contract)
 By default the pool **never abandons a batch**: when the re-dispatch
 retry budget is exhausted (workers keep dying) or the collection loop
 stalls past ``timeout`` (workers hang), the lost items are scored
-*serially in the master* through the same
-:func:`~repro.parallel.worker.score_candidate` the workers run, each
-against its own problem, patching from the LRU the replies filled —
-bit-exact with the pool's answers — and counted as
+*serially in the master* by one :func:`~repro.ga.fitness.score_batch`
+— the function the workers run — each against its own problem,
+patching from the LRU the replies filled — bit-exact with the pool's
+answers — and counted as
 ``parallel.degraded_items`` / ``parallel.degraded_batches``.
 A :class:`~repro.resilience.CircuitBreaker` then keeps subsequent
 batches serial (no respawn-and-die thrash); every few batches it lets
@@ -122,21 +122,16 @@ from multiprocessing.connection import Connection, wait
 
 import numpy as np
 
-from repro.ga.fitness import CachingScoreProvider, ScoreSet
-from repro.parallel.messages import (
-    EndSignal,
+from repro.ga.fitness import (
+    CachingScoreProvider,
     Problem,
-    WorkFailure,
-    WorkItem,
-    WorkResult,
+    ScoreSet,
+    make_problem,
+    score_batch,
 )
+from repro.parallel.messages import EndSignal, WorkFailure, WorkItem, WorkResult
 from repro.parallel.scheduler import OnDemandScheduler
-from repro.parallel.worker import (
-    FaultPlan,
-    WorkerContext,
-    score_candidate,
-    worker_loop,
-)
+from repro.parallel.worker import FaultPlan, WorkerContext, worker_loop
 from repro.ppi.delta import DeltaStats, Provenance, SimilarityLRU
 from repro.ppi.pipe import PipeEngine
 from repro.ppi.shm import SharedProteomeView
@@ -169,7 +164,7 @@ SIMILARITY_CACHE_PER_WORKER = 256
 
 
 class WorkerFailureError(RuntimeError):
-    """A worker's ``score_candidate`` raised; carries the worker traceback."""
+    """Scoring raised inside a worker; carries the worker traceback."""
 
 
 class DeadWorkerError(RuntimeError):
@@ -322,24 +317,18 @@ class WorkerPool:
         self._batch_wall = 0.0
 
     def warm(self, target: str, non_targets: list[str]) -> Problem:
-        """Validate one design problem and return it in wire form.
+        """Validate one design problem (:func:`~repro.ga.fitness.make_problem`)
+        and return it in wire form.
 
-        The one place a problem is checked against the proteome (a typo
-        fails here, not inside a worker).  Problems warmed before the
-        pool starts have their similarity structures precomputed before
-        the fork and placed in the shared proteome segment; one first
-        named later is warmed worker-side on first sight.
+        Problems warmed before the pool starts have their similarity
+        structures precomputed before the fork and placed in the shared
+        proteome segment; one first named later is warmed worker-side on
+        first sight.
         """
-        problem = (target, tuple(non_targets))
-        if target in problem[1]:
-            raise ValueError(
-                f"target {target!r} also appears in the non-target list"
-            )
-        names = (target, *problem[1])
-        graph = self.context.engine.database.graph
-        for name in names:
-            graph.index_of(name)
-        self._warm_names.update(dict.fromkeys(names))
+        problem = make_problem(
+            self.context.engine.database.graph, target, non_targets
+        )
+        self._warm_names.update(dict.fromkeys((target, *problem[1])))
         return problem
 
     # -- lifecycle ---------------------------------------------------------
@@ -693,34 +682,35 @@ class WorkerPool:
         *,
         reason: str,
     ) -> int:
-        """Score items ``sids`` serially in the master, exactly as a
-        worker would, filling ``results`` in place; returns their count.
+        """Score items ``sids`` serially in the master, filling
+        ``results`` in place; returns their count.
 
         Called for a batch's unacknowledged items when the pool is lost
         (retry budget exhausted) or stalled (no progress past
         ``timeout``), and for a whole batch while the breaker is open.
-        It runs the workers' own :func:`score_candidate` (delta
-        re-scoring is bit-exact with the full sweep), each item against
-        its own problem, so a degraded item's scores match the pool's
-        answer bit for bit.
+        The items go through one :func:`~repro.ga.fitness.score_batch`
+        — the function the workers run — each against its own problem
+        and patching from the master's LRU (delta re-scoring is bit-exact
+        with the full sweep), so a degraded item's scores match the
+        pool's answer bit for bit.
         """
+        sids = list(sids)
         self.degraded_batches += 1
         self.telemetry.count("parallel.degraded_batches")
         self.telemetry.event("parallel.degraded", items=len(sids), reason=reason)
         with self.telemetry.span("parallel.degraded_scoring"):
-            for sid in sids:
-                results[sid], stats = score_candidate(
-                    self.context.engine,
-                    arrays[sid],
-                    problems[sid],
-                    provenance=provs[sid] if self.use_delta else None,
-                    similarity_cache=(
-                        self._master_similarity if self.use_delta else None
-                    ),
-                )
-                self._record_delta(stats)
-                self.degraded_items += 1
-                self.telemetry.count("parallel.degraded_items")
+            score_sets, deltas = score_batch(
+                self.context.engine,
+                [arrays[sid] for sid in sids],
+                [problems[sid] for sid in sids],
+                [provs[sid] for sid in sids],
+                self._master_similarity if self.use_delta else None,
+            )
+        for sid, score_set, stats in zip(sids, score_sets, deltas):
+            results[sid] = score_set
+            self._record_delta(stats)
+        self.degraded_items += len(sids)
+        self.telemetry.count("parallel.degraded_items", len(sids))
         return len(sids)
 
     # -- fault handling ----------------------------------------------------

@@ -108,10 +108,6 @@ class OnDemandScheduler:
     def done(self) -> bool:
         return len(self._completed) == len(self._items)
 
-    @property
-    def outstanding(self) -> int:
-        return len(self._outstanding)
-
     def in_flight(self, worker_id: int) -> int:
         """Items handed to ``worker_id`` and not yet recorded or requeued."""
         return self._in_flight.get(worker_id, 0)

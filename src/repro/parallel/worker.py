@@ -3,10 +3,11 @@
 A worker receives the broadcast data once (here: via process inheritance /
 pickled arguments, standing in for the paper's MPI broadcast that "relieves
 considerable stress from the shared disks"), then loops: block in
-``recv()`` on its own pipe to the master for the next item, build the
-candidate's ``sequence_similarity`` structure, run PIPE against the item's
-target and every non-target, and ``send()`` the scores back on the same
-pipe — the reply doubles as the request for more work.  When the master's
+``recv()`` on its own pipe to the master for the next item, score it
+with :func:`~repro.ga.fitness.score_batch` — build the candidate's
+``sequence_similarity`` structure, run PIPE against the item's target
+and every non-target — and ``send()`` the scores back on the same pipe —
+the reply doubles as the request for more work.  When the master's
 end of the pipe closes (the master exited or was killed) the worker
 leaves its loop: no worker outlives its master.
 
@@ -15,15 +16,12 @@ problem arrives on the :class:`~repro.parallel.messages.WorkItem` (the
 engine's known-protein cache fills with a problem's structures the first
 time an item names it, unless they were inherited at spawn or found in
 the shm segment), and so do the similarity structures a delta re-score
-patches from; the
-structure built for the candidate leaves on the
-:class:`~repro.parallel.messages.WorkResult`, and the master's bounded
-LRU is the only cache — so every worker takes the serial provider's
-delta route whichever worker scored the parents.
-
-:func:`score_candidate` is the one function that turns an engine, a
-candidate and a problem into a :class:`~repro.ga.fitness.ScoreSet`; the
-worker loop and the master's degradation path both call it.
+patches from: ``score_batch`` runs through a one-item LRU seeded with
+exactly what the item carries.  The structure built for the candidate
+leaves on the :class:`~repro.parallel.messages.WorkResult`, and the
+master's bounded LRU is the only cache that outlives an item — so every
+worker takes the serial provider's delta route whichever worker scored
+the parents.
 
 A candidate whose evaluation raises does **not** kill the worker: the
 exception is captured as a :class:`~repro.parallel.messages.WorkFailure`
@@ -42,17 +40,9 @@ import traceback as traceback_mod
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.ga.fitness import ScoreSet
-from repro.parallel.messages import (
-    EndSignal,
-    Problem,
-    WorkFailure,
-    WorkItem,
-    WorkResult,
-)
-from repro.ppi.delta import DeltaStats, Provenance, SimilarityLRU
+from repro.ga.fitness import score_batch
+from repro.parallel.messages import EndSignal, WorkFailure, WorkItem, WorkResult
+from repro.ppi.delta import SimilarityLRU
 from repro.ppi.pipe import PipeConfig, PipeEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "FaultPlan",
     "WorkerContext",
-    "score_candidate",
     "worker_loop",
 ]
 
@@ -168,41 +157,6 @@ class WorkerContext:
         return view
 
 
-def score_candidate(
-    engine: PipeEngine,
-    encoded: np.ndarray,
-    problem: Problem,
-    *,
-    provenance: Provenance | None = None,
-    similarity_cache: SimilarityLRU | None = None,
-) -> tuple[ScoreSet, DeltaStats | None]:
-    """One unit of work: a candidate vs its problem's target + non-targets.
-
-    Builds the candidate's similarity structure once and reuses it for all
-    predictions, exactly as Algorithm 2 prescribes.  With a
-    ``similarity_cache``, the structure is built incrementally from the
-    cached parent(s) named by ``provenance`` (re-sweeping only dirty
-    windows); the returned :class:`~repro.ppi.delta.DeltaStats` reports
-    which route was taken (``None`` without a cache: the full sweep).
-
-    The similarity sweep is problem-independent, so the cache and the
-    delta route are shared across problems untouched.
-    """
-    arr = np.asarray(encoded, dtype=np.uint8)
-    target, non_targets = problem
-    if similarity_cache is not None:
-        with engine.telemetry.span("pipe.window_build"):
-            similarity, stats = similarity_cache.similarity_for(
-                engine.database, arr, provenance
-            )
-    else:
-        similarity, stats = engine.similarity_of(arr), None
-    scored = engine.score_against(
-        arr, [target, *non_targets], similarity=similarity
-    )
-    return scored.score_set(target, non_targets), stats
-
-
 def worker_loop(worker_id: int, context: WorkerContext, conn) -> int:
     """Worker main loop; returns the number of candidates processed.
 
@@ -273,12 +227,12 @@ def _worker_loop_inner(worker_id: int, context: WorkerContext, conn) -> int:
             # Ship the built structure back unless the master already
             # holds it (or delta scoring is off).
             fresh = carried is not None and carried.get(message.payload) is None
-            scores, delta = score_candidate(
+            (scores,), (delta,) = score_batch(
                 engine,
-                message.decode(),
-                message.problem,
-                provenance=message.provenance,
-                similarity_cache=carried,
+                [message.decode()],
+                [message.problem],
+                [message.provenance],
+                carried,
             )
             reply = WorkResult(
                 message.sequence_id,

@@ -15,42 +15,29 @@ scores:
 
   ``backend="serial"`` is the in-process reference path,
   ``backend="process"`` the paper's master/worker multiprocessing runtime
-  (zero-copy shared-memory proteome by default), and ``backend="thread"``
-  a thread pool of per-thread engines sharing one read-only database
-  (useful when the evaluation is dominated by numpy/scipy kernels that
-  release the GIL).
-
-* :class:`ThreadScoreProvider` — the ``backend="thread"`` implementation.
+  (zero-copy shared-memory proteome by default), and ``backend="fabric"``
+  a client on a shared :class:`~repro.fabric.ScoringFabric` (many
+  campaigns, one pool).  Every backend scores through
+  :func:`repro.ga.fitness.score_batch`.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-from repro.ga.fitness import CachingScoreProvider, ScoreSet, SerialScoreProvider
+from repro.ga.fitness import CachingScoreProvider, SerialScoreProvider
 from repro.ppi.database import PipeDatabase
 from repro.ppi.graph import InteractionGraph
 from repro.ppi.kernels import SimilarityKernel
 from repro.ppi.pipe import PipeConfig, PipeEngine
 from repro.telemetry import MetricsRegistry
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.ppi.delta import Provenance
-
 __all__ = [
     "BACKENDS",
-    "ThreadScoreProvider",
     "make_engine",
     "make_score_provider",
 ]
 
 #: Recognised ``backend=`` names of :func:`make_score_provider`.
-BACKENDS = ("serial", "process", "thread", "fabric")
+BACKENDS = ("serial", "process", "fabric")
 
 # backend -> accepted-kwargs table, built lazily from the actual
 # constructor signatures (so a new backend parameter is accepted here the
@@ -90,7 +77,6 @@ def _kwarg_table() -> dict[str, frozenset[str]]:
 
         _KWARG_TABLE = {
             "serial": params(SerialScoreProvider.__init__),
-            "thread": params(ThreadScoreProvider.__init__),
             # The provider's own keyword (cache_size) + the pool's.
             "process": params(MultiprocessScoreProvider.__init__)
             | params(WorkerPool.__init__),
@@ -223,7 +209,7 @@ def make_score_provider(
         engine/world is passed — it already has a config).
     backend:
         ``"serial"`` (reference, in-process), ``"process"`` (master/worker
-        multiprocessing with the shared-memory proteome), ``"thread"``, or
+        multiprocessing with the shared-memory proteome) or
         ``"fabric"`` (a client on a shared
         :class:`~repro.fabric.ScoringFabric` — pass the fabric as
         ``source``; many campaigns share its one pool).
@@ -271,15 +257,6 @@ def make_score_provider(
         return SerialScoreProvider(
             engine, target, non_targets, telemetry=telemetry, **backend_kwargs
         )
-    if backend == "thread":
-        return ThreadScoreProvider(
-            engine,
-            target,
-            non_targets,
-            num_workers=workers,
-            telemetry=telemetry,
-            **backend_kwargs,
-        )
     from repro.parallel.mp_backend import MultiprocessScoreProvider
 
     return MultiprocessScoreProvider(
@@ -290,122 +267,3 @@ def make_score_provider(
         telemetry=telemetry,
         **backend_kwargs,
     )
-
-
-class ThreadScoreProvider(CachingScoreProvider):
-    """Thread-pool scoring backend: per-thread engines, one shared database.
-
-    Each worker thread owns a private :class:`~repro.ppi.pipe.PipeEngine`
-    (so the mutable evidence LRU is never shared across threads) wrapped
-    around the *same* read-only :class:`~repro.ppi.database.PipeDatabase`
-    — threads share the proteome arrays and the preprocessed
-    known-protein similarity cache for free.  Useful when evaluation time
-    is dominated by numpy/scipy kernels that release the GIL; the
-    multiprocessing backend remains the paper-faithful runtime for
-    CPU-bound Python.
-
-    Scores are bit-exact with the serial reference: evaluation is a pure
-    function of the candidate and the database, so thread scheduling
-    cannot change results.
-    """
-
-    def __init__(
-        self,
-        engine: PipeEngine,
-        target: str,
-        non_targets: list[str],
-        *,
-        num_workers: int | None = None,
-        cache_size: int = 100_000,
-        telemetry: MetricsRegistry | None = None,
-    ) -> None:
-        if target in non_targets:
-            raise ValueError(
-                f"target {target!r} also appears in the non-target list"
-            )
-        engine.database.graph.index_of(target)
-        for nt in non_targets:
-            engine.database.graph.index_of(nt)
-        if num_workers is not None and num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        super().__init__(cache_size=cache_size, telemetry=telemetry)
-        self.engine = engine
-        self.target = target
-        self.non_targets = list(non_targets)
-        self.num_workers = num_workers or max(1, min(8, os.cpu_count() or 1))
-        self._local = threading.local()
-        self._executor: ThreadPoolExecutor | None = None
-        self._warmed = False
-        self._shutdown = False
-
-    def _thread_engine(self) -> PipeEngine:
-        engine = getattr(self._local, "engine", None)
-        if engine is None:
-            engine = PipeEngine(
-                self.engine.database,
-                self.engine.config,
-                evidence_cache_size=self.engine.evidence_cache_size,
-            )
-            self._local.engine = engine
-        return engine
-
-    def scores_with_provenance(
-        self,
-        arrays: "list[np.ndarray]",
-        provenances: "list[Provenance | None] | None",
-    ) -> list[ScoreSet]:
-        # Checked at the public entry, not just the uncached path: close
-        # is final, so a closed provider must not keep answering out of
-        # its LRU either.
-        if self._shutdown:
-            raise RuntimeError(
-                "ThreadScoreProvider is closed; close() is final — build "
-                "a new provider instead of reusing this one"
-            )
-        return super().scores_with_provenance(arrays, provenances)
-
-    def _ensure_started(self) -> ThreadPoolExecutor:
-        if self._shutdown:
-            # Belt and braces for subclasses calling the uncached path
-            # directly: never resurrect the executor after close().
-            raise RuntimeError("ThreadScoreProvider is closed")
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.num_workers,
-                thread_name_prefix="repro-score",
-            )
-        if not self._warmed:
-            # Fill the shared known-protein cache once, before threads race
-            # to compute the same structures (wasted work, never wrong).
-            self.engine.database.precompute([self.target, *self.non_targets])
-            self._warmed = True
-        return self._executor
-
-    def _score_uncached(
-        self,
-        arrays: list[np.ndarray],
-        provenances: "list[Provenance | None] | None" = None,
-    ) -> list[ScoreSet]:
-        executor = self._ensure_started()
-        names = [self.target, *self.non_targets]
-
-        def score_one(arr: np.ndarray) -> ScoreSet:
-            scored = self._thread_engine().score_against(arr, names)
-            return scored.score_set(self.target, self.non_targets)
-
-        with self.telemetry.span("provider.thread.score"):
-            return list(executor.map(score_one, arrays))
-
-    def close(self) -> None:
-        """Shut the pool down; final — see :meth:`scores_with_provenance`.
-
-        Silently re-creating the executor after close (the old
-        behaviour) leaked thread pools from code that kept scoring
-        through a handle it believed released; now that is a
-        :class:`RuntimeError`, matching the fabric client's lifecycle.
-        """
-        self._shutdown = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        super().close()

@@ -79,7 +79,7 @@ from typing import TYPE_CHECKING
 from repro.checkpoint import CheckpointManager, find_latest
 from repro.ga.config import GAParams
 from repro.ga.engine import GAResult, InSiPSEngine
-from repro.ga.fitness import ScoreSet
+from repro.ga.fitness import ScoreSet, make_problem
 from repro.ga.stats import RunHistory
 from repro.ga.termination import MaxGenerations, TerminationCriterion
 from repro.telemetry import (
@@ -283,19 +283,22 @@ class JobSpec:
             target=payload.get("target", ""),
             non_targets=_field(payload, "non_targets", tuple, None),
             non_target_limit=payload.get("non_target_limit"),
-            seed=_field(payload, "seed", int, 0),
-            generations=_field(payload, "generations", int, 10),
-            population_size=_field(payload, "population_size", int, 12),
-            candidate_length=_field(payload, "candidate_length", int, 20),
+            # Integer fields are taken as given, never truncated:
+            # validate() rejects a float or a bool, as it does for a
+            # JobSpec built in code.
+            seed=payload.get("seed", 0),
+            generations=payload.get("generations", 10),
+            population_size=payload.get("population_size", 12),
+            candidate_length=payload.get("candidate_length", 20),
             params=_field(
                 payload,
                 "params",
                 lambda p: GAParams.from_payload(dict(p or {})),
                 {},
             ),
-            checkpoint_every=_field(payload, "checkpoint_every", int, 1),
+            checkpoint_every=payload.get("checkpoint_every", 1),
             deadline_s=_field(payload, "deadline_s", float, None),
-            demand=_field(payload, "demand", int, 1),
+            demand=payload.get("demand", 1),
             job_id=payload.get("job_id"),
         )
         spec.validate()
@@ -630,9 +633,7 @@ class DesignService:
                 "resolve them (no non_targets_for); pass the list explicitly"
             )
         # Fail a typo at admission, not inside the service loop.
-        self._graph.index_of(spec.target)
-        for name in names:
-            self._graph.index_of(name)
+        make_problem(self._graph, spec.target, names)
         return names
 
     def _tenant_demand_locked(self, tenant: str) -> int:
@@ -665,10 +666,6 @@ class DesignService:
         """
         spec.validate()
         non_targets = self._resolve_non_targets(spec)
-        if spec.target in non_targets:
-            raise ValueError(
-                f"target {spec.target!r} also appears in the non-target list"
-            )
         with self._lock:
             if self._closing:
                 raise RuntimeError("service is closed")

@@ -1,8 +1,7 @@
-"""Small shared utilities: RNG streams, timers, validation, atomic I/O."""
+"""Small shared utilities: RNG streams, validation, atomic I/O."""
 
 from repro.util.atomic import atomic_write, atomic_write_text
 from repro.util.rng import RngStream, derive_rng, spawn_streams
-from repro.util.timing import Timer
 from repro.util.validation import (
     check_fraction,
     check_positive,
@@ -15,7 +14,6 @@ __all__ = [
     "atomic_write_text",
     "derive_rng",
     "spawn_streams",
-    "Timer",
     "check_fraction",
     "check_positive",
     "check_probability_simplex",

@@ -53,12 +53,14 @@ def check_fraction(value: float, name: str, *, inclusive: bool = True) -> float:
 
 
 def check_positive(value: float, name: str, *, strict: bool = True) -> float:
-    """Validate that ``value`` is positive (or non-negative when not strict)."""
+    """Validate that ``value`` is positive (or non-negative when not strict).
+
+    NaN is rejected: it compares false against every bound, so a NaN
+    deadline would pass a ``<= 0`` check and then never expire.
+    """
     v = float(value)
-    if strict and v <= 0.0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
-    if not strict and v < 0.0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    if not (v > 0.0 if strict else v >= 0.0):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} 0, got {value!r}")
     return v
 
 

@@ -119,11 +119,11 @@ def test_no_command_rejected():
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["design", "YBL051C", "--backend", "thread", "--workers", "2",
+        (["design", "YBL051C", "--backend", "fabric", "--workers", "2",
           "--degrade"], "--degrade"),
         (["design", "YBL051C", "--fail-fast"], "--fail-fast"),
         (["design", "YBL051C", "--backend", "fabric", "--no-shm"], "--no-shm"),
-        (["stats", "--backend", "thread", "--workers", "2",
+        (["stats", "--backend", "fabric", "--workers", "2",
           "--no-shm"], "--no-shm"),
     ],
 )
@@ -134,6 +134,14 @@ def test_process_only_flags_rejected_for_other_backends(capsys, argv, flag):
     err = capsys.readouterr().err
     assert flag in err
     assert "process" in err
+
+
+@pytest.mark.parametrize("command", ["design", "stats"])
+def test_deleted_thread_backend_is_an_invalid_choice(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--backend", "thread"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'thread'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["scaling", "min-workers", "max-workers"])

@@ -45,7 +45,7 @@ class TestOnDemand:
         sched.record(_result(i0, 0))
         sched.record(_result(i1, 1))
         assert sched.done
-        assert sched.outstanding == 0
+        assert (sched.in_flight(0), sched.in_flight(1)) == (0, 0)
 
     def test_in_flight_remaining_and_missing_track_the_batch(self):
         sched = OnDemandScheduler(_items(4))
@@ -114,7 +114,8 @@ class TestRequeue:
         sched = OnDemandScheduler(items)
         lost_item = sched.next_for(0)
         assert sched.requeue_lost(0) == [lost_item.sequence_id]
-        assert sched.outstanding == 0
+        assert sched.in_flight(0) == 0
+        assert sched.missing() == [0, 1, 2]
         assert sched.retries(lost_item.sequence_id) == 1
         # The recovered item is the critical path: handed out before the
         # untouched tail of the queue.
@@ -125,7 +126,8 @@ class TestRequeue:
         i0 = sched.next_for(0)
         i1 = sched.next_for(1)
         assert sched.requeue_lost(0) == [i0.sequence_id]
-        assert sched.outstanding == 1  # worker 1's item untouched
+        # Worker 1's item is untouched.
+        assert (sched.in_flight(0), sched.in_flight(1)) == (0, 1)
         sched.record(_result(i1, 1))
 
     def test_duplicate_after_requeue_dropped_not_raised(self):
@@ -152,4 +154,4 @@ class TestRequeue:
         sched = OnDemandScheduler(_items(2))
         sched.next_for(0)
         assert sched.requeue_lost(99) == []
-        assert sched.outstanding == 1
+        assert sched.in_flight(0) == 1

@@ -8,8 +8,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.ga.fitness import score_batch
 from repro.parallel.messages import EndSignal, WorkItem, WorkResult
-from repro.parallel.worker import WorkerContext, score_candidate, worker_loop
+from repro.parallel.worker import WorkerContext, worker_loop
 
 
 @pytest.fixture()
@@ -27,6 +28,11 @@ def _item(sid, seq, problem, **kw):
     return WorkItem.from_encoded(sid, seq, problem, **kw)
 
 
+def _scored(engine, seq, problem):
+    """The full-sweep score set of one candidate."""
+    return score_batch(engine, [seq], [problem])[0][0]
+
+
 @pytest.fixture()
 def pipe():
     """``(master end, worker end)`` of a worker's duplex pipe."""
@@ -39,7 +45,7 @@ def pipe():
 def test_context_validates_names(tiny_engine):
     """The context no longer knows a problem, so it has no names to check:
     it validates that an engine can be had, and problems are validated in
-    one place, ``WorkerPool.warm``."""
+    one place, ``make_problem`` (which ``WorkerPool.warm`` calls)."""
     from repro.parallel.mp_backend import WorkerPool
 
     with pytest.raises(ValueError, match="engine"):
@@ -50,14 +56,6 @@ def test_context_validates_names(tiny_engine):
         pool.warm("NOPE", [])
     with pytest.raises(KeyError):
         pool.warm("YBL051C", ["NOPE"])
-
-
-def test_score_candidate_matches_engine(tiny_engine, problem, rng):
-    seq = rng.integers(0, 20, size=30).astype(np.uint8)
-    scores, stats = score_candidate(tiny_engine, seq, problem)
-    assert stats is None  # no cache given: the full sweep
-    assert scores.target_score == pytest.approx(tiny_engine.score(seq, problem[0]))
-    assert len(scores.non_target_scores) == len(problem[1])
 
 
 def test_warm_cache(tiny_engine, problem, rng, pipe):
@@ -158,7 +156,7 @@ def test_worker_patches_from_what_the_item_carries(context, problem, rng, pipe):
     assert swept.delta.rows_rescored == swept.delta.rows_total
     full = database.sequence_similarity(child)
     for reply in (patched, swept):
-        assert reply.scores == score_candidate(context.engine, child, problem)[0]
+        assert reply.scores == _scored(context.engine, child, problem)
         assert (reply.similarity.counts != full.counts).nnz == 0
 
 
@@ -173,7 +171,7 @@ def test_worker_does_not_echo_a_structure_the_item_carried(
     worker_loop(0, context, worker)
     reply = master.recv()
     assert reply.similarity is None
-    assert reply.scores == score_candidate(context.engine, seq, problem)[0]
+    assert reply.scores == _scored(context.engine, seq, problem)
 
 
 def test_worker_without_delta_ships_no_structure(tiny_engine, problem, rng, pipe):

@@ -1,22 +1,29 @@
-"""The batch shape of serial scoring, as exact, repeatable call counts.
+"""The batch shape of scoring, as exact, repeatable call counts.
 
 A generation costs O(1) kernel passes and O(groups) sparse products, not
 O(candidates) and O(candidates x proteins): one ``sweep_batch_sparse``
 call covers the dirty runs of every delta child of a round, one covers the
 round's full sweeps, and ``score_similarities`` makes one product per
-fused group.  Counts, not timings — they repeat exactly.
+fused group.  Every caller of ``score_batch`` gets that shape: the serial
+provider per generation, the pool's degraded path per lost batch, and a
+pool worker per item.  Counts, not timings — they repeat exactly.
 """
 
 import numpy as np
 import pytest
 
+import multiprocessing
+
 from repro.ga import WETLAB_PARAMS, InSiPSEngine
-from repro.ga.fitness import SerialScoreProvider
-from repro.parallel.worker import score_candidate
+from repro.ga.fitness import SerialScoreProvider, score_batch
+from repro.parallel.messages import EndSignal, WorkItem
+from repro.parallel.mp_backend import WorkerPool
+from repro.parallel.worker import WorkerContext, worker_loop
 from repro.ppi import pipe
 from repro.ppi.delta import SimilarityLRU, mutation_provenance
 from repro.ppi.kernels import BatchedNumpyKernel, _REGISTRY, register_kernel
 from repro.providers import make_engine
+from repro.resilience import CircuitBreaker
 from repro.synthetic import get_profile
 from repro.telemetry import MetricsRegistry
 
@@ -177,12 +184,92 @@ def test_one_pass_per_round_when_parents_are_in_the_batch(counted):
         assert (sim.counts != expected.counts).nnz == 0
 
 
-def test_score_candidate_is_one_product(counted):
+def _groups(engine, problem, members):
+    """Fused groups ``score_similarities`` forms for ``members`` length-LENGTH
+    candidates against ``problem``."""
+    target, non_targets = problem
+    n = engine.database.num_query_windows(LENGTH)
+    columns = sum(
+        engine.database.protein_similarity(name).num_windows
+        for name in [target, *non_targets]
+    )
+    return -(-members // max(1, pipe.GROUP_CELLS // (n * columns)))
+
+
+def _oracle(engine, seq, problem):
+    target, non_targets = problem
+    return [engine.evaluate(seq, name).score for name in [target, *non_targets]]
+
+
+def test_score_batch_is_one_product(counted):
     engine, telemetry, non_targets = counted
+    problem = (TARGET, tuple(non_targets))
     seq = np.random.default_rng(9).integers(0, 20, size=LENGTH).astype(np.uint8)
-    score_set, _ = score_candidate(engine, seq, (TARGET, tuple(non_targets)))
+    (score_set,), (stats,) = score_batch(engine, [seq], [problem])
+    assert stats is None  # no cache: the full sweep
+    assert CountingKernel.calls == [1]
     assert _span_count(telemetry, "pipe.triple_product") == 1
     assert _span_count(telemetry, "pipe.box_filter") == 1
     assert telemetry.snapshot()["pipe.evaluations"]["value"] == 1 + len(non_targets)
-    expected = [engine.evaluate(seq, name).score for name in [TARGET, *non_targets]]
-    assert [score_set.target_score, *score_set.non_target_scores] == expected
+    assert [score_set.target_score, *score_set.non_target_scores] == _oracle(
+        engine, seq, problem
+    )
+
+
+def test_worker_route_is_one_product_per_item(counted):
+    """A worker scores its one item per message: one kernel pass and one
+    PIPE product per item."""
+    engine, telemetry, non_targets = counted
+    problem = (TARGET, tuple(non_targets))
+    rng = np.random.default_rng(4)
+    seqs = [rng.integers(0, 20, size=LENGTH).astype(np.uint8) for _ in range(3)]
+    master, worker = multiprocessing.Pipe(duplex=True)
+    try:
+        for sid, seq in enumerate(seqs):
+            master.send(WorkItem.from_encoded(sid, seq, problem))
+        master.send(EndSignal())
+        assert worker_loop(0, WorkerContext(engine), worker) == len(seqs)
+        replies = [master.recv() for _ in seqs]
+    finally:
+        master.close()
+        worker.close()
+    assert CountingKernel.calls == [1] * len(seqs)
+    assert _span_count(telemetry, "pipe.triple_product") == len(seqs)
+    assert _span_count(telemetry, "pipe.box_filter") == len(seqs)
+    for reply, seq in zip(replies, seqs):
+        scores = reply.scores
+        assert [scores.target_score, *scores.non_target_scores] == _oracle(
+            engine, seq, problem
+        )
+
+
+def test_degraded_batch_is_batch_shaped(counted):
+    """k items the pool lost, over two problems, cost one kernel pass and
+    one product per (problem, fused group) — not k of each."""
+    engine, telemetry, non_targets = counted
+    first = (TARGET, tuple(non_targets))
+    second = (non_targets[0], (TARGET, *non_targets[1:4]))
+    rng = np.random.default_rng(12)
+    k = 7
+    seqs = [rng.integers(0, 20, size=LENGTH).astype(np.uint8) for _ in range(k)]
+    problems = [first if i % 3 else second for i in range(k)]
+    breaker = CircuitBreaker(probe_after=1_000)
+    breaker.record_failure()  # open: the whole batch is scored in the master
+    with WorkerPool(engine, num_workers=1, breaker=breaker) as pool:
+        score_sets = pool.score(seqs, None, problems)
+        stats = pool.stats()
+    assert stats["fault_tolerance"]["degraded_items"] == k
+    assert stats["fault_tolerance"]["degraded_batches"] == 1
+    assert stats["dispatched"] == 0
+    assert CountingKernel.calls == [k]
+    groups = sum(
+        _groups(engine, problem, problems.count(problem))
+        for problem in (first, second)
+    )
+    assert groups < k
+    assert _span_count(telemetry, "pipe.triple_product") == groups
+    assert _span_count(telemetry, "pipe.box_filter") == groups
+    for seq, problem, score_set in zip(seqs, problems, score_sets):
+        assert [
+            score_set.target_score, *score_set.non_target_scores
+        ] == _oracle(engine, seq, problem)

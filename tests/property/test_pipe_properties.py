@@ -5,12 +5,15 @@ and proteins into one product and one filter pass per axis; its whole
 claim is bit-identity with scoring each (candidate, protein) pair alone
 through ``evaluate`` (``result_matrix`` + ``uniform_filter``), for any
 candidate set, any problem and *any* way the batch is cut into groups.
+The same holds one level up for :func:`~repro.ga.fitness.score_batch`,
+whose batches may mix problems.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ga.fitness import score_batch
 from repro.ppi import pipe
 from repro.ppi.database import PipeDatabase
 from repro.ppi.graph import InteractionGraph
@@ -91,6 +94,13 @@ def test_fused_scores_equal_pairwise_oracle(
     oracle = [
         {name: engine.evaluate(seq, name).score for name in names} for seq in seqs
     ]
+    # A mixed-problem batch: candidate i takes the i-th distinct name as
+    # its target and every other drawn name as a non-target.
+    distinct = list(dict.fromkeys(names))
+    problems = [
+        (target, tuple(name for name in names if name != target))
+        for target in (distinct[i % len(distinct)] for i in range(len(seqs)))
+    ]
     saved = pipe.GROUP_CELLS
     pipe.GROUP_CELLS = group_cells  # from one candidate per group to all
     try:
@@ -99,10 +109,14 @@ def test_fused_scores_equal_pairwise_oracle(
         halves = engine.score_similarities(
             similarities[:cut], names
         ) + engine.score_similarities(similarities[cut:], names)
+        mixed, _ = score_batch(engine, seqs, problems)
     finally:
         pipe.GROUP_CELLS = saved
     assert fused == oracle  # float equality: bit for bit
     assert halves == oracle
+    for expected, (target, non_targets), got in zip(oracle, problems, mixed):
+        assert got.target_score == expected[target]
+        assert got.non_target_scores == tuple(expected[n] for n in non_targets)
     for seq, expected in zip(seqs, oracle):
         assert engine.score_against(seq, names) == expected
         if seq.size < W:  # no windows: an empty result matrix scores 0.0

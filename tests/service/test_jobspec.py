@@ -133,12 +133,24 @@ def test_job_dir_layout(tmp_path):
         ("non_targets", 5),
         ("non_targets", [["YBR001A"]]),
         ("job_id", 5),
+        # Integer fields are not truncated or coerced: validate() rejects
+        # these, so a submit request may not carry them either.
+        ("generations", 2.5),
+        ("seed", 7.9),
+        ("demand", 1.5),
+        ("seed", True),
+        ("checkpoint_every", True),
+        ("population_size", 8.0),
+        # json.loads accepts NaN; a NaN deadline never expires.
+        ("deadline_s", float("nan")),
     ],
 )
 def test_spec_from_payload_names_wrong_typed_field(field, value):
     # Regression: a wrong-typed field raised TypeError out of from_payload,
     # which the control-plane poll does not catch, so one bad request
-    # killed `serve`.  It is now a ValueError naming the field.
+    # killed `serve`.  It is now a ValueError naming the field.  A float
+    # in an integer field used to be truncated ("generations": 2.5 ran 2
+    # generations, "seed": true gave seed 1) where validate() rejects it.
     payload = {**_spec().to_payload(), field: value}
     with pytest.raises(ValueError, match=field):
         JobSpec.from_payload(json.loads(json.dumps(payload)))

@@ -407,6 +407,36 @@ def test_wrong_typed_submit_request_is_rejected_and_the_next_admitted(
         assert not list(queue.iterdir())
 
 
+def test_non_integer_submit_request_is_rejected_and_the_next_admitted(
+    tiny_world, tmp_path
+):
+    # Regression: from_payload truncated "generations": 2.5 to 2, so the
+    # request ran as a job validate() would have refused.  It is rejected
+    # with a record, and the request queued behind it is still admitted.
+    root = tmp_path / "svc"
+    with _service(tiny_world, root) as service:
+        queue = root / "queue"
+        queue.mkdir(parents=True)
+        bad = queue / "req-00000000000000000000-0.json"
+        bad.write_text(
+            json.dumps({**_spec(job_id="job-bad").to_payload(), "generations": 2.5})
+        )
+        write_submit_request(root, _spec(job_id="job-good"))
+
+        assert service.poll_control_plane() == 2
+        record = json.loads((root / "rejected" / bad.name).read_text())
+        assert record["error"].startswith("ValueError")
+        assert "generations must be an integer" in record["error"]
+        assert service.status("job-good")["state"] in (
+            JobState.PENDING,
+            JobState.RUNNING,
+            JobState.DONE,
+        )
+        with pytest.raises(KeyError):
+            service.status("job-bad")
+        assert not list(queue.iterdir())
+
+
 def _pending_on_disk(tiny_world, root, spec):
     """Leave ``spec`` PENDING under ``root`` as a killed service does, so a
     new service admits it before its loop first runs."""

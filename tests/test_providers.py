@@ -8,12 +8,7 @@ from repro.ga.fitness import SerialScoreProvider
 from repro.ppi.database import PipeDatabase
 from repro.ppi.kernels import ChunkedNumpyKernel
 from repro.ppi.pipe import BatchScores, PipeConfig, PipeEngine
-from repro.providers import (
-    BACKENDS,
-    ThreadScoreProvider,
-    make_engine,
-    make_score_provider,
-)
+from repro.providers import BACKENDS, make_engine, make_score_provider
 from repro.telemetry import MetricsRegistry
 
 # ---------------------------------------------------------------- make_engine
@@ -67,28 +62,16 @@ def test_factory_unknown_backend(tiny_engine, tiny_problem):
     target, non_targets = tiny_problem
     with pytest.raises(ValueError, match="unknown backend"):
         make_score_provider(tiny_engine, target, non_targets, backend="mpi")
-    assert BACKENDS == ("serial", "process", "thread", "fabric")
+    # The thread backend is deleted: its name is unknown like any other.
+    with pytest.raises(ValueError, match="unknown backend 'thread'"):
+        make_score_provider(tiny_engine, target, non_targets, backend="thread")
+    assert BACKENDS == ("serial", "process", "fabric")
 
 
 def test_factory_serial_rejects_workers(tiny_engine, tiny_problem):
     target, non_targets = tiny_problem
     with pytest.raises(ValueError, match="serial"):
         make_score_provider(tiny_engine, target, non_targets, workers=4)
-
-
-def test_factory_thread_matches_serial(tiny_engine, tiny_problem, rng):
-    target, non_targets = tiny_problem
-    serial = make_score_provider(tiny_engine, target, non_targets)
-    seqs = [rng.integers(0, 20, size=25).astype(np.uint8) for _ in range(6)]
-    expected = serial.scores(seqs)
-    with make_score_provider(
-        tiny_engine, target, non_targets, backend="thread", workers=2
-    ) as threaded:
-        assert isinstance(threaded, ThreadScoreProvider)
-        got = threaded.scores(seqs)
-    for e, g in zip(expected, got):
-        assert e.target_score == g.target_score
-        assert e.non_target_scores == g.non_target_scores
 
 
 def test_factory_process_backend_kwargs(tiny_engine, tiny_problem, rng):
@@ -114,35 +97,13 @@ def test_factory_process_backend_kwargs(tiny_engine, tiny_problem, rng):
         )
 
 
-def test_thread_provider_close_is_final(tiny_engine, tiny_problem, rng):
-    # Regression: _ensure_started used to silently re-create the
-    # executor after close(), resurrecting a thread pool from a handle
-    # the caller believed released.  Close is final now, like the
-    # fabric client's lifecycle.
-    target, non_targets = tiny_problem
-    provider = make_score_provider(
-        tiny_engine, target, non_targets, backend="thread", workers=2
-    )
-    seqs = [rng.integers(0, 20, size=20).astype(np.uint8)]
-    provider.scores(seqs)
-    provider.close()
-    assert provider.closed
-    with pytest.raises(RuntimeError, match="closed"):
-        provider.scores(seqs)
-    # Even a cache hit must not answer through a closed provider.
-    with pytest.raises(RuntimeError, match="closed"):
-        provider.scores([seqs[0].copy()])
-    provider.close()  # idempotent
-    assert provider._executor is None
-
-
 @pytest.mark.parametrize(
     "backend, kwargs, match",
     [
         ("serial", {"scaling": "queue-depth"}, "scaling"),
-        ("thread", {"min_workers": 1}, "min_workers"),
+        ("fabric", {"min_workers": 1}, "min_workers"),
         ("serial", {"share_memory": False}, "share_memory"),
-        ("thread", {"use_delta": False}, "use_delta"),
+        ("fabric", {"use_delta": False}, "use_delta"),
         ("process", {"max_wait_ms": 5.0}, "unknown keyword"),
         ("serial", {"max_items": 8}, "unknown keyword"),
         ("process", {"num_workers": 2}, "workers="),
@@ -182,19 +143,9 @@ def test_factory_still_accepts_native_kwargs(tiny_engine, tiny_problem):
     )
     assert serial.use_delta is False
     with make_score_provider(
-        tiny_engine, target, non_targets, backend="thread", cache_size=16
-    ) as threaded:
-        assert isinstance(threaded, ThreadScoreProvider)
-
-
-def test_thread_provider_validates_problem(tiny_engine, tiny_problem):
-    target, non_targets = tiny_problem
-    with pytest.raises(KeyError):
-        ThreadScoreProvider(tiny_engine, "NOPE", non_targets)
-    with pytest.raises(ValueError):
-        ThreadScoreProvider(tiny_engine, target, [target])
-    with pytest.raises(ValueError):
-        ThreadScoreProvider(tiny_engine, target, non_targets, num_workers=0)
+        tiny_engine, target, non_targets, backend="process", cache_size=16
+    ) as pooled:
+        assert pooled.cache_size == 16
 
 
 def test_factory_wires_telemetry(tiny_world, tiny_problem, rng):

@@ -32,13 +32,16 @@ class TestCheckFraction:
 class TestCheckPositive:
     def test_strict(self):
         assert check_positive(0.1, "x") == 0.1
-        with pytest.raises(ValueError):
-            check_positive(0.0, "x")
+        # NaN compares false against every bound, so it used to pass.
+        for bad in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                check_positive(bad, "x")
 
     def test_non_strict(self):
         assert check_positive(0.0, "x", strict=False) == 0.0
-        with pytest.raises(ValueError):
-            check_positive(-1.0, "x", strict=False)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                check_positive(bad, "x", strict=False)
 
 
 class TestCheckIntRange:
