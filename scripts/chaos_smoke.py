@@ -6,7 +6,7 @@ the supervisor's contract hold for both — bit-exact results, never a
 traceback:
 
 1. **Permanent pool loss.**  A chaos plan kills every worker on its
-   first item (respawns die too).  The parallel provider must degrade to
+   first slice (respawns die too).  The parallel provider must degrade to
    master-serial scoring, trip its circuit breaker, and finish the
    campaign with scores identical to the serial reference and
    ``degraded_items > 0``.
@@ -99,7 +99,7 @@ def _check(checks: dict[str, bool]) -> bool:
 
 
 def _scenario_pool_loss(world, non_targets, reference) -> bool:
-    """Scenario 1: every worker dies on item 0, forever."""
+    """Scenario 1: every worker dies on slice 0, forever."""
     from repro.parallel import MultiprocessScoreProvider
     from repro.resilience import BreakerState, ChaosSpec
     from repro.telemetry import MetricsRegistry

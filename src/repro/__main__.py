@@ -258,7 +258,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     for read_stats in runtimes:
         stats = read_stats()
         print(f"\nworkers ({stats['num_workers']} processes, "
-              f"{stats['dispatched']} items dispatched):")
+              f"{stats['dispatched']} items dispatched in "
+              f"{stats['slices']} slices):")
         for wid, w in stats["workers"].items():
             print(
                 f"  worker {wid}: items={int(w['items'])} "

@@ -14,8 +14,8 @@ One scoring function
 (Algorithm 2's unit of work, applied to a batch): build every
 candidate's similarity structure in one pass, then score each distinct
 :data:`Problem` with one fused PIPE call.  The serial provider calls it
-on a generation's cache misses, a pool worker on its one item, and the
-pool's degraded path on every item the pool lost.  :func:`make_problem`
+on a generation's cache misses, a pool worker on each slice of a batch
+it is handed, and the pool's degraded path on every item the pool lost.  :func:`make_problem`
 is the one place a problem's names are checked.
 
 Provider lifecycle

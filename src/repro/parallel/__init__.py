@@ -7,18 +7,22 @@ and send them back.  This package reproduces that architecture on
 :mod:`multiprocessing` as one request-on-demand protocol over
 point-to-point channels: each worker blocks on its own duplex pipe to
 the master, the master waits on every pipe and process sentinel at once,
-keeps the backlog and tops up a small per-worker in-flight window as
-replies arrive, and workers are stateless and problem-agnostic — every
-item names the design problem it is scored against, and the similarity
-structures delta re-scoring patches from travel with the work and live
-in one master-side LRU.
+keeps the backlog and hands it out in guided-self-scheduling slices —
+k candidates a worker scores in one call and answers in one reply —
+topping up a small per-worker window of slices as replies arrive and
+never sending a frame the worker's pipe cannot hold.  Workers are
+stateless and problem-agnostic — every candidate of a slice names the
+design problem it is scored against, and the similarity structures
+delta re-scoring patches from travel with the work and live in one
+master-side LRU.
 
-* :mod:`repro.parallel.messages` — the wire protocol;
+* :mod:`repro.parallel.messages` — the wire protocol (slices, replies);
 * :mod:`repro.parallel.scheduler` — the master-side on-demand scheduler
-  the pool dispatches through, testable without processes;
+  the pool dispatches through (slice sizes, frame budgets, requeues),
+  testable without processes;
 * :mod:`repro.parallel.worker` — the worker main loop (Algorithm 2),
-  which scores each item with :func:`repro.ga.fitness.score_batch`, the
-  one function from candidates to score sets;
+  which scores each slice with one :func:`repro.ga.fitness.score_batch`,
+  the one function from candidates to score sets;
 * :mod:`repro.parallel.mp_backend` — :class:`WorkerPool`, the runtime
   itself, and :class:`MultiprocessScoreProvider`, the
   :class:`~repro.ga.fitness.ScoreProvider` over a pool of its own that
@@ -45,8 +49,8 @@ from repro.parallel.messages import (
     EndSignal,
     Problem,
     WorkFailure,
-    WorkItem,
     WorkResult,
+    WorkSlice,
 )
 from repro.parallel.mp_backend import (
     DeadWorkerError,
@@ -68,8 +72,8 @@ __all__ = [
     "Problem",
     "RackResult",
     "WorkFailure",
-    "WorkItem",
     "WorkResult",
+    "WorkSlice",
     "WorkerContext",
     "WorkerFailureError",
     "WorkerPool",

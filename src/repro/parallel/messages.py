@@ -1,32 +1,36 @@
 """Wire protocol between the InSiPS master and workers.
 
 Mirrors the MPI message flow of Algorithms 1–2: the master answers each
-work request with either a candidate sequence to analyse or an END signal;
-workers attach the result of their previous assignment to the next request.
+work request with either work to analyse or an END signal; workers
+attach the result of their previous assignment to the next request.
 Here the channel is one duplex pipe per worker, point-to-point like the
 MPI original: a :class:`WorkResult` arriving at the master *is* the
 worker's next work request, answered by sending the next
-:class:`WorkItem` down that worker's pipe.  :class:`EndSignal` is an
+:class:`WorkSlice` down that worker's pipe.  :class:`EndSignal` is an
 ordinary message on the same pipe, so a worker only ever blocks in one
 ``recv()``.
 
-Workers are stateless between items and know no design problem of their
-own: every :class:`WorkItem` names the
-:data:`~repro.ga.fitness.Problem` it is scored against, so one pool
-serves one campaign or many (see :mod:`repro.fabric`) through the same
-path.  The similarity structures a
-delta re-score patches from travel *with the work* too: an item carries
-the structures the master already holds for the candidate or its
-provenance parents, and the :class:`WorkResult` brings the newly built
-structure back for the master's bounded LRU.
+The unit of work is a **slice** of a batch: k candidates the worker
+scores in one :func:`~repro.ga.fitness.score_batch` and answers in one
+reply.  A one-candidate slice is simply k = 1; there is no per-item
+message.  Workers are stateless between slices and know no design
+problem of their own: a :class:`WorkSlice` names the
+:data:`~repro.ga.fitness.Problem` of each of its candidates (a slice may
+mix problems — the similarity sweep does not depend on them), so one
+pool serves one campaign or many (see :mod:`repro.fabric`) through the
+same path.  The similarity structures a delta re-score patches from
+travel *with the work* too: a slice carries the union of the structures
+the master holds for its candidates or their provenance parents, and
+the :class:`WorkResult` brings the newly built structures back for the
+master's bounded LRU.
 
-Every dispatch-side message carries a ``batch_epoch``: the master tags each
-batch with a monotonically increasing epoch and drops any reply stamped
-with an older one, so a result orphaned by a timeout or a worker death can
-never be mis-assigned to a later batch that happens to reuse the same
-``sequence_id``.  A worker-side exception travels back as a
-:class:`WorkFailure` (with the full traceback) instead of silently killing
-the worker process.
+Every slice and every reply carries a ``batch_epoch``: the master tags
+each batch with a monotonically increasing epoch and drops any reply
+stamped with an older one, so a result orphaned by a timeout or a worker
+death can never be mis-assigned to a later batch that happens to reuse
+the same ``sequence_id``.  A worker-side exception travels back as a
+:class:`WorkFailure` (with the full traceback) naming every sequence id
+of the slice, instead of silently killing the worker process.
 """
 
 from __future__ import annotations
@@ -41,108 +45,107 @@ from repro.ppi.delta import DeltaStats, Provenance
 
 __all__ = [
     "Problem",
-    "WorkItem",
+    "WorkSlice",
     "WorkResult",
     "WorkFailure",
     "EndSignal",
 ]
 
+#: ``(sequence bytes, structure)`` pairs riding a slice or a reply.
+Similarities = tuple[tuple[bytes, SequenceSimilarity], ...]
+
 
 @dataclass(frozen=True)
-class WorkItem:
-    """One candidate sequence dispatched for PIPE analysis.
+class WorkSlice:
+    """Master → worker: k candidates of one batch, scored in one call.
 
-    ``problem`` is the ``(target, non_targets)`` the candidate is scored
-    against.  Items are self-describing: a worker's engine fills its
-    known-protein cache with the problem's structures on first sight, so
-    a problem first named while the pool is running needs no control
-    message (and no ordering to get wrong).
+    The per-candidate fields are aligned columns: ``payloads[i]`` (the
+    encoded ``uint8`` bytes) is scored against ``problems[i]``, the
+    ``(target, non_targets)`` it names, and answers for
+    ``sequence_ids[i]``.  Slices are self-describing: a worker's engine
+    fills its known-protein cache with a problem's structures on first
+    sight, so a problem first named while the pool is running needs no
+    control message (and no ordering to get wrong).
 
-    ``provenance`` (optional) records how the candidate was derived from
-    its parent(s).  ``similarities`` holds the ``(sequence bytes,
-    structure)`` pairs the master knows for the candidate itself or, failing
-    that, for its provenance parents; the worker patches from exactly these
-    and re-sweeps only the dirty windows.  Both are advisory — an item
-    carrying neither simply gets the full sweep.
+    ``provenances[i]`` (optional) records how candidate ``i`` was
+    derived from its parent(s).  ``similarities`` is the union of the
+    ``(sequence bytes, structure)`` pairs the master knows for the
+    candidates themselves or, failing that, for their provenance parents
+    — a parent shared by siblings travels once; the worker patches from
+    exactly these and re-sweeps only the dirty windows.  Both are
+    advisory — a candidate covered by neither simply gets the full sweep.
     """
 
-    sequence_id: int
-    payload: bytes  # encoded (uint8) sequence bytes; cheap to pickle
-    problem: Problem
-    batch_epoch: int = 0
-    provenance: Provenance | None = None
-    similarities: tuple[tuple[bytes, SequenceSimilarity], ...] = ()
+    batch_epoch: int
+    sequence_ids: tuple[int, ...]
+    payloads: tuple[bytes, ...]
+    problems: tuple[Problem, ...]
+    provenances: tuple[Provenance | None, ...]
+    similarities: Similarities = ()
 
     def __post_init__(self) -> None:
-        if self.sequence_id < 0:
-            raise ValueError(f"sequence_id must be >= 0, got {self.sequence_id}")
-        if not self.payload:
-            raise ValueError("payload must be non-empty")
         if self.batch_epoch < 0:
             raise ValueError(f"batch_epoch must be >= 0, got {self.batch_epoch}")
+        k = len(self.sequence_ids)
+        if k == 0:
+            raise ValueError("a slice holds at least one candidate")
+        if not len(self.payloads) == len(self.problems) == len(self.provenances) == k:
+            raise ValueError(
+                f"{k} sequence ids, {len(self.payloads)} payloads, "
+                f"{len(self.problems)} problems, {len(self.provenances)} "
+                "provenances — lengths must match"
+            )
+        if min(self.sequence_ids) < 0:
+            raise ValueError(f"sequence ids must be >= 0, got {self.sequence_ids}")
+        if not all(self.payloads):
+            raise ValueError("every payload must be non-empty")
 
-    @classmethod
-    def from_encoded(
-        cls,
-        sequence_id: int,
-        encoded: np.ndarray,
-        problem: Problem,
-        *,
-        batch_epoch: int = 0,
-        provenance: Provenance | None = None,
-        similarities: tuple[tuple[bytes, SequenceSimilarity], ...] = (),
-    ) -> "WorkItem":
-        return cls(
-            sequence_id,
-            np.asarray(encoded, dtype=np.uint8).tobytes(),
-            problem,
-            batch_epoch,
-            provenance,
-            similarities,
-        )
-
-    def decode(self) -> np.ndarray:
-        return np.frombuffer(self.payload, dtype=np.uint8)
+    def arrays(self) -> list[np.ndarray]:
+        """The candidates, decoded."""
+        return [np.frombuffer(payload, dtype=np.uint8) for payload in self.payloads]
 
 
 @dataclass(frozen=True)
 class WorkResult:
-    """PIPE scores returned by a worker for one candidate.
+    """Worker → master: the PIPE scores of one slice, aligned with its
+    ``sequence_ids``.
 
-    ``elapsed`` is the worker-side wall-clock seconds spent computing the
-    scores; the master aggregates it into per-worker busy time and
-    throughput telemetry (the Fig. 5/6 quantities).  ``batch_epoch`` echoes
-    the dispatching :class:`WorkItem`'s epoch so the master can reject
-    stale replies from an earlier, abandoned batch.  ``delta`` reports the
-    worker-side delta-scoring outcome (worker registries are process-local,
-    so the accounting rides the reply and the master folds it into the
-    ``pipe.delta.*`` counters).  ``similarity`` is the structure the worker
-    built for the candidate (``None`` when the item already carried it, or
-    delta scoring is off).  ``inbox_wait`` is how long the worker sat
-    blocked in ``recv()`` before this item arrived — the dispatch
-    latency the master cannot observe from its side.
+    ``elapsed`` is the worker-side wall-clock seconds spent scoring the
+    slice; the master aggregates it into per-worker busy time and
+    throughput telemetry (the Fig. 5/6 quantities).  ``batch_epoch``
+    echoes the slice's epoch so the master can reject stale replies from
+    an earlier, abandoned batch.  ``deltas`` reports each candidate's
+    delta-scoring outcome (worker registries are process-local, so the
+    accounting rides the reply and the master folds it into the
+    ``pipe.delta.*`` counters).  ``similarities`` holds the structures
+    the worker built — one per candidate whose own structure the slice
+    did not carry (none when delta scoring is off).  ``inbox_wait`` is
+    how long the worker sat blocked in ``recv()`` before the slice
+    arrived — the dispatch latency the master cannot observe from its
+    side.
     """
 
-    sequence_id: int
+    sequence_ids: tuple[int, ...]
     worker_id: int
-    scores: ScoreSet
+    scores: tuple[ScoreSet, ...]
     elapsed: float = 0.0
     batch_epoch: int = 0
-    delta: DeltaStats | None = None
-    similarity: SequenceSimilarity | None = None
+    deltas: tuple[DeltaStats | None, ...] = ()
+    similarities: Similarities = ()
     inbox_wait: float = 0.0
 
 
 @dataclass(frozen=True)
 class WorkFailure:
-    """Worker → master: scoring raised for one candidate.
+    """Worker → master: scoring raised for a slice.
 
-    Carries the exception summary and the full formatted traceback so the
-    master can surface the *worker-side* stack in its own error instead of
-    reporting an opaque timeout.
+    Names every sequence id of the slice and carries the exception
+    summary and the full formatted traceback, so the master can surface
+    the *worker-side* stack in its own error instead of reporting an
+    opaque timeout.
     """
 
-    sequence_id: int
+    sequence_ids: tuple[int, ...]
     worker_id: int
     error: str
     traceback: str

@@ -20,33 +20,51 @@ integration tests assert.  The shared front is
 :class:`repro.fabric.ScoringFabric`, whose clients' batches are fused
 onto one pool.
 
-Request-on-demand dispatch (Algorithms 1–2)
--------------------------------------------
+Request-on-demand dispatch in slices (Algorithms 1–2)
+-----------------------------------------------------
 The channels are point-to-point, as in the paper's MPI: one duplex pipe
 per worker and nothing shared between workers.  A worker blocks in
 ``recv()`` on its pipe and answers with a synchronous ``send()``; the
 master blocks in one :func:`multiprocessing.connection.wait` over every
 worker's pipe and process sentinel.  No queue, lock or thread sits in
-between: the window bounds what waits unread in a pipe, so a ``send``
-blocks only on a frame larger than the socket buffer, and then only
-until its peer next reads.  The master keeps a batch's backlog in an
-:class:`~repro.parallel.scheduler.OnDemandScheduler` and hands items out
-to keep :data:`IN_FLIGHT_WINDOW` items in flight per worker — one
-executing, one prefetched, so a worker never idles for a master round
-trip.  Each reply is that worker's request for more: the master records
-it and tops the worker's window up.  Because the scheduler knows which
-worker holds which item, recovery is precise (see below).
+between.  The master keeps a batch's backlog in an
+:class:`~repro.parallel.scheduler.OnDemandScheduler` and hands it out in
+**slices**: k candidates a worker scores in one
+:func:`~repro.ga.fitness.score_batch` and answers in one reply.  The
+slice size needs no knob — guided self-scheduling,
+``ceil(backlog / (2 × live workers))``, at least 1 — so early slices
+are large and the tail still balances on demand.  It keeps
+:data:`IN_FLIGHT_WINDOW` slices in flight per worker — one executing,
+one prefetched, so a worker never idles for a master round trip.  Each
+reply is that worker's request for more: the master records it and tops
+the worker's window up.  Because the scheduler knows which worker holds
+which slice, recovery is precise (see below).
+
+Sends are synchronous, and a master blocked sending to a worker that is
+itself blocked sending a reply would be a deadlock no ``timeout`` could
+catch — the master would never get back to its wait.  So the master
+pickles each slice itself and sends the frame with ``send_bytes``,
+trimming the slice until the frame fits the worker pipe's share of the
+socket buffer: the master end's ``SO_SNDBUF``, read at spawn, divided by
+:data:`IN_FLIGHT_WINDOW`.  A worker sending a reply has read the slice
+it answers, so at most one other slice — one share — is unread in its
+pipe and the master's send completes.  A single candidate whose frame
+alone exceeds the share goes only to a worker with nothing unanswered,
+which is reading its pipe.  The window counts every slice sent and not
+yet answered, a previous batch's orphans included.  The master's sends
+therefore never wait on a worker that is waiting on the master.
 
 The pool has one size, ``num_workers`` — the paper's nodes − 1 workers —
 spawned on the first batch; death recovery refills it to that size.
 
-Workers are stateless.  The similarity structure a worker builds for a
-candidate rides back on the reply into the master's bounded
+Workers are stateless.  The similarity structures a worker builds for a
+slice's candidates ride back on the reply into the master's bounded
 :class:`~repro.ppi.delta.SimilarityLRU`
 (:data:`SIMILARITY_CACHE_PER_WORKER` ``× num_workers`` entries); each
-outgoing item carries the candidate's own
+slice carries, for each of its candidates, the candidate's own
 structure when the master holds it, else those of its provenance
-parents, and the worker patches from exactly what the item carries.  So
+parents — their union, a shared parent once — and the worker patches
+from exactly what the slice carries.  So
 every worker takes the serial provider's delta route — same rows
 re-swept, same fallbacks — whichever worker scored the parents and
 whatever the pool size.
@@ -64,15 +82,17 @@ days-long Blue Gene/Q campaigns depend on:
   its death notice (a truncated frame or end-of-file on its pipe counts
   as one too): the dead worker's pipe is read to its end and the replies
   it completed are recorded, then it is reaped, a replacement (with a
-  fresh worker id) is spawned, and exactly the items still in its window
-  go back to the front of the backlog under a bounded per-item retry
-  budget; the survivors' items and pipes are untouched;
+  fresh worker id) is spawned, and exactly the candidates of its
+  unacknowledged slices go back to the front of the backlog under a
+  bounded per-candidate retry budget; the survivors' slices and pipes
+  are untouched;
 * a worker leaves its loop when the master's end of its pipe closes, so
   a killed master leaves no worker (and no proteome segment) behind;
 * a worker-side scoring exception arrives as a
   :class:`~repro.parallel.messages.WorkFailure` and is re-raised on the
-  master as :class:`WorkerFailureError` carrying the worker traceback,
-  instead of killing the worker process silently.
+  master as :class:`WorkerFailureError` naming every sequence id of the
+  slice and carrying the worker traceback, instead of killing the worker
+  process silently.
 
 Graceful degradation (the campaign-supervisor contract)
 -------------------------------------------------------
@@ -103,20 +123,24 @@ paths testable without real sleeps.
 The pool reports the master-side view of the runtime through telemetry
 and, as one tree with the same figures, :meth:`WorkerPool.stats`: batch
 wall time
-(``parallel.batch``), dispatch counters, the live outstanding-item count
+(``parallel.batch``), dispatch counters (``parallel.dispatched`` counts
+candidates, ``parallel.slices`` the slices they went out in), the live
+outstanding-item count
 (``parallel.queue_depth``, decaying to 0 as each batch drains), the pool
 size (``parallel.pool_size``), the fault-tolerance counters
 (``parallel.{worker_deaths,respawns,retries,stale_dropped,failures}``)
 and — from what each worker stamps on its replies — per-worker busy
 time, item counts, throughput, utilisation and the time spent blocked in
-``recv()`` on an empty pipe (``parallel.inbox_wait``), exactly the
-quantities behind the paper's Figures 5–6.
+``recv()`` on an empty pipe (``parallel.inbox_wait``, one observation
+per slice), exactly the quantities behind the paper's Figures 5–6.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import pickle
+import socket
 import time
 from multiprocessing.connection import Connection, wait
 
@@ -129,7 +153,13 @@ from repro.ga.fitness import (
     make_problem,
     score_batch,
 )
-from repro.parallel.messages import EndSignal, WorkFailure, WorkItem, WorkResult
+from repro.parallel.messages import (
+    EndSignal,
+    Similarities,
+    WorkFailure,
+    WorkResult,
+    WorkSlice,
+)
 from repro.parallel.scheduler import OnDemandScheduler
 from repro.parallel.worker import FaultPlan, WorkerContext, worker_loop
 from repro.ppi.delta import DeltaStats, Provenance, SimilarityLRU
@@ -147,9 +177,10 @@ __all__ = [
     "DeadWorkerError",
 ]
 
-#: Items in flight per worker: one executing plus one prefetched, so a
-#: worker finds its next item already in its pipe when it replies.  The
-#: rest of a batch's backlog waits in the master's scheduler.
+#: Slices in flight per worker: one executing plus one prefetched, so a
+#: worker finds its next slice already in its pipe when it replies.  The
+#: rest of a batch's backlog waits in the master's scheduler.  It also
+#: splits the worker pipe's send buffer into frame budgets.
 IN_FLIGHT_WINDOW = 2
 
 #: Real seconds between stall checks while every pipe is quiet.  Replies
@@ -169,6 +200,15 @@ class WorkerFailureError(RuntimeError):
 
 class DeadWorkerError(RuntimeError):
     """Workers died and an item exhausted its re-dispatch retry budget."""
+
+
+def _frame_budget(conn: Connection) -> int:
+    """Bytes a slice frame to this pipe may take: the master end's socket
+    send buffer, as the kernel reports it, split between the
+    :data:`IN_FLIGHT_WINDOW` frames that can sit unread in it."""
+    with socket.socket(fileno=os.dup(conn.fileno())) as sock:
+        sndbuf = sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+    return sndbuf // IN_FLIGHT_WINDOW
 
 
 def _worker_entry(worker_id, context, conn, master_ends):
@@ -285,14 +325,19 @@ class WorkerPool:
         self._shm_view: SharedProteomeView | None = None
         self._ship_context: WorkerContext = self.context
         self._workers: dict[int, mp.Process] = {}
-        # The master's end of the pipe to each worker.
+        # The master's end of the pipe to each worker, the frame budget
+        # measured on it at spawn, and the slices sent down it whose reply
+        # has not been read (any batch's: the window the budget divides).
         self._conns: dict[int, Connection] = {}
+        self._budgets: dict[int, int] = {}
+        self._unanswered: dict[int, int] = {}
         self._next_worker_id = 0
         # Proteins of every warmed problem, in first-seen order: what is
         # precomputed before the fork and placed in the shm segment.
         self._warm_names: dict[str, None] = {}
         self._epoch = 0
         self.dispatched = 0
+        self.slices = 0
         self.worker_deaths = 0
         self.respawns = 0
         self.retries = 0
@@ -310,9 +355,9 @@ class WorkerPool:
         self.delta_fallbacks = 0
         self.delta_rows_rescored = 0
         self.delta_rows_total = 0
-        self._worker_items: dict[int, int] = {}
-        self._worker_busy: dict[int, float] = {}
-        self._worker_inbox_wait: dict[int, float] = {}
+        # Per worker id: candidates handed out and answered, busy and
+        # inbox-wait seconds.
+        self._tallies: dict[int, dict[str, float]] = {}
         self._batches = 0
         self._batch_wall = 0.0
 
@@ -336,7 +381,8 @@ class WorkerPool:
     def _spawn_worker(self) -> int:
         """Start one worker process under a fresh, never-reused worker id.
 
-        Every worker gets a duplex pipe of its own, its only channel.  A
+        Every worker gets a duplex pipe of its own, its only channel,
+        whose frame budget is measured here.  A
         worker respawned after a death late-attaches to
         the existing shared proteome segment; if the segment is somehow
         gone the pickled engine is shipped instead — slower, never wrong.
@@ -361,6 +407,8 @@ class WorkerPool:
         worker_end.close()
         self._workers[wid] = proc
         self._conns[wid] = conn
+        self._budgets[wid] = _frame_budget(conn)
+        self._unanswered[wid] = 0
         self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
         return wid
 
@@ -390,10 +438,11 @@ class WorkerPool:
 
     def close(self) -> None:
         """Reap the workers and release the segment; idempotent, bounded."""
-        # A failed batch strands at most IN_FLIGHT_WINDOW items ahead of
+        # A failed batch strands at most IN_FLIGHT_WINDOW slices ahead of
         # the signal per worker; its backlog never left the master.
+        end = pickle.dumps(EndSignal(), pickle.HIGHEST_PROTOCOL)
         for wid in self._workers:
-            self._send(wid, EndSignal())
+            self._send(wid, end)
         # Keep reading while they exit: a worker blocked sending a reply
         # nobody wants must get past it to reach its signal.
         procs = self._workers
@@ -415,6 +464,8 @@ class WorkerPool:
             conn.close()
         self._workers = {}
         self._conns = {}
+        self._budgets = {}
+        self._unanswered = {}
         # Workers are gone (joined, terminated or killed above), so this
         # is the last mapping in our ownership scope: unlink-on-last-close.
         # Safe with dead workers too (the kernel frees the memory when the
@@ -432,9 +483,11 @@ class WorkerPool:
 
     # -- transport ---------------------------------------------------------
 
-    def _send(self, wid: int, message: object) -> None:
+    def _send(self, wid: int, frame: bytes) -> None:
+        """Send one frame the master pickled itself (a slice, or the end
+        signal) to worker ``wid``."""
         try:
-            self._conns[wid].send(message)
+            self._conns[wid].send_bytes(frame)
         except OSError:
             # Died since the last wait: its sentinel is about to fire and
             # requeues whatever the scheduler says it held.
@@ -449,7 +502,8 @@ class WorkerPool:
 
         A gone worker's pipe is read to its end first, so every reply it
         completed is in the list.  End-of-file or a frame truncated by a
-        kill mid-``send`` marks the worker gone; it is never data.
+        kill mid-``send`` marks the worker gone; it is never data.  Each
+        reply read frees a place in its worker's window.
         """
         conns = {self._conns[wid]: wid for wid in procs}
         sentinels = {proc.sentinel: wid for wid, proc in procs.items()}
@@ -460,8 +514,10 @@ class WorkerPool:
             try:
                 if conn in ready:
                     replies.append(conn.recv())
+                    self._unanswered[wid] -= 1
                 while wid in gone and conn.poll():
                     replies.append(conn.recv())
+                    self._unanswered[wid] -= 1
             except (EOFError, OSError):
                 gone.add(wid)
         return replies, sorted(gone)
@@ -525,55 +581,51 @@ class WorkerPool:
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 
-    def _work_item(
-        self,
-        sid: int,
-        epoch: int,
-        arr: np.ndarray,
-        prov: Provenance | None,
-        problem: Problem,
-    ) -> WorkItem:
-        """One wire item, carrying what the master's LRU holds for it: the
-        candidate's own structure if known, else those of its provenance
-        parents (a parent the LRU evicted only enlarges the re-sweep)."""
-        key = arr.tobytes()
-        carried = ()
-        if self.use_delta:
-            own = self._master_similarity.get(key)
-            if own is not None:
-                carried = ((key, own),)
-            elif prov is not None:
-                carried = tuple(
-                    (parent, similarity)
-                    for parent in prov.parent_keys()
-                    if (similarity := self._master_similarity.get(parent))
-                    is not None
-                )
-        return WorkItem(
-            sequence_id=sid,
-            payload=key,
-            problem=problem,
-            batch_epoch=epoch,
-            provenance=prov if self.use_delta else None,
-            similarities=carried,
+    def _carried(self, key: bytes, prov: Provenance | None) -> Similarities:
+        """What the master's LRU holds for one candidate: its own structure
+        if known, else those of its provenance parents (a parent the LRU
+        evicted only enlarges the re-sweep)."""
+        own = self._master_similarity.get(key)
+        if own is not None:
+            return ((key, own),)
+        if prov is None:
+            return ()
+        return tuple(
+            (parent, similarity)
+            for parent in prov.parent_keys()
+            if (similarity := self._master_similarity.get(parent)) is not None
         )
 
     def _set_queue_depth(self, depth: int) -> None:
         self.telemetry.set_gauge("parallel.queue_depth", depth)
 
     def _hand_out(self, sched: OnDemandScheduler) -> None:
-        """Top every live worker's window up from the backlog, one item
-        per worker per pass so a short batch spreads over the pool."""
+        """Top every live worker's window up with slices of the backlog,
+        one slice per worker per pass so a short batch spreads over the
+        pool."""
         for _ in range(IN_FLIGHT_WINDOW):
             for wid in self._workers:
-                if sched.in_flight(wid) >= IN_FLIGHT_WINDOW:
-                    continue
-                item = sched.next_for(wid)
-                if item is None:
+                if not sched.backlog:
                     return
-                self._send(wid, item)
-                self.dispatched += 1
-                self.telemetry.count("parallel.dispatched")
+                unanswered = self._unanswered[wid]
+                if unanswered >= IN_FLIGHT_WINDOW:
+                    continue
+                handed = sched.next_for(
+                    wid,
+                    workers=len(self._workers),
+                    budget=self._budgets[wid],
+                    idle=unanswered == 0,
+                )
+                if handed is None:
+                    continue  # its head fits only an idle worker's pipe
+                sids, frame = handed
+                self._send(wid, frame)
+                self._unanswered[wid] += 1
+                self._tally(wid)["dispatched"] += len(sids)
+                self.dispatched += len(sids)
+                self.slices += 1
+                self.telemetry.count("parallel.dispatched", len(sids))
+                self.telemetry.count("parallel.slices")
 
     def _score_via_pool(
         self,
@@ -595,12 +647,29 @@ class WorkerPool:
         self._epoch += 1
         epoch = self._epoch
         with self.telemetry.span("parallel.batch"):
-            sched = OnDemandScheduler(
-                [
-                    self._work_item(sid, epoch, arr, provs[sid], problems[sid])
-                    for sid, arr in enumerate(arrays)
-                ]
-            )
+            keys = [arr.tobytes() for arr in arrays]
+            if self.use_delta:
+                wire_provs = provs
+                carried = [self._carried(key, prov) for key, prov in zip(keys, provs)]
+            else:
+                wire_provs = [None] * len(arrays)
+                carried = [()] * len(arrays)
+
+            def frame(sids: tuple[int, ...]) -> bytes:
+                union = {key: sim for sid in sids for key, sim in carried[sid]}
+                return pickle.dumps(
+                    WorkSlice(
+                        epoch,
+                        sids,
+                        tuple(keys[sid] for sid in sids),
+                        tuple(problems[sid] for sid in sids),
+                        tuple(wire_provs[sid] for sid in sids),
+                        tuple(union.items()),
+                    ),
+                    pickle.HIGHEST_PROTOCOL,
+                )
+
+            sched = OnDemandScheduler(range(len(arrays)), frame)
 
             def pump() -> None:
                 self._hand_out(sched)
@@ -618,7 +687,7 @@ class WorkerPool:
                 while not sched.done:
                     replies, gone = self._wait(self._workers, STALL_CHECK_S)
                     # Record what the dead completed, only then requeue
-                    # their windows and refill.
+                    # their slices and refill.
                     for msg in replies:
                         if isinstance(msg, WorkFailure):
                             if msg.batch_epoch != epoch:
@@ -627,20 +696,21 @@ class WorkerPool:
                             self.failures += 1
                             self.telemetry.count("parallel.failures")
                             raise WorkerFailureError(
-                                f"worker {msg.worker_id} failed on sequence "
-                                f"{msg.sequence_id}: {msg.error}\n"
+                                f"worker {msg.worker_id} failed on sequence(s) "
+                                f"{list(msg.sequence_ids)}: {msg.error}\n"
                                 f"--- worker traceback ---\n{msg.traceback}"
                             )
                         if not isinstance(msg, WorkResult):  # pragma: no cover
                             raise TypeError(f"unexpected result {type(msg).__name__}")
                         if msg.batch_epoch != epoch or not sched.record(msg):
-                            # Stale epoch, or a late reply for an item that
+                            # Stale epoch, or a late reply for a slice that
                             # was requeued after a death — either way, not
                             # wanted.
                             self._drop_stale()
                             continue
-                        results[msg.sequence_id] = msg.scores
-                        self._record_result(msg, arrays[msg.sequence_id].tobytes())
+                        for sid, scores in zip(msg.sequence_ids, msg.scores):
+                            results[sid] = scores
+                        self._record_result(msg)
                     if gone:
                         self._reap(gone)
                         try:
@@ -728,14 +798,16 @@ class WorkerPool:
         for wid in dead:
             self._workers.pop(wid).join(timeout=0.1)
             self._conns.pop(wid).close()
+            del self._budgets[wid], self._unanswered[wid]
             self.worker_deaths += 1
             self.telemetry.count("parallel.worker_deaths")
         self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
 
     def _recover(self, dead: list[int], sched: OnDemandScheduler) -> None:
-        """Respawn replacements and readmit exactly the items the dead
-        workers held (the scheduler knows who held what); they go to the
-        front of the backlog and the next hand-out re-dispatches them."""
+        """Respawn replacements and readmit exactly the candidates of the
+        dead workers' unacknowledged slices (the scheduler knows who held
+        what); they go to the front of the backlog and the next hand-out
+        re-dispatches them, each under its own retry budget."""
         self._respawn_to_target()
         lost = [sid for wid in dead for sid in sched.requeue_lost(wid)]
         exhausted = sorted(
@@ -772,20 +844,29 @@ class WorkerPool:
         self.telemetry.count("pipe.delta.rows_rescored", stats.rows_rescored)
         self.telemetry.count("pipe.delta.rows_total", stats.rows_total)
 
-    def _record_result(self, msg: WorkResult, payload: bytes) -> None:
-        wid = msg.worker_id
-        self._worker_items[wid] = self._worker_items.get(wid, 0) + 1
-        self._worker_busy[wid] = self._worker_busy.get(wid, 0.0) + msg.elapsed
-        self._worker_inbox_wait[wid] = (
-            self._worker_inbox_wait.get(wid, 0.0) + msg.inbox_wait
+    def _tally(self, wid: int) -> dict[str, float]:
+        return self._tallies.setdefault(
+            wid,
+            {"dispatched": 0.0, "items": 0.0, "busy_s": 0.0, "inbox_wait_s": 0.0},
         )
+
+    def _record_result(self, msg: WorkResult) -> None:
+        """Fold one recorded slice into the per-worker tallies, the
+        master's LRU and the delta counters."""
+        wid = msg.worker_id
+        items = len(msg.sequence_ids)
+        tally = self._tally(wid)
+        tally["items"] += items
+        tally["busy_s"] += msg.elapsed
+        tally["inbox_wait_s"] += msg.inbox_wait
         self.telemetry.observe("parallel.inbox_wait", msg.inbox_wait)
-        if msg.similarity is not None:
+        for key, similarity in msg.similarities:
             # Future children of this sequence patch from it, on any worker.
-            self._master_similarity.put(payload, msg.similarity)
-        self._record_delta(msg.delta)
+            self._master_similarity.put(key, similarity)
+        for stats in msg.deltas:
+            self._record_delta(stats)
         if self.telemetry.enabled:
-            self.telemetry.count(f"parallel.worker.{wid}.items")
+            self.telemetry.count(f"parallel.worker.{wid}.items", items)
             self.telemetry.record_timing(f"parallel.worker.{wid}.busy", msg.elapsed)
 
     # -- runtime statistics --------------------------------------------------
@@ -794,25 +875,26 @@ class WorkerPool:
         """The master-side view of the runtime as one tree (mirrors the
         ``parallel.*`` / ``pipe.delta.*`` / ``shm.*`` telemetry).
 
-        ``workers[wid]["utilisation"]`` divides a worker's busy time by
-        the pool's total batch wall time — the per-worker efficiency
-        panel of the paper's worker-scaling figures; ``inbox_wait_s`` is
-        the time the worker sat blocked in ``recv()`` before its
-        items arrived (idle time between batches included).
-        ``delta["sticky_routed"]`` is kept for consumers of the old
-        affinity dispatch and reads 0 by construction: every item is
-        handed out on demand.  ``shm`` is None when ``share_memory`` is
-        off or the pool has not started.
+        ``dispatched`` counts candidates handed out (re-dispatches
+        included) and ``slices`` the slices they went out in.
+        ``workers[wid]`` holds the candidates handed to that worker
+        (``dispatched``) and answered by it (``items``); its
+        ``utilisation`` divides its busy time by the pool's total batch
+        wall time — the per-worker efficiency panel of the paper's
+        worker-scaling figures; ``inbox_wait_s`` is the time the worker
+        sat blocked in ``recv()`` before its slices arrived (idle time
+        between batches included).  ``delta["sticky_routed"]`` is kept
+        for consumers of the old affinity dispatch and reads 0 by
+        construction: all work is handed out on demand.  ``shm`` is None
+        when ``share_memory`` is off or the pool has not started.
         """
         workers: dict[int, dict[str, float]] = {}
-        for wid in sorted(self._worker_items):
-            items = self._worker_items[wid]
-            busy = self._worker_busy[wid]
+        for wid in sorted(self._tallies):
+            tally = self._tallies[wid]
+            busy = tally["busy_s"]
             workers[wid] = {
-                "items": float(items),
-                "busy_s": busy,
-                "inbox_wait_s": self._worker_inbox_wait[wid],
-                "throughput_per_s": items / busy if busy > 0 else 0.0,
+                **tally,
+                "throughput_per_s": tally["items"] / busy if busy > 0 else 0.0,
                 "utilisation": (
                     busy / self._batch_wall if self._batch_wall > 0 else 0.0
                 ),
@@ -820,6 +902,7 @@ class WorkerPool:
         return {
             "num_workers": self.num_workers,
             "dispatched": self.dispatched,
+            "slices": self.slices,
             "batches": self._batches,
             "batch_wall_s": self._batch_wall,
             "workers": workers,

@@ -5,66 +5,95 @@ process in an on-demand fashion, ensuring a balanced load across all of
 the worker processes".  :class:`OnDemandScheduler` implements exactly that
 policy and is the dispatch core of
 :class:`~repro.parallel.mp_backend.WorkerPool`: the master keeps a
-batch's backlog here, hands items out to fill each worker's in-flight
-window, records replies and readmits a dead worker's items.  It holds no
-queue or process, so the protocol is testable without either.
+batch's backlog here, hands it out in slices to whichever worker asks,
+records replies and readmits a dead worker's slices.  It holds no pipe
+or process — a slice's wire frame comes from a function the caller
+supplies — so the protocol is testable without either.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterable
+from itertools import islice
 
-from repro.parallel.messages import WorkItem, WorkResult
+from repro.parallel.messages import WorkResult
 
 __all__ = ["OnDemandScheduler"]
 
 
 class OnDemandScheduler:
-    """Hand the next unassigned candidate to whichever worker asks first,
+    """Hand the next slice of the backlog to whichever worker asks first,
     and track which worker holds what.
 
+    Slices are sized by guided self-scheduling:
+    ``ceil(backlog / (2 × workers))`` candidates, at least one — large
+    while much is left, shrinking to single candidates so the tail still
+    balances on demand.  ``frame(sequence_ids)`` returns a slice's wire
+    frame; a slice whose frame exceeds the ``budget`` its worker's pipe
+    can hold is trimmed until it fits, and a single candidate that does
+    not fit on its own goes only to an ``idle`` worker (one with nothing
+    unanswered, so it is reading its pipe and the send completes).
+
     Fault tolerance: when the master detects a dead worker it calls
-    :meth:`requeue_lost` to move that worker's outstanding items back to
-    the front of the backlog (incrementing their retry counts); a late
-    reply for an item that was ever requeued is *dropped* by
-    :meth:`record` (returns ``False``) instead of raising, because
-    re-dispatch legitimately produces duplicates.
+    :meth:`requeue_lost` to move every candidate of that worker's
+    unacknowledged slices back to the front of the backlog (incrementing
+    their retry counts); a late reply for a slice that was ever requeued
+    is *dropped* by :meth:`record` (returns ``False``) instead of raising,
+    because re-dispatch legitimately produces duplicates.
     """
 
-    def __init__(self, items: list[WorkItem]) -> None:
-        ids = [it.sequence_id for it in items]
+    def __init__(
+        self,
+        sequence_ids: Iterable[int],
+        frame: Callable[[tuple[int, ...]], bytes],
+    ) -> None:
+        ids = list(sequence_ids)
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate sequence ids in work list")
-        self._items = {it.sequence_id: it for it in items}
-        self._pending = deque(items)
-        self._outstanding: dict[int, int] = {}  # sequence_id -> worker_id
-        self._in_flight: dict[int, int] = {}  # worker_id -> outstanding count
+        self._ids = frozenset(ids)
+        self._frame = frame
+        self._pending = deque(ids)
+        # worker_id -> its unacknowledged slices, in hand-out order.
+        self._held: dict[int, list[tuple[int, ...]]] = {}
         # Ids only: the results themselves belong to the caller.
         self._completed: set[int] = set()
         self._retries: dict[int, int] = {}
 
-    def next_for(self, worker_id: int) -> WorkItem | None:
-        """The next backlog item, now held by ``worker_id``; None when
-        the backlog is empty."""
-        if not self._pending:
-            return None
-        item = self._pending.popleft()
-        self._outstanding[item.sequence_id] = worker_id
-        self._in_flight[worker_id] = self._in_flight.get(worker_id, 0) + 1
-        return item
+    def slice_size(self, workers: int) -> int:
+        """The guided size of the next slice among ``workers`` live
+        workers: ``ceil(backlog / (2 × workers))``, at least 1."""
+        return max(1, -(-len(self._pending) // (2 * workers)))
+
+    def next_for(
+        self, worker_id: int, *, workers: int, budget: int, idle: bool
+    ) -> tuple[tuple[int, ...], bytes] | None:
+        """The next slice of the backlog and its frame, now held by
+        ``worker_id``; None when the backlog is empty, or when its head
+        alone exceeds ``budget`` and the worker is not ``idle``."""
+        size = self.slice_size(workers)
+        while self._pending:
+            sids = tuple(islice(self._pending, size))
+            frame = self._frame(sids)
+            if len(frame) <= budget or (size == 1 and idle):
+                for _ in sids:
+                    self._pending.popleft()
+                self._held.setdefault(worker_id, []).append(sids)
+                return sids, frame
+            if size == 1:
+                break
+            # Frames grow about linearly with the candidates in them.
+            size = max(1, min(size - 1, size * budget // len(frame)))
+        return None
 
     def requeue_lost(self, worker_id: int) -> list[int]:
-        """A worker died: readmit its outstanding items; returns their ids."""
-        lost = sorted(
-            sid for sid, wid in self._outstanding.items() if wid == worker_id
-        )
+        """A worker died: readmit every candidate of its unacknowledged
+        slices; returns their ids, ascending."""
+        lost = sorted(sid for sids in self._held.pop(worker_id, ()) for sid in sids)
         for sid in lost:
-            del self._outstanding[sid]
             self._retries[sid] = self._retries.get(sid, 0) + 1
-            # Front of the deque: a recovered item is the batch's
-            # critical path.
-            self._pending.appendleft(self._items[sid])
-        self._in_flight.pop(worker_id, None)
+        # Front of the deque: recovered work is the batch's critical path.
+        self._pending.extendleft(reversed(lost))
         return lost
 
     def retries(self, sequence_id: int) -> int:
@@ -72,51 +101,55 @@ class OnDemandScheduler:
         return self._retries.get(sequence_id, 0)
 
     def record(self, result: WorkResult) -> bool:
-        """Register a completed result; validates it was outstanding.
+        """Register a completed slice; validates its worker held it.
 
-        Returns ``True`` when the result was recorded, ``False`` when it
-        was dropped: a late reply for an item that was ever requeued —
-        a duplicate of a re-dispatched item, or the answer of the worker
-        the item was declared lost with.  The same anomalies on a
-        never-requeued item still raise — outside a recovery they
+        Returns ``True`` when the slice was recorded, ``False`` when it
+        was dropped: a late reply for a slice with a candidate that was
+        ever requeued — a duplicate of re-dispatched work, or the answer
+        of the worker it was declared lost with.  The same anomalies with
+        no requeue behind them still raise — outside a recovery they
         indicate a protocol bug.
         """
-        sid = result.sequence_id
-        if sid not in self._items:
-            raise KeyError(f"result for unknown sequence {sid}")
-        requeued = self._retries.get(sid, 0) > 0
-        expected = self._outstanding.get(sid)
-        if sid in self._completed or expected != result.worker_id:
-            if requeued:
-                return False
-            if sid in self._completed:
-                raise ValueError(f"duplicate result for sequence {sid}")
-            if expected is None:
-                raise ValueError(
-                    f"result for sequence {sid} that was never dispatched"
-                )
+        sids = tuple(result.sequence_ids)
+        unknown = [sid for sid in sids if sid not in self._ids]
+        if unknown:
+            raise KeyError(f"result for unknown sequence(s) {unknown}")
+        held = self._held.get(result.worker_id, [])
+        if sids in held:
+            held.remove(sids)
+            self._completed.update(sids)
+            return True
+        if any(self._retries.get(sid, 0) > 0 for sid in sids):
+            return False
+        if any(sid in self._completed for sid in sids):
+            raise ValueError(f"duplicate result for sequence(s) {list(sids)}")
+        holders = sorted(
+            wid for wid, slices in self._held.items() if sids in slices
+        )
+        if not holders:
             raise ValueError(
-                f"sequence {sid} dispatched to worker {expected} "
-                f"but completed by {result.worker_id}"
+                f"result for sequence(s) {list(sids)} that were never "
+                "dispatched as one slice"
             )
-        del self._outstanding[sid]
-        self._in_flight[expected] -= 1
-        self._completed.add(sid)
-        return True
+        raise ValueError(
+            f"sequence(s) {list(sids)} dispatched to worker {holders[0]} "
+            f"but completed by {result.worker_id}"
+        )
 
     @property
     def done(self) -> bool:
-        return len(self._completed) == len(self._items)
+        return len(self._completed) == len(self._ids)
 
-    def in_flight(self, worker_id: int) -> int:
-        """Items handed to ``worker_id`` and not yet recorded or requeued."""
-        return self._in_flight.get(worker_id, 0)
+    @property
+    def backlog(self) -> int:
+        """Candidates not handed out (never, or again after a death)."""
+        return len(self._pending)
 
     @property
     def remaining(self) -> int:
-        """Items without a recorded result (handed out or not)."""
-        return len(self._items) - len(self._completed)
+        """Candidates without a recorded result (handed out or not)."""
+        return len(self._ids) - len(self._completed)
 
     def missing(self) -> list[int]:
         """Sequence ids without a recorded result, ascending."""
-        return sorted(set(self._items) - self._completed)
+        return sorted(self._ids - self._completed)

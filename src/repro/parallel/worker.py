@@ -3,33 +3,37 @@
 A worker receives the broadcast data once (here: via process inheritance /
 pickled arguments, standing in for the paper's MPI broadcast that "relieves
 considerable stress from the shared disks"), then loops: block in
-``recv()`` on its own pipe to the master for the next item, score it
-with :func:`~repro.ga.fitness.score_batch` — build the candidate's
-``sequence_similarity`` structure, run PIPE against the item's target
-and every non-target — and ``send()`` the scores back on the same pipe —
-the reply doubles as the request for more work.  When the master's
-end of the pipe closes (the master exited or was killed) the worker
-leaves its loop: no worker outlives its master.
+``recv()`` on its own pipe to the master for the next slice of k
+candidates, score all k with one :func:`~repro.ga.fitness.score_batch` —
+build every candidate's ``sequence_similarity`` structure in one kernel
+pass, run PIPE against each problem's target and non-targets in one
+fused product per (problem, group) — and ``send()`` the k score sets back
+on the same pipe in one reply, which doubles as the request for more
+work.  Algorithm 2 builds a candidate's structure once and reuses it for
+every prediction; a slice applies the same reuse one level up, paying a
+call's fixed costs once per slice instead of once per candidate.  When
+the master's end of the pipe closes (the master exited or was killed)
+the worker leaves its loop: no worker outlives its master.
 
-Workers keep no state between items and own no design problem.  The
-problem arrives on the :class:`~repro.parallel.messages.WorkItem` (the
+Workers keep no state between slices and own no design problem.  The
+problems arrive on the :class:`~repro.parallel.messages.WorkSlice` (the
 engine's known-protein cache fills with a problem's structures the first
-time an item names it, unless they were inherited at spawn or found in
+time a slice names it, unless they were inherited at spawn or found in
 the shm segment), and so do the similarity structures a delta re-score
-patches from: ``score_batch`` runs through a one-item LRU seeded with
-exactly what the item carries.  The structure built for the candidate
-leaves on the :class:`~repro.parallel.messages.WorkResult`, and the
-master's bounded LRU is the only cache that outlives an item — so every
+patches from: ``score_batch`` runs through a one-slice LRU seeded with
+exactly what the slice carries.  The structures built for its candidates
+leave on the :class:`~repro.parallel.messages.WorkResult`, and the
+master's bounded LRU is the only cache that outlives a slice — so every
 worker takes the serial provider's delta route whichever worker scored
 the parents.
 
-A candidate whose evaluation raises does **not** kill the worker: the
+A slice whose evaluation raises does **not** kill the worker: the
 exception is captured as a :class:`~repro.parallel.messages.WorkFailure`
-(with the full traceback) and the loop continues, so one poisoned sequence
+(with the full traceback) and the loop continues, so one poisoned slice
 costs one reply, not a worker process.  For deterministic testing of the
 master's recovery paths, :class:`WorkerContext` optionally carries a
 :class:`FaultPlan` that can delay, fail or hard-crash the worker on a
-chosen item.
+chosen slice.
 """
 
 from __future__ import annotations
@@ -40,9 +44,15 @@ import traceback as traceback_mod
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.ga.fitness import score_batch
-from repro.parallel.messages import EndSignal, WorkFailure, WorkItem, WorkResult
-from repro.ppi.delta import SimilarityLRU
+from repro.ga.fitness import ScoreSet, score_batch
+from repro.parallel.messages import (
+    EndSignal,
+    Similarities,
+    WorkFailure,
+    WorkResult,
+    WorkSlice,
+)
+from repro.ppi.delta import DeltaStats, SimilarityLRU
 from repro.ppi.pipe import PipeConfig, PipeEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,8 +69,9 @@ __all__ = [
 class FaultPlan:
     """Test-only fault injection for the worker loop.
 
-    Item indices are 0-based counts of items *this worker* has received
-    on its pipe.  ``only_worker`` restricts injection to one worker id;
+    The ``*_on_item`` indices are 0-based counts of the slices *this
+    worker* has received on its pipe (a slice holds one or more
+    candidates).  ``only_worker`` restricts injection to one worker id;
     respawned workers receive fresh (monotonically increasing) ids, so a
     crash plan targeting worker 0 fires at most once per run — the
     replacement worker is unaffected and recovery is deterministic.
@@ -68,23 +79,24 @@ class FaultPlan:
     Attributes
     ----------
     fail_on_item:
-        Raise inside the scoring path at this item (surfaces as a
-        :class:`~repro.parallel.messages.WorkFailure`).
+        Raise inside the scoring path at this slice (surfaces as a
+        :class:`~repro.parallel.messages.WorkFailure` naming its
+        candidates).
     crash_on_item:
         Hard-exit the worker process (``os._exit``) after receiving this
-        item — the item is lost in flight, simulating a node failure.
-        Replies to earlier items were sent synchronously, so what the
-        master has lost is exactly the worker's window.
+        slice — it is lost in flight, simulating a node failure.  Replies
+        to earlier slices were sent synchronously, so what the master has
+        lost is exactly the worker's unacknowledged slices.
     hang_on_item / hang_s:
-        Stop responding at this item: sleep ``hang_s`` seconds (bounded,
-        so an orphaned test process still dies) while holding the item —
+        Stop responding at this slice: sleep ``hang_s`` seconds (bounded,
+        so an orphaned test process still dies) while holding it —
         simulating a hung node the master can only time out on.
     delay_on_item / delay:
         Sleep ``delay`` seconds before scoring, inside the timed region
         — the worker-reported elapsed (and hence the busy time the
         master accounts to the worker) includes it, simulating a
-        genuinely slow item.  With ``delay_on_item`` set, only that item
-        is delayed, otherwise every item is.
+        genuinely slow slice.  With ``delay_on_item`` set, only that
+        slice is delayed, otherwise every slice is.
     """
 
     fail_on_item: int | None = None
@@ -158,16 +170,16 @@ class WorkerContext:
 
 
 def worker_loop(worker_id: int, context: WorkerContext, conn) -> int:
-    """Worker main loop; returns the number of candidates processed.
+    """Worker main loop; returns the number of slices answered.
 
     Blocks in ``conn.recv()`` — this worker's end of its own duplex pipe
     to the master, the only channel it has — until an :class:`EndSignal`
     (pool shutdown) arrives or the master's end closes; the pipe is FIFO,
-    so every item handed out before the signal is scored first.  Each
-    reply is sent synchronously on the same pipe and is what prompts the
-    master to hand this worker its next item.  A scoring exception is
-    reported as a :class:`WorkFailure` and the loop continues with the
-    next item.
+    so every slice handed out before the signal is scored first.  Each
+    slice is scored in one ``score_batch`` and answered with one reply,
+    sent synchronously on the same pipe; it is what prompts the master to
+    hand this worker its next slice.  A scoring exception is reported as
+    a :class:`WorkFailure` and the loop continues with the next slice.
     """
     view = context.ensure_engine()
     try:
@@ -175,6 +187,34 @@ def worker_loop(worker_id: int, context: WorkerContext, conn) -> int:
     finally:
         if view is not None:
             view.close()
+
+
+def _score_slice(
+    engine: PipeEngine, message: WorkSlice, use_delta: bool
+) -> tuple[list[ScoreSet], list[DeltaStats | None], Similarities]:
+    """Score sets, delta accounting and the structures built for one
+    slice — one :func:`~repro.ga.fitness.score_batch` over all of it."""
+    cache = None
+    if use_delta:
+        # A throwaway cache holding exactly what the slice carries, plus
+        # room for what is about to be built: the serial provider's
+        # cheapest-correct-route policy, with no state surviving the slice.
+        cache = SimilarityLRU(len(message.similarities) + len(message.payloads))
+        for key, similarity in message.similarities:
+            cache.put(key, similarity)
+    scores, deltas = score_batch(
+        engine,
+        message.arrays(),
+        list(message.problems),
+        list(message.provenances),
+        cache,
+    )
+    built = {}
+    if cache is not None:
+        # Ship back what the master does not already hold.
+        carried = {key for key, _ in message.similarities}
+        built = {key: cache.get(key) for key in message.payloads if key not in carried}
+    return scores, deltas, tuple(built.items())
 
 
 def _worker_loop_inner(worker_id: int, context: WorkerContext, conn) -> int:
@@ -193,14 +233,14 @@ def _worker_loop_inner(worker_id: int, context: WorkerContext, conn) -> int:
         inbox_wait = time.perf_counter() - waited
         if isinstance(message, EndSignal):
             break
-        if not isinstance(message, WorkItem):
+        if not isinstance(message, WorkSlice):
             raise TypeError(f"unexpected message {type(message).__name__}")
         if inject:
             if faults.crash_on_item == processed:
-                # Simulated node failure: the received item dies with us.
+                # Simulated node failure: the received slice dies with us.
                 os._exit(1)
             if faults.hang_on_item == processed:
-                # Simulated hung node: hold the item without replying.
+                # Simulated hung node: hold the slice without replying.
                 time.sleep(faults.hang_s)
         start = time.perf_counter()
         try:
@@ -208,45 +248,27 @@ def _worker_loop_inner(worker_id: int, context: WorkerContext, conn) -> int:
                 None,
                 processed,
             ):
-                # Simulated slow item: inside the timed region, so the
+                # Simulated slow slice: inside the timed region, so the
                 # reported elapsed (the worker's busy time) includes it.
                 time.sleep(faults.delay)
             if inject and faults.fail_on_item == processed:
                 raise RuntimeError(
-                    f"injected failure on item {processed} of worker {worker_id}"
+                    f"injected failure on slice {processed} of worker {worker_id}"
                 )
-            carried = None
-            if context.use_delta:
-                # A throwaway cache holding exactly what the item carries
-                # (plus room for the structure about to be built): the
-                # same cheapest-correct-route policy as the serial
-                # provider, with no state surviving the item.
-                carried = SimilarityLRU(len(message.similarities) + 1)
-                for key, similarity in message.similarities:
-                    carried.put(key, similarity)
-            # Ship the built structure back unless the master already
-            # holds it (or delta scoring is off).
-            fresh = carried is not None and carried.get(message.payload) is None
-            (scores,), (delta,) = score_batch(
-                engine,
-                [message.decode()],
-                [message.problem],
-                [message.provenance],
-                carried,
-            )
+            scores, deltas, built = _score_slice(engine, message, context.use_delta)
             reply = WorkResult(
-                message.sequence_id,
+                message.sequence_ids,
                 worker_id,
-                scores,
+                tuple(scores),
                 time.perf_counter() - start,
                 batch_epoch=message.batch_epoch,
-                delta=delta,
-                similarity=carried.get(message.payload) if fresh else None,
+                deltas=tuple(deltas),
+                similarities=built,
                 inbox_wait=inbox_wait,
             )
         except Exception as exc:
             reply = WorkFailure(
-                sequence_id=message.sequence_id,
+                sequence_ids=message.sequence_ids,
                 worker_id=worker_id,
                 error=f"{type(exc).__name__}: {exc}",
                 traceback=traceback_mod.format_exc(),

@@ -27,7 +27,7 @@ locality:
 
 Provenance is deliberately *structural* (parent key bytes plus integer
 segment geometry): it pickles cheaply onto
-:class:`~repro.parallel.messages.WorkItem` and contains nothing the
+:class:`~repro.parallel.messages.WorkSlice` and contains nothing the
 receiving side must trust — the delta path re-derives everything else and
 is bit-exact with the full sweep by construction.
 """
@@ -188,7 +188,7 @@ class SimilarityLRU:
 
     One instance lives in each :class:`~repro.ga.fitness.SerialScoreProvider`
     and in the master of each process pool (workers seed a throwaway one
-    from what a work item carries).  Keys are the candidate's encoded
+    from what a work slice carries).  Keys are the candidate's encoded
     bytes (the same identity the score cache uses); values are the
     immutable :class:`~repro.ppi.database.SequenceSimilarity` structures,
     so sharing entries between a parent and the children patched from it

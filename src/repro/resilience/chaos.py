@@ -114,8 +114,9 @@ class ChaosSpec:
     The worker axis maps onto one :class:`FaultPlan`; setting the same
     axis twice raises, keeping specs unambiguous.  ``worker=None`` means
     the fault applies to **every** worker (including respawned
-    replacements — their item counters restart at 0), which is how "the
-    pool is permanently lost" is spelled.
+    replacements — their counters restart at 0), which is how "the pool
+    is permanently lost" is spelled.  An ``on_item`` index counts the
+    slices a worker has received, as :class:`FaultPlan`'s do.
     """
 
     crash_on_item: int | None = None
@@ -132,7 +133,7 @@ class ChaosSpec:
     def with_worker_crash(
         self, *, on_item: int = 0, worker: int | None = None
     ) -> "ChaosSpec":
-        """Hard-exit (``os._exit``) the targeted worker at its nth item."""
+        """Hard-exit (``os._exit``) the targeted worker at its nth slice."""
         self._require_unset("crash_on_item")
         return replace(
             self, crash_on_item=on_item, only_worker=self._merge_worker(worker)
@@ -141,7 +142,7 @@ class ChaosSpec:
     def with_worker_failure(
         self, *, on_item: int = 0, worker: int | None = None
     ) -> "ChaosSpec":
-        """Raise inside scoring at the nth item (a poisoned candidate)."""
+        """Raise inside scoring at the nth slice (a poisoned candidate)."""
         self._require_unset("fail_on_item")
         return replace(
             self, fail_on_item=on_item, only_worker=self._merge_worker(worker)
@@ -154,7 +155,7 @@ class ChaosSpec:
         hang_s: float = 3600.0,
         worker: int | None = None,
     ) -> "ChaosSpec":
-        """Stop responding at the nth item (bounded sleep, not a spin)."""
+        """Stop responding at the nth slice (bounded sleep, not a spin)."""
         self._require_unset("hang_on_item")
         return replace(
             self,
@@ -170,7 +171,7 @@ class ChaosSpec:
         on_item: int | None = None,
         worker: int | None = None,
     ) -> "ChaosSpec":
-        """Delay scoring by ``delay_s`` (every item, or just item n)."""
+        """Delay scoring by ``delay_s`` (every slice, or just slice n)."""
         if delay_s <= 0:
             raise ValueError(f"delay_s must be > 0, got {delay_s}")
         if self.slow_delay_s:

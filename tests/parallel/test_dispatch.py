@@ -1,15 +1,16 @@
 """Request-on-demand dispatch through real worker processes.
 
-Three contracts of the inbox/window protocol that unit tests on the
+Three contracts of the slice/window protocol that unit tests on the
 scheduler cannot see:
 
-* **liveness** — a worker never sits idle while an item addressed to it
+* **liveness** — a worker never sits idle while a slice addressed to it
   is queued, so a bred generation costs its work, not a poll interval;
 * **the serial delta route, exactly** — structures travel with the work,
   so the pool re-sweeps the very rows the serial provider re-sweeps,
   whichever worker scored the parents;
-* **precise recovery** — the master knows which worker holds which item,
-  so a death re-dispatches that worker's window and nothing else.
+* **precise recovery** — the master knows which worker holds which
+  slice, so a death re-dispatches the candidates of that worker's
+  unacknowledged slices and nothing else.
 """
 
 import time
@@ -20,7 +21,7 @@ import pytest
 from repro.ga.config import GAParams
 from repro.ga.engine import InSiPSEngine
 from repro.ga.fitness import SerialScoreProvider
-from repro.parallel.mp_backend import IN_FLIGHT_WINDOW, MultiprocessScoreProvider
+from repro.parallel.mp_backend import MultiprocessScoreProvider
 from repro.parallel.worker import FaultPlan
 from repro.service import history_digest
 from repro.telemetry import MetricsRegistry
@@ -41,6 +42,14 @@ def _campaign(provider):
         candidate_length=LENGTH,
         seed=SEED,
     ).run(BRED_GENERATIONS + 1)  # generation 0 is the initial population
+
+
+def _unanswered_items(stats):
+    """Candidates handed to a worker that it never answered: with no stale
+    reply, exactly those of slices lost with a dead worker."""
+    return sum(
+        int(w["dispatched"] - w["items"]) for w in stats["workers"].values()
+    )
 
 
 def test_bred_generations_never_wait_out_a_poll(tiny_engine, tiny_problem):
@@ -69,7 +78,7 @@ def test_bred_generations_never_wait_out_a_poll(tiny_engine, tiny_problem):
 
         provider.scores_with_provenance = timed
         result = _campaign(provider)
-        stats = provider.pool.stats()["workers"]
+        stats = provider.pool.stats()
     assert result.completed
     # The first call scores the initial population and pays the spawn.
     bred = walls[1:]
@@ -78,9 +87,13 @@ def test_bred_generations_never_wait_out_a_poll(tiny_engine, tiny_problem):
     assert registry.gauge("parallel.queue_depth").value == 0.0
     # The stall would have been visible here: time blocked on the inbox
     # while the master had work is bounded by the campaign, not by polls.
+    # One observation per slice: the worker waits once for a whole slice.
     waits = registry.histogram("parallel.inbox_wait")
-    assert waits.count == sum(int(w["items"]) for w in stats.values())
-    assert all(w["inbox_wait_s"] >= 0.0 for w in stats.values())
+    assert waits.count == stats["slices"] == registry.counter("parallel.slices").value
+    assert stats["slices"] < stats["dispatched"]
+    workers = stats["workers"].values()
+    assert stats["dispatched"] == sum(int(w["items"]) for w in workers)
+    assert all(w["inbox_wait_s"] >= 0.0 for w in workers)
 
 
 def test_pool_takes_the_serial_delta_route_exactly(tiny_engine, tiny_problem):
@@ -115,11 +128,11 @@ def test_pool_takes_the_serial_delta_route_exactly(tiny_engine, tiny_problem):
 def test_death_redispatches_only_the_dead_workers_window(
     tiny_engine, tiny_problem, rng
 ):
-    """Every worker is slow and dies pulling its third item, so deaths are
-    detected while the survivors still hold work.  Each death costs at
-    most the dead worker's in-flight window in retries, the survivors'
-    replies are all wanted (nothing was duplicated), and the scores are
-    bit-exact."""
+    """Every worker is slow and dies pulling its third slice, so deaths
+    are detected while the survivors still hold work.  The retries are
+    exactly the candidates of the dead workers' unacknowledged slices —
+    handed to them and never answered — the survivors' replies are all
+    wanted (nothing was duplicated), and the scores are bit-exact."""
     target, non_targets = tiny_problem
     seqs = [rng.integers(0, 20, size=25).astype(np.uint8) for _ in range(8)]
     expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(seqs)
@@ -132,9 +145,10 @@ def test_death_redispatches_only_the_dead_workers_window(
         faults=FaultPlan(crash_on_item=2, delay=0.1),
     ) as provider:
         out = provider.scores(seqs)
-        faults = provider.pool.stats()["fault_tolerance"]
+        stats = provider.pool.stats()
+    faults = stats["fault_tolerance"]
     assert out == expected
     assert faults["worker_deaths"] >= 2
-    assert 1 <= faults["retries"] <= IN_FLIGHT_WINDOW * faults["worker_deaths"]
+    assert faults["retries"] == _unanswered_items(stats) > 0
     assert faults["stale_dropped"] == 0
     assert faults["degraded_items"] == 0

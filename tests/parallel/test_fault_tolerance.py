@@ -149,9 +149,9 @@ def test_failed_batch_keeps_its_backlog_in_the_master(
     tiny_engine, tiny_problem, rng
 ):
     """A batch aborted by a worker failure has handed out only the
-    in-flight window; the rest of it never left the master, so close()
-    has nothing to drain and the worker exits on its own after the one
-    prefetched item."""
+    in-flight window of slices; the rest of it never left the master, so
+    close() has nothing to drain and the worker exits on its own after
+    the one prefetched slice."""
     target, non_targets = tiny_problem
     provider = MultiprocessScoreProvider(
         tiny_engine,
@@ -159,14 +159,18 @@ def test_failed_batch_keeps_its_backlog_in_the_master(
         non_targets,
         num_workers=1,
         timeout=60.0,
-        # Item 0 fails fast (aborting the batch); the prefetched item 1
+        # Slice 0 fails fast (aborting the batch); the prefetched slice 1
         # keeps the worker busy while close() runs.
         faults=FaultPlan(fail_on_item=0, delay_on_item=1, delay=0.5),
     )
     try:
         with pytest.raises(WorkerFailureError):
             provider.scores(_seqs(rng, 8))
-        assert provider.pool.dispatched == mp_backend.IN_FLIGHT_WINDOW
+        stats = provider.pool.stats()
+        assert stats["slices"] == mp_backend.IN_FLIGHT_WINDOW
+        # Guided slices of ceil(8 / 2) = 4 and ceil(4 / 2) = 2: the last
+        # two candidates never left the master.
+        assert stats["dispatched"] == 6
     finally:
         start = time.monotonic()
         provider.close()

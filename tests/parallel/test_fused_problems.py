@@ -1,11 +1,12 @@
 """Several design problems in one batch, on the pool alone.
 
-Every ``WorkItem`` names the ``(target, non_targets)`` problem it is
-scored against, so a :class:`~repro.parallel.mp_backend.WorkerPool` —
-driven here directly, with no provider or fabric in front — serves
-batches whose items belong to different problems: workers warm a problem
-on first sight, and the degradation path scores each lost item against
-its own problem.  (The test ids predate the pool/provider split, when
+A ``WorkSlice`` names the ``(target, non_targets)`` problem each of its
+candidates is scored against, so a
+:class:`~repro.parallel.mp_backend.WorkerPool` — driven here directly,
+with no provider or fabric in front — serves batches whose items belong
+to different problems, mixed within one slice: workers warm a problem on
+first sight, and the degradation path scores each lost item against its
+own problem.  (The test ids predate the pool/provider split, when
 this was ``register_problem`` / ``score_fused`` on the provider.)
 """
 
@@ -14,7 +15,7 @@ import pytest
 
 from repro.ga.fitness import SerialScoreProvider
 from repro.parallel import WorkerPool
-from repro.parallel.messages import WorkItem
+from repro.parallel.messages import WorkSlice
 from repro.resilience import ChaosSpec
 
 
@@ -38,10 +39,15 @@ def _serial(engine, problem, arrays):
 
 
 def test_work_item_problem_validation():
-    # The problem is a required field of the wire item, not an option.
-    with pytest.raises(TypeError, match="problem"):
-        WorkItem(0, b"x")
-    assert WorkItem(0, b"x", ("T", ("A",))).problem == ("T", ("A",))
+    # Each candidate's problem is a required column of the wire slice,
+    # not an option.
+    with pytest.raises(TypeError, match="problems"):
+        WorkSlice(0, (0,), (b"x",))
+    with pytest.raises(ValueError, match="lengths must match"):
+        WorkSlice(0, (0, 1), (b"x", b"y"), (("T", ("A",)),), (None, None))
+    problems = (("T", ("A",)), ("A", ("T",)))
+    mixed = WorkSlice(0, (0, 1), (b"x", b"x"), problems, (None, None))
+    assert mixed.problems == problems
 
 
 def test_register_problem_validates(tiny_engine, tiny_problem):
@@ -71,7 +77,9 @@ def test_score_fused_mixed_problems_matches_serial(
         # scores must differ by problem, not by payload.
         fused = [arr for pair in zip(arrays, arrays) for arr in pair]
         got = pool.score(fused, None, [a, b] * len(arrays))
-        assert pool.stats()["dispatched"] == len(fused)  # nothing cached
+        stats = pool.stats()
+        assert stats["dispatched"] == len(fused)  # nothing cached
+        assert stats["slices"] < len(fused)  # problems mixed within slices
     assert got[0::2] == _serial(tiny_engine, a, arrays)
     assert got[1::2] == _serial(tiny_engine, b, arrays)
     assert got[0::2] != got[1::2]
@@ -92,7 +100,7 @@ def test_late_registered_problem_reaches_running_workers(
     tiny_engine, two_problems, rng
 ):
     # The second problem is first named only after the pool has started:
-    # the workers warm it from the items themselves, mid-stream.
+    # the workers warm it from the slices themselves, mid-stream.
     first, second = two_problems
     arrays = _candidates(rng, 3)
     with WorkerPool(tiny_engine, num_workers=1, timeout=120.0) as pool:

@@ -70,8 +70,8 @@ def test_one_stats_tree_under_the_provider(tiny_engine, tiny_problem, rng):
         tree = provider.pool.stats()
         runtime = provider.runtime_stats()
     assert set(tree) == {
-        "num_workers", "dispatched", "batches", "batch_wall_s", "workers",
-        "fault_tolerance", "delta", "shm",
+        "num_workers", "dispatched", "slices", "batches", "batch_wall_s",
+        "workers", "fault_tolerance", "delta", "shm",
     }
     # The provider adds its own cache counters and nothing else.
     assert set(runtime) == set(tree) | {"cache"}

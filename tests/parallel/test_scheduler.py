@@ -1,157 +1,223 @@
-"""Tests for the on-demand scheduler."""
+"""Tests for the on-demand scheduler: slices, frame budgets, requeues."""
 
-import numpy as np
 import pytest
 
 from repro.ga.fitness import ScoreSet
-from repro.parallel.messages import WorkItem, WorkResult
+from repro.parallel.messages import WorkResult
 from repro.parallel.scheduler import OnDemandScheduler
 
-
-PROBLEM = ("T", ("A",))
-
-
-def _items(n):
-    return [
-        WorkItem.from_encoded(i, np.array([i % 20 + 1], dtype=np.uint8), PROBLEM)
-        for i in range(n)
-    ]
+UNLIMITED = 1 << 30
 
 
-def _result(item, worker):
-    return WorkResult(item.sequence_id, worker, ScoreSet(0.5, ()))
+def _sched(n, sizes=None, frames=None):
+    """A scheduler over ids ``0..n-1`` whose frame for a slice is as many
+    bytes as its candidates' ``sizes`` add up to (1 each by default);
+    every frame built is appended to ``frames``."""
+    sizes = sizes or [1] * n
+
+    def frame(sids):
+        if frames is not None:
+            frames.append(sids)
+        return bytes(sum(sizes[sid] for sid in sids))
+
+    return OnDemandScheduler(range(n), frame)
+
+
+def _hand(sched, worker, workers=1, budget=UNLIMITED, idle=True):
+    handed = sched.next_for(worker, workers=workers, budget=budget, idle=idle)
+    return None if handed is None else handed[0]
+
+
+def _result(sids, worker):
+    return WorkResult(tuple(sids), worker, tuple(ScoreSet(0.5, ()) for _ in sids))
 
 
 class TestOnDemand:
     def test_hands_out_in_order_to_whoever_asks(self):
-        sched = OnDemandScheduler(_items(3))
-        a = sched.next_for(5)
-        b = sched.next_for(2)
-        assert a.sequence_id == 0
-        assert b.sequence_id == 1
+        sched = _sched(3)
+        # Three workers, three candidates: one each, in backlog order.
+        assert _hand(sched, 5, workers=3) == (0,)
+        assert _hand(sched, 2, workers=3) == (1,)
 
     def test_exhausts(self):
-        sched = OnDemandScheduler(_items(2))
-        sched.next_for(0)
-        sched.next_for(0)
-        assert sched.next_for(0) is None
+        sched = _sched(2)
+        assert _hand(sched, 0) == (0,)
+        assert _hand(sched, 0) == (1,)
+        assert _hand(sched, 0) is None
 
     def test_done_after_all_results(self):
-        items = _items(2)
-        sched = OnDemandScheduler(items)
-        i0 = sched.next_for(0)
-        i1 = sched.next_for(1)
+        sched = _sched(2)
+        s0 = _hand(sched, 0, workers=2)
+        s1 = _hand(sched, 1, workers=2)
         assert not sched.done
-        sched.record(_result(i0, 0))
-        sched.record(_result(i1, 1))
+        sched.record(_result(s0, 0))
+        sched.record(_result(s1, 1))
         assert sched.done
-        assert (sched.in_flight(0), sched.in_flight(1)) == (0, 0)
+        assert sched.backlog == 0 and sched.remaining == 0
 
     def test_in_flight_remaining_and_missing_track_the_batch(self):
-        sched = OnDemandScheduler(_items(4))
-        first = sched.next_for(7)
-        sched.next_for(7)
-        sched.next_for(3)
-        assert (sched.in_flight(7), sched.in_flight(3), sched.in_flight(9)) == (2, 1, 0)
+        sched = _sched(4)
+        first = _hand(sched, 7, workers=2)
+        _hand(sched, 7, workers=2)
+        _hand(sched, 3, workers=2)
+        # Three handed out (in flight), one still in the backlog.
+        assert sched.backlog == 1
         assert sched.remaining == 4 and sched.missing() == [0, 1, 2, 3]
         sched.record(_result(first, 7))
-        assert sched.in_flight(7) == 1
+        assert sched.backlog == 1
         assert sched.remaining == 3 and sched.missing() == [1, 2, 3]
 
     def test_results_in_order(self):
-        items = _items(3)
-        sched = OnDemandScheduler(items)
-        handed = [(sched.next_for(w), w) for w in (2, 0, 1)]
+        sched = _sched(3)
+        handed = [(_hand(sched, w, workers=3), w) for w in (2, 0, 1)]
         # Replies arrive in any order; what is still owed stays sorted.
-        for (item, w), owed in zip(reversed(handed), ([0, 1], [0], [])):
-            sched.record(_result(item, w))
+        for (sids, w), owed in zip(reversed(handed), ([0, 1], [0], [])):
+            sched.record(_result(sids, w))
             assert sched.missing() == owed
         assert sched.done
 
     def test_results_in_order_incomplete_raises(self):
         # An incomplete batch is never "done", and says what it is owed.
-        sched = OnDemandScheduler(_items(2))
-        item = sched.next_for(0)
-        sched.record(_result(item, 0))
+        sched = _sched(2)
+        sched.record(_result(_hand(sched, 0), 0))
         assert not sched.done
         assert sched.missing() == [1] and sched.remaining == 1
 
     def test_duplicate_result_rejected(self):
-        sched = OnDemandScheduler(_items(1))
-        item = sched.next_for(0)
-        sched.record(_result(item, 0))
+        sched = _sched(1)
+        sids = _hand(sched, 0)
+        sched.record(_result(sids, 0))
         with pytest.raises(ValueError, match="duplicate"):
-            sched.record(_result(item, 0))
+            sched.record(_result(sids, 0))
 
     def test_result_never_dispatched_rejected(self):
-        sched = OnDemandScheduler(_items(2))
+        sched = _sched(2)
         with pytest.raises(ValueError, match="never dispatched"):
-            sched.record(_result(_items(2)[0], 0))
+            sched.record(_result((0,), 0))
+        # Nor may a reply regroup candidates into a slice never sent.
+        _hand(sched, 0, workers=2)
+        _hand(sched, 0, workers=2)
+        with pytest.raises(ValueError, match="never dispatched"):
+            sched.record(_result((0, 1), 0))
 
     def test_result_wrong_worker_rejected(self):
-        sched = OnDemandScheduler(_items(1))
-        item = sched.next_for(0)
+        sched = _sched(1)
+        sids = _hand(sched, 0)
         with pytest.raises(ValueError, match="worker"):
-            sched.record(_result(item, 3))
+            sched.record(_result(sids, 3))
 
     def test_unknown_sequence_rejected(self):
-        sched = OnDemandScheduler(_items(1))
+        sched = _sched(1)
         with pytest.raises(KeyError):
-            sched.record(WorkResult(99, 0, ScoreSet(0.5, ())))
+            sched.record(_result((99,), 0))
 
     def test_duplicate_ids_rejected(self):
-        items = _items(2)
-        items[1] = WorkItem(0, b"\x01", PROBLEM)
         with pytest.raises(ValueError, match="duplicate"):
-            OnDemandScheduler(items)
+            OnDemandScheduler([0, 0], lambda sids: b"")
+
+
+class TestSlices:
+    """Guided slice sizes and the frame budget, in a scripted order."""
+
+    def test_guided_slice_sizes(self):
+        """``ceil(backlog / (2 × workers))``, at least 1: large slices
+        first, single candidates at the tail."""
+        sched = _sched(20)
+        handed = [_hand(sched, i % 2, workers=2) for i in range(9)]
+        assert [len(s) for s in handed] == [5, 4, 3, 2, 2, 1, 1, 1, 1]
+        assert [sid for s in handed for sid in s] == list(range(20))
+        assert _hand(sched, 0, workers=2) is None
+        # One worker halves the backlog; the size follows the live count.
+        sched = _sched(9)
+        assert [len(_hand(sched, 0)) for _ in range(4)] == [5, 2, 1, 1]
+        assert sched.slice_size(workers=3) == 1
+
+    def test_requeue_by_slice(self):
+        """A death readmits every candidate of the worker's
+        unacknowledged slices, ahead of the rest, and the next slice is
+        sized over the new backlog."""
+        sched = _sched(12)
+        first = _hand(sched, 0, workers=2)  # 0..2
+        other = _hand(sched, 1, workers=2)  # 3..5
+        second = _hand(sched, 0, workers=2)  # 6..7
+        sched.record(_result(first, 0))
+        assert sched.requeue_lost(0) == list(second)
+        assert [sched.retries(sid) for sid in (*first, *second)] == [0, 0, 0, 1, 1]
+        assert sched.backlog == 6
+        assert _hand(sched, 2, workers=2) == (6, 7)  # ceil(6 / 4) = 2
+        # The answered slice and the survivor's are untouched.
+        assert sched.record(_result(other, 1))
+        assert sched.missing() == [6, 7, 8, 9, 10, 11]
+
+    def test_trimmed_to_the_frame_budget(self):
+        """A slice whose frame exceeds the budget shrinks until it fits;
+        a candidate too large on its own waits for an idle worker."""
+        frames = []
+        sched = _sched(8, sizes=[10, 10, 10, 10, 100, 10, 10, 10], frames=frames)
+        # Guided size 4 -> 40 bytes > 35: trimmed to 3 (30 bytes).
+        assert sched.next_for(0, workers=1, budget=35, idle=True) == (
+            (0, 1, 2),
+            bytes(30),
+        )
+        assert frames == [(0, 1, 2, 3), (0, 1, 2)]
+        frames.clear()
+        # Guided size 3 over (3, 4, 5) -> 120 bytes: down to (3,) alone.
+        assert _hand(sched, 0, budget=35, idle=False) == (3,)
+        # Candidate 4 alone is 100 bytes: not for a worker with work
+        # unanswered (its pipe could not take it while it replies) ...
+        assert _hand(sched, 0, budget=35, idle=False) is None
+        assert sched.backlog == 4
+        # ... only for an idle one, which is reading its pipe.
+        assert _hand(sched, 1, budget=35, idle=True) == (4,)
+        assert _hand(sched, 0, budget=35, idle=False) == (5, 6)
+        assert (4,) in frames
 
 
 class TestRequeue:
-    """Fault-tolerance surface: a dead worker's items go back in the pool."""
+    """Fault-tolerance surface: a dead worker's slices go back in the pool."""
 
     def test_requeue_lost_readmits_at_front(self):
-        items = _items(3)
-        sched = OnDemandScheduler(items)
-        lost_item = sched.next_for(0)
-        assert sched.requeue_lost(0) == [lost_item.sequence_id]
-        assert sched.in_flight(0) == 0
+        sched = _sched(3)
+        lost = _hand(sched, 0, workers=3)
+        assert sched.requeue_lost(0) == list(lost)
+        assert sched.backlog == 3
         assert sched.missing() == [0, 1, 2]
-        assert sched.retries(lost_item.sequence_id) == 1
-        # The recovered item is the critical path: handed out before the
-        # untouched tail of the queue.
-        assert sched.next_for(1).sequence_id == lost_item.sequence_id
+        assert sched.retries(lost[0]) == 1
+        # The recovered candidate is the critical path: handed out before
+        # the untouched tail of the queue.
+        assert _hand(sched, 1, workers=3) == lost
 
     def test_requeue_lost_only_dead_workers_items(self):
-        sched = OnDemandScheduler(_items(3))
-        i0 = sched.next_for(0)
-        i1 = sched.next_for(1)
-        assert sched.requeue_lost(0) == [i0.sequence_id]
-        # Worker 1's item is untouched.
-        assert (sched.in_flight(0), sched.in_flight(1)) == (0, 1)
-        sched.record(_result(i1, 1))
+        sched = _sched(3)
+        s0 = _hand(sched, 0, workers=3)
+        s1 = _hand(sched, 1, workers=3)
+        assert sched.requeue_lost(0) == list(s0)
+        # Worker 1's slice is untouched.
+        assert sched.backlog == 2
+        assert sched.record(_result(s1, 1))
 
     def test_duplicate_after_requeue_dropped_not_raised(self):
-        sched = OnDemandScheduler(_items(1))
-        item = sched.next_for(0)
+        sched = _sched(1)
+        sids = _hand(sched, 0)
         sched.requeue_lost(0)
-        redispatched = sched.next_for(1)
+        redispatched = _hand(sched, 1)
         assert sched.record(_result(redispatched, 1)) is True
         # The dead worker's reply arrives late: dropped, not an error.
-        assert sched.record(_result(item, 1)) is False
+        assert sched.record(_result(sids, 1)) is False
         assert sched.done
 
     def test_late_reply_from_the_lost_worker_dropped_not_raised(self):
-        sched = OnDemandScheduler(_items(2))
-        item = sched.next_for(0)
+        sched = _sched(2)
+        sids = _hand(sched, 0, workers=2)
         sched.requeue_lost(0)
         # Worker 0 was declared dead, yet its answer turns up before the
-        # item is handed out again: dropped, and the item stays pending.
-        assert sched.record(_result(item, 0)) is False
+        # slice is handed out again: dropped, and it stays pending.
+        assert sched.record(_result(sids, 0)) is False
         assert sched.missing() == [0, 1]
-        assert sched.next_for(1).sequence_id == item.sequence_id
+        assert _hand(sched, 1, workers=2) == sids
 
     def test_requeue_unknown_worker_is_noop(self):
-        sched = OnDemandScheduler(_items(2))
-        sched.next_for(0)
+        sched = _sched(2)
+        _hand(sched, 0, workers=2)
         assert sched.requeue_lost(99) == []
-        assert sched.in_flight(0) == 1
+        assert sched.backlog == 1

@@ -3,18 +3,21 @@ waiting on pipes and process sentinels.
 
 What the transport must guarantee, whoever dies and whenever: a killed
 master leaves no worker and no proteome segment behind; a worker killed
-from outside mid-batch costs exactly its window and can never wedge its
-siblings; replies a worker completed before dying are recorded, not
-re-scored; and a pool that has spawned, lost a worker, closed and
-restarted hands back every file descriptor, thread, child process
-and segment it took.  None of these asserts a wall-clock figure: a batch
-that reached ``timeout`` would degrade, and ``degraded_items`` is pinned
-to 0 instead.
+from outside mid-batch costs exactly the candidates of its
+unacknowledged slices and can never wedge its siblings; replies a worker
+completed before dying are recorded, not re-scored; frames larger than
+the pipe's buffer in both directions never deadlock master and worker;
+and a pool that has spawned, lost a worker, closed and restarted hands
+back every file descriptor, thread, child process and segment it took.
+None of these asserts a wall-clock figure: a batch that reached
+``timeout`` would degrade, and ``degraded_items`` is pinned to 0
+instead.
 """
 
 import glob
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import socket
@@ -31,14 +34,18 @@ import pytest
 import repro.parallel.mp_backend as mp_backend
 from repro.ga.fitness import SerialScoreProvider
 from repro.parallel.messages import EndSignal
-from repro.parallel.mp_backend import (
-    IN_FLIGHT_WINDOW,
-    WorkerFailureError,
-    WorkerPool,
-)
+from repro.parallel.mp_backend import WorkerFailureError, WorkerPool
 from repro.parallel.worker import FaultPlan
 
 pytestmark = pytest.mark.faults
+
+
+def _unanswered_items(stats):
+    """Candidates handed to a worker that it never answered: with no stale
+    reply, exactly those of slices lost with a dead worker."""
+    return sum(
+        int(w["dispatched"] - w["items"]) for w in stats["workers"].values()
+    )
 
 
 def _seqs(rng, n, size=20):
@@ -57,6 +64,15 @@ def _running(pid: int) -> bool:
             return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
     except (FileNotFoundError, ProcessLookupError):
         return False
+
+
+def _subprocess_env() -> dict[str, str]:
+    """This environment, with the package on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in ("src", env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 _ORPHAN_SCRIPT = """
@@ -81,13 +97,9 @@ def test_killed_master_leaves_no_worker_and_no_segment():
     leaves, and with the last of them gone the resource tracker unlinks
     the proteome segment the master could not."""
     before = _segments()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in ("src", env.get("PYTHONPATH")) if p
-    )
     master = subprocess.Popen(
         [sys.executable, "-c", _ORPHAN_SCRIPT],
-        env=env,
+        env=_subprocess_env(),
         stdout=subprocess.PIPE,
         text=True,
     )
@@ -121,8 +133,9 @@ def test_outside_sigkill_mid_batch_costs_a_window_and_never_wedges(
     """Twenty rounds on one pool, a helper thread SIGKILLing a random
     live worker from outside while the batch runs.  Nothing is shared
     between workers, so a death at any instant — mid-``send`` included —
-    is one sentinel and one requeued window: every batch is bit-exact,
-    none stalls into degradation, no reply goes stale."""
+    is one sentinel and one requeue of the candidates the worker held
+    unanswered: every batch is bit-exact, none stalls into degradation,
+    no reply goes stale."""
     target, non_targets = tiny_problem
     seqs = _seqs(rng, 12)
     expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(
@@ -162,16 +175,16 @@ def test_outside_sigkill_mid_batch_costs_a_window_and_never_wedges(
         assert pool.worker_deaths >= 10  # a kill may land between batches
         assert pool.degraded_items == 0 and pool.degraded_batches == 0
         assert pool.stale_dropped == 0
-        assert pool.retries <= IN_FLIGHT_WINDOW * pool.worker_deaths
+        assert pool.retries == _unanswered_items(pool.stats())
         assert pool.dispatched == 21 * len(seqs) + pool.retries
 
 
 def test_replies_completed_before_a_death_are_recorded(
     tiny_engine, tiny_problem, rng
 ):
-    """A worker answers its first item, then dies holding its second:
+    """A worker answers its first slice, then dies holding its second:
     the answer is read off the dead worker's pipe and recorded before
-    its window is requeued, so only what it still held is scored again."""
+    its slices are requeued, so only what it still held is scored again."""
     target, non_targets = tiny_problem
     seqs = _seqs(rng, 6)
     expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(
@@ -187,8 +200,9 @@ def test_replies_completed_before_a_death_are_recorded(
         assert pool.score(seqs, None, [problem] * len(seqs)) == expected
         stats = pool.stats()
     assert stats["fault_tolerance"]["worker_deaths"] == 1
-    assert stats["workers"][0]["items"] == 1.0  # its one answer counted
-    assert 1 <= pool.retries <= IN_FLIGHT_WINDOW
+    # Its one answer — the first guided slice, ceil(6 / 2) = 3 — counted.
+    assert stats["workers"][0]["items"] == 3.0
+    assert pool.retries == _unanswered_items(stats) > 0
     assert pool.dispatched == len(seqs) + pool.retries
     assert pool.stale_dropped == 0 and pool.degraded_items == 0
 
@@ -208,7 +222,7 @@ def test_a_send_to_a_dead_worker_is_left_to_its_sentinel(
         os.kill(pid, signal.SIGKILL)
         while _running(pid):
             time.sleep(0.01)
-        pool._send(wid, EndSignal())  # its end is closed: EPIPE, ignored
+        pool._send(wid, pickle.dumps(EndSignal()))  # its end is closed: EPIPE, ignored
         assert pool._wait(dict(pool._workers), 5.0) == ([], [wid])
         assert pool.score(seqs, None, [problem] * len(seqs)) == expected
         assert pool.worker_deaths == 1 and pool.respawns == 1
@@ -250,7 +264,7 @@ def _small_send_buffer_entry(worker_id, context, conn, master_ends):
 def test_close_reads_a_blocked_worker_through_to_its_end_signal(
     tiny_engine, tiny_problem, rng, monkeypatch
 ):
-    """A batch aborted by a failure orphans the prefetched item's reply.
+    """A batch aborted by a failure orphans the prefetched slice's reply.
     Too large for the pipe, it blocks the worker in ``send`` with the
     EndSignal queued behind it; ``close()`` must keep reading for the
     worker to get there — a clean exit, not a force-kill."""
@@ -274,6 +288,137 @@ def test_close_reads_a_blocked_worker_through_to_its_end_signal(
     finally:
         pool.close()
     assert pool.force_killed == 0
+
+
+_BIG_FRAMES_SCRIPT = """
+import os
+import socket
+import sys
+
+import numpy as np
+
+from repro.ga.fitness import SerialScoreProvider
+from repro.parallel import FaultPlan, WorkerFailureError, WorkerPool
+from repro.synthetic import get_profile
+
+profile, minimum_buffer, orphan = sys.argv[1], sys.argv[2] == "1", sys.argv[5] == "1"
+length, count = int(sys.argv[3]), int(sys.argv[4])
+
+
+class MinimumBufferPipes:
+    '''The pool's multiprocessing context, handing out pipes whose two
+    ends send through the kernel's minimum socket buffer.'''
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+
+    def Pipe(self, duplex=True):
+        ends = self._ctx.Pipe(duplex)
+        for end in ends:
+            with socket.socket(fileno=os.dup(end.fileno())) as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1)
+        return ends
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+
+world = get_profile(profile).build_world()
+target = "YBL051C"
+non_targets = world.non_targets_for(target, limit=8)
+# Stretches of proteome proteins end to end hit everywhere: each one's
+# similarity structure is tens of kilobytes.
+proteome = np.concatenate(
+    [p.encoded for p in world.engine.database.graph.proteins]
+).astype(np.uint8)
+starts = [(i * 997) % (len(proteome) - length) for i in range(2 * count)]
+old, new = ([proteome[s:s + length].copy() for s in part]
+            for part in (starts[:count], starts[count:]))
+serial = SerialScoreProvider(world.engine, target, non_targets)
+pool = WorkerPool(
+    world.engine,
+    num_workers=1,
+    timeout=20.0,
+    faults=FaultPlan(fail_on_item=1) if orphan else None,
+)
+if minimum_buffer:
+    pool._ctx = MinimumBufferPipes(pool._ctx)
+
+
+def score(batch):
+    assert pool.score(batch, None, [problem] * len(batch)) == serial.scores(batch)
+
+
+with pool:
+    problem = pool.warm(target, non_targets)
+    if orphan:
+        # Batch 1 leaves old[0]'s structure in the master.  Batch 2 fails
+        # on its first slice while its second, a new candidate whose
+        # reply ships a structure, is in flight: the reply is orphaned
+        # and the worker blocks sending it.  Batch 3 sends old[0] out
+        # with its structure, to that same worker.
+        score(old)
+        try:
+            pool.score([old[0][:20], new[0]], None, [problem] * 2)
+        except WorkerFailureError:
+            pass
+        else:
+            raise AssertionError("the injected failure did not fire")
+        score(old)
+    else:
+        # Batch 1's replies ship the old candidates' structures; in batch
+        # 2 the old ones carry them back out while the new ones' replies
+        # ship theirs.
+        score(old)
+        score([seq for pair in zip(old, new) for seq in pair])
+    assert pool.degraded_items == 0
+print("ok", flush=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "profile, minimum_buffer, length, count, orphan",
+    [
+        ("tiny", True, 1700, 8, False),
+        ("small", False, 2101, 24, False),
+        ("tiny", True, 1200, 1, True),
+    ],
+    ids=["tiny-minimum-buffer", "small-default-buffer", "tiny-orphaned-reply"],
+)
+def test_frames_larger_than_the_pipe_both_ways_never_deadlock(
+    profile, minimum_buffer, length, count, orphan
+):
+    """Slices that carry structures out and replies that ship structures
+    back, both far larger than what the pipe buffers: the master sends a
+    worker only what fits its share of the buffer, so neither side ever
+    waits on the other.  The stall ``timeout`` cannot catch this deadlock
+    — the master never gets back to its wait — so the pool runs in a
+    subprocess under a wall deadline, and a regression fails here
+    instead of hanging the suite.
+
+    On ``tiny`` every frame (a structure is ~30 KB) dwarfs the
+    kernel-minimum buffer, which hung the per-item pool of old; on
+    ``small`` at the default buffer, slices of 2 101-residue candidates
+    (~40 KB of structure each) sized by the guided rule alone reach
+    hundreds of kilobytes both ways — what the frame budget trims.  The
+    orphaned reply of an aborted batch still occupies its worker's
+    window: the next batch's large frame waits until it is read."""
+    master = subprocess.Popen(
+        [sys.executable, "-c", _BIG_FRAMES_SCRIPT, profile,
+         "1" if minimum_buffer else "0", str(length), str(count),
+         "1" if orphan else "0"],
+        env=_subprocess_env(),
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        out, _ = master.communicate(timeout=120.0)
+    except subprocess.TimeoutExpired:
+        # Its workers leave once the master's ends of their pipes close.
+        master.kill()
+        master.communicate()
+        pytest.fail("master and worker deadlocked on frames larger than the pipe")
+    assert master.returncode == 0 and out.strip() == "ok"
 
 
 def test_pool_hands_back_every_fd_thread_child_and_segment(
@@ -314,4 +459,35 @@ def test_pool_hands_back_every_fd_thread_child_and_segment(
     assert threading.active_count() == threads
     assert len(os.listdir("/proc/self/fd")) == fds
     assert set(multiprocessing.active_children()) == children
+    assert _segments() == segments
+
+
+@pytest.mark.parametrize("share_memory", [True, False], ids=["shm", "pickled-engine"])
+@pytest.mark.parametrize("start_method", multiprocessing.get_all_start_methods())
+def test_every_start_method_scores_slices_bit_exact(
+    start_method, share_memory, tiny_engine, tiny_problem, rng
+):
+    """Fork, spawn and forkserver workers, each with the shared proteome
+    and with the pickled engine: slices of several candidates, scores
+    equal to serial, and no proteome segment left behind."""
+    target, non_targets = tiny_problem
+    seqs = _seqs(rng, 12)
+    expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(
+        [s.copy() for s in seqs]
+    )
+    segments = _segments()
+    with WorkerPool(
+        tiny_engine,
+        num_workers=2,
+        timeout=60.0,
+        start_method=start_method,
+        share_memory=share_memory,
+    ) as pool:
+        problem = pool.warm(target, non_targets)
+        assert pool.score(seqs, None, [problem] * len(seqs)) == expected
+        stats = pool.stats()
+    assert stats["dispatched"] == len(seqs)
+    assert stats["slices"] < len(seqs)
+    assert stats["fault_tolerance"]["degraded_items"] == 0
+    assert (stats["shm"] is not None) == share_memory
     assert _segments() == segments

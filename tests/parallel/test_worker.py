@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.ga.fitness import score_batch
-from repro.parallel.messages import EndSignal, WorkItem, WorkResult
+from repro.parallel.messages import EndSignal, WorkResult, WorkSlice
 from repro.parallel.worker import WorkerContext, worker_loop
 
 
@@ -24,8 +24,20 @@ def problem(tiny_problem):
     return target, tuple(non_targets)
 
 
-def _item(sid, seq, problem, **kw):
-    return WorkItem.from_encoded(sid, seq, problem, **kw)
+def _item(sid, seq, problem, provenance=None, similarities=()):
+    """A one-candidate slice."""
+    return _slice([sid], [seq], problem, [provenance], similarities)
+
+
+def _slice(sids, seqs, problem, provenances=None, similarities=()):
+    return WorkSlice(
+        0,
+        tuple(sids),
+        tuple(np.asarray(s, dtype=np.uint8).tobytes() for s in seqs),
+        (problem,) * len(sids),
+        tuple(provenances or [None] * len(sids)),
+        similarities,
+    )
 
 
 def _scored(engine, seq, problem):
@@ -59,7 +71,7 @@ def test_context_validates_names(tiny_engine):
 
 
 def test_warm_cache(tiny_engine, problem, rng, pipe):
-    """A worker warms a problem's structures the first time an item names
+    """A worker warms a problem's structures the first time a slice names
     it — nothing is warmed before, nothing again after."""
     from repro.providers import make_engine
 
@@ -75,14 +87,17 @@ def test_warm_cache(tiny_engine, problem, rng, pipe):
 
 def test_worker_loop_processes_until_end(context, problem, rng, pipe):
     master, worker = pipe
-    for i in range(3):
-        master.send(_item(i, rng.integers(0, 20, size=20).astype(np.uint8), problem))
+    seqs = [rng.integers(0, 20, size=20).astype(np.uint8) for _ in range(4)]
+    master.send(_slice([0, 1, 2], seqs[:3], problem))
+    master.send(_item(3, seqs[3], problem))
     master.send(EndSignal())
     processed = worker_loop(0, context, worker)
-    assert processed == 3
-    results = [master.recv() for _ in range(3)]
-    assert {r.sequence_id for r in results} == {0, 1, 2}
+    assert processed == 2  # slices, each answered once
+    results = [master.recv() for _ in range(2)]
+    assert [r.sequence_ids for r in results] == [(0, 1, 2), (3,)]
     assert all(isinstance(r, WorkResult) for r in results)
+    scores = [s for r in results for s in r.scores]
+    assert scores == [_scored(context.engine, seq, problem) for seq in seqs]
     # The pipe is private: the END signal is consumed, nothing is echoed.
     assert not worker.poll() and not master.poll()
 
@@ -118,7 +133,7 @@ def test_worker_loop_ends_when_the_master_end_closes(context, problem, rng, pipe
         assert worker_loop(0, context, worker) == 1
     finally:
         thread.join(timeout=5.0)
-    assert not thread.is_alive() and replies[0].sequence_id == 0
+    assert not thread.is_alive() and replies[0].sequence_ids == (0,)
 
     master, worker = multiprocessing.Pipe(duplex=True)
     master.send(_item(1, rng.integers(0, 20, size=20).astype(np.uint8), problem))
@@ -128,8 +143,8 @@ def test_worker_loop_ends_when_the_master_end_closes(context, problem, rng, pipe
 
 
 def test_worker_patches_from_what_the_item_carries(context, problem, rng, pipe):
-    """Stateless delta scoring: the parent's structure arrives on the item,
-    the child's leaves on the reply, and a second item naming the same
+    """Stateless delta scoring: the parent's structure arrives on the slice,
+    the child's leaves on the reply, and a second slice naming the same
     parent *without* carrying it falls back — nothing was cached."""
     from repro.ppi.delta import mutation_provenance
 
@@ -150,14 +165,16 @@ def test_worker_patches_from_what_the_item_carries(context, problem, rng, pipe):
     master.send(EndSignal())
     assert worker_loop(0, context, worker) == 2
     patched, swept = master.recv(), master.recv()
-    assert patched.delta.hit
-    assert 0 < patched.delta.rows_rescored < patched.delta.rows_total
-    assert not swept.delta.hit
-    assert swept.delta.rows_rescored == swept.delta.rows_total
+    (patched_delta,), (swept_delta,) = patched.deltas, swept.deltas
+    assert patched_delta.hit
+    assert 0 < patched_delta.rows_rescored < patched_delta.rows_total
+    assert not swept_delta.hit
+    assert swept_delta.rows_rescored == swept_delta.rows_total
     full = database.sequence_similarity(child)
     for reply in (patched, swept):
-        assert reply.scores == _scored(context.engine, child, problem)
-        assert (reply.similarity.counts != full.counts).nnz == 0
+        assert reply.scores == (_scored(context.engine, child, problem),)
+        ((key, built),) = reply.similarities
+        assert key == child.tobytes() and (built.counts != full.counts).nnz == 0
 
 
 def test_worker_does_not_echo_a_structure_the_item_carried(
@@ -170,8 +187,8 @@ def test_worker_does_not_echo_a_structure_the_item_carried(
     master.send(EndSignal())
     worker_loop(0, context, worker)
     reply = master.recv()
-    assert reply.similarity is None
-    assert reply.scores == _scored(context.engine, seq, problem)
+    assert reply.similarities == ()
+    assert reply.scores == (_scored(context.engine, seq, problem),)
 
 
 def test_worker_without_delta_ships_no_structure(tiny_engine, problem, rng, pipe):
@@ -181,19 +198,19 @@ def test_worker_without_delta_ships_no_structure(tiny_engine, problem, rng, pipe
     master.send(EndSignal())
     worker_loop(0, context, worker)
     reply = master.recv()
-    assert reply.similarity is None and reply.delta is None
+    assert reply.similarities == () and reply.deltas == (None,)
 
 
 def test_retire_signal_stops_the_worker_after_its_inbox(context, problem, rng, pipe):
-    # The pipe is FIFO: the end signal stops the worker after the items
+    # The pipe is FIFO: the end signal stops the worker after the slices
     # ahead of it and before anything behind it.
     master, worker = pipe
     master.send(_item(0, rng.integers(0, 20, size=20).astype(np.uint8), problem))
     master.send(EndSignal())
     master.send(_item(1, rng.integers(0, 20, size=20).astype(np.uint8), problem))
     assert worker_loop(0, context, worker) == 1
-    assert master.recv().sequence_id == 0 and not master.poll()
-    assert worker.recv().sequence_id == 1  # nothing past the signal was touched
+    assert master.recv().sequence_ids == (0,) and not master.poll()
+    assert worker.recv().sequence_ids == (1,)  # nothing past the signal was touched
 
 
 def test_worker_stamps_inbox_wait(context, problem, rng, pipe):
@@ -213,3 +230,35 @@ def test_worker_stamps_inbox_wait(context, problem, rng, pipe):
         feeder.join(timeout=5.0)
     assert not feeder.is_alive()
     assert master.recv().inbox_wait >= 0.1
+
+
+def test_siblings_in_one_slice_patch_from_one_carried_parent(
+    context, problem, rng, pipe
+):
+    """Two children of one parent in one slice: the parent travels once,
+    both patch from it, and both built structures come back in one
+    reply."""
+    from repro.ppi.delta import mutation_provenance
+
+    database = context.engine.database
+    parent = rng.integers(0, 20, size=30).astype(np.uint8)
+    children, provenances = [], []
+    for locus in (4, 20):
+        child = parent.copy()
+        child[locus] = (child[locus] + 5) % 20
+        children.append(child)
+        provenances.append(mutation_provenance(parent, [locus]))
+    master, worker = pipe
+    master.send(
+        _slice(
+            [0, 1], children, problem, provenances,
+            similarities=((parent.tobytes(), database.sequence_similarity(parent)),),
+        )
+    )
+    master.send(EndSignal())
+    assert worker_loop(0, context, worker) == 1
+    reply = master.recv()
+    assert reply.sequence_ids == (0, 1)
+    assert all(d.hit and d.rows_rescored < d.rows_total for d in reply.deltas)
+    assert [key for key, _ in reply.similarities] == [c.tobytes() for c in children]
+    assert list(reply.scores) == [_scored(context.engine, c, problem) for c in children]

@@ -6,7 +6,8 @@ call covers the dirty runs of every delta child of a round, one covers the
 round's full sweeps, and ``score_similarities`` makes one product per
 fused group.  Every caller of ``score_batch`` gets that shape: the serial
 provider per generation, the pool's degraded path per lost batch, and a
-pool worker per item.  Counts, not timings — they repeat exactly.
+pool worker per slice of a batch.  Counts, not timings — they repeat
+exactly.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ import multiprocessing
 
 from repro.ga import WETLAB_PARAMS, InSiPSEngine
 from repro.ga.fitness import SerialScoreProvider, score_batch
-from repro.parallel.messages import EndSignal, WorkItem
+from repro.parallel.messages import EndSignal, WorkSlice
 from repro.parallel.mp_backend import WorkerPool
 from repro.parallel.worker import WorkerContext, worker_loop
 from repro.ppi import pipe
@@ -217,27 +218,43 @@ def test_score_batch_is_one_product(counted):
 
 
 def test_worker_route_is_one_product_per_item(counted):
-    """A worker scores its one item per message: one kernel pass and one
-    PIPE product per item."""
+    """A worker scores a slice of k candidates over two problems in one
+    ``score_batch``: one kernel pass for the slice, and one PIPE product
+    per (problem, fused group) — not one of each per candidate."""
     engine, telemetry, non_targets = counted
-    problem = (TARGET, tuple(non_targets))
+    first = (TARGET, tuple(non_targets))
+    second = (non_targets[0], (TARGET, *non_targets[1:4]))
     rng = np.random.default_rng(4)
-    seqs = [rng.integers(0, 20, size=LENGTH).astype(np.uint8) for _ in range(3)]
+    k = 7
+    seqs = [rng.integers(0, 20, size=LENGTH).astype(np.uint8) for _ in range(k)]
+    problems = [first if i % 3 else second for i in range(k)]
     master, worker = multiprocessing.Pipe(duplex=True)
     try:
-        for sid, seq in enumerate(seqs):
-            master.send(WorkItem.from_encoded(sid, seq, problem))
+        master.send(
+            WorkSlice(
+                0,
+                tuple(range(k)),
+                tuple(seq.tobytes() for seq in seqs),
+                tuple(problems),
+                (None,) * k,
+            )
+        )
         master.send(EndSignal())
-        assert worker_loop(0, WorkerContext(engine), worker) == len(seqs)
-        replies = [master.recv() for _ in seqs]
+        assert worker_loop(0, WorkerContext(engine), worker) == 1
+        reply = master.recv()
     finally:
         master.close()
         worker.close()
-    assert CountingKernel.calls == [1] * len(seqs)
-    assert _span_count(telemetry, "pipe.triple_product") == len(seqs)
-    assert _span_count(telemetry, "pipe.box_filter") == len(seqs)
-    for reply, seq in zip(replies, seqs):
-        scores = reply.scores
+    assert CountingKernel.calls == [k]
+    groups = sum(
+        _groups(engine, problem, problems.count(problem))
+        for problem in (first, second)
+    )
+    assert groups < k
+    assert _span_count(telemetry, "pipe.triple_product") == groups
+    assert _span_count(telemetry, "pipe.box_filter") == groups
+    assert reply.sequence_ids == tuple(range(k))
+    for seq, problem, scores in zip(seqs, problems, reply.scores):
         assert [scores.target_score, *scores.non_target_scores] == _oracle(
             engine, seq, problem
         )

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.ga.fitness import ScoreSet
 from repro.ga.population import Individual, Population
 from repro.ga.diversity import mean_pairwise_hamming, positional_entropy
-from repro.parallel.messages import WorkItem, WorkResult
+from repro.parallel.messages import WorkResult
 from repro.parallel.scheduler import OnDemandScheduler
 from repro.ppi.graph import InteractionGraph
 from repro.ppi.sites import predict_binding_sites
@@ -44,35 +44,50 @@ def test_graph_edge_invariants(pairs):
 @given(
     st.integers(min_value=1, max_value=30),
     st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=12),
     st.randoms(use_true_random=False),
 )
-def test_ondemand_scheduler_complete_and_ordered(n_items, n_workers, pyrandom):
-    items = [WorkItem(i, bytes([i % 250 + 1]), ("T", ())) for i in range(n_items)]
-    sched = OnDemandScheduler(items)
+def test_ondemand_scheduler_complete_and_ordered(n_items, n_workers, budget, pyrandom):
+    sizes = [pyrandom.randrange(1, 8) for _ in range(n_items)]
+    sched = OnDemandScheduler(
+        range(n_items), lambda sids: bytes(sum(sizes[s] for s in sids))
+    )
     outstanding = []
     handed = []
     recorded = set()
 
-    def complete(done, worker):
-        assert sched.record(WorkResult(done.sequence_id, worker, ScoreSet(0.5, ())))
-        recorded.add(done.sequence_id)
+    def complete(sids, worker):
+        result = WorkResult(sids, worker, tuple(ScoreSet(0.5, ()) for _ in sids))
+        assert sched.record(result)
+        recorded.update(sids)
         # What is still owed is exactly what has no reply, ascending.
         assert sched.missing() == sorted(set(range(n_items)) - recorded)
 
-    while True:
+    while sched.backlog:
         w = pyrandom.randrange(n_workers)
-        item = sched.next_for(w)
-        if item is None:
-            break
-        handed.append(item.sequence_id)
-        outstanding.append((item, w))
-        # Randomly complete some outstanding work.
-        while outstanding and pyrandom.random() < 0.5:
+        idle = all(worker != w for _, worker in outstanding)
+        guided = sched.slice_size(n_workers)
+        got = sched.next_for(w, workers=n_workers, budget=budget, idle=idle)
+        if got is None:
+            # Only a head too large for the budget on its own is held
+            # back, and only from a worker with work outstanding.
+            assert not idle and sizes[len(handed)] > budget
+        else:
+            sids, frame = got
+            assert len(sids) <= guided
+            assert len(frame) <= budget or len(sids) == 1
+            handed.extend(sids)
+            outstanding.append((sids, w))
+        # Randomly complete some outstanding work — at least one slice
+        # after a hold-back, so the held worker can fall idle.
+        force = got is None
+        while outstanding and (force or pyrandom.random() < 0.5):
             complete(*outstanding.pop(pyrandom.randrange(len(outstanding))))
+            force = False
     assert not sched.done or not outstanding
-    for done, worker in outstanding:
-        complete(done, worker)
-    # Complete: every item handed out once, in order, and answered.
+    for sids, worker in outstanding:
+        complete(sids, worker)
+    # Complete: every candidate handed out once, in order, and answered.
     assert handed == list(range(n_items))
     assert sched.done and sched.missing() == [] and sched.remaining == 0
 
