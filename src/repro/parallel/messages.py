@@ -122,7 +122,10 @@ class WorkResult:
     did not carry (none when delta scoring is off).  ``inbox_wait`` is
     how long the worker sat blocked in ``recv()`` before the slice
     arrived — the dispatch latency the master cannot observe from its
-    side.
+    side.  ``cpu_s`` (user + system seconds) and ``minor_faults`` are the
+    worker process's ``getrusage`` deltas over the slice, from ``recv()``
+    returning to just before this reply is pickled and sent (zero where
+    ``resource`` is unavailable).
     """
 
     sequence_ids: tuple[int, ...]
@@ -133,6 +136,8 @@ class WorkResult:
     deltas: tuple[DeltaStats | None, ...] = ()
     similarities: Similarities = ()
     inbox_wait: float = 0.0
+    cpu_s: float = 0.0
+    minor_faults: int = 0
 
 
 @dataclass(frozen=True)

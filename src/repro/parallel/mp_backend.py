@@ -847,7 +847,14 @@ class WorkerPool:
     def _tally(self, wid: int) -> dict[str, float]:
         return self._tallies.setdefault(
             wid,
-            {"dispatched": 0.0, "items": 0.0, "busy_s": 0.0, "inbox_wait_s": 0.0},
+            {
+                "dispatched": 0.0,
+                "items": 0.0,
+                "busy_s": 0.0,
+                "cpu_s": 0.0,
+                "minor_faults": 0.0,
+                "inbox_wait_s": 0.0,
+            },
         )
 
     def _record_result(self, msg: WorkResult) -> None:
@@ -858,6 +865,8 @@ class WorkerPool:
         tally = self._tally(wid)
         tally["items"] += items
         tally["busy_s"] += msg.elapsed
+        tally["cpu_s"] += msg.cpu_s
+        tally["minor_faults"] += msg.minor_faults
         tally["inbox_wait_s"] += msg.inbox_wait
         self.telemetry.observe("parallel.inbox_wait", msg.inbox_wait)
         for key, similarity in msg.similarities:
@@ -881,11 +890,15 @@ class WorkerPool:
         (``dispatched``) and answered by it (``items``); its
         ``utilisation`` divides its busy time by the pool's total batch
         wall time — the per-worker efficiency panel of the paper's
-        worker-scaling figures; ``inbox_wait_s`` is the time the worker
-        sat blocked in ``recv()`` before its slices arrived (idle time
-        between batches included).  ``delta["sticky_routed"]`` is kept
-        for consumers of the old affinity dispatch and reads 0 by
-        construction: all work is handed out on demand.  ``shm`` is None
+        worker-scaling figures; ``cpu_s`` and ``minor_faults`` sum the
+        worker's own ``getrusage`` deltas over its recorded slices (from
+        ``recv()`` returning to just before its reply is sent), so
+        ``cpu_s / items`` is the worker's CPU per candidate;
+        ``inbox_wait_s`` is the time the worker sat blocked in ``recv()``
+        before its slices arrived (idle time between batches included).
+        ``delta["sticky_routed"]`` is kept for consumers of the old
+        affinity dispatch and reads 0 by construction: all work is handed
+        out on demand.  ``shm`` is None
         when ``share_memory`` is off or the pool has not started.
         """
         workers: dict[int, dict[str, float]] = {}

@@ -15,7 +15,11 @@ call's fixed costs once per slice instead of once per candidate.  When
 the master's end of the pipe closes (the master exited or was killed)
 the worker leaves its loop: no worker outlives its master.
 
-Workers keep no state between slices and own no design problem.  The
+Workers keep no state between slices and own no design problem (what
+persists is scratch memory: the thread's
+:class:`~repro.ppi.kernels.ScratchArena`, whose bytes each slice's
+sweep tiles and fused groups overwrite before reading, so a warm worker
+does not fault its working set in again on every slice).  The
 problems arrive on the :class:`~repro.parallel.messages.WorkSlice` (the
 engine's known-protein cache fills with a problem's structures the first
 time a slice names it, unless they were inherited at spawn or found in
@@ -25,7 +29,9 @@ exactly what the slice carries.  The structures built for its candidates
 leave on the :class:`~repro.parallel.messages.WorkResult`, and the
 master's bounded LRU is the only cache that outlives a slice — so every
 worker takes the serial provider's delta route whichever worker scored
-the parents.
+the parents.  Each reply also carries the worker's own ``getrusage``
+deltas for the slice (CPU seconds and minor page faults, from ``recv()``
+returning to just before the send), which the pool sums per worker.
 
 A slice whose evaluation raises does **not** kill the worker: the
 exception is captured as a :class:`~repro.parallel.messages.WorkFailure`
@@ -54,6 +60,11 @@ from repro.parallel.messages import (
 )
 from repro.ppi.delta import DeltaStats, SimilarityLRU
 from repro.ppi.pipe import PipeConfig, PipeEngine
+
+try:
+    from resource import RUSAGE_SELF, getrusage
+except ImportError:  # pragma: no cover - not POSIX: usage reads as zero
+    getrusage = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ppi.shm import SharedProteomeHandle, SharedProteomeView
@@ -217,6 +228,14 @@ def _score_slice(
     return scores, deltas, tuple(built.items())
 
 
+def _usage() -> tuple[float, int]:
+    """This process's CPU seconds (user + system) and minor page faults."""
+    if getrusage is None:  # pragma: no cover - not POSIX
+        return 0.0, 0
+    usage = getrusage(RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime, usage.ru_minflt
+
+
 def _worker_loop_inner(worker_id: int, context: WorkerContext, conn) -> int:
     faults = context.faults
     inject = faults is not None and faults.applies_to(worker_id)
@@ -231,6 +250,7 @@ def _worker_loop_inner(worker_id: int, context: WorkerContext, conn) -> int:
             # there is nobody left to serve.
             break
         inbox_wait = time.perf_counter() - waited
+        cpu_at_recv, faults_at_recv = _usage()
         if isinstance(message, EndSignal):
             break
         if not isinstance(message, WorkSlice):
@@ -256,6 +276,7 @@ def _worker_loop_inner(worker_id: int, context: WorkerContext, conn) -> int:
                     f"injected failure on slice {processed} of worker {worker_id}"
                 )
             scores, deltas, built = _score_slice(engine, message, context.use_delta)
+            cpu_s, minor_faults = _usage()
             reply = WorkResult(
                 message.sequence_ids,
                 worker_id,
@@ -265,6 +286,8 @@ def _worker_loop_inner(worker_id: int, context: WorkerContext, conn) -> int:
                 deltas=tuple(deltas),
                 similarities=built,
                 inbox_wait=inbox_wait,
+                cpu_s=cpu_s - cpu_at_recv,
+                minor_faults=minor_faults - faults_at_recv,
             )
         except Exception as exc:
             reply = WorkFailure(

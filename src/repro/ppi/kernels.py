@@ -23,16 +23,27 @@ of the calls, not in a compiled backend):
   with the reference: stacking only adds seam rows (later discarded) and
   every retained row accumulates exactly the per-sequence sweep's terms.
 
-Kernels are stateless and hold no references to the database; they read
-the read-only proteome arrays — ``score_rows`` included, which the
-database derives once from its own matrix — off whatever database-like
-object is passed in (a :class:`~repro.ppi.database.PipeDatabase`, built
-in process or over a :mod:`repro.ppi.shm` segment), so one kernel
-instance can serve many databases and processes.
+Kernels hold no references to the database; they read the read-only
+proteome arrays — ``score_rows`` included, which the database derives
+once from its own matrix — off whatever database-like object is passed
+in (a :class:`~repro.ppi.database.PipeDatabase`, built in process or over
+a :mod:`repro.ppi.shm` segment), so one kernel instance can serve many
+databases and processes.  The only state a sweep leaves behind is
+scratch memory: each thread owns one :class:`ScratchArena`
+(:func:`scratch_arena`) that the batched sweep's tiles — and the fused
+result groups of :meth:`~repro.ppi.pipe.PipeEngine.score_similarities` —
+carve their temporaries from instead of allocating them, so a process
+scoring slice after slice stops handing those pages back to the kernel
+and faulting them in again.  The arena is bounded: it keeps what one
+tile of at most ``fast_chunk_elements`` cells or one group of at most
+:data:`~repro.ppi.pipe.GROUP_CELLS` cells needs, and a larger request
+gets a one-off buffer.  Nothing a sweep returns lives in it.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Protocol, Sequence
 
@@ -54,6 +65,8 @@ __all__ = [
     "register_kernel",
     "available_kernels",
     "DEFAULT_KERNEL",
+    "ScratchArena",
+    "scratch_arena",
 ]
 
 
@@ -77,6 +90,96 @@ class ProteomeArrays(Protocol):
     threshold: float
     chunk_residues: int
     num_proteins: int
+
+
+#: Every carve starts on a cache-line boundary.
+_ALIGN = 64
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _ALIGN) * _ALIGN
+
+
+class _Scratch:
+    """A bump allocator over one buffer: the carves of one tile or group."""
+
+    __slots__ = ("buffer", "used")
+
+    def __init__(self, buffer: np.ndarray) -> None:
+        self.buffer = buffer
+        self.used = 0
+
+    def reset(self) -> None:
+        """Forget every carve: the next tile reuses the same bytes."""
+        self.used = 0
+
+    def carve(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised C-contiguous ``shape`` array from the buffer."""
+        dtype = np.dtype(dtype)
+        start = self.used
+        stop = start + math.prod(shape) * dtype.itemsize
+        if stop > self.buffer.size:
+            raise RuntimeError(
+                f"scratch overrun: {stop} bytes carved from a "
+                f"{self.buffer.size}-byte reservation"
+            )
+        self.used = _aligned(stop)
+        return self.buffer[start:stop].view(dtype).reshape(shape)
+
+
+class ScratchArena:
+    """One thread's reusable scratch memory for scoring temporaries.
+
+    A tile of the batched sweep or a fused result group computes its
+    byte count from the shapes it is about to fill (:meth:`nbytes`),
+    calls :meth:`reserve` once — growing the retained buffer, if it must,
+    before anything is carved, so two generations of it are never alive
+    at once — and carves its arrays from the returned bump allocator.
+    A request the caller marks as out of bound (``retain=False``) gets a
+    one-off buffer that dies with the caller, so the arena never holds
+    more than the largest in-bound tile or group needed.
+
+    Carved arrays are temporaries of the tile or group that carved them:
+    the next reservation on the same thread hands out the same bytes
+    again, so nothing returned or cached may be carved.
+    """
+
+    __slots__ = ("buffer",)
+
+    def __init__(self) -> None:
+        #: The retained buffer: every in-bound carve is a view of it, and
+        #: its ``nbytes`` is what the arena keeps between reservations.
+        self.buffer = np.empty(0, dtype=np.uint8)
+
+    @staticmethod
+    def nbytes(*arrays: tuple[tuple[int, ...], "np.dtype | type"]) -> int:
+        """Bytes a reservation needs to carve ``(shape, dtype)`` arrays."""
+        return sum(
+            _aligned(math.prod(shape) * np.dtype(dtype).itemsize)
+            for shape, dtype in arrays
+        )
+
+    def reserve(self, nbytes: int, *, retain: bool = True) -> _Scratch:
+        """A bump allocator over at least ``nbytes``, every earlier carve
+        of this thread forgotten; ``retain=False`` for a one-off."""
+        if not retain:
+            return _Scratch(np.empty(nbytes, dtype=np.uint8))
+        if self.buffer.size < nbytes:
+            # Drop the old buffer before allocating its successor.
+            self.buffer = np.empty(0, dtype=np.uint8)
+            self.buffer = np.empty(nbytes, dtype=np.uint8)
+        return _Scratch(self.buffer)
+
+
+_THREAD = threading.local()
+
+
+def scratch_arena() -> ScratchArena:
+    """The calling thread's :class:`ScratchArena`, created on first use."""
+    arena = getattr(_THREAD, "arena", None)
+    if arena is None:
+        arena = _THREAD.arena = ScratchArena()
+    return arena
 
 
 class SimilarityKernel(ABC):
@@ -167,7 +270,7 @@ class ChunkedNumpyKernel(SimilarityKernel):
 
 
 def _diag_window_sums_int(
-    scores: np.ndarray, w: int, n_win: int, cols: int
+    scores: np.ndarray, w: int, n_win: int, cols: int, scratch: _Scratch
 ) -> np.ndarray:
     """Exact integer window sums along the diagonals of ``scores``.
 
@@ -178,6 +281,10 @@ def _diag_window_sums_int(
     sequential accumulation order.  Partial sums cover at most ``w``
     consecutive terms, so the caller's ``w * max|score| < int16 max``
     overflow guard bounds every intermediate too.
+
+    The ``floor(log2 w)`` partial sums are carved from ``scratch``, each
+    at most ``scores.shape``; the result is a view of them (or of
+    ``scores`` when ``w`` is 1), valid until the scratch is reset.
     """
     if w == 1:
         return scores[:n_win, :cols]
@@ -186,10 +293,14 @@ def _diag_window_sums_int(
     k = 1
     while k * 2 <= w:
         d = powers[-1]
-        powers.append(d[:-k, :-k] + d[k:, k:])
+        rows, width = d.shape
+        out = scratch.carve((rows - k, width - k), d.dtype)
+        powers.append(np.add(d[:-k, :-k], d[k:, k:], out=out))
         k *= 2
     # Binary decomposition of w, highest power first: each piece extends
-    # the covered prefix of the window by 2**bit diagonal steps.
+    # the covered prefix of the window by 2**bit diagonal steps.  The
+    # first piece is a view of the top partial sum, dead after this, so
+    # the later pieces accumulate into it.
     result = None
     covered = 0
     for bit in range(len(powers) - 1, -1, -1):
@@ -197,7 +308,7 @@ def _diag_window_sums_int(
             continue
         d = powers[bit]
         piece = d[covered : covered + n_win, covered : covered + cols]
-        result = piece if result is None else result + piece
+        result = piece if result is None else np.add(result, piece, out=result)
         covered += 1 << bit
     return result
 
@@ -231,6 +342,14 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
       contributes only the flat indices of its hits; validity, the
       column → protein map and the per-query cut are applied to that
       handful after the tile loop.
+    * **no allocation per tile** — a tile's score matrix, partial sums
+      and hit mask are carved from the thread's :class:`ScratchArena`,
+      reserved once per pass for its widest (first) tile; only the hits
+      and the returned CSR structures are allocated.  A pass whose tiles
+      exceed ``fast_chunk_elements`` cells (more than
+      ``fast_chunk_elements / 64`` stacked window rows) reserves a
+      one-off buffer instead, so the arena keeps at most what one
+      in-bound tile needs.
 
     ``batch_residues`` caps the stacked length (``batch_elements``
     further bounds it by the proteome-chunk width), so batches too large
@@ -328,15 +447,34 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
             total_cols = db.valid_columns.size
             # Tile columns so the int16 score matrix stays cache-resident.
             chunk = max(64, min(db.chunk_residues, self.fast_chunk_elements // n_rows))
+            # The first tile is the widest: its score matrix, floor(log2 w)
+            # partial sums no larger than it, and its hit mask.
+            width = min(chunk, total_cols) + w - 1
+            scratch = scratch_arena().reserve(
+                ScratchArena.nbytes(
+                    *[((stacked.size, width), np.int16)] * w.bit_length(),
+                    ((n_rows, width), np.bool_),
+                ),
+                retain=n_rows * min(chunk, total_cols) <= self.fast_chunk_elements,
+            )
             for start in range(0, total_cols, chunk):
                 cols = min(chunk, total_cols - start)
+                scratch.reset()
                 # Overlap by w - 1 residues so windows starting near the
                 # tile edge are complete; the padded tail guarantees it.
+                # Every code indexes a row, so "clip" never clips; it
+                # spares "raise" mode's internal buffering of ``out``.
                 scores = db.score_rows[:, start : start + cols + w - 1].take(
-                    sidx, axis=0
+                    sidx,
+                    axis=0,
+                    out=scratch.carve((stacked.size, cols + w - 1), np.int16),
+                    mode="clip",
                 )
-                sums = _diag_window_sums_int(scores, w, n_rows, cols)
-                hits = np.flatnonzero(sums >= ithr)
+                sums = _diag_window_sums_int(scores, w, n_rows, cols, scratch)
+                mask = np.greater_equal(
+                    sums, ithr, out=scratch.carve((n_rows, cols), np.bool_)
+                )
+                hits = np.flatnonzero(mask)
                 if hits.size:
                     r, c = np.divmod(hits, cols)
                     hit_rows.append(r)

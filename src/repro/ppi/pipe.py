@@ -40,6 +40,7 @@ import scipy.sparse as sp
 
 from repro.ppi.database import PipeDatabase, SequenceSimilarity
 from repro.ppi.delta import DeltaStats
+from repro.ppi.kernels import ScratchArena, scratch_arena
 from repro.ppi.similarity import calibrate_threshold
 from repro.substitution import PAM120, get_matrix
 from repro.substitution.matrix import SubstitutionMatrix
@@ -52,9 +53,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BatchScores", "PipeConfig", "PipeEngine", "PipeResult"]
 
 #: Dense cells (candidates x windows x stacked protein windows) one fused
-#: result-matrix group may hold: the 2 MB float64 block a group allocates.
-#: Four candidates per group on the benchmark's campaigns, ~10 % faster
-#: there than one per group (65 536); larger measured no faster.
+#: result-matrix group may hold: the 2 MB float64 block a group carves
+#: from the thread's scratch arena (a single larger candidate gets a
+#: one-off block).  Four candidates per group on the benchmark's
+#: campaigns, ~10 % faster there than one per group (65 536); larger
+#: measured no faster.  Both figures were measured while every group's
+#: block was still freshly allocated and faulted in; re-tuning under the
+#: arena belongs with the kernel-residue work.
 GROUP_CELLS = 262_144
 
 
@@ -431,9 +436,6 @@ class PipeEngine:
         if not names:
             return [{} for _ in similarities]
         evidence, bounds = self._evidence(names)
-        telemetry = self.telemetry
-        size = 2 * self.config.box_radius + 1
-        saturation = self.config.saturation
         # A candidate without windows, like a protein without, has an
         # empty result matrix: score 0.0.
         scores = np.zeros((len(similarities), len(names)))
@@ -445,27 +447,61 @@ class PipeEngine:
             step = max(1, GROUP_CELLS // (n * bounds[-1]))
             for g in range(0, len(members), step):
                 group = members[g : g + step]
-                with telemetry.span("pipe.triple_product"):
-                    ma = sp.vstack([similarities[i].counts for i in group], "csr")
-                    if not self.config.count_positions:
-                        # The paper's binary predicate, once per group.
-                        ma.data = np.ones_like(ma.data)
-                    h = (ma @ evidence).toarray().reshape(len(group), n, -1)
-                with telemetry.span("pipe.box_filter"):
-                    if size > 1:
-                        h = ndi.uniform_filter1d(h, size, axis=1, mode="constant")
-                    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                        if hi == lo:
-                            continue
-                        block = h[:, :, lo:hi]
-                        if size > 1:
-                            block = ndi.uniform_filter1d(
-                                block, size, axis=2, mode="constant"
-                            )
-                        fmax = block.max(axis=(1, 2))
-                        scores[group, b] = fmax / (fmax + saturation)
-        telemetry.count("pipe.evaluations", len(similarities) * len(names))
+                scores[group] = self._score_group(
+                    [similarities[i].counts for i in group], n, evidence, bounds
+                )
+        self.telemetry.count("pipe.evaluations", len(similarities) * len(names))
         return [dict(zip(names, row)) for row in scores.tolist()]
+
+    def _score_group(
+        self,
+        counts: list[sp.csr_matrix],
+        n: int,
+        evidence: sp.csr_matrix,
+        bounds: list[int],
+    ) -> np.ndarray:
+        """The ``(len(counts), len(bounds) - 1)`` scores of one fused group
+        of candidates with ``n`` windows each.
+
+        The dense result block ``H`` is carved from this thread's
+        :class:`~repro.ppi.kernels.ScratchArena` (a one-off buffer when a
+        single candidate's block exceeds :data:`GROUP_CELLS`) and both
+        box-filter passes write back into it: ndimage filters a line
+        through a buffer of its own, so the in-place 1-D filter is
+        bit-identical to the out-of-place one.  Only the scores leave.
+        A group is a call of its own so its views of the arena are gone
+        before the next group reserves, which may grow the arena.
+        """
+        telemetry = self.telemetry
+        size = 2 * self.config.box_radius + 1
+        cells = len(counts) * n * bounds[-1]
+        scratch = scratch_arena().reserve(
+            ScratchArena.nbytes(((cells,), np.float64)), retain=cells <= GROUP_CELLS
+        )
+        with telemetry.span("pipe.triple_product"):
+            ma = sp.vstack(counts, "csr")
+            if not self.config.count_positions:
+                # The paper's binary predicate, once per group.
+                ma.data = np.ones_like(ma.data)
+            # toarray zeroes ``out`` itself.
+            h = (ma @ evidence).toarray(
+                out=scratch.carve((len(counts) * n, bounds[-1]), np.float64)
+            )
+            h = h.reshape(len(counts), n, bounds[-1])
+        with telemetry.span("pipe.box_filter"):
+            if size > 1:
+                ndi.uniform_filter1d(h, size, axis=1, mode="constant", output=h)
+            fmax = np.zeros((len(counts), len(bounds) - 1))
+            for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                if hi == lo:
+                    continue
+                block = h[:, :, lo:hi]
+                if size > 1:
+                    ndi.uniform_filter1d(
+                        block, size, axis=2, mode="constant", output=block
+                    )
+                fmax[:, b] = block.max(axis=(1, 2))
+        return fmax / (fmax + self.config.saturation)
 
     def _evidence(self, names: tuple[str, ...]) -> tuple[sp.csr_matrix, list[int]]:
         """``hstack([adjacency @ M_bᵀ for b in names])`` and the column

@@ -116,3 +116,12 @@ def test_similarity_structures_ride_the_messages(tiny_engine):
     assert _slice(seq).similarities == ()
     bare = WorkResult((0,), 1, (ScoreSet(0.5, ()),))
     assert bare.similarities == () and bare.deltas == () and bare.inbox_wait == 0.0
+
+
+def test_worker_usage_rides_the_reply():
+    reply = WorkResult((0, 1), 1, (ScoreSet(0.5, ()),) * 2, cpu_s=0.125, minor_faults=7)
+    loaded = pickle.loads(pickle.dumps(reply))
+    assert loaded == reply
+    assert (loaded.cpu_s, loaded.minor_faults) == (0.125, 7)
+    bare = WorkResult((0,), 1, (ScoreSet(0.5, ()),))
+    assert (bare.cpu_s, bare.minor_faults) == (0.0, 0)

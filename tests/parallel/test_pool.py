@@ -85,6 +85,20 @@ def test_one_stats_tree_under_the_provider(tiny_engine, tiny_problem, rng):
         assert not hasattr(provider, gone) and not hasattr(provider.pool, gone)
 
 
+def test_worker_cpu_and_faults_are_summed_per_worker(tiny_engine, tiny_problem, rng):
+    """Each reply carries the worker's own getrusage deltas for its
+    slice; the pool sums them next to ``busy_s``."""
+    target, non_targets = tiny_problem
+    pool = WorkerPool(tiny_engine, num_workers=1, timeout=120.0)
+    problem = pool.warm(target, non_targets)
+    with pool:
+        pool.score(_candidates(rng, 4), None, [problem] * 4)
+        (worker,) = pool.stats()["workers"].values()
+    assert worker["items"] == 4
+    assert worker["cpu_s"] > 0
+    assert worker["minor_faults"] > 0  # the first slice builds the problem
+
+
 def test_deleted_pool_knobs_are_rejected_by_name(tiny_engine, tiny_problem):
     target, non_targets = tiny_problem
     for knob in ("latency_target_s", "scale_cooldown_s", "similarity_cache_size",
