@@ -1,6 +1,7 @@
 """InSiPS — the In-Silico Protein Synthesizer (SC '15) reproduction.
 
-A complete, pure-Python reimplementation of the paper's system:
+A complete Python reimplementation of the paper's system (one optional
+C loop, the PIPE window sweep, compiled on first use):
 
 * the PIPE sequence-based interaction prediction engine (:mod:`repro.ppi`),
 * the InSiPS genetic algorithm and fitness function (:mod:`repro.ga`),

@@ -189,7 +189,8 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Run one instrumented design and report the runtime telemetry —
-    PIPE kernel breakdown, per-generation GA stats, cache hit rate and
+    PIPE kernel breakdown, per-generation GA stats, cache hit rate, the
+    window sweep's tile body (compiled or numpy, and why) and
     (with ``--workers``) per-worker throughput/utilisation plus the
     fault-tolerance counters (deaths/respawns/retries/stale/failures)."""
     from repro import InhibitorDesigner, get_profile
@@ -255,6 +256,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         f"fitness {result.fitness:.4f}\n"
     )
     print(summary(registry))
+    from repro.ppi.kernels import native_sweep
+
+    print(f"\nsweep: {native_sweep()}")
     for read_stats in runtimes:
         stats = read_stats()
         print(f"\nworkers ({stats['num_workers']} processes, "

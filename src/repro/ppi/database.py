@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.ppi.graph import InteractionGraph
-from repro.ppi.kernels import SimilarityKernel, get_kernel
+from repro.ppi.kernels import SimilarityKernel, get_kernel, native_sweep
 from repro.ppi.windows import num_windows
 from repro.substitution.matrix import SubstitutionMatrix
 from repro.telemetry import NULL_REGISTRY, MetricsRegistry
@@ -194,7 +194,7 @@ class PipeDatabase:
             last_valid = start + max(0, length - self.window_size + 1)
             self.valid_columns[start:last_valid] = True
 
-        self.score_rows = self._build_score_rows()
+        self._adopt_score_rows(None)
         self.adjacency = graph.adjacency_matrix()
 
     def _init_common(
@@ -271,13 +271,22 @@ class PipeDatabase:
         self.concatenated = np.asarray(concatenated, dtype=np.uint8)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.valid_columns = np.asarray(valid_columns, dtype=bool)
+        self._adopt_score_rows(score_rows)
+        self.adjacency = adjacency
+        return self
+
+    def _adopt_score_rows(self, score_rows: np.ndarray | None) -> None:
+        """Set ``score_rows`` (adopted as given, else built) and, when
+        there are any, resolve the compiled sweep that reads them now —
+        before any fork — so pool workers inherit the loaded library
+        instead of each running the compiler."""
         self.score_rows = (
             np.asarray(score_rows, dtype=np.int16)
             if score_rows is not None
             else self._build_score_rows()
         )
-        self.adjacency = adjacency
-        return self
+        if self.score_rows is not None:
+            native_sweep()
 
     def _build_score_rows(self) -> np.ndarray | None:
         """``int16_table[:, concatenated]`` — the proteome pre-scored

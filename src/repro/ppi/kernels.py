@@ -6,8 +6,7 @@ The window sweep — "build the specified portion of sequence_similarity"
 entire concatenated proteome.  This module makes that sweep a *pluggable
 kernel* behind one small interface, so an implementation can be swapped
 without touching :class:`~repro.ppi.database.PipeDatabase` or any
-provider (both kernels here are plain numpy — the gain is in the shape
-of the calls, not in a compiled backend):
+provider:
 
 * :class:`SimilarityKernel` — the contract: ``sweep`` produces the dense
   ``(num_windows, num_proteins)`` match-count matrix of one query;
@@ -22,6 +21,12 @@ of the calls, not in a compiled backend):
   row take from the database's ``score_rows``.  Row-for-row **bit-exact**
   with the reference: stacking only adds seam rows (later discarded) and
   every retained row accumulates exactly the per-sequence sweep's terms.
+  Its tile loop has two bodies with the same int16 semantics: one
+  compiled C loop (``_sweep.c``, built on first use and loaded with
+  :mod:`ctypes` — :func:`native_sweep` says whether this process has it
+  and why not) and the numpy tile body, which runs wherever the C loop
+  cannot and is its reference.  Which one runs is decided by capability,
+  never by an option.
 
 Kernels hold no references to the database; they read the read-only
 proteome arrays — ``score_rows`` included, which the database derives
@@ -30,7 +35,7 @@ in (a :class:`~repro.ppi.database.PipeDatabase`, built in process or over
 a :mod:`repro.ppi.shm` segment), so one kernel instance can serve many
 databases and processes.  The only state a sweep leaves behind is
 scratch memory: each thread owns one :class:`ScratchArena`
-(:func:`scratch_arena`) that the batched sweep's tiles — and the fused
+(:func:`scratch_arena`) that the numpy tile body's tiles — and the fused
 result groups of :meth:`~repro.ppi.pipe.PipeEngine.score_similarities` —
 carve their temporaries from instead of allocating them, so a process
 scoring slice after slice stops handing those pages back to the kernel
@@ -50,6 +55,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from repro.ppi._native import NativeSweep, native_sweep
 from repro.ppi.similarity import windowed_diagonal_sums
 from repro.ppi.windows import num_windows
 
@@ -67,6 +73,8 @@ __all__ = [
     "DEFAULT_KERNEL",
     "ScratchArena",
     "scratch_arena",
+    "NativeSweep",
+    "native_sweep",
 ]
 
 
@@ -323,33 +331,31 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
     terms of the per-sequence sweep, so the result is bit-exact with
     :class:`ChunkedNumpyKernel` — property-tested, not assumed.
 
-    Three things make the stacked pass faster than a per-sequence loop:
+    What makes the stacked pass faster than a per-sequence loop:
 
     * **int16 scoring from contiguous score rows** — the database owns
       ``score_rows`` (``int16_table[:, concatenated]``, built once when
       the substitution matrix is integer-valued and ``w * max|s|`` fits
-      int16), so a tile's score matrix is one row take of contiguous
-      slices instead of a 2-D gather through the table, and window sums
-      are exact in int16 at a quarter of the float64 memory traffic; the
-      threshold compare uses ``ceil(threshold)``, identical for integer
-      sums.  A database without score rows takes the float64 reference
-      path.
-    * **cache-sized column tiles** — the score matrix is swept in
-      ``~stacked_rows x small_cols`` tiles (``fast_chunk_elements``
-      bounds the tile) that stay inside the CPU caches, where a
-      population-sized matrix would spill to (slow) main memory.
-    * **hits, not masks** — matches are overwhelmingly rare, so each tile
-      contributes only the flat indices of its hits; validity, the
-      column → protein map and the per-query cut are applied to that
-      handful after the tile loop.
-    * **no allocation per tile** — a tile's score matrix, partial sums
-      and hit mask are carved from the thread's :class:`ScratchArena`,
-      reserved once per pass for its widest (first) tile; only the hits
-      and the returned CSR structures are allocated.  A pass whose tiles
-      exceed ``fast_chunk_elements`` cells (more than
-      ``fast_chunk_elements / 64`` stacked window rows) reserves a
-      one-off buffer instead, so the arena keeps at most what one
-      in-bound tile needs.
+      int16), so window sums are exact in int16 at a quarter of the
+      float64 memory traffic; the threshold compare uses
+      ``ceil(threshold)``, identical for integer sums.  A database
+      without score rows takes the float64 reference path.
+    * **one compiled loop** — where this process loaded it
+      (:func:`native_sweep`), the whole tile loop is one C call: for each
+      query row it sums the ``w`` shifted score-row slices in vector
+      registers, compares them against the threshold and writes only the
+      hits into a buffer it is handed, so a sweep reads each score-row
+      slice from L1 and writes nothing else.  It drops the GIL.
+    * **hits, not masks** — matches are overwhelmingly rare, so the tile
+      loop yields only the hits; validity, the column → protein map and
+      the per-query cut are applied to that handful afterwards.
+    * **the numpy tile body** (:meth:`_numpy_tile_hits`), where the C loop
+      is absent or cannot read the score rows: cache-sized column tiles
+      (``fast_chunk_elements`` cells) whose score matrix is one row take
+      of contiguous slices, ``O(log2 w)`` doubling window sums and a hit
+      mask, all carved from the thread's :class:`ScratchArena` (reserved
+      once per pass for its widest, first tile; a pass whose tiles
+      exceed ``fast_chunk_elements`` cells reserves a one-off buffer).
 
     ``batch_residues`` caps the stacked length (``batch_elements``
     further bounds it by the proteome-chunk width), so batches too large
@@ -438,53 +444,15 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
         n_wins = np.maximum(lengths - w + 1, 0)
         stacked = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
         n_rows = num_windows(stacked.size, w)
-        hit_rows: list[np.ndarray] = []
-        hit_cols: list[np.ndarray] = []
+        rows = cols = np.empty(0, dtype=np.intp)
         if n_rows:
-            sidx = stacked.astype(np.intp)
             # Integer window sums reach the same >= verdict at ceil(threshold).
             ithr = int(np.ceil(db.threshold))
-            total_cols = db.valid_columns.size
-            # Tile columns so the int16 score matrix stays cache-resident.
-            chunk = max(64, min(db.chunk_residues, self.fast_chunk_elements // n_rows))
-            # The first tile is the widest: its score matrix, floor(log2 w)
-            # partial sums no larger than it, and its hit mask.
-            width = min(chunk, total_cols) + w - 1
-            scratch = scratch_arena().reserve(
-                ScratchArena.nbytes(
-                    *[((stacked.size, width), np.int16)] * w.bit_length(),
-                    ((n_rows, width), np.bool_),
-                ),
-                retain=n_rows * min(chunk, total_cols) <= self.fast_chunk_elements,
-            )
-            for start in range(0, total_cols, chunk):
-                cols = min(chunk, total_cols - start)
-                scratch.reset()
-                # Overlap by w - 1 residues so windows starting near the
-                # tile edge are complete; the padded tail guarantees it.
-                # Every code indexes a row, so "clip" never clips; it
-                # spares "raise" mode's internal buffering of ``out``.
-                scores = db.score_rows[:, start : start + cols + w - 1].take(
-                    sidx,
-                    axis=0,
-                    out=scratch.carve((stacked.size, cols + w - 1), np.int16),
-                    mode="clip",
-                )
-                sums = _diag_window_sums_int(scores, w, n_rows, cols, scratch)
-                mask = np.greater_equal(
-                    sums, ithr, out=scratch.carve((n_rows, cols), np.bool_)
-                )
-                hits = np.flatnonzero(mask)
-                if hits.size:
-                    r, c = np.divmod(hits, cols)
-                    hit_rows.append(r)
-                    hit_cols.append(c + start)
-        if not hit_rows:
+            rows, cols = self._tile_hits(db, stacked, n_rows, ithr)
+        if not rows.size:
             return [
                 sp.csr_matrix((int(n), num_proteins), dtype=np.int64) for n in n_wins
             ]
-        rows = np.concatenate(hit_rows)
-        cols = np.concatenate(hit_cols)
         # Drop windows that run off their protein and seam rows, then map
         # each surviving hit to (stacked row, protein).
         query = np.searchsorted(starts, rows, side="right") - 1
@@ -510,6 +478,72 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
                 )
             )
         return out
+
+    def _tile_hits(
+        self, db: ProteomeArrays, stacked: np.ndarray, n_rows: int, threshold: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)`` of every stacked cell whose exact int16 window
+        sum reaches ``threshold``, in no particular order: the compiled
+        loop when this process loaded it (:func:`native_sweep`) and it
+        accepts the arrays, else :meth:`_numpy_tile_hits`."""
+        total_cols = db.valid_columns.size
+        native = native_sweep()
+        if native.accepts(db.score_rows, stacked, total_cols, db.window_size):
+            flat = native.hits(
+                db.score_rows, stacked, n_rows, db.window_size, threshold, total_cols
+            )
+            return np.divmod(flat, total_cols)
+        return self._numpy_tile_hits(db, stacked, n_rows, threshold)
+
+    def _numpy_tile_hits(
+        self, db: ProteomeArrays, stacked: np.ndarray, n_rows: int, threshold: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The numpy tile body of :meth:`_tile_hits`: the reference for the
+        compiled loop's int16 semantics and the path of hosts without a C
+        compiler.  Column tiles of at most ``fast_chunk_elements`` cells,
+        each an int16 score matrix, its doubling window sums and a hit
+        mask carved from the thread's :class:`ScratchArena`."""
+        w = db.window_size
+        sidx = stacked.astype(np.intp)
+        total_cols = db.valid_columns.size
+        # Tile columns so the int16 score matrix stays cache-resident.
+        chunk = max(64, min(db.chunk_residues, self.fast_chunk_elements // n_rows))
+        # The first tile is the widest: its score matrix, floor(log2 w)
+        # partial sums no larger than it, and its hit mask.
+        width = min(chunk, total_cols) + w - 1
+        scratch = scratch_arena().reserve(
+            ScratchArena.nbytes(
+                *[((stacked.size, width), np.int16)] * w.bit_length(),
+                ((n_rows, width), np.bool_),
+            ),
+            retain=n_rows * min(chunk, total_cols) <= self.fast_chunk_elements,
+        )
+        hit_rows = [np.empty(0, dtype=np.intp)]
+        hit_cols = [np.empty(0, dtype=np.intp)]
+        for start in range(0, total_cols, chunk):
+            cols = min(chunk, total_cols - start)
+            scratch.reset()
+            # Overlap by w - 1 residues so windows starting near the
+            # tile edge are complete; the padded tail guarantees it.
+            # Every code indexes a row, so "clip" never clips; it
+            # spares "raise" mode's internal buffering of ``out``.
+            scores = db.score_rows[:, start : start + cols + w - 1].take(
+                sidx,
+                axis=0,
+                out=scratch.carve((stacked.size, cols + w - 1), np.int16),
+                mode="clip",
+            )
+            sums = _diag_window_sums_int(scores, w, n_rows, cols, scratch)
+            mask = np.greater_equal(
+                sums, threshold, out=scratch.carve((n_rows, cols), np.bool_)
+            )
+            hits = np.flatnonzero(mask)
+            if hits.size:
+                r, c = np.divmod(hits, cols)
+                hit_rows.append(r)
+                hit_cols.append(c + start)
+        return np.concatenate(hit_rows), np.concatenate(hit_cols)
+
 
 
 DEFAULT_KERNEL = BatchedNumpyKernel.name

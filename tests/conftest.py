@@ -14,6 +14,7 @@ import pytest
 from hypothesis import settings
 
 from repro.ga.fitness import SerialScoreProvider
+from repro.ppi.kernels import BatchedNumpyKernel, native_sweep
 from repro.synthetic import get_profile
 
 # CI selects this with HYPOTHESIS_PROFILE=ci so a failing property is the
@@ -55,3 +56,57 @@ def tiny_provider(tiny_engine, tiny_problem):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+# -- the batched kernel's two tile bodies -----------------------------------
+
+
+class NumpyTileKernel(BatchedNumpyKernel):
+    """The batched kernel pinned to its numpy tile body, whatever this
+    process loaded."""
+
+    def _tile_hits(self, db, stacked, n_rows, threshold):
+        return self._numpy_tile_hits(db, stacked, n_rows, threshold)
+
+
+class NativeTileKernel(BatchedNumpyKernel):
+    """The batched kernel pinned to one entry point of the compiled loop;
+    it fails instead of falling back to numpy."""
+
+    def __init__(self, body: str) -> None:
+        super().__init__()
+        self.body = body
+
+    def _tile_hits(self, db, stacked, n_rows, threshold):
+        native = native_sweep()
+        total_cols = db.valid_columns.size
+        assert native.accepts(db.score_rows, stacked, total_cols, db.window_size)
+        flat = native.hits(
+            db.score_rows, stacked, n_rows, db.window_size, threshold, total_cols,
+            body=self.body,
+        )
+        return np.divmod(flat, total_cols)
+
+
+#: Entry point of the compiled loop behind each compiled tile body.
+_NATIVE_BODIES = {
+    "native": "repro_sweep_hits",  # the widest body this CPU runs
+    "native-vec16": "repro_sweep_hits_vec16",  # the portable 16-byte body
+}
+
+
+@pytest.fixture(scope="session")
+def tile_kernel():
+    """Factory of batched kernels pinned to one tile body: ``"numpy"``,
+    ``"native"`` or ``"native-vec16"``.  Asking for a compiled body skips
+    the calling test when this process has no compiled loop, saying why."""
+
+    def make(body: str) -> BatchedNumpyKernel:
+        if body == "numpy":
+            return NumpyTileKernel()
+        native = native_sweep()
+        if not native.available:
+            pytest.skip(f"compiled sweep not loaded: {native.reason}")
+        return NativeTileKernel(_NATIVE_BODIES[body])
+
+    return make

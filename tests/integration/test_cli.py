@@ -84,6 +84,8 @@ def test_stats_command(capsys, tmp_path):
     assert "ga.evaluate" in out
     assert "provider.cache" in out
     assert out_file.exists()
+    sweep = next(line for line in out.splitlines() if line.startswith("sweep: "))
+    assert sweep.startswith(("sweep: native (", "sweep: numpy ("))
 
 
 def test_stats_command_csv(capsys, tmp_path):

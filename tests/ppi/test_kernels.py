@@ -1,9 +1,10 @@
 """Tests for the pluggable similarity-kernel layer.
 
 The chunked numpy kernel is the bit-exact reference; the batched kernel
-must reproduce it exactly (the padding rows between stacked sequences are
+must reproduce it exactly (the seam rows between stacked sequences are
 discarded, per-row float64 summation order is unchanged) while sweeping a
-whole population in a handful of stacked passes.
+whole population in a handful of stacked passes — through the compiled
+tile loop where this host built it, and through the numpy tile body.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.ppi.kernels import (
     SimilarityKernel,
     available_kernels,
     get_kernel,
+    native_sweep,
     register_kernel,
 )
 from repro.sequences.encoding import decode
@@ -194,6 +196,71 @@ def test_sweep_sparse_non_integer_matrix_falls_back(database):
     seq = np.random.default_rng(47).integers(0, 20, size=20).astype(np.uint8)
     dense = kernel.sweep(db, seq)
     assert (kernel.sweep_sparse(db, seq) != sp.csr_matrix(dense)).nnz == 0
+
+
+# ---------------------------------------------------------- tile bodies
+
+
+@pytest.mark.parametrize("body", ["numpy", "native", "native-vec16"])
+@pytest.mark.parametrize("threshold", [THRESHOLD, -1e6, 1e6, 0.5])
+def test_tile_bodies_match_chunked(database, tile_kernel, body, threshold):
+    """Each tile body equals the reference, including thresholds no int16
+    sum reaches (1e6) and ones every sum reaches (-1e6)."""
+    db = PipeDatabase(database.graph, PAM120, W, threshold, kernel="chunked")
+    seqs = _population(np.random.default_rng(53), 12, lo=1, hi=40)
+    chunked = ChunkedNumpyKernel()
+    for seq, got in zip(seqs, tile_kernel(body).sweep_batch(db, seqs)):
+        assert np.array_equal(got, chunked.sweep(db, seq))
+
+
+@pytest.mark.parametrize("body", ["native", "native-vec16"])
+def test_compiled_loop_reruns_when_hits_overflow_its_buffer(
+    database, tile_kernel, body
+):
+    """With every cell a hit the first pass finds more hits than its
+    buffer holds; the exact-size second pass returns every one."""
+    kernel = tile_kernel(body)
+    stacked = np.random.default_rng(59).integers(0, 20, size=60).astype(np.uint8)
+    n_rows = stacked.size - W + 1
+    total_cols = database.valid_columns.size
+    flat = native_sweep().hits(
+        database.score_rows, stacked, n_rows, W, -(10**6), total_cols,
+        body=kernel.body,
+    )
+    assert flat.size == n_rows * total_cols > n_rows + 1024
+    assert np.array_equal(np.sort(flat), np.arange(n_rows * total_cols))
+
+
+def test_compiled_loop_refuses_what_it_cannot_read(database):
+    """Score rows that are not C-contiguous or lack the pad columns, and
+    codes outside the rows, are left to the numpy body — which still
+    matches the reference."""
+    native = native_sweep()
+    if not native.available:
+        pytest.skip(f"compiled sweep not loaded: {native.reason}")
+    rows, total_cols = database.score_rows, database.valid_columns.size
+    codes = np.arange(20, dtype=np.uint8)
+    assert native.accepts(rows, codes, total_cols, W)
+    assert not native.accepts(np.asfortranarray(rows), codes, total_cols, W)
+    assert not native.accepts(
+        np.ascontiguousarray(rows[:, :-1]), codes, total_cols, W
+    )
+    assert not native.accepts(rows, np.array([0, 20], np.uint8), total_cols, W)
+    fortran = PipeDatabase.from_arrays(
+        database.graph,
+        PAM120,
+        W,
+        THRESHOLD,
+        concatenated=database.concatenated,
+        offsets=database.offsets,
+        valid_columns=database.valid_columns,
+        adjacency=database.adjacency,
+        score_rows=np.asfortranarray(rows),
+    )
+    seqs = _population(np.random.default_rng(61), 6)
+    got = BatchedNumpyKernel().sweep_batch(fortran, seqs)
+    for seq, g in zip(seqs, got):
+        assert np.array_equal(g, ChunkedNumpyKernel().sweep(database, seq))
 
 
 # ----------------------------------------------------------- score rows

@@ -9,8 +9,14 @@ child), and the rules that make reuse safe: reused bytes never leak into
 a result, threads never share an arena, nothing returned or cached lives
 in it, an oversized request is not retained, and the library calls that
 write into it behave as the code assumes.
+
+The batched sweep only uses the arena in its numpy tile body (the
+compiled loop keeps its sums in registers), so the tests about the
+sweep's carves pin that body explicitly rather than pass vacuously on a
+host that built the compiled loop.
 """
 
+import copy
 import os
 import resource
 import sys
@@ -26,7 +32,7 @@ from repro.ga.fitness import score_batch
 from repro.parallel.messages import WorkSlice
 from repro.parallel.worker import _score_slice
 from repro.ppi.delta import SimilarityLRU
-from repro.ppi.kernels import ScratchArena, scratch_arena
+from repro.ppi.kernels import ScratchArena, native_sweep, scratch_arena
 from repro.ppi.pipe import GROUP_CELLS, PipeEngine
 
 #: Minor faults per candidate a warm process may take on ``tiny`` slices.
@@ -98,11 +104,13 @@ def test_warm_slices_take_single_digit_faults(tiny_engine, tiny_problem):
 @pytest.mark.parametrize("count_positions", [False, True])
 @pytest.mark.parametrize("box_radius", [0, 2])
 def test_reused_scratch_never_leaks_into_a_result(
-    tiny_engine, tiny_problem, count_positions, box_radius
+    tiny_engine, tiny_problem, tile_kernel, count_positions, box_radius
 ):
     """Batch B scored right after a batch with larger tiles and groups,
     right after one with smaller ones, and over an arena filled with
-    garbage, equals B on a fresh engine in a fresh thread."""
+    garbage, equals B on a fresh engine in a fresh thread — with the
+    sweep's tiles on the numpy body, which carves them from the arena,
+    and on the compiled loop where this host has it."""
     config = replace(
         tiny_engine.config, count_positions=count_positions, box_radius=box_radius
     )
@@ -112,18 +120,20 @@ def test_reused_scratch_never_leaks_into_a_result(
     larger = _candidates(rng, 14, 90, 140)
     smaller = _candidates(rng, 1, 8, 12)
     batch = _candidates(rng, 5)
-
-    def fresh():
-        return _score(PipeEngine(tiny_engine.database, config), problem, batch)
-
-    expected = _in_fresh_thread(fresh)
-    engine = PipeEngine(tiny_engine.database, config)
-    for before in (larger, smaller, larger):
-        _score(engine, problem, before)
+    bodies = ["numpy"] + (["native"] if native_sweep().available else [])
+    for body in bodies:
+        database = copy.copy(tiny_engine.database)
+        database.kernel = tile_kernel(body)
+        expected = _in_fresh_thread(
+            lambda: _score(PipeEngine(database, config), problem, batch)
+        )
+        engine = PipeEngine(database, config)
+        for before in (larger, smaller, larger):
+            _score(engine, problem, before)
+            assert _score(engine, problem, batch) == expected
+        # Every retained byte set: int16 -1, float64 NaN, bool True.
+        scratch_arena().buffer.fill(0xFF)
         assert _score(engine, problem, batch) == expected
-    # Every retained byte set: int16 -1, float64 NaN, bool True.
-    scratch_arena().buffer.fill(0xFF)
-    assert _score(engine, problem, batch) == expected
 
 
 def test_threads_sharing_one_engine_get_their_serial_results(
@@ -204,11 +214,11 @@ def test_nothing_returned_or_cached_lives_in_the_arena(tiny_engine, tiny_problem
     assert all(np.array_equal(a, b) for a, b in zip(kept, snapshot))
 
 
-def test_an_oversized_request_is_not_retained(tiny_engine, tiny_problem):
+def test_an_oversized_request_is_not_retained(tiny_engine, tiny_problem, tile_kernel):
     """A single candidate whose fused group exceeds GROUP_CELLS, and a
-    stacked pass whose tiles exceed fast_chunk_elements, each get a
-    one-off buffer: the retained arena stays what the in-bound work
-    needed."""
+    stacked pass (on the numpy tile body) whose tiles exceed
+    fast_chunk_elements, each get a one-off buffer: the retained arena
+    stays what the in-bound work needed."""
     target, non_targets = tiny_problem
     names = [target, *non_targets]
     rng = np.random.default_rng(3)
@@ -218,7 +228,7 @@ def test_an_oversized_request_is_not_retained(tiny_engine, tiny_problem):
     group_bytes = 8 * big_similarity.num_windows * bounds[-1]
     assert group_bytes > 8 * GROUP_CELLS
     stacked = _candidates(rng, 130, 64, 65)  # > 8 192 stacked window rows
-    kernel, db = tiny_engine.database.kernel, tiny_engine.database
+    kernel, db = tile_kernel("numpy"), tiny_engine.database
 
     def retained_after_each():
         arena = scratch_arena()

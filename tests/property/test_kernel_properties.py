@@ -1,11 +1,12 @@
 """Hypothesis property tests: the batched similarity kernel and the
 batched database/LRU entry points are bit-exact with the serial reference.
 
-The batched kernel stacks a whole population (zero-padded, ``w - 1``
-residues between sequences so no retained window row straddles two
-candidates) and sweeps it in one chunked pass; the claim is bitwise
-equality with per-sequence :class:`ChunkedNumpyKernel` sweeps, for any
-population and any grouping limits.  `similarity_batch` additionally must
+The batched kernel concatenates a whole population back to back and
+sweeps it in one stacked pass, dropping the window rows that straddle
+two candidates; the claim is bitwise equality with per-sequence
+:class:`ChunkedNumpyKernel` sweeps, for any population and any grouping
+limits, through either tile body — the compiled loop and the numpy one —
+for any window size, threshold and proteome width.  `similarity_batch` additionally must
 preserve the *sequential* delta semantics: a child batched together with
 its parent still takes the delta route, and the result is identical to
 calling `similarity_for` one sequence at a time.
@@ -90,6 +91,68 @@ def test_batched_kernel_bit_exact(databases, population):
         got = batched.sweep_batch(database, swept)
         for e, g in zip(expected, got):
             assert np.array_equal(e, g)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A proteome, window, threshold and query batch for the tile bodies.
+
+    Windows 1–24 (20 is the ``paper`` profile's); thresholds from "every
+    cell hits" (more hits than the compiled loop's first buffer holds, so
+    it re-runs sized exactly) to "none does"; queries shorter than the
+    window; proteome widths that are rarely a multiple of a vector, a
+    vector block or the compiled loop's 1 024-column tile.
+    """
+    w = draw(st.one_of(st.just(20), st.integers(min_value=1, max_value=24)))
+    lengths = draw(
+        st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=6)
+    )
+    if draw(st.booleans()):
+        lengths.append(draw(st.integers(min_value=1000, max_value=1400)))
+    # PAM120 scores lie in [-8, 12]: -9 w makes every cell a hit.
+    threshold = draw(st.integers(min_value=-9 * w, max_value=6 * w)) + draw(
+        st.sampled_from([0.0, 0.5])
+    )
+    queries = draw(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=19), max_size=40).map(
+                lambda xs: np.array(xs, dtype=np.uint8)
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return w, lengths, threshold, queries, seed
+
+
+@pytest.mark.parametrize("body", ["numpy", "native", "native-vec16"])
+@settings(deadline=None, max_examples=25)
+@given(sweep_cases())
+def test_tile_bodies_bit_exact(tile_kernel, body, case):
+    """Compiled loop == numpy tile body == float64 reference, in process
+    and over a shared-memory segment."""
+    w, lengths, threshold, queries, seed = case
+    kernel = tile_kernel(body)
+    rng = np.random.default_rng(seed)
+    proteins = [
+        Protein(f"P{i}", decode(rng.integers(0, 20, size=n).astype(np.uint8)))
+        for i, n in enumerate(lengths)
+    ]
+    database = PipeDatabase(
+        InteractionGraph(proteins, []), PAM120, w, threshold, kernel="chunked"
+    )
+    assert database.score_rows is not None
+    expected = [ChunkedNumpyKernel().sweep(database, q) for q in queries]
+    with SharedProteomeView.share(database) as owner:
+        with SharedProteomeView.attach(owner.handle) as view:
+            attached = view.build_database(kernel="chunked")
+            for db in (database, attached):
+                got = kernel.sweep_batch_sparse(db, queries)
+                for e, g in zip(expected, got, strict=True):
+                    assert g.shape == e.shape
+                    assert np.array_equal(g.toarray(), e)
+            del attached
 
 
 @settings(deadline=None, max_examples=20)
