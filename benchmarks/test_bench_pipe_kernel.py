@@ -171,13 +171,12 @@ def _rss_breakdown_kb(pid: int) -> dict[str, int] | None:
         return None
 
 
-@pytest.mark.parametrize("share_memory", [True, False], ids=["shm", "pickled"])
-def test_bench_worker_rss(benchmark, small_world, population, share_memory):
-    """Per-worker resident memory with the proteome in shared memory vs
-    pickled into each worker.  Workers are *spawned* (not forked) so the
-    footprint is what each worker actually owns — fork's copy-on-write
-    pages would otherwise mask the difference.  The VmRSS/RssAnon/RssShmem
-    breakdown per worker and the shipped-context pickle sizes (the bytes
+def test_bench_worker_rss(benchmark, small_world, population):
+    """Per-worker resident memory with the proteome in shared memory.
+    Workers are *spawned* (not forked) so the footprint is what each
+    worker actually owns — fork's copy-on-write pages would otherwise
+    hide private copies.  The VmRSS/RssAnon/RssShmem breakdown per
+    worker and the pickle size of the segment handle (the bytes
     broadcast to every worker) land in extra_info."""
     import pickle
 
@@ -195,22 +194,20 @@ def test_bench_worker_rss(benchmark, small_world, population, share_memory):
             num_workers=2,
             timeout=300.0,
             start_method="spawn",
-            share_memory=share_memory,
         ) as provider:
             out = provider.scores(population)
             rss = {
                 wid: _rss_breakdown_kb(proc.pid)
                 for wid, proc in provider.pool._workers.items()
             }
-            shipped = len(pickle.dumps(provider.pool._ship_context))
+            shipped = len(pickle.dumps(provider.pool._shm_view.handle))
         return out, rss, shipped
 
     out, rss, shipped = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(out) == POPULATION
     measured = [b["VmRSS"] for b in rss.values() if b and "VmRSS" in b]
-    benchmark.extra_info["share_memory"] = share_memory
     benchmark.extra_info["per_worker_rss_kb"] = rss
-    benchmark.extra_info["shipped_context_bytes"] = shipped
+    benchmark.extra_info["shipped_handle_bytes"] = shipped
     if measured:
         benchmark.extra_info["mean_worker_rss_kb"] = sum(measured) / len(measured)
 

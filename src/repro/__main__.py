@@ -40,23 +40,16 @@ def _validate_run_args(args: argparse.Namespace) -> int | None:
 
 
 def _check_backend_flags(args: argparse.Namespace, backend: str) -> int | None:
-    """Reject flags that only apply to the process backend.
+    """Reject the degradation flags unless the process backend runs.
 
-    The CLI used to forward shared-memory/degradation flags only when
-    ``--backend process`` was chosen and silently drop them otherwise —
-    ``--no-shm --backend fabric`` ran happily, flag ignored.  Now every
+    They used to be dropped without a word for other backends; now an
     ignored flag is named with exit code 2.
     """
-    offending = []
-    if backend != "process":
-        if getattr(args, "no_shm", False):
-            offending.append("--no-shm")
-        if getattr(args, "fail_fast", None) is not None:
-            offending.append("--fail-fast" if args.fail_fast else "--degrade")
-    if offending:
+    if backend != "process" and args.fail_fast is not None:
+        flag = "--fail-fast" if args.fail_fast else "--degrade"
         print(
-            f"error: {', '.join(offending)} only apply to the process "
-            f"backend, not --backend {backend}",
+            f"error: {flag} only applies to the process backend, "
+            f"not --backend {backend}",
             file=sys.stderr,
         )
         return 2
@@ -100,33 +93,16 @@ def _cmd_design(args: argparse.Namespace) -> int:
             resume_from = args.checkpoint_dir
             print(f"resuming from {latest}")
     provider_factory = None
-    fabrics = []
     backend = args.backend
     if backend == "serial" and args.workers:
         backend = "process"  # bare --workers keeps its pre---backend meaning
     bad = _check_backend_flags(args, backend)
     if bad is not None:
         return bad
-    if backend != "serial":
+    if backend == "process":
         from repro.providers import make_score_provider
 
         def provider_factory(engine, target, non_targets):
-            if backend == "fabric":
-                from repro.fabric import ScoringFabric
-
-                fabric = ScoringFabric(
-                    engine,
-                    num_workers=args.workers or None,
-                    telemetry=registry,
-                )
-                fabrics.append(fabric)
-                return make_score_provider(
-                    fabric,
-                    target,
-                    non_targets,
-                    backend="fabric",
-                    telemetry=registry,
-                )
             extra = {}
             if args.fail_fast is not None:
                 extra["fail_fast"] = args.fail_fast
@@ -137,7 +113,6 @@ def _cmd_design(args: argparse.Namespace) -> int:
                 backend="process",
                 workers=args.workers or None,
                 telemetry=registry,
-                share_memory=not args.no_shm,
                 **extra,
             )
 
@@ -155,8 +130,6 @@ def _cmd_design(args: argparse.Namespace) -> int:
         resume_from=resume_from,
         deadline=args.deadline_s,
     )
-    for fabric in fabrics:
-        fabric.close()
     profile = result.inhibition_profile()
     print(f"designed anti-{args.target}: fitness {result.fitness:.4f}")
     if not result.completed:
@@ -203,40 +176,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     profile = get_profile(args.profile)
     provider_factory = None
     runtimes = []  # one stats-tree reader per worker pool the run built
-    fabrics = []
-    backend = args.backend
-    if backend == "serial" and args.workers:
-        backend = "process"
-    bad = _check_backend_flags(args, backend)
-    if bad is not None:
-        return bad
-    if backend != "serial":
+    if args.backend == "process" or args.workers:
         from repro.providers import make_score_provider
 
         def provider_factory(engine, target, non_targets):
-            if backend == "fabric":
-                from repro.fabric import ScoringFabric
-
-                fabric = ScoringFabric(
-                    engine,
-                    num_workers=args.workers or None,
-                    telemetry=registry,
-                )
-                fabrics.append(fabric)
-                client = make_score_provider(
-                    fabric, target, non_targets, backend="fabric"
-                )
-                # Report the shared pool's worker stats alongside the
-                # fabric line below.
-                runtimes.append(fabric.pool.stats)
-                return client
             provider = make_score_provider(
                 engine,
                 target,
                 non_targets,
                 backend="process",
                 workers=args.workers or None,
-                share_memory=not args.no_shm,
             )
             runtimes.append(provider.runtime_stats)
             return provider
@@ -289,15 +238,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 f"bytes={shm['bytes']} arrays={shm['arrays']} "
                 f"similarities={shm['similarities']}"
             )
-    for fabric in fabrics:
-        fs = fabric.fabric_stats()
-        print(
-            f"\nfabric: clients={fs['clients']}/{fs['total_clients']} "
-            f"fused_batches={fs['fused_batches']} "
-            f"fused_items={fs['fused_items']} "
-            f"mean_fused={fs['mean_fused_size']:.1f}"
-        )
-        fabric.close()
     if args.out:
         if args.format == "csv":
             rows = export_csv(registry, args.out)
@@ -468,7 +408,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     if args.jobs_command == "cancel":
         try:
             service_mod.write_cancel_request(args.root, args.job_id)
-        except FileNotFoundError as exc:
+        except (FileNotFoundError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"cancel requested for {args.job_id}")
@@ -529,16 +469,10 @@ def main(argv: list[str] | None = None) -> int:
         help="score through N worker processes (0 = serial)",
     )
     p_design.add_argument(
-        "--backend", choices=("serial", "process", "fabric"),
+        "--backend", choices=("serial", "process"),
         default="serial",
         help="scoring backend (bare --workers N implies 'process'); "
-        "'fabric' runs the campaign as a client on a ScoringFabric; "
         "see repro.providers.make_score_provider",
-    )
-    p_design.add_argument(
-        "--no-shm", action="store_true",
-        help="with the process backend: pickle the full engine to each "
-        "worker instead of sharing one read-only proteome segment",
     )
     p_design.add_argument(
         "--deadline-s", type=float, default=None, metavar="S",
@@ -572,14 +506,9 @@ def main(argv: list[str] | None = None) -> int:
         help="score through N worker processes (0 = serial)",
     )
     p_stats.add_argument(
-        "--backend", choices=("serial", "process", "fabric"),
+        "--backend", choices=("serial", "process"),
         default="serial",
-        help="scoring backend (bare --workers N implies 'process'; "
-        "'fabric' reports the fabric's dispatch line too)",
-    )
-    p_stats.add_argument(
-        "--no-shm", action="store_true",
-        help="disable the shared-memory proteome for the process backend",
+        help="scoring backend (bare --workers N implies 'process')",
     )
     p_stats.add_argument("--out", default=None, help="export telemetry here")
     p_stats.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")

@@ -16,9 +16,12 @@ targets can ride in the same dispatch batch.
   and hands out :class:`FabricClient` handles.
 * :class:`FabricClient` is a full
   :class:`~repro.ga.fitness.ScoreProvider` bound to its own
-  ``(target, non_targets)`` problem — any existing GA engine runs on it
-  unchanged, with its *own* bounded LRU score cache (the pool caches no
-  scores: a sequence-keyed cache is only correct per problem).  Every
+  ``(target, non_targets)`` problem, handed out only by
+  :meth:`ScoringFabric.client` (one campaign alone takes
+  ``make_score_provider(..., backend="process")``, the same pool path)
+  — any existing GA engine runs on it unchanged, with its *own* bounded
+  LRU score cache (the pool caches no scores: a sequence-keyed cache is
+  only correct per problem).  Every
   item of a fused dispatch names its client's problem, so problems
   travel with the work and need no registration.
 * :meth:`ScoringFabric.dispatch` is the one way work reaches the pool:

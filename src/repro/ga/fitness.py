@@ -15,8 +15,11 @@ One scoring function
 candidate's similarity structure in one pass, then score each distinct
 :data:`Problem` with one fused PIPE call.  The serial provider calls it
 on a generation's cache misses, a pool worker on each slice of a batch
-it is handed, and the pool's degraded path on every item the pool lost.  :func:`make_problem`
-is the one place a problem's names are checked.
+it is handed, and the pool's degraded path on every item the pool lost.
+Each of them passes a :class:`~repro.ppi.delta.SimilarityLRU`, so a
+child re-sweeps only its dirty windows; called without one it runs the
+full sweep, the reference every delta result is checked against.
+:func:`make_problem` is the one place a problem's names are checked.
 
 Provider lifecycle
 ------------------
@@ -412,9 +415,8 @@ class SerialScoreProvider(CachingScoreProvider):
     (:class:`~repro.ppi.delta.SimilarityLRU`, ``similarity_cache_size``
     entries) so a child with provenance re-sweeps only its dirty windows
     against the proteome; a parent evicted from the LRU degrades to the
-    full sweep (``pipe.delta.fallbacks``), never to a wrong answer.  Set
-    ``use_delta=False`` to force the full sweep everywhere (the
-    benchmark baseline).
+    full sweep (``pipe.delta.fallbacks``), never to a wrong answer.  The
+    full-sweep reference is :func:`score_batch` without a cache.
     """
 
     def __init__(
@@ -425,7 +427,6 @@ class SerialScoreProvider(CachingScoreProvider):
         *,
         cache_size: int = 100_000,
         similarity_cache_size: int = 256,
-        use_delta: bool = True,
         telemetry: MetricsRegistry | None = None,
     ) -> None:
         self.problem = make_problem(engine.database.graph, target, non_targets)
@@ -433,7 +434,6 @@ class SerialScoreProvider(CachingScoreProvider):
         self.engine = engine
         self.target = target
         self.non_targets = list(non_targets)
-        self.use_delta = bool(use_delta)
         self._similarity_cache = SimilarityLRU(similarity_cache_size)
 
     def _score_uncached(
@@ -447,7 +447,7 @@ class SerialScoreProvider(CachingScoreProvider):
                 arrays,
                 [self.problem] * len(arrays),
                 provenances,
-                self._similarity_cache if self.use_delta else None,
+                self._similarity_cache,
             )
             for stats in deltas:
                 self._record_delta(stats)

@@ -11,8 +11,9 @@ keeps the backlog and hands it out in guided-self-scheduling slices —
 k candidates a worker scores in one call and answers in one reply —
 topping up a small per-worker window of slices as replies arrive and
 never sending a frame the worker's pipe cannot hold.  Workers are
-stateless and problem-agnostic — every candidate of a slice names the
-design problem it is scored against, and the similarity structures
+stateless and problem-agnostic — each maps the one shared-memory
+proteome segment the pool broadcasts, every candidate of a slice names
+the design problem it is scored against, and the similarity structures
 delta re-scoring patches from travel with the work and live in one
 master-side LRU.
 
@@ -60,7 +61,7 @@ from repro.parallel.mp_backend import (
 )
 from repro.parallel.multirack import MultiRackGA, RackResult
 from repro.parallel.scheduler import OnDemandScheduler
-from repro.parallel.worker import FaultPlan, WorkerContext
+from repro.parallel.worker import FaultPlan
 
 __all__ = [
     "DeadWorkerError",
@@ -74,7 +75,6 @@ __all__ = [
     "WorkFailure",
     "WorkResult",
     "WorkSlice",
-    "WorkerContext",
     "WorkerFailureError",
     "WorkerPool",
 ]

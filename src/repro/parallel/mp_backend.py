@@ -57,6 +57,15 @@ therefore never wait on a worker that is waiting on the master.
 The pool has one size, ``num_workers`` — the paper's nodes − 1 workers —
 spawned on the first batch; death recovery refills it to that size.
 
+The broadcast is one shared-memory segment
+(:class:`~repro.ppi.shm.SharedProteomeView`), created when the pool
+starts: the proteome arrays plus the warmed problems' similarity
+structures.  Every worker, a respawned one too, gets a kilobyte-scale
+handle, maps the segment and builds its engine over it.  A worker that
+cannot map it (the segment was unlinked behind the pool's back) dies at
+once and is recovered like any other death; when the retry budget runs
+out, the batch degrades to serial scoring in the master (below).
+
 Workers are stateless.  The similarity structures a worker builds for a
 slice's candidates ride back on the reply into the master's bounded
 :class:`~repro.ppi.delta.SimilarityLRU`
@@ -161,7 +170,7 @@ from repro.parallel.messages import (
     WorkSlice,
 )
 from repro.parallel.scheduler import OnDemandScheduler
-from repro.parallel.worker import FaultPlan, WorkerContext, worker_loop
+from repro.parallel.worker import FaultPlan, worker_loop
 from repro.ppi.delta import DeltaStats, Provenance, SimilarityLRU
 from repro.ppi.pipe import PipeEngine
 from repro.ppi.shm import SharedProteomeView
@@ -211,15 +220,23 @@ def _frame_budget(conn: Connection) -> int:
     return sndbuf // IN_FLIGHT_WINDOW
 
 
-def _worker_entry(worker_id, context, conn, master_ends):
+def _worker_entry(worker_id, handle, config, faults, conn, master_ends):
     """Top-level function so it pickles under any start method.
 
-    ``master_ends`` are the master's ends of the pipes open at spawn —
-    this worker's own and its older siblings' — which a forked child
-    inherits; held open here they would hide the master's death."""
+    Maps the pool's proteome segment (``handle``), builds the worker's
+    engine over it and runs :func:`~repro.parallel.worker.worker_loop`
+    until the pipe ``conn`` says stop.  ``master_ends`` are the master's
+    ends of the pipes open at spawn — this worker's own and its older
+    siblings' — which a forked child inherits; held open here they would
+    hide the master's death."""
     for end in master_ends:
         end.close()
-    worker_loop(worker_id, context, conn)
+    view = SharedProteomeView.attach(handle)
+    try:
+        engine = PipeEngine(view.build_database(), config)
+        worker_loop(worker_id, engine, conn, faults)
+    finally:
+        view.close()
 
 
 class WorkerPool:
@@ -234,8 +251,13 @@ class WorkerPool:
     Parameters
     ----------
     engine:
-        The broadcast PIPE engine (pickled to each worker at spawn — the
-        paper's "broadcast all loaded data to worker processes").
+        The broadcast PIPE engine — the paper's "broadcast all loaded
+        data to worker processes".  When the pool starts, the database's
+        read-only arrays go into one ``multiprocessing.shared_memory``
+        segment (:class:`~repro.ppi.shm.SharedProteomeView`); each
+        worker receives a kilobyte-scale handle and builds its engine
+        over the same physical proteome pages.  The segment is unlinked
+        on the pool's :meth:`close`; a SIGKILLed worker cannot leak it.
     num_workers:
         Worker process count (paper: nodes - 1; default: available
         CPUs).  Death recovery refills the pool to it.
@@ -264,19 +286,6 @@ class WorkerPool:
     close_grace_s:
         Grace :meth:`close` gives the workers to exit before escalating
         to ``terminate()`` then ``kill()`` (``parallel.force_killed``).
-    use_delta:
-        When False, workers always run the full similarity sweep and no
-        provenance or similarity structure travels (the benchmark
-        baseline).
-    share_memory:
-        When True (default), the database's read-only arrays are placed
-        in a single ``multiprocessing.shared_memory`` segment
-        (:class:`~repro.ppi.shm.SharedProteomeView`) and workers receive
-        a kilobyte-scale handle instead of a pickled engine — every
-        worker maps the same physical proteome pages.  The segment is
-        refcounted and unlinked on the pool's :meth:`close`; a SIGKILLed
-        worker cannot leak it.  Set False to restore the classic
-        pickle-the-engine broadcast.
     faults:
         Test-only :class:`~repro.parallel.worker.FaultPlan` forwarded to
         the workers; leave ``None`` in production.
@@ -293,11 +302,9 @@ class WorkerPool:
         timeout: float = 300.0,
         max_retries: int = 3,
         start_method: str | None = None,
-        use_delta: bool = True,
         fail_fast: bool = False,
         breaker: CircuitBreaker | None = None,
         close_grace_s: float = 10.0,
-        share_memory: bool = True,
         faults: FaultPlan | None = None,
         telemetry: MetricsRegistry | None = None,
     ) -> None:
@@ -310,20 +317,18 @@ class WorkerPool:
         if close_grace_s < 0:
             raise ValueError(f"close_grace_s must be >= 0, got {close_grace_s}")
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
-        self.context = WorkerContext(engine, faults, use_delta=use_delta)
+        self.engine = engine
+        self.faults = faults
         self.num_workers = num_workers or max(1, os.cpu_count() or 1)
         self._clock = clock
         self.timeout = float(timeout)
         self.max_retries = int(max_retries)
-        self.use_delta = bool(use_delta)
         self.fail_fast = bool(fail_fast)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.close_grace_s = float(close_grace_s)
         method = start_method or ("fork" if "fork" in mp.get_all_start_methods() else None)
         self._ctx = mp.get_context(method)
-        self.share_memory = bool(share_memory)
         self._shm_view: SharedProteomeView | None = None
-        self._ship_context: WorkerContext = self.context
         self._workers: dict[int, mp.Process] = {}
         # The master's end of the pipe to each worker, the frame budget
         # measured on it at spawn, and the slices sent down it whose reply
@@ -370,9 +375,7 @@ class WorkerPool:
         proteome segment; one first named later is warmed worker-side on
         first sight.
         """
-        problem = make_problem(
-            self.context.engine.database.graph, target, non_targets
-        )
+        problem = make_problem(self.engine.database.graph, target, non_targets)
         self._warm_names.update(dict.fromkeys((target, *problem[1])))
         return problem
 
@@ -382,23 +385,22 @@ class WorkerPool:
         """Start one worker process under a fresh, never-reused worker id.
 
         Every worker gets a duplex pipe of its own, its only channel,
-        whose frame budget is measured here.  A
-        worker respawned after a death late-attaches to
-        the existing shared proteome segment; if the segment is somehow
-        gone the pickled engine is shipped instead — slower, never wrong.
+        whose frame budget is measured here.  A worker respawned after a
+        death late-attaches to the existing shared proteome segment.
         """
         wid = self._next_worker_id
         self._next_worker_id += 1
-        ship = self._ship_context
-        if ship is not self.context and self._shm_view is not None:
-            if self._shm_view.closed or not SharedProteomeView.attachable(
-                self._shm_view.handle
-            ):  # pragma: no cover - defensive, segment lives while open
-                ship = self.context
         conn, worker_end = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_entry,
-            args=(wid, ship, worker_end, [*self._conns.values(), conn]),
+            args=(
+                wid,
+                self._shm_view.handle,
+                self.engine.config,
+                self.faults,
+                worker_end,
+                [*self._conns.values(), conn],
+            ),
             daemon=True,
         )
         proc.start()
@@ -415,22 +417,19 @@ class WorkerPool:
     def _ensure_started(self) -> None:
         if self._workers:
             return
-        # Warm the shared engine cache *before* forking so every worker
-        # inherits the preprocessed target/non-target structures instead of
-        # recomputing them (the paper's offline preprocessing + broadcast).
+        # Warm the engine cache *before* sharing so the segment carries the
+        # preprocessed target/non-target structures and no worker
+        # recomputes them (the paper's offline preprocessing + broadcast).
         with self.telemetry.span("parallel.spawn"):
             names = list(self._warm_names)
-            database = self.context.engine.database
+            database = self.engine.database
             database.precompute(names)
-            if self.share_memory and self._shm_view is None:
+            if self._shm_view is None:
                 # One segment holds the proteome arrays plus the
                 # preprocessed target/non-target similarity CSRs; workers
                 # get the handle, not the engine.
                 self._shm_view = SharedProteomeView.share(
                     database, similarity_names=names, telemetry=self.telemetry
-                )
-                self._ship_context = self.context.for_shipment(
-                    self._shm_view.handle
                 )
             for _ in range(self.num_workers):
                 self._spawn_worker()
@@ -473,7 +472,6 @@ class WorkerPool:
         if self._shm_view is not None:
             self._shm_view.close()
             self._shm_view = None
-        self._ship_context = self.context
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -648,12 +646,7 @@ class WorkerPool:
         epoch = self._epoch
         with self.telemetry.span("parallel.batch"):
             keys = [arr.tobytes() for arr in arrays]
-            if self.use_delta:
-                wire_provs = provs
-                carried = [self._carried(key, prov) for key, prov in zip(keys, provs)]
-            else:
-                wire_provs = [None] * len(arrays)
-                carried = [()] * len(arrays)
+            carried = [self._carried(key, prov) for key, prov in zip(keys, provs)]
 
             def frame(sids: tuple[int, ...]) -> bytes:
                 union = {key: sim for sid in sids for key, sim in carried[sid]}
@@ -663,7 +656,7 @@ class WorkerPool:
                         sids,
                         tuple(keys[sid] for sid in sids),
                         tuple(problems[sid] for sid in sids),
-                        tuple(wire_provs[sid] for sid in sids),
+                        tuple(provs[sid] for sid in sids),
                         tuple(union.items()),
                     ),
                     pickle.HIGHEST_PROTOCOL,
@@ -770,11 +763,11 @@ class WorkerPool:
         self.telemetry.event("parallel.degraded", items=len(sids), reason=reason)
         with self.telemetry.span("parallel.degraded_scoring"):
             score_sets, deltas = score_batch(
-                self.context.engine,
+                self.engine,
                 [arrays[sid] for sid in sids],
                 [problems[sid] for sid in sids],
                 [provs[sid] for sid in sids],
-                self._master_similarity if self.use_delta else None,
+                self._master_similarity,
             )
         for sid, score_set, stats in zip(sids, score_sets, deltas):
             results[sid] = score_set
@@ -899,7 +892,7 @@ class WorkerPool:
         ``delta["sticky_routed"]`` is kept for consumers of the old
         affinity dispatch and reads 0 by construction: all work is handed
         out on demand.  ``shm`` is None
-        when ``share_memory`` is off or the pool has not started.
+        while the pool has not started.
         """
         workers: dict[int, dict[str, float]] = {}
         for wid in sorted(self._tallies):

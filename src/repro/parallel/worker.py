@@ -1,8 +1,9 @@
 """The InSiPS worker (Algorithm 2).
 
-A worker receives the broadcast data once (here: via process inheritance /
-pickled arguments, standing in for the paper's MPI broadcast that "relieves
-considerable stress from the shared disks"), then loops: block in
+A worker receives the broadcast data once (here: it maps the pool's
+shared proteome segment and builds its engine over it, standing in for
+the paper's MPI broadcast that "relieves considerable stress from the
+shared disks"), then loops: block in
 ``recv()`` on its own pipe to the master for the next slice of k
 candidates, score all k with one :func:`~repro.ga.fitness.score_batch` —
 build every candidate's ``sequence_similarity`` structure in one kernel
@@ -22,8 +23,8 @@ sweep tiles and fused groups overwrite before reading, so a warm worker
 does not fault its working set in again on every slice).  The
 problems arrive on the :class:`~repro.parallel.messages.WorkSlice` (the
 engine's known-protein cache fills with a problem's structures the first
-time a slice names it, unless they were inherited at spawn or found in
-the shm segment), and so do the similarity structures a delta re-score
+time a slice names it, unless the shm segment already carries them), and
+so do the similarity structures a delta re-score
 patches from: ``score_batch`` runs through a one-slice LRU seeded with
 exactly what the slice carries.  The structures built for its candidates
 leave on the :class:`~repro.parallel.messages.WorkResult`, and the
@@ -37,7 +38,7 @@ A slice whose evaluation raises does **not** kill the worker: the
 exception is captured as a :class:`~repro.parallel.messages.WorkFailure`
 (with the full traceback) and the loop continues, so one poisoned slice
 costs one reply, not a worker process.  For deterministic testing of the
-master's recovery paths, :class:`WorkerContext` optionally carries a
+master's recovery paths, :func:`worker_loop` optionally takes a
 :class:`FaultPlan` that can delay, fail or hard-crash the worker on a
 chosen slice.
 """
@@ -47,8 +48,7 @@ from __future__ import annotations
 import os
 import time
 import traceback as traceback_mod
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from repro.ga.fitness import ScoreSet, score_batch
 from repro.parallel.messages import (
@@ -59,19 +59,15 @@ from repro.parallel.messages import (
     WorkSlice,
 )
 from repro.ppi.delta import DeltaStats, SimilarityLRU
-from repro.ppi.pipe import PipeConfig, PipeEngine
+from repro.ppi.pipe import PipeEngine
 
 try:
     from resource import RUSAGE_SELF, getrusage
 except ImportError:  # pragma: no cover - not POSIX: usage reads as zero
     getrusage = None
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.ppi.shm import SharedProteomeHandle, SharedProteomeView
-
 __all__ = [
     "FaultPlan",
-    "WorkerContext",
     "worker_loop",
 ]
 
@@ -122,124 +118,23 @@ class FaultPlan:
         return self.only_worker is None or self.only_worker == worker_id
 
 
-@dataclass
-class WorkerContext:
-    """What a worker is spawned with: the broadcast engine.  The design
-    problem is not here — every item names its own.
-
-    The engine travels one of two ways.  Classic broadcast: ``engine`` is
-    set and the whole database pickles into the worker at spawn.
-    Shared-memory broadcast: ``engine`` is ``None`` and ``shm_handle`` +
-    ``config`` describe a :class:`~repro.ppi.shm.SharedProteomeView`
-    segment the worker attaches to (:meth:`ensure_engine`), so only a
-    kilobyte-scale handle crosses the process boundary and every worker
-    reads the same physical proteome pages.
-
-    ``faults`` is a test-only :class:`FaultPlan`; production runs leave it
-    ``None`` (the default) and pay nothing for it.
-
-    ``use_delta=False`` disables incremental re-scoring entirely (every
-    candidate pays the full sweep and no similarity structure travels in
-    either direction, the pre-delta behaviour).
-    """
-
-    engine: PipeEngine | None
-    faults: FaultPlan | None = None
-    use_delta: bool = True
-    shm_handle: "SharedProteomeHandle | None" = None
-    config: "PipeConfig | None" = None
-
-    def __post_init__(self) -> None:
-        if self.engine is None and (self.shm_handle is None or self.config is None):
-            raise ValueError(
-                "WorkerContext needs an engine, or a shm_handle + config "
-                "to rebuild one from shared memory"
-            )
-
-    def for_shipment(self, handle: "SharedProteomeHandle") -> "WorkerContext":
-        """A lightweight copy to pickle to workers: the engine is replaced
-        by the shared-memory handle (plus the scalar config)."""
-        if self.engine is None:
-            raise ValueError("context already engine-less")
-        return replace(
-            self, engine=None, shm_handle=handle, config=self.engine.config
-        )
-
-    def ensure_engine(self) -> "SharedProteomeView | None":
-        """Materialise :attr:`engine` if it travelled as a shm handle.
-
-        Returns the attached view (the caller owns its ``close()``), or
-        ``None`` when the engine was shipped directly.
-        """
-        if self.engine is not None:
-            return None
-        from repro.ppi.shm import SharedProteomeView
-
-        view = SharedProteomeView.attach(self.shm_handle)
-        self.engine = PipeEngine(view.build_database(), self.config)
-        return view
-
-
-def worker_loop(worker_id: int, context: WorkerContext, conn) -> int:
+def worker_loop(
+    worker_id: int, engine: PipeEngine, conn, faults: FaultPlan | None = None
+) -> int:
     """Worker main loop; returns the number of slices answered.
 
     Blocks in ``conn.recv()`` — this worker's end of its own duplex pipe
     to the master, the only channel it has — until an :class:`EndSignal`
     (pool shutdown) arrives or the master's end closes; the pipe is FIFO,
     so every slice handed out before the signal is scored first.  Each
-    slice is scored in one ``score_batch`` and answered with one reply,
-    sent synchronously on the same pipe; it is what prompts the master to
-    hand this worker its next slice.  A scoring exception is reported as
-    a :class:`WorkFailure` and the loop continues with the next slice.
+    slice is scored in one ``score_batch`` against ``engine`` and
+    answered with one reply, sent synchronously on the same pipe; it is
+    what prompts the master to hand this worker its next slice.  A
+    scoring exception is reported as a :class:`WorkFailure` and the loop
+    continues with the next slice.  ``faults`` is a test-only
+    :class:`FaultPlan`; production runs leave it ``None``.
     """
-    view = context.ensure_engine()
-    try:
-        return _worker_loop_inner(worker_id, context, conn)
-    finally:
-        if view is not None:
-            view.close()
-
-
-def _score_slice(
-    engine: PipeEngine, message: WorkSlice, use_delta: bool
-) -> tuple[list[ScoreSet], list[DeltaStats | None], Similarities]:
-    """Score sets, delta accounting and the structures built for one
-    slice — one :func:`~repro.ga.fitness.score_batch` over all of it."""
-    cache = None
-    if use_delta:
-        # A throwaway cache holding exactly what the slice carries, plus
-        # room for what is about to be built: the serial provider's
-        # cheapest-correct-route policy, with no state surviving the slice.
-        cache = SimilarityLRU(len(message.similarities) + len(message.payloads))
-        for key, similarity in message.similarities:
-            cache.put(key, similarity)
-    scores, deltas = score_batch(
-        engine,
-        message.arrays(),
-        list(message.problems),
-        list(message.provenances),
-        cache,
-    )
-    built = {}
-    if cache is not None:
-        # Ship back what the master does not already hold.
-        carried = {key for key, _ in message.similarities}
-        built = {key: cache.get(key) for key in message.payloads if key not in carried}
-    return scores, deltas, tuple(built.items())
-
-
-def _usage() -> tuple[float, int]:
-    """This process's CPU seconds (user + system) and minor page faults."""
-    if getrusage is None:  # pragma: no cover - not POSIX
-        return 0.0, 0
-    usage = getrusage(RUSAGE_SELF)
-    return usage.ru_utime + usage.ru_stime, usage.ru_minflt
-
-
-def _worker_loop_inner(worker_id: int, context: WorkerContext, conn) -> int:
-    faults = context.faults
     inject = faults is not None and faults.applies_to(worker_id)
-    engine = context.engine
     processed = 0
     while True:
         waited = time.perf_counter()
@@ -275,7 +170,7 @@ def _worker_loop_inner(worker_id: int, context: WorkerContext, conn) -> int:
                 raise RuntimeError(
                     f"injected failure on slice {processed} of worker {worker_id}"
                 )
-            scores, deltas, built = _score_slice(engine, message, context.use_delta)
+            scores, deltas, built = _score_slice(engine, message)
             cpu_s, minor_faults = _usage()
             reply = WorkResult(
                 message.sequence_ids,
@@ -303,3 +198,35 @@ def _worker_loop_inner(worker_id: int, context: WorkerContext, conn) -> int:
             break  # master gone mid-batch: as above
         processed += 1
     return processed
+
+
+def _score_slice(
+    engine: PipeEngine, message: WorkSlice
+) -> tuple[list[ScoreSet], list[DeltaStats | None], Similarities]:
+    """Score sets, delta accounting and the structures built for one
+    slice — one :func:`~repro.ga.fitness.score_batch` over all of it."""
+    # A throwaway cache holding exactly what the slice carries, plus
+    # room for what is about to be built: the serial provider's
+    # cheapest-correct-route policy, with no state surviving the slice.
+    cache = SimilarityLRU(len(message.similarities) + len(message.payloads))
+    for key, similarity in message.similarities:
+        cache.put(key, similarity)
+    scores, deltas = score_batch(
+        engine,
+        message.arrays(),
+        list(message.problems),
+        list(message.provenances),
+        cache,
+    )
+    # Ship back what the master does not already hold.
+    carried = {key for key, _ in message.similarities}
+    built = {key: cache.get(key) for key in message.payloads if key not in carried}
+    return scores, deltas, tuple(built.items())
+
+
+def _usage() -> tuple[float, int]:
+    """This process's CPU seconds (user + system) and minor page faults."""
+    if getrusage is None:  # pragma: no cover - not POSIX
+        return 0.0, 0
+    usage = getrusage(RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime, usage.ru_minflt

@@ -1,9 +1,9 @@
 """Zero-copy shared-memory proteome for the parallel runtime.
 
-The paper's master "broadcasts all loaded data to worker processes" once;
-our multiprocessing backend used to realise that broadcast by *pickling
-the whole engine* into every worker, so each worker paid the full database
-memory again.  This module implements the broadcast properly:
+The paper's master "broadcasts all loaded data to worker processes" once.
+Pickling the whole engine into every worker would make each worker pay
+the full database memory again; this module is how the worker pool
+broadcasts instead:
 
 * :class:`SharedProteomeView` — master side: packs every read-only array
   of a :class:`~repro.ppi.database.PipeDatabase` (``concatenated``,
@@ -237,25 +237,6 @@ class SharedProteomeView:
     # -- construction (worker) ----------------------------------------------
 
     @classmethod
-    def attachable(cls, handle: SharedProteomeHandle) -> bool:
-        """Whether the segment behind ``handle`` can still be mapped.
-
-        The runtime's late-spawn probe: a worker respawned
-        mid-campaign attaches to a segment created long before it
-        existed, so the master checks the segment is still linked before
-        shipping the handle (a closed provider, or a crashed master whose
-        ``resource_tracker`` already cleaned up, leaves the handle
-        dangling).  The probe maps and immediately unmaps; it never
-        registers with the resource tracker and never unlinks.
-        """
-        try:
-            shm = _attach_untracked(handle.token)
-        except FileNotFoundError:
-            return False
-        shm.close()
-        return True
-
-    @classmethod
     def attach(
         cls,
         handle: SharedProteomeHandle,
@@ -391,10 +372,6 @@ class SharedProteomeView:
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def stats(self) -> dict[str, object]:
         """Segment accounting (mirrors the ``shm.*`` telemetry)."""
         with _LOCK:
@@ -434,8 +411,10 @@ class SharedProteomeView:
         if unlink:
             try:
                 self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+            except FileNotFoundError:
+                # Unlinked from outside: the name is gone, so the
+                # resource tracker must not look for it at exit either.
+                resource_tracker.unregister(self._shm._name, "shared_memory")
             self.telemetry.count("shm.unlinks")
         self._report_gauges()
 

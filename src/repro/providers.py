@@ -13,12 +13,11 @@ scores:
           world, "YBL051C", non_targets, backend="process", workers=8
       )
 
-  ``backend="serial"`` is the in-process reference path,
+  ``backend="serial"`` is the in-process reference path and
   ``backend="process"`` the paper's master/worker multiprocessing runtime
-  (zero-copy shared-memory proteome by default), and ``backend="fabric"``
-  a client on a shared :class:`~repro.fabric.ScoringFabric` (many
-  campaigns, one pool).  Every backend scores through
-  :func:`repro.ga.fitness.score_batch`.
+  over a zero-copy shared-memory proteome.  Many campaigns share one pool
+  through :meth:`repro.fabric.ScoringFabric.client` instead.  Every
+  backend scores through :func:`repro.ga.fitness.score_batch`.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ __all__ = [
 ]
 
 #: Recognised ``backend=`` names of :func:`make_score_provider`.
-BACKENDS = ("serial", "process", "fabric")
+BACKENDS = ("serial", "process")
 
 # backend -> accepted-kwargs table, built lazily from the actual
 # constructor signatures (so a new backend parameter is accepted here the
@@ -64,7 +63,6 @@ def _kwarg_table() -> dict[str, frozenset[str]]:
     if _KWARG_TABLE is None:
         import inspect
 
-        from repro.fabric import ScoringFabric
         from repro.parallel.mp_backend import MultiprocessScoreProvider, WorkerPool
 
         def params(func) -> frozenset[str]:
@@ -80,7 +78,6 @@ def _kwarg_table() -> dict[str, frozenset[str]]:
             # The provider's own keyword (cache_size) + the pool's.
             "process": params(MultiprocessScoreProvider.__init__)
             | params(WorkerPool.__init__),
-            "fabric": params(ScoringFabric.client) | {"fabric"},
         }
     return _KWARG_TABLE
 
@@ -90,8 +87,8 @@ def _check_backend_kwargs(backend: str, kwargs: dict[str, object]) -> None:
 
     Silently dropping (or TypeError-ing deep inside a constructor) a
     kwarg meant for another backend hid real configuration mistakes —
-    e.g. ``share_memory=`` with ``backend="serial"`` was dropped without
-    a word.  Every offending kwarg is now named, along with the backends
+    e.g. ``timeout=`` with ``backend="serial"`` was dropped without a
+    word.  Every offending kwarg is now named, along with the backends
     that do accept it.
     """
     allowed = _kwarg_table()
@@ -208,48 +205,22 @@ def make_score_provider(
         PIPE parameters when ``source`` is a graph (ignored when an
         engine/world is passed — it already has a config).
     backend:
-        ``"serial"`` (reference, in-process), ``"process"`` (master/worker
-        multiprocessing with the shared-memory proteome) or
-        ``"fabric"`` (a client on a shared
-        :class:`~repro.fabric.ScoringFabric` — pass the fabric as
-        ``source``; many campaigns share its one pool).
+        ``"serial"`` (reference, in-process) or ``"process"``
+        (master/worker multiprocessing with the shared-memory proteome).
     workers:
-        Worker count for the parallel backends; rejected for
+        Worker count for the process backend; rejected for
         ``backend="serial"``.
     telemetry:
         One registry wired through the engine and the provider.
     **backend_kwargs:
-        Forwarded to the backend constructor (e.g. ``use_delta=False``,
-        ``share_memory=False``, ``timeout=...``, ``faults=...``).
+        Forwarded to the backend constructor (e.g. ``cache_size=...``,
+        ``timeout=...``, ``faults=...``).
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; available: {', '.join(BACKENDS)}"
         )
     _check_backend_kwargs(backend, backend_kwargs)
-    if backend == "fabric":
-        from repro.fabric import ScoringFabric
-
-        fabric = backend_kwargs.pop("fabric", None)
-        if fabric is None and isinstance(source, ScoringFabric):
-            fabric = source
-        if not isinstance(fabric, ScoringFabric):
-            raise TypeError(
-                "backend='fabric' needs a ScoringFabric as source (or "
-                f"fabric=), got {type(source).__name__}"
-            )
-        if workers is not None:
-            raise ValueError(
-                "workers is configured on the ScoringFabric, not per client"
-            )
-        if config is not None:
-            raise ValueError(
-                "config cannot be applied through a fabric client; the "
-                "fabric's engine is already built"
-            )
-        return fabric.client(
-            target, non_targets, telemetry=telemetry, **backend_kwargs
-        )
     engine = make_engine(source, config, telemetry=telemetry)
     if backend == "serial":
         if workers is not None:

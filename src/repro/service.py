@@ -338,7 +338,12 @@ def history_digest(history: "RunHistory | dict") -> str:
 
 
 def job_dir(root: str | Path, job_id: str) -> Path:
-    """``<root>/jobs/<job_id>`` — one job's artifact directory."""
+    """``<root>/jobs/<job_id>`` — one job's artifact directory.
+
+    Raises ``ValueError`` for an id a :class:`JobSpec` would refuse, so
+    no id (``../x``, say) reaches a path outside ``<root>/jobs``."""
+    if not (isinstance(job_id, str) and _JOB_ID_RE.match(job_id)):
+        raise ValueError(f"job id must match {_JOB_ID_RE.pattern}, got {job_id!r}")
     return Path(root) / "jobs" / job_id
 
 
@@ -349,6 +354,15 @@ def _read_json(path: Path, what: str) -> dict[str, object]:
     if not isinstance(data, dict):
         raise ValueError(f"{what} is not a JSON object: {path}")
     return data
+
+
+def _status_field(status: dict[str, object], name: str, kinds) -> object:
+    """``status[name]``, or None when absent; ValueError when it is not of
+    ``kinds`` (a bool is not a number here)."""
+    value = status.get(name)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+        raise ValueError(f"status field {name!r} has the wrong type: {value!r}")
+    return value
 
 
 def _read_request(path: Path) -> dict[str, object]:
@@ -1164,14 +1178,20 @@ class DesignService:
             try:
                 spec = JobSpec.from_payload(_read_json(spec_path, "job spec"))
                 status = read_status(self.root, job_id)
+                submitted_at = _status_field(status, "submitted_at", (int, float))
+                attempts = _status_field(status, "attempts", int)
+                generations_done = _status_field(status, "generations_done", int)
+                best_fitness = _status_field(status, "best_fitness", (int, float))
+                finished_at = _status_field(status, "finished_at", (int, float))
             except (ValueError, OSError, json.JSONDecodeError, FileNotFoundError):
                 continue
             non_targets = list(spec.non_targets or ())
             job = _Job(spec, job_id, non_targets, directory)
-            job.submitted_at = float(status.get("submitted_at") or job.submitted_at)
-            job.attempts = int(status.get("attempts") or 0)
-            job.generations_done = int(status.get("generations_done") or 0)
-            job.best_fitness = status.get("best_fitness")
+            if submitted_at:
+                job.submitted_at = float(submitted_at)
+            job.attempts = attempts or 0
+            job.generations_done = generations_done or 0
+            job.best_fitness = best_fitness
             job.error = status.get("error")
             job.reason = status.get("reason")
             state = status.get("state")
@@ -1190,7 +1210,7 @@ class DesignService:
                 self.telemetry.count("service.recovered")
             elif state in JobState.TERMINAL:
                 job.state = state
-                job.finished_at = status.get("finished_at")
+                job.finished_at = finished_at
                 self._jobs[job_id] = job
         with self._lock:
             self._update_gauges_locked()

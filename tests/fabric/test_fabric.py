@@ -181,20 +181,16 @@ def test_direct_scores_match_dedicated(tiny_engine, problems, rng):
 
 
 def test_make_score_provider_fabric_backend(tiny_engine, problems):
+    """The factory has no fabric backend: a client comes from the
+    fabric itself, and one campaign alone takes the process backend."""
     target, non_targets = problems[0]
     with ScoringFabric(tiny_engine, num_workers=1) as fabric:
-        client = make_score_provider(
-            fabric, target, non_targets, backend="fabric"
-        )
+        client = fabric.client(target, non_targets)
         assert isinstance(client, FabricClient)
         assert client.target == target
         assert client.non_targets == list(non_targets)
-        with pytest.raises(TypeError, match="needs a ScoringFabric"):
-            make_score_provider(tiny_engine, target, non_targets, backend="fabric")
-        with pytest.raises(ValueError, match="configured on the ScoringFabric"):
-            make_score_provider(
-                fabric, target, non_targets, backend="fabric", workers=2
-            )
+        with pytest.raises(ValueError, match="unknown backend 'fabric'"):
+            make_score_provider(fabric, target, non_targets, backend="fabric")
 
 
 def test_client_close_is_final(tiny_engine, problems, rng):

@@ -10,6 +10,7 @@ from repro.ga.fitness import (
     ScoreSet,
     SerialScoreProvider,
     combine_scores,
+    score_batch,
 )
 from repro.ga.population import Individual
 from repro.telemetry import MetricsRegistry
@@ -233,16 +234,13 @@ class TestSerialDelta:
         delta = SerialScoreProvider(
             tiny_engine, target, non_targets, telemetry=tel
         )
-        full = SerialScoreProvider(
-            tiny_engine, target, non_targets, use_delta=False
-        )
         parent = rng.integers(0, 20, size=30).astype(np.uint8)
         child = parent.copy()
         child[12] = (child[12] + 7) % 20
         prov = mutation_provenance(parent, [12])
         # Parent scored first so its similarity structure is cached.
         d = delta.scores_with_provenance([parent, child], [None, prov])
-        f = full.scores_with_provenance([parent, child], [None, prov])
+        f, _ = score_batch(tiny_engine, [parent, child], [delta.problem] * 2)
         for a, b in zip(d, f):
             assert a.target_score == b.target_score
             assert a.non_target_scores == b.non_target_scores
@@ -266,29 +264,13 @@ class TestSerialDelta:
         counters = tel.snapshot()
         assert counters["pipe.delta.fallbacks"]["value"] == 1
 
-    def test_use_delta_false_records_nothing(self, tiny_engine, tiny_problem, rng):
-        from repro.ga.operators import mutate_with_provenance
-        from repro.telemetry import MetricsRegistry
-
-        target, non_targets = tiny_problem
-        tel = MetricsRegistry()
-        provider = SerialScoreProvider(
-            tiny_engine, target, non_targets, use_delta=False, telemetry=tel
-        )
-        parent = rng.integers(0, 20, size=30).astype(np.uint8)
-        child, prov = mutate_with_provenance(parent, 0.1, rng)
-        provider.scores_with_provenance([parent, child], [None, prov])
-        counters = tel.snapshot()
-        assert "pipe.delta.hits" not in counters
-        assert "pipe.delta.fallbacks" not in counters
-
     def test_plain_scores_unaffected_by_delta_machinery(
         self, tiny_engine, tiny_problem, rng
     ):
         target, non_targets = tiny_problem
         a = SerialScoreProvider(tiny_engine, target, non_targets)
-        b = SerialScoreProvider(tiny_engine, target, non_targets, use_delta=False)
         seqs = [rng.integers(0, 20, size=25).astype(np.uint8) for _ in range(4)]
-        for x, y in zip(a.scores(seqs), b.scores(seqs)):
+        full, _ = score_batch(tiny_engine, seqs, [a.problem] * len(seqs))
+        for x, y in zip(a.scores(seqs), full):
             assert x.target_score == y.target_score
             assert x.non_target_scores == y.non_target_scores

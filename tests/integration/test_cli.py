@@ -121,12 +121,8 @@ def test_no_command_rejected():
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["design", "YBL051C", "--backend", "fabric", "--workers", "2",
-          "--degrade"], "--degrade"),
+        (["design", "YBL051C", "--backend", "serial", "--degrade"], "--degrade"),
         (["design", "YBL051C", "--fail-fast"], "--fail-fast"),
-        (["design", "YBL051C", "--backend", "fabric", "--no-shm"], "--no-shm"),
-        (["stats", "--backend", "fabric", "--workers", "2",
-          "--no-shm"], "--no-shm"),
     ],
 )
 def test_process_only_flags_rejected_for_other_backends(capsys, argv, flag):
@@ -154,6 +150,44 @@ def test_deleted_pool_size_flags_are_unknown_arguments(capsys, flag):
         main(["design", "YBL051C", "--workers", "2", f"--{flag}", "2"])
     assert excinfo.value.code == 2
     assert f"--{flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["design", "YBL051C", "--no-shm"], "unrecognized arguments: --no-shm"),
+        (["stats", "--no-shm"], "unrecognized arguments: --no-shm"),
+        (["design", "YBL051C", "--backend", "fabric"], "invalid choice: 'fabric'"),
+        (["stats", "--backend", "fabric", "--workers", "2"],
+         "invalid choice: 'fabric'"),
+    ],
+)
+def test_deleted_shm_and_fabric_flags_are_rejected(capsys, argv, message):
+    # The proteome is always shared and one campaign always takes the
+    # process backend, so neither switch exists any more.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["status", "result", "cancel"])
+def test_jobs_cli_rejects_ids_that_leave_the_root(capsys, tmp_path, command):
+    # Regression: an id was joined onto <root>/jobs unchecked, so
+    # `jobs cancel ../../outside` wrote cancel.request outside the root
+    # and `jobs status ../../outside` printed any status.json it reached.
+    root = tmp_path / "svc"
+    (root / "jobs").mkdir(parents=True)
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "status.json").write_text('{"state": "DONE"}')
+    (outside / "result.json").write_text('{"fitness": 1.0}')
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    assert main(["jobs", command, "--root", str(root), "../../outside"]) == 2
+    captured = capsys.readouterr()
+    assert "job id must match" in captured.err
+    assert captured.out == ""
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
 
 
 def test_jobs_cli_round_trip(capsys, tmp_path):

@@ -19,7 +19,7 @@ from repro.telemetry import MetricsRegistry
 pytestmark = pytest.mark.faults
 
 
-def _dead_worker_entry(worker_id, context, conn, master_ends):
+def _dead_worker_entry(worker_id, handle, config, faults, conn, master_ends):
     """A worker that exits immediately without taking any work."""
     return
 

@@ -14,7 +14,7 @@ import repro.parallel.mp_backend as mp_backend
 from repro.parallel.mp_backend import DeadWorkerError, MultiprocessScoreProvider
 
 
-def _dead_worker_entry(worker_id, context, conn, master_ends):
+def _dead_worker_entry(worker_id, handle, config, faults, conn, master_ends):
     """A worker that exits immediately without taking any work."""
     return
 

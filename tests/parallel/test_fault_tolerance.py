@@ -180,7 +180,7 @@ def test_failed_batch_keeps_its_backlog_in_the_master(
     assert provider.pool.stale_dropped == 0
 
 
-def _dead_worker_entry(worker_id, context, conn, master_ends):
+def _dead_worker_entry(worker_id, handle, config, faults, conn, master_ends):
     """A worker that exits immediately without taking any work."""
     return
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ga.fitness import SerialScoreProvider
+from repro.ga.fitness import SerialScoreProvider, score_batch
 from repro.parallel.mp_backend import MultiprocessScoreProvider
 
 
@@ -122,10 +122,9 @@ class TestDeltaAndSticky:
             assert stats["rows_rescored"] < stats["rows_total"]
             assert stats["sticky_routed"] == 0  # retained key, no routing left
 
-            serial = SerialScoreProvider(
-                tiny_engine, target, non_targets, use_delta=False
+            ((expected,), _) = score_batch(
+                tiny_engine, [child], [provider.problem]
             )
-            (expected,) = serial.scores([child])
             assert with_delta[0].target_score == expected.target_score
             assert with_delta[0].non_target_scores == expected.non_target_scores
 
@@ -146,41 +145,10 @@ class TestDeltaAndSticky:
             (scored,) = provider.scores_with_provenance([child], [prov])
             stats = provider.pool.stats()["delta"]
             assert stats["fallbacks"] >= 1
-            serial = SerialScoreProvider(
-                tiny_engine, target, non_targets, use_delta=False
+            ((expected,), _) = score_batch(
+                tiny_engine, [child], [provider.problem]
             )
-            (expected,) = serial.scores([child])
             assert scored.target_score == expected.target_score
-
-    def test_use_delta_false_ships_no_provenance(
-        self, tiny_engine, tiny_problem, rng
-    ):
-        from repro.ppi.delta import mutation_provenance
-
-        target, non_targets = tiny_problem
-        with MultiprocessScoreProvider(
-            tiny_engine,
-            target,
-            non_targets,
-            num_workers=2,
-            timeout=120.0,
-            use_delta=False,
-        ) as provider:
-            parent = rng.integers(0, 20, size=25).astype(np.uint8)
-            provider.scores([parent])
-            child = parent.copy()
-            child[3] = (child[3] + 2) % 20
-            provider.scores_with_provenance(
-                [child], [mutation_provenance(parent, [3])]
-            )
-            stats = provider.pool.stats()["delta"]
-            assert stats == {
-                "hits": 0,
-                "fallbacks": 0,
-                "rows_rescored": 0,
-                "rows_total": 0,
-                "sticky_routed": 0,
-            }
 
     def test_runtime_stats_include_delta(self, mp_provider, rng):
         mp_provider.scores([rng.integers(0, 20, size=20).astype(np.uint8)])

@@ -3,12 +3,16 @@
 Covers what `tests/ppi/test_shm.py` cannot: workers that attach from a
 *different* process, and leak safety when a worker is killed mid-attach —
 the master must still unlink the segment on `close()` regardless of what
-its children managed to do (the crash tests carry the `faults` marker
-like the rest of the fault-injection suite).
+its children managed to do — or when the segment is unlinked behind the
+pool's back (the crash tests carry the `faults` marker like the rest of
+the fault-injection suite).
 """
 
 import glob
+import os
 import pickle
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -36,7 +40,6 @@ def test_shm_provider_matches_serial(tiny_engine, tiny_problem, rng):
     with MultiprocessScoreProvider(
         tiny_engine, target, non_targets, num_workers=2, timeout=120.0
     ) as provider:
-        assert provider.pool.share_memory is True
         out = provider.scores(seqs)
         stats = provider.pool.stats()["shm"]
         assert stats is not None and stats["owner"] is True
@@ -47,35 +50,15 @@ def test_shm_provider_matches_serial(tiny_engine, tiny_problem, rng):
 
 
 def test_shipped_context_is_lightweight(tiny_engine, tiny_problem, rng):
-    target, non_targets = tiny_problem
-    provider = MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=1, timeout=120.0
-    )
-    try:
-        provider.scores(_seqs(rng, 2))
-        shipped = pickle.dumps(provider.pool._ship_context)
-        full = pickle.dumps(provider.pool.context)
-        assert len(shipped) < len(full)
-        assert provider.pool._ship_context.engine is None
-        assert provider.pool._ship_context.shm_handle is not None
-    finally:
-        provider.close()
-
-
-def test_share_memory_off_ships_engine(tiny_engine, tiny_problem, rng):
+    """What a worker is spawned with — the segment handle and the scalar
+    config — pickles far smaller than the engine it rebuilds."""
     target, non_targets = tiny_problem
     with MultiprocessScoreProvider(
-        tiny_engine,
-        target,
-        non_targets,
-        num_workers=1,
-        timeout=120.0,
-        share_memory=False,
+        tiny_engine, target, non_targets, num_workers=1, timeout=120.0
     ) as provider:
-        out = provider.scores(_seqs(rng, 2))
-        assert provider.pool.stats()["shm"] is None
-        assert provider.pool._ship_context.engine is not None
-    assert len(out) == 2
+        provider.scores(_seqs(rng, 2))
+        shipped = pickle.dumps((provider.pool._shm_view.handle, tiny_engine.config))
+    assert len(shipped) < len(pickle.dumps(tiny_engine)) / 4
 
 
 def test_provider_reusable_after_close(tiny_engine, tiny_problem, rng):
@@ -140,4 +123,35 @@ def test_degraded_serial_fallback_keeps_segment_usable(
     ) as provider:
         out = provider.scores(_seqs(rng, 4))
         assert len(out) == 4
+    assert set(_live_segments()) == before
+
+
+@pytest.mark.faults
+def test_segment_unlinked_behind_the_pool_still_scores(
+    tiny_engine, tiny_problem, rng
+):
+    """Unlink the pool's segment from outside, then SIGKILL its workers:
+    the replacements cannot map it and die too, yet the next batch still
+    comes back equal to serial within its timeout — through the
+    degraded path once the retry budget runs out — and no segment is
+    left behind."""
+    target, non_targets = tiny_problem
+    before = set(_live_segments())
+    seqs = _seqs(rng, 6)
+    expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(seqs)
+    with MultiprocessScoreProvider(
+        tiny_engine, target, non_targets, num_workers=2, timeout=30.0
+    ) as provider:
+        provider.scores(_seqs(rng, 2))
+        token = provider.pool.stats()["shm"]["token"]
+        os.unlink(f"/dev/shm/{token}")
+        for proc in list(provider.pool._workers.values()):
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.join(timeout=10.0)
+        start = time.monotonic()
+        assert provider.scores(seqs) == expected
+        assert time.monotonic() - start < provider.pool.timeout
+        faults = provider.pool.stats()["fault_tolerance"]
+        assert faults["worker_deaths"] >= 2
+        assert faults["respawns"] + faults["degraded_items"] > 0
     assert set(_live_segments()) == before

@@ -253,12 +253,12 @@ def test_a_truncated_frame_is_a_death_never_data(tiny_engine, tiny_problem, rng)
 _REAL_WORKER_ENTRY = mp_backend._worker_entry
 
 
-def _small_send_buffer_entry(worker_id, context, conn, master_ends):
+def _small_send_buffer_entry(worker_id, handle, config, faults, conn, master_ends):
     """The real worker, on a pipe that holds a few kilobytes at most."""
     sock = socket.socket(fileno=os.dup(conn.fileno()))
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1)  # kernel minimum
     sock.close()
-    _REAL_WORKER_ENTRY(worker_id, context, conn, master_ends)
+    _REAL_WORKER_ENTRY(worker_id, handle, config, faults, conn, master_ends)
 
 
 def test_close_reads_a_blocked_worker_through_to_its_end_signal(
@@ -462,14 +462,17 @@ def test_pool_hands_back_every_fd_thread_child_and_segment(
     assert _segments() == segments
 
 
-@pytest.mark.parametrize("share_memory", [True, False], ids=["shm", "pickled-engine"])
-@pytest.mark.parametrize("start_method", multiprocessing.get_all_start_methods())
+@pytest.mark.parametrize(
+    "start_method",
+    multiprocessing.get_all_start_methods(),
+    ids=lambda method: f"{method}-shm",
+)
 def test_every_start_method_scores_slices_bit_exact(
-    start_method, share_memory, tiny_engine, tiny_problem, rng
+    start_method, tiny_engine, tiny_problem, rng
 ):
-    """Fork, spawn and forkserver workers, each with the shared proteome
-    and with the pickled engine: slices of several candidates, scores
-    equal to serial, and no proteome segment left behind."""
+    """Fork, spawn and forkserver workers, each mapping the shared
+    proteome: slices of several candidates, scores equal to serial, and
+    no proteome segment left behind."""
     target, non_targets = tiny_problem
     seqs = _seqs(rng, 12)
     expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(
@@ -481,7 +484,6 @@ def test_every_start_method_scores_slices_bit_exact(
         num_workers=2,
         timeout=60.0,
         start_method=start_method,
-        share_memory=share_memory,
     ) as pool:
         problem = pool.warm(target, non_targets)
         assert pool.score(seqs, None, [problem] * len(seqs)) == expected
@@ -489,5 +491,5 @@ def test_every_start_method_scores_slices_bit_exact(
     assert stats["dispatched"] == len(seqs)
     assert stats["slices"] < len(seqs)
     assert stats["fault_tolerance"]["degraded_items"] == 0
-    assert (stats["shm"] is not None) == share_memory
+    assert stats["shm"] is not None
     assert _segments() == segments

@@ -10,12 +10,7 @@ import pytest
 
 from repro.ga.fitness import score_batch
 from repro.parallel.messages import EndSignal, WorkResult, WorkSlice
-from repro.parallel.worker import WorkerContext, worker_loop
-
-
-@pytest.fixture()
-def context(tiny_engine):
-    return WorkerContext(tiny_engine)
+from repro.parallel.worker import worker_loop
 
 
 @pytest.fixture()
@@ -55,14 +50,11 @@ def pipe():
 
 
 def test_context_validates_names(tiny_engine):
-    """The context no longer knows a problem, so it has no names to check:
-    it validates that an engine can be had, and problems are validated in
-    one place, ``make_problem`` (which ``WorkerPool.warm`` calls)."""
+    """A worker is spawned with an engine and knows no problem, so it has
+    no names to check: problems are validated in one place,
+    ``make_problem`` (which ``WorkerPool.warm`` calls)."""
     from repro.parallel.mp_backend import WorkerPool
 
-    with pytest.raises(ValueError, match="engine"):
-        WorkerContext(None)
-    assert not hasattr(WorkerContext(tiny_engine), "target")
     pool = WorkerPool(tiny_engine, num_workers=1)
     with pytest.raises(KeyError):
         pool.warm("NOPE", [])
@@ -81,41 +73,41 @@ def test_warm_cache(tiny_engine, problem, rng, pipe):
         master.send(_item(i, rng.integers(0, 20, size=20).astype(np.uint8), problem))
     master.send(EndSignal())
     assert fresh.database.cache_info()["entries"] == 0
-    worker_loop(0, WorkerContext(fresh), worker)
+    worker_loop(0, fresh, worker)
     assert fresh.database.cache_info()["entries"] == len(problem[1]) + 1
 
 
-def test_worker_loop_processes_until_end(context, problem, rng, pipe):
+def test_worker_loop_processes_until_end(tiny_engine, problem, rng, pipe):
     master, worker = pipe
     seqs = [rng.integers(0, 20, size=20).astype(np.uint8) for _ in range(4)]
     master.send(_slice([0, 1, 2], seqs[:3], problem))
     master.send(_item(3, seqs[3], problem))
     master.send(EndSignal())
-    processed = worker_loop(0, context, worker)
+    processed = worker_loop(0, tiny_engine, worker)
     assert processed == 2  # slices, each answered once
     results = [master.recv() for _ in range(2)]
     assert [r.sequence_ids for r in results] == [(0, 1, 2), (3,)]
     assert all(isinstance(r, WorkResult) for r in results)
     scores = [s for r in results for s in r.scores]
-    assert scores == [_scored(context.engine, seq, problem) for seq in seqs]
+    assert scores == [_scored(tiny_engine, seq, problem) for seq in seqs]
     # The pipe is private: the END signal is consumed, nothing is echoed.
     assert not worker.poll() and not master.poll()
 
 
-def test_worker_loop_rejects_garbage(context, pipe):
+def test_worker_loop_rejects_garbage(tiny_engine, pipe):
     master, worker = pipe
     master.send("garbage")
     with pytest.raises(TypeError):
-        worker_loop(0, context, worker)
+        worker_loop(0, tiny_engine, worker)
 
 
-def test_worker_loop_immediate_end(context, pipe):
+def test_worker_loop_immediate_end(tiny_engine, pipe):
     master, worker = pipe
     master.send(EndSignal())
-    assert worker_loop(1, context, worker) == 0
+    assert worker_loop(1, tiny_engine, worker) == 0
 
 
-def test_worker_loop_ends_when_the_master_end_closes(context, problem, rng, pipe):
+def test_worker_loop_ends_when_the_master_end_closes(tiny_engine, problem, rng, pipe):
     """No EndSignal ever arrives from a killed master: end-of-file on the
     pipe ends the loop, which still returns its count — and so does a
     reply that nobody is left to receive."""
@@ -130,7 +122,7 @@ def test_worker_loop_ends_when_the_master_end_closes(context, problem, rng, pipe
     thread = threading.Thread(target=master_side)
     thread.start()
     try:
-        assert worker_loop(0, context, worker) == 1
+        assert worker_loop(0, tiny_engine, worker) == 1
     finally:
         thread.join(timeout=5.0)
     assert not thread.is_alive() and replies[0].sequence_ids == (0,)
@@ -138,17 +130,17 @@ def test_worker_loop_ends_when_the_master_end_closes(context, problem, rng, pipe
     master, worker = multiprocessing.Pipe(duplex=True)
     master.send(_item(1, rng.integers(0, 20, size=20).astype(np.uint8), problem))
     master.close()
-    assert worker_loop(0, context, worker) == 0
+    assert worker_loop(0, tiny_engine, worker) == 0
     worker.close()
 
 
-def test_worker_patches_from_what_the_item_carries(context, problem, rng, pipe):
+def test_worker_patches_from_what_the_item_carries(tiny_engine, problem, rng, pipe):
     """Stateless delta scoring: the parent's structure arrives on the slice,
     the child's leaves on the reply, and a second slice naming the same
     parent *without* carrying it falls back — nothing was cached."""
     from repro.ppi.delta import mutation_provenance
 
-    database = context.engine.database
+    database = tiny_engine.database
     parent = rng.integers(0, 20, size=30).astype(np.uint8)
     child = parent.copy()
     child[10] = (child[10] + 3) % 20
@@ -163,7 +155,7 @@ def test_worker_patches_from_what_the_item_carries(context, problem, rng, pipe):
     )
     master.send(_item(1, child, problem, provenance=prov))
     master.send(EndSignal())
-    assert worker_loop(0, context, worker) == 2
+    assert worker_loop(0, tiny_engine, worker) == 2
     patched, swept = master.recv(), master.recv()
     (patched_delta,), (swept_delta,) = patched.deltas, swept.deltas
     assert patched_delta.hit
@@ -172,48 +164,38 @@ def test_worker_patches_from_what_the_item_carries(context, problem, rng, pipe):
     assert swept_delta.rows_rescored == swept_delta.rows_total
     full = database.sequence_similarity(child)
     for reply in (patched, swept):
-        assert reply.scores == (_scored(context.engine, child, problem),)
+        assert reply.scores == (_scored(tiny_engine, child, problem),)
         ((key, built),) = reply.similarities
         assert key == child.tobytes() and (built.counts != full.counts).nnz == 0
 
 
 def test_worker_does_not_echo_a_structure_the_item_carried(
-    context, problem, rng, pipe
+    tiny_engine, problem, rng, pipe
 ):
     seq = rng.integers(0, 20, size=25).astype(np.uint8)
-    own = context.engine.database.sequence_similarity(seq)
+    own = tiny_engine.database.sequence_similarity(seq)
     master, worker = pipe
     master.send(_item(0, seq, problem, similarities=((seq.tobytes(), own),)))
     master.send(EndSignal())
-    worker_loop(0, context, worker)
+    worker_loop(0, tiny_engine, worker)
     reply = master.recv()
     assert reply.similarities == ()
-    assert reply.scores == (_scored(context.engine, seq, problem),)
+    assert reply.scores == (_scored(tiny_engine, seq, problem),)
 
 
-def test_worker_without_delta_ships_no_structure(tiny_engine, problem, rng, pipe):
-    context = WorkerContext(tiny_engine, use_delta=False)
-    master, worker = pipe
-    master.send(_item(0, rng.integers(0, 20, size=20).astype(np.uint8), problem))
-    master.send(EndSignal())
-    worker_loop(0, context, worker)
-    reply = master.recv()
-    assert reply.similarities == () and reply.deltas == (None,)
-
-
-def test_retire_signal_stops_the_worker_after_its_inbox(context, problem, rng, pipe):
+def test_retire_signal_stops_the_worker_after_its_inbox(tiny_engine, problem, rng, pipe):
     # The pipe is FIFO: the end signal stops the worker after the slices
     # ahead of it and before anything behind it.
     master, worker = pipe
     master.send(_item(0, rng.integers(0, 20, size=20).astype(np.uint8), problem))
     master.send(EndSignal())
     master.send(_item(1, rng.integers(0, 20, size=20).astype(np.uint8), problem))
-    assert worker_loop(0, context, worker) == 1
+    assert worker_loop(0, tiny_engine, worker) == 1
     assert master.recv().sequence_ids == (0,) and not master.poll()
     assert worker.recv().sequence_ids == (1,)  # nothing past the signal was touched
 
 
-def test_worker_stamps_inbox_wait(context, problem, rng, pipe):
+def test_worker_stamps_inbox_wait(tiny_engine, problem, rng, pipe):
     master, worker = pipe
     item = _item(0, rng.integers(0, 20, size=20).astype(np.uint8), problem)
 
@@ -225,7 +207,7 @@ def test_worker_stamps_inbox_wait(context, problem, rng, pipe):
     feeder = threading.Thread(target=feed)
     feeder.start()
     try:
-        worker_loop(0, context, worker)
+        worker_loop(0, tiny_engine, worker)
     finally:
         feeder.join(timeout=5.0)
     assert not feeder.is_alive()
@@ -233,14 +215,14 @@ def test_worker_stamps_inbox_wait(context, problem, rng, pipe):
 
 
 def test_siblings_in_one_slice_patch_from_one_carried_parent(
-    context, problem, rng, pipe
+    tiny_engine, problem, rng, pipe
 ):
     """Two children of one parent in one slice: the parent travels once,
     both patch from it, and both built structures come back in one
     reply."""
     from repro.ppi.delta import mutation_provenance
 
-    database = context.engine.database
+    database = tiny_engine.database
     parent = rng.integers(0, 20, size=30).astype(np.uint8)
     children, provenances = [], []
     for locus in (4, 20):
@@ -256,9 +238,9 @@ def test_siblings_in_one_slice_patch_from_one_carried_parent(
         )
     )
     master.send(EndSignal())
-    assert worker_loop(0, context, worker) == 1
+    assert worker_loop(0, tiny_engine, worker) == 1
     reply = master.recv()
     assert reply.sequence_ids == (0, 1)
     assert all(d.hit and d.rows_rescored < d.rows_total for d in reply.deltas)
     assert [key for key, _ in reply.similarities] == [c.tobytes() for c in children]
-    assert list(reply.scores) == [_scored(context.engine, c, problem) for c in children]
+    assert list(reply.scores) == [_scored(tiny_engine, c, problem) for c in children]

@@ -19,7 +19,7 @@ from repro.ga import WETLAB_PARAMS, InSiPSEngine
 from repro.ga.fitness import SerialScoreProvider, score_batch
 from repro.parallel.messages import EndSignal, WorkSlice
 from repro.parallel.mp_backend import WorkerPool
-from repro.parallel.worker import WorkerContext, worker_loop
+from repro.parallel.worker import worker_loop
 from repro.ppi import pipe
 from repro.ppi.delta import SimilarityLRU, mutation_provenance
 from repro.ppi.kernels import BatchedNumpyKernel, _REGISTRY, register_kernel
@@ -240,7 +240,7 @@ def test_worker_route_is_one_product_per_item(counted):
             )
         )
         master.send(EndSignal())
-        assert worker_loop(0, WorkerContext(engine), worker) == 1
+        assert worker_loop(0, engine, worker) == 1
         reply = master.recv()
     finally:
         master.close()

@@ -248,7 +248,7 @@ def test_point_mutant_generation_acceptance():
     warm parent (length 128, the ``small`` profile, target + 8
     non-targets), scores byte-identically with and without delta,
     re-sweeps at most 15 % of its window rows and never falls back."""
-    from repro.ga.fitness import SerialScoreProvider
+    from repro.ga.fitness import SerialScoreProvider, score_batch
     from repro.synthetic import get_profile
     from repro.telemetry import MetricsRegistry
 
@@ -269,18 +269,16 @@ def test_point_mutant_generation_acceptance():
         children.append(child)
         provenances.append(mutation_provenance(parent, loci))
 
-    def scored(use_delta):
-        telemetry = MetricsRegistry()
-        provider = SerialScoreProvider(
-            world.engine, target, non_targets, use_delta=use_delta,
-            telemetry=telemetry,
-        )
-        provider.scores([parent])  # warm, as last generation left it
-        out = provider.scores_with_provenance(children, provenances)
-        return out, telemetry.snapshot()
-
-    delta_scores, counters = scored(True)
-    full_scores, _ = scored(False)
+    telemetry = MetricsRegistry()
+    provider = SerialScoreProvider(
+        world.engine, target, non_targets, telemetry=telemetry
+    )
+    provider.scores([parent])  # warm, as last generation left it
+    delta_scores = provider.scores_with_provenance(children, provenances)
+    counters = telemetry.snapshot()
+    full_scores, _ = score_batch(
+        world.engine, children, [provider.problem] * len(children)
+    )
     assert delta_scores == full_scores
     assert "pipe.delta.fallbacks" not in counters
     assert counters["pipe.delta.hits"]["value"] == 40

@@ -198,7 +198,7 @@ def test_nothing_returned_or_cached_lives_in_the_arena(tiny_engine, tiny_problem
         (problem,) * 4,
         (None,) * 4,
     )
-    _, _, built = _score_slice(tiny_engine, work, True)
+    _, _, built = _score_slice(tiny_engine, work)
     kernel, db = tiny_engine.database.kernel, tiny_engine.database
     sparse = kernel.sweep_batch_sparse(db, arrays)
     dense = kernel.sweep_batch(db, arrays)

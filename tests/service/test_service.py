@@ -452,6 +452,38 @@ def _pending_on_disk(tiny_world, root, spec):
     )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("attempts", "x"),
+        ("submitted_at", "soon"),
+        ("attempts", [1]),
+        ("generations_done", 2.7),
+    ],
+)
+def test_wrong_typed_status_field_skips_only_that_job(
+    tiny_world, tmp_path, field, value
+):
+    # Regression: _recover_jobs parsed status fields with bare int() /
+    # float() outside the try that skips unreadable files, so one bad
+    # status.json stopped the service from starting (and 2.7 generations
+    # silently became 2).  The bad job is skipped like an unreadable
+    # file; the good one is still recovered.
+    root = tmp_path / "svc"
+    good, bad = _spec(job_id="job-good"), _spec(job_id="job-bad")
+    for spec in (good, bad):
+        _pending_on_disk(tiny_world, root, spec)
+    status_path = root / "jobs" / "job-bad" / "status.json"
+    status_path.write_text(
+        json.dumps({"state": JobState.PENDING, field: value})
+    )
+    with _service(tiny_world, root) as service:
+        assert service.service_stats()["recovered"] == 1
+        assert service.status("job-good")["job_id"] == "job-good"
+        with pytest.raises(KeyError):
+            service.status("job-bad")
+
+
 def _dedicated_misses(tiny_world, spec):
     """(cache misses per generation, history digest) of ``spec`` run on a
     dedicated serial provider."""

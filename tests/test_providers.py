@@ -65,7 +65,10 @@ def test_factory_unknown_backend(tiny_engine, tiny_problem):
     # The thread backend is deleted: its name is unknown like any other.
     with pytest.raises(ValueError, match="unknown backend 'thread'"):
         make_score_provider(tiny_engine, target, non_targets, backend="thread")
-    assert BACKENDS == ("serial", "process", "fabric")
+    # So is the fabric backend: a fabric hands out its clients itself.
+    with pytest.raises(ValueError, match="unknown backend 'fabric'"):
+        make_score_provider(tiny_engine, target, non_targets, backend="fabric")
+    assert BACKENDS == ("serial", "process")
 
 
 def test_factory_serial_rejects_workers(tiny_engine, tiny_problem):
@@ -83,12 +86,12 @@ def test_factory_process_backend_kwargs(tiny_engine, tiny_problem, rng):
         backend="process",
         workers=1,
         timeout=120.0,
-        share_memory=False,
+        fail_fast=True,
     ) as provider:
         from repro.parallel.mp_backend import MultiprocessScoreProvider
 
         assert isinstance(provider, MultiprocessScoreProvider)
-        assert provider.pool.share_memory is False
+        assert provider.pool.fail_fast is True
         seq = rng.integers(0, 20, size=20).astype(np.uint8)
         serial = make_score_provider(tiny_engine, target, non_targets)
         assert (
@@ -101,22 +104,25 @@ def test_factory_process_backend_kwargs(tiny_engine, tiny_problem, rng):
     "backend, kwargs, match",
     [
         ("serial", {"scaling": "queue-depth"}, "scaling"),
-        ("fabric", {"min_workers": 1}, "min_workers"),
-        ("serial", {"share_memory": False}, "share_memory"),
-        ("fabric", {"use_delta": False}, "use_delta"),
+        ("process", {"min_workers": 1}, "min_workers"),
+        ("serial", {"share_memory": False}, "unknown keyword"),
+        ("process", {"use_delta": False}, "unknown keyword"),
         ("process", {"max_wait_ms": 5.0}, "unknown keyword"),
         ("serial", {"max_items": 8}, "unknown keyword"),
         ("process", {"num_workers": 2}, "workers="),
         ("serial", {"definitely_not_a_kwarg": 1}, "unknown keyword"),
+        ("process", {"share_memory": False}, "unknown keyword"),
+        ("serial", {"use_delta": False}, "unknown keyword"),
     ],
 )
 def test_factory_rejects_backend_foreign_kwargs(
     tiny_engine, tiny_problem, backend, kwargs, match
 ):
     # Regression: kwargs meant for another backend were silently dropped
-    # (share_memory= with the serial backend was ignored without a word).
+    # (timeout= with the serial backend was ignored without a word).
     # Each offending kwarg is now named, with the backends that take it;
-    # the deleted pool-size and fabric flush keywords are named as unknown.
+    # the deleted pool-size, fabric flush, shared-memory and delta
+    # switches are named as unknown on every backend.
     target, non_targets = tiny_problem
     with pytest.raises(ValueError, match=match):
         make_score_provider(
@@ -139,9 +145,9 @@ def test_factory_still_accepts_native_kwargs(tiny_engine, tiny_problem):
     # so every backend's own kwargs keep flowing through.
     target, non_targets = tiny_problem
     serial = make_score_provider(
-        tiny_engine, target, non_targets, backend="serial", use_delta=False
+        tiny_engine, target, non_targets, backend="serial", similarity_cache_size=8
     )
-    assert serial.use_delta is False
+    assert serial._similarity_cache.capacity == 8
     with make_score_provider(
         tiny_engine, target, non_targets, backend="process", cache_size=16
     ) as pooled:
