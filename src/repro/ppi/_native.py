@@ -1,12 +1,15 @@
 """Build and load the compiled window sweep (``_sweep.c``).
 
-The batched kernel's tile loop has a C twin that ships as source in this
-package.  On first use in a process it is compiled with the system C
-compiler into a per-user cache and loaded with :mod:`ctypes`; no build
-step, no new dependency.  When that is not possible — no compiler on
-``PATH``, no safe cache directory, a failed build — :func:`native_sweep`
-says why and the kernel runs its numpy tile body instead.  The choice is
-made by capability only: there is no option to request either path.
+The batched kernel's tile loop and the fused PIPE result block
+(:meth:`~repro.ppi.pipe.PipeEngine.score_similarities`) have C twins
+that ship as source in this package, in one file.  On first use in a
+process it is compiled with the system C compiler into a per-user cache
+and loaded with :mod:`ctypes`; no build step, no new dependency.  When
+that is not possible — no compiler on ``PATH``, no safe cache directory,
+a failed build — :func:`native_sweep` says why, and the kernel runs its
+numpy tile body and the engine its numpy result groups instead.  The
+choice is made by capability only: there is no option to request either
+path.
 
 Cache rules:
 
@@ -49,13 +52,18 @@ __all__ = ["NativeSweep", "native_sweep", "load"]
 SOURCE = "_sweep.c"
 #: Compiler names tried, in order, on ``PATH``.
 COMPILERS = ("cc", "gcc", "clang")
-CFLAGS = ("-O3", "-shared", "-fPIC", "-std=gnu11")
+#: ``-ffp-contract=off``: GNU C's default (``fast``) may fuse a multiply
+#: and an add into one FMA, which rounds once where the reference rounds
+#: twice; the result block's float64 running sums must round as ndimage's.
+CFLAGS = ("-O3", "-shared", "-fPIC", "-std=gnu11", "-ffp-contract=off")
 #: Seconds a build may take before it counts as failed.
 BUILD_TIMEOUT_S = 120
 
 _INT64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 _ARGTYPES = [_PTR, _INT64, _INT64, _PTR, _INT64, _INT64, _INT64, _PTR, _INT64]
+_BLOCK_ARGTYPES = [_INT64, _INT64, _INT64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+                   _INT64, _PTR, _INT64, _PTR, _INT64, _PTR, _PTR, _PTR]
 
 
 def _source() -> bytes:
@@ -69,12 +77,14 @@ def _digest(path: str) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class NativeSweep:
-    """The compiled sweep as this process resolved it.
+    """The compiled library as this process resolved it: the window sweep
+    (:meth:`hits`) and the fused result block (:meth:`result_block`).
 
-    ``path`` is the loaded library and ``isa`` the body it dispatches to
-    on this CPU (``avx2``, ``sse2`` or ``vec16``), or ``reason`` says why
-    no library is loaded.  ``compile_s`` is the build's wall time when
-    this process compiled the library, None when it came from the cache.
+    ``path`` is the loaded library and ``isa`` the body the sweep
+    dispatches to on this CPU (``avx2``, ``sse2`` or ``vec16``), or
+    ``reason`` says why no library is loaded.  ``compile_s`` is the
+    build's wall time when this process compiled the library, None when
+    it came from the cache.
     """
 
     path: str | None = None
@@ -149,6 +159,94 @@ class NativeSweep:
                 return out[:found]
             cap = found  # one more pass, sized exactly
 
+    def result_block(
+        self,
+        rows: np.ndarray,
+        proteins: np.ndarray,
+        weights: np.ndarray | None,
+        evidence: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        n_win: int,
+        radius: int,
+        work: np.ndarray,
+        index: np.ndarray,
+        touched: np.ndarray,
+    ) -> np.ndarray:
+        """``(candidates, proteins)`` filtered maxima of the fused result
+        blocks of candidates with ``n_win`` windows each: for every
+        (candidate, protein) the maximum of the ``(2 * radius + 1)²`` box
+        mean of its block of ``H``, bit-identical to ``uniform_filter``
+        on that block (``_sweep.c`` says why).
+
+        ``rows`` (int64, ``candidates * n_win + 1``), ``proteins`` (int32)
+        and ``weights`` (float64, or None for the binary predicate) are
+        the candidates' stacked match rows as CSR; ``evidence`` is the
+        problem's ``(indptr, indices, data, bounds)`` (int32, int32,
+        float64, int64), built by the engine with column indices below
+        ``bounds[-1]`` and integer, non-negative data: its exactness rests
+        on the data, which the engine checks once per problem.  ``work``
+        (float64), ``index`` (int64, ``n_win``) and ``touched`` (uint8,
+        one per evidence column) are the caller's scratch; ``work`` must
+        hold ``(columns + 3) * nw`` cells for each candidate's ``nw``
+        windows within ``radius`` of a match.  Layouts, sizes and the
+        match rows' protein indices are checked here, since the C loop
+        checks none of them.  The call drops the GIL.
+        """
+        indptr, indices, data, bounds = evidence
+        n_cols = int(bounds[-1])
+        n_cand, rest = divmod(rows.size - 1, n_win)
+        arrays = {
+            np.int64: (rows, index, bounds),
+            np.int32: (proteins, indptr, indices),
+            np.float64: (work, data) + (() if weights is None else (weights,)),
+            np.uint8: (touched,),
+        }
+        if (
+            rest
+            or n_win < 1
+            or radius < 0
+            or index.size < n_win
+            or touched.size < n_cols
+            or int(rows[-1]) > proteins.size
+            or (weights is not None and weights.size < proteins.size)
+            or indices.size < int(indptr[-1])
+            or data.size < int(indptr[-1])
+            or any(
+                a.dtype != dtype or not a.flags.c_contiguous
+                for dtype, group in arrays.items()
+                for a in group
+            )
+        ):
+            raise ValueError("result block arguments of the wrong layout")
+        if proteins.size and (
+            int(proteins.min()) < 0 or int(proteins.max()) >= indptr.size - 1
+        ):
+            raise ValueError("a match row names a protein outside the evidence")
+        out = np.empty((n_cand, bounds.size - 1), dtype=np.float64)
+        status = self.library.repro_result_block(
+            n_cand,
+            n_win,
+            radius,
+            rows.ctypes.data,
+            proteins.ctypes.data,
+            None if weights is None else weights.ctypes.data,
+            indptr.ctypes.data,
+            indices.ctypes.data,
+            data.ctypes.data,
+            n_cols,
+            bounds.ctypes.data,
+            bounds.size - 1,
+            work.ctypes.data,
+            work.size,
+            index.ctypes.data,
+            touched.ctypes.data,
+            out.ctypes.data,
+        )
+        if status:
+            raise ValueError(
+                f"candidate {-1 - status} needs more than {work.size} scratch cells"
+            )
+        return out
+
 
 def _cache_dir() -> tuple[str | None, str | None]:
     """``(directory, None)`` when the cache is safe to use, else
@@ -183,6 +281,8 @@ def _open(path: str, compile_s: float | None) -> NativeSweep:
         fn = getattr(library, name)
         fn.restype = _INT64
         fn.argtypes = _ARGTYPES
+    library.repro_result_block.restype = _INT64
+    library.repro_result_block.argtypes = _BLOCK_ARGTYPES
     library.repro_sweep_isa.restype = ctypes.c_char_p
     isa = library.repro_sweep_isa().decode()
     return NativeSweep(path=path, isa=isa, compile_s=compile_s, library=library)

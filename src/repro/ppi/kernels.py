@@ -35,14 +35,15 @@ in (a :class:`~repro.ppi.database.PipeDatabase`, built in process or over
 a :mod:`repro.ppi.shm` segment), so one kernel instance can serve many
 databases and processes.  The only state a sweep leaves behind is
 scratch memory: each thread owns one :class:`ScratchArena`
-(:func:`scratch_arena`) that the numpy tile body's tiles — and the fused
-result groups of :meth:`~repro.ppi.pipe.PipeEngine.score_similarities` —
-carve their temporaries from instead of allocating them, so a process
+(:func:`scratch_arena`) that the numpy tile body's tiles — and the result
+blocks of :meth:`~repro.ppi.pipe.PipeEngine.score_similarities`, the
+numpy body's fused groups and the compiled pass's per-candidate buffers
+— carve their temporaries from instead of allocating them, so a process
 scoring slice after slice stops handing those pages back to the kernel
 and faulting them in again.  The arena is bounded: it keeps what one
-tile of at most ``fast_chunk_elements`` cells or one group of at most
-:data:`~repro.ppi.pipe.GROUP_CELLS` cells needs, and a larger request
-gets a one-off buffer.  Nothing a sweep returns lives in it.
+tile of at most ``fast_chunk_elements`` cells or one result block of at
+most :data:`~repro.ppi.pipe.GROUP_CELLS` cells needs, and a larger
+request gets a one-off buffer.  Nothing a sweep returns lives in it.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ and the symmetric adjacency ``G`` this is one sparse triple product:
     H = M_A · G · M_Bᵀ
 
 :meth:`PipeEngine.evaluate` computes exactly that, one pair at a time;
-the GA's path, :meth:`PipeEngine.score_similarities`, stacks candidates
-down the rows and a problem's proteins across the columns so a whole
-group costs one product and one filter pass per axis, bit-identical to
+the GA's path, :meth:`PipeEngine.score_similarities`, lays a problem's
+proteins side by side across the columns so a batch's result blocks cost
+one compiled pass per window count (or, without the compiled library, one
+product and one filter pass per axis per fused group), bit-identical to
 the pairwise form.
 
 The scalar score follows the MP-PIPE construction the paper cites for
@@ -32,15 +33,14 @@ import time
 from collections import OrderedDict
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.ndimage as ndi
 import scipy.sparse as sp
 
 from repro.ppi.database import PipeDatabase, SequenceSimilarity
 from repro.ppi.delta import DeltaStats
-from repro.ppi.kernels import ScratchArena, scratch_arena
+from repro.ppi.kernels import NativeSweep, ScratchArena, native_sweep, scratch_arena
 from repro.ppi.similarity import calibrate_threshold
 from repro.substitution import PAM120, get_matrix
 from repro.substitution.matrix import SubstitutionMatrix
@@ -53,14 +53,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BatchScores", "PipeConfig", "PipeEngine", "PipeResult"]
 
 #: Dense cells (candidates x windows x stacked protein windows) one fused
-#: result-matrix group may hold: the 2 MB float64 block a group carves
-#: from the thread's scratch arena (a single larger candidate gets a
-#: one-off block).  Four candidates per group on the benchmark's
-#: campaigns, ~10 % faster there than one per group (65 536); larger
-#: measured no faster.  Both figures were measured while every group's
-#: block was still freshly allocated and faulted in; re-tuning under the
-#: arena belongs with the kernel-residue work.
+#: result-matrix group of the numpy body may hold: the 2 MB float64 block
+#: a group carves from the thread's scratch arena (a single larger
+#: candidate gets a one-off block).  It sizes only the numpy body's
+#: groups, measured there (four candidates per group on the benchmark's
+#: campaigns, ~10 % faster than one per group; larger no faster); the
+#: compiled result block takes a whole window count in one call and uses
+#: it only as the bound on the scratch cells the arena keeps for it.
 GROUP_CELLS = 262_144
+
+
+class _Evidence(NamedTuple):
+    """One problem's entry in the evidence LRU."""
+
+    #: ``hstack([adjacency @ M_bᵀ for b in names])``, float64 CSR.
+    matrix: sp.csr_matrix
+    #: Column bounds of each protein's block.
+    bounds: list[int]
+    #: ``(indptr, indices, data, bounds)`` as the compiled result block
+    #: reads them (int32, int32, float64, int64), or None when an entry
+    #: is not a non-negative integer: that pass is exact only on those.
+    native: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
 
 
 @dataclass(frozen=True)
@@ -263,18 +276,18 @@ class PipeEngine:
         self.config = config
         self.evidence_cache_size = int(evidence_cache_size)
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
-        self._evidence_cache: OrderedDict[
-            tuple[str, ...], tuple[sp.csr_matrix, list[int]]
-        ] = OrderedDict()
+        self._evidence_cache: OrderedDict[tuple[str, ...], _Evidence] = OrderedDict()
 
     def set_telemetry(self, telemetry: MetricsRegistry | None) -> None:
         """Attach (or, with None, detach) a metrics registry.
 
         Kernel phases are reported as the nestable timer spans
         ``pipe.window_build`` (candidate similarity structure),
+        ``pipe.result_block`` (the compiled product, filter and maximum:
+        one per window count in :meth:`score_similarities`),
         ``pipe.triple_product`` (``M_A · G · M_Bᵀ``) and
         ``pipe.box_filter`` (mean filter + saturating score map) — one of
-        each per fused group in :meth:`score_similarities`, per pair in
+        each per fused group of the numpy body, per pair in
         :meth:`evaluate` — plus the counter ``pipe.evaluations`` (always
         candidate x protein pairs).  Forwarded to the database so the
         ``pipe.protein_cache.*`` accounting lands in the same registry.
@@ -335,6 +348,8 @@ class PipeEngine:
         """Collapse a result matrix into ``(score, filtered_max)``."""
         if h.size == 0:
             return 0.0, 0.0
+        import scipy.ndimage as ndi
+
         with self.telemetry.span("pipe.box_filter"):
             r = self.config.box_radius
             if r > 0:
@@ -416,26 +431,33 @@ class PipeEngine:
     ) -> list[dict[str, float]]:
         """``{protein: PIPE score}`` for each candidate structure, fused.
 
-        Candidates with equally many windows are stacked (in slices of at
-        most :data:`GROUP_CELLS` dense cells) and multiplied against the
-        problem's side-by-side evidence in **one** sparse product per
-        group; the box filter then runs once down the window axis of the
-        whole group and once along each protein's block of columns.
+        A problem's proteins lie side by side in one evidence matrix
+        (:meth:`_evidence`), so a candidate's result matrices against all
+        of them are one block ``H``.  Candidates with equally many windows
+        are scored together: where this process loaded the compiled
+        library (:func:`~repro.ppi.kernels.native_sweep`) and the
+        problem's evidence is integral, all of them in **one** compiled
+        call (:meth:`_score_block`); otherwise by the numpy body, stacked
+        in groups of at most :data:`GROUP_CELLS` dense cells, each
+        multiplied against the evidence in one sparse product and
+        box-filtered once down the window axis of the whole group and
+        once along each protein's block of columns (:meth:`_score_group`).
 
-        Bit-identical to per-pair :meth:`evaluate`: the result matrix is
-        integer-valued, so the product's summation order is irrelevant;
-        ndimage's running mean is line-local and history-dependent, and
-        the lines filtered here — (candidate, column) in the first pass,
-        (candidate, row of one protein block) in the second, in that axis
-        order — are exactly the lines ``uniform_filter`` walks per pair.
-        Filtering across a block boundary or across stacked candidates,
-        even zero-padded, would change the running sum's history and the
-        last bits.
+        Both routes are bit-identical to per-pair :meth:`evaluate`: the
+        result matrix is integer-valued, so the product's summation order
+        is irrelevant; ndimage's running mean is line-local and
+        history-dependent, and the lines filtered here — (candidate,
+        column) in the first pass, (candidate, row of one protein block)
+        in the second, in that axis order — are exactly the lines
+        ``uniform_filter`` walks per pair.  Filtering across a block
+        boundary or across stacked candidates, even zero-padded, would
+        change the running sum's history and the last bits.
         """
         names = tuple(protein_names)
         if not names:
             return [{} for _ in similarities]
-        evidence, bounds = self._evidence(names)
+        evidence = self._evidence(names)
+        bounds = evidence.bounds
         # A candidate without windows, like a protein without, has an
         # empty result matrix: score 0.0.
         scores = np.zeros((len(similarities), len(names)))
@@ -443,15 +465,76 @@ class PipeEngine:
         for i, sim in enumerate(similarities):
             if sim.num_windows and bounds[-1]:
                 by_windows.setdefault(sim.num_windows, []).append(i)
+        native = native_sweep()
+        compiled = native.available and evidence.native is not None
         for n, members in by_windows.items():
+            counts = [similarities[i].counts for i in members]
+            if compiled:
+                with self.telemetry.span("pipe.result_block"):
+                    scores[members] = self._score_block(
+                        native, counts, n, evidence.native
+                    )
+                continue
             step = max(1, GROUP_CELLS // (n * bounds[-1]))
             for g in range(0, len(members), step):
-                group = members[g : g + step]
-                scores[group] = self._score_group(
-                    [similarities[i].counts for i in group], n, evidence, bounds
+                scores[members[g : g + step]] = self._score_group(
+                    counts[g : g + step], n, evidence.matrix, bounds
                 )
         self.telemetry.count("pipe.evaluations", len(similarities) * len(names))
         return [dict(zip(names, row)) for row in scores.tolist()]
+
+    def _score_block(
+        self,
+        native: NativeSweep,
+        counts: list[sp.csr_matrix],
+        n: int,
+        evidence: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    ) -> np.ndarray:
+        """The ``(len(counts), proteins)`` scores of candidates with ``n``
+        windows each, in one compiled call (:meth:`NativeSweep.result_block
+        <repro.ppi._native.NativeSweep.result_block>`).
+
+        The candidates' match rows are stacked into one CSR and the call
+        scores them one after another through one scratch reservation
+        from this thread's :class:`~repro.ppi.kernels.ScratchArena`,
+        sized for the candidate with the most windows near a match (a
+        one-off buffer past :data:`GROUP_CELLS` cells).
+        """
+        bounds = evidence[3]
+        lengths = np.concatenate([np.diff(c.indptr) for c in counts])
+        rows = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=rows[1:])
+        proteins = np.concatenate([c.indices[: c.nnz] for c in counts]).astype(
+            np.int32, copy=False
+        )
+        weights = None
+        if self.config.count_positions:
+            weights = np.concatenate([c.data[: c.nnz] for c in counts]).astype(
+                np.float64
+            )
+        radius = self.config.box_radius
+        matched = int((lengths.reshape(len(counts), n) > 0).sum(axis=1).max())
+        windows = min(n, matched * (2 * radius + 1))
+        columns = int(bounds[-1])
+        cells = (columns + 3) * windows
+        scratch = scratch_arena().reserve(
+            ScratchArena.nbytes(
+                ((cells,), np.float64), ((n,), np.int64), ((columns,), np.uint8)
+            ),
+            retain=cells <= GROUP_CELLS,
+        )
+        fmax = native.result_block(
+            rows,
+            proteins,
+            weights,
+            evidence,
+            n,
+            radius,
+            scratch.carve((cells,), np.float64),
+            scratch.carve((n,), np.int64),
+            scratch.carve((columns,), np.uint8),
+        )
+        return fmax / (fmax + self.config.saturation)
 
     def _score_group(
         self,
@@ -460,8 +543,8 @@ class PipeEngine:
         evidence: sp.csr_matrix,
         bounds: list[int],
     ) -> np.ndarray:
-        """The ``(len(counts), len(bounds) - 1)`` scores of one fused group
-        of candidates with ``n`` windows each.
+        """The numpy body: the ``(len(counts), len(bounds) - 1)`` scores of
+        one fused group of candidates with ``n`` windows each.
 
         The dense result block ``H`` is carved from this thread's
         :class:`~repro.ppi.kernels.ScratchArena` (a one-off buffer when a
@@ -472,6 +555,8 @@ class PipeEngine:
         A group is a call of its own so its views of the arena are gone
         before the next group reserves, which may grow the arena.
         """
+        import scipy.ndimage as ndi
+
         telemetry = self.telemetry
         size = 2 * self.config.box_radius + 1
         cells = len(counts) * n * bounds[-1]
@@ -503,13 +588,16 @@ class PipeEngine:
                 fmax[:, b] = block.max(axis=(1, 2))
         return fmax / (fmax + self.config.saturation)
 
-    def _evidence(self, names: tuple[str, ...]) -> tuple[sp.csr_matrix, list[int]]:
-        """``hstack([adjacency @ M_bᵀ for b in names])`` and the column
-        bounds of each protein's block, through the bounded LRU.
+    def _evidence(self, names: tuple[str, ...]) -> _Evidence:
+        """``hstack([adjacency @ M_bᵀ for b in names])``, the column
+        bounds of each protein's block and the compiled pass's view of
+        both, through the bounded LRU.
 
         float64 CSR: the product with a candidate's (CSR) match matrix
         then needs no format conversion and lands directly in the dtype
         the box filter works in; every entry is a small integer, exact.
+        Whether it is — finite, non-negative, integral — is checked here,
+        once per entry: only then may the compiled pass score it.
         """
         cached = self._evidence_cache.get(names)
         if cached is not None:
@@ -524,11 +612,22 @@ class PipeEngine:
             blocks.append(adjacency @ mb.T)
             bounds.append(bounds[-1] + sim_b.num_windows)
         evidence = sp.hstack(blocks, format="csr", dtype=np.float64)
+        data = evidence.data[: evidence.nnz]
+        native = None
+        if evidence.nnz < 2**31 and np.all(
+            np.isfinite(data) & (data >= 0) & (data == np.floor(data))
+        ):
+            native = (
+                evidence.indptr.astype(np.int32, copy=False),
+                evidence.indices[: evidence.nnz].astype(np.int32, copy=False),
+                np.ascontiguousarray(data),
+                np.array(bounds, dtype=np.int64),
+            )
         while len(self._evidence_cache) >= self.evidence_cache_size:
             self._evidence_cache.popitem(last=False)
             self.telemetry.count("pipe.evidence_cache.evictions")
-        self._evidence_cache[names] = evidence, bounds
+        entry = self._evidence_cache[names] = _Evidence(evidence, bounds, native)
         self.telemetry.set_gauge(
             "pipe.evidence_cache.size", len(self._evidence_cache)
         )
-        return evidence, bounds
+        return entry

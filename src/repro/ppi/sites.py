@@ -20,7 +20,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage as ndi
 
 __all__ = ["BindingSite", "predict_binding_sites"]
 
@@ -114,6 +113,8 @@ def predict_binding_sites(
         raise ValueError("max_sites must be >= 1")
     if h.size == 0 or h.max() <= 0:
         return []
+    # Imported here: scoring never needs ndimage on the compiled route.
+    import scipy.ndimage as ndi
 
     smoothed = (
         ndi.uniform_filter(h, size=2 * smooth_radius + 1, mode="constant")

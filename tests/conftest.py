@@ -14,7 +14,8 @@ import pytest
 from hypothesis import settings
 
 from repro.ga.fitness import SerialScoreProvider
-from repro.ppi.kernels import BatchedNumpyKernel, native_sweep
+from repro.ppi import pipe
+from repro.ppi.kernels import BatchedNumpyKernel, NativeSweep, native_sweep
 from repro.synthetic import get_profile
 
 # CI selects this with HYPOTHESIS_PROFILE=ci so a failing property is the
@@ -110,3 +111,38 @@ def tile_kernel():
         return NativeTileKernel(_NATIVE_BODIES[body])
 
     return make
+
+
+# -- the fused result block's two bodies ------------------------------------
+
+#: Spans one ``score_similarities`` records per call (compiled) or per
+#: fused group (numpy) on each route.
+RESULT_BLOCK_SPANS = {
+    "compiled": ("pipe.result_block",),
+    "numpy": ("pipe.triple_product", "pipe.box_filter"),
+}
+
+
+@pytest.fixture()
+def pipe_route(monkeypatch):
+    """Pins :meth:`PipeEngine.score_similarities` to one body of its
+    result blocks for the calling test: ``pipe_route("numpy")`` makes it
+    see no compiled library (as a host without a compiler does),
+    ``pipe_route("compiled")`` skips the test, saying why, when this
+    process has none."""
+
+    def pin(route: str) -> None:
+        if route == "numpy":
+            pinned = NativeSweep(reason="pinned to the numpy body")
+            monkeypatch.setattr(pipe, "native_sweep", lambda: pinned)
+        elif not native_sweep().available:
+            pytest.skip(f"compiled result block not loaded: {native_sweep().reason}")
+
+    return pin
+
+
+@pytest.fixture()
+def result_block_spans():
+    """Spans the result blocks record on the route this process takes:
+    the compiled one where the library is loaded, else the numpy body."""
+    return RESULT_BLOCK_SPANS["compiled" if pipe.native_sweep().available else "numpy"]

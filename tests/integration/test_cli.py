@@ -48,7 +48,7 @@ def test_design_command(capsys, tmp_path):
     assert saved.target == "YBL051C"
 
 
-def test_design_with_telemetry(capsys, tmp_path):
+def test_design_with_telemetry(capsys, tmp_path, result_block_spans):
     metrics_file = tmp_path / "metrics.jsonl"
     assert (
         main(
@@ -65,7 +65,9 @@ def test_design_with_telemetry(capsys, tmp_path):
     )
     out = capsys.readouterr().out
     assert "telemetry:" in out
-    assert "pipe.triple_product" in out
+    # The result blocks' spans of the route this process takes.
+    for span in result_block_spans:
+        assert span in out
     assert metrics_file.exists()
 
     from repro.telemetry import read_jsonl

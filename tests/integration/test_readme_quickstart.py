@@ -15,7 +15,7 @@ def test_readme_quickstart_snippet():
     assert len(protein.sequence) == get_profile("tiny").candidate_length
 
 
-def test_readme_telemetry_snippet(tmp_path):
+def test_readme_telemetry_snippet(tmp_path, result_block_spans):
     from repro import InhibitorDesigner, get_profile
     from repro.telemetry import MetricsRegistry, export_jsonl, summary
 
@@ -25,7 +25,9 @@ def test_readme_telemetry_snippet(tmp_path):
     )
     designer.design("YBL051C", seed=1, termination=3)
     report = summary(telemetry)
-    assert "pipe.triple_product" in report
+    # The result blocks' spans of the route this process takes.
+    for span in result_block_spans:
+        assert span in report
     assert export_jsonl(telemetry, tmp_path / "run.jsonl") > 0
 
 

@@ -4,10 +4,13 @@ A generation costs O(1) kernel passes and O(groups) sparse products, not
 O(candidates) and O(candidates x proteins): one ``sweep_batch_sparse``
 call covers the dirty runs of every delta child of a round, one covers the
 round's full sweeps, and ``score_similarities`` makes one product per
-fused group.  Every caller of ``score_batch`` gets that shape: the serial
+fused group — or, where the compiled result block is loaded, one
+``pipe.result_block`` call per (problem, window count), whatever the
+group size.  Every caller of ``score_batch`` gets that shape: the serial
 provider per generation, the pool's degraded path per lost batch, and a
 pool worker per slice of a batch.  Counts, not timings — they repeat
-exactly.
+exactly.  The tests that count fused groups pin the numpy body; their
+``[compiled]`` twins count the compiled calls.
 """
 
 import numpy as np
@@ -46,8 +49,11 @@ class CountingKernel(BatchedNumpyKernel):
 
 
 @pytest.fixture()
-def counted():
-    """(engine on the counting kernel, its registry, non-targets)."""
+def counted(request, pipe_route):
+    """(engine on the counting kernel, its registry, non-targets), its
+    result blocks on the numpy body unless the test asks for
+    ``"compiled"`` (``indirect`` parametrization)."""
+    pipe_route(getattr(request, "param", "numpy"))
     register_kernel(CountingKernel)
     try:
         world = get_profile("small").build_world()
@@ -217,17 +223,20 @@ def test_score_batch_is_one_product(counted):
     )
 
 
-def test_worker_route_is_one_product_per_item(counted):
-    """A worker scores a slice of k candidates over two problems in one
-    ``score_batch``: one kernel pass for the slice, and one PIPE product
-    per (problem, fused group) — not one of each per candidate."""
-    engine, telemetry, non_targets = counted
+def _two_problem_slice(non_targets, seed):
+    """k = 7 length-LENGTH candidates over two problems."""
     first = (TARGET, tuple(non_targets))
     second = (non_targets[0], (TARGET, *non_targets[1:4]))
-    rng = np.random.default_rng(4)
+    rng = np.random.default_rng(seed)
     k = 7
     seqs = [rng.integers(0, 20, size=LENGTH).astype(np.uint8) for _ in range(k)]
     problems = [first if i % 3 else second for i in range(k)]
+    return seqs, problems, (first, second)
+
+
+def _worker_scores(engine, seqs, problems):
+    """One slice of ``seqs`` through ``worker_loop``: the reply."""
+    k = len(seqs)
     master, worker = multiprocessing.Pipe(duplex=True)
     try:
         master.send(
@@ -241,10 +250,20 @@ def test_worker_route_is_one_product_per_item(counted):
         )
         master.send(EndSignal())
         assert worker_loop(0, engine, worker) == 1
-        reply = master.recv()
+        return master.recv()
     finally:
         master.close()
         worker.close()
+
+
+def test_worker_route_is_one_product_per_item(counted):
+    """A worker scores a slice of k candidates over two problems in one
+    ``score_batch``: one kernel pass for the slice, and one PIPE product
+    per (problem, fused group) — not one of each per candidate."""
+    engine, telemetry, non_targets = counted
+    seqs, problems, (first, second) = _two_problem_slice(non_targets, 4)
+    k = len(seqs)
+    reply = _worker_scores(engine, seqs, problems)
     assert CountingKernel.calls == [k]
     groups = sum(
         _groups(engine, problem, problems.count(problem))
@@ -260,21 +279,22 @@ def test_worker_route_is_one_product_per_item(counted):
         )
 
 
+def _degraded_scores(engine, seqs, problems):
+    """``seqs`` lost by a one-worker pool whose breaker is open: the whole
+    batch is scored in the master.  Returns (score sets, pool stats)."""
+    breaker = CircuitBreaker(probe_after=1_000)
+    breaker.record_failure()
+    with WorkerPool(engine, num_workers=1, breaker=breaker) as pool:
+        return pool.score(seqs, None, problems), pool.stats()
+
+
 def test_degraded_batch_is_batch_shaped(counted):
     """k items the pool lost, over two problems, cost one kernel pass and
     one product per (problem, fused group) — not k of each."""
     engine, telemetry, non_targets = counted
-    first = (TARGET, tuple(non_targets))
-    second = (non_targets[0], (TARGET, *non_targets[1:4]))
-    rng = np.random.default_rng(12)
-    k = 7
-    seqs = [rng.integers(0, 20, size=LENGTH).astype(np.uint8) for _ in range(k)]
-    problems = [first if i % 3 else second for i in range(k)]
-    breaker = CircuitBreaker(probe_after=1_000)
-    breaker.record_failure()  # open: the whole batch is scored in the master
-    with WorkerPool(engine, num_workers=1, breaker=breaker) as pool:
-        score_sets = pool.score(seqs, None, problems)
-        stats = pool.stats()
+    seqs, problems, (first, second) = _two_problem_slice(non_targets, 12)
+    k = len(seqs)
+    score_sets, stats = _degraded_scores(engine, seqs, problems)
     assert stats["fault_tolerance"]["degraded_items"] == k
     assert stats["fault_tolerance"]["degraded_batches"] == 1
     assert stats["dispatched"] == 0
@@ -290,3 +310,77 @@ def test_degraded_batch_is_batch_shaped(counted):
         assert [
             score_set.target_score, *score_set.non_target_scores
         ] == _oracle(engine, seq, problem)
+
+
+# -- the compiled route: one result-block call per (problem, window count) --
+
+
+def _numpy_spans_absent(telemetry):
+    return all(
+        _span_count(telemetry, name) == 0
+        for name in ("pipe.triple_product", "pipe.box_filter")
+    )
+
+
+@pytest.mark.parametrize("counted", ["compiled"], indirect=True)
+def test_bred_generation_is_one_compiled_call(counted):
+    engine, telemetry, non_targets = counted
+    names = [TARGET, *non_targets]
+    initial, bred = _bred_generation(engine, non_targets)
+    provider = SerialScoreProvider(engine, TARGET, non_targets, telemetry=telemetry)
+    provider.scores_with_provenance(*initial)
+    fresh_initial = provider.cache_stats["misses"]
+    before = telemetry.snapshot()
+    provider.scores_with_provenance(*bred)
+    after = telemetry.snapshot()
+    fresh = provider.cache_stats["misses"] - fresh_initial
+    # Every candidate has LENGTH residues: one window count, one call.
+    calls = after["pipe.result_block"]["count"]
+    assert calls - before["pipe.result_block"]["count"] == 1
+    assert fresh > 1
+    assert (
+        after["pipe.evaluations"]["value"] - before["pipe.evaluations"]["value"]
+        == fresh * len(names)
+    )
+    assert _numpy_spans_absent(telemetry)
+
+
+@pytest.mark.parametrize("counted", ["compiled"], indirect=True)
+def test_score_batch_is_one_compiled_call_per_window_count(counted):
+    """One call for one candidate, and one per distinct window count of a
+    mixed-length batch, equal to the pairwise oracle."""
+    engine, telemetry, non_targets = counted
+    problem = (TARGET, tuple(non_targets))
+    rng = np.random.default_rng(9)
+    seq = rng.integers(0, 20, size=LENGTH).astype(np.uint8)
+    (score_set,), _ = score_batch(engine, [seq], [problem])
+    assert _span_count(telemetry, "pipe.result_block") == 1
+    lengths = [LENGTH, 40, LENGTH, 2, 40, 17, LENGTH]  # 2: no window at all
+    seqs = [rng.integers(0, 20, size=n).astype(np.uint8) for n in lengths]
+    score_sets, _ = score_batch(engine, seqs, [problem] * len(seqs))
+    counts = {engine.database.num_query_windows(n) for n in lengths} - {0}
+    assert _span_count(telemetry, "pipe.result_block") == 1 + len(counts)
+    assert _numpy_spans_absent(telemetry)  # before the oracle records them
+    assert [score_set.target_score, *score_set.non_target_scores] == _oracle(
+        engine, seq, problem
+    )
+    for seq, got in zip(seqs, score_sets):
+        assert [got.target_score, *got.non_target_scores] == _oracle(
+            engine, seq, problem
+        )
+
+
+@pytest.mark.parametrize("counted", ["compiled"], indirect=True)
+def test_worker_and_degraded_routes_are_one_compiled_call_per_problem(counted):
+    engine, telemetry, non_targets = counted
+    seqs, problems, _ = _two_problem_slice(non_targets, 4)
+    reply = _worker_scores(engine, seqs, problems)
+    assert _span_count(telemetry, "pipe.result_block") == 2
+    score_sets, stats = _degraded_scores(engine, seqs, problems)
+    assert stats["fault_tolerance"]["degraded_items"] == len(seqs)
+    assert _span_count(telemetry, "pipe.result_block") == 4
+    assert _numpy_spans_absent(telemetry)
+    for seq, problem, a, b in zip(seqs, problems, reply.scores, score_sets):
+        expected = _oracle(engine, seq, problem)
+        assert [a.target_score, *a.non_target_scores] == expected
+        assert [b.target_score, *b.non_target_scores] == expected

@@ -60,6 +60,7 @@ def test_the_source_ships_in_the_package():
     source = resources.files("repro.ppi").joinpath(_native.SOURCE)
     assert source.is_file()
     assert b"repro_sweep_hits" in source.read_bytes()
+    assert b"repro_result_block" in source.read_bytes()
     assert '"repro.ppi" = ["_sweep.c"]' in (REPO / "pyproject.toml").read_text()
 
 
@@ -253,6 +254,45 @@ def test_threads_sharing_the_library_get_their_serial_results(
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
+
+
+_NO_NDIMAGE = textwrap.dedent(
+    """
+    import sys
+    import numpy as np
+    import repro
+    from repro.ga.fitness import score_batch
+    from repro.ppi.kernels import native_sweep
+    from repro.synthetic import get_profile
+    if not native_sweep().available:
+        print("skip:", native_sweep().reason)
+        raise SystemExit(0)
+    world = get_profile("tiny").build_world()
+    target = "YBL051C"
+    problem = (target, tuple(world.non_targets_for(target, limit=8)))
+    rng = np.random.default_rng(5)
+    batch = [rng.integers(0, 20, size=64).astype(np.uint8) for _ in range(6)]
+    batch.append(world.engine.database.concatenated[:64].copy())
+    score_sets, _ = score_batch(world.engine, batch, [problem] * len(batch))
+    assert max(s.target_score for s in score_sets) > 0.0
+    print(sorted(m for m in sys.modules if m.startswith("scipy.ndimage")))
+    """
+)
+
+
+def test_the_compiled_route_never_imports_ndimage():
+    """Scoring through the compiled result block leaves ``scipy.ndimage``
+    unimported (importing it costs several MB of resident memory in every
+    process); only the numpy body, ``evaluate`` and binding sites load it."""
+    run = subprocess.run(
+        [sys.executable, "-c", _NO_NDIMAGE], env=_env(), capture_output=True,
+        text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    out = run.stdout.strip()
+    if out.startswith("skip:"):
+        pytest.skip(f"compiled result block not loaded: {out[5:].strip()}")
+    assert out == "[]"
 
 
 def test_the_process_resolves_once():

@@ -13,7 +13,9 @@ write into it behave as the code assumes.
 The batched sweep only uses the arena in its numpy tile body (the
 compiled loop keeps its sums in registers), so the tests about the
 sweep's carves pin that body explicitly rather than pass vacuously on a
-host that built the compiled loop.
+host that built the compiled loop.  The result blocks carve from it on
+both routes (the numpy body's dense group, the compiled call's
+per-candidate buffers), so those tests pin the route they measure.
 """
 
 import copy
@@ -32,7 +34,8 @@ from repro.ga.fitness import score_batch
 from repro.parallel.messages import WorkSlice
 from repro.parallel.worker import _score_slice
 from repro.ppi.delta import SimilarityLRU
-from repro.ppi.kernels import ScratchArena, native_sweep, scratch_arena
+from repro.ppi import pipe
+from repro.ppi.kernels import NativeSweep, ScratchArena, native_sweep, scratch_arena
 from repro.ppi.pipe import GROUP_CELLS, PipeEngine
 
 #: Minor faults per candidate a warm process may take on ``tiny`` slices.
@@ -104,13 +107,14 @@ def test_warm_slices_take_single_digit_faults(tiny_engine, tiny_problem):
 @pytest.mark.parametrize("count_positions", [False, True])
 @pytest.mark.parametrize("box_radius", [0, 2])
 def test_reused_scratch_never_leaks_into_a_result(
-    tiny_engine, tiny_problem, tile_kernel, count_positions, box_radius
+    tiny_engine, tiny_problem, tile_kernel, count_positions, box_radius, monkeypatch
 ):
     """Batch B scored right after a batch with larger tiles and groups,
     right after one with smaller ones, and over an arena filled with
     garbage, equals B on a fresh engine in a fresh thread — with the
-    sweep's tiles on the numpy body, which carves them from the arena,
-    and on the compiled loop where this host has it."""
+    sweep's tiles and the result groups on their numpy bodies, which
+    carve them from the arena, and on the compiled loops where this host
+    has them (whose result blocks carve their buffers from it too)."""
     config = replace(
         tiny_engine.config, count_positions=count_positions, box_radius=box_radius
     )
@@ -121,19 +125,26 @@ def test_reused_scratch_never_leaks_into_a_result(
     smaller = _candidates(rng, 1, 8, 12)
     batch = _candidates(rng, 5)
     bodies = ["numpy"] + (["native"] if native_sweep().available else [])
+    results = []
     for body in bodies:
         database = copy.copy(tiny_engine.database)
         database.kernel = tile_kernel(body)
-        expected = _in_fresh_thread(
-            lambda: _score(PipeEngine(database, config), problem, batch)
-        )
-        engine = PipeEngine(database, config)
-        for before in (larger, smaller, larger):
-            _score(engine, problem, before)
+        with monkeypatch.context() as m:
+            if body == "numpy":
+                pinned = NativeSweep(reason="pinned to the numpy body")
+                m.setattr(pipe, "native_sweep", lambda: pinned)
+            expected = _in_fresh_thread(
+                lambda: _score(PipeEngine(database, config), problem, batch)
+            )
+            engine = PipeEngine(database, config)
+            for before in (larger, smaller, larger):
+                _score(engine, problem, before)
+                assert _score(engine, problem, batch) == expected
+            # Every retained byte set: int16 -1, float64 NaN, bool True.
+            scratch_arena().buffer.fill(0xFF)
             assert _score(engine, problem, batch) == expected
-        # Every retained byte set: int16 -1, float64 NaN, bool True.
-        scratch_arena().buffer.fill(0xFF)
-        assert _score(engine, problem, batch) == expected
+        results.append(expected)
+    assert results == [results[0]] * len(results)
 
 
 def test_threads_sharing_one_engine_get_their_serial_results(
@@ -214,17 +225,20 @@ def test_nothing_returned_or_cached_lives_in_the_arena(tiny_engine, tiny_problem
     assert all(np.array_equal(a, b) for a, b in zip(kept, snapshot))
 
 
-def test_an_oversized_request_is_not_retained(tiny_engine, tiny_problem, tile_kernel):
-    """A single candidate whose fused group exceeds GROUP_CELLS, and a
-    stacked pass (on the numpy tile body) whose tiles exceed
-    fast_chunk_elements, each get a one-off buffer: the retained arena
-    stays what the in-bound work needed."""
+def test_an_oversized_request_is_not_retained(
+    tiny_engine, tiny_problem, tile_kernel, pipe_route
+):
+    """A single candidate whose fused group (on the numpy body) exceeds
+    GROUP_CELLS, and a stacked pass (on the numpy tile body) whose tiles
+    exceed fast_chunk_elements, each get a one-off buffer: the retained
+    arena stays what the in-bound work needed."""
+    pipe_route("numpy")
     target, non_targets = tiny_problem
     names = [target, *non_targets]
     rng = np.random.default_rng(3)
     big = rng.integers(0, 20, size=2101).astype(np.uint8)
     big_similarity = tiny_engine.database.sequence_similarity(big)
-    _, bounds = tiny_engine._evidence(tuple(names))
+    bounds = tiny_engine._evidence(tuple(names)).bounds
     group_bytes = 8 * big_similarity.num_windows * bounds[-1]
     assert group_bytes > 8 * GROUP_CELLS
     stacked = _candidates(rng, 130, 64, 65)  # > 8 192 stacked window rows
@@ -245,6 +259,43 @@ def test_an_oversized_request_is_not_retained(tiny_engine, tiny_problem, tile_ke
     assert 0 < in_bound < group_bytes
     assert after_group == in_bound
     assert after_pass == in_bound
+
+
+def test_an_oversized_candidate_is_not_retained_on_the_compiled_route(
+    tiny_engine, tiny_problem, pipe_route
+):
+    """A single candidate whose compiled-route scratch — ``columns + 3``
+    cells for each window near a match — exceeds GROUP_CELLS gets a
+    one-off buffer: the retained arena stays what the in-bound batch
+    needed, and the candidate still gets the oracle's scores."""
+    pipe_route("compiled")
+    target, non_targets = tiny_problem
+    names = [target, *non_targets]
+    db = tiny_engine.database
+    # A stretch of the proteome: nearly every window matches its own
+    # protein, so nearly every window is near a match.
+    big = db.concatenated[:2101].copy()
+    big_similarity = db.sequence_similarity(big)
+    columns = tiny_engine._evidence(tuple(names)).bounds[-1]
+    matched = np.count_nonzero(np.diff(big_similarity.counts.indptr))
+    reach = 2 * tiny_engine.config.box_radius + 1
+    cells = (columns + 3) * min(big_similarity.num_windows, matched * reach)
+    assert cells > GROUP_CELLS
+    rng = np.random.default_rng(3)
+
+    def retained_after_each():
+        arena = scratch_arena()
+        tiny_engine.score_similarities(
+            [db.sequence_similarity(a) for a in _candidates(rng, 6, 60, 61)], names
+        )
+        in_bound = arena.buffer.nbytes
+        scores = tiny_engine.score_similarities([big_similarity], names)
+        return in_bound, arena.buffer.nbytes, scores
+
+    in_bound, after_big, (scores,) = _in_fresh_thread(retained_after_each)
+    assert 0 < in_bound < 8 * cells
+    assert after_big == in_bound
+    assert scores == {name: tiny_engine.evaluate(big, name).score for name in names}
 
 
 def test_arena_reservations():
