@@ -52,9 +52,11 @@ Bit-exactness caveats
 ---------------------
 Operator provenance is dropped at snapshot boundaries: snapshots are taken
 at the generation barrier where every member is already scored, so scores
-never depend on it, but the first post-resume generation is delta-scored
-against cold similarity caches — ``pipe.delta.*`` hit/fallback *telemetry*
-(never scores) can differ from the uninterrupted run.
+never depend on it, but on the serial provider (the one delta route) the
+first post-resume generation is delta-scored against a cold similarity
+cache — ``pipe.delta.*`` hit/fallback *telemetry* (never scores) can
+differ from the uninterrupted run.  Pool workers always full-sweep, so a
+resumed pool campaign loses nothing.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ targets can ride in the same dispatch batch.
 * :class:`ScoringFabric` owns exactly one
   :class:`~repro.parallel.mp_backend.WorkerPool` (one shared proteome
   segment, one pool) — the same pool, driven through the same
-  ``score(arrays, provenances, problems)`` call, that a dedicated
+  ``score(arrays, problems)`` call, that a dedicated
   :class:`~repro.parallel.mp_backend.MultiprocessScoreProvider` wraps —
   and hands out :class:`FabricClient` handles.
 * :class:`FabricClient` is a full
@@ -32,9 +32,10 @@ targets can ride in the same dispatch batch.
   exact count, not a property of timing.  A client scoring on its own
   (``FabricClient.scores``, from any thread) dispatches one request;
   concurrent threads are serialised by the lock, not fused.
-* Delta re-scoring is untouched: similarity structures are keyed by
-  sequence bytes, not by problem, so the pool's one LRU and delta
-  provenance work across clients exactly as within one campaign.
+* Work reaches the pool as candidates and problems only: pool workers
+  full-sweep every candidate, so a client's GA provenance is advisory
+  here exactly as on a dedicated pool, and fusing campaigns cannot change
+  which route scored a candidate.
 * Closing a client is final (its next call raises
   :class:`ClientClosedError`) and leaves the fabric serving every other
   client; a pool fault degrades through the pool's supervisor machinery
@@ -52,16 +53,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.ga.fitness import CacheLookup, CachingScoreProvider, Problem, ScoreSet
 from repro.parallel.mp_backend import WorkerPool
 from repro.telemetry import NULL_REGISTRY, MetricsRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.ppi.delta import Provenance
 
 __all__ = [
     "ScoringFabric",
@@ -202,27 +200,21 @@ class ScoringFabric:
 
     def dispatch(
         self,
-        requests: Sequence[
-            tuple["FabricClient", list[np.ndarray], "list[Provenance | None] | None"]
-        ],
+        requests: Sequence[tuple["FabricClient", list[np.ndarray]]],
     ) -> list[list[ScoreSet]]:
         """Score one round's cache misses with one ``pool.score``.
 
-        ``requests`` are ``(client, arrays, provenances)`` triples; their
-        items ride in the fused batch in request order, and the result
-        holds each request's score sets.  Raises
-        :class:`FabricClosedError` on a closed fabric and
-        :class:`ClientClosedError` if any request's client is closed; a
-        pool failure propagates and so fails every request of the call.
+        ``requests`` are ``(client, arrays)`` pairs; their items ride in
+        the fused batch in request order, and the result holds each
+        request's score sets.  Raises :class:`FabricClosedError` on a
+        closed fabric and :class:`ClientClosedError` if any request's
+        client is closed; a pool failure propagates and so fails every
+        request of the call.
         """
         arrays: list[np.ndarray] = []
-        provs: list["Provenance | None"] = []
         problems: list[Problem] = []
-        for client, arrs, provenances in requests:
+        for client, arrs in requests:
             arrays.extend(arrs)
-            provs.extend(
-                provenances if provenances is not None else [None] * len(arrs)
-            )
             problems.extend([client._state.problem] * len(arrs))
         asked = time.perf_counter()
         with self._lock:
@@ -233,7 +225,7 @@ class ScoringFabric:
             )
             if self._closed:
                 raise FabricClosedError("fabric is closed")
-            for client, _, _ in requests:
+            for client, _ in requests:
                 if client._state.closed:
                     raise ClientClosedError(
                         f"fabric client {client._state.client_id} is closed"
@@ -241,7 +233,7 @@ class ScoringFabric:
             if not arrays:
                 return [[] for _ in requests]
             try:
-                scores = self.pool.score(arrays, provs, problems)
+                scores = self.pool.score(arrays, problems)
             except BaseException:
                 self.telemetry.count("fabric.failed_dispatches")
                 raise
@@ -251,7 +243,7 @@ class ScoringFabric:
             self.telemetry.count("fabric.fused_items", len(arrays))
             out: list[list[ScoreSet]] = []
             start = 0
-            for client, arrs, _ in requests:
+            for client, arrs in requests:
                 state = client._state
                 state.items_scored += len(arrs)
                 self.telemetry.count(
@@ -328,11 +320,7 @@ class FabricClient(CachingScoreProvider):
         telemetry key)."""
         return self._state.client_id
 
-    def lookup(
-        self,
-        arrays: "list[np.ndarray]",
-        provenances: "list[Provenance | None] | None",
-    ) -> CacheLookup:
+    def lookup(self, arrays: "list[np.ndarray]", provenances) -> CacheLookup:
         # Checked at the cache, not just the dispatch: a closed client
         # must not keep answering out of its LRU either — close is final.
         if self._state.closed:
@@ -342,11 +330,10 @@ class FabricClient(CachingScoreProvider):
         return super().lookup(arrays, provenances)
 
     def _score_uncached(
-        self,
-        arrays: list[np.ndarray],
-        provenances: "list[Provenance | None] | None" = None,
+        self, arrays: list[np.ndarray], provenances=None
     ) -> list[ScoreSet]:
-        return self._fabric.dispatch([(self, arrays, provenances)])[0]
+        # Workers full-sweep: provenance is advisory (see ScoreProvider).
+        return self._fabric.dispatch([(self, arrays)])[0]
 
     def close(self) -> None:
         """Deregister from the fabric and close; idempotent, and final."""

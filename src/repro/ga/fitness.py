@@ -16,9 +16,12 @@ candidate's similarity structure in one pass, then score each distinct
 :data:`Problem` with one fused PIPE call.  The serial provider calls it
 on a generation's cache misses, a pool worker on each slice of a batch
 it is handed, and the pool's degraded path on every item the pool lost.
-Each of them passes a :class:`~repro.ppi.delta.SimilarityLRU`, so a
-child re-sweeps only its dirty windows; called without one it runs the
-full sweep, the reference every delta result is checked against.
+Only the serial provider passes a
+:class:`~repro.ppi.delta.SimilarityLRU` and provenance, so a child
+re-sweeps only its dirty windows there (the one delta route, and the one
+source of ``pipe.delta.*``); a pool worker and the degraded path call it
+without, and so run the full sweep — the reference every delta result is
+checked against.  Which route runs follows from the provider in use.
 :func:`make_problem` is the one place a problem's names are checked.
 
 Provider lifecycle
@@ -217,18 +220,6 @@ class ScoreProvider(ABC):
         so every provider remains correct by default.
         """
         return self.scores(sequences)
-
-    def _record_delta(self, stats: DeltaStats | None) -> None:
-        """Fold one delta-or-fallback accounting into the telemetry
-        registry (the ``pipe.delta.*`` counters)."""
-        if stats is None:
-            return
-        if stats.hit:
-            self.telemetry.count("pipe.delta.hits")
-        else:
-            self.telemetry.count("pipe.delta.fallbacks")
-        self.telemetry.count("pipe.delta.rows_rescored", stats.rows_rescored)
-        self.telemetry.count("pipe.delta.rows_total", stats.rows_total)
 
     @property
     def closed(self) -> bool:
@@ -452,6 +443,18 @@ class SerialScoreProvider(CachingScoreProvider):
             for stats in deltas:
                 self._record_delta(stats)
         return score_sets
+
+    def _record_delta(self, stats: DeltaStats | None) -> None:
+        """Fold one delta-or-fallback accounting into the telemetry
+        registry (the ``pipe.delta.*`` counters)."""
+        if stats is None:
+            return
+        if stats.hit:
+            self.telemetry.count("pipe.delta.hits")
+        else:
+            self.telemetry.count("pipe.delta.fallbacks")
+        self.telemetry.count("pipe.delta.rows_rescored", stats.rows_rescored)
+        self.telemetry.count("pipe.delta.rows_total", stats.rows_total)
 
 
 class FitnessFunction:

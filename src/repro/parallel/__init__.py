@@ -13,9 +13,9 @@ topping up a small per-worker window of slices as replies arrive and
 never sending a frame the worker's pipe cannot hold.  Workers are
 stateless and problem-agnostic — each maps the one shared-memory
 proteome segment the pool broadcasts, every candidate of a slice names
-the design problem it is scored against, and the similarity structures
-delta re-scoring patches from travel with the work and live in one
-master-side LRU.
+the design problem it is scored against, and a worker builds each
+candidate's similarity structure itself (the full sweep, as in
+Algorithm 2): slices carry candidates, replies carry score sets.
 
 * :mod:`repro.parallel.messages` — the wire protocol (slices, replies);
 * :mod:`repro.parallel.scheduler` — the master-side on-demand scheduler

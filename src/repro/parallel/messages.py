@@ -18,11 +18,10 @@ problem of their own: a :class:`WorkSlice` names the
 :data:`~repro.ga.fitness.Problem` of each of its candidates (a slice may
 mix problems — the similarity sweep does not depend on them), so one
 pool serves one campaign or many (see :mod:`repro.fabric`) through the
-same path.  The similarity structures a delta re-score patches from
-travel *with the work* too: a slice carries the union of the structures
-the master holds for its candidates or their provenance parents, and
-the :class:`WorkResult` brings the newly built structures back for the
-master's bounded LRU.
+same path.  A slice carries candidates, not structures: the worker
+builds every candidate's similarity structure itself from the broadcast
+proteome, as Algorithm 2's worker does, so a frame is O(k·L) bytes and a
+reply is k score sets plus the worker's usage figures.
 
 Every slice and every reply carries a ``batch_epoch``: the master tags
 each batch with a monotonically increasing epoch and drops any reply
@@ -40,8 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ga.fitness import Problem, ScoreSet
-from repro.ppi.database import SequenceSimilarity
-from repro.ppi.delta import DeltaStats, Provenance
 
 __all__ = [
     "Problem",
@@ -50,9 +47,6 @@ __all__ = [
     "WorkFailure",
     "EndSignal",
 ]
-
-#: ``(sequence bytes, structure)`` pairs riding a slice or a reply.
-Similarities = tuple[tuple[bytes, SequenceSimilarity], ...]
 
 
 @dataclass(frozen=True)
@@ -66,22 +60,12 @@ class WorkSlice:
     fills its known-protein cache with a problem's structures on first
     sight, so a problem first named while the pool is running needs no
     control message (and no ordering to get wrong).
-
-    ``provenances[i]`` (optional) records how candidate ``i`` was
-    derived from its parent(s).  ``similarities`` is the union of the
-    ``(sequence bytes, structure)`` pairs the master knows for the
-    candidates themselves or, failing that, for their provenance parents
-    — a parent shared by siblings travels once; the worker patches from
-    exactly these and re-sweeps only the dirty windows.  Both are
-    advisory — a candidate covered by neither simply gets the full sweep.
     """
 
     batch_epoch: int
     sequence_ids: tuple[int, ...]
     payloads: tuple[bytes, ...]
     problems: tuple[Problem, ...]
-    provenances: tuple[Provenance | None, ...]
-    similarities: Similarities = ()
 
     def __post_init__(self) -> None:
         if self.batch_epoch < 0:
@@ -89,11 +73,10 @@ class WorkSlice:
         k = len(self.sequence_ids)
         if k == 0:
             raise ValueError("a slice holds at least one candidate")
-        if not len(self.payloads) == len(self.problems) == len(self.provenances) == k:
+        if not len(self.payloads) == len(self.problems) == k:
             raise ValueError(
                 f"{k} sequence ids, {len(self.payloads)} payloads, "
-                f"{len(self.problems)} problems, {len(self.provenances)} "
-                "provenances — lengths must match"
+                f"{len(self.problems)} problems — lengths must match"
             )
         if min(self.sequence_ids) < 0:
             raise ValueError(f"sequence ids must be >= 0, got {self.sequence_ids}")
@@ -114,15 +97,9 @@ class WorkResult:
     slice; the master aggregates it into per-worker busy time and
     throughput telemetry (the Fig. 5/6 quantities).  ``batch_epoch``
     echoes the slice's epoch so the master can reject stale replies from
-    an earlier, abandoned batch.  ``deltas`` reports each candidate's
-    delta-scoring outcome (worker registries are process-local, so the
-    accounting rides the reply and the master folds it into the
-    ``pipe.delta.*`` counters).  ``similarities`` holds the structures
-    the worker built — one per candidate whose own structure the slice
-    did not carry (none when delta scoring is off).  ``inbox_wait`` is
-    how long the worker sat blocked in ``recv()`` before the slice
-    arrived — the dispatch latency the master cannot observe from its
-    side.  ``cpu_s`` (user + system seconds) and ``minor_faults`` are the
+    an earlier, abandoned batch.  ``inbox_wait`` is how long the worker
+    sat blocked in ``recv()`` before the slice arrived — the dispatch
+    latency the master cannot observe from its side.  ``cpu_s`` (user + system seconds) and ``minor_faults`` are the
     worker process's ``getrusage`` deltas over the slice, from ``recv()``
     returning to just before this reply is pickled and sent (zero where
     ``resource`` is unavailable).
@@ -133,8 +110,6 @@ class WorkResult:
     scores: tuple[ScoreSet, ...]
     elapsed: float = 0.0
     batch_epoch: int = 0
-    deltas: tuple[DeltaStats | None, ...] = ()
-    similarities: Similarities = ()
     inbox_wait: float = 0.0
     cpu_s: float = 0.0
     minor_faults: int = 0

@@ -66,17 +66,17 @@ cannot map it (the segment was unlinked behind the pool's back) dies at
 once and is recovered like any other death; when the retry budget runs
 out, the batch degrades to serial scoring in the master (below).
 
-Workers are stateless.  The similarity structures a worker builds for a
-slice's candidates ride back on the reply into the master's bounded
-:class:`~repro.ppi.delta.SimilarityLRU`
-(:data:`SIMILARITY_CACHE_PER_WORKER` ``× num_workers`` entries); each
-slice carries, for each of its candidates, the candidate's own
-structure when the master holds it, else those of its provenance
-parents — their union, a shared parent once — and the worker patches
-from exactly what the slice carries.  So
-every worker takes the serial provider's delta route — same rows
-re-swept, same fallbacks — whichever worker scored the parents and
-whatever the pool size.
+Workers are stateless, and the pool is a plain "score these candidates
+against these problems" runtime: a slice carries sequence ids, payloads
+and problems; a worker scores it with
+``score_batch(engine, arrays, problems)``, the full-sweep reference; a
+reply carries the score sets and the worker's usage figures.  As in
+Algorithm 2, a worker builds every candidate's similarity structure
+itself from the broadcast data, so no structure crosses a pipe and the
+pool keeps no similarity cache.  Delta re-scoring is the serial
+provider's route (:class:`~repro.ga.fitness.SerialScoreProvider`); it is
+bit-exact with the full sweep, so which provider runs changes only the
+cost, never a score.
 
 Fault tolerance
 ---------------
@@ -109,9 +109,8 @@ By default the pool **never abandons a batch**: when the re-dispatch
 retry budget is exhausted (workers keep dying) or the collection loop
 stalls past ``timeout`` (workers hang), the lost items are scored
 *serially in the master* by one :func:`~repro.ga.fitness.score_batch`
-— the function the workers run — each against its own problem,
-patching from the LRU the replies filled — bit-exact with the pool's
-answers — and counted as
+— the call the workers make — each against its own problem, bit-exact
+with the pool's answers, and counted as
 ``parallel.degraded_items`` / ``parallel.degraded_batches``.
 A :class:`~repro.resilience.CircuitBreaker` then keeps subsequent
 batches serial (no respawn-and-die thrash); every few batches it lets
@@ -162,16 +161,9 @@ from repro.ga.fitness import (
     make_problem,
     score_batch,
 )
-from repro.parallel.messages import (
-    EndSignal,
-    Similarities,
-    WorkFailure,
-    WorkResult,
-    WorkSlice,
-)
+from repro.parallel.messages import EndSignal, WorkFailure, WorkResult, WorkSlice
 from repro.parallel.scheduler import OnDemandScheduler
 from repro.parallel.worker import FaultPlan, worker_loop
-from repro.ppi.delta import DeltaStats, Provenance, SimilarityLRU
 from repro.ppi.pipe import PipeEngine
 from repro.ppi.shm import SharedProteomeView
 from repro.resilience.policies import BreakerState, CircuitBreaker
@@ -179,7 +171,6 @@ from repro.telemetry import NULL_REGISTRY, MetricsRegistry
 
 __all__ = [
     "IN_FLIGHT_WINDOW",
-    "SIMILARITY_CACHE_PER_WORKER",
     "WorkerPool",
     "MultiprocessScoreProvider",
     "WorkerFailureError",
@@ -196,11 +187,6 @@ IN_FLIGHT_WINDOW = 2
 #: and deaths wake the master at once; this only bounds how late a stall
 #: is noticed.  Real time, not ``clock``: an injected clock may only step.
 STALL_CHECK_S = 0.25
-
-#: Per-worker share of the master's similarity-structure LRU (the delta
-#: path's patch source): it holds this many structures per worker — the
-#: serial provider's default for each.
-SIMILARITY_CACHE_PER_WORKER = 256
 
 
 class WorkerFailureError(RuntimeError):
@@ -351,15 +337,6 @@ class WorkerPool:
         self.degraded_items = 0
         self.degraded_batches = 0
         self.force_killed = 0
-        # The pool's only similarity cache: filled from worker replies,
-        # read when items are built and by the serial-degradation path.
-        self._master_similarity = SimilarityLRU(
-            SIMILARITY_CACHE_PER_WORKER * self.num_workers
-        )
-        self.delta_hits = 0
-        self.delta_fallbacks = 0
-        self.delta_rows_rescored = 0
-        self.delta_rows_total = 0
         # Per worker id: candidates handed out and answered, busy and
         # inbox-wait seconds.
         self._tallies: dict[int, dict[str, float]] = {}
@@ -523,30 +500,22 @@ class WorkerPool:
     # -- scoring -----------------------------------------------------------
 
     def score(
-        self,
-        arrays: list[np.ndarray],
-        provenances: list[Provenance | None] | None,
-        problems: list[Problem],
+        self, arrays: list[np.ndarray], problems: list[Problem]
     ) -> list[ScoreSet]:
         """Score one batch, item ``i`` against ``problems[i]``, in input
         order.
 
         The items of a batch may belong to different problems: the
-        similarity sweep is problem-independent, so one problem's
-        children patch from structures another problem's candidates left
-        in the master's LRU.  Nothing is cached by sequence here — a
-        score cache is only correct per problem and belongs to the
-        caller.
+        similarity sweep is problem-independent, so one slice may mix
+        them.  Nothing is cached by sequence here — a score cache is only
+        correct per problem and belongs to the caller.
         """
         arrays = [np.asarray(a, dtype=np.uint8) for a in arrays]
-        provs = (
-            list(provenances) if provenances is not None else [None] * len(arrays)
-        )
         problems = list(problems)
-        if len(provs) != len(arrays) or len(problems) != len(arrays):
+        if len(problems) != len(arrays):
             raise ValueError(
-                f"{len(arrays)} sequences, {len(provs)} provenances, "
-                f"{len(problems)} problems — lengths must match"
+                f"{len(arrays)} sequences, {len(problems)} problems — "
+                "lengths must match"
             )
         start = time.perf_counter()
         results: list[ScoreSet | None] = [None] * len(arrays)
@@ -555,7 +524,7 @@ class WorkerPool:
             # Breaker open: the pool recently lost a batch; stay serial
             # (no respawn-and-die thrash) until a probe is due.
             self._degrade(
-                arrays, provs, problems, range(len(arrays)), results,
+                arrays, problems, range(len(arrays)), results,
                 reason="breaker_open",
             )
         else:
@@ -564,7 +533,7 @@ class WorkerPool:
                 self.telemetry.count("parallel.breaker_probes")
             degraded = 0
             try:
-                degraded = self._score_via_pool(arrays, provs, problems, results)
+                degraded = self._score_via_pool(arrays, problems, results)
             finally:
                 # A WorkerFailureError (scoring bug) says nothing about
                 # pool health, so only batches that ran to completion
@@ -578,21 +547,6 @@ class WorkerPool:
         self._batch_wall += time.perf_counter() - start
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
-
-    def _carried(self, key: bytes, prov: Provenance | None) -> Similarities:
-        """What the master's LRU holds for one candidate: its own structure
-        if known, else those of its provenance parents (a parent the LRU
-        evicted only enlarges the re-sweep)."""
-        own = self._master_similarity.get(key)
-        if own is not None:
-            return ((key, own),)
-        if prov is None:
-            return ()
-        return tuple(
-            (parent, similarity)
-            for parent in prov.parent_keys()
-            if (similarity := self._master_similarity.get(parent)) is not None
-        )
 
     def _set_queue_depth(self, depth: int) -> None:
         self.telemetry.set_gauge("parallel.queue_depth", depth)
@@ -628,7 +582,6 @@ class WorkerPool:
     def _score_via_pool(
         self,
         arrays: list[np.ndarray],
-        provs: list[Provenance | None],
         problems: list[Problem],
         results: list[ScoreSet | None],
     ) -> int:
@@ -645,19 +598,15 @@ class WorkerPool:
         self._epoch += 1
         epoch = self._epoch
         with self.telemetry.span("parallel.batch"):
-            keys = [arr.tobytes() for arr in arrays]
-            carried = [self._carried(key, prov) for key, prov in zip(keys, provs)]
+            payloads = [arr.tobytes() for arr in arrays]
 
             def frame(sids: tuple[int, ...]) -> bytes:
-                union = {key: sim for sid in sids for key, sim in carried[sid]}
                 return pickle.dumps(
                     WorkSlice(
                         epoch,
                         sids,
-                        tuple(keys[sid] for sid in sids),
+                        tuple(payloads[sid] for sid in sids),
                         tuple(problems[sid] for sid in sids),
-                        tuple(provs[sid] for sid in sids),
-                        tuple(union.items()),
                     ),
                     pickle.HIGHEST_PROTOCOL,
                 )
@@ -670,8 +619,7 @@ class WorkerPool:
 
             def degrade_missing(reason: str) -> int:
                 return self._degrade(
-                    arrays, provs, problems, sched.missing(), results,
-                    reason=reason,
+                    arrays, problems, sched.missing(), results, reason=reason
                 )
 
             try:
@@ -738,7 +686,6 @@ class WorkerPool:
     def _degrade(
         self,
         arrays: list[np.ndarray],
-        provs: list[Provenance | None],
         problems: list[Problem],
         sids,
         results: list[ScoreSet | None],
@@ -752,26 +699,21 @@ class WorkerPool:
         (retry budget exhausted) or stalled (no progress past
         ``timeout``), and for a whole batch while the breaker is open.
         The items go through one :func:`~repro.ga.fitness.score_batch`
-        — the function the workers run — each against its own problem
-        and patching from the master's LRU (delta re-scoring is bit-exact
-        with the full sweep), so a degraded item's scores match the
-        pool's answer bit for bit.
+        — the call the workers make — each against its own problem, so a
+        degraded item's scores match the pool's answer bit for bit.
         """
         sids = list(sids)
         self.degraded_batches += 1
         self.telemetry.count("parallel.degraded_batches")
         self.telemetry.event("parallel.degraded", items=len(sids), reason=reason)
         with self.telemetry.span("parallel.degraded_scoring"):
-            score_sets, deltas = score_batch(
+            score_sets, _ = score_batch(
                 self.engine,
                 [arrays[sid] for sid in sids],
                 [problems[sid] for sid in sids],
-                [provs[sid] for sid in sids],
-                self._master_similarity,
             )
-        for sid, score_set, stats in zip(sids, score_sets, deltas):
+        for sid, score_set in zip(sids, score_sets):
             results[sid] = score_set
-            self._record_delta(stats)
         self.degraded_items += len(sids)
         self.telemetry.count("parallel.degraded_items", len(sids))
         return len(sids)
@@ -820,23 +762,6 @@ class WorkerPool:
         self.stale_dropped += 1
         self.telemetry.count("parallel.stale_dropped")
 
-    def _record_delta(self, stats: DeltaStats | None) -> None:
-        """Fold one delta-or-fallback accounting — a worker's reply or a
-        degraded item alike — into the counters and their ``pipe.delta.*``
-        telemetry mirror."""
-        if stats is None:
-            return
-        if stats.hit:
-            self.delta_hits += 1
-            self.telemetry.count("pipe.delta.hits")
-        else:
-            self.delta_fallbacks += 1
-            self.telemetry.count("pipe.delta.fallbacks")
-        self.delta_rows_rescored += stats.rows_rescored
-        self.delta_rows_total += stats.rows_total
-        self.telemetry.count("pipe.delta.rows_rescored", stats.rows_rescored)
-        self.telemetry.count("pipe.delta.rows_total", stats.rows_total)
-
     def _tally(self, wid: int) -> dict[str, float]:
         return self._tallies.setdefault(
             wid,
@@ -851,8 +776,7 @@ class WorkerPool:
         )
 
     def _record_result(self, msg: WorkResult) -> None:
-        """Fold one recorded slice into the per-worker tallies, the
-        master's LRU and the delta counters."""
+        """Fold one recorded slice into the per-worker tallies."""
         wid = msg.worker_id
         items = len(msg.sequence_ids)
         tally = self._tally(wid)
@@ -862,11 +786,6 @@ class WorkerPool:
         tally["minor_faults"] += msg.minor_faults
         tally["inbox_wait_s"] += msg.inbox_wait
         self.telemetry.observe("parallel.inbox_wait", msg.inbox_wait)
-        for key, similarity in msg.similarities:
-            # Future children of this sequence patch from it, on any worker.
-            self._master_similarity.put(key, similarity)
-        for stats in msg.deltas:
-            self._record_delta(stats)
         if self.telemetry.enabled:
             self.telemetry.count(f"parallel.worker.{wid}.items", items)
             self.telemetry.record_timing(f"parallel.worker.{wid}.busy", msg.elapsed)
@@ -875,7 +794,7 @@ class WorkerPool:
 
     def stats(self) -> dict[str, object]:
         """The master-side view of the runtime as one tree (mirrors the
-        ``parallel.*`` / ``pipe.delta.*`` / ``shm.*`` telemetry).
+        ``parallel.*`` / ``shm.*`` telemetry).
 
         ``dispatched`` counts candidates handed out (re-dispatches
         included) and ``slices`` the slices they went out in.
@@ -889,10 +808,11 @@ class WorkerPool:
         ``cpu_s / items`` is the worker's CPU per candidate;
         ``inbox_wait_s`` is the time the worker sat blocked in ``recv()``
         before its slices arrived (idle time between batches included).
-        ``delta["sticky_routed"]`` is kept for consumers of the old
-        affinity dispatch and reads 0 by construction: all work is handed
-        out on demand.  ``shm`` is None
-        while the pool has not started.
+        ``delta`` holds only ``sticky_routed``, kept for consumers of the
+        old affinity dispatch; it reads 0 by construction (all work is
+        handed out on demand, and workers full-sweep, so the pool has no
+        delta accounting — ``pipe.delta.*`` comes from the serial provider
+        only).  ``shm`` is None while the pool has not started.
         """
         workers: dict[int, dict[str, float]] = {}
         for wid in sorted(self._tallies):
@@ -924,13 +844,7 @@ class WorkerPool:
                 "breaker": self.breaker.stats(),
                 "epoch": self._epoch,
             },
-            "delta": {
-                "hits": self.delta_hits,
-                "fallbacks": self.delta_fallbacks,
-                "rows_rescored": self.delta_rows_rescored,
-                "rows_total": self.delta_rows_total,
-                "sticky_routed": 0,
-            },
+            "delta": {"sticky_routed": 0},
             "shm": self._shm_view.stats() if self._shm_view is not None else None,
         }
 
@@ -967,11 +881,10 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self.non_targets = list(non_targets)
 
     def _score_uncached(
-        self,
-        arrays: list[np.ndarray],
-        provenances: list[Provenance | None] | None = None,
+        self, arrays: list[np.ndarray], provenances=None
     ) -> list[ScoreSet]:
-        return self.pool.score(arrays, provenances, [self.problem] * len(arrays))
+        # Workers full-sweep: provenance is advisory (see ScoreProvider).
+        return self.pool.score(arrays, [self.problem] * len(arrays))
 
     def runtime_stats(self) -> dict[str, object]:
         """:meth:`WorkerPool.stats` plus this provider's ``cache`` counters."""

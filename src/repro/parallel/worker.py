@@ -23,14 +23,10 @@ sweep tiles and fused groups overwrite before reading, so a warm worker
 does not fault its working set in again on every slice).  The
 problems arrive on the :class:`~repro.parallel.messages.WorkSlice` (the
 engine's known-protein cache fills with a problem's structures the first
-time a slice names it, unless the shm segment already carries them), and
-so do the similarity structures a delta re-score
-patches from: ``score_batch`` runs through a one-slice LRU seeded with
-exactly what the slice carries.  The structures built for its candidates
-leave on the :class:`~repro.parallel.messages.WorkResult`, and the
-master's bounded LRU is the only cache that outlives a slice — so every
-worker takes the serial provider's delta route whichever worker scored
-the parents.  Each reply also carries the worker's own ``getrusage``
+time a slice names it, unless the shm segment already carries them).
+Structures neither arrive nor leave: ``score_batch`` runs with no
+similarity cache, the full-sweep reference, and the reply carries the
+score sets.  Each reply also carries the worker's own ``getrusage``
 deltas for the slice (CPU seconds and minor page faults, from ``recv()``
 returning to just before the send), which the pool sums per worker.
 
@@ -50,15 +46,8 @@ import time
 import traceback as traceback_mod
 from dataclasses import dataclass
 
-from repro.ga.fitness import ScoreSet, score_batch
-from repro.parallel.messages import (
-    EndSignal,
-    Similarities,
-    WorkFailure,
-    WorkResult,
-    WorkSlice,
-)
-from repro.ppi.delta import DeltaStats, SimilarityLRU
+from repro.ga.fitness import score_batch
+from repro.parallel.messages import EndSignal, WorkFailure, WorkResult, WorkSlice
 from repro.ppi.pipe import PipeEngine
 
 try:
@@ -170,7 +159,9 @@ def worker_loop(
                 raise RuntimeError(
                     f"injected failure on slice {processed} of worker {worker_id}"
                 )
-            scores, deltas, built = _score_slice(engine, message)
+            scores, _ = score_batch(
+                engine, message.arrays(), list(message.problems)
+            )
             cpu_s, minor_faults = _usage()
             reply = WorkResult(
                 message.sequence_ids,
@@ -178,8 +169,6 @@ def worker_loop(
                 tuple(scores),
                 time.perf_counter() - start,
                 batch_epoch=message.batch_epoch,
-                deltas=tuple(deltas),
-                similarities=built,
                 inbox_wait=inbox_wait,
                 cpu_s=cpu_s - cpu_at_recv,
                 minor_faults=minor_faults - faults_at_recv,
@@ -198,30 +187,6 @@ def worker_loop(
             break  # master gone mid-batch: as above
         processed += 1
     return processed
-
-
-def _score_slice(
-    engine: PipeEngine, message: WorkSlice
-) -> tuple[list[ScoreSet], list[DeltaStats | None], Similarities]:
-    """Score sets, delta accounting and the structures built for one
-    slice — one :func:`~repro.ga.fitness.score_batch` over all of it."""
-    # A throwaway cache holding exactly what the slice carries, plus
-    # room for what is about to be built: the serial provider's
-    # cheapest-correct-route policy, with no state surviving the slice.
-    cache = SimilarityLRU(len(message.similarities) + len(message.payloads))
-    for key, similarity in message.similarities:
-        cache.put(key, similarity)
-    scores, deltas = score_batch(
-        engine,
-        message.arrays(),
-        list(message.problems),
-        list(message.provenances),
-        cache,
-    )
-    # Ship back what the master does not already hold.
-    carried = {key for key, _ in message.similarities}
-    built = {key: cache.get(key) for key in message.payloads if key not in carried}
-    return scores, deltas, tuple(built.items())
 
 
 def _usage() -> tuple[float, int]:

@@ -69,12 +69,6 @@ class SequenceSimilarity:
         out.data = np.ones_like(out.data)
         return out
 
-    def __getstate__(self) -> dict[str, object]:
-        # ``cached_property`` memoises ``binary`` in the instance dict, so
-        # the default pickle would ship the derived CSR with every
-        # structure PIPE has already read; the receiver rebuilds it.
-        return {"counts": self.counts, "num_windows": self.num_windows}
-
     def matched_protein_indices(self) -> np.ndarray:
         """Indices of proteins with at least one similar fragment."""
         return np.unique(self.counts.indices)

@@ -26,10 +26,9 @@ locality:
   ``pipe.delta.{hits,fallbacks,rows_rescored,rows_total}`` telemetry.
 
 Provenance is deliberately *structural* (parent key bytes plus integer
-segment geometry): it pickles cheaply onto
-:class:`~repro.parallel.messages.WorkSlice` and contains nothing the
-receiving side must trust — the delta path re-derives everything else and
-is bit-exact with the full sweep by construction.
+segment geometry) and contains nothing its consumer must trust — the
+delta path re-derives everything else and is bit-exact with the full
+sweep by construction.
 """
 
 from __future__ import annotations
@@ -186,13 +185,12 @@ def crossover_provenance(
 class SimilarityLRU:
     """Bounded LRU of per-sequence similarity structures.
 
-    One instance lives in each :class:`~repro.ga.fitness.SerialScoreProvider`
-    and in the master of each process pool (workers seed a throwaway one
-    from what a work slice carries).  Keys are the candidate's encoded
-    bytes (the same identity the score cache uses); values are the
-    immutable :class:`~repro.ppi.database.SequenceSimilarity` structures,
-    so sharing entries between a parent and the children patched from it
-    is safe.
+    One instance lives in each :class:`~repro.ga.fitness.SerialScoreProvider`,
+    the one delta route (pool workers full-sweep).  Keys are the
+    candidate's encoded bytes (the same identity the score cache uses);
+    values are the immutable
+    :class:`~repro.ppi.database.SequenceSimilarity` structures, so sharing
+    entries between a parent and the children patched from it is safe.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -218,16 +216,6 @@ class SimilarityLRU:
             self._entries.popitem(last=False)
 
     # -- the delta-or-fallback policy ---------------------------------------
-
-    def similarity_for(
-        self,
-        database: "PipeDatabase",
-        child: np.ndarray,
-        provenance: Provenance | None,
-    ) -> "tuple[SequenceSimilarity, DeltaStats | None]":
-        """One child's similarity structure by the cheapest correct
-        route: the one-item :meth:`similarity_batch`."""
-        return self.similarity_batch(database, [child], [provenance])[0]
 
     def similarity_batch(
         self,

@@ -39,7 +39,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.ppi.database import PipeDatabase, SequenceSimilarity
-from repro.ppi.delta import DeltaStats
 from repro.ppi.kernels import NativeSweep, ScratchArena, native_sweep, scratch_arena
 from repro.ppi.similarity import calibrate_threshold
 from repro.substitution import PAM120, get_matrix
@@ -170,11 +169,9 @@ class PipeResult:
 class BatchScores(Mapping):
     """Typed result of one :meth:`PipeEngine.score_against` batch.
 
-    Carries the per-protein scores together with the evaluation's
-    provenance — the :class:`~repro.ppi.delta.DeltaStats` of the
-    candidate's similarity build (when the delta path produced it) and
-    the wall-clock time of the batch — mirroring how
-    :class:`~repro.ga.fitness.ScoreSet` types the GA-facing scores.
+    Carries the per-protein scores together with the wall-clock time of
+    the batch, mirroring how :class:`~repro.ga.fitness.ScoreSet` types
+    the GA-facing scores.
 
     The class is a :class:`collections.abc.Mapping` over
     ``{protein_name: score}``, so every existing caller that indexed,
@@ -182,17 +179,12 @@ class BatchScores(Mapping):
     working unchanged.
     """
 
-    __slots__ = ("per_protein", "delta", "elapsed_s")
+    __slots__ = ("per_protein", "elapsed_s")
 
     def __init__(
-        self,
-        per_protein: Mapping[str, float],
-        *,
-        delta: DeltaStats | None = None,
-        elapsed_s: float = 0.0,
+        self, per_protein: Mapping[str, float], *, elapsed_s: float = 0.0
     ) -> None:
         self.per_protein: dict[str, float] = dict(per_protein)
-        self.delta = delta
         self.elapsed_s = float(elapsed_s)
 
     # -- mapping shim ---------------------------------------------------------
@@ -221,10 +213,7 @@ class BatchScores(Mapping):
         return NotImplemented if eq is NotImplemented else not eq
 
     def __repr__(self) -> str:
-        return (
-            f"BatchScores({self.per_protein!r}, delta={self.delta!r}, "
-            f"elapsed_s={self.elapsed_s:.6f})"
-        )
+        return f"BatchScores({self.per_protein!r}, elapsed_s={self.elapsed_s:.6f})"
 
     # -- GA bridge ------------------------------------------------------------
 
@@ -406,7 +395,6 @@ class PipeEngine:
         protein_names: list[str],
         *,
         similarity: SequenceSimilarity | None = None,
-        delta: DeltaStats | None = None,
     ) -> BatchScores:
         """Scores of one candidate against many known proteins.
 
@@ -414,15 +402,12 @@ class PipeEngine:
         similarity structure is built once and reused for the target and
         every non-target — the one-candidate :meth:`score_similarities`.
         Returns a :class:`BatchScores` — a typed, mapping-compatible result
-        that also carries the caller-supplied ``delta`` accounting of the
-        similarity build and the batch's wall-clock time.
+        that also carries the batch's wall-clock time.
         """
         started = time.perf_counter()
         sim = similarity if similarity is not None else self.similarity_of(sequence)
         (out,) = self.score_similarities([sim], protein_names)
-        return BatchScores(
-            out, delta=delta, elapsed_s=time.perf_counter() - started
-        )
+        return BatchScores(out, elapsed_s=time.perf_counter() - started)
 
     def score_similarities(
         self,

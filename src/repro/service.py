@@ -1016,10 +1016,7 @@ class DesignService:
         started = time.perf_counter()
         try:
             scored = self._fabric.dispatch(
-                [
-                    (runs[i].client, lookups[i].arrays, lookups[i].provenances)
-                    for i in fused
-                ]
+                [(runs[i].client, lookups[i].arrays) for i in fused]
             )
             fresh = dict(zip(fused, scored))
         except Exception as exc:  # fails the fused jobs, below

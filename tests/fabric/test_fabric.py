@@ -3,9 +3,9 @@
 The contract under test is the one API.md states: a GA campaign run
 through a :class:`~repro.fabric.FabricClient` is bit-exact (scores,
 history, RNG trajectory) with the same campaign on a dedicated
-:class:`~repro.parallel.mp_backend.MultiprocessScoreProvider`, including
-under delta re-scoring — however its batches were fused with other
-campaigns'.
+:class:`~repro.parallel.mp_backend.MultiprocessScoreProvider`, with GA
+provenance riding every batch — however its batches were fused with
+other campaigns'.
 """
 
 import json
@@ -98,7 +98,7 @@ def _stepped_campaigns(fabric, problems):
         lookups = {i: clients[i].lookup(*batch) for i, batch in batches.items()}
         fused = [i for i, lookup in lookups.items() if lookup.arrays]
         scored = fabric.dispatch(
-            [(clients[i], lookups[i].arrays, lookups[i].provenances) for i in fused]
+            [(clients[i], lookups[i].arrays) for i in fused]
         )
         dispatches += bool(fused)
         fresh = dict(zip(fused, scored))
@@ -152,17 +152,6 @@ def test_concurrent_campaigns_bit_exact(tiny_engine, problems, dedicated_results
         )
     # Same campaigns, same cache misses, however they were fused.
     assert stepped_stats["fused_items"] == threaded_stats["fused_items"]
-
-
-def test_campaign_uses_delta_rescoring(tiny_engine, problems):
-    # The delta/provenance path must ride through the fabric exactly as
-    # on a dedicated provider (similarity structures are keyed by
-    # sequence bytes, not by problem).
-    target, non_targets = problems[0]
-    with ScoringFabric(tiny_engine, num_workers=1) as fabric:
-        _campaign(fabric.client(target, non_targets))
-        delta = fabric.pool.stats()["delta"]
-    assert delta["hits"] > 0
 
 
 def test_direct_scores_match_dedicated(tiny_engine, problems, rng):

@@ -56,7 +56,7 @@ def test_large_client_cannot_starve_small_one(tiny_world, tmp_path):
         def recording_dispatch(requests):
             rounds.append(
                 {
-                    "targets": [client.target for client, _, _ in requests],
+                    "targets": [client.target for client, _ in requests],
                     "done": {
                         status["job_id"]: status["generations_done"]
                         for status in service.jobs()
@@ -123,7 +123,7 @@ def test_client_crash_mid_batch_leaves_fabric_serving(
         with pytest.raises(ClientClosedError):
             client_b.scores(b_arrays)
         with pytest.raises(ClientClosedError):
-            fabric.dispatch([(client_b, _candidates(8, 1), None)])
+            fabric.dispatch([(client_b, _candidates(8, 1))])
         # A keeps being served after B is gone.
         assert client_a.scores([a.copy() for a in arrays]) == ref
         stats = fabric.fabric_stats()

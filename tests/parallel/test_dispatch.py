@@ -5,14 +5,17 @@ scheduler cannot see:
 
 * **liveness** — a worker never sits idle while a slice addressed to it
   is queued, so a bred generation costs its work, not a poll interval;
-* **the serial delta route, exactly** — structures travel with the work,
-  so the pool re-sweeps the very rows the serial provider re-sweeps,
-  whichever worker scored the parents;
+* **the serial scores, exactly** — workers full-sweep every candidate,
+  and the serial provider's delta route is bit-exact with that sweep, so
+  a seeded campaign has one history on either provider;
 * **precise recovery** — the master knows which worker holds which
   slice, so a death re-dispatches the candidates of that worker's
-  unacknowledged slices and nothing else.
+  unacknowledged slices and nothing else;
+* **frames of candidates** — a slice frame is its candidates' bytes plus
+  a fixed overhead each: no similarity structure rides along.
 """
 
+import pickle
 import time
 
 import numpy as np
@@ -21,7 +24,8 @@ import pytest
 from repro.ga.config import GAParams
 from repro.ga.engine import InSiPSEngine
 from repro.ga.fitness import SerialScoreProvider
-from repro.parallel.mp_backend import MultiprocessScoreProvider
+from repro.parallel.messages import WorkSlice
+from repro.parallel.mp_backend import MultiprocessScoreProvider, WorkerPool
 from repro.parallel.worker import FaultPlan
 from repro.service import history_digest
 from repro.telemetry import MetricsRegistry
@@ -32,6 +36,11 @@ POPULATION = 24
 LENGTH = 20
 BRED_GENERATIONS = 4
 SEED = 18
+#: Bytes a slice frame may take per candidate beyond the candidate's own:
+#: its id, its problem reference and a share of the frame's header and
+#: of the one pickled problem (~220 bytes for a one-candidate frame on
+#: ``tiny``; a frame that carried structures took ~1 300 a candidate).
+FRAME_BYTES_PER_CANDIDATE = 320
 
 
 def _campaign(provider):
@@ -96,33 +105,31 @@ def test_bred_generations_never_wait_out_a_poll(tiny_engine, tiny_problem):
     assert all(w["inbox_wait_s"] >= 0.0 for w in workers)
 
 
-def test_pool_takes_the_serial_delta_route_exactly(tiny_engine, tiny_problem):
-    """Same seed, same rows: the pool's delta accounting equals the
-    serial provider's counters, with no full-sweep fallback, and the
-    campaigns' histories are identical."""
+def test_pool_full_sweeps_to_the_serial_delta_route_scores(
+    tiny_engine, tiny_problem
+):
+    """Same seed, same history: the serial provider patches children from
+    their parents while the pool's workers full-sweep them, and the pool
+    scores exactly the serial provider's cache misses.  Delta accounting
+    comes from the serial provider only."""
     target, non_targets = tiny_problem
     serial_registry = MetricsRegistry()
-    serial = _campaign(
-        SerialScoreProvider(
-            tiny_engine, target, non_targets, telemetry=serial_registry
-        )
+    serial_provider = SerialScoreProvider(
+        tiny_engine, target, non_targets, telemetry=serial_registry
     )
+    serial = _campaign(serial_provider)
+    pool_registry = MetricsRegistry()
     with MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=2, timeout=120.0
+        tiny_engine, target, non_targets, num_workers=2, timeout=120.0,
+        telemetry=pool_registry,
     ) as provider:
         pooled = _campaign(provider)
-        delta = provider.runtime_stats()["delta"]
+        stats = provider.runtime_stats()
     assert history_digest(pooled.history) == history_digest(serial.history)
-    assert delta["fallbacks"] == 0
-    assert delta["hits"] > 0
-    assert delta["rows_rescored"] == (
-        serial_registry.counter("pipe.delta.rows_rescored").value
-    )
-    assert delta["rows_total"] == (
-        serial_registry.counter("pipe.delta.rows_total").value
-    )
-    assert delta["rows_rescored"] < delta["rows_total"]
-    assert delta["sticky_routed"] == 0
+    assert stats["dispatched"] == serial_provider.cache_stats["misses"] > 0
+    assert stats["fault_tolerance"]["degraded_items"] == 0
+    assert serial_registry.counter("pipe.delta.hits").value > 0
+    assert not [n for n in pool_registry.snapshot() if n.startswith("pipe.delta.")]
 
 
 def test_death_redispatches_only_the_dead_workers_window(
@@ -152,3 +159,41 @@ def test_death_redispatches_only_the_dead_workers_window(
     assert faults["retries"] == _unanswered_items(stats) > 0
     assert faults["stale_dropped"] == 0
     assert faults["degraded_items"] == 0
+
+
+def test_slice_frames_carry_candidates_not_structures(
+    tiny_engine, tiny_problem, monkeypatch
+):
+    """Every slice frame of a 3-generation campaign with provenance is
+    at most its candidates' bytes plus a fixed overhead each: a frame
+    that carried a ~30 KB similarity structure would be far over."""
+    target, non_targets = tiny_problem
+    frames: list[tuple[int, int, int]] = []
+    real_send = WorkerPool._send
+
+    def send(pool, wid, frame):
+        message = pickle.loads(frame)
+        if isinstance(message, WorkSlice):
+            payload = sum(len(p) for p in message.payloads)
+            frames.append((len(frame), payload, len(message.payloads)))
+        real_send(pool, wid, frame)
+
+    monkeypatch.setattr(WorkerPool, "_send", send)
+    with MultiprocessScoreProvider(
+        tiny_engine, target, non_targets, num_workers=2, timeout=120.0
+    ) as provider:
+        InSiPSEngine(
+            provider,
+            GAParams(),
+            population_size=POPULATION,
+            candidate_length=LENGTH,
+            seed=SEED,
+        ).run(3)
+        dispatched = provider.pool.stats()["dispatched"]
+    assert sum(k for _, _, k in frames) == dispatched > POPULATION
+    over = [
+        (size, payload, k)
+        for size, payload, k in frames
+        if size > payload + FRAME_BYTES_PER_CANDIDATE * k
+    ]
+    assert over == []

@@ -44,9 +44,9 @@ def test_work_item_problem_validation():
     with pytest.raises(TypeError, match="problems"):
         WorkSlice(0, (0,), (b"x",))
     with pytest.raises(ValueError, match="lengths must match"):
-        WorkSlice(0, (0, 1), (b"x", b"y"), (("T", ("A",)),), (None, None))
+        WorkSlice(0, (0, 1), (b"x", b"y"), (("T", ("A",)),))
     problems = (("T", ("A",)), ("A", ("T",)))
-    mixed = WorkSlice(0, (0, 1), (b"x", b"x"), problems, (None, None))
+    mixed = WorkSlice(0, (0, 1), (b"x", b"x"), problems)
     assert mixed.problems == problems
 
 
@@ -76,7 +76,7 @@ def test_score_fused_mixed_problems_matches_serial(
         # Interleave the two problems over the *same* candidate bytes —
         # scores must differ by problem, not by payload.
         fused = [arr for pair in zip(arrays, arrays) for arr in pair]
-        got = pool.score(fused, None, [a, b] * len(arrays))
+        got = pool.score(fused, [a, b] * len(arrays))
         stats = pool.stats()
         assert stats["dispatched"] == len(fused)  # nothing cached
         assert stats["slices"] < len(fused)  # problems mixed within slices
@@ -90,9 +90,7 @@ def test_score_fused_validates(tiny_engine, tiny_problem, rng):
     with WorkerPool(tiny_engine, num_workers=1, timeout=120.0) as pool:
         problem = pool.warm(*tiny_problem)
         with pytest.raises(ValueError, match="lengths must match"):
-            pool.score(arrays, None, [problem])
-        with pytest.raises(ValueError, match="lengths must match"):
-            pool.score(arrays, [None], [problem] * 2)
+            pool.score(arrays, [problem])
         assert not pool._workers  # rejected before anything is spawned
 
 
@@ -105,10 +103,10 @@ def test_late_registered_problem_reaches_running_workers(
     arrays = _candidates(rng, 3)
     with WorkerPool(tiny_engine, num_workers=1, timeout=120.0) as pool:
         problem = pool.warm(*first)
-        pool.score(arrays, None, [problem] * len(arrays))  # pool is now running
+        pool.score(arrays, [problem] * len(arrays))  # pool is now running
         assert pool._workers
         late = pool.warm(*second)
-        got = pool.score(arrays, None, [late] * len(arrays))
+        got = pool.score(arrays, [late] * len(arrays))
     assert got == _serial(tiny_engine, late, arrays)
 
 
@@ -129,7 +127,7 @@ def test_fused_items_degrade_with_their_problem(
     ) as pool:
         a, b = (pool.warm(*problem) for problem in two_problems)
         fused = [arr for pair in zip(arrays, arrays) for arr in pair]
-        got = pool.score(fused, None, [a, b] * len(arrays))
+        got = pool.score(fused, [a, b] * len(arrays))
         assert pool.degraded_items > 0
     assert got[0::2] == _serial(tiny_engine, a, arrays)
     assert got[1::2] == _serial(tiny_engine, b, arrays)

@@ -12,14 +12,12 @@ PROBLEM = ("T", ("A", "B"))
 OTHER = ("A", ("T",))
 
 
-def _slice(*seqs, epoch=0, problems=None, similarities=()):
+def _slice(*seqs, epoch=0, problems=None):
     return WorkSlice(
         epoch,
         tuple(range(len(seqs))),
         tuple(np.asarray(s, dtype=np.uint8).tobytes() for s in seqs),
         tuple(problems or [PROBLEM] * len(seqs)),
-        (None,) * len(seqs),
-        similarities,
     )
 
 
@@ -37,19 +35,23 @@ def test_work_item_roundtrip():
 
 def test_work_item_validation():
     with pytest.raises(ValueError, match=">= 0"):
-        WorkSlice(0, (-1,), (b"x",), (PROBLEM,), (None,))
+        WorkSlice(0, (-1,), (b"x",), (PROBLEM,))
     with pytest.raises(ValueError, match="non-empty"):
-        WorkSlice(0, (0,), (b"",), (PROBLEM,), (None,))
+        WorkSlice(0, (0,), (b"",), (PROBLEM,))
     with pytest.raises(ValueError, match="at least one"):
-        WorkSlice(0, (), (), (), ())
+        WorkSlice(0, (), (), ())
     # Every candidate names its problem: the columns must line up.
     with pytest.raises(ValueError, match="lengths must match"):
-        WorkSlice(0, (0, 1), (b"x", b"y"), (PROBLEM,), (None, None))
+        WorkSlice(0, (0, 1), (b"x", b"y"), (PROBLEM,))
 
 
 def test_work_item_payload_compact():
+    """A slice is its candidates' bytes, their problems and ids — no
+    structure or provenance rides along, so its frame is O(k·L)."""
     seq = np.arange(10, dtype=np.uint8)
-    assert len(_slice(seq).payloads[0]) == 10
+    work = _slice(seq)
+    assert len(work.payloads[0]) == 10
+    assert set(vars(work)) == {"batch_epoch", "sequence_ids", "payloads", "problems"}
 
 
 def test_work_result_carries_scores():
@@ -57,6 +59,11 @@ def test_work_result_carries_scores():
     r = WorkResult((3, 4), 1, scores)
     assert [s.max_non_target for s in r.scores] == [0.2, 0.3]
     assert r.sequence_ids == (3, 4)
+    # Scores and the worker's usage figures; no structure rides back.
+    assert set(vars(r)) == {
+        "sequence_ids", "worker_id", "scores", "elapsed", "batch_epoch",
+        "inbox_wait", "cpu_s", "minor_faults",
+    }
 
 
 def test_end_signal_default_reason():
@@ -73,7 +80,7 @@ def test_batch_epoch_roundtrip():
 
 def test_batch_epoch_validation():
     with pytest.raises(ValueError, match="batch_epoch"):
-        WorkSlice(-1, (0,), (b"x",), (PROBLEM,), (None,))
+        WorkSlice(-1, (0,), (b"x",), (PROBLEM,))
 
 
 def test_work_failure_carries_traceback():
@@ -94,34 +101,13 @@ def test_messages_picklable():
         assert pickle.loads(pickle.dumps(msg)) == msg
 
 
-def test_similarity_structures_ride_the_messages(tiny_engine):
-    seq = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5], dtype=np.uint8)
-    similarity = tiny_engine.database.sequence_similarity(seq)
-    work = _slice(seq, similarities=((seq.tobytes(), similarity),))
-    ((key, carried),) = pickle.loads(pickle.dumps(work)).similarities
-    assert key == seq.tobytes()
-    assert (carried.counts != similarity.counts).nnz == 0
+def test_worker_usage_rides_the_reply():
     reply = WorkResult(
-        (0,),
-        1,
-        (ScoreSet(0.5, ()),),
-        similarities=((seq.tobytes(), similarity),),
-        inbox_wait=0.25,
+        (0, 1), 1, (ScoreSet(0.5, ()),) * 2,
+        inbox_wait=0.25, cpu_s=0.125, minor_faults=7,
     )
     loaded = pickle.loads(pickle.dumps(reply))
-    ((key, built),) = loaded.similarities
-    assert key == seq.tobytes() and (built.counts != similarity.counts).nnz == 0
-    assert loaded.inbox_wait == 0.25
-    # Slices and replies carry nothing unless told to.
-    assert _slice(seq).similarities == ()
-    bare = WorkResult((0,), 1, (ScoreSet(0.5, ()),))
-    assert bare.similarities == () and bare.deltas == () and bare.inbox_wait == 0.0
-
-
-def test_worker_usage_rides_the_reply():
-    reply = WorkResult((0, 1), 1, (ScoreSet(0.5, ()),) * 2, cpu_s=0.125, minor_faults=7)
-    loaded = pickle.loads(pickle.dumps(reply))
     assert loaded == reply
-    assert (loaded.cpu_s, loaded.minor_faults) == (0.125, 7)
+    assert (loaded.inbox_wait, loaded.cpu_s, loaded.minor_faults) == (0.25, 0.125, 7)
     bare = WorkResult((0,), 1, (ScoreSet(0.5, ()),))
-    assert (bare.cpu_s, bare.minor_faults) == (0.0, 0)
+    assert (bare.inbox_wait, bare.cpu_s, bare.minor_faults) == (0.0, 0.0, 0)

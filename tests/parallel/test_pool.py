@@ -4,9 +4,8 @@
 ``MultiprocessScoreProvider`` and the shared ``ScoringFabric``; neither
 front owns a second route to a worker.  These tests drive the pool with
 nothing in front of it (multi-problem batches are in
-``test_fused_problems.py``), pin its one stats tree and one delta
-accounting, and run the same seeded campaign through both fronts to show
-they drive one path.
+``test_fused_problems.py``), pin its one stats tree, and run the same
+seeded campaign through both fronts to show they drive one path.
 """
 
 import numpy as np
@@ -17,13 +16,9 @@ from repro.ga.config import GAParams
 from repro.ga.engine import InSiPSEngine
 from repro.ga.fitness import SerialScoreProvider
 from repro.parallel import MultiprocessScoreProvider, WorkerPool
-from repro.parallel.worker import FaultPlan
 from repro.providers import make_score_provider
 from repro.service import history_digest
 from repro.telemetry import MetricsRegistry
-
-DELTA_COUNTERS = ("hits", "fallbacks", "rows_rescored", "rows_total")
-
 
 def _campaign(provider, generations=4, seed=19):
     return InSiPSEngine(
@@ -47,18 +42,18 @@ def test_pool_scores_without_a_front_and_restarts_after_close(
     problem = pool.warm(target, non_targets)
     assert not pool._workers and pool.stats()["shm"] is None  # lazy
     with pool:
-        assert pool.score(arrays, None, [problem] * 5) == expected
+        assert pool.score(arrays, [problem] * 5) == expected
         assert len(pool._workers) == 2 and pool.stats()["shm"] is not None
         # No score cache down here: the same bytes are dispatched again.
-        assert pool.score(arrays, None, [problem] * 5) == expected
+        assert pool.score(arrays, [problem] * 5) == expected
         assert pool.stats()["dispatched"] == 10
     assert not pool._workers and pool.stats()["shm"] is None
     pool.close()  # idempotent
     # A closed pool starts again on the next batch, problems still warm.
     with pool:
-        assert pool.score(arrays[:2], None, [problem] * 2) == expected[:2]
+        assert pool.score(arrays[:2], [problem] * 2) == expected[:2]
         assert pool.stats()["shm"]["similarities"] == len(non_targets) + 1
-    assert pool.score([], None, []) == []
+    assert pool.score([], []) == []
 
 
 def test_one_stats_tree_under_the_provider(tiny_engine, tiny_problem, rng):
@@ -92,7 +87,7 @@ def test_worker_cpu_and_faults_are_summed_per_worker(tiny_engine, tiny_problem, 
     pool = WorkerPool(tiny_engine, num_workers=1, timeout=120.0)
     problem = pool.warm(target, non_targets)
     with pool:
-        pool.score(_candidates(rng, 4), None, [problem] * 4)
+        pool.score(_candidates(rng, 4), [problem] * 4)
         (worker,) = pool.stats()["workers"].values()
     assert worker["items"] == 4
     assert worker["cpu_s"] > 0
@@ -134,40 +129,10 @@ def test_queue_depth_gauge_tracks_and_decays(tiny_engine, tiny_problem, rng):
     assert gauge.updates > 2  # actually tracked, not set-and-forget
 
 
-@pytest.mark.faults
-def test_degraded_items_stay_in_the_delta_accounting(tiny_engine, tiny_problem):
-    """Regression: degraded items were folded into the ``pipe.delta.*``
-    telemetry but not into the counters behind ``stats()["delta"]``, so
-    after a degraded campaign the two disagreed (the stats read all
-    zero).  One ``_record_delta`` now serves replies and degraded items."""
-    target, non_targets = tiny_problem
-    registry = MetricsRegistry()
-    with MultiprocessScoreProvider(
-        tiny_engine,
-        target,
-        non_targets,
-        num_workers=1,
-        max_retries=0,
-        timeout=120.0,
-        faults=FaultPlan(crash_on_item=0),
-        telemetry=registry,
-    ) as provider:
-        degraded = _campaign(provider, generations=3)
-        stats = provider.pool.stats()
-    serial = _campaign(
-        SerialScoreProvider(tiny_engine, target, non_targets), generations=3
-    )
-    assert history_digest(degraded.history) == history_digest(serial.history)
-    assert stats["fault_tolerance"]["degraded_items"] > 0
-    assert stats["delta"]["hits"] > 0 and stats["delta"]["rows_total"] > 0
-    for name in DELTA_COUNTERS:
-        assert stats["delta"][name] == registry.counter(f"pipe.delta.{name}").value
-
-
 def test_both_fronts_drive_one_path(tiny_engine, tiny_problem):
     """The same seeded campaign, with provenance, through the dedicated
-    front and through a one-client fabric: same history, same number of
-    items dispatched, same rows re-swept."""
+    front and through a one-client fabric: same history, same scores,
+    same number of items dispatched."""
     target, non_targets = tiny_problem
     with make_score_provider(
         tiny_engine, target, non_targets, backend="process", workers=2,
@@ -183,7 +148,8 @@ def test_both_fronts_drive_one_path(tiny_engine, tiny_problem):
     assert history_digest(shared.history) == history_digest(dedicated.history)
     assert shared_stats["dispatched"] == dedicated_stats["dispatched"] > 0
     assert shared_stats["dispatched"] == dedicated_stats["cache"]["misses"]
-    for name in ("rows_rescored", "rows_total", "fallbacks"):
-        assert shared_stats["delta"][name] == dedicated_stats["delta"][name]
-    assert dedicated_stats["delta"]["hits"] > 0
-    assert dedicated_stats["delta"]["rows_rescored"] < dedicated_stats["delta"]["rows_total"]
+    best = [
+        (r.best.sequence, r.best.fitness, r.best.target_score, r.best.max_non_target)
+        for r in (shared, dedicated)
+    ]
+    assert best[0] == best[1]

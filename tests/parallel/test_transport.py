@@ -86,7 +86,7 @@ pool = WorkerPool(world.engine, num_workers=3, timeout=60.0)
 problem = pool.warm("YBL051C", world.non_targets_for("YBL051C", limit=4))
 rng = np.random.default_rng(0)
 arrays = [rng.integers(0, 20, size=20).astype(np.uint8) for _ in range(6)]
-pool.score(arrays, None, [problem] * 6)
+pool.score(arrays, [problem] * 6)
 print(*(proc.pid for proc in pool._workers.values()), flush=True)
 time.sleep(120.0)
 """
@@ -148,7 +148,7 @@ def test_outside_sigkill_mid_batch_costs_a_window_and_never_wedges(
         tiny_engine, num_workers=3, timeout=60.0, faults=FaultPlan(delay=0.004)
     ) as pool:
         problem = pool.warm(target, non_targets)
-        assert pool.score(seqs, None, [problem] * len(seqs)) == expected
+        assert pool.score(seqs, [problem] * len(seqs)) == expected
         for _ in range(20):
             victim = chooser.choice(
                 [proc.pid for proc in pool._workers.values() if proc.is_alive()]
@@ -168,7 +168,7 @@ def test_outside_sigkill_mid_batch_costs_a_window_and_never_wedges(
             killer = threading.Thread(target=kill)
             killer.start()
             try:
-                assert pool.score(seqs, None, [problem] * len(seqs)) == expected
+                assert pool.score(seqs, [problem] * len(seqs)) == expected
             finally:
                 killer.join(timeout=10.0)
             assert not killer.is_alive()
@@ -197,7 +197,7 @@ def test_replies_completed_before_a_death_are_recorded(
         faults=FaultPlan(crash_on_item=1, only_worker=0),
     ) as pool:
         problem = pool.warm(target, non_targets)
-        assert pool.score(seqs, None, [problem] * len(seqs)) == expected
+        assert pool.score(seqs, [problem] * len(seqs)) == expected
         stats = pool.stats()
     assert stats["fault_tolerance"]["worker_deaths"] == 1
     # Its one answer — the first guided slice, ceil(6 / 2) = 3 — counted.
@@ -217,14 +217,14 @@ def test_a_send_to_a_dead_worker_is_left_to_its_sentinel(
     seqs = _seqs(rng, 4)
     with WorkerPool(tiny_engine, num_workers=1, timeout=60.0) as pool:
         problem = pool.warm(target, non_targets)
-        expected = pool.score(seqs, None, [problem] * len(seqs))
+        expected = pool.score(seqs, [problem] * len(seqs))
         ((wid, pid),) = ((w, proc.pid) for w, proc in pool._workers.items())
         os.kill(pid, signal.SIGKILL)
         while _running(pid):
             time.sleep(0.01)
         pool._send(wid, pickle.dumps(EndSignal()))  # its end is closed: EPIPE, ignored
         assert pool._wait(dict(pool._workers), 5.0) == ([], [wid])
-        assert pool.score(seqs, None, [problem] * len(seqs)) == expected
+        assert pool.score(seqs, [problem] * len(seqs)) == expected
         assert pool.worker_deaths == 1 and pool.respawns == 1
 
 
@@ -235,7 +235,7 @@ def test_a_truncated_frame_is_a_death_never_data(tiny_engine, tiny_problem, rng)
     seqs = _seqs(rng, 2)
     with WorkerPool(tiny_engine, num_workers=1, timeout=60.0) as pool:
         problem = pool.warm(target, non_targets)
-        pool.score(seqs, None, [problem] * len(seqs))
+        pool.score(seqs, [problem] * len(seqs))
         (wid,) = pool._workers
         real = pool._conns[wid]
         cut, far_end = multiprocessing.Pipe(duplex=True)
@@ -261,19 +261,27 @@ def _small_send_buffer_entry(worker_id, handle, config, faults, conn, master_end
     _REAL_WORKER_ENTRY(worker_id, handle, config, faults, conn, master_ends)
 
 
+def _kernel_minimum_sndbuf() -> int:
+    """What ``SO_SNDBUF`` reads after asking the kernel for 1 byte."""
+    left, right = socket.socketpair(socket.AF_UNIX)
+    with left, right:
+        left.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1)
+        return left.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+
+
 def test_close_reads_a_blocked_worker_through_to_its_end_signal(
-    tiny_engine, tiny_problem, rng, monkeypatch
+    tiny_world, tiny_engine, rng, monkeypatch
 ):
     """A batch aborted by a failure orphans the prefetched slice's reply.
     Too large for the pipe, it blocks the worker in ``send`` with the
     EndSignal queued behind it; ``close()`` must keep reading for the
     worker to get there — a clean exit, not a force-kill."""
-    target, non_targets = tiny_problem
     monkeypatch.setattr(mp_backend, "_worker_entry", _small_send_buffer_entry)
-    # A candidate made of proteome proteins hits everywhere: its
-    # similarity structure (tens of kilobytes) rides back on the reply.
-    proteins = list(tiny_engine.database.graph.proteins)[:24]
-    big = np.concatenate([p.encoded for p in proteins]).astype(np.uint8)
+    target = "YBL051C"
+    # Every non-target of the target: a reply is ~300 bytes a candidate,
+    # so the prefetched slice's (a quarter of the batch) outgrows the
+    # kernel-minimum buffer.
+    non_targets = tiny_world.non_targets_for(target)
     pool = WorkerPool(
         tiny_engine,
         num_workers=1,
@@ -281,24 +289,38 @@ def test_close_reads_a_blocked_worker_through_to_its_end_signal(
         close_grace_s=30.0,
         faults=FaultPlan(fail_on_item=0),
     )
+    replies: list[int] = []
+    real_wait = pool._wait
+
+    def wait(procs, timeout):
+        got, gone = real_wait(procs, timeout)
+        replies.extend(len(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)) for msg in got)
+        return got, gone
+
+    pool._wait = wait
     problem = pool.warm(target, non_targets)
+    seqs = _seqs(rng, 96)
     try:
         with pytest.raises(WorkerFailureError):
-            pool.score([_seqs(rng, 1)[0], big], None, [problem] * 2)
+            pool.score(seqs, [problem] * len(seqs))
     finally:
         pool.close()
     assert pool.force_killed == 0
+    assert max(replies) > _kernel_minimum_sndbuf()
 
 
 _BIG_FRAMES_SCRIPT = """
 import os
+import pickle
 import socket
 import sys
 
 import numpy as np
 
+import repro.parallel.mp_backend as mp_backend
 from repro.ga.fitness import SerialScoreProvider
 from repro.parallel import FaultPlan, WorkerFailureError, WorkerPool
+from repro.parallel.messages import WorkSlice
 from repro.synthetic import get_profile
 
 profile, minimum_buffer, orphan = sys.argv[1], sys.argv[2] == "1", sys.argv[5] == "1"
@@ -323,55 +345,91 @@ class MinimumBufferPipes:
         return getattr(self._ctx, name)
 
 
+# Every frame the scheduler builds (untrimmed slices included), every
+# slice sent with its pipe's share, and the size of every reply read.
+built, sent, replies = [], [], []
+
+
+class RecordingScheduler(mp_backend.OnDemandScheduler):
+    def __init__(self, sequence_ids, frame):
+        def recorded(sids):
+            data = frame(sids)
+            built.append(len(data))
+            return data
+
+        super().__init__(sequence_ids, recorded)
+
+
+mp_backend.OnDemandScheduler = RecordingScheduler
 world = get_profile(profile).build_world()
 target = "YBL051C"
-non_targets = world.non_targets_for(target, limit=8)
-# Stretches of proteome proteins end to end hit everywhere: each one's
-# similarity structure is tens of kilobytes.
-proteome = np.concatenate(
-    [p.encoded for p in world.engine.database.graph.proteins]
-).astype(np.uint8)
-starts = [(i * 997) % (len(proteome) - length) for i in range(2 * count)]
-old, new = ([proteome[s:s + length].copy() for s in part]
-            for part in (starts[:count], starts[count:]))
+# Every non-target of the target: a reply carries ~300 bytes a candidate
+# on tiny and ~590 on small, more than a short candidate's slice does.
+non_targets = world.non_targets_for(target)
+rng = np.random.default_rng(7)
+
+
+def candidates(n, size):
+    return [rng.integers(0, 20, size=size).astype(np.uint8) for _ in range(n)]
+
+
 serial = SerialScoreProvider(world.engine, target, non_targets)
 pool = WorkerPool(
     world.engine,
     num_workers=1,
     timeout=20.0,
-    faults=FaultPlan(fail_on_item=1) if orphan else None,
+    faults=FaultPlan(fail_on_item=0) if orphan else None,
 )
 if minimum_buffer:
     pool._ctx = MinimumBufferPipes(pool._ctx)
+real_send, real_wait = pool._send, pool._wait
+
+
+def send(wid, frame):
+    message = pickle.loads(frame)
+    if isinstance(message, WorkSlice):
+        sent.append((len(frame), len(message.sequence_ids), pool._budgets[wid]))
+    real_send(wid, frame)
+
+
+def wait(procs, timeout):
+    got, gone = real_wait(procs, timeout)
+    replies.extend(len(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)) for msg in got)
+    return got, gone
+
+
+pool._send, pool._wait = send, wait
 
 
 def score(batch):
-    assert pool.score(batch, None, [problem] * len(batch)) == serial.scores(batch)
+    assert pool.score(batch, [problem] * len(batch)) == serial.scores(batch)
 
 
 with pool:
     problem = pool.warm(target, non_targets)
     if orphan:
-        # Batch 1 leaves old[0]'s structure in the master.  Batch 2 fails
-        # on its first slice while its second, a new candidate whose
-        # reply ships a structure, is in flight: the reply is orphaned
-        # and the worker blocks sending it.  Batch 3 sends old[0] out
-        # with its structure, to that same worker.
-        score(old)
+        # The first slice, one candidate longer than the pipe's share,
+        # fails; the prefetched second, short candidates whose reply
+        # outgrows the pipe, is orphaned and its worker blocks sending
+        # it.  Then candidates longer than the share go out one at a
+        # time, to that same worker.
         try:
-            pool.score([old[0][:20], new[0]], None, [problem] * 2)
+            pool.score(
+                [*candidates(1, length), *candidates(64, 20)], [problem] * 65
+            )
         except WorkerFailureError:
             pass
         else:
             raise AssertionError("the injected failure did not fire")
-        score(old)
-    else:
-        # Batch 1's replies ship the old candidates' structures; in batch
-        # 2 the old ones carry them back out while the new ones' replies
-        # ship theirs.
-        score(old)
-        score([seq for pair in zip(old, new) for seq in pair])
+    score(candidates(count, length))
     assert pool.degraded_items == 0
+(share,) = {budget for _, _, budget in sent}
+# Both ways, frames outgrew the worker pipe's share: a slice as the
+# guided rule sized it, and a reply.
+assert max(built) > share, (max(built), share)
+assert max(replies) > share, (max(replies), share)
+# Yet the master sent only what fits the share, or one candidate alone.
+assert all(size <= share or k == 1 for size, k, _ in sent), (sent, share)
 print("ok", flush=True)
 """
 
@@ -379,30 +437,33 @@ print("ok", flush=True)
 @pytest.mark.parametrize(
     "profile, minimum_buffer, length, count, orphan",
     [
-        ("tiny", True, 1700, 8, False),
-        ("small", False, 2101, 24, False),
-        ("tiny", True, 1200, 1, True),
+        ("tiny", True, 200, 128, False),
+        ("small", False, 400, 560, False),
+        ("tiny", True, 5000, 2, True),
     ],
     ids=["tiny-minimum-buffer", "small-default-buffer", "tiny-orphaned-reply"],
 )
 def test_frames_larger_than_the_pipe_both_ways_never_deadlock(
     profile, minimum_buffer, length, count, orphan
 ):
-    """Slices that carry structures out and replies that ship structures
-    back, both far larger than what the pipe buffers: the master sends a
-    worker only what fits its share of the buffer, so neither side ever
-    waits on the other.  The stall ``timeout`` cannot catch this deadlock
-    — the master never gets back to its wait — so the pool runs in a
-    subprocess under a wall deadline, and a regression fails here
-    instead of hanging the suite.
+    """Slices and replies both far larger than what the pipe buffers: the
+    master sends a worker only what fits its share of the buffer, so
+    neither side ever waits on the other.  The stall ``timeout`` cannot
+    catch this deadlock — the master never gets back to its wait — so
+    the pool runs in a subprocess under a wall deadline, and a
+    regression fails here instead of hanging the suite.  The script
+    asserts that a slice as the guided rule sizes it and a reply each
+    outgrew the share, and that every slice sent fit it.
 
-    On ``tiny`` every frame (a structure is ~30 KB) dwarfs the
-    kernel-minimum buffer, which hung the per-item pool of old; on
-    ``small`` at the default buffer, slices of 2 101-residue candidates
-    (~40 KB of structure each) sized by the guided rule alone reach
-    hundreds of kilobytes both ways — what the frame budget trims.  The
-    orphaned reply of an aborted batch still occupies its worker's
-    window: the next batch's large frame waits until it is read."""
+    Slices carry candidates only, so a reply (one score set per
+    candidate, against every non-target) outgrows a slice of short
+    candidates.  On ``tiny`` at the kernel-minimum buffer, untrimmed
+    slices of 200-residue candidates and their replies both exceed what
+    the pipe holds; on ``small`` at the default buffer, slices of
+    400-residue candidates sized by the guided rule alone exceed the
+    share — what the frame budget trims.  The orphaned reply of an
+    aborted batch still occupies its worker's window: the next batch's
+    oversized candidates wait until it is read."""
     master = subprocess.Popen(
         [sys.executable, "-c", _BIG_FRAMES_SCRIPT, profile,
          "1" if minimum_buffer else "0", str(length), str(count),
@@ -442,7 +503,7 @@ def test_pool_hands_back_every_fd_thread_child_and_segment(
     problem = pool.warm(target, non_targets)
 
     def score():
-        assert pool.score(seqs, None, [problem] * len(seqs)) == expected
+        assert pool.score(seqs, [problem] * len(seqs)) == expected
 
     score()
     assert len(pool._workers) == 3
@@ -486,7 +547,7 @@ def test_every_start_method_scores_slices_bit_exact(
         start_method=start_method,
     ) as pool:
         problem = pool.warm(target, non_targets)
-        assert pool.score(seqs, None, [problem] * len(seqs)) == expected
+        assert pool.score(seqs, [problem] * len(seqs)) == expected
         stats = pool.stats()
     assert stats["dispatched"] == len(seqs)
     assert stats["slices"] < len(seqs)

@@ -19,19 +19,17 @@ def problem(tiny_problem):
     return target, tuple(non_targets)
 
 
-def _item(sid, seq, problem, provenance=None, similarities=()):
+def _item(sid, seq, problem):
     """A one-candidate slice."""
-    return _slice([sid], [seq], problem, [provenance], similarities)
+    return _slice([sid], [seq], problem)
 
 
-def _slice(sids, seqs, problem, provenances=None, similarities=()):
+def _slice(sids, seqs, problem):
     return WorkSlice(
         0,
         tuple(sids),
         tuple(np.asarray(s, dtype=np.uint8).tobytes() for s in seqs),
         (problem,) * len(sids),
-        tuple(provenances or [None] * len(sids)),
-        similarities,
     )
 
 
@@ -134,53 +132,23 @@ def test_worker_loop_ends_when_the_master_end_closes(tiny_engine, problem, rng, 
     worker.close()
 
 
-def test_worker_patches_from_what_the_item_carries(tiny_engine, problem, rng, pipe):
-    """Stateless delta scoring: the parent's structure arrives on the slice,
-    the child's leaves on the reply, and a second slice naming the same
-    parent *without* carrying it falls back — nothing was cached."""
-    from repro.ppi.delta import mutation_provenance
-
-    database = tiny_engine.database
-    parent = rng.integers(0, 20, size=30).astype(np.uint8)
-    child = parent.copy()
-    child[10] = (child[10] + 3) % 20
-    prov = mutation_provenance(parent, [10])
-    parent_sim = database.sequence_similarity(parent)
-    master, worker = pipe
-    master.send(
-        _item(
-            0, child, problem, provenance=prov,
-            similarities=((parent.tobytes(), parent_sim),),
-        )
-    )
-    master.send(_item(1, child, problem, provenance=prov))
-    master.send(EndSignal())
-    assert worker_loop(0, tiny_engine, worker) == 2
-    patched, swept = master.recv(), master.recv()
-    (patched_delta,), (swept_delta,) = patched.deltas, swept.deltas
-    assert patched_delta.hit
-    assert 0 < patched_delta.rows_rescored < patched_delta.rows_total
-    assert not swept_delta.hit
-    assert swept_delta.rows_rescored == swept_delta.rows_total
-    full = database.sequence_similarity(child)
-    for reply in (patched, swept):
-        assert reply.scores == (_scored(tiny_engine, child, problem),)
-        ((key, built),) = reply.similarities
-        assert key == child.tobytes() and (built.counts != full.counts).nnz == 0
-
-
 def test_worker_does_not_echo_a_structure_the_item_carried(
     tiny_engine, problem, rng, pipe
 ):
+    """A slice carries candidates and a reply carries their score sets and
+    the worker's usage figures: no similarity structure crosses the pipe
+    either way, whatever the worker built."""
     seq = rng.integers(0, 20, size=25).astype(np.uint8)
-    own = tiny_engine.database.sequence_similarity(seq)
     master, worker = pipe
-    master.send(_item(0, seq, problem, similarities=((seq.tobytes(), own),)))
+    master.send(_item(0, seq, problem))
     master.send(EndSignal())
     worker_loop(0, tiny_engine, worker)
     reply = master.recv()
-    assert reply.similarities == ()
     assert reply.scores == (_scored(tiny_engine, seq, problem),)
+    assert set(vars(reply)) == {
+        "sequence_ids", "worker_id", "scores", "elapsed", "batch_epoch",
+        "inbox_wait", "cpu_s", "minor_faults",
+    }
 
 
 def test_retire_signal_stops_the_worker_after_its_inbox(tiny_engine, problem, rng, pipe):
@@ -212,35 +180,3 @@ def test_worker_stamps_inbox_wait(tiny_engine, problem, rng, pipe):
         feeder.join(timeout=5.0)
     assert not feeder.is_alive()
     assert master.recv().inbox_wait >= 0.1
-
-
-def test_siblings_in_one_slice_patch_from_one_carried_parent(
-    tiny_engine, problem, rng, pipe
-):
-    """Two children of one parent in one slice: the parent travels once,
-    both patch from it, and both built structures come back in one
-    reply."""
-    from repro.ppi.delta import mutation_provenance
-
-    database = tiny_engine.database
-    parent = rng.integers(0, 20, size=30).astype(np.uint8)
-    children, provenances = [], []
-    for locus in (4, 20):
-        child = parent.copy()
-        child[locus] = (child[locus] + 5) % 20
-        children.append(child)
-        provenances.append(mutation_provenance(parent, [locus]))
-    master, worker = pipe
-    master.send(
-        _slice(
-            [0, 1], children, problem, provenances,
-            similarities=((parent.tobytes(), database.sequence_similarity(parent)),),
-        )
-    )
-    master.send(EndSignal())
-    assert worker_loop(0, tiny_engine, worker) == 1
-    reply = master.recv()
-    assert reply.sequence_ids == (0, 1)
-    assert all(d.hit and d.rows_rescored < d.rows_total for d in reply.deltas)
-    assert [key for key, _ in reply.similarities] == [c.tobytes() for c in children]
-    assert list(reply.scores) == [_scored(tiny_engine, c, problem) for c in children]

@@ -245,7 +245,6 @@ def _worker_scores(engine, seqs, problems):
                 tuple(range(k)),
                 tuple(seq.tobytes() for seq in seqs),
                 tuple(problems),
-                (None,) * k,
             )
         )
         master.send(EndSignal())
@@ -285,7 +284,7 @@ def _degraded_scores(engine, seqs, problems):
     breaker = CircuitBreaker(probe_after=1_000)
     breaker.record_failure()
     with WorkerPool(engine, num_workers=1, breaker=breaker) as pool:
-        return pool.score(seqs, None, problems), pool.stats()
+        return pool.score(seqs, problems), pool.stats()
 
 
 def test_degraded_batch_is_batch_shaped(counted):

@@ -1,6 +1,5 @@
 """Tests for the PIPE database: similarity sweeps vs a naive reference."""
 
-import pickle
 
 import numpy as np
 import pytest
@@ -86,27 +85,6 @@ def test_binary_view(database):
     binary = sim.binary.toarray()
     counts = sim.counts.toarray()
     assert np.array_equal(binary, (counts > 0).astype(np.int64))
-
-
-def test_pickle_ships_counts_only(database):
-    """The wire form of a structure is ``counts`` + ``num_windows``: the
-    memoised ``binary`` never rides along, whether or not it was read."""
-    rng = np.random.default_rng(6)
-    query = rng.integers(0, 20, size=12).astype(np.uint8)
-    sim = database.sequence_similarity(query)
-    untouched = pickle.dumps(sim)
-    binary = sim.binary  # memoise, as PIPE does on the hot path
-    touched = pickle.dumps(sim)
-    assert len(touched) == len(untouched)
-    loaded = pickle.loads(touched)
-    assert "binary" not in vars(loaded)
-    assert loaded.num_windows == sim.num_windows
-    for row in range(sim.num_windows):
-        assert np.array_equal(
-            loaded.counts.getrow(row).toarray(), sim.counts.getrow(row).toarray()
-        )
-    # Recomputed on demand, equal to the sender's.
-    assert np.array_equal(loaded.binary.toarray(), binary.toarray())
 
 
 def test_matched_protein_indices(database):

@@ -193,9 +193,11 @@ class TestSimilarityLRU:
         lru = SimilarityLRU(4)
         rng = np.random.default_rng(6)
         seq = rng.integers(0, 20, size=12).astype(np.uint8)
-        sim, stats = lru.similarity_for(database, seq, None)
+        sim, stats = lru.similarity_batch(database, [seq], [None])[0]
         assert stats is None  # no provenance, nothing to account
-        again, stats2 = lru.similarity_for(database, seq, copy_provenance(seq))
+        ((again, stats2),) = lru.similarity_batch(
+            database, [seq], [copy_provenance(seq)]
+        )
         assert again is sim
         assert stats2 == DeltaStats(True, 0, database.num_query_windows(seq.size))
 
@@ -207,7 +209,7 @@ class TestSimilarityLRU:
         child = parent.copy()
         child[8] = (child[8] + 3) % 20
         prov = mutation_provenance(parent, [8])
-        sim, stats = lru.similarity_for(database, child, prov)
+        sim, stats = lru.similarity_batch(database, [child], [prov])[0]
         assert stats.hit and 0 < stats.rows_rescored < stats.rows_total
         _assert_exact(database, child, type("U", (), {"similarity": sim})())
         # The child is now cached for the next generation.
@@ -220,7 +222,7 @@ class TestSimilarityLRU:
         child = parent.copy()
         child[3] = (child[3] + 1) % 20
         prov = mutation_provenance(parent, [3])
-        sim, stats = lru.similarity_for(database, child, prov)
+        sim, stats = lru.similarity_batch(database, [child], [prov])[0]
         assert stats == DeltaStats(
             False,
             database.num_query_windows(child.size),

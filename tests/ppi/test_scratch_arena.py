@@ -31,8 +31,6 @@ import scipy.ndimage as ndi
 import scipy.sparse as sp
 
 from repro.ga.fitness import score_batch
-from repro.parallel.messages import WorkSlice
-from repro.parallel.worker import _score_slice
 from repro.ppi.delta import SimilarityLRU
 from repro.ppi import pipe
 from repro.ppi.kernels import NativeSweep, ScratchArena, native_sweep, scratch_arena
@@ -193,7 +191,7 @@ def _arrays_of(similarity):
 
 
 def test_nothing_returned_or_cached_lives_in_the_arena(tiny_engine, tiny_problem):
-    """LRU entries, the structures a worker ships back and the sweep's
+    """LRU entries, the structures a full sweep builds and the sweep's
     results own their memory, and the next call leaves them unchanged."""
     target, non_targets = tiny_problem
     problem = (target, tuple(non_targets))
@@ -202,19 +200,14 @@ def test_nothing_returned_or_cached_lives_in_the_arena(tiny_engine, tiny_problem
     cache = SimilarityLRU(16)
     score_batch(tiny_engine, arrays, [problem] * len(arrays), None, cache)
     cached = [cache.get(a.tobytes()) for a in arrays]
-    work = WorkSlice(
-        0,
-        tuple(range(4)),
-        tuple(a.tobytes() for a in _candidates(rng, 4, 60, 100)),
-        (problem,) * 4,
-        (None,) * 4,
+    built = tiny_engine.database.sequence_similarity_batch(
+        _candidates(rng, 4, 60, 100)
     )
-    _, _, built = _score_slice(tiny_engine, work)
     kernel, db = tiny_engine.database.kernel, tiny_engine.database
     sparse = kernel.sweep_batch_sparse(db, arrays)
     dense = kernel.sweep_batch(db, arrays)
     kept = [a for sim in cached for a in _arrays_of(sim)]
-    kept += [a for _, sim in built for a in _arrays_of(sim)]
+    kept += [a for sim in built for a in _arrays_of(sim)]
     kept += [a for m in sparse for a in (m.data, m.indices, m.indptr)]
     kept += dense
     arena = scratch_arena().buffer

@@ -59,7 +59,7 @@ loci_fractions = st.lists(
 
 
 def _assert_bit_exact(database, lru, child, provenance):
-    similarity, stats = lru.similarity_for(database, child, provenance)
+    similarity, stats = lru.similarity_batch(database, [child], [provenance])[0]
     expected = database.sequence_similarity(child)
     assert similarity.num_windows == expected.num_windows
     assert np.array_equal(similarity.counts.toarray(), expected.counts.toarray())
@@ -125,7 +125,7 @@ def test_operation_chain_delta_bit_exact(seed_a, seed_b, ops, rng_seed):
     lru = SimilarityLRU(4)  # small on purpose: eviction-driven fallbacks
     pool = [seed_a, seed_b]
     for s in pool:
-        lru.similarity_for(database, s, None)
+        lru.similarity_batch(database, [s], [None])
     for op in ops:
         if op == 0:
             parent = pool[int(rng.integers(len(pool)))]
@@ -159,9 +159,9 @@ def test_delta_scores_equal_full_scores(parent, p_mutate):
     )
     rng = np.random.default_rng(7)
     lru = SimilarityLRU(8)
-    lru.similarity_for(database, parent, None)
+    lru.similarity_batch(database, [parent], [None])
     child, prov = mutate_with_provenance(parent, p_mutate, rng)
-    similarity, _ = lru.similarity_for(database, child, prov)
+    similarity, _ = lru.similarity_batch(database, [child], [prov])[0]
     names = ["P0", "P2"]
     via_delta = engine.score_against(child, names, similarity=similarity)
     from_scratch = engine.score_against(child, names)
@@ -179,7 +179,7 @@ def test_batched_delta_equals_sequential_routes(seed_a, seed_b, ops, rng_seed):
     """One generation — mutants, crossovers, copies, twins, and children
     of *other members of the batch* — through ``similarity_batch`` gives
     the structures of a from-scratch sweep and exactly the ``DeltaStats``
-    a one-at-a-time ``similarity_for`` loop reports."""
+    a one-at-a-time loop of one-item batches reports."""
     database = DATABASE
     rng = np.random.default_rng(rng_seed)
     pool = [seed_a, seed_b]  # warm parents; batch members join as they appear
@@ -202,11 +202,13 @@ def test_batched_delta_equals_sequential_routes(seed_a, seed_b, ops, rng_seed):
     def warm():
         lru = SimilarityLRU(64)
         for s in (seed_a, seed_b):
-            lru.similarity_for(database, s, None)
+            lru.similarity_batch(database, [s], [None])
         return lru
 
     sequential = warm()
-    expected = [sequential.similarity_for(database, c, p) for c, p in batch]
+    expected = [
+        sequential.similarity_batch(database, [c], [p])[0] for c, p in batch
+    ]
     got = warm().similarity_batch(
         database, [c for c, _ in batch], [p for _, p in batch]
     )

@@ -9,7 +9,7 @@ limits, through either tile body — the compiled loop and the numpy one —
 for any window size, threshold and proteome width.  `similarity_batch` additionally must
 preserve the *sequential* delta semantics: a child batched together with
 its parent still takes the delta route, and the result is identical to
-calling `similarity_for` one sequence at a time.
+calling `similarity_batch` one sequence at a time.
 
 Every property checks two databases: the in-process one, and one
 attached from a :class:`~repro.ppi.shm.SharedProteomeView`, whose
@@ -193,8 +193,9 @@ def test_database_batch_bit_exact(databases, population):
 )
 def test_similarity_batch_matches_sequential_deltas(databases, parent, rng_seed, depth):
     """A mutation chain scored through `similarity_batch` — parent and all
-    descendants in ONE batch — equals the one-at-a-time `similarity_for`
-    route, and the descendants still take the delta path (hit=True)."""
+    descendants in ONE batch — equals the one-at-a-time one-item
+    `similarity_batch` route, and the descendants still take the delta
+    path (hit=True)."""
     rng = np.random.default_rng(rng_seed)
     children = [(parent, None)]
     current = parent
@@ -206,7 +207,7 @@ def test_similarity_batch_matches_sequential_deltas(databases, parent, rng_seed,
 
     sequential = SimilarityLRU(16)
     expected = [
-        sequential.similarity_for(DATABASE, c, p) for c, p in children
+        sequential.similarity_batch(DATABASE, [c], [p])[0] for c, p in children
     ]
     for database in databases:
         got = SimilarityLRU(16).similarity_batch(database, seqs, provs)

@@ -200,7 +200,9 @@ def test_batch_scores_mapping_compat(batch_scores):
 def test_batch_scores_records_timing_and_delta(batch_scores):
     scored, _ = batch_scores
     assert scored.elapsed_s >= 0.0
-    assert scored.delta is None  # full sweep: no delta stats
+    # Delta accounting is score_batch's (its DeltaStats), never a
+    # BatchScores field.
+    assert not hasattr(scored, "delta")
 
 
 def test_batch_scores_score_set(batch_scores):
