@@ -17,7 +17,13 @@ import numpy as np
 
 from repro.ga.config import GAParams
 from repro.ga.engine import InSiPSEngine
+from repro.ga.operators import (
+    crossover_with_provenance,
+    mutate_with_provenance,
+    point_copy_with_provenance,
+)
 from repro.ga.population import Individual, Population
+from repro.ga.selection import selection_probabilities, spin_wheel
 
 __all__ = ["AdaptiveOperatorController", "AdaptiveInSiPSEngine"]
 
@@ -104,12 +110,8 @@ class AdaptiveInSiPSEngine(InSiPSEngine):
         telemetry = self.telemetry
         nxt = Population(generation=current.generation + 1)
         probs = np.array(self.params.operation_probabilities)
-        from repro.ga.operators import (
-            crossover_with_provenance,
-            mutate_with_provenance,
-            point_copy_with_provenance,
-        )
-        from repro.ga.selection import roulette_select
+        # One roulette wheel per generation, as in the base engine.
+        wheel = selection_probabilities(current.fitness_array())
 
         while len(nxt) < self.population_size:
             op = ("copy", "mutate", "crossover")[int(self._rng.choice(3, p=probs))]
@@ -118,7 +120,7 @@ class AdaptiveInSiPSEngine(InSiPSEngine):
             # adaptive runs.
             telemetry.count(f"ga.op.{op}")
             if op == "copy":
-                (i,) = roulette_select(current, self._rng, 1)
+                (i,) = spin_wheel(wheel, self._rng, 1)
                 parent = current[i]
                 copied, prov = point_copy_with_provenance(parent.encoded)
                 child = Individual(copied, provenance=prov)
@@ -128,7 +130,7 @@ class AdaptiveInSiPSEngine(InSiPSEngine):
                 child.avg_non_target = parent.avg_non_target
                 nxt.append(child)
             elif op == "mutate":
-                (i,) = roulette_select(current, self._rng, 1)
+                (i,) = spin_wheel(wheel, self._rng, 1)
                 mutated, prov = mutate_with_provenance(
                     current[i].encoded, self.params.p_mutate_aa, self._rng
                 )
@@ -136,7 +138,7 @@ class AdaptiveInSiPSEngine(InSiPSEngine):
                 child.__dict__["origin"] = ("mutate", float(current[i].fitness))
                 nxt.append(child)
             else:
-                i, j = roulette_select(current, self._rng, 2)
+                i, j = spin_wheel(wheel, self._rng, 2)
                 parent_fit = max(float(current[i].fitness), float(current[j].fitness))
                 pair = crossover_with_provenance(
                     current[i].encoded,

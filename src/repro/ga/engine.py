@@ -33,7 +33,7 @@ from repro.ga.operators import (
     point_copy_with_provenance,
 )
 from repro.ga.population import Individual, Population
-from repro.ga.selection import roulette_select
+from repro.ga.selection import selection_probabilities, spin_wheel
 from repro.ga.stats import GenerationStats, RunHistory
 from repro.ga.termination import MaxGenerations, TerminationCriterion
 from repro.sequences.random_gen import RandomSequenceGenerator
@@ -174,16 +174,19 @@ class InSiPSEngine:
         probabilities, selects parent(s) fitness-proportionally, applies
         the operation, and appends the new sequence(s); crossover can
         overshoot the population size by one, in which case the surplus
-        child is dropped (keeping generations exactly equal-sized).
+        child is dropped (keeping generations exactly equal-sized).  The
+        roulette wheel is built once: ``current``'s fitness is fixed while
+        it breeds.
         """
         telemetry = self.telemetry
         nxt = Population(generation=current.generation + 1)
         probs = np.array(self.params.operation_probabilities)
+        wheel = selection_probabilities(current.fitness_array())
         while len(nxt) < self.population_size:
             op = _OPERATIONS[int(self._rng.choice(3, p=probs))]
             if op == "copy":
                 telemetry.count("ga.op.copy")
-                (i,) = roulette_select(current, self._rng, 1)
+                (i,) = spin_wheel(wheel, self._rng, 1)
                 parent = current[i]
                 copied, prov = point_copy_with_provenance(parent.encoded)
                 child = Individual(copied, provenance=prov)
@@ -195,14 +198,14 @@ class InSiPSEngine:
                 nxt.append(child)
             elif op == "mutate":
                 telemetry.count("ga.op.mutate")
-                (i,) = roulette_select(current, self._rng, 1)
+                (i,) = spin_wheel(wheel, self._rng, 1)
                 mutated, prov = mutate_with_provenance(
                     current[i].encoded, self.params.p_mutate_aa, self._rng
                 )
                 nxt.append(Individual(mutated, provenance=prov))
             else:  # crossover
                 telemetry.count("ga.op.crossover")
-                i, j = roulette_select(current, self._rng, 2)
+                i, j = spin_wheel(wheel, self._rng, 2)
                 (child1, prov1), (child2, prov2) = crossover_with_provenance(
                     current[i].encoded,
                     current[j].encoded,

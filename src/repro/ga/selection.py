@@ -10,7 +10,12 @@ import numpy as np
 
 from repro.ga.population import Population
 
-__all__ = ["selection_probabilities", "roulette_select", "tournament_select"]
+__all__ = [
+    "selection_probabilities",
+    "spin_wheel",
+    "roulette_select",
+    "tournament_select",
+]
 
 
 def selection_probabilities(fitness: np.ndarray) -> np.ndarray:
@@ -29,6 +34,19 @@ def selection_probabilities(fitness: np.ndarray) -> np.ndarray:
     return f / total
 
 
+def spin_wheel(
+    wheel: np.ndarray, rng: np.random.Generator, count: int = 1
+) -> list[int]:
+    """``count`` member indices drawn with replacement from ``wheel``, a
+    population's :func:`selection_probabilities`.
+
+    A generation's fitness does not change while it breeds, so the GA
+    engines build the wheel once per generation and spin it for every
+    parent they draw; the draw itself is :func:`roulette_select`'s.
+    """
+    return [int(i) for i in rng.choice(wheel.size, size=count, p=wheel)]
+
+
 def roulette_select(
     population: Population,
     rng: np.random.Generator,
@@ -44,8 +62,9 @@ def roulette_select(
         raise ValueError(f"count must be >= 1, got {count}")
     if len(population) == 0:
         raise ValueError("cannot select from an empty population")
-    probs = selection_probabilities(population.fitness_array())
-    return [int(i) for i in rng.choice(len(population), size=count, p=probs)]
+    return spin_wheel(
+        selection_probabilities(population.fitness_array()), rng, count
+    )
 
 
 def tournament_select(

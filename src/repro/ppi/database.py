@@ -18,8 +18,9 @@ implements both halves:
   :meth:`~PipeDatabase.update_similarity_batch` for delta children — and
   the one-item methods are calls of those.
 * :class:`SequenceSimilarity` — the per-candidate side: a sparse
-  ``windows x proteins`` matrix whose entry (i, p) counts how many
-  fragments of protein p are similar to candidate fragment i.
+  ``windows x proteins`` matrix, held as raw CSR arrays
+  (:class:`~repro.ppi.kernels.CSRRows`), whose entry (i, p) counts how
+  many fragments of protein p are similar to candidate fragment i.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.ppi.graph import InteractionGraph
-from repro.ppi.kernels import SimilarityKernel, get_kernel, native_sweep
+from repro.ppi.kernels import CSRRows, SimilarityKernel, get_kernel, native_sweep
 from repro.ppi.windows import num_windows
 from repro.substitution.matrix import SubstitutionMatrix
 from repro.telemetry import NULL_REGISTRY, MetricsRegistry
@@ -47,15 +48,31 @@ class SequenceSimilarity:
 
     Attributes
     ----------
-    counts:
-        Sparse ``(num_query_windows, num_proteins)`` matrix; entry (i, p)
-        is the number of windows of protein p similar to query window i.
-    num_windows:
-        Number of query windows (rows of ``counts``).
+    rows:
+        The ``(num_query_windows, num_proteins)`` match counts as raw CSR
+        arrays (:class:`~repro.ppi.kernels.CSRRows`: int32 ``indptr`` and
+        ``indices``, int64 ``data``); entry (i, p) is the number of
+        windows of protein p similar to query window i.  The sweep, the
+        delta assembly and the compiled result block read these arrays
+        and never build a scipy matrix.
     """
 
-    counts: sp.csr_matrix
-    num_windows: int
+    rows: CSRRows
+
+    @property
+    def num_windows(self) -> int:
+        """Number of query windows (rows of the match counts)."""
+        return self.rows.num_windows
+
+    @cached_property
+    def counts(self) -> sp.csr_matrix:
+        """``rows`` as a scipy CSR matrix sharing its arrays.
+
+        Memoised and built on first access: the pairwise ``evaluate``
+        oracle, the evidence matrices and the numpy result body read it;
+        the scoring hot path does not.  Treat it as read-only.
+        """
+        return self.rows.tocsr()
 
     @cached_property
     def binary(self) -> sp.csr_matrix:
@@ -71,7 +88,7 @@ class SequenceSimilarity:
 
     def matched_protein_indices(self) -> np.ndarray:
         """Indices of proteins with at least one similar fragment."""
-        return np.unique(self.counts.indices)
+        return np.unique(self.rows.indices)
 
 
 @dataclass(frozen=True)
@@ -89,26 +106,33 @@ class DeltaUpdate:
     rows_total: int
 
 
-def _stack_row_runs(
-    runs: Sequence[tuple[sp.csr_matrix, int, int]], num_cols: int
-) -> sp.csr_matrix:
-    """The CSR of row runs ``(matrix, first_row, stop_row)`` stacked in
-    order, cut straight from the operands' buffers (``sp.vstack`` of row
-    slices costs more in per-call overhead than the copy itself)."""
-    if not runs:  # a child shorter than the window has no rows
-        return sp.csr_matrix((0, num_cols), dtype=np.int64)
-    data, indices, row_nnz = [], [], []
-    for matrix, first, stop in runs:
-        indptr = matrix.indptr
-        lo, hi = indptr[first], indptr[stop]
-        data.append(matrix.data[lo:hi])
-        indices.append(matrix.indices[lo:hi])
-        row_nnz.append(np.diff(indptr[first : stop + 1]))
-    indptr = np.zeros(sum(r.size for r in row_nnz) + 1, dtype=np.int32)
-    np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
-    return sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr),
-        shape=(indptr.size - 1, num_cols),
+def _gather_rows(
+    pool: list[CSRRows], pool_row: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, data)`` of the CSR whose row g is row
+    ``pool_row[g]`` of the pool — its parts' rows back to back — in one
+    gather (int64 ``indptr``, the pool's index and data dtypes)."""
+    if not pool:
+        return (
+            np.zeros(pool_row.size + 1, dtype=np.int64),
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=np.int64),
+        )
+    n_rows = np.array([rows.num_windows for rows in pool], dtype=np.int64)
+    nnz = np.array([rows.indices.size for rows in pool], dtype=np.int64)
+    # Each part's row bounds, shifted onto the concatenated arrays.
+    shift = np.repeat(np.cumsum(nnz) - nnz, n_rows)
+    starts = np.concatenate([rows.indptr[:-1] for rows in pool]) + shift
+    stops = np.concatenate([rows.indptr[1:] for rows in pool]) + shift
+    row_start = starts[pool_row]
+    row_len = stops[pool_row] - row_start
+    indptr = np.zeros(pool_row.size + 1, dtype=np.int64)
+    np.cumsum(row_len, out=indptr[1:])
+    gather = np.repeat(row_start - indptr[:-1], row_len) + np.arange(indptr[-1])
+    return (
+        indptr,
+        np.concatenate([rows.indices for rows in pool])[gather],
+        np.concatenate([rows.data for rows in pool])[gather],
     )
 
 
@@ -316,7 +340,7 @@ class PipeDatabase:
         ``build specified portion of sequence_similarity``): the one-item
         :meth:`sequence_similarity_batch`.
 
-        Returns a sparse ``windows x proteins`` count matrix.  The sweep is
+        Holds the sparse ``windows x proteins`` count matrix.  The sweep is
         chunked over the concatenated proteome to bound peak memory.
         """
         return self.sequence_similarity_batch([encoded])[0]
@@ -340,8 +364,8 @@ class PipeDatabase:
                 raise ValueError("encoded sequence must be a non-empty 1-D array")
             arrays.append(seq)
         return [
-            SequenceSimilarity(counts, counts.shape[0])
-            for counts in self.kernel.sweep_batch_sparse(self, arrays)
+            SequenceSimilarity(rows)
+            for rows in self.kernel.sweep_batch_sparse(self, arrays)
         ]
 
     def update_similarity(
@@ -380,94 +404,120 @@ class PipeDatabase:
         assembled child.  The dirty runs of *all* items go through the
         kernel's batched entry point in one call: a generation of point
         mutants costs one pass over the proteome, not one per child.
-        """
-        plans = [self._plan_update(child, sources) for child, sources in items]
-        dirty = [
-            (runs, slot, seq)
-            for runs, _, slots in plans
-            for slot, seq in slots
-        ]
-        if dirty:
-            swept = self.kernel.sweep_batch_sparse(self, [seq for _, _, seq in dirty])
-            for (runs, slot, _), counts in zip(dirty, swept):
-                runs[slot] = (counts, 0, counts.shape[0])
-        out: list[DeltaUpdate] = []
-        for runs, rows_rescored, _ in plans:
-            counts = _stack_row_runs(runs, self.num_proteins)
-            n_win = counts.shape[0]
-            out.append(
-                DeltaUpdate(SequenceSimilarity(counts, n_win), rows_rescored, n_win)
-            )
-        return out
 
-    def _plan_update(
-        self,
-        child: np.ndarray,
-        sources: Sequence[tuple[SequenceSimilarity, int, int, int]],
-    ) -> tuple[list, int, list[tuple[int, np.ndarray]]]:
-        """Resolve one child's window rows into maximal row runs.
-
-        Returns ``(runs, rows_rescored, dirty)``: ``runs`` lists, in row
-        order, ``(counts, first_row, stop_row)`` slices of parent
-        structures with ``None`` holding the place of each dirty run, and
-        ``dirty`` pairs each such slot with the child subsequence to
-        re-sweep (windows ``[a, j)`` need residues ``[a, j - 1 + w)``).
+        The whole batch is planned and assembled in one vectorised pass:
+        every source's rows are expanded at once (the first source listed
+        wins where segments overlap), the dirty rows fall out of a mask,
+        and every child's rows are gathered from one pool of parent and
+        re-swept rows; each child holds views of its own share.
         """
-        seq = np.asarray(child, dtype=np.uint8)
-        if seq.ndim != 1 or seq.size == 0:
-            raise ValueError("encoded sequence must be a non-empty 1-D array")
+        children = []
+        for child, _ in items:
+            seq = np.asarray(child, dtype=np.uint8)
+            if seq.ndim != 1 or seq.size == 0:
+                raise ValueError("encoded sequence must be a non-empty 1-D array")
+            children.append(seq)
         w = self.window_size
-        n_win = num_windows(seq.size, w)
+        lengths = np.array([seq.size for seq in children], dtype=np.int64)
+        n_wins = np.maximum(lengths - w + 1, 0)
+        # Every child's window rows, back to back: child i owns global
+        # rows [row_base[i], row_base[i] + n_wins[i]).
+        row_base = np.cumsum(n_wins) - n_wins
+        total_rows = int(n_wins.sum())
 
-        # Row resolution: src_of[j] = source index whose parent row
-        # src_row[j] supplies child window row j; -1 = dirty.
-        src_of = np.full(n_win, -1, dtype=np.intp)
-        src_row = np.full(n_win, -1, dtype=np.intp)
-        for k, (sim, ps, cs, ln) in enumerate(sources):
-            ps, cs, ln = int(ps), int(cs), int(ln)
-            if ps < 0 or cs < 0 or ln < 1:
-                raise ValueError(f"invalid source segment ({ps}, {cs}, {ln})")
-            if cs + ln > seq.size:
+        # Distinct parent structures (by identity) and every source as
+        # one row of (child, parent, parent_start, child_start, length).
+        parents: dict[int, int] = {}
+        pool: list[CSRRows] = []
+        flat: list[tuple[int, int, int, int, int]] = []
+        for i, (_, sources) in enumerate(items):
+            for sim, ps, cs, ln in sources:
+                k = parents.setdefault(id(sim), len(pool))
+                if k == len(pool):
+                    pool.append(sim.rows)
+                flat.append((i, k, int(ps), int(cs), int(ln)))
+        item, parent, ps, cs, ln = np.array(flat, dtype=np.int64).reshape(-1, 5).T
+        invalid = (ps < 0) | (cs < 0) | (ln < 1)
+        overrun = cs + ln > lengths[item]
+        if (invalid | overrun).any():
+            k = int(np.argmax(invalid | overrun))
+            if invalid[k]:
                 raise ValueError(
-                    f"segment [{cs}, {cs + ln}) overruns child of length {seq.size}"
+                    f"invalid source segment ({ps[k]}, {cs[k]}, {ln[k]})"
                 )
-            lo, hi = cs, min(n_win - 1, cs + ln - w)
-            if hi < lo:
-                continue
-            rows = np.arange(lo, hi + 1)
-            parent_rows = ps + (rows - cs)
-            take = (
-                (parent_rows >= 0)
-                & (parent_rows < sim.num_windows)
-                & (src_of[rows] == -1)
+            raise ValueError(
+                f"segment [{cs[k]}, {cs[k] + ln[k]}) overruns child of length "
+                f"{lengths[item[k]]}"
             )
-            src_of[rows[take]] = k
-            src_row[rows[take]] = parent_rows[take]
 
-        runs: list = []
-        dirty: list[tuple[int, np.ndarray]] = []
-        rows_rescored = 0
-        src_of, src_row = src_of.tolist(), src_row.tolist()
-        j = 0
-        while j < n_win:
-            a = j
-            k = src_of[j]
-            if k < 0:
-                while j < n_win and src_of[j] < 0:
-                    j += 1
-                dirty.append((len(runs), seq[a : j - 1 + w]))
-                runs.append(None)
-                rows_rescored += j - a
-            else:
-                j += 1
-                while (
-                    j < n_win
-                    and src_of[j] == k
-                    and src_row[j] == src_row[j - 1] + 1
-                ):
-                    j += 1
-                runs.append((sources[k][0].counts, src_row[a], src_row[a] + (j - a)))
-        return runs, rows_rescored, dirty
+        # A source supplies child rows [cs, stop): windows inside both the
+        # segment and the child whose parent row exists.  Expand them all;
+        # where sources overlap, the first one listed wins.
+        parent_wins = np.array([rows.num_windows for rows in pool], dtype=np.int64)
+        parent_base = np.cumsum(parent_wins) - parent_wins
+        stop = np.minimum(
+            np.minimum(n_wins[item], cs + ln - w + 1), cs + parent_wins[parent] - ps
+        )
+        covered = np.maximum(stop - cs, 0)
+        seg = np.repeat(np.arange(covered.size), covered)
+        step = np.arange(seg.size) - np.repeat(np.cumsum(covered) - covered, covered)
+        child_rows, first = np.unique(
+            row_base[item[seg]] + cs[seg] + step, return_index=True
+        )
+        # pool_row[g]: the row of the pool (parents, then re-swept runs)
+        # that child row g copies.
+        pool_row = np.full(total_rows, -1, dtype=np.int64)
+        first_seg = seg[first]
+        pool_row[child_rows] = (
+            parent_base[parent[first_seg]] + ps[first_seg] + step[first]
+        )
+
+        # Dirty rows — no source — re-swept as maximal runs of one child,
+        # every run of every child in one kernel call.  The runs' rows, in
+        # order, are exactly the dirty rows in order.
+        dirty = np.flatnonzero(pool_row < 0)
+        child_of_row = np.repeat(np.arange(len(children)), n_wins)
+        dirty_child = child_of_row[dirty]
+        run_start = np.ones(dirty.size, dtype=bool)
+        run_start[1:] = (dirty[1:] != dirty[:-1] + 1) | (
+            dirty_child[1:] != dirty_child[:-1]
+        )
+        run_end = np.ones(dirty.size, dtype=bool)
+        run_end[:-1] = run_start[1:]
+        run_child = dirty_child[run_start]
+        run_first = dirty[run_start] - row_base[run_child]
+        run_stop = dirty[run_end] + 1 - row_base[run_child]
+        runs = zip(run_child.tolist(), run_first.tolist(), run_stop.tolist())
+        queries = [children[c][a : b - 1 + w] for c, a, b in runs]
+        if queries:
+            pool.extend(self.kernel.sweep_batch_sparse(self, queries))
+            pool_row[dirty] = int(parent_wins.sum()) + np.arange(dirty.size)
+
+        indptr, indices, data = _gather_rows(pool, pool_row)
+        # Each child's indptr, rebased to its first row, side by side: child
+        # i's is rebased[row_base[i] + i : row_base[i] + i + n_wins[i] + 1].
+        slot_child = np.repeat(np.arange(len(children)), n_wins + 1)
+        slot_row = np.arange(slot_child.size) - slot_child
+        rebased = (indptr[slot_row] - indptr[row_base[slot_child]]).astype(np.int32)
+        rescored = np.bincount(dirty_child, minlength=len(children)).tolist()
+        out: list[DeltaUpdate] = []
+        for i, (base, n, lo, hi) in enumerate(
+            zip(
+                row_base.tolist(),
+                n_wins.tolist(),
+                indptr[row_base].tolist(),
+                indptr[row_base + n_wins].tolist(),
+            )
+        ):
+            rows = CSRRows(
+                rebased[base + i : base + i + n + 1],
+                indices[lo:hi],
+                data[lo:hi],
+                n,
+                self.num_proteins,
+            )
+            out.append(DeltaUpdate(SequenceSimilarity(rows), rescored[i], n))
+        return out
 
     def protein_similarity(self, name: str) -> SequenceSimilarity:
         """Cached similarity structure for a *known* protein.
@@ -498,7 +548,9 @@ class PipeDatabase:
 
     def cache_info(self) -> dict[str, int]:
         """Size of the offline-preprocessing cache (for memory accounting)."""
-        nnz = sum(s.counts.nnz for s in self._protein_similarity_cache.values())
+        nnz = sum(
+            s.rows.indices.size for s in self._protein_similarity_cache.values()
+        )
         return {"entries": len(self._protein_similarity_cache), "nnz": nnz}
 
     def __repr__(self) -> str:

@@ -11,7 +11,8 @@ provider:
 * :class:`SimilarityKernel` — the contract: ``sweep`` produces the dense
   ``(num_windows, num_proteins)`` match-count matrix of one query;
   ``sweep_batch`` the same for a whole population; the ``*_sparse``
-  forms, which the database calls, return CSR.
+  forms, which the database calls, return :class:`CSRRows` — the raw
+  CSR arrays, with no scipy object built on the scoring path.
 * :class:`ChunkedNumpyKernel` — the bit-exact float64 reference: the
   chunked per-sequence sweep that has been the one kernel since the seed.
 * :class:`BatchedNumpyKernel` — the batched entry point: all queries of a
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 import threading
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Protocol, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,6 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.substitution.matrix import SubstitutionMatrix
 
 __all__ = [
+    "CSRRows",
     "ProteomeArrays",
     "SimilarityKernel",
     "ChunkedNumpyKernel",
@@ -77,6 +79,62 @@ __all__ = [
     "NativeSweep",
     "native_sweep",
 ]
+
+
+class CSRRows(NamedTuple):
+    """A ``(num_windows, num_proteins)`` match-count matrix as raw CSR
+    arrays: what a sparse sweep returns and a similarity structure holds.
+
+    Canonical CSR — ``indptr[0] == 0``, ``indptr[-1] == indices.size ==
+    data.size``, column indices sorted within each row, no explicit
+    zeros — so :meth:`tocsr` is exactly ``sp.csr_matrix(dense counts)``.
+    Building a scipy matrix costs ~25 µs of checks per call; the scoring
+    path reads these arrays directly and only the reference, tests and
+    the numpy result body ask for the scipy view.
+    """
+
+    #: Row pointers, int32, ``num_windows + 1`` entries.
+    indptr: np.ndarray
+    #: Protein index of each stored count, int32.
+    indices: np.ndarray
+    #: The counts, int64.
+    data: np.ndarray
+    num_windows: int
+    num_proteins: int
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The same matrix as a scipy CSR sharing these arrays."""
+        return sp.csr_matrix(
+            (self.data, self.indices, self.indptr),
+            shape=(self.num_windows, self.num_proteins),
+        )
+
+    @classmethod
+    def empty(cls, num_windows: int, num_proteins: int) -> "CSRRows":
+        """``num_windows`` rows without a single match."""
+        return cls(
+            np.zeros(num_windows + 1, dtype=np.int32),
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=np.int64),
+            num_windows,
+            num_proteins,
+        )
+
+    @classmethod
+    def from_dense(cls, counts: np.ndarray) -> "CSRRows":
+        """The rows of a dense count matrix (row-major nonzeros are
+        exactly CSR order)."""
+        num_windows, num_proteins = counts.shape
+        indptr = np.zeros(num_windows + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(counts, axis=1), out=indptr[1:])
+        rows, cols = np.nonzero(counts)
+        return cls(
+            indptr,
+            cols.astype(np.int32),
+            counts[rows, cols].astype(np.int64),
+            num_windows,
+            num_proteins,
+        )
 
 
 class ProteomeArrays(Protocol):
@@ -215,20 +273,22 @@ class SimilarityKernel(ABC):
         """Match counts for many queries; default loops over :meth:`sweep`."""
         return [self.sweep(db, np.asarray(s, dtype=np.uint8)) for s in seqs]
 
-    def sweep_sparse(self, db: ProteomeArrays, seq: np.ndarray) -> sp.csr_matrix:
-        """The sweep of one query as a CSR matrix.
+    def sweep_sparse(self, db: ProteomeArrays, seq: np.ndarray) -> CSRRows:
+        """The sweep of one query as :class:`CSRRows`.
 
         The database stores similarity structures sparsely (match counts
         are overwhelmingly zero on realistic thresholds), so kernels that
         can skip the dense ``(num_windows, num_proteins)`` intermediate
-        override this; the default densifies via :meth:`sweep`.  Must be
-        exactly ``sp.csr_matrix(self.sweep(db, seq))`` element-for-element.
+        override this; the default densifies via :meth:`sweep`.  Its
+        :meth:`~CSRRows.tocsr` must be exactly
+        ``sp.csr_matrix(self.sweep(db, seq))`` element-for-element, with
+        int32 ``indptr``/``indices`` and int64 ``data``.
         """
-        return sp.csr_matrix(self.sweep(db, np.asarray(seq, dtype=np.uint8)))
+        return CSRRows.from_dense(self.sweep(db, np.asarray(seq, dtype=np.uint8)))
 
     def sweep_batch_sparse(
         self, db: ProteomeArrays, seqs: Sequence[np.ndarray]
-    ) -> list[sp.csr_matrix]:
+    ) -> list[CSRRows]:
         """CSR sweeps for many queries; default loops over
         :meth:`sweep_sparse`."""
         return [self.sweep_sparse(db, s) for s in seqs]
@@ -387,30 +447,32 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
     def sweep(self, db: ProteomeArrays, seq: np.ndarray) -> np.ndarray:
         if db.score_rows is None:
             return super().sweep(db, seq)
-        return self.sweep_sparse(db, seq).toarray()
+        return self.sweep_sparse(db, seq).tocsr().toarray()
 
     def sweep_batch(
         self, db: ProteomeArrays, seqs: Sequence[np.ndarray]
     ) -> list[np.ndarray]:
         # The dense API is kept for the kernel contract (and the
         # bit-exactness property tests); the hot path is the sparse one.
-        return [counts.toarray() for counts in self.sweep_batch_sparse(db, seqs)]
+        return [
+            rows.tocsr().toarray() for rows in self.sweep_batch_sparse(db, seqs)
+        ]
 
-    def sweep_sparse(self, db: ProteomeArrays, seq: np.ndarray) -> sp.csr_matrix:
+    def sweep_sparse(self, db: ProteomeArrays, seq: np.ndarray) -> CSRRows:
         if db.score_rows is None:
             return super().sweep_sparse(db, seq)
         return self._sweep_stacked(db, [np.asarray(seq, dtype=np.uint8)])[0]
 
     def sweep_batch_sparse(
         self, db: ProteomeArrays, seqs: Sequence[np.ndarray]
-    ) -> list[sp.csr_matrix]:
+    ) -> list[CSRRows]:
         arrays = [np.asarray(s, dtype=np.uint8) for s in seqs]
         if db.score_rows is None:
             return super().sweep_batch_sparse(db, arrays)
         # Stacked residues allowed per pass given the chunk width.
         chunk_cols = max(1, min(db.chunk_residues, db.valid_columns.size))
         limit = max(1, min(self.batch_residues, self.batch_elements // chunk_cols))
-        out: list[sp.csr_matrix] = []
+        out: list[CSRRows] = []
         group: list[np.ndarray] = []
         group_len = 0
         for arr in arrays:
@@ -425,8 +487,9 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
 
     def _sweep_stacked(
         self, db: ProteomeArrays, arrays: list[np.ndarray]
-    ) -> list[sp.csr_matrix]:
-        """One stacked int16 pass over ``arrays``, straight to per-query CSR.
+    ) -> list[CSRRows]:
+        """One stacked int16 pass over ``arrays``, straight to per-query
+        :class:`CSRRows`.
 
         Queries are concatenated back to back — no separators needed: a
         window row straddling two queries is simply never retained (query
@@ -436,7 +499,9 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
         per-sequence sweep's terms.  Each hit is one similar (query
         window, proteome window) pair; counting hits per (row, protein)
         gives the same int64 counts as ``sp.csr_matrix(dense counts)``,
-        element for element, without the dense matrix.
+        element for element, without the dense matrix.  Each query's rows
+        are views of the pass's ``indices``/``data`` and its own rebased
+        ``indptr``, cut with no scipy constructor.
         """
         w = db.window_size
         num_proteins = db.num_proteins
@@ -451,9 +516,7 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
             ithr = int(np.ceil(db.threshold))
             rows, cols = self._tile_hits(db, stacked, n_rows, ithr)
         if not rows.size:
-            return [
-                sp.csr_matrix((int(n), num_proteins), dtype=np.int64) for n in n_wins
-            ]
+            return [CSRRows.empty(int(n), num_proteins) for n in n_wins]
         # Drop windows that run off their protein and seam rows, then map
         # each surviving hit to (stacked row, protein).
         query = np.searchsorted(starts, rows, side="right") - 1
@@ -464,19 +527,17 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
         cell_rows, indices = np.divmod(cells, num_proteins)
         indices = indices.astype(np.int32)
         counts = counts.astype(np.int64)
-        # indptr over all stacked rows; each query's CSR is a cut of it.
+        # indptr over all stacked rows; each query's rows are a cut of it.
         indptr = np.searchsorted(cell_rows, np.arange(n_rows + 1)).astype(np.int32)
         out = []
         for first, n in zip(starts.tolist(), n_wins.tolist()):
             if n == 0:  # shorter than the window: no rows of its own
-                out.append(sp.csr_matrix((0, num_proteins), dtype=np.int64))
+                out.append(CSRRows.empty(0, num_proteins))
                 continue
-            lo, hi = indptr[first], indptr[first + n]
+            ptr = indptr[first : first + n + 1]
+            lo, hi = ptr[0], ptr[-1]
             out.append(
-                sp.csr_matrix(
-                    (counts[lo:hi], indices[lo:hi], indptr[first : first + n + 1] - lo),
-                    shape=(n, num_proteins),
-                )
+                CSRRows(ptr - lo, indices[lo:hi], counts[lo:hi], n, num_proteins)
             )
         return out
 

@@ -39,7 +39,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.ppi.database import PipeDatabase, SequenceSimilarity
-from repro.ppi.kernels import NativeSweep, ScratchArena, native_sweep, scratch_arena
+from repro.ppi.kernels import (
+    CSRRows,
+    NativeSweep,
+    ScratchArena,
+    native_sweep,
+    scratch_arena,
+)
 from repro.ppi.similarity import calibrate_threshold
 from repro.substitution import PAM120, get_matrix
 from repro.substitution.matrix import SubstitutionMatrix
@@ -453,13 +459,14 @@ class PipeEngine:
         native = native_sweep()
         compiled = native.available and evidence.native is not None
         for n, members in by_windows.items():
-            counts = [similarities[i].counts for i in members]
             if compiled:
+                rows = [similarities[i].rows for i in members]
                 with self.telemetry.span("pipe.result_block"):
                     scores[members] = self._score_block(
-                        native, counts, n, evidence.native
+                        native, rows, n, evidence.native
                     )
                 continue
+            counts = [similarities[i].counts for i in members]
             step = max(1, GROUP_CELLS // (n * bounds[-1]))
             for g in range(0, len(members), step):
                 scores[members[g : g + step]] = self._score_group(
@@ -471,34 +478,32 @@ class PipeEngine:
     def _score_block(
         self,
         native: NativeSweep,
-        counts: list[sp.csr_matrix],
+        rows: list[CSRRows],
         n: int,
         evidence: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     ) -> np.ndarray:
-        """The ``(len(counts), proteins)`` scores of candidates with ``n``
+        """The ``(len(rows), proteins)`` scores of candidates with ``n``
         windows each, in one compiled call (:meth:`NativeSweep.result_block
         <repro.ppi._native.NativeSweep.result_block>`).
 
-        The candidates' match rows are stacked into one CSR and the call
-        scores them one after another through one scratch reservation
-        from this thread's :class:`~repro.ppi.kernels.ScratchArena`,
-        sized for the candidate with the most windows near a match (a
-        one-off buffer past :data:`GROUP_CELLS` cells).
+        The candidates' match rows are stacked straight from their CSR
+        arrays and the call scores them one after another through one
+        scratch reservation from this thread's
+        :class:`~repro.ppi.kernels.ScratchArena`, sized for the candidate
+        with the most windows near a match (a one-off buffer past
+        :data:`GROUP_CELLS` cells).
         """
         bounds = evidence[3]
-        lengths = np.concatenate([np.diff(c.indptr) for c in counts])
-        rows = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=rows[1:])
-        proteins = np.concatenate([c.indices[: c.nnz] for c in counts]).astype(
-            np.int32, copy=False
-        )
+        # Every candidate's indptr starts at 0 and has n + 1 entries.
+        lengths = np.diff(np.array([r.indptr for r in rows], dtype=np.int64), axis=1)
+        starts = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        proteins = np.concatenate([r.indices for r in rows])
         weights = None
         if self.config.count_positions:
-            weights = np.concatenate([c.data[: c.nnz] for c in counts]).astype(
-                np.float64
-            )
+            weights = np.concatenate([r.data for r in rows]).astype(np.float64)
         radius = self.config.box_radius
-        matched = int((lengths.reshape(len(counts), n) > 0).sum(axis=1).max())
+        matched = int((lengths > 0).sum(axis=1).max())
         windows = min(n, matched * (2 * radius + 1))
         columns = int(bounds[-1])
         cells = (columns + 3) * windows
@@ -509,7 +514,7 @@ class PipeEngine:
             retain=cells <= GROUP_CELLS,
         )
         fmax = native.result_block(
-            rows,
+            starts,
             proteins,
             weights,
             evidence,

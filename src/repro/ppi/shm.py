@@ -187,13 +187,12 @@ class SharedProteomeView:
 
         similarities: dict[str, dict[str, object]] = {}
         for name in similarity_names or ():
-            sim = database.protein_similarity(name)
-            for part, arr in _csr_parts(sim.counts).items():
-                arrays[f"sim.{name}.{part}"] = np.ascontiguousarray(arr)
-            similarities[name] = {
-                "shape": tuple(sim.counts.shape),
-                "num_windows": int(sim.num_windows),
-            }
+            rows = database.protein_similarity(name).rows
+            for part in ("data", "indices", "indptr"):
+                arrays[f"sim.{name}.{part}"] = np.ascontiguousarray(
+                    getattr(rows, part)
+                )
+            similarities[name] = {"shape": (rows.num_windows, rows.num_proteins)}
 
         specs: dict[str, ArraySpec] = {}
         cursor = 0
@@ -324,6 +323,7 @@ class SharedProteomeView:
         """
         from repro.ppi.database import PipeDatabase, SequenceSimilarity
         from repro.ppi.graph import InteractionGraph
+        from repro.ppi.kernels import CSRRows
 
         handle = self.handle
         concatenated = self.array("concatenated")
@@ -360,9 +360,14 @@ class SharedProteomeView:
             telemetry=telemetry,
         )
         for name, meta in handle.similarities.items():
+            prefix = f"sim.{name}"
             database._protein_similarity_cache[name] = SequenceSimilarity(
-                self._csr(f"sim.{name}", tuple(meta["shape"])),
-                int(meta["num_windows"]),
+                CSRRows(
+                    self.array(f"{prefix}.indptr"),
+                    self.array(f"{prefix}.indices"),
+                    self.array(f"{prefix}.data"),
+                    *meta["shape"],
+                )
             )
         # The database's arrays are zero-copy views into this segment: pin
         # the view so dropping the last *view* reference cannot unmap the

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.checkpoint import CheckpointManager
+from repro.ga import adaptive as adaptive_module
+from repro.ga import engine as engine_module
 from repro.ga.adaptive import AdaptiveInSiPSEngine, AdaptiveOperatorController
 from repro.ga.config import GAParams
+from repro.ga.engine import InSiPSEngine
 from repro.ga.fitness import ScoreProvider, ScoreSet
 from repro.ga.termination import MaxGenerations
+from repro.providers import make_score_provider
 from repro.service import history_digest
 
 
@@ -101,8 +105,6 @@ class TestAdaptiveEngine:
 
     def test_competitive_with_static(self):
         """Adaptation must not hurt on the trivial landscape."""
-        from repro.ga.engine import InSiPSEngine
-
         static = InSiPSEngine(
             TrivialProvider(),
             GAParams(),
@@ -168,3 +170,57 @@ class TestAdaptiveSteps:
         assert resumed.resume(tmp_path) == 3
         result = _drive_steps(resumed, 8)
         assert _witness(resumed, result) == _witness(ran, reference)
+
+
+class TestOneWheelPerGeneration:
+    """A generation's fitness is fixed while it breeds, so both engines
+    build its roulette wheel once, and drawing every parent from that one
+    wheel leaves the RNG stream — and so every campaign — unchanged."""
+
+    @pytest.mark.parametrize("engine_cls", [InSiPSEngine, AdaptiveInSiPSEngine])
+    def test_one_selection_probabilities_call_per_bred_generation(
+        self, monkeypatch, engine_cls
+    ):
+        wheels, bred = [], []
+        for module in (engine_module, adaptive_module):
+            real = module.selection_probabilities
+            monkeypatch.setattr(
+                module,
+                "selection_probabilities",
+                lambda fitness, real=real: wheels.append(1) or real(fitness),
+            )
+        engine = engine_cls(
+            TrivialProvider(),
+            GAParams(),
+            population_size=16,
+            candidate_length=24,
+            seed=4,
+        )
+        breed = engine.next_generation
+        monkeypatch.setattr(
+            engine, "next_generation", lambda pop: bred.append(1) or breed(pop)
+        )
+        engine.run(7)
+        assert len(bred) == 6
+        assert len(wheels) == len(bred)
+
+    def test_seeded_tiny_campaign_digest_is_pinned(self, tiny_world):
+        """A seeded adaptive campaign on real PIPE scores through the
+        serial provider (full sweeps, delta children, score cache); the
+        digest was recorded before the wheel was hoisted out of the
+        per-parent draw."""
+        target = "YBL051C"
+        non_targets = tiny_world.non_targets_for(target, limit=8)
+        with make_score_provider(tiny_world, target, non_targets) as provider:
+            engine = AdaptiveInSiPSEngine(
+                provider,
+                GAParams(),
+                population_size=16,
+                candidate_length=20,
+                seed=5,
+            )
+            result = engine.run(6)
+        assert result.evaluations == 90
+        assert history_digest(result.history) == (
+            "e5665595fcc2b87eb54dcab047eebc8469332f06912c627415ea2b7f9c315da0"
+        )

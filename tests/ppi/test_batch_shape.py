@@ -18,6 +18,8 @@ import pytest
 
 import multiprocessing
 
+from scipy.sparse._compressed import _cs_matrix
+
 from repro.ga import WETLAB_PARAMS, InSiPSEngine
 from repro.ga.fitness import SerialScoreProvider, score_batch
 from repro.parallel.messages import EndSignal, WorkSlice
@@ -383,3 +385,39 @@ def test_worker_and_degraded_routes_are_one_compiled_call_per_problem(counted):
         expected = _oracle(engine, seq, problem)
         assert [a.target_score, *a.non_target_scores] == expected
         assert [b.target_score, *b.non_target_scores] == expected
+
+
+@pytest.mark.parametrize("counted", ["compiled"], indirect=True)
+def test_the_scoring_hot_path_builds_no_scipy_matrix(counted, monkeypatch):
+    """A bred generation through a warm ``SimilarityLRU`` (the delta
+    route) and a batch of unrelated candidates (the full sweep), scored
+    on the compiled route, construct no scipy sparse matrix: the kernel,
+    the delta assembly and the result block pass raw CSR arrays."""
+    engine, _, non_targets = counted
+    problem = (TARGET, tuple(non_targets))
+    initial, bred = _bred_generation(engine, non_targets)
+    cache = SimilarityLRU(4 * POPULATION)
+    score_batch(engine, initial[0], [problem] * len(initial[0]), initial[1], cache)
+    rng = np.random.default_rng(12)
+    unrelated = [
+        rng.integers(0, 20, size=LENGTH).astype(np.uint8) for _ in range(32)
+    ]
+
+    constructed = []
+    init = _cs_matrix.__init__
+
+    def spy(self, *args, **kwargs):
+        constructed.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_cs_matrix, "__init__", spy)
+        bred_scores, stats = score_batch(
+            engine, bred[0], [problem] * len(bred[0]), bred[1], cache
+        )
+        full_scores, _ = score_batch(engine, unrelated, [problem] * len(unrelated))
+    assert constructed == []
+    assert all(s.hit and s.rows_rescored < s.rows_total for s in stats)
+    # ... and the delta route still scores what the full sweep scores.
+    assert bred_scores == score_batch(engine, bred[0], [problem] * len(bred[0]))[0]
+    assert len(full_scores) == len(unrelated)

@@ -17,6 +17,7 @@ from repro.ppi.kernels import (
     DEFAULT_KERNEL,
     BatchedNumpyKernel,
     ChunkedNumpyKernel,
+    CSRRows,
     SimilarityKernel,
     available_kernels,
     get_kernel,
@@ -159,11 +160,18 @@ def test_sweep_sparse_matches_dense(database):
     for kernel in (ChunkedNumpyKernel(), BatchedNumpyKernel()):
         for seq in seqs:
             dense = kernel.sweep(database, seq)
-            sparse = kernel.sweep_sparse(database, seq)
-            assert sp.issparse(sparse) and sparse.format == "csr"
+            rows = kernel.sweep_sparse(database, seq)
+            assert isinstance(rows, CSRRows)
+            assert rows.indptr.dtype == rows.indices.dtype == np.int32
+            assert rows.data.dtype == np.int64
+            sparse = rows.tocsr()
             assert sparse.dtype == np.int64
             assert sparse.shape == dense.shape
             assert (sparse != sp.csr_matrix(dense)).nnz == 0
+            # Canonical CSR, array for array.
+            reference = sp.csr_matrix(dense)
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(rows, part), getattr(reference, part))
 
 
 def test_sweep_batch_sparse_matches_dense(database):
@@ -182,7 +190,7 @@ def test_sweep_batch_sparse_matches_dense(database):
         got = kernel.sweep_batch_sparse(database, seqs)
         assert len(got) == len(reference)
         for r, g in zip(reference, got):
-            assert (r != g).nnz == 0
+            assert (r != g.tocsr()).nnz == 0
 
 
 def test_sweep_sparse_non_integer_matrix_falls_back(database):
@@ -195,7 +203,7 @@ def test_sweep_sparse_non_integer_matrix_falls_back(database):
     assert db.score_rows is None
     seq = np.random.default_rng(47).integers(0, 20, size=20).astype(np.uint8)
     dense = kernel.sweep(db, seq)
-    assert (kernel.sweep_sparse(db, seq) != sp.csr_matrix(dense)).nnz == 0
+    assert (kernel.sweep_sparse(db, seq).tocsr() != sp.csr_matrix(dense)).nnz == 0
 
 
 # ---------------------------------------------------------- tile bodies

@@ -234,13 +234,15 @@ def test_threads_sharing_the_library_get_their_serial_results(
     expected = [tile_kernel("numpy").sweep_batch_sparse(db, b) for b in batches]
     start = threading.Barrier(len(batches))
     mismatches = []
+    finished = []
 
     def run(i):
         start.wait()
         for _ in range(20):
             got = kernel.sweep_batch_sparse(db, batches[i])
-            if any((g != e).nnz for g, e in zip(got, expected[i])):
+            if any((g.tocsr() != e.tocsr()).nnz for g, e in zip(got, expected[i])):
                 mismatches.append(i)
+        finished.append(i)  # a thread that raised never gets here
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(batches))]
     interval = sys.getswitchinterval()
@@ -253,6 +255,7 @@ def test_threads_sharing_the_library_get_their_serial_results(
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == list(range(len(batches)))
     assert mismatches == []
 
 

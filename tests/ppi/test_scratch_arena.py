@@ -184,9 +184,9 @@ def test_threads_sharing_one_engine_get_their_serial_results(
 
 
 def _arrays_of(similarity):
-    counts = similarity.counts
+    rows = similarity.rows
     binary = similarity.binary
-    return [counts.data, counts.indices, counts.indptr,
+    return [rows.data, rows.indices, rows.indptr,
             binary.data, binary.indices, binary.indptr]
 
 

@@ -20,7 +20,11 @@ from repro.ga.operators import (
     point_copy_with_provenance,
 )
 from repro.ppi.database import PipeDatabase
-from repro.ppi.delta import SimilarityLRU, mutation_provenance
+from repro.ppi.delta import (
+    SimilarityLRU,
+    crossover_provenance,
+    mutation_provenance,
+)
 from repro.ppi.graph import InteractionGraph
 from repro.sequences.encoding import decode
 from repro.sequences.protein import Protein
@@ -98,8 +102,6 @@ def test_crossover_delta_bit_exact(a, b, frac):
     lru.put(b.tobytes(), database.sequence_similarity(b))
     cut_a = min(a.size - 1, max(1, int(frac * a.size)))
     cut_b = min(b.size - 1, max(1, int(frac * b.size)))
-    from repro.ppi.delta import crossover_provenance
-
     child1 = np.concatenate([a[:cut_a], b[cut_b:]])
     child2 = np.concatenate([b[:cut_b], a[cut_a:]])
     p1, p2 = crossover_provenance(a, b, cut_a, cut_b)
@@ -257,3 +259,141 @@ def test_update_similarity_batch_equals_per_item(parent, children_fractions):
             assert np.array_equal(
                 update.similarity.counts.toarray(), other.counts.toarray()
             )
+
+
+def _windows(length):
+    return max(length - W + 1, 0)
+
+
+def _clean_rows(child, sources):
+    """Child rows a source covers with an existing parent row: the rows
+    the delta route may copy, computed window by window."""
+    clean = set()
+    for sim, ps, cs, ln in sources:
+        for r in range(_windows(child.size)):
+            if cs <= r and r + W <= cs + ln and ps + (r - cs) < sim.num_windows:
+                clean.add(r)
+    return clean
+
+
+residues = st.lists(
+    st.integers(min_value=0, max_value=19), min_size=1, max_size=30
+).map(lambda xs: np.array(xs, dtype=np.uint8))
+
+
+@st.composite
+def generations(draw):
+    """One generation of ``update_similarity_batch`` items over a few
+    parents of mixed lengths (some shorter than the window), each child
+    with the number of rows its sources leave dirty: mutants and
+    crossover children with their operators' provenance, children pieced
+    from parents with overlapping and out-of-range segments, and children
+    with no usable source."""
+    parents = draw(st.lists(residues, min_size=1, max_size=4))
+    sims = [DATABASE.sequence_similarity(p) for p in parents]
+    items, expected = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        kind = draw(st.sampled_from(["mutant", "crossover", "pieced", "orphan"]))
+        k = draw(st.integers(min_value=0, max_value=len(parents) - 1))
+        parent, sim = parents[k], sims[k]
+        if kind == "mutant":
+            loci = sorted(
+                set(draw(st.lists(st.integers(0, parent.size - 1), max_size=4)))
+            )
+            child = parent.copy()
+            child[loci] = (child[loci] + 1) % 20
+            sources = [
+                (sim, seg.parent_start, seg.child_start, seg.length)
+                for seg in mutation_provenance(parent, loci).segments
+            ]
+            # Exactly the windows containing a hit.
+            rescored = sum(
+                any(r <= h < r + W for h in loci) for r in range(_windows(child.size))
+            )
+        elif kind == "crossover" and parent.size > 1:
+            j = draw(st.integers(min_value=0, max_value=len(parents) - 1))
+            other = parents[j]
+            if other.size < 2:
+                other, j = parent, k
+            cut_a = draw(st.integers(min_value=1, max_value=parent.size - 1))
+            cut_b = draw(st.integers(min_value=1, max_value=other.size - 1))
+            child = np.concatenate([parent[:cut_a], other[cut_b:]])
+            prov, _ = crossover_provenance(parent, other, cut_a, cut_b)
+            by_key = {parent.tobytes(): sim, other.tobytes(): sims[j]}
+            sources = [
+                (by_key[seg.parent_key], seg.parent_start, seg.child_start, seg.length)
+                for seg in prov.segments
+            ]
+            # Exactly the windows straddling the cut.
+            rescored = sum(
+                r < cut_a < r + W for r in range(_windows(child.size))
+            )
+        elif kind == "pieced":
+            pieces, sources, cursor = [], [], 0
+            for _ in range(draw(st.integers(min_value=1, max_value=4))):
+                j = draw(st.integers(min_value=0, max_value=len(parents) - 1))
+                ps = draw(st.integers(min_value=0, max_value=parents[j].size - 1))
+                piece = parents[j][ps : ps + draw(st.integers(1, parents[j].size))]
+                pieces.append(piece)
+                sources.append((sims[j], ps, cursor, piece.size))
+                if draw(st.booleans()):
+                    # Overlapping: a sub-run of the same piece, listed too.
+                    d = draw(st.integers(0, piece.size - 1))
+                    sources.append((sims[j], ps + d, cursor + d, piece.size - d))
+                cursor += piece.size
+            if draw(st.booleans()):
+                # Out of range: a parent's suffix, then residues of no
+                # parent, under one segment running past the parent's end
+                # (its rows there have no parent row); and a segment
+                # starting beyond the parent.
+                j = draw(st.integers(min_value=0, max_value=len(parents) - 1))
+                ps = draw(st.integers(min_value=0, max_value=parents[j].size - 1))
+                tail = np.concatenate([parents[j][ps:], draw(residues)])
+                pieces.append(tail)
+                sources.append((sims[j], ps, cursor, tail.size))
+                sources.append((sims[j], parents[j].size + 2, 0, cursor))
+                cursor += tail.size
+            child = np.concatenate(pieces)
+            order = draw(st.permutations(range(len(sources))))
+            sources = [sources[i] for i in order]
+            rescored = _windows(child.size) - len(_clean_rows(child, sources))
+        else:  # no usable source: none, or runs too short for a window
+            child = draw(residues)
+            sources = [(sim, 0, i, 1) for i in range(0, child.size, W)]
+            sources = sources[: draw(st.integers(0, len(sources)))]
+            rescored = _windows(child.size)
+        items.append((child, sources))
+        expected.append(rescored)
+    return items, expected
+
+
+def _same_rows(a, b):
+    for part in ("indptr", "indices", "data"):
+        x, y = getattr(a.rows, part), getattr(b.rows, part)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert (a.rows.num_windows, a.rows.num_proteins) == (
+        b.rows.num_windows,
+        b.rows.num_proteins,
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(generations())
+def test_generation_assembly_equals_per_item_and_full_sweep(generation):
+    """One batched assembly of a whole generation is, array for array and
+    dtype for dtype, each item's own ``update_similarity`` and the full
+    sweep of the child; it re-sweeps exactly the rows no source covers
+    (for a mutant the windows containing a hit, for a crossover child
+    the windows straddling the cut)."""
+    items, expected = generation
+    batched = DATABASE.update_similarity_batch(items)
+    assert len(batched) == len(items)
+    for (child, sources), update, rescored in zip(items, batched, expected):
+        alone = DATABASE.update_similarity(child, sources)
+        scratch = DATABASE.sequence_similarity(child)
+        _same_rows(update.similarity, alone.similarity)
+        _same_rows(update.similarity, scratch)
+        assert update.similarity.rows.indptr.dtype == np.int32
+        assert update.similarity.rows.data.dtype == np.int64
+        assert update.rows_total == scratch.num_windows
+        assert update.rows_rescored == alone.rows_rescored == rescored

@@ -150,8 +150,8 @@ def test_tile_bodies_bit_exact(tile_kernel, body, case):
             for db in (database, attached):
                 got = kernel.sweep_batch_sparse(db, queries)
                 for e, g in zip(expected, got, strict=True):
-                    assert g.shape == e.shape
-                    assert np.array_equal(g.toarray(), e)
+                    assert (g.num_windows, g.num_proteins) == e.shape
+                    assert np.array_equal(g.tocsr().toarray(), e)
             del attached
 
 
