@@ -141,15 +141,14 @@ class ScoringFabric:
         target: str,
         non_targets: list[str],
         *,
-        cache_size: int = 100_000,
         telemetry: MetricsRegistry | None = None,
     ) -> "FabricClient":
         """Validate a design problem and return its scoring handle.
 
-        ``cache_size``/``telemetry`` configure the client's own LRU
-        score cache — same defaults as a dedicated provider, so campaign
-        cache behaviour (and hence the scores, history and RNG
-        trajectory) is bit-exact with one.
+        The client keeps its own LRU score cache, sized like a dedicated
+        provider's, so campaign cache behaviour (and hence the scores,
+        history and RNG trajectory) is bit-exact with one; ``telemetry``
+        receives its cache counters.
         """
         with self._lock:
             if self._closed:
@@ -160,9 +159,7 @@ class ScoringFabric:
             state = _ClientState(cid, problem)
             self._clients[cid] = state
             self.telemetry.set_gauge("fabric.clients", self._active_locked())
-        return FabricClient(
-            self, state, cache_size=cache_size, telemetry=telemetry
-        )
+        return FabricClient(self, state, telemetry=telemetry)
 
     def _active_locked(self) -> int:
         return sum(1 for s in self._clients.values() if not s.closed)
@@ -289,8 +286,8 @@ class FabricClient(CachingScoreProvider):
     client's *own* bounded LRU score cache holds — per-problem caching
     cannot be shared across clients — and sends the misses through
     :meth:`ScoringFabric.dispatch` as one request.  The cache is sized
-    like a dedicated provider's by default, so campaign behaviour is
-    bit-exact with one.  The design service uses the two cache halves
+    like a dedicated provider's, so campaign behaviour is bit-exact with
+    one.  The design service uses the two cache halves
     (:meth:`lookup`, :meth:`store`) directly, around its fused dispatch.
 
     ``target``/``non_targets`` mirror the other providers' attributes
@@ -305,10 +302,9 @@ class FabricClient(CachingScoreProvider):
         fabric: ScoringFabric,
         state: _ClientState,
         *,
-        cache_size: int = 100_000,
         telemetry: MetricsRegistry | None = None,
     ) -> None:
-        super().__init__(cache_size=cache_size, telemetry=telemetry)
+        super().__init__(telemetry=telemetry)
         self._fabric = fabric
         self._state = state
         self.target, non_targets = state.problem

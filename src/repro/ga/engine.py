@@ -202,20 +202,32 @@ class InSiPSEngine:
                 mutated, prov = mutate_with_provenance(
                     current[i].encoded, self.params.p_mutate_aa, self._rng
                 )
-                nxt.append(Individual(mutated, provenance=prov))
+                child = Individual(mutated, provenance=prov)
+                self._bred(child, op, float(current[i].fitness))
+                nxt.append(child)
             else:  # crossover
                 telemetry.count("ga.op.crossover")
                 i, j = spin_wheel(wheel, self._rng, 2)
-                (child1, prov1), (child2, prov2) = crossover_with_provenance(
+                parent_fitness = max(
+                    float(current[i].fitness), float(current[j].fitness)
+                )
+                for c, prov in crossover_with_provenance(
                     current[i].encoded,
                     current[j].encoded,
                     self.params.crossover_margin,
                     self._rng,
-                )
-                nxt.append(Individual(child1, provenance=prov1))
-                if len(nxt) < self.population_size:
-                    nxt.append(Individual(child2, provenance=prov2))
+                ):
+                    if len(nxt) >= self.population_size:
+                        break
+                    child = Individual(c, provenance=prov)
+                    self._bred(child, op, parent_fitness)
+                    nxt.append(child)
         return nxt
+
+    def _bred(self, child: Individual, op: str, parent_fitness: float) -> None:
+        """Hook: ``child`` was bred by ``op`` (``"mutate"`` or
+        ``"crossover"``) from parents whose best fitness is
+        ``parent_fitness``; copies are not reported."""
 
     # -- main loop ---------------------------------------------------------------
 

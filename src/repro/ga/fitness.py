@@ -241,9 +241,9 @@ class CachingScoreProvider(ScoreProvider):
     """Shared caching surface of all concrete providers.
 
     Maintains an exact score cache keyed by the candidate's encoded bytes,
-    bounded by ``cache_size`` with least-recently-used eviction — a full
-    cache evicts one cold entry per insertion instead of throwing away
-    every hot entry at once.  Subclasses implement
+    bounded by :attr:`CACHE_SIZE` with least-recently-used eviction — a
+    full cache evicts one cold entry per insertion instead of throwing
+    away every hot entry at once.  Subclasses implement
     :meth:`_score_uncached` for the sequences the cache cannot answer;
     duplicates inside one batch are scored once.
 
@@ -251,16 +251,11 @@ class CachingScoreProvider(ScoreProvider):
     ``provider.cache.hits`` / ``.misses`` / ``.evictions``.
     """
 
-    def __init__(
-        self,
-        *,
-        cache_size: int = 100_000,
-        telemetry: MetricsRegistry | None = None,
-    ) -> None:
+    #: Score-cache entries kept (least recently used evicted first).
+    CACHE_SIZE = 100_000
+
+    def __init__(self, *, telemetry: MetricsRegistry | None = None) -> None:
         super().__init__(telemetry)
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
-        self.cache_size = int(cache_size)
         self._cache: OrderedDict[bytes, ScoreSet] = OrderedDict()
         self._hits = 0
         self._misses = 0
@@ -369,7 +364,7 @@ class CachingScoreProvider(ScoreProvider):
     # -- cache management ---------------------------------------------------
 
     def _insert(self, key: bytes, score_set: ScoreSet) -> None:
-        while len(self._cache) >= self.cache_size:
+        while len(self._cache) >= self.CACHE_SIZE:
             self._cache.popitem(last=False)  # evict least recently used
             self._evictions += 1
             self.telemetry.count("provider.cache.evictions")
@@ -403,12 +398,15 @@ class SerialScoreProvider(CachingScoreProvider):
     cache misses, with the shared cross-generation score cache.
 
     Keeps a bounded LRU of per-sequence similarity structures
-    (:class:`~repro.ppi.delta.SimilarityLRU`, ``similarity_cache_size``
+    (:class:`~repro.ppi.delta.SimilarityLRU`, :attr:`SIMILARITY_CACHE_SIZE`
     entries) so a child with provenance re-sweeps only its dirty windows
     against the proteome; a parent evicted from the LRU degrades to the
     full sweep (``pipe.delta.fallbacks``), never to a wrong answer.  The
     full-sweep reference is :func:`score_batch` without a cache.
     """
+
+    #: Similarity structures kept for delta re-scoring.
+    SIMILARITY_CACHE_SIZE = 256
 
     def __init__(
         self,
@@ -416,16 +414,14 @@ class SerialScoreProvider(CachingScoreProvider):
         target: str,
         non_targets: list[str],
         *,
-        cache_size: int = 100_000,
-        similarity_cache_size: int = 256,
         telemetry: MetricsRegistry | None = None,
     ) -> None:
         self.problem = make_problem(engine.database.graph, target, non_targets)
-        super().__init__(cache_size=cache_size, telemetry=telemetry)
+        super().__init__(telemetry=telemetry)
         self.engine = engine
         self.target = target
         self.non_targets = list(non_targets)
-        self._similarity_cache = SimilarityLRU(similarity_cache_size)
+        self._similarity_cache = SimilarityLRU(self.SIMILARITY_CACHE_SIZE)
 
     def _score_uncached(
         self,

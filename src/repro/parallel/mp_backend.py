@@ -853,10 +853,9 @@ class MultiprocessScoreProvider(CachingScoreProvider):
     """The dedicated front: one design problem, a bounded-LRU score cache
     and a :class:`WorkerPool` of its own.
 
-    ``cache_size`` bounds the score cache; every other keyword is a
-    :class:`WorkerPool` setting (``num_workers=``, ``timeout=``,
-    ``faults=`` ...).  The runtime's state — counters,
-    breaker, processes — lives on :attr:`pool`.  ``target`` /
+    Every keyword but ``telemetry`` is a :class:`WorkerPool` setting
+    (``num_workers=``, ``timeout=``, ``faults=`` ...).  The runtime's
+    state — counters, breaker, processes — lives on :attr:`pool`.  ``target`` /
     ``non_targets`` mirror the serial provider's attributes (checkpoint
     fingerprints read them off any provider).
 
@@ -870,11 +869,10 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         target: str,
         non_targets: list[str],
         *,
-        cache_size: int = 100_000,
         telemetry: MetricsRegistry | None = None,
         **pool_settings: object,
     ) -> None:
-        super().__init__(cache_size=cache_size, telemetry=telemetry)
+        super().__init__(telemetry=telemetry)
         self.pool = WorkerPool(engine, telemetry=telemetry, **pool_settings)
         self.problem = self.pool.warm(target, non_targets)
         self.target = target

@@ -150,26 +150,22 @@ class PipeDatabase:
     threshold:
         Absolute window-alignment score above which two fragments are
         "similar" (see :func:`repro.ppi.similarity.calibrate_threshold`).
-    chunk_residues:
-        Column-chunk size (in proteome residues) for the similarity sweep;
-        bounds peak memory at roughly ``max_query_len * chunk_residues``
-        float64 entries, mirroring the paper's concern with per-thread
-        memory footprint on the BGQ.
     kernel:
         The similarity-sweep kernel (a
         :class:`~repro.ppi.kernels.SimilarityKernel` instance or registry
         name); defaults to the batched numpy kernel, bit-exact with the
         ``"chunked"`` reference.
-    protein_cache_size:
-        Bound of the known-protein similarity LRU (the offline
-        preprocessing cache).  The GA's fixed target/non-target set fits
-        far inside the default; scan workloads touching many proteins are
-        capped instead of growing without limit.
     telemetry:
         Optional metrics registry for the ``pipe.protein_cache.*``
         counters; usually attached later through :meth:`set_telemetry` by
         the owning engine.
     """
+
+    #: Bound of the known-protein similarity LRU (the offline
+    #: preprocessing cache).  The GA's fixed target/non-target set fits
+    #: far inside it; scan workloads touching many proteins are capped
+    #: instead of growing without limit.
+    PROTEIN_CACHE_SIZE = 4096
 
     def __init__(
         self,
@@ -178,20 +174,11 @@ class PipeDatabase:
         window_size: int,
         threshold: float,
         *,
-        chunk_residues: int = 250_000,
         kernel: SimilarityKernel | str | None = None,
-        protein_cache_size: int = 4096,
         telemetry: MetricsRegistry | None = None,
     ) -> None:
         self._init_common(
-            graph,
-            matrix,
-            window_size,
-            threshold,
-            chunk_residues=chunk_residues,
-            kernel=kernel,
-            protein_cache_size=protein_cache_size,
-            telemetry=telemetry,
+            graph, matrix, window_size, threshold, kernel=kernel, telemetry=telemetry
         )
         proteins = graph.proteins
         lengths = np.array([len(p) for p in proteins], dtype=np.int64)
@@ -222,28 +209,18 @@ class PipeDatabase:
         window_size: int,
         threshold: float,
         *,
-        chunk_residues: int,
         kernel: SimilarityKernel | str | None,
-        protein_cache_size: int,
         telemetry: MetricsRegistry | None,
     ) -> None:
         """Scalar state shared by __init__ and :meth:`from_arrays`."""
         if window_size < 1:
             raise ValueError(f"window_size must be >= 1, got {window_size}")
-        if chunk_residues < window_size:
-            raise ValueError("chunk_residues must be >= window_size")
-        if protein_cache_size < 1:
-            raise ValueError(
-                f"protein_cache_size must be >= 1, got {protein_cache_size}"
-            )
         self.graph = graph
         self.matrix = matrix
         self.window_size = int(window_size)
         self.threshold = float(threshold)
-        self.chunk_residues = int(chunk_residues)
         self.kernel = get_kernel(kernel)
         self.num_proteins = len(graph.proteins)
-        self.protein_cache_size = int(protein_cache_size)
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         self._protein_similarity_cache: OrderedDict[str, SequenceSimilarity] = (
             OrderedDict()
@@ -262,9 +239,7 @@ class PipeDatabase:
         valid_columns: np.ndarray,
         adjacency: sp.csr_matrix,
         score_rows: np.ndarray | None = None,
-        chunk_residues: int = 250_000,
         kernel: SimilarityKernel | str | None = None,
-        protein_cache_size: int = 4096,
         telemetry: MetricsRegistry | None = None,
     ) -> "PipeDatabase":
         """Build a database around *prebuilt* proteome arrays.
@@ -277,14 +252,7 @@ class PipeDatabase:
         """
         self = cls.__new__(cls)
         self._init_common(
-            graph,
-            matrix,
-            window_size,
-            threshold,
-            chunk_residues=chunk_residues,
-            kernel=kernel,
-            protein_cache_size=protein_cache_size,
-            telemetry=telemetry,
+            graph, matrix, window_size, threshold, kernel=kernel, telemetry=telemetry
         )
         self.concatenated = np.asarray(concatenated, dtype=np.uint8)
         self.offsets = np.asarray(offsets, dtype=np.int64)
@@ -530,7 +498,7 @@ class PipeDatabase:
         if cached is None:
             protein = self.graph.protein(name)
             cached = self.sequence_similarity(protein.encoded)
-            while len(self._protein_similarity_cache) >= self.protein_cache_size:
+            while len(self._protein_similarity_cache) >= self.PROTEIN_CACHE_SIZE:
                 self._protein_similarity_cache.popitem(last=False)
                 self.telemetry.count("pipe.protein_cache.evictions")
             self._protein_similarity_cache[name] = cached

@@ -42,7 +42,7 @@ numpy body's fused groups and the compiled pass's per-candidate buffers
 — carve their temporaries from instead of allocating them, so a process
 scoring slice after slice stops handing those pages back to the kernel
 and faulting them in again.  The arena is bounded: it keeps what one
-tile of at most ``fast_chunk_elements`` cells or one result block of at
+tile of at most ``FAST_CHUNK_ELEMENTS`` cells or one result block of at
 most :data:`~repro.ppi.pipe.GROUP_CELLS` cells needs, and a larger
 request gets a one-off buffer.  Nothing a sweep returns lives in it.
 """
@@ -155,7 +155,6 @@ class ProteomeArrays(Protocol):
     matrix: "SubstitutionMatrix"
     window_size: int
     threshold: float
-    chunk_residues: int
     num_proteins: int
 
 
@@ -298,11 +297,13 @@ class ChunkedNumpyKernel(SimilarityKernel):
     """The reference sweep: one query, chunked over the proteome.
 
     Chunking bounds peak memory at roughly
-    ``num_windows * chunk_residues`` float64 entries, mirroring the
+    ``num_windows * CHUNK_RESIDUES`` float64 entries, mirroring the
     paper's concern with per-thread memory footprint on the BGQ.
     """
 
     name = "chunked"
+    #: Proteome residues per column chunk of a sweep.
+    CHUNK_RESIDUES = 250_000
 
     def sweep(self, db: ProteomeArrays, seq: np.ndarray) -> np.ndarray:
         seq = np.asarray(seq, dtype=np.uint8)
@@ -313,7 +314,7 @@ class ChunkedNumpyKernel(SimilarityKernel):
         offsets = db.offsets
         start = 0
         while start < total_cols:
-            stop = min(start + db.chunk_residues, total_cols)
+            stop = min(start + self.CHUNK_RESIDUES, total_cols)
             # Overlap by w - 1 residues so windows starting near the chunk
             # edge are complete; the padded tail guarantees availability.
             segment = db.concatenated[start : stop + w - 1]
@@ -412,37 +413,25 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
       the per-query cut are applied to that handful afterwards.
     * **the numpy tile body** (:meth:`_numpy_tile_hits`), where the C loop
       is absent or cannot read the score rows: cache-sized column tiles
-      (``fast_chunk_elements`` cells) whose score matrix is one row take
+      (``FAST_CHUNK_ELEMENTS`` cells) whose score matrix is one row take
       of contiguous slices, ``O(log2 w)`` doubling window sums and a hit
       mask, all carved from the thread's :class:`ScratchArena` (reserved
       once per pass for its widest, first tile; a pass whose tiles
-      exceed ``fast_chunk_elements`` cells reserves a one-off buffer).
+      exceed ``FAST_CHUNK_ELEMENTS`` cells reserves a one-off buffer).
 
-    ``batch_residues`` caps the stacked length (``batch_elements``
+    ``BATCH_RESIDUES`` caps the stacked length (``BATCH_ELEMENTS``
     further bounds it by the proteome-chunk width), so batches too large
     for one pass are swept in greedy groups — grouping changes wall time
     only, never results.
     """
 
     name = "batched"
-
-    def __init__(
-        self,
-        *,
-        batch_residues: int = 16_384,
-        batch_elements: int = 33_554_432,
-        fast_chunk_elements: int = 524_288,
-    ) -> None:
-        for name, value in (
-            ("batch_residues", batch_residues),
-            ("batch_elements", batch_elements),
-            ("fast_chunk_elements", fast_chunk_elements),
-        ):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        self.batch_residues = int(batch_residues)
-        self.batch_elements = int(batch_elements)
-        self.fast_chunk_elements = int(fast_chunk_elements)
+    #: Stacked query residues per pass.
+    BATCH_RESIDUES = 16_384
+    #: Stacked residues x proteome-chunk columns per pass.
+    BATCH_ELEMENTS = 33_554_432
+    #: Cells per column tile of the numpy tile body.
+    FAST_CHUNK_ELEMENTS = 524_288
 
     def sweep(self, db: ProteomeArrays, seq: np.ndarray) -> np.ndarray:
         if db.score_rows is None:
@@ -470,8 +459,8 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
         if db.score_rows is None:
             return super().sweep_batch_sparse(db, arrays)
         # Stacked residues allowed per pass given the chunk width.
-        chunk_cols = max(1, min(db.chunk_residues, db.valid_columns.size))
-        limit = max(1, min(self.batch_residues, self.batch_elements // chunk_cols))
+        chunk_cols = max(1, min(self.CHUNK_RESIDUES, db.valid_columns.size))
+        limit = max(1, min(self.BATCH_RESIDUES, self.BATCH_ELEMENTS // chunk_cols))
         out: list[CSRRows] = []
         group: list[np.ndarray] = []
         group_len = 0
@@ -562,14 +551,14 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
     ) -> tuple[np.ndarray, np.ndarray]:
         """The numpy tile body of :meth:`_tile_hits`: the reference for the
         compiled loop's int16 semantics and the path of hosts without a C
-        compiler.  Column tiles of at most ``fast_chunk_elements`` cells,
+        compiler.  Column tiles of at most ``FAST_CHUNK_ELEMENTS`` cells,
         each an int16 score matrix, its doubling window sums and a hit
         mask carved from the thread's :class:`ScratchArena`."""
         w = db.window_size
         sidx = stacked.astype(np.intp)
         total_cols = db.valid_columns.size
         # Tile columns so the int16 score matrix stays cache-resident.
-        chunk = max(64, min(db.chunk_residues, self.fast_chunk_elements // n_rows))
+        chunk = max(64, min(self.CHUNK_RESIDUES, self.FAST_CHUNK_ELEMENTS // n_rows))
         # The first tile is the widest: its score matrix, floor(log2 w)
         # partial sums no larger than it, and its hit mask.
         width = min(chunk, total_cols) + w - 1
@@ -578,7 +567,7 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
                 *[((stacked.size, width), np.int16)] * w.bit_length(),
                 ((n_rows, width), np.bool_),
             ),
-            retain=n_rows * min(chunk, total_cols) <= self.fast_chunk_elements,
+            retain=n_rows * min(chunk, total_cols) <= self.FAST_CHUNK_ELEMENTS,
         )
         hit_rows = [np.empty(0, dtype=np.intp)]
         hit_cols = [np.empty(0, dtype=np.intp)]

@@ -245,17 +245,20 @@ class PipeEngine:
     (``hstack([adjacency @ M_bᵀ for b in names])``), which is identical
     for every candidate scored against the same target/non-targets — the
     GA's hot loop.  A campaign is one entry; a service juggling many
-    problems is capped at ``evidence_cache_size`` entries instead of
+    problems is capped at :attr:`EVIDENCE_CACHE_SIZE` entries instead of
     growing without bound.  Each forked worker owns an independent copy,
     so the mutation is process-local and needs no locking.
     """
+
+    #: Problems whose evidence factor is kept (least recently used
+    #: evicted first).
+    EVIDENCE_CACHE_SIZE = 256
 
     def __init__(
         self,
         database: PipeDatabase,
         config: PipeConfig,
         *,
-        evidence_cache_size: int = 256,
         telemetry: MetricsRegistry | None = None,
     ) -> None:
         if database.window_size != config.window_size:
@@ -263,13 +266,8 @@ class PipeEngine:
                 "database window size "
                 f"{database.window_size} != config window size {config.window_size}"
             )
-        if evidence_cache_size < 1:
-            raise ValueError(
-                f"evidence_cache_size must be >= 1, got {evidence_cache_size}"
-            )
         self.database = database
         self.config = config
-        self.evidence_cache_size = int(evidence_cache_size)
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         self._evidence_cache: OrderedDict[tuple[str, ...], _Evidence] = OrderedDict()
 
@@ -613,7 +611,7 @@ class PipeEngine:
                 np.ascontiguousarray(data),
                 np.array(bounds, dtype=np.int64),
             )
-        while len(self._evidence_cache) >= self.evidence_cache_size:
+        while len(self._evidence_cache) >= self.EVIDENCE_CACHE_SIZE:
             self._evidence_cache.popitem(last=False)
             self.telemetry.count("pipe.evidence_cache.evictions")
         entry = self._evidence_cache[names] = _Evidence(evidence, bounds, native)

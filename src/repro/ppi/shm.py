@@ -95,9 +95,7 @@ class SharedProteomeHandle:
     matrix: "SubstitutionMatrix"
     window_size: int
     threshold: float
-    chunk_residues: int
     kernel_name: str
-    protein_cache_size: int = 4096
 
 
 # Per-process registry of open views by token; the creator's entry owns
@@ -222,9 +220,7 @@ class SharedProteomeView:
             matrix=database.matrix,
             window_size=database.window_size,
             threshold=database.threshold,
-            chunk_residues=database.chunk_residues,
             kernel_name=database.kernel.name,
-            protein_cache_size=database.protein_cache_size,
         )
         view = cls(shm, handle, owner=True, telemetry=telemetry)
         with _LOCK:
@@ -354,9 +350,7 @@ class SharedProteomeView:
             score_rows=(
                 self.array("score_rows") if "score_rows" in handle.arrays else None
             ),
-            chunk_residues=handle.chunk_residues,
             kernel=kernel if kernel is not None else handle.kernel_name,
-            protein_cache_size=handle.protein_cache_size,
             telemetry=telemetry,
         )
         for name, meta in handle.similarities.items():

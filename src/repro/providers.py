@@ -75,7 +75,6 @@ def _kwarg_table() -> dict[str, frozenset[str]]:
 
         _KWARG_TABLE = {
             "serial": params(SerialScoreProvider.__init__),
-            # The provider's own keyword (cache_size) + the pool's.
             "process": params(MultiprocessScoreProvider.__init__)
             | params(WorkerPool.__init__),
         }
@@ -213,8 +212,8 @@ def make_score_provider(
     telemetry:
         One registry wired through the engine and the provider.
     **backend_kwargs:
-        Forwarded to the backend constructor (e.g. ``cache_size=...``,
-        ``timeout=...``, ``faults=...``).
+        Forwarded to the backend constructor (e.g. ``timeout=...``,
+        ``faults=...``).
     """
     if backend not in BACKENDS:
         raise ValueError(

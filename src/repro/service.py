@@ -1224,6 +1224,9 @@ class DesignService:
         under ``<root>/rejected/`` with the tenant and reason, then taken
         out of the queue — rejection is deterministic and inspectable,
         never silent, and one bad entry never blocks the ones after it.
+        A cancel marker under a job that is neither PENDING nor RUNNING
+        is refused the same way (recorded with the job id and its state)
+        and removed, so it cannot cancel a later resume of that job.
         """
         if self._closed:
             raise RuntimeError("service is closed")
@@ -1264,23 +1267,40 @@ class DesignService:
                         except OSError:  # pragma: no cover - name taken
                             pass
         with self._lock:
-            live = [
-                job
-                for job in self._jobs.values()
-                if job.state in (JobState.PENDING, JobState.RUNNING)
-            ]
-        for job in live:
+            jobs = [(job, job.state) for job in self._jobs.values()]
+        for job, state in jobs:
             marker = job.dir / "cancel.request"
-            if marker.exists():
+            if not marker.exists():
+                continue
+            actions += 1
+            if state in (JobState.PENDING, JobState.RUNNING):
                 try:
                     self.cancel(job.job_id)
-                    actions += 1
                 except (ValueError, KeyError):
                     pass
-                try:
-                    marker.unlink()
-                except OSError:  # pragma: no cover - racing deletion
-                    pass
+            else:
+                # A marker left under a stopped job would cancel it at the
+                # first poll after a resume: refuse it now, on the record.
+                rejected_dir.mkdir(exist_ok=True)
+                record = f"cancel-{job.job_id}-{time.time_ns():020d}.json"
+                atomic_write(
+                    rejected_dir / record,
+                    json.dumps(
+                        {
+                            "request": "cancel.request",
+                            "job_id": job.job_id,
+                            "state": state,
+                            "reason": f"job is {state}; cannot cancel it",
+                        },
+                        indent=1,
+                        sort_keys=True,
+                    ),
+                    fsync=self.fsync,
+                )
+            try:
+                marker.unlink()
+            except OSError:  # pragma: no cover - racing deletion
+                pass
         return actions
 
     def serve_forever(

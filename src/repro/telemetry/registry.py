@@ -93,16 +93,17 @@ class Histogram:
     """Streaming distribution summary plus a bounded sample reservoir.
 
     Running count/sum/sum-of-squares give exact mean and variance; the
-    reservoir keeps the *first* ``sample_limit`` observations (deterministic,
-    no RNG involved) for approximate percentiles.
+    reservoir keeps the *first* :attr:`SAMPLE_LIMIT` observations
+    (deterministic, no RNG involved) for approximate percentiles.
     """
+
+    SAMPLE_LIMIT = 1024
 
     count: int = 0
     total: float = 0.0
     total_sq: float = 0.0
     min: float = float("inf")
     max: float = float("-inf")
-    sample_limit: int = 1024
     samples: list[float] = field(default_factory=list)
 
     def observe(self, value: float) -> None:
@@ -112,7 +113,7 @@ class Histogram:
         self.total_sq += value * value
         self.min = min(self.min, value)
         self.max = max(self.max, value)
-        if len(self.samples) < self.sample_limit:
+        if len(self.samples) < self.SAMPLE_LIMIT:
             self.samples.append(value)
 
     @property
@@ -256,10 +257,10 @@ class MetricsRegistry:
             g = self._gauges[name] = Gauge()
         return g
 
-    def histogram(self, name: str, *, sample_limit: int = 1024) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         h = self._histograms.get(name)
         if h is None:
-            h = self._histograms[name] = Histogram(sample_limit=sample_limit)
+            h = self._histograms[name] = Histogram()
         return h
 
     def timer(self, name: str) -> TimerStat:
@@ -410,8 +411,8 @@ class NullRegistry(MetricsRegistry):
     def gauge(self, name: str) -> Gauge:
         return Gauge()
 
-    def histogram(self, name: str, *, sample_limit: int = 1024) -> Histogram:
-        return Histogram(sample_limit=sample_limit)
+    def histogram(self, name: str) -> Histogram:
+        return Histogram()
 
     def timer(self, name: str) -> TimerStat:
         return TimerStat()

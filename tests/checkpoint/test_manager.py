@@ -113,39 +113,19 @@ class TestPolicies:
         manager = CheckpointManager(tmp_path, every=3, fsync=False)
         assert [g for g in range(10) if manager.should_save(g)] == [0, 3, 6, 9]
 
-    def test_interval_policy(self, tmp_path):
-        manager = CheckpointManager(
-            tmp_path, every=None, interval_s=3600.0, fsync=False
-        )
-        # Never saved: the interval policy is immediately due.
-        assert manager.should_save(1)
-        engine = _engine()
-        result = engine.run(3, checkpoint=manager)
-        assert result.generations == 3
-        # One save (the first barrier), then the hour has not elapsed.
-        assert manager.writes == 1
-        # Rewind the clock: due again.
-        manager._last_save_monotonic -= 7200.0
-        assert manager.should_save(5)
-
     def test_disabled_policies_never_due(self, tmp_path):
-        manager = CheckpointManager(
-            tmp_path, every=None, interval_s=None, fsync=False
-        )
+        manager = CheckpointManager(tmp_path, every=None, fsync=False)
         assert not any(manager.should_save(g) for g in range(5))
 
     def test_invalid_arguments(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointManager(tmp_path, every=0)
-        with pytest.raises(ValueError):
-            CheckpointManager(tmp_path, interval_s=0.0)
-        with pytest.raises(ValueError):
-            CheckpointManager(tmp_path, retain=0)
 
 
 class TestRetentionAndTelemetry:
-    def test_retention_bounds_snapshot_count(self, tmp_path):
-        manager = CheckpointManager(tmp_path, every=1, retain=3, fsync=False)
+    def test_retention_bounds_snapshot_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(CheckpointManager, "RETAIN", 3)
+        manager = CheckpointManager(tmp_path, every=1, fsync=False)
         engine = _engine()
         engine.run(8, checkpoint=manager)
         snapshots = sorted(p.name for p in tmp_path.glob("ckpt-*.json"))

@@ -94,19 +94,21 @@ class TestSerialProvider:
         with pytest.raises(KeyError):
             SerialScoreProvider(tiny_engine, "YBL051C", ["NOPE"])
 
-    def test_cache_eviction(self, tiny_engine, tiny_problem, rng):
+    def test_cache_eviction(self, tiny_engine, tiny_problem, rng, monkeypatch):
         target, nts = tiny_problem
-        provider = SerialScoreProvider(tiny_engine, target, nts[:2], cache_size=2)
+        monkeypatch.setattr(SerialScoreProvider, "CACHE_SIZE", 2)
+        provider = SerialScoreProvider(tiny_engine, target, nts[:2])
         for _ in range(4):
             provider.scores([rng.integers(0, 20, size=20).astype(np.uint8)])
         assert provider.cache_len <= 2
         assert provider.cache_stats["evictions"] >= 2
 
-    def test_lru_keeps_hot_entries(self, tiny_engine, tiny_problem, rng):
+    def test_lru_keeps_hot_entries(self, tiny_engine, tiny_problem, rng, monkeypatch):
         """A full cache evicts the *least recently used* entry, not the
         whole cache (the old epoch eviction threw away every hot entry)."""
         target, nts = tiny_problem
-        provider = SerialScoreProvider(tiny_engine, target, nts[:2], cache_size=2)
+        monkeypatch.setattr(SerialScoreProvider, "CACHE_SIZE", 2)
+        provider = SerialScoreProvider(tiny_engine, target, nts[:2])
         hot = rng.integers(0, 20, size=20).astype(np.uint8)
         cold = rng.integers(0, 20, size=20).astype(np.uint8)
         provider.scores([hot])
@@ -130,13 +132,14 @@ class TestSerialProvider:
         assert provider.cache_stats["hits"] == 2
 
     def test_small_cache_fills_duplicates_in_batch(
-        self, tiny_engine, tiny_problem, rng
+        self, tiny_engine, tiny_problem, rng, monkeypatch
     ):
-        """Regression: with cache_size smaller than the batch's fresh
+        """Regression: with a cache smaller than the batch's fresh
         entries, the duplicate fill read the cache after the fresh entry
         had already been LRU-evicted and raised KeyError."""
         target, nts = tiny_problem
-        provider = SerialScoreProvider(tiny_engine, target, nts[:2], cache_size=1)
+        monkeypatch.setattr(SerialScoreProvider, "CACHE_SIZE", 1)
+        provider = SerialScoreProvider(tiny_engine, target, nts[:2])
         a = rng.integers(0, 20, size=20).astype(np.uint8)
         b = rng.integers(0, 20, size=20).astype(np.uint8)
         out = provider.scores([a, b, a.copy(), b.copy()])

@@ -7,8 +7,13 @@ checked here through the ``serial``, ``process`` (2 workers) and
 ``fabric`` backends:
 
 * the ``history_digest`` of six named ``tiny`` campaigns (two targets x
-  three seeds, provenance on, so the pool takes its delta route);
+  three seeds);
+* the digests of two campaigns of the adaptive engine;
 * the raw PIPE score sets of fixed candidates against both problems.
+
+Two more routes must land on a committed campaign digest: the campaign
+checkpointed at generation 2 and resumed, and the campaign scored by a
+pool whose every worker crashes (each item degrades to the master).
 
 A change that legitimately alters the semantics regenerates the file
 (``PYTHONPATH=src python tests/golden/test_golden.py``) and says why in
@@ -23,10 +28,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.checkpoint import CheckpointManager
 from repro.fabric import ScoringFabric
+from repro.ga.adaptive import AdaptiveInSiPSEngine
 from repro.ga.config import GAParams
 from repro.ga.engine import InSiPSEngine
 from repro.providers import make_score_provider
+from repro.resilience import ChaosSpec
 from repro.sequences.encoding import decode, encode
 from repro.service import history_digest
 from repro.synthetic import get_profile
@@ -40,6 +48,9 @@ POPULATION = 16
 LENGTH = 20
 GENERATIONS = 5  # the initial population + four bred generations
 BACKENDS = ("serial", "process", "fabric")
+ADAPTIVE = (("YBL051C", 1), ("YAL017W", 2))
+#: The campaign the resumed and degraded runs must reproduce.
+REPLAYED = ("YBL051C", 1)
 
 
 def _problems(world):
@@ -50,14 +61,22 @@ def _campaign_names():
     return [f"{target}-seed{seed}" for target in TARGETS for seed in SEEDS]
 
 
-def _run(provider, seed):
-    return InSiPSEngine(
+def _adaptive_names():
+    return [f"{target}-seed{seed}" for target, seed in ADAPTIVE]
+
+
+def _engine(provider, seed, engine_cls=InSiPSEngine):
+    return engine_cls(
         provider,
         GAParams(),
         population_size=POPULATION,
         candidate_length=LENGTH,
         seed=seed,
-    ).run(GENERATIONS)
+    )
+
+
+def _run(provider, seed, engine_cls=InSiPSEngine):
+    return _engine(provider, seed, engine_cls).run(GENERATIONS)
 
 
 def _candidates(world) -> list[str]:
@@ -110,6 +129,12 @@ def _observe(backend) -> dict:
                 digests[f"{target}-seed{seed}"] = history_digest(
                     _run(provider, seed).history
                 )
+    adaptive = {}
+    for target, seed in ADAPTIVE:
+        with backend.provider(target, problems[target]) as provider:
+            adaptive[f"{target}-seed{seed}"] = history_digest(
+                _run(provider, seed, AdaptiveInSiPSEngine).history
+            )
     candidates = _candidates(backend.world)
     arrays = [encode(c) for c in candidates]
     scores = {}
@@ -129,6 +154,7 @@ def _observe(backend) -> dict:
             "digests": digests,
         },
         "pipe": {"candidates": candidates, "scores": scores},
+        "adaptive": {"digests": adaptive},
     }
 
 
@@ -145,6 +171,7 @@ def world():
 def test_golden_file_names_every_case(golden):
     assert sorted(golden["campaigns"]["digests"]) == sorted(_campaign_names())
     assert sorted(golden["pipe"]["scores"]) == sorted(TARGETS)
+    assert sorted(golden["adaptive"]["digests"]) == sorted(_adaptive_names())
 
 
 @pytest.mark.parametrize("name", BACKENDS)
@@ -157,6 +184,7 @@ def test_backend_reproduces_the_golden_file(name, world, golden):
     assert observed["problems"] == golden["problems"]
     assert observed["pipe"]["candidates"] == golden["pipe"]["candidates"]
     assert observed["campaigns"] == golden["campaigns"]
+    assert observed["adaptive"] == golden["adaptive"]
     # JSON keeps a float's shortest repr, so equality here is bit-exact.
     assert observed["pipe"]["scores"] == golden["pipe"]["scores"]
 
@@ -171,6 +199,49 @@ def test_golden_pipe_scores_are_the_float64_reference(world, golden):
             for c in golden["pipe"]["candidates"]
         ]
         assert golden["pipe"]["scores"][target] == expected
+
+
+def _replayed_digest(golden) -> str:
+    target, seed = REPLAYED
+    return golden["campaigns"]["digests"][f"{target}-seed{seed}"]
+
+
+def test_resumed_campaign_reproduces_its_golden_digest(world, golden, tmp_path):
+    """Checkpointed at generation 2, resumed by a fresh engine from that
+    snapshot, the campaign ends on the uninterrupted run's digest."""
+    target, seed = REPLAYED
+    non_targets = _problems(world)[target]
+    manager = CheckpointManager(tmp_path, every=1, fsync=False)
+    with make_score_provider(world, target, non_targets) as provider:
+        _engine(provider, seed).run(3, checkpoint=manager)
+    snapshot = tmp_path / "ckpt-gen00000002.json"
+    assert snapshot.exists()
+    with make_score_provider(world, target, non_targets) as provider:
+        engine = _engine(provider, seed)
+        assert engine.resume(snapshot) == 2
+        result = engine.run(GENERATIONS)
+    assert history_digest(result.history) == _replayed_digest(golden)
+
+
+@pytest.mark.faults
+def test_degraded_campaign_reproduces_its_golden_digest(world, golden):
+    """Every worker crashes on its first item, so the pool degrades each
+    lost item to the master; the digest is still the committed one."""
+    target, seed = REPLAYED
+    non_targets = _problems(world)[target]
+    with make_score_provider(
+        world,
+        target,
+        non_targets,
+        backend="process",
+        workers=2,
+        timeout=120.0,
+        max_retries=1,
+        faults=ChaosSpec().with_worker_crash(on_item=0).fault_plan(),
+    ) as provider:
+        result = _run(provider, seed)
+        assert provider.pool.degraded_items > 0
+    assert history_digest(result.history) == _replayed_digest(golden)
 
 
 if __name__ == "__main__":

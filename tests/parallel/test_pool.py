@@ -97,15 +97,15 @@ def test_worker_cpu_and_faults_are_summed_per_worker(tiny_engine, tiny_problem, 
 def test_deleted_pool_knobs_are_rejected_by_name(tiny_engine, tiny_problem):
     target, non_targets = tiny_problem
     for knob in ("latency_target_s", "scale_cooldown_s", "similarity_cache_size",
-                 "poll_interval", "scaling", "min_workers", "max_workers"):
+                 "poll_interval", "scaling", "min_workers", "max_workers",
+                 "cache_size"):
         with pytest.raises(TypeError, match=knob):
             WorkerPool(tiny_engine, **{knob: 1})
-        with pytest.raises(ValueError, match=knob):
-            make_score_provider(
-                tiny_engine, target, non_targets, backend="process", **{knob: 1}
-            )
-    # The serial provider keeps its own similarity LRU size.
-    make_score_provider(tiny_engine, target, non_targets, similarity_cache_size=8)
+        for backend in ("serial", "process"):
+            with pytest.raises(ValueError, match=knob):
+                make_score_provider(
+                    tiny_engine, target, non_targets, backend=backend, **{knob: 1}
+                )
 
 
 def test_queue_depth_gauge_tracks_and_decays(tiny_engine, tiny_problem, rng):

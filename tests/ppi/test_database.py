@@ -6,6 +6,7 @@ import pytest
 
 from repro.ppi.database import PipeDatabase
 from repro.ppi.graph import InteractionGraph
+from repro.ppi.kernels import ChunkedNumpyKernel
 from repro.sequences.encoding import decode
 from repro.sequences.protein import Protein
 from repro.substitution import PAM120
@@ -68,12 +69,13 @@ def test_short_protein_contributes_nothing(database, small_graph):
     assert dense[:, short_idx].sum() == 0
 
 
-def test_chunked_sweep_equivalent(small_graph):
+def test_chunked_sweep_equivalent(small_graph, monkeypatch):
     rng = np.random.default_rng(5)
     query = rng.integers(0, 20, size=16).astype(np.uint8)
     whole = PipeDatabase(small_graph, PAM120, W, THRESHOLD)
-    chunked = PipeDatabase(small_graph, PAM120, W, THRESHOLD, chunk_residues=7)
     a = whole.sequence_similarity(query).counts.toarray()
+    monkeypatch.setattr(ChunkedNumpyKernel, "CHUNK_RESIDUES", 7)
+    chunked = PipeDatabase(small_graph, PAM120, W, THRESHOLD)
     b = chunked.sequence_similarity(query).counts.toarray()
     assert np.array_equal(a, b)
 
@@ -129,8 +131,6 @@ def test_protein_similarity_matches_direct(database, small_graph):
 def test_invalid_construction(small_graph):
     with pytest.raises(ValueError):
         PipeDatabase(small_graph, PAM120, 0, THRESHOLD)
-    with pytest.raises(ValueError):
-        PipeDatabase(small_graph, PAM120, 5, THRESHOLD, chunk_residues=3)
 
 
 def test_invalid_query(database):

@@ -68,7 +68,7 @@ def test_default_kernel_is_batched():
 
 def test_get_kernel_by_name_and_passthrough():
     assert isinstance(get_kernel("chunked"), ChunkedNumpyKernel)
-    instance = BatchedNumpyKernel(batch_residues=64)
+    instance = BatchedNumpyKernel()
     assert get_kernel(instance) is instance
 
 
@@ -118,14 +118,14 @@ def test_batched_sweep_matches_chunked(database):
 def test_batched_grouping_limits_do_not_change_results(database):
     rng = np.random.default_rng(13)
     seqs = _population(rng, 10)
-    reference = BatchedNumpyKernel().sweep_batch(database, seqs)
-    # batch_residues=8 forces nearly one group per sequence; batch_elements
-    # tiny enough to cap the stack via the element bound instead.
-    for kernel in (
-        BatchedNumpyKernel(batch_residues=8),
-        BatchedNumpyKernel(batch_elements=512),
-    ):
-        split = kernel.sweep_batch(database, seqs)
+    kernel = BatchedNumpyKernel()
+    reference = kernel.sweep_batch(database, seqs)
+    # 8 stacked residues force nearly one group per sequence; 512
+    # elements cap the stack via the element bound instead.
+    for limit in (("BATCH_RESIDUES", 8), ("BATCH_ELEMENTS", 512)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BatchedNumpyKernel, *limit)
+            split = kernel.sweep_batch(database, seqs)
         for r, s in zip(reference, split):
             assert np.array_equal(r, s)
 
@@ -182,12 +182,14 @@ def test_sweep_batch_sparse_matches_dense(database):
     ]
     # Grouping limits change wall time only, never results — also on the
     # sparse path.
-    for kernel in (
-        BatchedNumpyKernel(),
-        BatchedNumpyKernel(batch_residues=8),
-        ChunkedNumpyKernel(),
+    for kernel, batch_residues in (
+        (BatchedNumpyKernel(), BatchedNumpyKernel.BATCH_RESIDUES),
+        (BatchedNumpyKernel(), 8),
+        (ChunkedNumpyKernel(), BatchedNumpyKernel.BATCH_RESIDUES),
     ):
-        got = kernel.sweep_batch_sparse(database, seqs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BatchedNumpyKernel, "BATCH_RESIDUES", batch_residues)
+            got = kernel.sweep_batch_sparse(database, seqs)
         assert len(got) == len(reference)
         for r, g in zip(reference, got):
             assert (r != g.tocsr()).nnz == 0
@@ -296,12 +298,8 @@ def test_int_table_never_aliased_across_matrix_lifetimes(database):
         db = PipeDatabase(database.graph, matrix, W, THRESHOLD, kernel=kernel)
         assert np.array_equal(kernel.sweep(db, seq), chunked.sweep(db, seq))
         del db, matrix, scores
-    # ... and a long-lived kernel holds nothing but its three limits.
-    assert set(vars(kernel)) == {
-        "batch_residues",
-        "batch_elements",
-        "fast_chunk_elements",
-    }
+    # ... and a long-lived kernel holds no state at all.
+    assert vars(kernel) == {}
 
 
 def test_int_table_key_includes_window_size(database):

@@ -269,13 +269,14 @@ def test_predicted_respects_decision_threshold(world):
     assert not never.evaluate(a, b).predicted
 
 
-def test_evidence_cache_bounded_lru(world):
+def test_evidence_cache_bounded_lru(world, monkeypatch):
     graph, engine = world
     rng = np.random.default_rng(34)
     seq = rng.integers(0, 20, size=13).astype(np.uint8)
     names = [p.name for p in graph.proteins]
     assert len(names) > 2
-    small = PipeEngine(engine.database, engine.config, evidence_cache_size=2)
+    monkeypatch.setattr(PipeEngine, "EVIDENCE_CACHE_SIZE", 2)
+    small = PipeEngine(engine.database, engine.config)
     # The cache holds one entry per problem (tuple of names scored against).
     for name in names:
         small.score_against(seq, [name])
@@ -302,8 +303,3 @@ def test_evidence_cache_size_in_telemetry(world):
     fresh.score_against(seq, ["P1"])
     assert telemetry.gauge("pipe.evidence_cache.size").value == 2.0
 
-
-def test_evidence_cache_size_validation(world):
-    _, engine = world
-    with pytest.raises(ValueError, match="evidence_cache_size"):
-        PipeEngine(engine.database, engine.config, evidence_cache_size=0)

@@ -162,14 +162,17 @@ def test_tile_bodies_bit_exact(tile_kernel, body, case):
     st.integers(min_value=64, max_value=4096),
 )
 def test_batched_kernel_grouping_invariant(databases, population, residues, elements):
-    """Any (batch_residues, batch_elements) split yields identical counts —
+    """Any (BATCH_RESIDUES, BATCH_ELEMENTS) split yields identical counts —
     grouping is a wall-clock decision, never a numerical one."""
     swept = [s for s in population if s.size >= W]
-    reference = BatchedNumpyKernel().sweep_batch(DATABASE, swept)
-    limited = BatchedNumpyKernel(batch_residues=residues, batch_elements=elements)
-    for database in databases:
-        for r, l in zip(reference, limited.sweep_batch(database, swept)):
-            assert np.array_equal(r, l)
+    kernel = BatchedNumpyKernel()
+    reference = kernel.sweep_batch(DATABASE, swept)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BatchedNumpyKernel, "BATCH_RESIDUES", residues)
+        patch.setattr(BatchedNumpyKernel, "BATCH_ELEMENTS", elements)
+        for database in databases:
+            for r, l in zip(reference, kernel.sweep_batch(database, swept)):
+                assert np.array_equal(r, l)
 
 
 @settings(deadline=None, max_examples=25)

@@ -126,7 +126,7 @@ class TestPointerRecovery:
 
 
 class TestEndToEndResume:
-    def test_resume_after_corrupting_newest_snapshot(self, tmp_path):
+    def test_resume_after_corrupting_newest_snapshot(self, tmp_path, monkeypatch):
         """The acceptance scenario: corrupt the newest checkpoint of an
         interrupted campaign; ``resume`` restores the previous valid
         snapshot, quarantines the bad file, and the finished run matches
@@ -134,7 +134,8 @@ class TestEndToEndResume:
         generations = 6
         reference = _engine().run(generations)
 
-        manager = CheckpointManager(tmp_path, every=1, retain=10, fsync=False)
+        monkeypatch.setattr(CheckpointManager, "RETAIN", 10)
+        manager = CheckpointManager(tmp_path, every=1, fsync=False)
         _engine().run(4, checkpoint=manager)
         damaged = apply_checkpoint_fault(tmp_path, CheckpointFault("flip"))
         assert damaged.name == "ckpt-gen00000003.json"
@@ -150,8 +151,9 @@ class TestEndToEndResume:
         assert resumed.best.sequence == reference.best.sequence
         assert resumed.history.to_payload() == reference.history.to_payload()
 
-    def test_manager_load_runs_recovery(self, tmp_path):
-        manager = CheckpointManager(tmp_path, every=1, retain=10, fsync=False)
+    def test_manager_load_runs_recovery(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(CheckpointManager, "RETAIN", 10)
+        manager = CheckpointManager(tmp_path, every=1, fsync=False)
         _engine().run(3, checkpoint=manager)
         apply_checkpoint_fault(tmp_path, CheckpointFault("truncate"))
         with pytest.raises(CheckpointError):

@@ -317,6 +317,39 @@ def test_file_control_plane_submit_cancel_and_rejection(tiny_world, tmp_path):
         assert not (root / "jobs" / "job-file-2" / "cancel.request").exists()
 
 
+def test_stale_cancel_marker_does_not_cancel_a_resumed_job(tiny_world, tmp_path):
+    # Regression: a cancel marker written under an EVICTED job stayed on
+    # disk (only live jobs' markers were read) and cancelled the job at
+    # the first poll after its resume.
+    root = tmp_path / "svc"
+    spec = _spec(generations=6, job_id="job-stale-cancel")
+    with _service(tiny_world, root, faults=FaultPlan(delay=0.01)) as service:
+        job_id = service.submit(spec)
+        assert _wait(lambda: service.status(job_id)["generations_done"] >= 1)
+        service.evict(job_id)
+        assert _wait(
+            lambda: service.status(job_id)["state"] == JobState.EVICTED
+        ), service.status(job_id)
+        write_cancel_request(root, job_id)
+        assert service.poll_control_plane() == 1
+        assert not (root / "jobs" / job_id / "cancel.request").exists()
+        (record,) = (root / "rejected").glob(f"cancel-{job_id}-*.json")
+        refusal = json.loads(record.read_text())
+        assert refusal["job_id"] == job_id
+        assert refusal["state"] == JobState.EVICTED
+
+        service.resume(job_id)
+        service.poll_control_plane()
+        assert _wait(
+            lambda: service.status(job_id)["state"] in JobState.TERMINAL
+        ), service.status(job_id)
+        assert service.status(job_id)["state"] == JobState.DONE
+        result = service.result(job_id)
+
+    reference = _reference(tiny_world, spec)
+    assert result["history_digest"] == history_digest(reference.history)
+
+
 def test_unreadable_queue_entry_is_rejected_and_moved_aside(tiny_world, tmp_path):
     # Regression: a directory named like a request made every poll raise
     # IsADirectoryError, so `serve` exited and the requests sorted after

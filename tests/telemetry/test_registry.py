@@ -8,6 +8,7 @@ import pytest
 
 from repro.telemetry import (
     NULL_REGISTRY,
+    Histogram,
     MetricsRegistry,
     NullRegistry,
     get_registry,
@@ -66,9 +67,10 @@ class TestHistograms:
         with pytest.raises(ValueError):
             h.percentile(101)
 
-    def test_reservoir_bounded_but_stats_exact(self):
+    def test_reservoir_bounded_but_stats_exact(self, monkeypatch):
+        monkeypatch.setattr(Histogram, "SAMPLE_LIMIT", 8)
         reg = MetricsRegistry()
-        h = reg.histogram("f", sample_limit=8)
+        h = reg.histogram("f")
         for v in range(100):
             h.observe(float(v))
         assert len(h.samples) == 8

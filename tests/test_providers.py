@@ -144,14 +144,10 @@ def test_factory_still_accepts_native_kwargs(tiny_engine, tiny_problem):
     # The validation table is built from the real constructor signatures,
     # so every backend's own kwargs keep flowing through.
     target, non_targets = tiny_problem
-    serial = make_score_provider(
-        tiny_engine, target, non_targets, backend="serial", similarity_cache_size=8
-    )
-    assert serial._similarity_cache.capacity == 8
     with make_score_provider(
-        tiny_engine, target, non_targets, backend="process", cache_size=16
+        tiny_engine, target, non_targets, backend="process", timeout=16.0
     ) as pooled:
-        assert pooled.cache_size == 16
+        assert pooled.pool.timeout == 16.0
 
 
 def test_factory_wires_telemetry(tiny_world, tiny_problem, rng):
