@@ -1,0 +1,85 @@
+"""The settable surface of the scoring stack, pinned.
+
+Every parameter a caller can set multiplies the configurations the tests
+must cover, so the parameters of the public constructors and factories
+are listed here.  A new setting shows up as a diff to this table, to be
+argued for in review; sizes, bounds and rates that no caller sets are
+class constants instead (``CachingScoreProvider.CACHE_SIZE``,
+``BatchedNumpyKernel.BATCH_RESIDUES``, ``CheckpointManager.RETAIN`` ...).
+``*args``/``**kwargs`` entries are pass-throughs to a row above them.
+"""
+
+import inspect
+
+import pytest
+
+from repro.checkpoint import CheckpointManager
+from repro.fabric import ScoringFabric
+from repro.ga.adaptive import AdaptiveInSiPSEngine, AdaptiveOperatorController
+from repro.ga.engine import InSiPSEngine
+from repro.ga.fitness import SerialScoreProvider
+from repro.parallel.mp_backend import MultiprocessScoreProvider, WorkerPool
+from repro.ppi.database import PipeDatabase
+from repro.ppi.kernels import BatchedNumpyKernel
+from repro.ppi.pipe import PipeEngine
+from repro.providers import make_score_provider
+from repro.service import DesignService
+
+INVENTORY = {
+    WorkerPool: (
+        "engine", "num_workers", "clock", "timeout", "max_retries",
+        "start_method", "fail_fast", "breaker", "close_grace_s", "faults",
+        "telemetry",
+    ),
+    MultiprocessScoreProvider: (
+        "engine", "target", "non_targets", "telemetry", "**pool_settings",
+    ),
+    SerialScoreProvider: ("engine", "target", "non_targets", "telemetry"),
+    make_score_provider: (
+        "source", "target", "non_targets", "config", "backend", "workers",
+        "telemetry", "**backend_kwargs",
+    ),
+    ScoringFabric: ("source", "config", "telemetry", "**pool_settings"),
+    ScoringFabric.client: ("target", "non_targets", "telemetry"),
+    DesignService: (
+        "source", "root", "max_concurrent", "max_queue", "quotas",
+        "default_quota", "fsync", "recover", "telemetry", "**fabric_kwargs",
+    ),
+    PipeEngine: ("database", "config", "telemetry"),
+    PipeDatabase: (
+        "graph", "matrix", "window_size", "threshold", "kernel", "telemetry",
+    ),
+    PipeDatabase.from_arrays: (
+        "graph", "matrix", "window_size", "threshold", "concatenated",
+        "offsets", "valid_columns", "adjacency", "score_rows", "kernel",
+        "telemetry",
+    ),
+    BatchedNumpyKernel: (),
+    CheckpointManager: ("directory", "every", "fsync", "telemetry"),
+    InSiPSEngine: (
+        "provider", "params", "population_size", "candidate_length", "seed",
+        "initializer", "telemetry",
+    ),
+    AdaptiveInSiPSEngine: ("*args", "**kwargs"),
+    AdaptiveOperatorController: ("base",),
+}
+
+
+def _parameters(obj) -> tuple[str, ...]:
+    names = []
+    for name, parameter in inspect.signature(obj).parameters.items():
+        if name == "self":
+            continue
+        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
+            name = f"**{name}"
+        elif parameter.kind is inspect.Parameter.VAR_POSITIONAL:
+            name = f"*{name}"
+        names.append(name)
+    return tuple(names)
+
+
+@pytest.mark.parametrize(
+    "obj", list(INVENTORY), ids=lambda obj: obj.__qualname__
+)
+def test_parameters_match_the_inventory(obj):
+    assert _parameters(obj) == INVENTORY[obj]
