@@ -101,11 +101,11 @@ def _check(checks: dict[str, bool]) -> bool:
 def _scenario_pool_loss(world, non_targets, reference) -> bool:
     """Scenario 1: every worker dies on slice 0, forever."""
     from repro.parallel import MultiprocessScoreProvider
-    from repro.resilience import BreakerState, ChaosSpec
+    from repro.parallel.worker import FaultPlan
+    from repro.resilience import BreakerState
     from repro.telemetry import MetricsRegistry
 
     print("scenario 1: permanent worker loss ...", flush=True)
-    spec = ChaosSpec().with_worker_crash(on_item=0)
     telemetry = MetricsRegistry()
     with MultiprocessScoreProvider(
         world.engine,
@@ -113,7 +113,7 @@ def _scenario_pool_loss(world, non_targets, reference) -> bool:
         non_targets,
         num_workers=NUM_WORKERS,
         max_retries=1,
-        faults=spec.fault_plan(),
+        faults=FaultPlan(crash_on_item=0),  # every worker, respawns too
         telemetry=telemetry,
     ) as provider:
         result = _engine(provider).run(GENERATIONS)

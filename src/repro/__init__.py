@@ -28,7 +28,7 @@ from repro.core import DesignResult, InhibitorDesigner
 from repro.ga import GAParams, InSiPSEngine, SerialScoreProvider, WETLAB_PARAMS
 from repro.ppi import BatchScores, InteractionGraph, PipeConfig, PipeEngine
 from repro.providers import make_engine, make_score_provider
-from repro.resilience import CircuitBreaker, Deadline, RetryPolicy
+from repro.resilience import CircuitBreaker, Deadline
 from repro.sequences import Protein
 from repro.synthetic import PROFILES, build_world, get_profile
 from repro.telemetry import MetricsRegistry, NullRegistry
@@ -52,7 +52,6 @@ __all__ = [
     "PipeConfig",
     "PipeEngine",
     "Protein",
-    "RetryPolicy",
     "SerialScoreProvider",
     "WETLAB_PARAMS",
     "build_world",

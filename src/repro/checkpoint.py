@@ -27,11 +27,12 @@ Durability
 ----------
 Every file goes through :func:`repro.util.atomic.atomic_write` (tmp file +
 fsync + ``os.replace``), each snapshot embeds a SHA-256 checksum of its
-canonical payload (verified on load), a ``latest`` pointer file names the
-newest snapshot, and retention is bounded to the newest
-:attr:`CheckpointManager.RETAIN` snapshots.  A snapshot is therefore
-never observably half-written, and a crash mid-checkpoint leaves the
-previous snapshot (and pointer) intact.
+canonical payload (verified on load), and retention is bounded to the
+newest :attr:`CheckpointManager.RETAIN` snapshots.  A snapshot is
+therefore never observably half-written, and a crash mid-checkpoint
+leaves the previous snapshot intact.  The directory scan is the only
+index: snapshot names sort by generation, so there is no pointer file
+to keep in step with them.
 
 Corruption recovery
 -------------------
@@ -44,10 +45,7 @@ is **quarantined** (renamed ``<name>.corrupt``, counted as
 ``checkpoint.corrupt_skipped``) and the loader walks back to the next
 candidate.  Only when *no* valid snapshot remains does
 :class:`CheckpointError` propagate.  Loading an explicit snapshot *file*
-still fails fast — naming a file says "this one, exactly".  The
-``latest`` pointer is validated against a directory scan: a dangling or
-stale pointer (its target pruned, or a crash between snapshot and pointer
-writes) silently falls back to the newest scanned snapshot.
+still fails fast — naming a file says "this one, exactly".
 
 Bit-exactness caveats
 ---------------------
@@ -87,7 +85,6 @@ __all__ = [
 
 FORMAT = "repro-checkpoint"
 VERSION = 1
-LATEST_POINTER = "latest"
 
 _SNAPSHOT_RE = re.compile(r"^ckpt-gen(\d+)(-emergency)?\.json$")
 
@@ -166,21 +163,16 @@ def quarantine_snapshot(path: Path) -> Path:
 
 
 def load_snapshot(
-    source: str | Path,
-    *,
-    recover: bool = True,
-    telemetry: MetricsRegistry | None = None,
+    source: str | Path, *, telemetry: MetricsRegistry | None = None
 ) -> dict[str, object]:
     """Read and verify a snapshot written by :func:`write_snapshot`.
 
     ``source`` may be a snapshot file (loaded exactly, failures raise) or
-    a checkpoint directory.  For a directory with ``recover=True`` (the
-    default) the recovery chain runs: snapshots are tried newest-first,
-    damaged ones are quarantined (``*.corrupt``) and counted as
-    ``checkpoint.corrupt_skipped``, and the newest *valid* snapshot wins;
-    :class:`CheckpointError` is raised only when none survives.  With
-    ``recover=False`` the directory's nominal latest snapshot must load
-    or the error propagates, and nothing is renamed.
+    a checkpoint directory.  For a directory the recovery chain runs:
+    snapshots are tried newest-first, damaged ones are quarantined
+    (``*.corrupt``) and counted as ``checkpoint.corrupt_skipped``, and
+    the newest *valid* snapshot wins; :class:`CheckpointError` is raised
+    only when none survives.
     """
     registry = telemetry if telemetry is not None else NULL_REGISTRY
     path = Path(source)
@@ -189,8 +181,6 @@ def load_snapshot(
     candidates = _scan_snapshots(path)
     if not candidates:
         raise CheckpointError(f"no snapshot found in {path}")
-    if not recover:
-        return _load_file(candidates[-1])
     skipped: list[str] = []
     for candidate in reversed(candidates):
         try:
@@ -238,36 +228,9 @@ def _scan_snapshots(directory: Path) -> list[Path]:
 
 
 def find_latest(directory: str | Path) -> Path | None:
-    """The newest snapshot in ``directory``, or None when it holds none.
-
-    The ``latest`` pointer is a hint, validated against a directory scan:
-    a pointer naming a pruned/missing file, a malformed name, or a file
-    *older* than the newest scanned snapshot (a crash landed between the
-    snapshot write and the pointer update) is ignored in favour of the
-    scan, so this never returns a dangling or stale path.
-    """
-    directory = Path(directory)
-    candidates = _scan_snapshots(directory)
-    pointer = directory / LATEST_POINTER
-    pointed: Path | None = None
-    if pointer.exists():
-        try:
-            name = pointer.read_text().strip()
-        except OSError:  # pragma: no cover - racing deletion
-            name = ""
-        if name and _SNAPSHOT_RE.match(name):
-            candidate = directory / name
-            if candidate.exists():
-                pointed = candidate
-    if pointed is not None and pointed not in candidates:
-        candidates.append(pointed)
-    if not candidates:
-        return None
-    newest = max(candidates, key=_snapshot_order)
-    # Prefer the pointer only when it agrees with the scan's ordering.
-    if pointed is not None and _snapshot_order(pointed) >= _snapshot_order(newest):
-        return pointed
-    return newest
+    """The newest snapshot in ``directory``, or None when it holds none."""
+    candidates = _scan_snapshots(Path(directory))
+    return candidates[-1] if candidates else None
 
 
 class CheckpointManager:
@@ -277,7 +240,7 @@ class CheckpointManager:
     ----------
     directory:
         Where snapshots live (created if missing).  One campaign per
-        directory — the ``latest`` pointer and retention are per-directory.
+        directory — the scan and retention are per-directory.
     every:
         Save at every k-th generation barrier (``None``: only forced and
         emergency snapshots are written).
@@ -289,8 +252,8 @@ class CheckpointManager:
         counters and the ``checkpoint.save`` span.
     """
 
-    #: Snapshot files kept (oldest pruned first; the snapshot the
-    #: ``latest`` pointer names is never pruned).
+    #: Snapshot files kept (oldest pruned first; the one just written is
+    #: never pruned).
     RETAIN = 5
 
     def __init__(
@@ -356,7 +319,7 @@ class CheckpointManager:
         phase: str = "barrier",
         reason: str | None = None,
     ) -> Path:
-        """Write one snapshot (checksummed, atomic) and move ``latest``.
+        """Write one snapshot (checksummed, atomic).
 
         ``phase`` is ``"barrier"`` (population evaluated, stats appended)
         or ``"pre_eval"`` (emergency: population bred but not yet fully
@@ -370,9 +333,6 @@ class CheckpointManager:
         path = self.directory / name
         with self.telemetry.span("checkpoint.save"):
             nbytes = write_snapshot(path, payload, fsync=self.fsync)
-            atomic_write(
-                self.directory / LATEST_POINTER, name + "\n", fsync=self.fsync
-            )
         self.writes += 1
         self.bytes_written += nbytes
         self.telemetry.count("checkpoint.writes")
@@ -390,9 +350,8 @@ class CheckpointManager:
         best: "Individual | None",
         reason: str,
     ) -> Path:
-        """Best-effort snapshot when the run is dying (e.g. the parallel
-        runtime raised :class:`~repro.parallel.mp_backend.DeadWorkerError`
-        past its retry budget)."""
+        """Best-effort snapshot when the run is dying (e.g. a fail-fast
+        pool raised :class:`~repro.parallel.mp_backend.DeadWorkerError`)."""
         self.telemetry.count("checkpoint.emergency")
         return self.save(
             engine,
@@ -407,12 +366,10 @@ class CheckpointManager:
         """The newest snapshot in this manager's directory, if any."""
         return find_latest(self.directory)
 
-    def load(self, *, recover: bool = True) -> dict[str, object]:
+    def load(self) -> dict[str, object]:
         """Load the newest valid snapshot, running the recovery chain
-        (quarantining corrupt files) unless ``recover=False``."""
-        return load_snapshot(
-            self.directory, recover=recover, telemetry=self.telemetry
-        )
+        (quarantining corrupt files)."""
+        return load_snapshot(self.directory, telemetry=self.telemetry)
 
     def _prune(self, *, keep: Path) -> None:
         """Delete all but the newest :attr:`RETAIN` snapshots (never

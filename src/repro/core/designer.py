@@ -29,9 +29,9 @@ class DesignResult:
     generations: int
     evaluations: int
     seed: int | None = None
-    #: False when the supervisor stopped the campaign early (deadline,
-    #: exhausted evaluation retries); ``stop_reason`` says why and
-    #: ``history.degradations`` carries the details.
+    #: False when the wall-clock deadline stopped the campaign early;
+    #: ``stop_reason`` says why and ``history.degradations`` carries the
+    #: details.
     completed: bool = True
     stop_reason: str | None = None
 
@@ -177,7 +177,6 @@ class InhibitorDesigner:
         checkpoint=None,
         resume_from=None,
         deadline=None,
-        retry=None,
     ) -> DesignResult:
         """Run InSiPS against ``target``.
 
@@ -193,10 +192,9 @@ class InhibitorDesigner:
         ``seed`` and the problem are unchanged.
 
         ``deadline`` (a :class:`~repro.resilience.policies.Deadline` or
-        plain seconds) and ``retry`` (a
-        :class:`~repro.resilience.policies.RetryPolicy`) are forwarded to
-        :meth:`~repro.ga.engine.InSiPSEngine.run`; a supervised stop
-        returns the best-so-far design with ``completed=False``.
+        plain seconds) is forwarded to
+        :meth:`~repro.ga.engine.InSiPSEngine.run`; a deadline stop returns
+        the best-so-far design with ``completed=False``.
         """
         nts = non_targets if non_targets is not None else self.non_targets_for(target)
         if termination is None:
@@ -221,7 +219,6 @@ class InhibitorDesigner:
                 on_generation=on_generation,
                 checkpoint=checkpoint,
                 deadline=deadline,
-                retry=retry,
             )
         return DesignResult(
             target=target,

@@ -49,10 +49,10 @@ _OPERATIONS = ("copy", "mutate", "crossover")
 class GAResult:
     """Outcome of one InSiPS run.
 
-    ``completed`` is ``False`` when the supervisor stopped the campaign
-    early (wall-clock deadline, exhausted evaluation retries); the result
-    then carries the best-so-far individual and ``stop_reason`` says why
-    — details live in ``history.degradations``.
+    ``completed`` is ``False`` when the wall-clock deadline stopped the
+    campaign early; the result then carries the best-so-far individual
+    and ``stop_reason`` (``"deadline"``) says why — details live in
+    ``history.degradations``.
     """
 
     best: Individual
@@ -123,8 +123,6 @@ class InSiPSEngine:
         # runs mutate self.params later, so it is captured here, once).
         self._config_fingerprint = self._fingerprint()
         self._restored: dict | None = None
-        # Generation of the batch steps() last yielded (retry events name it).
-        self._scoring_generation = 0
 
     def _fingerprint(self) -> str:
         """Hash of the GA + problem configuration a snapshot belongs to."""
@@ -373,47 +371,6 @@ class InSiPSEngine:
             duration_s=time.perf_counter() - gen_start,
         )
 
-    def _score_with_retry(self, batch, retry, deadline) -> list[ScoreSet]:
-        """Score one batch :meth:`steps` yielded, retrying transient
-        failures.
-
-        With no ``retry`` policy this is a single attempt (the historical
-        behaviour).  With one, transient exceptions (per
-        ``retry.is_transient``) are retried with backoff — bit-exact,
-        because scoring is deterministic per sequence and the batch holds
-        only the generation's unevaluated members.  The backoff sleep
-        never overshoots ``deadline``.
-        """
-        arrays, provenances = batch
-        telemetry = self.telemetry
-        attempt = 0
-        while True:
-            try:
-                with telemetry.span("ga.evaluate"):
-                    return self.fitness.score(arrays, provenances)
-            except BaseException as exc:
-                out_of_time = deadline is not None and deadline.expired()
-                if (
-                    retry is None
-                    or attempt >= retry.max_retries
-                    or out_of_time
-                    or not retry.is_transient(exc)
-                ):
-                    raise
-                delay = retry.delay(attempt)
-                if deadline is not None:
-                    delay = min(delay, max(0.0, deadline.remaining()))
-                attempt += 1
-                telemetry.count("ga.eval_retries")
-                telemetry.event(
-                    "ga.eval_retry",
-                    generation=self._scoring_generation,
-                    attempt=attempt,
-                    error=f"{type(exc).__name__}: {exc}",
-                    delay_s=delay,
-                )
-                time.sleep(delay)
-
     def _save_emergency(self, checkpoint, population, history, best, reason):
         if checkpoint is None:
             return
@@ -431,7 +388,6 @@ class InSiPSEngine:
         on_generation=None,
         checkpoint=None,
         deadline=None,
-        retry=None,
     ) -> Generator[tuple[list[np.ndarray], list], list[ScoreSet], GAResult]:
         """The GA loop as a generator: one step per generation.
 
@@ -446,10 +402,8 @@ class InSiPSEngine:
         arguments mean what they mean there.
 
         A caller whose scoring failed throws the exception in
-        (``throw``).  The generator takes the emergency snapshot, then
-        either ends cleanly with the partial result — the supervised stop,
-        when a generation has completed and ``retry`` (the policy the
-        caller scored under) deems the failure transient — or re-raises.
+        (``throw``); the generator takes the emergency snapshot and
+        re-raises it.
         """
         if isinstance(termination, int):
             termination = MaxGenerations(termination)
@@ -471,7 +425,6 @@ class InSiPSEngine:
             if not at_barrier:
                 gen_start = time.perf_counter()
                 pending = population.unevaluated_members()
-                self._scoring_generation = int(population.generation)
                 try:
                     score_sets = yield (
                         [m.encoded for m in pending],
@@ -485,33 +438,6 @@ class InSiPSEngine:
                     self._save_emergency(
                         checkpoint, population, history, best, reason
                     )
-                    if (
-                        best is not None
-                        and retry is not None
-                        and retry.is_transient(exc)
-                    ):
-                        # Supervised mode with partial results: stop
-                        # cleanly instead of losing the campaign.
-                        history.record_degradation(
-                            "eval_retry_exhausted",
-                            generation=int(population.generation),
-                            error=reason,
-                        )
-                        telemetry.count("ga.supervised_stops")
-                        telemetry.event(
-                            "ga.supervised_stop",
-                            reason="eval_retry_exhausted",
-                            error=reason,
-                            generation=int(population.generation),
-                        )
-                        return GAResult(
-                            best=best,
-                            history=history,
-                            generations=len(history),
-                            evaluations=self.evaluations,
-                            completed=False,
-                            stop_reason="eval_retry_exhausted",
-                        )
                     raise
                 stats = GenerationStats.from_population(
                     population, evaluations=evals
@@ -578,7 +504,6 @@ class InSiPSEngine:
         on_generation=None,
         checkpoint=None,
         deadline=None,
-        retry=None,
     ) -> GAResult:
         """Execute the main GA loop until the termination criterion fires.
 
@@ -589,27 +514,19 @@ class InSiPSEngine:
         ``checkpoint`` is an optional
         :class:`~repro.checkpoint.CheckpointManager`: due generations are
         snapshotted at the barrier (after evaluation and stats), and a
-        dying evaluation (e.g. the parallel runtime's ``DeadWorkerError``
-        past its retry budget, or a KeyboardInterrupt) triggers a
-        best-effort emergency snapshot before the exception propagates.
+        dying evaluation (e.g. a fail-fast pool's ``DeadWorkerError``, or a
+        KeyboardInterrupt) triggers a best-effort emergency snapshot
+        before the exception propagates.  Lost work is not retried here:
+        the pool re-dispatches it, and a restart resumes from the newest
+        valid snapshot.
 
-        Supervision (both optional):
-
-        ``deadline`` — a :class:`~repro.resilience.policies.Deadline` (or
-        plain seconds) bounding the campaign's wall clock.  Checked at
-        each generation barrier; on expiry the run stops cleanly with the
-        best-so-far result (``completed=False``,
-        ``stop_reason="deadline"``), a final barrier snapshot (when
-        checkpointing) and a degradation record, so ``--resume`` can
-        continue it later.
-
-        ``retry`` — a :class:`~repro.resilience.policies.RetryPolicy`;
-        transient evaluation failures are retried with seeded backoff.
-        If the budget is exhausted after at least one generation
-        completed, the run returns partial results the same way instead
-        of raising; with nothing evaluated yet there is nothing partial
-        to return, and the exception propagates (after the emergency
-        snapshot).
+        ``deadline`` — an optional
+        :class:`~repro.resilience.policies.Deadline` (or plain seconds)
+        bounding the campaign's wall clock.  Checked at each generation
+        barrier; on expiry the run stops cleanly with the best-so-far
+        result (``completed=False``, ``stop_reason="deadline"``), a final
+        barrier snapshot (when checkpointing) and a degradation record,
+        so ``--resume`` can continue it later.
 
         After :meth:`resume`, the restored state replaces the initial
         population and the loop continues exactly where the snapshot was
@@ -617,27 +534,25 @@ class InSiPSEngine:
         its stats re-appended or callbacks re-fired.
 
         ``run`` drives :meth:`steps`: it scores each yielded batch
-        through the provider (the ``ga.evaluate`` span, under ``retry``)
-        and throws a failure that outlived the retries into the
-        generator.
+        through the provider (the ``ga.evaluate`` span) and throws a
+        failure into the generator.
         """
-        deadline = _as_deadline(deadline)
         steps = self.steps(
             termination,
             on_generation=on_generation,
             checkpoint=checkpoint,
             deadline=deadline,
-            retry=retry,
         )
         try:
-            batch = next(steps)
+            arrays, provenances = next(steps)
             while True:
                 try:
-                    score_sets = self._score_with_retry(batch, retry, deadline)
+                    with self.telemetry.span("ga.evaluate"):
+                        score_sets = self.fitness.score(arrays, provenances)
                 except BaseException as exc:
-                    batch = steps.throw(exc)
+                    steps.throw(exc)  # re-raises after the emergency snapshot
                 else:
-                    batch = steps.send(score_sets)
+                    arrays, provenances = steps.send(score_sets)
         except StopIteration as stop:
             return stop.value
 

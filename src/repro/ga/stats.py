@@ -81,8 +81,8 @@ class RunHistory:
     def record_degradation(self, kind: str, **details: object) -> dict:
         """Append one JSON-safe degradation record and return it.
 
-        ``kind`` names the event (``"deadline"``, ``"eval_retry_exhausted"``,
-        ...); ``details`` must be JSON-serialisable (they ride inside
+        ``kind`` names the event (the engine records ``"deadline"``);
+        ``details`` must be JSON-serialisable (they ride inside
         checkpoint snapshots).
         """
         record: dict = {"kind": str(kind), **details}

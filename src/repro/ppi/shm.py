@@ -41,7 +41,7 @@ from __future__ import annotations
 import os
 import threading
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import TYPE_CHECKING
 

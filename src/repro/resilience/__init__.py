@@ -1,48 +1,35 @@
-"""Campaign resilience: retry/backoff/deadline policies, breaker, chaos.
+"""Campaign resilience: deadline and breaker policies, disk chaos.
 
 Long InSiPS campaigns must survive worker loss, slow hardware and damaged
 artifacts without operator intervention.  This package supplies the
 policy layer the supervisor is built from:
 
-* :mod:`repro.resilience.policies` —
-  :class:`~repro.resilience.RetryPolicy` (exponential backoff with
-  deterministic seeded jitter), :class:`~repro.resilience.Deadline`
+* :mod:`repro.resilience.policies` — :class:`~repro.resilience.Deadline`
   (wall-clock budgets) and :class:`~repro.resilience.CircuitBreaker`
   (closed/open/half-open guard for provider health);
-* :mod:`repro.resilience.chaos` — :class:`~repro.resilience.ChaosSpec`,
-  a declarative fault matrix (crash / hang / slow worker /
-  corrupt-checkpoint-on-disk) driving the deterministic chaos tests.
+* :mod:`repro.resilience.chaos` —
+  :class:`~repro.resilience.CheckpointFault` and
+  :func:`~repro.resilience.apply_checkpoint_fault`, seeded damage to a
+  checkpoint directory (worker faults are a
+  :class:`~repro.parallel.worker.FaultPlan`).
 
-Consumers: :class:`~repro.parallel.mp_backend.MultiprocessScoreProvider`
-degrades to master-serial scoring through a breaker instead of raising
+Each fault has one recovery path.
+:class:`~repro.parallel.mp_backend.WorkerPool` re-dispatches a lost
+worker's slices and, through a breaker, degrades to master-serial
+scoring instead of raising
 :class:`~repro.parallel.mp_backend.DeadWorkerError`;
-:meth:`~repro.ga.engine.InSiPSEngine.run` retries transient evaluation
-failures and honours a deadline; :func:`repro.checkpoint.load_snapshot`
-quarantines corrupt snapshots and walks back to the newest valid one.
+:meth:`~repro.ga.engine.InSiPSEngine.run` honours a deadline;
+:func:`repro.checkpoint.load_snapshot` quarantines corrupt snapshots and
+walks back to the newest valid one.
 """
 
-from repro.resilience.chaos import (
-    ChaosSpec,
-    CheckpointFault,
-    apply_checkpoint_fault,
-)
-from repro.resilience.policies import (
-    BreakerState,
-    CircuitBreaker,
-    Deadline,
-    DeadlineExceeded,
-    RetryBudgetExceeded,
-    RetryPolicy,
-)
+from repro.resilience.chaos import CheckpointFault, apply_checkpoint_fault
+from repro.resilience.policies import BreakerState, CircuitBreaker, Deadline
 
 __all__ = [
     "BreakerState",
-    "ChaosSpec",
     "CheckpointFault",
     "CircuitBreaker",
     "Deadline",
-    "DeadlineExceeded",
-    "RetryBudgetExceeded",
-    "RetryPolicy",
     "apply_checkpoint_fault",
 ]

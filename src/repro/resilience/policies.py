@@ -1,24 +1,21 @@
-"""Unified retry/backoff, deadline and circuit-breaker policies.
+"""Deadline and circuit-breaker policies.
 
-The campaign supervisor's contract layer: every component that can fail
-transiently (the parallel runtime, evaluation inside the GA main loop,
-checkpoint storage) expresses *when to try again, how long to wait, and
-when to give up* through the three small policy objects here instead of
-ad-hoc sleeps and bare excepts.  All three are deterministic and
-inspectable by construction:
+The campaign supervisor's contract layer: the GA loop's wall-clock stop
+and the parallel runtime's guard against a flaky pool are expressed
+through the two small policy objects here instead of ad-hoc sleeps and
+bare excepts.  Both are deterministic and inspectable by construction:
 
-* :class:`RetryPolicy` — exponential backoff whose jitter is drawn from a
-  seeded generator, so a retry schedule is a pure function of
-  ``(seed, attempt)`` and a failing run replays identically;
 * :class:`Deadline` — a wall-clock budget with an injectable clock, so a
   campaign can promise "return whatever you have by t" and tests can move
   time by hand;
 * :class:`CircuitBreaker` — the classic closed / open / half-open state
   machine guarding a flaky resource (the worker pool).  Probing is
-  *count-based* by default (every ``probe_after`` rejected calls one
-  probe is allowed through), which keeps chaos tests free of real time.
+  *count-based* (every ``probe_after`` rejected calls one probe is
+  allowed through), which keeps chaos tests free of real time.
 
-None of these objects performs I/O or spawns anything; they only decide.
+Neither object performs I/O or spawns anything; they only decide.
+Retrying lost work is the pool's job: it re-dispatches a dead worker's
+slices and degrades to master-serial scoring when the pool is lost.
 """
 
 from __future__ import annotations
@@ -26,153 +23,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "Deadline",
-    "DeadlineExceeded",
-    "RetryBudgetExceeded",
-    "RetryPolicy",
 ]
-
-
-class DeadlineExceeded(RuntimeError):
-    """A wall-clock budget ran out before the protected work finished."""
-
-
-class RetryBudgetExceeded(RuntimeError):
-    """A transient failure persisted past the retry budget.
-
-    ``__cause__`` carries the last underlying exception.
-    """
-
-
-# ---------------------------------------------------------------------------
-# RetryPolicy
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with deterministic, seeded jitter.
-
-    The delay before retry ``attempt`` (0-based: the wait after the first
-    failure is ``delay(0)``) is::
-
-        min(base_s * multiplier**attempt, max_delay_s) * jitter_factor
-
-    where ``jitter_factor`` is drawn uniformly from
-    ``[1 - jitter, 1 + jitter]`` by a generator seeded with
-    ``(seed, attempt)`` — the same policy always produces the same
-    schedule, and the schedule (jitter aside) is non-decreasing and
-    bounded by ``max_delay_s * (1 + jitter)``.
-
-    Attributes
-    ----------
-    max_retries:
-        How many *re*-tries are allowed after the first attempt; 0 means
-        fail on the first transient error.
-    base_s, multiplier, max_delay_s:
-        The exponential schedule.
-    jitter:
-        Fractional jitter amplitude in [0, 1); 0 disables jitter.
-    seed:
-        Seeds the jitter stream.
-    retryable:
-        Exception types considered transient.  The default covers the
-        runtime's infrastructure failures (worker death, stalled pools,
-        OS-level hiccups — all :class:`RuntimeError`/:class:`OSError`
-        subclasses here) while leaving programming errors
-        (``ValueError``/``TypeError``) fatal.
-    """
-
-    max_retries: int = 3
-    base_s: float = 0.1
-    multiplier: float = 2.0
-    max_delay_s: float = 30.0
-    jitter: float = 0.1
-    seed: int = 0
-    retryable: tuple[type[BaseException], ...] = (
-        RuntimeError,
-        OSError,
-        TimeoutError,
-    )
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.base_s < 0:
-            raise ValueError(f"base_s must be >= 0, got {self.base_s}")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if self.max_delay_s < 0:
-            raise ValueError(f"max_delay_s must be >= 0, got {self.max_delay_s}")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (deterministic in seed+attempt)."""
-        if attempt < 0:
-            raise ValueError(f"attempt must be >= 0, got {attempt}")
-        raw = min(self.base_s * self.multiplier**attempt, self.max_delay_s)
-        if self.jitter == 0.0:
-            return raw
-        rng = np.random.default_rng([int(self.seed) & 0x7FFFFFFF, attempt])
-        factor = 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return raw * factor
-
-    def schedule(self) -> list[float]:
-        """The full backoff schedule, one delay per allowed retry."""
-        return [self.delay(a) for a in range(self.max_retries)]
-
-    def is_transient(self, exc: BaseException) -> bool:
-        """Whether ``exc`` is worth retrying under this policy.
-
-        ``KeyboardInterrupt``/``SystemExit`` are never transient,
-        whatever ``retryable`` says.
-        """
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            return False
-        return isinstance(exc, self.retryable)
-
-    def run(self, fn, *, deadline: "Deadline | None" = None, sleep=time.sleep,
-            on_retry=None):
-        """Call ``fn()`` under this policy, backing off between attempts.
-
-        Retries transient failures up to ``max_retries`` times; a
-        non-transient exception propagates immediately.  When the budget
-        is exhausted, :class:`RetryBudgetExceeded` is raised from the
-        last failure; when ``deadline`` expires first (including during a
-        backoff sleep, which is capped to the remaining budget),
-        :class:`DeadlineExceeded` is raised from it instead.
-        ``on_retry(attempt, exc, delay_s)`` is invoked before each sleep.
-        """
-        attempt = 0
-        while True:
-            try:
-                return fn()
-            except BaseException as exc:
-                if not self.is_transient(exc):
-                    raise
-                if attempt >= self.max_retries:
-                    raise RetryBudgetExceeded(
-                        f"gave up after {attempt + 1} attempt(s): "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from exc
-                if deadline is not None and deadline.expired():
-                    raise DeadlineExceeded(
-                        f"deadline expired after {attempt + 1} attempt(s); "
-                        f"last error: {type(exc).__name__}: {exc}"
-                    ) from exc
-                delay_s = self.delay(attempt)
-                if deadline is not None:
-                    delay_s = min(delay_s, max(0.0, deadline.remaining()))
-                if on_retry is not None:
-                    on_retry(attempt, exc, delay_s)
-                if delay_s > 0:
-                    sleep(delay_s)
-                attempt += 1
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +39,14 @@ class Deadline:
 
     Constructed from a budget in seconds; the clock (default
     :func:`time.monotonic`) is injectable so tests advance time manually.
-    A ``None``-budget deadline never expires, letting callers thread one
-    object through unconditionally.
     """
 
     __slots__ = ("budget_s", "_clock", "_started")
 
-    def __init__(self, budget_s: float | None, *, clock=time.monotonic) -> None:
-        if budget_s is not None and budget_s <= 0:
+    def __init__(self, budget_s: float, *, clock=time.monotonic) -> None:
+        if budget_s <= 0:
             raise ValueError(f"budget_s must be > 0, got {budget_s}")
-        self.budget_s = None if budget_s is None else float(budget_s)
+        self.budget_s = float(budget_s)
         self._clock = clock
         self._started = clock()
 
@@ -202,34 +55,14 @@ class Deadline:
         """Alias constructor reading like prose: ``Deadline.after(30)``."""
         return cls(budget_s, clock=clock)
 
-    @classmethod
-    def unlimited(cls) -> "Deadline":
-        return cls(None)
-
     def elapsed(self) -> float:
         return self._clock() - self._started
 
-    def remaining(self) -> float:
-        """Seconds left (``inf`` for an unlimited deadline; floors at 0)."""
-        if self.budget_s is None:
-            return float("inf")
-        return max(0.0, self.budget_s - self.elapsed())
-
     def expired(self) -> bool:
-        return self.budget_s is not None and self.elapsed() >= self.budget_s
-
-    def check(self, what: str = "operation") -> None:
-        """Raise :class:`DeadlineExceeded` if the budget has run out."""
-        if self.expired():
-            raise DeadlineExceeded(
-                f"{what} exceeded its {self.budget_s:.3f}s deadline "
-                f"({self.elapsed():.3f}s elapsed)"
-            )
+        return self.elapsed() >= self.budget_s
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.budget_s is None:
-            return "Deadline(unlimited)"
-        return f"Deadline(budget={self.budget_s:.3f}s, remaining={self.remaining():.3f}s)"
+        return f"Deadline(budget={self.budget_s:.3f}s, elapsed={self.elapsed():.3f}s)"
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +92,6 @@ class CircuitBreaker:
     ``record_success()`` closes the breaker (from any state);
     ``record_failure()`` increments the failure count and opens the
     breaker once ``failure_threshold`` consecutive failures accumulate.
-    With ``cooldown_s`` set, an open breaker also grants a probe once
-    that much wall clock has passed since it opened (clock injectable).
 
     The breaker never acts on its own — callers decide what "use the
     resource" means; this object only sequences permission, which keeps a
@@ -270,12 +101,9 @@ class CircuitBreaker:
 
     failure_threshold: int = 1
     probe_after: int = 4
-    cooldown_s: float | None = None
-    clock: object = time.monotonic
     _state: str = field(default=BreakerState.CLOSED, init=False)
     _failures: int = field(default=0, init=False)
     _denied_since_open: int = field(default=0, init=False)
-    _opened_at: float = field(default=0.0, init=False)
     opens: int = field(default=0, init=False)
     probes: int = field(default=0, init=False)
 
@@ -286,8 +114,6 @@ class CircuitBreaker:
             )
         if self.probe_after < 1:
             raise ValueError(f"probe_after must be >= 1, got {self.probe_after}")
-        if self.cooldown_s is not None and self.cooldown_s <= 0:
-            raise ValueError(f"cooldown_s must be > 0, got {self.cooldown_s}")
 
     @property
     def state(self) -> str:
@@ -301,12 +127,7 @@ class CircuitBreaker:
             # One probe at a time; its outcome resolves the state.
             return False
         self._denied_since_open += 1
-        due_by_count = self._denied_since_open >= self.probe_after
-        due_by_clock = (
-            self.cooldown_s is not None
-            and self.clock() - self._opened_at >= self.cooldown_s
-        )
-        if due_by_count or due_by_clock:
+        if self._denied_since_open >= self.probe_after:
             self._state = BreakerState.HALF_OPEN
             self.probes += 1
             return True
@@ -336,7 +157,6 @@ class CircuitBreaker:
             self.opens += 1
         self._state = BreakerState.OPEN
         self._denied_since_open = 0
-        self._opened_at = self.clock()
 
     def stats(self) -> dict[str, object]:
         """Inspectable summary (JSON-safe)."""

@@ -555,10 +555,6 @@ class DesignService:
     fsync:
         Forwarded to every durable write (status/spec/result files and
         checkpoints); tests may disable for speed.
-    recover:
-        Re-admit jobs found ``PENDING``/``RUNNING`` on disk (a previous
-        service crashed or was SIGKILLed mid-job); they resume from
-        their newest valid snapshot.
     telemetry:
         Registry for the ``service.*`` metrics (shared with the fabric
         and its pool).
@@ -580,7 +576,6 @@ class DesignService:
         quotas: dict[str, TenantQuota] | None = None,
         default_quota: TenantQuota | None = None,
         fsync: bool = True,
-        recover: bool = True,
         telemetry: MetricsRegistry | None = None,
         **fabric_kwargs: object,
     ) -> None:
@@ -614,8 +609,7 @@ class DesignService:
         self.rejected = 0
         self.resumed = 0
         self.recovered = 0
-        if recover:
-            self._recover_jobs()
+        self._recover_jobs()
         self._loop = threading.Thread(
             target=self._serve_loop, name="repro-service-loop", daemon=True
         )
@@ -1164,9 +1158,10 @@ class DesignService:
         """Re-admit jobs a dead service left ``PENDING``/``RUNNING``.
 
         Their artifact directories already hold spec + snapshots; a
-        recovered job resumes from its newest valid snapshot when an
-        service loop claims it.  Terminal jobs are loaded as records so
-        status/resume keep working across restarts.
+        recovered job resumes from its newest valid snapshot when the
+        service loop claims it.  Runs once, at construction.  Terminal
+        jobs are loaded as records so status/resume keep working across
+        restarts.
         """
         recovered: list[_Job] = []
         for spec_path in sorted((self.root / "jobs").glob("*/spec.json")):

@@ -57,11 +57,9 @@ Metric namespaces in use:
                             quarantined during recovery) and one
                             ``checkpoint.quarantined`` event per renamed
                             file
-``ga.eval_retries``         transient evaluation failures retried by the
-                            supervisor (one ``ga.eval_retry`` event each)
-``ga.supervised_stops``     clean early stops — deadline expiry or an
-                            exhausted retry budget (``ga.supervised_stop``
-                            events carry the reason)
+``ga.supervised_stops``     clean early stops at deadline expiry (one
+                            ``ga.supervised_stop`` event each, carrying
+                            the reason)
 ==========================  =================================================
 """
 

@@ -66,10 +66,10 @@ class Counter:
 class Gauge:
     """Last-written value of a fluctuating quantity (queue depth, load)."""
 
-    value: float = 0.0
-    min: float = float("inf")
-    max: float = float("-inf")
-    updates: int = 0
+    value: float = field(default=0.0, init=False)
+    min: float = field(default=float("inf"), init=False)
+    max: float = field(default=float("-inf"), init=False)
+    updates: int = field(default=0, init=False)
 
     def set(self, value: float) -> None:
         value = float(value)
@@ -99,12 +99,12 @@ class Histogram:
 
     SAMPLE_LIMIT = 1024
 
-    count: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
-    min: float = float("inf")
-    max: float = float("-inf")
-    samples: list[float] = field(default_factory=list)
+    count: int = field(default=0, init=False)
+    total: float = field(default=0.0, init=False)
+    total_sq: float = field(default=0.0, init=False)
+    min: float = field(default=float("inf"), init=False)
+    max: float = field(default=float("-inf"), init=False)
+    samples: list[float] = field(default_factory=list, init=False)
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -158,11 +158,11 @@ class TimerStat:
     excludes it, so a breakdown of a parent span sums cleanly.
     """
 
-    count: int = 0
-    total: float = 0.0
-    self_total: float = 0.0
-    min: float = float("inf")
-    max: float = float("-inf")
+    count: int = field(default=0, init=False)
+    total: float = field(default=0.0, init=False)
+    self_total: float = field(default=0.0, init=False)
+    min: float = field(default=float("inf"), init=False)
+    max: float = field(default=float("-inf"), init=False)
 
     def record(self, elapsed: float, child_time: float = 0.0) -> None:
         self.count += 1

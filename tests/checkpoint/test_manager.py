@@ -74,6 +74,9 @@ class TestSnapshotFiles:
 
 
 class TestFindLatest:
+    """``find_latest`` is a directory scan; the tests that write a stray
+    ``latest`` file check that it changes nothing."""
+
     def test_pointer_wins_when_consistent(self, tmp_path):
         for gen in (1, 2, 3):
             write_snapshot(
@@ -83,8 +86,6 @@ class TestFindLatest:
         assert find_latest(tmp_path).name == "ckpt-gen00000003.json"
 
     def test_outdated_pointer_loses_to_scan(self, tmp_path):
-        # A crash between the snapshot write and the pointer update leaves
-        # the pointer one generation behind; the scan must win.
         for gen in (1, 2, 3):
             write_snapshot(
                 tmp_path / f"ckpt-gen{gen:08d}.json", {"g": gen}, fsync=False
@@ -130,13 +131,16 @@ class TestRetentionAndTelemetry:
         engine.run(8, checkpoint=manager)
         snapshots = sorted(p.name for p in tmp_path.glob("ckpt-*.json"))
         assert len(snapshots) == 3
-        # The newest three barriers survive, and latest points at the newest.
+        # The newest three barriers survive, and the scan finds the newest.
         assert snapshots == [
             "ckpt-gen00000005.json",
             "ckpt-gen00000006.json",
             "ckpt-gen00000007.json",
         ]
         assert find_latest(tmp_path).name == "ckpt-gen00000007.json"
+        # The scan is the only index: the run leaves snapshots and nothing
+        # else (no pointer file, no temporary).
+        assert sorted(p.name for p in tmp_path.iterdir()) == snapshots
 
     def test_telemetry_counters_and_span(self, tmp_path):
         registry = MetricsRegistry()

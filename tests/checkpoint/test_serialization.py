@@ -9,7 +9,6 @@ from repro.ga.config import GAParams, PAPER_PARAMETER_SETS
 from repro.ga.population import Individual, Population
 from repro.ga.stats import GenerationStats, RunHistory
 from repro.ppi.delta import copy_provenance
-from repro.sequences.encoding import encode
 
 
 def _json_round_trip(payload):

@@ -33,8 +33,8 @@ from repro.fabric import ScoringFabric
 from repro.ga.adaptive import AdaptiveInSiPSEngine
 from repro.ga.config import GAParams
 from repro.ga.engine import InSiPSEngine
+from repro.parallel.worker import FaultPlan
 from repro.providers import make_score_provider
-from repro.resilience import ChaosSpec
 from repro.sequences.encoding import decode, encode
 from repro.service import history_digest
 from repro.synthetic import get_profile
@@ -237,7 +237,7 @@ def test_degraded_campaign_reproduces_its_golden_digest(world, golden):
         workers=2,
         timeout=120.0,
         max_retries=1,
-        faults=ChaosSpec().with_worker_crash(on_item=0).fault_plan(),
+        faults=FaultPlan(crash_on_item=0),
     ) as provider:
         result = _run(provider, seed)
         assert provider.pool.degraded_items > 0

@@ -16,7 +16,7 @@ import pytest
 from repro.ga.fitness import SerialScoreProvider
 from repro.parallel import WorkerPool
 from repro.parallel.messages import WorkSlice
-from repro.resilience import ChaosSpec
+from repro.parallel.worker import FaultPlan
 
 
 @pytest.fixture()
@@ -117,13 +117,12 @@ def test_fused_items_degrade_with_their_problem(
     # Permanent pool loss: every lost item must be re-scored serially in
     # the master against *its own* problem.
     arrays = _candidates(rng, 4)
-    spec = ChaosSpec().with_worker_crash(on_item=0)
     with WorkerPool(
         tiny_engine,
         num_workers=1,
         max_retries=1,
         timeout=120.0,
-        faults=spec.fault_plan(),
+        faults=FaultPlan(crash_on_item=0),
     ) as pool:
         a, b = (pool.warm(*problem) for problem in two_problems)
         fused = [arr for pair in zip(arrays, arrays) for arr in pair]

@@ -1,10 +1,10 @@
 """Checkpoint corruption recovery: quarantine-then-walk-back.
 
-A damaged snapshot (bit flip, truncation, garbage, dangling pointer) must
-never cost the campaign more than the generations since the previous
-valid snapshot: the loader quarantines the evidence (``*.corrupt``),
-walks back to the newest snapshot that verifies, and resume continues
-bit-exactly from there.
+A damaged snapshot (bit flip, truncation, garbage) must never cost the
+campaign more than the generations since the previous valid snapshot:
+the loader quarantines the evidence (``*.corrupt``), walks back to the
+newest snapshot that verifies, and resume continues bit-exactly from
+there.
 """
 
 import pytest
@@ -86,13 +86,6 @@ class TestRecoveryChain:
             load_snapshot(tmp_path)
         assert (tmp_path / "ckpt-gen00000001.json.corrupt").exists()
 
-    def test_recover_false_fails_fast_and_renames_nothing(self, tmp_path):
-        _write_gens(tmp_path, (1, 2))
-        apply_checkpoint_fault(tmp_path, CheckpointFault("flip"))
-        with pytest.raises(CheckpointError):
-            load_snapshot(tmp_path, recover=False)
-        assert not list(tmp_path.glob("*.corrupt*"))
-
     def test_single_file_source_never_recovers(self, tmp_path):
         """File mode is exact: a named snapshot either verifies or raises —
         no silent substitution of an older file."""
@@ -110,14 +103,8 @@ class TestRecoveryChain:
 
 
 class TestPointerRecovery:
-    def test_dangling_pointer_falls_back_to_scan(self, tmp_path):
-        _write_gens(tmp_path, (4, 7))
-        apply_checkpoint_fault(tmp_path, CheckpointFault("dangling_pointer"))
-        assert find_latest(tmp_path).name == "ckpt-gen00000007.json"
-
-    def test_dangling_pointer_alone_is_no_snapshot(self, tmp_path):
-        apply_checkpoint_fault(tmp_path, CheckpointFault("dangling_pointer"))
-        assert find_latest(tmp_path) is None
+    """No pointer file is written or read: a stray ``latest`` file, even
+    one naming a path outside the directory, changes nothing."""
 
     def test_garbage_pointer_name_ignored(self, tmp_path):
         _write_gens(tmp_path, (2,))
@@ -156,7 +143,6 @@ class TestEndToEndResume:
         manager = CheckpointManager(tmp_path, every=1, fsync=False)
         _engine().run(3, checkpoint=manager)
         apply_checkpoint_fault(tmp_path, CheckpointFault("truncate"))
-        with pytest.raises(CheckpointError):
-            manager.load(recover=False)
         payload = manager.load()
         assert payload["generation"] == 1
+        assert (tmp_path / "ckpt-gen00000002.json.corrupt").exists()

@@ -17,7 +17,7 @@ from repro.ga.engine import InSiPSEngine
 from repro.ga.fitness import SerialScoreProvider
 from repro.parallel.mp_backend import DeadWorkerError, MultiprocessScoreProvider
 from repro.parallel.worker import FaultPlan
-from repro.resilience import BreakerState, ChaosSpec, CircuitBreaker
+from repro.resilience import BreakerState, CircuitBreaker
 from repro.telemetry import MetricsRegistry
 
 pytestmark = pytest.mark.faults
@@ -50,7 +50,6 @@ def test_permanent_pool_loss_campaign_completes_bit_exact(
         SerialScoreProvider(tiny_engine, target, non_targets)
     ).run(generations)
 
-    spec = ChaosSpec().with_worker_crash(on_item=0)  # every worker, forever
     telemetry = MetricsRegistry()
     with MultiprocessScoreProvider(
         tiny_engine,
@@ -59,7 +58,7 @@ def test_permanent_pool_loss_campaign_completes_bit_exact(
         num_workers=2,
         timeout=30.0,
         max_retries=1,
-        faults=spec.fault_plan(),
+        faults=FaultPlan(crash_on_item=0),  # every worker, forever
         telemetry=telemetry,
     ) as provider:
         result = _engine(provider).run(generations)
@@ -153,7 +152,6 @@ def test_stalled_pool_degrades_and_close_escalates(
     target, non_targets = tiny_problem
     serial = SerialScoreProvider(tiny_engine, target, non_targets)
     telemetry = MetricsRegistry()
-    spec = ChaosSpec().with_worker_hang(on_item=0, hang_s=60.0)
     provider = MultiprocessScoreProvider(
         tiny_engine,
         target,
@@ -162,7 +160,7 @@ def test_stalled_pool_degrades_and_close_escalates(
         timeout=300.0,
         close_grace_s=0.3,
         clock=SteppingClock(step=200.0),
-        faults=spec.fault_plan(),
+        faults=FaultPlan(hang_on_item=0, hang_s=60.0),
         telemetry=telemetry,
     )
     try:

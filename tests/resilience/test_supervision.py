@@ -1,10 +1,11 @@
-"""Engine-level supervision: deadlines, eval retries, clean partial stops.
+"""Engine-level supervision: the deadline stop, and failures that raise.
 
-The supervisor contract at the GA layer: a wall-clock deadline or an
-exhausted retry budget ends the campaign with the best-so-far design, a
-degradation record and (when checkpointing) a resumable snapshot — never
-a traceback — while an uninterrupted run stays bit-for-bit identical to
-one that never saw a supervisor.
+The supervisor contract at the GA layer: a wall-clock deadline ends the
+campaign with the best-so-far design, a degradation record and (when
+checkpointing) a resumable snapshot — never a traceback — while an
+uninterrupted run stays bit-for-bit identical to one that never saw a
+supervisor.  The engine does not retry scoring: the pool re-issues lost
+work, and a failure it did not absorb propagates.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from repro.checkpoint import CheckpointManager
 from repro.ga.config import GAParams
 from repro.ga.engine import InSiPSEngine
 from repro.ga.fitness import ScoreProvider, ScoreSet
-from repro.resilience import Deadline, RetryPolicy
+from repro.resilience import Deadline
 from repro.telemetry import MetricsRegistry
 
 
@@ -50,10 +51,6 @@ def _engine(provider, seed=17, telemetry=None):
     )
 
 
-def _no_sleep_retry(max_retries=3):
-    return RetryPolicy(max_retries=max_retries, base_s=0.0, jitter=0.0)
-
-
 class TestDeadline:
     def test_expiry_returns_partial_result(self):
         now = [0.0]
@@ -63,7 +60,8 @@ class TestDeadline:
             if stats.generation >= 1:
                 now[0] = 100.0  # blow the budget after generation 1
 
-        result = _engine(ScriptedProvider()).run(
+        telemetry = MetricsRegistry()
+        result = _engine(ScriptedProvider(), telemetry=telemetry).run(
             50, on_generation=on_generation, deadline=deadline
         )
         assert not result.completed
@@ -74,6 +72,12 @@ class TestDeadline:
         assert record["kind"] == "deadline"
         assert record["budget_s"] == 10.0
         assert record["elapsed_s"] >= 10.0
+        # The deadline is the one supervised stop the counter counts.
+        assert telemetry.counter("ga.supervised_stops").value == 1
+        [stop] = [
+            e for e in telemetry.events if e["event"] == "ga.supervised_stop"
+        ]
+        assert stop["reason"] == "deadline"
 
     def test_plain_seconds_accepted_and_generous_budget_completes(self):
         result = _engine(ScriptedProvider()).run(3, deadline=3600.0)
@@ -116,59 +120,6 @@ class TestDeadline:
 
 
 class TestEvalRetry:
-    def test_transient_failures_retried_to_success(self):
-        provider = ScriptedProvider(fail_calls={2, 3})
-        telemetry = MetricsRegistry()
-        result = _engine(provider, telemetry=telemetry).run(
-            3, retry=_no_sleep_retry()
-        )
-        assert result.completed
-        assert result.generations == 3
-        assert telemetry.counter("ga.eval_retries").value == 2
-        retries = [
-            e for e in telemetry.events if e["event"] == "ga.eval_retry"
-        ]
-        assert [e["attempt"] for e in retries] == [1, 2]
-
-    def test_retry_matches_unsupervised_run_bit_exact(self):
-        reference = _engine(ScriptedProvider()).run(3)
-        flaky = _engine(ScriptedProvider(fail_calls={2})).run(
-            3, retry=_no_sleep_retry()
-        )
-        assert flaky.best.sequence == reference.best.sequence
-        assert (
-            flaky.history.to_payload() == reference.history.to_payload()
-        )
-
-    def test_exhaustion_with_partial_returns_cleanly(self, tmp_path):
-        provider = ScriptedProvider(fail_from=3)
-        telemetry = MetricsRegistry()
-        manager = CheckpointManager(tmp_path, every=100, fsync=False)
-        result = _engine(provider, telemetry=telemetry).run(
-            50, retry=_no_sleep_retry(max_retries=2), checkpoint=manager
-        )
-        assert not result.completed
-        assert result.stop_reason == "eval_retry_exhausted"
-        assert result.generations == 2
-        assert result.best is not None
-        [record] = result.history.degradations
-        assert record["kind"] == "eval_retry_exhausted"
-        assert "injected failure" in record["error"]
-        assert telemetry.counter("ga.supervised_stops").value == 1
-        # Emergency (pre_eval) snapshot of the half-bred population.
-        assert list(tmp_path.glob("*-emergency.json"))
-
-    def test_generation_zero_failure_has_no_partial_and_raises(self):
-        provider = ScriptedProvider(fail_from=1)
-        with pytest.raises(RuntimeError, match="injected failure"):
-            _engine(provider).run(5, retry=_no_sleep_retry(max_retries=1))
-
-    def test_non_transient_error_propagates_immediately(self):
-        provider = ScriptedProvider(fail_calls={2}, exc=ValueError)
-        with pytest.raises(ValueError, match="injected failure"):
-            _engine(provider).run(3, retry=_no_sleep_retry())
-        assert provider.calls == 2  # no retry was attempted
-
     def test_no_retry_policy_keeps_historical_raise(self):
         provider = ScriptedProvider(fail_calls={2})
         with pytest.raises(RuntimeError, match="injected failure"):

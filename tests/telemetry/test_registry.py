@@ -8,9 +8,11 @@ import pytest
 
 from repro.telemetry import (
     NULL_REGISTRY,
+    Gauge,
     Histogram,
     MetricsRegistry,
     NullRegistry,
+    TimerStat,
     get_registry,
     set_registry,
 )
@@ -76,6 +78,23 @@ class TestHistograms:
         assert len(h.samples) == 8
         assert h.count == 100
         assert h.mean == pytest.approx(49.5)
+
+
+@pytest.mark.parametrize(
+    "instrument, state",
+    [
+        (Histogram, {"count": 5}),
+        (Histogram, {"samples": [1.0]}),
+        (Gauge, {"updates": 2}),
+        (TimerStat, {"self_total": 1.0}),
+    ],
+)
+def test_running_state_is_not_a_constructor_argument(instrument, state):
+    """An instrument starts empty: its running state is only ever built
+    by observing, so it cannot be constructed inconsistent (a count of 5
+    with no samples)."""
+    with pytest.raises(TypeError):
+        instrument(**state)
 
 
 class TestSpans:

@@ -7,22 +7,27 @@ argued for in review; sizes, bounds and rates that no caller sets are
 class constants instead (``CachingScoreProvider.CACHE_SIZE``,
 ``BatchedNumpyKernel.BATCH_RESIDUES``, ``CheckpointManager.RETAIN`` ...).
 ``*args``/``**kwargs`` entries are pass-throughs to a row above them.
+The recovery surface is pinned too: each fault has one recovery path, so
+no retry policy, recovery switch or second chaos builder reappears
+unnoticed.
 """
 
 import inspect
 
 import pytest
 
-from repro.checkpoint import CheckpointManager
+from repro.checkpoint import CheckpointManager, load_snapshot
 from repro.fabric import ScoringFabric
 from repro.ga.adaptive import AdaptiveInSiPSEngine, AdaptiveOperatorController
 from repro.ga.engine import InSiPSEngine
 from repro.ga.fitness import SerialScoreProvider
 from repro.parallel.mp_backend import MultiprocessScoreProvider, WorkerPool
+from repro.parallel.worker import FaultPlan
 from repro.ppi.database import PipeDatabase
 from repro.ppi.kernels import BatchedNumpyKernel
 from repro.ppi.pipe import PipeEngine
 from repro.providers import make_score_provider
+from repro.resilience import CircuitBreaker, Deadline
 from repro.service import DesignService
 
 INVENTORY = {
@@ -43,7 +48,7 @@ INVENTORY = {
     ScoringFabric.client: ("target", "non_targets", "telemetry"),
     DesignService: (
         "source", "root", "max_concurrent", "max_queue", "quotas",
-        "default_quota", "fsync", "recover", "telemetry", "**fabric_kwargs",
+        "default_quota", "fsync", "telemetry", "**fabric_kwargs",
     ),
     PipeEngine: ("database", "config", "telemetry"),
     PipeDatabase: (
@@ -62,6 +67,18 @@ INVENTORY = {
     ),
     AdaptiveInSiPSEngine: ("*args", "**kwargs"),
     AdaptiveOperatorController: ("base",),
+    InSiPSEngine.run: ("termination", "on_generation", "checkpoint", "deadline"),
+    InSiPSEngine.steps: (
+        "termination", "on_generation", "checkpoint", "deadline",
+    ),
+    load_snapshot: ("source", "telemetry"),
+    CheckpointManager.load: (),
+    CircuitBreaker: ("failure_threshold", "probe_after"),
+    Deadline: ("budget_s", "clock"),
+    FaultPlan: (
+        "fail_on_item", "crash_on_item", "hang_on_item", "hang_s",
+        "delay_on_item", "delay", "only_worker",
+    ),
 }
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.ga.fitness import SerialScoreProvider
-from repro.ppi.database import PipeDatabase
 from repro.ppi.kernels import ChunkedNumpyKernel
 from repro.ppi.pipe import BatchScores, PipeConfig, PipeEngine
 from repro.providers import BACKENDS, make_engine, make_score_provider
