@@ -362,15 +362,6 @@ class CheckpointManager:
             reason=reason,
         )
 
-    def latest(self) -> Path | None:
-        """The newest snapshot in this manager's directory, if any."""
-        return find_latest(self.directory)
-
-    def load(self) -> dict[str, object]:
-        """Load the newest valid snapshot, running the recovery chain
-        (quarantining corrupt files)."""
-        return load_snapshot(self.directory, telemetry=self.telemetry)
-
     def _prune(self, *, keep: Path) -> None:
         """Delete all but the newest :attr:`RETAIN` snapshots (never
         ``keep``)."""

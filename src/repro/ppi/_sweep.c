@@ -5,19 +5,29 @@
  * The window sweep.  For every stacked query row r and proteome column c
  * this computes the exact int16 window sum
  *
- *     sum(score_rows[stacked[r + t], c + t] for t in range(w))
+ *     S(r, c) = sum(score_rows[stacked[r + t], c + t] for t in range(w))
  *
  * compares it against the (integer) threshold and writes only the hits,
  * as flat indices r * total_cols + c, into a caller-owned buffer.  It is
  * the tile loop of repro.ppi.kernels.BatchedNumpyKernel._sweep_stacked
  * (score matrix -> doubling partial sums -> threshold -> hits) without the
- * intermediate matrices: the sums live in vector registers, so a sweep
- * reads each score row slice from L1 and writes nothing but hits.
+ * intermediate matrices.  Two windows on one diagonal share w - 1 terms,
  *
- * Bit-exact with the numpy body by construction: every sum is an integer
- * sum of at most w terms, and the caller only passes score rows whose
- * w * max|score| fits int16, so no partial sum can overflow.  Hit order
- * is unspecified (the caller sorts cells).
+ *     S(r + 1, c + 1) = S(r, c) + score_rows[stacked[r + w], c + w]
+ *                               - score_rows[stacked[r], c],
+ *
+ * so the sweep builds a band of sums once with w loads per vector and
+ * walks it down its diagonal with two: the sums live in vector registers,
+ * each step reads two score-row slices from L1, and nothing but hits is
+ * written.
+ *
+ * Bit-exact with the numpy body: the caller only passes score rows whose
+ * w * max|score| fits int16, so every window sum is an exact int16 value.
+ * The running sums are kept in uint16 lanes, whose adds and subtracts
+ * wrap mod 2^16; a value that is congruent mod 2^16 to an exact sum in
+ * int16 range reads back, as int16, as that sum, whatever the walk's
+ * intermediate values were.  Hit order is unspecified (the caller sorts
+ * cells).
  *
  * The result block (repro_result_block, at the end of this file) is the
  * product, box filter and per-protein maximum of
@@ -37,18 +47,44 @@
 #include <stdint.h>
 #include <string.h>
 
-/* Columns per tile: 20 score rows x (TILE + w) int16 stay in L1/L2 while
- * every query row sweeps them. */
-#define TILE 1024
-/* Vectors summed side by side: eight accumulators per inner step. */
+/* Query rows per block of the diagonal walk: each band pays its w-load
+ * start once per block and two loads per vector for every further row. */
+#define BLOCK_ROWS 128
+/* Vectors walked side by side: one band is UNROLL vectors wide. */
 #define UNROLL 8
 
+typedef uint16_t u16x16 __attribute__((vector_size(32)));
 typedef int16_t v16x16 __attribute__((vector_size(32)));
+typedef uint16_t u16x8 __attribute__((vector_size(16)));
 typedef int16_t v16x8 __attribute__((vector_size(16)));
 
+/* Lane-wise signed maximum: one instruction on x86-64 (SSE2 and AVX2
+ * both have it), a compare and a select elsewhere (GNU C has no vector
+ * ?: outside C++). */
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define HAVE_AVX2_BODY 1
+
+static inline v16x8 max_vec16(v16x8 a, v16x8 b)
+{
+    return (v16x8)_mm_max_epi16((__m128i)a, (__m128i)b);
+}
+
+__attribute__((target("avx2"))) static inline v16x16 max_avx2(v16x16 a,
+                                                               v16x16 b)
+{
+    return (v16x16)_mm256_max_epi16((__m256i)a, (__m256i)b);
+}
+#else
+static inline v16x8 max_vec16(v16x8 a, v16x8 b)
+{
+    return a ^ ((a ^ b) & (a < b));
+}
+#endif
+
 /*
- * Scalar sums of query row r over columns [from, to): the tail of a tile,
- * and the rare vector block that holds a hit.  Appends hits past `n`
+ * Scalar sums of query row r over columns [from, to): the tail of a row's
+ * edge cells, and the rare vector that holds a hit.  Appends hits past `n`
  * (storing at most `cap`) and returns the new count.
  */
 static inline int64_t scan_scalar(
@@ -71,62 +107,123 @@ static inline int64_t scan_scalar(
 
 /*
  * One sweep body per vector type.  The auto-vectoriser is not trusted
- * with this nest (it interchanges the t/c loops into a scalar inner
- * loop); GCC vector types pin the shape: for each query row and each
- * UNROLL-vector column block, w unaligned loads per vector, summed in
- * registers, then one compare against the threshold.  Hits are rare, so
- * a block that holds one is summed again scalar to find its columns; the
- * accumulators never leave the registers.  Full vector loads stop at the
- * last full block of a tile and the tile's tail columns are summed
- * scalar, so no load reaches past column total_cols + w - 2, the last
- * pad column of score_rows.
+ * with this nest; GCC vector types pin the shape.
+ *
+ * The stacked rows are taken BLOCK_ROWS at a time.  Within a block of h
+ * rows starting at r0, a band is STEP = UNROLL * LANES columns wide and
+ * starts at a multiple of STEP: at the block's k-th row it covers columns
+ * [c + k, c + k + STEP).  Its sums are built at row r0 with w unaligned
+ * loads per vector, then carried from row to row by the diagonal
+ * recurrence, two loads per vector.  The sums are uint16 lanes that
+ * wrap mod 2^16, so a step may pass through values outside int16; every
+ * sum a row retains is congruent to its exact window sum, which fits
+ * int16, so read as int16 it is that sum.  After each row the UNROLL
+ * accumulators are reduced to their lane-wise maximum and compared once
+ * against the threshold; hits are rare, so a row of a band that holds
+ * one is summed again scalar to find its columns.  Bands stop where
+ * their last row would leave the proteome (c + h - 1 + STEP <=
+ * total_cols), so no load reaches past column total_cols + w - 2, the
+ * last pad column of score_rows.
+ *
+ * The cells no band reaches are the block's two edges: columns [0, k)
+ * and [bands_end + k, total_cols) of row k, or the whole row when not
+ * even one band fits.  Those are summed per row the vertical way (w
+ * loads per vector, a scalar tail).
  */
-#define DEFINE_SWEEP(NAME, VEC, ATTR)                                          \
+#define DEFINE_SWEEP(NAME, UVEC, SVEC, MAX, ATTR)                             \
+    ATTR static inline int NAME##_reaches(SVEC sums, int16_t thr)             \
+    {                                                                          \
+        SVEC ge = sums >= thr;                                                 \
+        uint64_t words[sizeof(SVEC) / 8], seen = 0;                            \
+        memcpy(words, &ge, sizeof words);                                      \
+        for (size_t k = 0; k < sizeof words / 8; k++)                          \
+            seen |= words[k];                                                  \
+        return seen != 0;                                                      \
+    }                                                                          \
+                                                                               \
+    ATTR static int64_t NAME##_edge(                                           \
+        const int16_t *rows, int64_t stride, int64_t total_cols,               \
+        const uint8_t *q, int64_t r, int64_t w, int16_t thr,                   \
+        int64_t from, int64_t to, int64_t *hits, int64_t cap, int64_t n)       \
+    {                                                                          \
+        enum { LANES = sizeof(UVEC) / sizeof(uint16_t) };                      \
+        int64_t c = from;                                                      \
+        for (; c + LANES <= to; c += LANES) {                                  \
+            UVEC acc = {0};                                                    \
+            for (int64_t t = 0; t < w; t++) {                                  \
+                UVEC x;                                                        \
+                memcpy(&x, rows + q[t] * stride + c + t, sizeof x);            \
+                acc += x;                                                      \
+            }                                                                  \
+            if (NAME##_reaches((SVEC)acc, thr))                                \
+                n = scan_scalar(rows, stride, total_cols, q, r, w, thr, c,     \
+                                c + LANES, hits, cap, n);                      \
+        }                                                                      \
+        return scan_scalar(rows, stride, total_cols, q, r, w, thr, c, to,      \
+                           hits, cap, n);                                      \
+    }                                                                          \
+                                                                               \
     ATTR static int64_t NAME(                                                  \
         const int16_t *rows, int64_t stride, int64_t total_cols,               \
         const uint8_t *stacked, int64_t n_rows, int64_t w, int16_t thr,        \
         int64_t *hits, int64_t cap)                                            \
     {                                                                          \
-        enum { LANES = sizeof(VEC) / sizeof(int16_t), STEP = UNROLL * LANES }; \
+        enum { LANES = sizeof(UVEC) / sizeof(uint16_t) };                      \
+        enum { STEP = UNROLL * LANES };                                        \
         int64_t n = 0;                                                         \
-        for (int64_t c0 = 0; c0 < total_cols; c0 += TILE) {                    \
-            int64_t end = total_cols - c0 < TILE ? total_cols : c0 + TILE;     \
-            int64_t blocks_end = c0 + (end - c0) / STEP * STEP;                \
-            for (int64_t r = 0; r < n_rows; r++) {                             \
-                const uint8_t *q = stacked + r;                                \
-                for (int64_t c = c0; c < blocks_end; c += STEP) {              \
-                    VEC acc[UNROLL] = {0};                                     \
-                    for (int64_t t = 0; t < w; t++) {                          \
-                        const int16_t *src = rows + q[t] * stride + c + t;     \
-                        for (int u = 0; u < UNROLL; u++) {                     \
-                            VEC x;                                             \
-                            memcpy(&x, src + u * LANES, sizeof x);             \
-                            acc[u] += x;                                       \
-                        }                                                      \
+        for (int64_t r0 = 0; r0 < n_rows; r0 += BLOCK_ROWS) {                  \
+            const uint8_t *q = stacked + r0;                                   \
+            int64_t h = n_rows - r0 < BLOCK_ROWS ? n_rows - r0 : BLOCK_ROWS;   \
+            int64_t span = total_cols - (h - 1);                               \
+            int64_t bands_end = span >= STEP ? span / STEP * STEP : 0;         \
+            for (int64_t c = 0; c < bands_end; c += STEP) {                    \
+                UVEC acc[UNROLL] = {0};                                        \
+                for (int64_t t = 0; t < w; t++) {                              \
+                    const int16_t *src = rows + q[t] * stride + c + t;         \
+                    for (int u = 0; u < UNROLL; u++) {                         \
+                        UVEC x;                                                \
+                        memcpy(&x, src + u * LANES, sizeof x);                 \
+                        acc[u] += x;                                           \
                     }                                                          \
-                    VEC any = acc[0] >= thr;                                   \
-                    for (int u = 1; u < UNROLL; u++)                           \
-                        any |= acc[u] >= thr;                                  \
-                    uint64_t words[sizeof(VEC) / 8], seen = 0;                 \
-                    memcpy(words, &any, sizeof words);                         \
-                    for (size_t k = 0; k < sizeof words / 8; k++)              \
-                        seen |= words[k];                                      \
-                    if (seen)                                                  \
-                        n = scan_scalar(rows, stride, total_cols, q, r, w,     \
-                                        thr, c, c + STEP, hits, cap, n);       \
                 }                                                              \
-                n = scan_scalar(rows, stride, total_cols, q, r, w, thr,        \
-                                blocks_end, end, hits, cap, n);                \
+                for (int64_t k = 0;; k++) {                                    \
+                    SVEC top = (SVEC)acc[0];                                   \
+                    for (int u = 1; u < UNROLL; u++)                           \
+                        top = MAX(top, (SVEC)acc[u]);                          \
+                    if (NAME##_reaches(top, thr))                              \
+                        n = scan_scalar(rows, stride, total_cols, q + k,       \
+                                        r0 + k, w, thr, c + k, c + k + STEP,   \
+                                        hits, cap, n);                         \
+                    if (k + 1 == h)                                            \
+                        break;                                                 \
+                    const int16_t *in = rows + q[k + w] * stride + c + k + w;  \
+                    const int16_t *out = rows + q[k] * stride + c + k;         \
+                    for (int u = 0; u < UNROLL; u++) {                         \
+                        UVEC x, y;                                             \
+                        memcpy(&x, in + u * LANES, sizeof x);                  \
+                        memcpy(&y, out + u * LANES, sizeof y);                 \
+                        acc[u] += x - y;                                       \
+                    }                                                          \
+                }                                                              \
+            }                                                                  \
+            for (int64_t k = 0; k < h; k++) {                                  \
+                int64_t left = bands_end ? k : total_cols;                     \
+                n = NAME##_edge(rows, stride, total_cols, q + k, r0 + k, w,    \
+                                thr, 0, left, hits, cap, n);                   \
+                if (bands_end)                                                 \
+                    n = NAME##_edge(rows, stride, total_cols, q + k, r0 + k,   \
+                                    w, thr, bands_end + k, total_cols, hits,   \
+                                    cap, n);                                   \
             }                                                                  \
         }                                                                      \
         return n;                                                              \
     }
 
-DEFINE_SWEEP(sweep_vec16, v16x8, )
+DEFINE_SWEEP(sweep_vec16, u16x8, v16x8, max_vec16, )
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define HAVE_AVX2_BODY 1
-DEFINE_SWEEP(sweep_avx2, v16x16, __attribute__((target("avx2"))))
+#ifdef HAVE_AVX2_BODY
+DEFINE_SWEEP(sweep_avx2, u16x16, v16x16, max_avx2,
+             __attribute__((target("avx2"))))
 
 static int has_avx2(void)
 {

@@ -18,16 +18,18 @@ provider:
 * :class:`BatchedNumpyKernel` — the batched entry point: all queries of a
   generation (full candidates, or the dirty runs of every delta child of
   a round) are stacked into one query array and swept against the
-  proteome tile by tile, each tile's score matrix being one contiguous
-  row take from the database's ``score_rows``.  Row-for-row **bit-exact**
-  with the reference: stacking only adds seam rows (later discarded) and
-  every retained row accumulates exactly the per-sequence sweep's terms.
-  Its tile loop has two bodies with the same int16 semantics: one
-  compiled C loop (``_sweep.c``, built on first use and loaded with
-  :mod:`ctypes` — :func:`native_sweep` says whether this process has it
-  and why not) and the numpy tile body, which runs wherever the C loop
-  cannot and is its reference.  Which one runs is decided by capability,
-  never by an option.
+  proteome's ``score_rows``.  Row-for-row **bit-exact** with the
+  reference: stacking only adds seam rows (later discarded) and every
+  retained row accumulates exactly the per-sequence sweep's terms.  Its
+  tile loop has two bodies with the same int16 semantics: one compiled C
+  loop (``_sweep.c``, which carries each window sum down its diagonal
+  from the one before, two loads per vector instead of ``w``; built on
+  first use and loaded with :mod:`ctypes` — :func:`native_sweep` says
+  whether this process has it and why not) and the numpy tile body —
+  cache-sized column tiles, each one contiguous row take of
+  ``score_rows`` — which runs wherever the C loop cannot and is its
+  reference.  Which one runs is decided by capability, never by an
+  option.
 
 Kernels hold no references to the database; they read the read-only
 proteome arrays — ``score_rows`` included, which the database derives
@@ -403,11 +405,16 @@ class BatchedNumpyKernel(ChunkedNumpyKernel):
       ``ceil(threshold)``, identical for integer sums.  A database
       without score rows takes the float64 reference path.
     * **one compiled loop** — where this process loaded it
-      (:func:`native_sweep`), the whole tile loop is one C call: for each
-      query row it sums the ``w`` shifted score-row slices in vector
-      registers, compares them against the threshold and writes only the
-      hits into a buffer it is handed, so a sweep reads each score-row
-      slice from L1 and writes nothing else.  It drops the GIL.
+      (:func:`native_sweep`), the whole tile loop is one C call.  It
+      walks the window sums down their diagonals in vector registers:
+      a band of columns builds its sums once per block of query rows
+      with ``w`` loads per vector, then each next row's sums are the
+      last row's plus the entering and minus the leaving score, two
+      loads per vector; the few edge cells no band reaches are summed
+      per row.  Each row's sums are compared against the threshold and
+      only the hits are written, into a buffer it is handed, so a sweep
+      reads score-row slices from L1 and writes nothing else.  It drops
+      the GIL.
     * **hits, not masks** — matches are overwhelmingly rare, so the tile
       loop yields only the hits; validity, the column → protein map and
       the per-query cut are applied to that handful afterwards.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.checkpoint import CheckpointError, CheckpointManager
+from repro.checkpoint import CheckpointError, CheckpointManager, find_latest
 from repro.ga.adaptive import AdaptiveInSiPSEngine
 from repro.ga.config import GAParams
 from repro.ga.engine import InSiPSEngine
@@ -120,7 +120,7 @@ class TestBitExactResume:
         dying = _make(engine_cls, provider=FailingProvider(fail_on_batch=4))
         with pytest.raises(RuntimeError, match="simulated"):
             dying.run(generations, checkpoint=manager)
-        latest = manager.latest()
+        latest = find_latest(manager.directory)
         assert latest is not None and "emergency" in latest.name
 
         resumed_engine = _make(engine_cls)

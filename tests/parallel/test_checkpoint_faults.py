@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro.parallel.mp_backend as mp_backend
-from repro.checkpoint import CheckpointManager, load_snapshot
+from repro.checkpoint import CheckpointManager, find_latest, load_snapshot
 from repro.ga.config import GAParams
 from repro.ga.engine import InSiPSEngine
 from repro.ga.fitness import SerialScoreProvider
@@ -71,7 +71,7 @@ def test_dead_worker_error_triggers_emergency_snapshot_and_resume(
     finally:
         provider.close()
 
-    latest = manager.latest()
+    latest = find_latest(manager.directory)
     assert latest is not None and latest.name.endswith("-emergency.json")
     payload = load_snapshot(latest)
     assert payload["phase"] == "pre_eval"

@@ -1,5 +1,10 @@
 """Tests for the interaction graph."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -102,6 +107,24 @@ def test_to_networkx(graph):
     nxg = graph.to_networkx()
     assert nxg.number_of_nodes() == 5
     assert nxg.number_of_edges() == 3
+
+
+def test_networkx_is_imported_only_by_the_export():
+    """Importing the package and building a world leave networkx unloaded
+    (it costs every process ~12 MB of RSS); ``to_networkx`` loads it."""
+    code = (
+        "import sys, repro; from repro.synthetic import get_profile; "
+        "world = get_profile('tiny').build_world(); "
+        "print('networkx' in sys.modules); world.graph.to_networkx(); "
+        "print('networkx' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]
 
 
 def test_degree_histogram(graph):

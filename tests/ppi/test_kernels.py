@@ -273,6 +273,44 @@ def test_compiled_loop_refuses_what_it_cannot_read(database):
         assert np.array_equal(g, ChunkedNumpyKernel().sweep(database, seq))
 
 
+#: Query rows per block of the compiled loop's diagonal walk (``BLOCK_ROWS``
+#: in ``_sweep.c``).
+BLOCK_ROWS = 128
+
+
+@pytest.mark.parametrize("body", ["native", "native-vec16"])
+@pytest.mark.parametrize("width", [90, 250, 700])
+@pytest.mark.parametrize("threshold", [THRESHOLD, -1e6, 1e6])
+def test_compiled_loop_matches_numpy_at_row_block_edges(
+    tile_kernel, body, width, threshold
+):
+    """Every stacked cell's verdict, compiled loop against the numpy tile
+    body, at row counts just below, at and above one, two and three row
+    blocks.  A 90-column proteome fits no band of either body; at 250
+    columns a full block fits no AVX2 band, so every cell is an edge
+    cell, while a short last block does; at 700 every block has bands
+    and an edge triangle at both ends.  At -1e6 every cell hits (the
+    threshold clamps to INT16_MIN), at 1e6 none does."""
+    compiled, numpy_body = tile_kernel(body), tile_kernel("numpy")
+    rng = np.random.default_rng(width)
+    protein = Protein("P", decode(rng.integers(0, 20, size=width).astype(np.uint8)))
+    db = PipeDatabase(InteractionGraph([protein], []), PAM120, W, threshold)
+    total_cols = db.valid_columns.size
+    ithr = int(np.ceil(threshold))
+    for n_rows in [b * BLOCK_ROWS + d for b in (1, 2, 3) for d in (-1, 0, 1)]:
+        stacked = rng.integers(0, 20, size=n_rows + W - 1).astype(np.uint8)
+        cells = []
+        for kernel in (numpy_body, compiled):
+            rows, cols = kernel._tile_hits(db, stacked, n_rows, ithr)
+            cells.append(np.sort(rows * total_cols + cols))
+        expected, got = cells
+        if threshold == -1e6:
+            assert expected.size == n_rows * total_cols
+        elif threshold == 1e6:
+            assert expected.size == 0
+        assert np.array_equal(got, expected), (n_rows, width)
+
+
 # ----------------------------------------------------------- score rows
 
 

@@ -93,6 +93,13 @@ def test_batched_kernel_bit_exact(databases, population):
             assert np.array_equal(e, g)
 
 
+#: Query rows per block of the compiled loop's diagonal walk
+#: (``BLOCK_ROWS`` in ``_sweep.c``) and its widest band (``UNROLL`` AVX2
+#: vectors of 16 lanes): a proteome narrower than their sum fits no band.
+BLOCK_ROWS = 128
+WIDEST_BAND = 8 * 16
+
+
 @st.composite
 def sweep_cases(draw):
     """A proteome, window, threshold and query batch for the tile bodies.
@@ -100,29 +107,48 @@ def sweep_cases(draw):
     Windows 1–24 (20 is the ``paper`` profile's); thresholds from "every
     cell hits" (more hits than the compiled loop's first buffer holds, so
     it re-runs sized exactly) to "none does"; queries shorter than the
-    window; proteome widths that are rarely a multiple of a vector, a
-    vector block or the compiled loop's 1 024-column tile.
+    window.  Proteome widths that are rarely a multiple of a vector or a
+    band, and ones narrower than one band plus a row block, where every
+    cell is an edge cell of the diagonal walk.  Batches of up to 5 × 40
+    residues, and batches that stack to a row count just below, at or
+    above a multiple of the row block, cut into up to five queries.
     """
     w = draw(st.one_of(st.just(20), st.integers(min_value=1, max_value=24)))
-    lengths = draw(
-        st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=6)
-    )
     if draw(st.booleans()):
-        lengths.append(draw(st.integers(min_value=1000, max_value=1400)))
+        lengths = draw(
+            st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=6)
+        )
+        if draw(st.booleans()):
+            lengths.append(draw(st.integers(min_value=1000, max_value=1400)))
+    else:
+        narrow = WIDEST_BAND + BLOCK_ROWS - 2
+        lengths = [draw(st.integers(min_value=1, max_value=narrow))]
     # PAM120 scores lie in [-8, 12]: -9 w makes every cell a hit.
     threshold = draw(st.integers(min_value=-9 * w, max_value=6 * w)) + draw(
         st.sampled_from([0.0, 0.5])
     )
-    queries = draw(
-        st.lists(
-            st.lists(st.integers(min_value=0, max_value=19), max_size=40).map(
-                lambda xs: np.array(xs, dtype=np.uint8)
-            ),
-            min_size=1,
-            max_size=5,
-        )
-    )
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    if draw(st.booleans()):
+        queries = draw(
+            st.lists(
+                st.lists(st.integers(min_value=0, max_value=19), max_size=40).map(
+                    lambda xs: np.array(xs, dtype=np.uint8)
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    else:
+        n_rows = draw(st.integers(min_value=1, max_value=3)) * BLOCK_ROWS + draw(
+            st.sampled_from([-1, 0, 1])
+        )
+        stacked = np.random.default_rng(seed + 1).integers(
+            0, 20, size=n_rows + w - 1, dtype=np.uint8
+        )
+        cuts = draw(
+            st.lists(st.integers(min_value=0, max_value=stacked.size), max_size=4)
+        )
+        queries = np.split(stacked, sorted(cuts))
     return w, lengths, threshold, queries, seed
 
 

@@ -143,6 +143,6 @@ class TestEndToEndResume:
         manager = CheckpointManager(tmp_path, every=1, fsync=False)
         _engine().run(3, checkpoint=manager)
         apply_checkpoint_fault(tmp_path, CheckpointFault("truncate"))
-        payload = manager.load()
+        payload = load_snapshot(manager.directory)
         assert payload["generation"] == 1
         assert (tmp_path / "ckpt-gen00000002.json.corrupt").exists()

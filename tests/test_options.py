@@ -72,7 +72,6 @@ INVENTORY = {
         "termination", "on_generation", "checkpoint", "deadline",
     ),
     load_snapshot: ("source", "telemetry"),
-    CheckpointManager.load: (),
     CircuitBreaker: ("failure_threshold", "probe_after"),
     Deadline: ("budget_s", "clock"),
     FaultPlan: (
