@@ -178,7 +178,7 @@ def _rss_breakdown_kb(pid: int) -> dict[str, int] | None:
         return None
 
 
-def test_bench_worker_rss(benchmark, small_world, population):
+def test_bench_worker_rss(benchmark, small_world, population, monkeypatch):
     """Per-worker resident memory with the proteome in shared memory.
     Workers are *spawned* (not forked) so the footprint is what each
     worker actually owns — fork's copy-on-write pages would otherwise
@@ -187,8 +187,9 @@ def test_bench_worker_rss(benchmark, small_world, population):
     broadcast to every worker) land in extra_info."""
     import pickle
 
-    from repro.parallel.mp_backend import MultiprocessScoreProvider
+    from repro.parallel.mp_backend import MultiprocessScoreProvider, WorkerPool
 
+    monkeypatch.setattr(WorkerPool, "START_METHOD", "spawn")
     engine = small_world.engine
     target = "YBL051C"
     non_targets = small_world.non_targets_for(target, limit=8)
@@ -199,8 +200,6 @@ def test_bench_worker_rss(benchmark, small_world, population):
             target,
             non_targets,
             num_workers=2,
-            timeout=300.0,
-            start_method="spawn",
         ) as provider:
             out = provider.scores(population)
             rss = {

@@ -100,22 +100,27 @@ def _check(checks: dict[str, bool]) -> bool:
 
 def _scenario_pool_loss(world, non_targets, reference) -> bool:
     """Scenario 1: every worker dies on slice 0, forever."""
-    from repro.parallel import MultiprocessScoreProvider
+    from unittest import mock
+
+    from repro.parallel import MultiprocessScoreProvider, WorkerPool
     from repro.parallel.worker import FaultPlan
     from repro.resilience import BreakerState
     from repro.telemetry import MetricsRegistry
 
     print("scenario 1: permanent worker loss ...", flush=True)
     telemetry = MetricsRegistry()
-    with MultiprocessScoreProvider(
-        world.engine,
-        TARGET,
-        non_targets,
-        num_workers=NUM_WORKERS,
-        max_retries=1,
-        faults=FaultPlan(crash_on_item=0),  # every worker, respawns too
-        telemetry=telemetry,
-    ) as provider:
+    # One re-dispatch per item, so the budget runs out on the first batch.
+    with (
+        mock.patch.object(WorkerPool, "MAX_RETRIES", 1),
+        MultiprocessScoreProvider(
+            world.engine,
+            TARGET,
+            non_targets,
+            num_workers=NUM_WORKERS,
+            faults=FaultPlan(crash_on_item=0),  # every worker, respawns too
+            telemetry=telemetry,
+        ) as provider,
+    ):
         result = _engine(provider).run(GENERATIONS)
         checks = {
             "campaign completed": result.completed,

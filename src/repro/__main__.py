@@ -33,27 +33,18 @@ def _validate_run_args(args: argparse.Namespace) -> int | None:
             check_int_range(args.checkpoint_every, "--checkpoint-every", lo=1)
         if getattr(args, "deadline_s", None) is not None:
             check_positive(args.deadline_s, "--deadline-s")
+        if args.backend == "serial" and args.workers:
+            raise ValueError("--workers does not apply to --backend serial")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return None
 
 
-def _check_backend_flags(args: argparse.Namespace, backend: str) -> int | None:
-    """Reject the degradation flags unless the process backend runs.
-
-    They used to be dropped without a word for other backends; now an
-    ignored flag is named with exit code 2.
-    """
-    if backend != "process" and args.fail_fast is not None:
-        flag = "--fail-fast" if args.fail_fast else "--degrade"
-        print(
-            f"error: {flag} only applies to the process backend, "
-            f"not --backend {backend}",
-            file=sys.stderr,
-        )
-        return 2
-    return None
+def _backend(args: argparse.Namespace) -> str:
+    """The scoring backend: ``--backend``, else ``process`` when
+    ``--workers`` is set, else ``serial``."""
+    return args.backend or ("process" if args.workers else "serial")
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
@@ -92,35 +83,12 @@ def _cmd_design(args: argparse.Namespace) -> int:
             # the previous valid one; file mode is deliberately strict.
             resume_from = args.checkpoint_dir
             print(f"resuming from {latest}")
-    provider_factory = None
-    backend = args.backend
-    if backend == "serial" and args.workers:
-        backend = "process"  # bare --workers keeps its pre---backend meaning
-    bad = _check_backend_flags(args, backend)
-    if bad is not None:
-        return bad
-    if backend == "process":
-        from repro.providers import make_score_provider
-
-        def provider_factory(engine, target, non_targets):
-            extra = {}
-            if args.fail_fast is not None:
-                extra["fail_fast"] = args.fail_fast
-            return make_score_provider(
-                engine,
-                target,
-                non_targets,
-                backend="process",
-                workers=args.workers or None,
-                telemetry=registry,
-                **extra,
-            )
-
     designer = InhibitorDesigner.from_profile(
         get_profile(args.profile),
         seed=args.seed,
+        backend=_backend(args),
+        workers=args.workers or None,
         telemetry=registry,
-        provider_factory=provider_factory,
     )
     result = designer.design(
         args.target,
@@ -176,7 +144,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     profile = get_profile(args.profile)
     provider_factory = None
     runtimes = []  # one stats-tree reader per worker pool the run built
-    if args.backend == "process" or args.workers:
+    if _backend(args) == "process":
         from repro.providers import make_score_provider
 
         def provider_factory(engine, target, non_targets):
@@ -186,6 +154,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 non_targets,
                 backend="process",
                 workers=args.workers or None,
+                telemetry=registry,
             )
             runtimes.append(provider.runtime_stats)
             return provider
@@ -313,13 +282,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fabric_kwargs: dict[str, object] = {}
-    if args.workers:
-        fabric_kwargs["num_workers"] = args.workers
+    faults = None
     if args.inject_delay_ms:
         from repro.parallel.worker import FaultPlan
 
-        fabric_kwargs["faults"] = FaultPlan(delay=args.inject_delay_ms / 1000.0)
+        faults = FaultPlan(delay=args.inject_delay_ms / 1000.0)
     world = get_profile(args.profile).build_world()
     service = DesignService(
         world,
@@ -329,7 +296,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_quota=TenantQuota(
             max_running=args.quota_running, max_demand=args.quota_demand
         ),
-        **fabric_kwargs,
+        num_workers=args.workers or None,
+        faults=faults,
     )
     stats = service.service_stats()
     print(
@@ -470,29 +438,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_design.add_argument(
         "--backend", choices=("serial", "process"),
-        default="serial",
-        help="scoring backend (bare --workers N implies 'process'); "
-        "see repro.providers.make_score_provider",
+        default=None,
+        help="scoring backend (default: 'process' with --workers N, else "
+        "'serial'); see repro.providers.make_score_provider",
     )
     p_design.add_argument(
         "--deadline-s", type=float, default=None, metavar="S",
         help="wall-clock budget: stop cleanly with the best-so-far design "
         "after S seconds (checkpointed runs stay resumable)",
     )
-    degrade = p_design.add_mutually_exclusive_group()
-    degrade.add_argument(
-        "--degrade", dest="fail_fast", action="store_false",
-        help="on permanent worker loss, fall back to serial scoring in "
-        "the master instead of aborting (default)",
-    )
-    degrade.add_argument(
-        "--fail-fast", dest="fail_fast", action="store_true",
-        help="abort the run when the parallel runtime exhausts its "
-        "retry budget (pre-supervisor behaviour)",
-    )
-    # fail_fast defaults to a sentinel so _check_backend_flags can tell
-    # an explicit --fail-fast/--degrade from the (process-only) default.
-    p_design.set_defaults(func=_cmd_design, fail_fast=None)
+    p_design.set_defaults(func=_cmd_design)
 
     p_stats = sub.add_parser(
         "stats", help="run an instrumented design and report telemetry"
@@ -507,8 +462,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_stats.add_argument(
         "--backend", choices=("serial", "process"),
-        default="serial",
-        help="scoring backend (bare --workers N implies 'process')",
+        default=None,
+        help="scoring backend (default: 'process' with --workers N, else "
+        "'serial')",
     )
     p_stats.add_argument("--out", default=None, help="export telemetry here")
     p_stats.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")

@@ -350,8 +350,9 @@ class CheckpointManager:
         best: "Individual | None",
         reason: str,
     ) -> Path:
-        """Best-effort snapshot when the run is dying (e.g. a fail-fast
-        pool raised :class:`~repro.parallel.mp_backend.DeadWorkerError`)."""
+        """Best-effort snapshot when the run is dying (e.g. a worker's
+        scoring raised
+        :class:`~repro.parallel.mp_backend.WorkerFailureError`)."""
         self.telemetry.count("checkpoint.emergency")
         return self.save(
             engine,

@@ -59,6 +59,7 @@ import numpy as np
 
 from repro.ga.fitness import CacheLookup, CachingScoreProvider, Problem, ScoreSet
 from repro.parallel.mp_backend import WorkerPool
+from repro.parallel.worker import FaultPlan
 from repro.telemetry import NULL_REGISTRY, MetricsRegistry
 
 __all__ = [
@@ -98,15 +99,14 @@ class ScoringFabric:
         problem must name proteins from.
     config:
         PIPE parameters when ``source`` is a graph.
+    num_workers, faults:
+        Settings of the single
+        :class:`~repro.parallel.mp_backend.WorkerPool`, which is built
+        here — a bad setting fails the constructor, not the first job —
+        while its workers still spawn on first use.
     telemetry:
         Registry for the ``fabric.*`` metrics (and the pool's
         ``parallel.*`` ones).  Updated under the fabric lock.
-    **pool_settings:
-        Forwarded to the single
-        :class:`~repro.parallel.mp_backend.WorkerPool`
-        (``num_workers=``, ``timeout=``, ``faults=`` ...),
-        which is built here — a bad setting fails the constructor, not
-        the first job — while its workers still spawn on first use.
 
     Use as a context manager; :meth:`close` closes every client and
     reaps the pool.
@@ -117,15 +117,19 @@ class ScoringFabric:
         source: object,
         *,
         config: object | None = None,
+        num_workers: int | None = None,
+        faults: FaultPlan | None = None,
         telemetry: MetricsRegistry | None = None,
-        **pool_settings: object,
     ) -> None:
         from repro.providers import make_engine
 
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         self._engine = make_engine(source, config, telemetry=telemetry)
         self.pool = WorkerPool(
-            self._engine, telemetry=self.telemetry, **pool_settings
+            self._engine,
+            num_workers=num_workers,
+            faults=faults,
+            telemetry=self.telemetry,
         )
         self._lock = threading.Lock()
         self._clients: dict[int, _ClientState] = {}

@@ -514,8 +514,9 @@ class InSiPSEngine:
         ``checkpoint`` is an optional
         :class:`~repro.checkpoint.CheckpointManager`: due generations are
         snapshotted at the barrier (after evaluation and stats), and a
-        dying evaluation (e.g. a fail-fast pool's ``DeadWorkerError``, or a
-        KeyboardInterrupt) triggers a best-effort emergency snapshot
+        dying evaluation (e.g. a
+        :class:`~repro.parallel.mp_backend.WorkerFailureError` from a
+        scoring bug, or a KeyboardInterrupt) triggers a best-effort emergency snapshot
         before the exception propagates.  Lost work is not retried here:
         the pool re-dispatches it, and a restart resumes from the newest
         valid snapshot.

@@ -32,14 +32,15 @@ Algorithm 2): slices carry candidates, replies carry score sets.
 * :mod:`repro.parallel.multirack` — the paper's proposed multi-rack
   extension (one master per rack, elite synchronisation each generation).
 
-The runtime is supervised by default: permanent pool loss degrades a
-batch to bit-exact master-serial scoring behind a
-:class:`~repro.resilience.CircuitBreaker` instead of raising
-:class:`~repro.parallel.mp_backend.DeadWorkerError` (``fail_fast=True``
-restores the raising behaviour), ``close()`` escalates
-terminate/kill after a grace period so hung workers cannot wedge
-shutdown, and a worker whose pipe closes leaves, so a killed master
-orphans nothing.  See :mod:`repro.resilience` and docs/API.md "Resilience".
+The runtime is supervised, with one recovery path per fault: a dead
+worker's slices are re-dispatched under a per-item retry budget
+(``WorkerPool.MAX_RETRIES``); permanent pool loss or a stall
+(``WorkerPool.TIMEOUT_S``) degrades a batch to bit-exact master-serial
+scoring behind a :class:`~repro.resilience.CircuitBreaker`;
+``close()`` escalates terminate/kill after a grace period
+(``WorkerPool.CLOSE_GRACE_S``) so hung workers cannot wedge shutdown;
+and a worker whose pipe closes leaves, so a killed master orphans
+nothing.  See :mod:`repro.resilience` and docs/API.md "Resilience".
 
 Python threads cannot reproduce the paper's *intra-worker* OpenMP
 parallelism (GIL); that level is modelled by the Blue Gene/Q discrete-event
@@ -54,7 +55,6 @@ from repro.parallel.messages import (
     WorkSlice,
 )
 from repro.parallel.mp_backend import (
-    DeadWorkerError,
     MultiprocessScoreProvider,
     WorkerFailureError,
     WorkerPool,
@@ -64,7 +64,6 @@ from repro.parallel.scheduler import OnDemandScheduler
 from repro.parallel.worker import FaultPlan
 
 __all__ = [
-    "DeadWorkerError",
     "EndSignal",
     "FaultPlan",
     "MultiRackGA",

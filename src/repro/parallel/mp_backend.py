@@ -41,8 +41,8 @@ the worker's window up.  Because the scheduler knows which worker holds
 which slice, recovery is precise (see below).
 
 Sends are synchronous, and a master blocked sending to a worker that is
-itself blocked sending a reply would be a deadlock no ``timeout`` could
-catch — the master would never get back to its wait.  So the master
+itself blocked sending a reply would be a deadlock no stall timeout
+could catch — the master would never get back to its wait.  So the master
 pickles each slice itself and sends the frame with ``send_bytes``,
 trimming the slice until the frame fits the worker pipe's share of the
 socket buffer: the master end's ``SO_SNDBUF``, read at spawn, divided by
@@ -84,7 +84,7 @@ The runtime is fault tolerant at the task level, the property the paper's
 days-long Blue Gene/Q campaigns depend on:
 
 * every batch is stamped with a monotonically increasing ``batch_epoch``;
-  a reply from an earlier epoch (orphaned by a timeout or a dead worker)
+  a reply from an earlier epoch (orphaned by a stall or a dead worker)
   is counted and dropped, never assigned to a later candidate that reuses
   the same ``sequence_id``;
 * a worker's process sentinel firing in the collection loop's wait *is*
@@ -105,28 +105,30 @@ days-long Blue Gene/Q campaigns depend on:
 
 Graceful degradation (the campaign-supervisor contract)
 -------------------------------------------------------
-By default the pool **never abandons a batch**: when the re-dispatch
-retry budget is exhausted (workers keep dying) or the collection loop
-stalls past ``timeout`` (workers hang), the lost items are scored
+The pool **never abandons a batch**: when the re-dispatch retry budget
+(:attr:`WorkerPool.MAX_RETRIES`) is exhausted (workers keep dying) or
+the collection loop makes no progress for
+:attr:`WorkerPool.TIMEOUT_S` (workers hang), the lost items are scored
 *serially in the master* by one :func:`~repro.ga.fitness.score_batch`
 — the call the workers make — each against its own problem, bit-exact
 with the pool's answers, and counted as
-``parallel.degraded_items`` / ``parallel.degraded_batches``.
+``parallel.degraded_items`` / ``parallel.degraded_batches``; the
+``parallel.degraded`` event's ``reason`` names the dead workers, the
+items that exhausted the budget and the budget, or the stall.
 A :class:`~repro.resilience.CircuitBreaker` then keeps subsequent
 batches serial (no respawn-and-die thrash); every few batches it lets
 one *half-open probe* try the pool again, closing the breaker on
-success.  ``fail_fast=True`` restores the pre-supervisor behaviour:
-exhausting the budget raises :class:`DeadWorkerError` naming the dead
-workers and lost items, and a stall raises ``RuntimeError``.
+success.
 
 Shutdown is bounded: ``close()`` sends every worker an
 :class:`~repro.parallel.messages.EndSignal`, keeps reading (and
 discarding) their pipes until each has exited or the grace period runs
-out — a worker blocked sending an orphaned reply still reaches its
-signal — then escalates ``terminate()`` → ``kill()`` (counted as
-``parallel.force_killed``), so a hung worker cannot wedge the master.
-The pool's ``clock`` parameter drives stall detection, making timeout
-paths testable without real sleeps.
+out (:attr:`WorkerPool.CLOSE_GRACE_S`) — a worker blocked sending an
+orphaned reply still reaches its signal — then escalates ``terminate()``
+→ ``kill()`` (counted as ``parallel.force_killed``), so a hung worker
+cannot wedge the master.  Settings no caller varies are class constants
+of :class:`WorkerPool`, not arguments; tests reach their edge cases with
+``monkeypatch.setattr``.
 
 The pool reports the master-side view of the runtime through telemetry
 and, as one tree with the same figures, :meth:`WorkerPool.stats`: batch
@@ -174,7 +176,6 @@ __all__ = [
     "WorkerPool",
     "MultiprocessScoreProvider",
     "WorkerFailureError",
-    "DeadWorkerError",
 ]
 
 #: Slices in flight per worker: one executing plus one prefetched, so a
@@ -185,16 +186,12 @@ IN_FLIGHT_WINDOW = 2
 
 #: Real seconds between stall checks while every pipe is quiet.  Replies
 #: and deaths wake the master at once; this only bounds how late a stall
-#: is noticed.  Real time, not ``clock``: an injected clock may only step.
+#: is noticed.
 STALL_CHECK_S = 0.25
 
 
 class WorkerFailureError(RuntimeError):
     """Scoring raised inside a worker; carries the worker traceback."""
-
-
-class DeadWorkerError(RuntimeError):
-    """Workers died and an item exhausted its re-dispatch retry budget."""
 
 
 def _frame_budget(conn: Connection) -> int:
@@ -247,72 +244,48 @@ class WorkerPool:
     num_workers:
         Worker process count (paper: nodes - 1; default: available
         CPUs).  Death recovery refills the pool to it.
-    clock:
-        Monotonic clock used by stall detection (injectable for tests;
-        default :func:`time.monotonic`).
-    timeout:
-        Seconds of *no progress* (no reply received, no dead worker
-        recovered) the collection loop tolerates before declaring the
-        pool stalled (degrading the batch, or raising under
-        ``fail_fast``).
-    max_retries:
-        Per-item budget of re-dispatches after worker deaths; exceeding
-        it degrades the batch to master-serial scoring (or raises
-        :class:`DeadWorkerError` under ``fail_fast``).
-    fail_fast:
-        When True, pool loss raises (:class:`DeadWorkerError` /
-        ``RuntimeError``) exactly as before the supervisor existed; when
-        False (default) lost items are scored serially in the master and
-        the circuit breaker keeps the pool serial until a half-open
-        probe finds it healthy again.
-    breaker:
-        The :class:`~repro.resilience.CircuitBreaker` guarding the pool;
-        defaults to one that probes every 4th batch while open.  Ignored
-        under ``fail_fast``.
-    close_grace_s:
-        Grace :meth:`close` gives the workers to exit before escalating
-        to ``terminate()`` then ``kill()`` (``parallel.force_killed``).
     faults:
         Test-only :class:`~repro.parallel.worker.FaultPlan` forwarded to
         the workers; leave ``None`` in production.
     telemetry:
         Metrics registry; defaults to the zero-overhead null registry.
+
+    The pool is guarded by a :class:`~repro.resilience.CircuitBreaker`
+    (:attr:`breaker`) that probes every 4th batch while open.
     """
+
+    #: Seconds of *no progress* (no reply received, no dead worker
+    #: recovered) the collection loop tolerates before the pool counts as
+    #: stalled and the batch's outstanding items degrade.
+    TIMEOUT_S = 300.0
+    #: Per-item budget of re-dispatches after worker deaths; an item past
+    #: it degrades the batch's outstanding items.
+    MAX_RETRIES = 3
+    #: Grace :meth:`close` gives the workers to exit before escalating to
+    #: ``terminate()`` then ``kill()`` (``parallel.force_killed``).
+    CLOSE_GRACE_S = 10.0
+    #: :mod:`multiprocessing` start method; None means fork where the
+    #: platform has it, else the platform default.
+    START_METHOD: str | None = None
 
     def __init__(
         self,
         engine: PipeEngine,
         *,
         num_workers: int | None = None,
-        clock=time.monotonic,
-        timeout: float = 300.0,
-        max_retries: int = 3,
-        start_method: str | None = None,
-        fail_fast: bool = False,
-        breaker: CircuitBreaker | None = None,
-        close_grace_s: float = 10.0,
         faults: FaultPlan | None = None,
         telemetry: MetricsRegistry | None = None,
     ) -> None:
         if num_workers is not None and num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        if timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {timeout}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if close_grace_s < 0:
-            raise ValueError(f"close_grace_s must be >= 0, got {close_grace_s}")
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         self.engine = engine
         self.faults = faults
         self.num_workers = num_workers or max(1, os.cpu_count() or 1)
-        self._clock = clock
-        self.timeout = float(timeout)
-        self.max_retries = int(max_retries)
-        self.fail_fast = bool(fail_fast)
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.close_grace_s = float(close_grace_s)
-        method = start_method or ("fork" if "fork" in mp.get_all_start_methods() else None)
+        self.breaker = CircuitBreaker()
+        method = self.START_METHOD
+        if method is None and "fork" in mp.get_all_start_methods():
+            method = "fork"
         self._ctx = mp.get_context(method)
         self._shm_view: SharedProteomeView | None = None
         self._workers: dict[int, mp.Process] = {}
@@ -422,7 +395,7 @@ class WorkerPool:
         # Keep reading while they exit: a worker blocked sending a reply
         # nobody wants must get past it to reach its signal.
         procs = self._workers
-        deadline = time.monotonic() + self.close_grace_s
+        deadline = time.monotonic() + self.CLOSE_GRACE_S
         while procs and (left := deadline - time.monotonic()) > 0:
             self._wait(procs, left)
             procs = {wid: proc for wid, proc in procs.items() if proc.is_alive()}
@@ -519,8 +492,7 @@ class WorkerPool:
             )
         start = time.perf_counter()
         results: list[ScoreSet | None] = [None] * len(arrays)
-        degrade = not self.fail_fast
-        if degrade and not self.breaker.allow():
+        if not self.breaker.allow():
             # Breaker open: the pool recently lost a batch; stay serial
             # (no respawn-and-die thrash) until a probe is due.
             self._degrade(
@@ -528,7 +500,7 @@ class WorkerPool:
                 reason="breaker_open",
             )
         else:
-            probing = degrade and self.breaker.state == BreakerState.HALF_OPEN
+            probing = self.breaker.state == BreakerState.HALF_OPEN
             if probing:
                 self.telemetry.count("parallel.breaker_probes")
             degraded = 0
@@ -538,11 +510,10 @@ class WorkerPool:
                 # A WorkerFailureError (scoring bug) says nothing about
                 # pool health, so only batches that ran to completion
                 # update the breaker.
-                if degrade and (degraded or probing):
-                    if degraded:
-                        self.breaker.record_failure()
-                    else:
-                        self.breaker.record_success()
+                if degraded:
+                    self.breaker.record_failure()
+                elif probing:
+                    self.breaker.record_success()
         self._batches += 1
         self._batch_wall += time.perf_counter() - start
         assert all(r is not None for r in results)
@@ -624,7 +595,7 @@ class WorkerPool:
 
             try:
                 pump()
-                last_progress = self._clock()
+                last_progress = time.monotonic()
                 while not sched.done:
                     replies, gone = self._wait(self._workers, STALL_CHECK_S)
                     # Record what the dead completed, only then requeue
@@ -654,25 +625,15 @@ class WorkerPool:
                         self._record_result(msg)
                     if gone:
                         self._reap(gone)
-                        try:
-                            self._recover(gone, sched)
-                        except DeadWorkerError as exc:
-                            if self.fail_fast:
-                                raise
-                            return degrade_missing(str(exc))
+                        exhausted = self._recover(gone, sched)
+                        if exhausted is not None:
+                            return degrade_missing(exhausted)
                     if replies or gone:
-                        last_progress = self._clock()
-                    elif self._clock() - last_progress > self.timeout:
-                        missing = sched.missing()
-                        if self.fail_fast:
-                            raise RuntimeError(
-                                f"timed out waiting for worker results "
-                                f"({len(arrays) - len(missing)}/{len(arrays)} "
-                                f"received; missing sequence ids {missing[:10]})"
-                            )
+                        last_progress = time.monotonic()
+                    elif time.monotonic() - last_progress > self.TIMEOUT_S:
                         return degrade_missing(
-                            f"collection stalled for {self.timeout}s "
-                            f"with {len(missing)} item(s) outstanding"
+                            f"collection stalled for {self.TIMEOUT_S}s with "
+                            f"{len(sched.missing())} item(s) outstanding"
                         )
                     pump()
             finally:
@@ -696,8 +657,9 @@ class WorkerPool:
         ``results`` in place; returns their count.
 
         Called for a batch's unacknowledged items when the pool is lost
-        (retry budget exhausted) or stalled (no progress past
-        ``timeout``), and for a whole batch while the breaker is open.
+        (retry budget exhausted) or stalled (no progress for
+        :attr:`TIMEOUT_S`), and for a whole batch while the breaker is
+        open.
         The items go through one :func:`~repro.ga.fitness.score_batch`
         — the call the workers make — each against its own problem, so a
         degraded item's scores match the pool's answer bit for bit.
@@ -738,25 +700,30 @@ class WorkerPool:
             self.telemetry.count("parallel.worker_deaths")
         self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
 
-    def _recover(self, dead: list[int], sched: OnDemandScheduler) -> None:
+    def _recover(self, dead: list[int], sched: OnDemandScheduler) -> str | None:
         """Respawn replacements and readmit exactly the candidates of the
         dead workers' unacknowledged slices (the scheduler knows who held
         what); they go to the front of the backlog and the next hand-out
-        re-dispatches them, each under its own retry budget."""
+        re-dispatches them, each under its own retry budget.
+
+        Returns None, or — when an item has exhausted
+        :attr:`MAX_RETRIES` — the reason the batch must degrade, naming
+        the dead workers, the exhausted items and the budget."""
         self._respawn_to_target()
         lost = [sid for wid in dead for sid in sched.requeue_lost(wid)]
         exhausted = sorted(
-            sid for sid in lost if sched.retries(sid) > self.max_retries
+            sid for sid in lost if sched.retries(sid) > self.MAX_RETRIES
         )
         if exhausted:
-            raise DeadWorkerError(
+            return (
                 f"worker(s) {sorted(dead)} died and sequence(s) "
                 f"{exhausted[:10]} exhausted the retry budget of "
-                f"{self.max_retries}; {len(lost)} item(s) lost"
+                f"{self.MAX_RETRIES}; {len(lost)} item(s) lost"
             )
         if lost:
             self.retries += len(lost)
             self.telemetry.count("parallel.retries", len(lost))
+        return None
 
     def _drop_stale(self) -> None:
         self.stale_dropped += 1
@@ -853,8 +820,8 @@ class MultiprocessScoreProvider(CachingScoreProvider):
     """The dedicated front: one design problem, a bounded-LRU score cache
     and a :class:`WorkerPool` of its own.
 
-    Every keyword but ``telemetry`` is a :class:`WorkerPool` setting
-    (``num_workers=``, ``timeout=``, ``faults=`` ...).  The runtime's
+    ``num_workers``, ``faults`` and ``telemetry`` go to the
+    :class:`WorkerPool`.  The runtime's
     state — counters, breaker, processes — lives on :attr:`pool`.  ``target`` /
     ``non_targets`` mirror the serial provider's attributes (checkpoint
     fingerprints read them off any provider).
@@ -869,11 +836,14 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         target: str,
         non_targets: list[str],
         *,
+        num_workers: int | None = None,
+        faults: FaultPlan | None = None,
         telemetry: MetricsRegistry | None = None,
-        **pool_settings: object,
     ) -> None:
         super().__init__(telemetry=telemetry)
-        self.pool = WorkerPool(engine, telemetry=telemetry, **pool_settings)
+        self.pool = WorkerPool(
+            engine, num_workers=num_workers, faults=faults, telemetry=telemetry
+        )
         self.problem = self.pool.warm(target, non_targets)
         self.target = target
         self.non_targets = list(non_targets)

@@ -38,78 +38,6 @@ __all__ = [
 #: Recognised ``backend=`` names of :func:`make_score_provider`.
 BACKENDS = ("serial", "process")
 
-# backend -> accepted-kwargs table, built lazily from the actual
-# constructor signatures (so a new backend parameter is accepted here the
-# moment it exists, with no second list to keep in sync).
-_KWARG_TABLE: dict[str, frozenset[str]] | None = None
-
-# Parameters spelled explicitly in make_score_provider's own signature (or
-# supplied by it), never via **backend_kwargs.
-_EXCLUDED_PARAMS = {
-    "self",
-    "engine",
-    "target",
-    "non_targets",
-    "num_workers",
-    "telemetry",
-    "config",
-    "source",
-}
-
-
-def _kwarg_table() -> dict[str, frozenset[str]]:
-    """backend -> allowed backend_kwargs."""
-    global _KWARG_TABLE
-    if _KWARG_TABLE is None:
-        import inspect
-
-        from repro.parallel.mp_backend import MultiprocessScoreProvider, WorkerPool
-
-        def params(func) -> frozenset[str]:
-            return frozenset(
-                name
-                for name, p in inspect.signature(func).parameters.items()
-                if name not in _EXCLUDED_PARAMS
-                and p.kind is not inspect.Parameter.VAR_KEYWORD
-            )
-
-        _KWARG_TABLE = {
-            "serial": params(SerialScoreProvider.__init__),
-            "process": params(MultiprocessScoreProvider.__init__)
-            | params(WorkerPool.__init__),
-        }
-    return _KWARG_TABLE
-
-
-def _check_backend_kwargs(backend: str, kwargs: dict[str, object]) -> None:
-    """Reject kwargs the chosen backend does not accept.
-
-    Silently dropping (or TypeError-ing deep inside a constructor) a
-    kwarg meant for another backend hid real configuration mistakes —
-    e.g. ``timeout=`` with ``backend="serial"`` was dropped without a
-    word.  Every offending kwarg is now named, along with the backends
-    that do accept it.
-    """
-    allowed = _kwarg_table()
-    for name in kwargs:
-        if name in allowed[backend]:
-            continue
-        if name == "num_workers":
-            raise ValueError(
-                "pass workers=, not num_workers= (it is translated per "
-                "backend)"
-            )
-        owners = sorted(b for b, names in allowed.items() if name in names)
-        if owners:
-            raise ValueError(
-                f"{name!r} does not apply to backend={backend!r}; it is "
-                f"only valid for backend "
-                + " or ".join(repr(b) for b in owners)
-            )
-        raise ValueError(
-            f"unknown keyword {name!r} for backend {backend!r}"
-        )
-
 
 def make_engine(
     source: "PipeEngine | PipeDatabase | InteractionGraph | object",
@@ -190,7 +118,6 @@ def make_score_provider(
     backend: str = "serial",
     workers: int | None = None,
     telemetry: MetricsRegistry | None = None,
-    **backend_kwargs: object,
 ) -> CachingScoreProvider:
     """Build the scoring backend for one design problem.
 
@@ -211,22 +138,20 @@ def make_score_provider(
         ``backend="serial"``.
     telemetry:
         One registry wired through the engine and the provider.
-    **backend_kwargs:
-        Forwarded to the backend constructor (e.g. ``timeout=...``,
-        ``faults=...``).
+
+    Fault injection (``faults=``) takes
+    :class:`~repro.parallel.mp_backend.MultiprocessScoreProvider`
+    directly.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; available: {', '.join(BACKENDS)}"
         )
-    _check_backend_kwargs(backend, backend_kwargs)
     engine = make_engine(source, config, telemetry=telemetry)
     if backend == "serial":
         if workers is not None:
             raise ValueError("workers does not apply to the serial backend")
-        return SerialScoreProvider(
-            engine, target, non_targets, telemetry=telemetry, **backend_kwargs
-        )
+        return SerialScoreProvider(engine, target, non_targets, telemetry=telemetry)
     from repro.parallel.mp_backend import MultiprocessScoreProvider
 
     return MultiprocessScoreProvider(
@@ -235,5 +160,4 @@ def make_score_provider(
         non_targets,
         num_workers=workers,
         telemetry=telemetry,
-        **backend_kwargs,
     )

@@ -15,9 +15,8 @@ policy layer the supervisor is built from:
 
 Each fault has one recovery path.
 :class:`~repro.parallel.mp_backend.WorkerPool` re-dispatches a lost
-worker's slices and, through a breaker, degrades to master-serial
-scoring instead of raising
-:class:`~repro.parallel.mp_backend.DeadWorkerError`;
+worker's slices and, once an item exhausts its retry budget or the pool
+stalls, degrades to master-serial scoring through a breaker;
 :meth:`~repro.ga.engine.InSiPSEngine.run` honours a deadline;
 :func:`repro.checkpoint.load_snapshot` quarantines corrupt snapshots and
 walks back to the newest valid one.

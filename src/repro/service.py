@@ -92,6 +92,7 @@ from repro.util.validation import check_int_range, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fabric import FabricClient
+    from repro.parallel.worker import FaultPlan
 
 __all__ = [
     "JobState",
@@ -555,12 +556,12 @@ class DesignService:
     fsync:
         Forwarded to every durable write (status/spec/result files and
         checkpoints); tests may disable for speed.
+    num_workers, faults:
+        Settings of the fabric's
+        :class:`~repro.parallel.mp_backend.WorkerPool`.
     telemetry:
         Registry for the ``service.*`` metrics (shared with the fabric
         and its pool).
-    **fabric_kwargs:
-        Forwarded to :class:`~repro.fabric.ScoringFabric`
-        (``num_workers=``, ``timeout=``, ``faults=`` ...).
 
     Use as a context manager; :meth:`close` evicts running jobs
     (checkpoint + release), stops the service loop and reaps the pool.
@@ -576,8 +577,9 @@ class DesignService:
         quotas: dict[str, TenantQuota] | None = None,
         default_quota: TenantQuota | None = None,
         fsync: bool = True,
+        num_workers: int | None = None,
+        faults: FaultPlan | None = None,
         telemetry: MetricsRegistry | None = None,
-        **fabric_kwargs: object,
     ) -> None:
         from repro.fabric import ScoringFabric
 
@@ -595,7 +597,9 @@ class DesignService:
             default_quota if default_quota is not None else TenantQuota()
         )
         self._resolver = getattr(source, "non_targets_for", None)
-        self._fabric = ScoringFabric(source, telemetry=telemetry, **fabric_kwargs)
+        self._fabric = ScoringFabric(
+            source, num_workers=num_workers, faults=faults, telemetry=telemetry
+        )
         self._graph = self._fabric._engine.database.graph
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)

@@ -165,10 +165,10 @@ class TestRetentionAndTelemetry:
             population,
             history=RunHistory(),
             best=None,
-            reason="DeadWorkerError: retry budget exhausted",
+            reason="WorkerFailureError: injected failure",
         )
         assert path.name == "ckpt-gen00000000-emergency.json"
         payload = load_snapshot(tmp_path)
         assert payload["phase"] == "pre_eval"
-        assert "DeadWorkerError" in payload["reason"]
+        assert "WorkerFailureError" in payload["reason"]
         assert payload["best"] is None

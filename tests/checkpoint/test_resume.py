@@ -36,7 +36,7 @@ class FailingProvider(CountingProvider):
     def scores(self, sequences):
         self.batches += 1
         if self.batches == self.fail_on_batch:
-            raise RuntimeError("simulated DeadWorkerError")
+            raise RuntimeError("simulated worker failure")
         return super().scores(sequences)
 
 

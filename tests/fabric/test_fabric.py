@@ -60,7 +60,7 @@ def dedicated_results(tiny_engine, problems):
     out = []
     for target, non_targets in problems:
         with MultiprocessScoreProvider(
-            tiny_engine, target, non_targets, num_workers=1, timeout=120.0
+            tiny_engine, target, non_targets, num_workers=1
         ) as provider:
             out.append(_campaign(provider))
     return out
@@ -158,7 +158,7 @@ def test_direct_scores_match_dedicated(tiny_engine, problems, rng):
     target, non_targets = problems[0]
     arrays = [rng.integers(0, 20, size=LENGTH).astype(np.uint8) for _ in range(5)]
     with MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=1, timeout=120.0
+        tiny_engine, target, non_targets, num_workers=1
     ) as dedicated:
         ref = dedicated.scores([a.copy() for a in arrays])
     with ScoringFabric(tiny_engine, num_workers=1) as fabric:

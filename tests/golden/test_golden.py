@@ -33,6 +33,7 @@ from repro.fabric import ScoringFabric
 from repro.ga.adaptive import AdaptiveInSiPSEngine
 from repro.ga.config import GAParams
 from repro.ga.engine import InSiPSEngine
+from repro.parallel.mp_backend import MultiprocessScoreProvider, WorkerPool
 from repro.parallel.worker import FaultPlan
 from repro.providers import make_score_provider
 from repro.sequences.encoding import decode, encode
@@ -100,7 +101,7 @@ class _Backend:
         self.name = name
         self.world = world
         self._fabric = (
-            ScoringFabric(world, num_workers=2, timeout=120.0)
+            ScoringFabric(world, num_workers=2)
             if name == "fabric"
             else None
         )
@@ -108,7 +109,7 @@ class _Backend:
     def provider(self, target, non_targets):
         if self._fabric is not None:
             return self._fabric.client(target, non_targets)
-        workers = {"workers": 2, "timeout": 120.0} if self.name == "process" else {}
+        workers = {"workers": 2} if self.name == "process" else {}
         return make_score_provider(
             self.world, target, non_targets, backend=self.name, **workers
         )
@@ -224,19 +225,19 @@ def test_resumed_campaign_reproduces_its_golden_digest(world, golden, tmp_path):
 
 
 @pytest.mark.faults
-def test_degraded_campaign_reproduces_its_golden_digest(world, golden):
+def test_degraded_campaign_reproduces_its_golden_digest(
+    world, golden, monkeypatch
+):
     """Every worker crashes on its first item, so the pool degrades each
     lost item to the master; the digest is still the committed one."""
     target, seed = REPLAYED
     non_targets = _problems(world)[target]
-    with make_score_provider(
-        world,
+    monkeypatch.setattr(WorkerPool, "MAX_RETRIES", 1)
+    with MultiprocessScoreProvider(
+        world.engine,
         target,
         non_targets,
-        backend="process",
-        workers=2,
-        timeout=120.0,
-        max_retries=1,
+        num_workers=2,
         faults=FaultPlan(crash_on_item=0),
     ) as provider:
         result = _run(provider, seed)

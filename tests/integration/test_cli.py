@@ -121,19 +121,42 @@ def test_no_command_rejected():
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv",
     [
-        (["design", "YBL051C", "--backend", "serial", "--degrade"], "--degrade"),
-        (["design", "YBL051C", "--fail-fast"], "--fail-fast"),
+        ["design", "YBL051C", "--backend", "serial", "--workers", "2"],
+        ["stats", "--backend", "serial", "--workers", "2"],
     ],
+    ids=["design", "stats"],
 )
-def test_process_only_flags_rejected_for_other_backends(capsys, argv, flag):
-    # Regression: these flags were silently dropped for non-process
-    # backends; now they are named with exit code 2.
+def test_process_only_flags_rejected_for_other_backends(capsys, argv):
+    # Regression: --backend defaulted to "serial", so an explicit serial
+    # choice could not be told from none and --workers N silently ran the
+    # process backend; now the pair exits 2 naming both flags.
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert flag in err
-    assert "process" in err
+    assert "--workers" in err
+    assert "--backend serial" in err
+
+
+def test_stats_with_workers_exports_the_pool_metrics(tmp_path):
+    # Regression: the process provider of `stats` was built without the
+    # run's registry, so no parallel.* metric reached the export.
+    from repro.telemetry import read_jsonl
+
+    out_file = tmp_path / "x.jsonl"
+    argv = ["stats", "--workers", "1", "--generations", "2", "--out", str(out_file)]
+    assert main(argv) == 0
+    names = {r.get("name") for r in read_jsonl(out_file)}
+    assert "parallel.dispatched" in names
+
+
+@pytest.mark.parametrize("flag", ["--fail-fast", "--degrade"])
+def test_deleted_degradation_flags_are_unknown_arguments(capsys, flag):
+    # The pool always degrades through its breaker; there is no switch.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["design", "YBL051C", "--workers", "2", flag])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["design", "stats"])

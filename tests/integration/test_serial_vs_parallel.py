@@ -26,7 +26,7 @@ def test_serial_and_parallel_runs_identical(tiny_engine, tiny_problem):
     serial_result = serial_engine.run(3)
 
     mp_provider = MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=2, timeout=120.0
+        tiny_engine, target, non_targets, num_workers=2
     )
     try:
         mp_engine = InSiPSEngine(
@@ -57,7 +57,7 @@ def test_designer_with_parallel_provider_factory(tiny_world, tiny_problem):
 
     def factory(engine, target_name, non_targets):
         provider = MultiprocessScoreProvider(
-            engine, target_name, non_targets, num_workers=1, timeout=120.0
+            engine, target_name, non_targets, num_workers=1
         )
         created.append(provider)
         return provider

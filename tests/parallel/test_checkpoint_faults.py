@@ -8,20 +8,15 @@ from pathlib import Path
 
 import pytest
 
-import repro.parallel.mp_backend as mp_backend
 from repro.checkpoint import CheckpointManager, find_latest, load_snapshot
 from repro.ga.config import GAParams
 from repro.ga.engine import InSiPSEngine
 from repro.ga.fitness import SerialScoreProvider
-from repro.parallel.mp_backend import DeadWorkerError, MultiprocessScoreProvider
+from repro.parallel.mp_backend import MultiprocessScoreProvider, WorkerFailureError
+from repro.parallel.worker import FaultPlan
 from repro.telemetry import MetricsRegistry
 
 pytestmark = pytest.mark.faults
-
-
-def _dead_worker_entry(worker_id, handle, config, faults, conn, master_ends):
-    """A worker that exits immediately without taking any work."""
-    return
 
 
 def _engine(provider, seed=21, pop=8, length=16, telemetry=None):
@@ -35,10 +30,10 @@ def _engine(provider, seed=21, pop=8, length=16, telemetry=None):
     )
 
 
-def test_dead_worker_error_triggers_emergency_snapshot_and_resume(
-    tiny_engine, tiny_problem, tmp_path, monkeypatch
+def test_worker_failure_triggers_emergency_snapshot_and_resume(
+    tiny_engine, tiny_problem, tmp_path
 ):
-    """Exhausting the retry budget mid-evaluation must leave a pre-eval
+    """A worker's scoring raising mid-evaluation must leave a pre-eval
     emergency snapshot behind, and a fresh engine (here: serial — the
     problem fingerprint, not the provider kind, gates resume) must
     continue from it to the same result as an uninterrupted run."""
@@ -49,7 +44,6 @@ def test_dead_worker_error_triggers_emergency_snapshot_and_resume(
         SerialScoreProvider(tiny_engine, target, non_targets)
     ).run(generations)
 
-    monkeypatch.setattr(mp_backend, "_worker_entry", _dead_worker_entry)
     telemetry = MetricsRegistry()
     manager = CheckpointManager(
         tmp_path, every=1, fsync=False, telemetry=telemetry
@@ -59,12 +53,10 @@ def test_dead_worker_error_triggers_emergency_snapshot_and_resume(
         target,
         non_targets,
         num_workers=1,
-        timeout=30.0,
-        max_retries=1,
-        fail_fast=True,
+        faults=FaultPlan(fail_on_item=0),
     )
     try:
-        with pytest.raises(DeadWorkerError):
+        with pytest.raises(WorkerFailureError):
             _engine(provider, telemetry=telemetry).run(
                 generations, checkpoint=manager
             )
@@ -75,7 +67,7 @@ def test_dead_worker_error_triggers_emergency_snapshot_and_resume(
     assert latest is not None and latest.name.endswith("-emergency.json")
     payload = load_snapshot(latest)
     assert payload["phase"] == "pre_eval"
-    assert "DeadWorkerError" in payload["reason"]
+    assert "WorkerFailureError" in payload["reason"]
     assert telemetry.counter("checkpoint.emergency").value == 1
 
     resumed_engine = _engine(SerialScoreProvider(tiny_engine, target, non_targets))

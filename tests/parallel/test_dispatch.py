@@ -73,7 +73,6 @@ def test_bred_generations_never_wait_out_a_poll(tiny_engine, tiny_problem):
         target,
         non_targets,
         num_workers=2,
-        timeout=120.0,
         telemetry=registry,
     ) as provider:
         walls = []
@@ -120,7 +119,7 @@ def test_pool_full_sweeps_to_the_serial_delta_route_scores(
     serial = _campaign(serial_provider)
     pool_registry = MetricsRegistry()
     with MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=2, timeout=120.0,
+        tiny_engine, target, non_targets, num_workers=2,
         telemetry=pool_registry,
     ) as provider:
         pooled = _campaign(provider)
@@ -148,7 +147,6 @@ def test_death_redispatches_only_the_dead_workers_window(
         target,
         non_targets,
         num_workers=2,
-        timeout=60.0,
         faults=FaultPlan(crash_on_item=2, delay=0.1),
     ) as provider:
         out = provider.scores(seqs)
@@ -180,7 +178,7 @@ def test_slice_frames_carry_candidates_not_structures(
 
     monkeypatch.setattr(WorkerPool, "_send", send)
     with MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=2, timeout=120.0
+        tiny_engine, target, non_targets, num_workers=2
     ) as provider:
         InSiPSEngine(
             provider,

@@ -1,17 +1,18 @@
 """Failure injection for the parallel runtime.
 
-A worker process that dies (or never starts doing work) must surface as a
-clear diagnostic error at the master, not a hang — the behaviour a
-cluster operator depends on.  The recovery paths themselves (respawn,
+A worker process that dies (or never starts doing work) must surface at
+the master as a degraded batch with a diagnostic reason, not a hang —
+the behaviour a cluster operator depends on.  The recovery paths themselves (respawn,
 re-dispatch, epoch staleness) are exercised in
 ``test_fault_tolerance.py``.
 """
 
 import numpy as np
-import pytest
 
 import repro.parallel.mp_backend as mp_backend
-from repro.parallel.mp_backend import DeadWorkerError, MultiprocessScoreProvider
+from repro.ga.fitness import SerialScoreProvider
+from repro.parallel.mp_backend import MultiprocessScoreProvider
+from repro.telemetry import MetricsRegistry
 
 
 def _dead_worker_entry(worker_id, handle, config, faults, conn, master_ends):
@@ -19,20 +20,25 @@ def _dead_worker_entry(worker_id, handle, config, faults, conn, master_ends):
     return
 
 
-def test_dead_workers_cause_error_not_hang(
+def test_dead_workers_degrade_not_hang(
     tiny_engine, tiny_problem, monkeypatch, rng
 ):
     target, non_targets = tiny_problem
     monkeypatch.setattr(mp_backend, "_worker_entry", _dead_worker_entry)
+    telemetry = MetricsRegistry()
+    seqs = [rng.integers(0, 20, size=20).astype(np.uint8)]
     provider = MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=1,
-        timeout=2.0, fail_fast=True,
+        tiny_engine, target, non_targets, num_workers=1, telemetry=telemetry
     )
     try:
-        with pytest.raises(DeadWorkerError, match="died"):
-            provider.scores([rng.integers(0, 20, size=20).astype(np.uint8)])
+        out = provider.scores(seqs)
     finally:
         provider.close()
+    assert out == SerialScoreProvider(tiny_engine, target, non_targets).scores(
+        seqs
+    )
+    (event,) = [e for e in telemetry.events if e["event"] == "parallel.degraded"]
+    assert "died" in event["reason"]
 
 
 def test_recovery_after_failed_batch(tiny_engine, tiny_problem, rng):
@@ -40,7 +46,7 @@ def test_recovery_after_failed_batch(tiny_engine, tiny_problem, rng):
     global state is poisoned."""
     target, non_targets = tiny_problem
     provider = MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=1, timeout=120.0
+        tiny_engine, target, non_targets, num_workers=1
     )
     try:
         out = provider.scores([rng.integers(0, 20, size=20).astype(np.uint8)])
@@ -60,7 +66,7 @@ def test_cached_scores_survive_worker_shutdown(tiny_engine, tiny_problem, rng):
     master-side cache without respawning workers."""
     target, non_targets = tiny_problem
     provider = MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=1, timeout=120.0
+        tiny_engine, target, non_targets, num_workers=1
     )
     seq = rng.integers(0, 20, size=20).astype(np.uint8)
     try:

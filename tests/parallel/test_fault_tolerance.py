@@ -5,11 +5,12 @@ Each test drives a deterministic failure through the
 by replacing the worker entry point entirely) and asserts the master's
 contract: a crashed worker is respawned and the batch still returns
 correct, in-order scores; a worker-side exception surfaces with its
-traceback; a stale result from a timed-out epoch is never assigned to a
-later batch; an exhausted retry budget raises a diagnostic error naming
-the dead workers and the lost items.
+traceback; a stale result from a stalled epoch is never assigned to a
+later batch; an exhausted retry budget degrades the batch with a reason
+naming the dead workers and the lost items.
 """
 
+import re
 import time
 
 import numpy as np
@@ -18,11 +19,12 @@ import pytest
 import repro.parallel.mp_backend as mp_backend
 from repro.ga.fitness import SerialScoreProvider
 from repro.parallel.mp_backend import (
-    DeadWorkerError,
     MultiprocessScoreProvider,
     WorkerFailureError,
+    WorkerPool,
 )
 from repro.parallel.worker import FaultPlan
+from repro.resilience import CircuitBreaker
 from repro.telemetry import MetricsRegistry
 
 pytestmark = pytest.mark.faults
@@ -48,7 +50,6 @@ def test_crashed_worker_respawned_batch_completes(
         target,
         non_targets,
         num_workers=2,
-        timeout=60.0,
         faults=FaultPlan(crash_on_item=1, only_worker=0),
         telemetry=telemetry,
     ) as provider:
@@ -75,7 +76,6 @@ def test_work_failure_surfaces_worker_traceback(tiny_engine, tiny_problem, rng):
         target,
         non_targets,
         num_workers=1,
-        timeout=60.0,
         faults=FaultPlan(fail_on_item=0, only_worker=0),
     )
     try:
@@ -98,7 +98,6 @@ def test_worker_survives_failed_item(tiny_engine, tiny_problem, rng):
         target,
         non_targets,
         num_workers=1,
-        timeout=60.0,
         faults=FaultPlan(fail_on_item=0, only_worker=0),
     )
     try:
@@ -111,36 +110,42 @@ def test_worker_survives_failed_item(tiny_engine, tiny_problem, rng):
         provider.close()
 
 
-def test_stale_epoch_result_dropped_on_reuse(tiny_engine, tiny_problem, rng):
-    """A result orphaned by a timed-out batch must never be assigned to a
+def test_stale_epoch_result_dropped_on_reuse(
+    tiny_engine, tiny_problem, monkeypatch, rng
+):
+    """A result orphaned by a stalled batch must never be assigned to a
     later batch whose candidate reuses the same sequence_id — the exact
     score-corruption bug the batch_epoch tag exists to prevent."""
     target, non_targets = tiny_problem
     serial = SerialScoreProvider(tiny_engine, target, non_targets)
     seq_a, seq_b = _seqs(rng, 2)
+    monkeypatch.setattr(WorkerPool, "TIMEOUT_S", 0.4)
     provider = MultiprocessScoreProvider(
         tiny_engine,
         target,
         non_targets,
         num_workers=1,
-        timeout=0.4,
-        max_retries=0,
-        fail_fast=True,
         faults=FaultPlan(delay_on_item=0, delay=2.0, only_worker=0),
     )
+    # Probe the pool on the very next batch after a degraded one.
+    provider.pool.breaker = CircuitBreaker(probe_after=1)
     try:
-        # Batch 1 (epoch 1): the worker sleeps past the timeout, so the
-        # master abandons the batch while seq_a's result is in flight.
-        with pytest.raises(RuntimeError, match="timed out"):
-            provider.scores([seq_a])
-        # Batch 2 (epoch 2): sequence_id 0 now means seq_b.  The stale
-        # epoch-1 reply for seq_a arrives first and must be dropped.
-        provider.pool.timeout = 60.0
+        # Batch 1 (epoch 1): the worker sleeps past the stall timeout, so
+        # the master degrades the batch while seq_a's result is in flight.
+        out = provider.scores([seq_a])
+        assert out == serial.scores([seq_a])
+        assert provider.pool.degraded_items == 1
+        # Batch 2 (epoch 2), the breaker's probe: sequence_id 0 now means
+        # seq_b.  The stale epoch-1 reply for seq_a arrives first and
+        # must be dropped.
+        monkeypatch.setattr(WorkerPool, "TIMEOUT_S", 60.0)
         out = provider.scores([seq_b])
         want = serial.scores([seq_b])[0]
         assert out[0].target_score == pytest.approx(want.target_score)
         assert out[0].non_target_scores == pytest.approx(want.non_target_scores)
         assert provider.pool.stale_dropped >= 1
+        assert provider.pool.degraded_items == 1
+        assert provider.pool.breaker.state == "closed"
     finally:
         provider.close()
 
@@ -158,7 +163,6 @@ def test_failed_batch_keeps_its_backlog_in_the_master(
         target,
         non_targets,
         num_workers=1,
-        timeout=60.0,
         # Slice 0 fails fast (aborting the batch); the prefetched slice 1
         # keeps the worker busy while close() runs.
         faults=FaultPlan(fail_on_item=0, delay_on_item=1, delay=0.5),
@@ -188,35 +192,42 @@ def _dead_worker_entry(worker_id, handle, config, faults, conn, master_ends):
 def test_retry_budget_exhaustion_names_workers_and_items(
     tiny_engine, tiny_problem, monkeypatch, rng
 ):
-    """When respawned workers keep dying, a fail-fast master must give up
-    after the retry budget with a diagnostic naming the dead workers and
-    the lost sequence ids — not hang for the full timeout."""
+    """When respawned workers keep dying, the master must give up on the
+    pool after the retry budget — not hang for the full stall timeout —
+    and degrade the batch with a reason naming the dead workers, the
+    lost sequence ids and the budget."""
     target, non_targets = tiny_problem
     monkeypatch.setattr(mp_backend, "_worker_entry", _dead_worker_entry)
-    provider = MultiprocessScoreProvider(
-        tiny_engine,
-        target,
-        non_targets,
-        num_workers=1,
-        timeout=30.0,
-        max_retries=2,
-        fail_fast=True,
-    )
-    try:
-        with pytest.raises(DeadWorkerError, match="died") as exc:
-            provider.scores(_seqs(rng, 1))
-        assert "retry budget" in str(exc.value)
-        assert provider.pool.worker_deaths >= 1
-        assert provider.pool.respawns >= 1
-        assert provider.pool.retries == provider.pool.max_retries
-    finally:
-        provider.close()
+    monkeypatch.setattr(WorkerPool, "MAX_RETRIES", 2)
+    telemetry = MetricsRegistry()
+    seqs = _seqs(rng, 1)
+    with MultiprocessScoreProvider(
+        tiny_engine, target, non_targets, num_workers=1, telemetry=telemetry
+    ) as provider:
+        out = provider.scores(seqs)
+        assert out == SerialScoreProvider(tiny_engine, target, non_targets).scores(
+            seqs
+        )
+        (event,) = [
+            e for e in telemetry.events if e["event"] == "parallel.degraded"
+        ]
+        assert event["items"] == 1
+        assert re.fullmatch(
+            r"worker\(s\) \[\d+\] died and sequence\(s\) \[0\] exhausted "
+            r"the retry budget of 2; 1 item\(s\) lost",
+            event["reason"],
+        )
+        # Budget 2: item 0 is handed out three times, to three workers
+        # that all die holding it.
+        assert provider.pool.worker_deaths >= 3
+        assert provider.pool.respawns >= 3
+        assert provider.pool.retries == WorkerPool.MAX_RETRIES
 
 
 def test_fault_stats_in_runtime_stats(tiny_engine, tiny_problem, rng):
     target, non_targets = tiny_problem
     with MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=1, timeout=60.0
+        tiny_engine, target, non_targets, num_workers=1
     ) as provider:
         provider.scores(_seqs(rng, 2))
         ft = provider.runtime_stats()["fault_tolerance"]
@@ -248,7 +259,6 @@ def test_fault_plan_only_targets_named_worker(tiny_engine, tiny_problem, rng):
         target,
         non_targets,
         num_workers=1,
-        timeout=60.0,
         faults=FaultPlan(crash_on_item=0, fail_on_item=1, only_worker=99),
     ) as provider:
         out = provider.scores(_seqs(rng, 3))

@@ -53,7 +53,7 @@ def test_work_item_problem_validation():
 def test_register_problem_validates(tiny_engine, tiny_problem):
     # warm() is the one place a problem is validated.
     target, non_targets = tiny_problem
-    with WorkerPool(tiny_engine, num_workers=1, timeout=120.0) as pool:
+    with WorkerPool(tiny_engine, num_workers=1) as pool:
         with pytest.raises(ValueError, match="also appears"):
             pool.warm(target, [target, *non_targets])
         with pytest.raises(KeyError):
@@ -71,7 +71,7 @@ def test_score_fused_mixed_problems_matches_serial(
     tiny_engine, two_problems, rng
 ):
     arrays = _candidates(rng, 6)
-    with WorkerPool(tiny_engine, num_workers=2, timeout=120.0) as pool:
+    with WorkerPool(tiny_engine, num_workers=2) as pool:
         a, b = (pool.warm(*problem) for problem in two_problems)
         # Interleave the two problems over the *same* candidate bytes —
         # scores must differ by problem, not by payload.
@@ -87,7 +87,7 @@ def test_score_fused_mixed_problems_matches_serial(
 
 def test_score_fused_validates(tiny_engine, tiny_problem, rng):
     arrays = _candidates(rng, 2)
-    with WorkerPool(tiny_engine, num_workers=1, timeout=120.0) as pool:
+    with WorkerPool(tiny_engine, num_workers=1) as pool:
         problem = pool.warm(*tiny_problem)
         with pytest.raises(ValueError, match="lengths must match"):
             pool.score(arrays, [problem])
@@ -101,7 +101,7 @@ def test_late_registered_problem_reaches_running_workers(
     # the workers warm it from the slices themselves, mid-stream.
     first, second = two_problems
     arrays = _candidates(rng, 3)
-    with WorkerPool(tiny_engine, num_workers=1, timeout=120.0) as pool:
+    with WorkerPool(tiny_engine, num_workers=1) as pool:
         problem = pool.warm(*first)
         pool.score(arrays, [problem] * len(arrays))  # pool is now running
         assert pool._workers
@@ -112,17 +112,14 @@ def test_late_registered_problem_reaches_running_workers(
 
 @pytest.mark.faults
 def test_fused_items_degrade_with_their_problem(
-    tiny_engine, two_problems, rng
+    tiny_engine, two_problems, monkeypatch, rng
 ):
     # Permanent pool loss: every lost item must be re-scored serially in
     # the master against *its own* problem.
     arrays = _candidates(rng, 4)
+    monkeypatch.setattr(WorkerPool, "MAX_RETRIES", 1)
     with WorkerPool(
-        tiny_engine,
-        num_workers=1,
-        max_retries=1,
-        timeout=120.0,
-        faults=FaultPlan(crash_on_item=0),
+        tiny_engine, num_workers=1, faults=FaultPlan(crash_on_item=0)
     ) as pool:
         a, b = (pool.warm(*problem) for problem in two_problems)
         fused = [arr for pair in zip(arrays, arrays) for arr in pair]

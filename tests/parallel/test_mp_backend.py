@@ -12,7 +12,7 @@ from repro.telemetry import MetricsRegistry
 def mp_provider(tiny_engine, tiny_problem):
     target, non_targets = tiny_problem
     provider = MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=2, timeout=120.0
+        tiny_engine, target, non_targets, num_workers=2
     )
     yield provider
     provider.close()
@@ -66,7 +66,7 @@ def test_validation(tiny_engine, tiny_problem):
 def test_context_manager_reaps_workers(tiny_engine, tiny_problem, rng):
     target, non_targets = tiny_problem
     with MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=1, timeout=120.0
+        tiny_engine, target, non_targets, num_workers=1
     ) as provider:
         provider.scores([rng.integers(0, 20, size=25).astype(np.uint8)])
         assert provider.pool._workers
@@ -77,7 +77,7 @@ def test_context_manager_reaps_workers(tiny_engine, tiny_problem, rng):
 def test_context_manager_reaps_on_exception(tiny_engine, tiny_problem, rng):
     target, non_targets = tiny_problem
     provider = MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=1, timeout=120.0
+        tiny_engine, target, non_targets, num_workers=1
     )
     with pytest.raises(RuntimeError, match="boom"):
         with provider:
@@ -114,7 +114,7 @@ class TestDeltaAndSticky:
         target, non_targets = tiny_problem
         registry = MetricsRegistry()
         with MultiprocessScoreProvider(
-            tiny_engine, target, non_targets, num_workers=2, timeout=120.0,
+            tiny_engine, target, non_targets, num_workers=2,
             telemetry=registry,
         ) as provider:
             parent = rng.integers(0, 20, size=28).astype(np.uint8)

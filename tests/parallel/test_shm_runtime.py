@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.ga.fitness import SerialScoreProvider
-from repro.parallel.mp_backend import MultiprocessScoreProvider
+from repro.parallel.mp_backend import MultiprocessScoreProvider, WorkerPool
 from repro.parallel.worker import FaultPlan
 from repro.telemetry import MetricsRegistry
 
@@ -38,7 +38,7 @@ def test_shm_provider_matches_serial(tiny_engine, tiny_problem, rng):
     expected = serial.scores(seqs)
     before = set(_live_segments())
     with MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=2, timeout=120.0
+        tiny_engine, target, non_targets, num_workers=2
     ) as provider:
         out = provider.scores(seqs)
         stats = provider.pool.stats()["shm"]
@@ -54,7 +54,7 @@ def test_shipped_context_is_lightweight(tiny_engine, tiny_problem, rng):
     config — pickles far smaller than the engine it rebuilds."""
     target, non_targets = tiny_problem
     with MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=1, timeout=120.0
+        tiny_engine, target, non_targets, num_workers=1
     ) as provider:
         provider.scores(_seqs(rng, 2))
         shipped = pickle.dumps((provider.pool._shm_view.handle, tiny_engine.config))
@@ -64,7 +64,7 @@ def test_shipped_context_is_lightweight(tiny_engine, tiny_problem, rng):
 def test_provider_reusable_after_close(tiny_engine, tiny_problem, rng):
     target, non_targets = tiny_problem
     provider = MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=1, timeout=120.0
+        tiny_engine, target, non_targets, num_workers=1
     )
     seqs = _seqs(rng, 2)
     first = provider.scores(seqs)
@@ -89,7 +89,6 @@ def test_no_segment_leak_after_worker_sigkill(tiny_engine, tiny_problem, rng):
         target,
         non_targets,
         num_workers=2,
-        timeout=60.0,
         faults=FaultPlan(crash_on_item=1, only_worker=0),
         telemetry=telemetry,
     ) as provider:
@@ -105,19 +104,18 @@ def test_no_segment_leak_after_worker_sigkill(tiny_engine, tiny_problem, rng):
 
 @pytest.mark.faults
 def test_degraded_serial_fallback_keeps_segment_usable(
-    tiny_engine, tiny_problem, rng
+    tiny_engine, tiny_problem, monkeypatch, rng
 ):
     """Permanent pool loss degrades to master-serial scoring; the shm
     segment must survive the degradation and still unlink on close."""
     target, non_targets = tiny_problem
     before = set(_live_segments())
+    monkeypatch.setattr(WorkerPool, "MAX_RETRIES", 0)
     with MultiprocessScoreProvider(
         tiny_engine,
         target,
         non_targets,
         num_workers=1,
-        timeout=10.0,
-        max_retries=0,
         faults=FaultPlan(crash_on_item=0),
         telemetry=MetricsRegistry(),
     ) as provider:
@@ -140,7 +138,7 @@ def test_segment_unlinked_behind_the_pool_still_scores(
     seqs = _seqs(rng, 6)
     expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(seqs)
     with MultiprocessScoreProvider(
-        tiny_engine, target, non_targets, num_workers=2, timeout=30.0
+        tiny_engine, target, non_targets, num_workers=2
     ) as provider:
         provider.scores(_seqs(rng, 2))
         token = provider.pool.stats()["shm"]["token"]
@@ -150,7 +148,7 @@ def test_segment_unlinked_behind_the_pool_still_scores(
             proc.join(timeout=10.0)
         start = time.monotonic()
         assert provider.scores(seqs) == expected
-        assert time.monotonic() - start < provider.pool.timeout
+        assert time.monotonic() - start < WorkerPool.TIMEOUT_S
         faults = provider.pool.stats()["fault_tolerance"]
         assert faults["worker_deaths"] >= 2
         assert faults["respawns"] + faults["degraded_items"] > 0

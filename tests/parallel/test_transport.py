@@ -82,7 +82,7 @@ from repro.parallel import WorkerPool
 from repro.synthetic import get_profile
 
 world = get_profile("tiny").build_world()
-pool = WorkerPool(world.engine, num_workers=3, timeout=60.0)
+pool = WorkerPool(world.engine, num_workers=3)
 problem = pool.warm("YBL051C", world.non_targets_for("YBL051C", limit=4))
 rng = np.random.default_rng(0)
 arrays = [rng.integers(0, 20, size=20).astype(np.uint8) for _ in range(6)]
@@ -145,7 +145,7 @@ def test_outside_sigkill_mid_batch_costs_a_window_and_never_wedges(
     # More workers than cores; slow items keep a batch running while the
     # kill lands.
     with WorkerPool(
-        tiny_engine, num_workers=3, timeout=60.0, faults=FaultPlan(delay=0.004)
+        tiny_engine, num_workers=3, faults=FaultPlan(delay=0.004)
     ) as pool:
         problem = pool.warm(target, non_targets)
         assert pool.score(seqs, [problem] * len(seqs)) == expected
@@ -193,7 +193,6 @@ def test_replies_completed_before_a_death_are_recorded(
     with WorkerPool(
         tiny_engine,
         num_workers=1,
-        timeout=60.0,
         faults=FaultPlan(crash_on_item=1, only_worker=0),
     ) as pool:
         problem = pool.warm(target, non_targets)
@@ -215,7 +214,7 @@ def test_a_send_to_a_dead_worker_is_left_to_its_sentinel(
     requeues what the scheduler says the worker held."""
     target, non_targets = tiny_problem
     seqs = _seqs(rng, 4)
-    with WorkerPool(tiny_engine, num_workers=1, timeout=60.0) as pool:
+    with WorkerPool(tiny_engine, num_workers=1) as pool:
         problem = pool.warm(target, non_targets)
         expected = pool.score(seqs, [problem] * len(seqs))
         ((wid, pid),) = ((w, proc.pid) for w, proc in pool._workers.items())
@@ -233,7 +232,7 @@ def test_a_truncated_frame_is_a_death_never_data(tiny_engine, tiny_problem, rng)
     in the pipe: reading it fails, which marks the worker gone."""
     target, non_targets = tiny_problem
     seqs = _seqs(rng, 2)
-    with WorkerPool(tiny_engine, num_workers=1, timeout=60.0) as pool:
+    with WorkerPool(tiny_engine, num_workers=1) as pool:
         problem = pool.warm(target, non_targets)
         pool.score(seqs, [problem] * len(seqs))
         (wid,) = pool._workers
@@ -282,13 +281,8 @@ def test_close_reads_a_blocked_worker_through_to_its_end_signal(
     # so the prefetched slice's (a quarter of the batch) outgrows the
     # kernel-minimum buffer.
     non_targets = tiny_world.non_targets_for(target)
-    pool = WorkerPool(
-        tiny_engine,
-        num_workers=1,
-        timeout=60.0,
-        close_grace_s=30.0,
-        faults=FaultPlan(fail_on_item=0),
-    )
+    monkeypatch.setattr(WorkerPool, "CLOSE_GRACE_S", 30.0)
+    pool = WorkerPool(tiny_engine, num_workers=1, faults=FaultPlan(fail_on_item=0))
     replies: list[int] = []
     real_wait = pool._wait
 
@@ -374,10 +368,10 @@ def candidates(n, size):
 
 
 serial = SerialScoreProvider(world.engine, target, non_targets)
+WorkerPool.TIMEOUT_S = 20.0
 pool = WorkerPool(
     world.engine,
     num_workers=1,
-    timeout=20.0,
     faults=FaultPlan(fail_on_item=0) if orphan else None,
 )
 if minimum_buffer:
@@ -499,7 +493,7 @@ def test_pool_hands_back_every_fd_thread_child_and_segment(
     fds = len(os.listdir("/proc/self/fd"))
     threads = threading.active_count()
 
-    pool = WorkerPool(tiny_engine, num_workers=3, timeout=60.0)
+    pool = WorkerPool(tiny_engine, num_workers=3)
     problem = pool.warm(target, non_targets)
 
     def score():
@@ -529,7 +523,7 @@ def test_pool_hands_back_every_fd_thread_child_and_segment(
     ids=lambda method: f"{method}-shm",
 )
 def test_every_start_method_scores_slices_bit_exact(
-    start_method, tiny_engine, tiny_problem, rng
+    start_method, tiny_engine, tiny_problem, monkeypatch, rng
 ):
     """Fork, spawn and forkserver workers, each mapping the shared
     proteome: slices of several candidates, scores equal to serial, and
@@ -540,12 +534,8 @@ def test_every_start_method_scores_slices_bit_exact(
         [s.copy() for s in seqs]
     )
     segments = _segments()
-    with WorkerPool(
-        tiny_engine,
-        num_workers=2,
-        timeout=60.0,
-        start_method=start_method,
-    ) as pool:
+    monkeypatch.setattr(WorkerPool, "START_METHOD", start_method)
+    with WorkerPool(tiny_engine, num_workers=2) as pool:
         problem = pool.warm(target, non_targets)
         assert pool.score(seqs, [problem] * len(seqs)) == expected
         stats = pool.stats()

@@ -283,9 +283,9 @@ def test_worker_route_is_one_product_per_item(counted):
 def _degraded_scores(engine, seqs, problems):
     """``seqs`` lost by a one-worker pool whose breaker is open: the whole
     batch is scored in the master.  Returns (score sets, pool stats)."""
-    breaker = CircuitBreaker(probe_after=1_000)
-    breaker.record_failure()
-    with WorkerPool(engine, num_workers=1, breaker=breaker) as pool:
+    with WorkerPool(engine, num_workers=1) as pool:
+        pool.breaker = CircuitBreaker(probe_after=1_000)
+        pool.breaker.record_failure()
         return pool.score(seqs, problems), pool.stats()
 
 

@@ -192,8 +192,7 @@ _POOL = textwrap.dedent(
     batch = [rng.integers(0, 20, size=64).astype(np.uint8) for _ in range(12)]
     serial = make_score_provider(world.engine, target, non_targets).scores(batch)
     with make_score_provider(
-        world.engine, target, non_targets, backend="process", workers=2,
-        timeout=120.0,
+        world.engine, target, non_targets, backend="process", workers=2
     ) as pool:
         assert pool.scores(batch) == serial
     """

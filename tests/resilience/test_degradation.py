@@ -15,7 +15,7 @@ import pytest
 from repro.ga.config import GAParams
 from repro.ga.engine import InSiPSEngine
 from repro.ga.fitness import SerialScoreProvider
-from repro.parallel.mp_backend import DeadWorkerError, MultiprocessScoreProvider
+from repro.parallel.mp_backend import MultiprocessScoreProvider, WorkerPool
 from repro.parallel.worker import FaultPlan
 from repro.resilience import BreakerState, CircuitBreaker
 from repro.telemetry import MetricsRegistry
@@ -38,7 +38,7 @@ def _engine(provider, seed=5, pop=8, length=16):
 
 
 def test_permanent_pool_loss_campaign_completes_bit_exact(
-    tiny_engine, tiny_problem
+    tiny_engine, tiny_problem, monkeypatch
 ):
     """The acceptance scenario: a chaos plan that kills every worker
     permanently (respawns die too) must still complete the campaign, with
@@ -51,13 +51,12 @@ def test_permanent_pool_loss_campaign_completes_bit_exact(
     ).run(generations)
 
     telemetry = MetricsRegistry()
+    monkeypatch.setattr(WorkerPool, "MAX_RETRIES", 1)
     with MultiprocessScoreProvider(
         tiny_engine,
         target,
         non_targets,
         num_workers=2,
-        timeout=30.0,
-        max_retries=1,
         faults=FaultPlan(crash_on_item=0),  # every worker, forever
         telemetry=telemetry,
     ) as provider:
@@ -79,22 +78,23 @@ def test_permanent_pool_loss_campaign_completes_bit_exact(
         )
 
 
-def test_breaker_open_probe_close_cycle(tiny_engine, tiny_problem, rng):
+def test_breaker_open_probe_close_cycle(
+    tiny_engine, tiny_problem, monkeypatch, rng
+):
     """One worker crashes once: the first batch degrades and opens the
     breaker; the next batch stays serial; the probe batch finds the
     respawned worker healthy and closes the breaker again."""
     target, non_targets = tiny_problem
     serial = SerialScoreProvider(tiny_engine, target, non_targets)
+    monkeypatch.setattr(WorkerPool, "MAX_RETRIES", 0)
     with MultiprocessScoreProvider(
         tiny_engine,
         target,
         non_targets,
         num_workers=1,
-        timeout=30.0,
-        max_retries=0,
-        breaker=CircuitBreaker(probe_after=2),
         faults=FaultPlan(crash_on_item=0, only_worker=0),
     ) as provider:
+        provider.pool.breaker = CircuitBreaker(probe_after=2)
         # Batch 1: worker 0 dies, the batch degrades, the breaker trips.
         batch1 = _seqs(rng, 2)
         assert _same_scores(provider.scores(batch1), serial.scores(batch1))
@@ -126,40 +126,22 @@ def _same_scores(got, want):
     return True
 
 
-class SteppingClock:
-    """Monotonic fake that advances a fixed step per reading, so stall
-    detection fires from the *injected* clock rather than real waiting."""
-
-    def __init__(self, step: float) -> None:
-        self.t = 0.0
-        self.step = step
-
-    def __call__(self) -> float:
-        self.t += self.step
-        return self.t
-
-
 def test_stalled_pool_degrades_and_close_escalates(
-    tiny_engine, tiny_problem, rng
+    tiny_engine, tiny_problem, monkeypatch, rng
 ):
     """A hung worker (no reply, still alive) stalls the batch past the
-    timeout: the items are degraded to serial, and close() escalates
-    terminate()/kill() instead of waiting out the hang.
-
-    The stall is detected through the provider's injectable clock — the
-    300 s timeout could never elapse in real time, so a pass proves the
-    detection path reads ``clock`` and not a hardcoded monotonic."""
+    stall timeout: the items are degraded to serial, and close() escalates
+    terminate()/kill() instead of waiting out the hang."""
     target, non_targets = tiny_problem
     serial = SerialScoreProvider(tiny_engine, target, non_targets)
     telemetry = MetricsRegistry()
+    monkeypatch.setattr(WorkerPool, "TIMEOUT_S", 0.5)
+    monkeypatch.setattr(WorkerPool, "CLOSE_GRACE_S", 0.3)
     provider = MultiprocessScoreProvider(
         tiny_engine,
         target,
         non_targets,
         num_workers=1,
-        timeout=300.0,
-        close_grace_s=0.3,
-        clock=SteppingClock(step=200.0),
         faults=FaultPlan(hang_on_item=0, hang_s=60.0),
         telemetry=telemetry,
     )
@@ -169,6 +151,12 @@ def test_stalled_pool_degrades_and_close_escalates(
         assert _same_scores(out, serial.scores(seqs))
         assert provider.pool.degraded_items == 2
         assert provider.pool.breaker.state == BreakerState.OPEN
+        (event,) = [
+            e for e in telemetry.events if e["event"] == "parallel.degraded"
+        ]
+        assert event["reason"] == (
+            "collection stalled for 0.5s with 2 item(s) outstanding"
+        )
     finally:
         started = time.monotonic()
         provider.close()
@@ -176,27 +164,3 @@ def test_stalled_pool_degrades_and_close_escalates(
     assert elapsed < 10.0  # nowhere near the 60 s hang
     assert provider.pool.force_killed == 1
     assert telemetry.counter("parallel.force_killed").value == 1
-
-
-def test_fail_fast_restores_raising_behaviour(tiny_engine, tiny_problem, rng):
-    """``fail_fast=True`` opts out of the supervisor: pool loss raises
-    DeadWorkerError and nothing is degraded or breaker-tripped."""
-    target, non_targets = tiny_problem
-    provider = MultiprocessScoreProvider(
-        tiny_engine,
-        target,
-        non_targets,
-        num_workers=1,
-        timeout=30.0,
-        max_retries=0,
-        fail_fast=True,
-        faults=FaultPlan(crash_on_item=0),
-    )
-    try:
-        with pytest.raises(DeadWorkerError, match="retry budget"):
-            provider.scores(_seqs(rng, 2))
-        assert provider.pool.degraded_items == 0
-        assert provider.pool.degraded_batches == 0
-        assert provider.pool.breaker.state == BreakerState.CLOSED
-    finally:
-        provider.close()

@@ -69,7 +69,6 @@ def test_serial_and_parallel_identical_through_base(
         target,
         non_targets,
         num_workers=2,
-        timeout=120.0,
         telemetry=registry,
     ) as parallel:
         assert isinstance(serial, CachingScoreProvider)

@@ -6,10 +6,11 @@ are listed here.  A new setting shows up as a diff to this table, to be
 argued for in review; sizes, bounds and rates that no caller sets are
 class constants instead (``CachingScoreProvider.CACHE_SIZE``,
 ``BatchedNumpyKernel.BATCH_RESIDUES``, ``CheckpointManager.RETAIN`` ...).
-``*args``/``**kwargs`` entries are pass-throughs to a row above them.
-The recovery surface is pinned too: each fault has one recovery path, so
-no retry policy, recovery switch or second chaos builder reappears
-unnoticed.
+``*args``/``**kwargs`` entries are pass-throughs to a row above them;
+the scoring stack's fronts take none, so a wrong keyword is Python's own
+``TypeError``.  The recovery surface is pinned too: each fault has one
+recovery path, so no retry policy, recovery switch or second chaos
+builder reappears unnoticed.
 """
 
 import inspect
@@ -31,24 +32,21 @@ from repro.resilience import CircuitBreaker, Deadline
 from repro.service import DesignService
 
 INVENTORY = {
-    WorkerPool: (
-        "engine", "num_workers", "clock", "timeout", "max_retries",
-        "start_method", "fail_fast", "breaker", "close_grace_s", "faults",
-        "telemetry",
-    ),
+    WorkerPool: ("engine", "num_workers", "faults", "telemetry"),
     MultiprocessScoreProvider: (
-        "engine", "target", "non_targets", "telemetry", "**pool_settings",
+        "engine", "target", "non_targets", "num_workers", "faults",
+        "telemetry",
     ),
     SerialScoreProvider: ("engine", "target", "non_targets", "telemetry"),
     make_score_provider: (
         "source", "target", "non_targets", "config", "backend", "workers",
-        "telemetry", "**backend_kwargs",
+        "telemetry",
     ),
-    ScoringFabric: ("source", "config", "telemetry", "**pool_settings"),
+    ScoringFabric: ("source", "config", "num_workers", "faults", "telemetry"),
     ScoringFabric.client: ("target", "non_targets", "telemetry"),
     DesignService: (
         "source", "root", "max_concurrent", "max_queue", "quotas",
-        "default_quota", "fsync", "telemetry", "**fabric_kwargs",
+        "default_quota", "fsync", "num_workers", "faults", "telemetry",
     ),
     PipeEngine: ("database", "config", "telemetry"),
     PipeDatabase: (
@@ -99,3 +97,28 @@ def _parameters(obj) -> tuple[str, ...]:
 )
 def test_parameters_match_the_inventory(obj):
     assert _parameters(obj) == INVENTORY[obj]
+
+
+#: The scoring stack from a job down to the pool: no layer forwards
+#: settings it does not name.
+SCORING_FRONTS = (
+    WorkerPool,
+    MultiprocessScoreProvider,
+    make_score_provider,
+    ScoringFabric,
+    ScoringFabric.client,
+    DesignService,
+)
+
+
+@pytest.mark.parametrize("obj", SCORING_FRONTS, ids=lambda obj: obj.__qualname__)
+def test_scoring_fronts_take_no_keyword_pass_through(obj):
+    kinds = {p.kind for p in inspect.signature(obj).parameters.values()}
+    assert inspect.Parameter.VAR_KEYWORD not in kinds
+
+
+def test_pool_settings_no_caller_varies_are_class_constants():
+    assert WorkerPool.TIMEOUT_S == 300.0
+    assert WorkerPool.MAX_RETRIES == 3
+    assert WorkerPool.CLOSE_GRACE_S == 10.0
+    assert WorkerPool.START_METHOD is None

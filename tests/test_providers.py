@@ -84,13 +84,11 @@ def test_factory_process_backend_kwargs(tiny_engine, tiny_problem, rng):
         non_targets,
         backend="process",
         workers=1,
-        timeout=120.0,
-        fail_fast=True,
     ) as provider:
         from repro.parallel.mp_backend import MultiprocessScoreProvider
 
         assert isinstance(provider, MultiprocessScoreProvider)
-        assert provider.pool.fail_fast is True
+        assert provider.pool.num_workers == 1
         seq = rng.integers(0, 20, size=20).astype(np.uint8)
         serial = make_score_provider(tiny_engine, target, non_targets)
         assert (
@@ -100,7 +98,7 @@ def test_factory_process_backend_kwargs(tiny_engine, tiny_problem, rng):
 
 
 @pytest.mark.parametrize(
-    "backend, kwargs, match",
+    "backend, kwargs, case",
     [
         ("serial", {"scaling": "queue-depth"}, "scaling"),
         ("process", {"min_workers": 1}, "min_workers"),
@@ -115,38 +113,34 @@ def test_factory_process_backend_kwargs(tiny_engine, tiny_problem, rng):
     ],
 )
 def test_factory_rejects_backend_foreign_kwargs(
-    tiny_engine, tiny_problem, backend, kwargs, match
+    tiny_engine, tiny_problem, backend, kwargs, case
 ):
     # Regression: kwargs meant for another backend were silently dropped
-    # (timeout= with the serial backend was ignored without a word).
-    # Each offending kwarg is now named, with the backends that take it;
-    # the deleted pool-size, fabric flush, shared-memory and delta
-    # switches are named as unknown on every backend.
+    # (timeout= with the serial backend was ignored without a word).  The
+    # factory forwards no **kwargs, so every one of these — a deleted
+    # pool-size, fabric flush, shared-memory or delta switch, or the
+    # pool's own num_workers (spelled workers= here) — is Python's own
+    # TypeError naming the keyword, on every backend.  ``case`` labels
+    # the row.
     target, non_targets = tiny_problem
-    with pytest.raises(ValueError, match=match):
+    (name,) = kwargs
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
         make_score_provider(
             tiny_engine, target, non_targets, backend=backend, **kwargs
         )
 
 
-def test_factory_names_owning_backend_in_rejection(tiny_engine, tiny_problem):
-    target, non_targets = tiny_problem
-    with pytest.raises(ValueError) as excinfo:
-        make_score_provider(
-            tiny_engine, target, non_targets, backend="serial", faults=None
-        )
-    # The message points at the backends that do accept the kwarg.
-    assert "'process'" in str(excinfo.value)
-
-
 def test_factory_still_accepts_native_kwargs(tiny_engine, tiny_problem):
-    # The validation table is built from the real constructor signatures,
-    # so every backend's own kwargs keep flowing through.
+    # What the factory declares reaches the pool: workers= sizes it and
+    # telemetry= is the registry it reports to.
     target, non_targets = tiny_problem
+    registry = MetricsRegistry()
     with make_score_provider(
-        tiny_engine, target, non_targets, backend="process", timeout=16.0
+        tiny_engine, target, non_targets, backend="process", workers=1,
+        telemetry=registry,
     ) as pooled:
-        assert pooled.pool.timeout == 16.0
+        assert pooled.pool.num_workers == 1
+        assert pooled.pool.telemetry is registry
 
 
 def test_factory_wires_telemetry(tiny_world, tiny_problem, rng):
