@@ -5,14 +5,18 @@ Exercises the `repro.ppi.shm` broadcast path end to end and demands the
 segment accounting hold — bit-exact scores, zero leaked segments:
 
 1. **Share → attach → score → close.**  A `SharedProteomeView` is built
-   from a tiny world's engine, re-attached from its picklable handle,
-   and the rebuilt database's scores must be bit-exact with the
-   original; after the last view closes the segment must be unlinked.
+   from a tiny world's engine, with the design problem's evidence, and
+   re-attached from its picklable handle.  The rebuilt database's
+   similarity structures must be bit-exact with the original, and an
+   engine built over it must score the warmed problem bit-exact without
+   building its evidence (a pool worker's warm start); after the last
+   view closes the segment must be unlinked.
 2. **Parallel runtime.**  A `MultiprocessScoreProvider` (workers attach
    the segment from other processes) scores a population bit-exact
    against the serial reference; on `close()` no
    ``/dev/shm/repro-proteome-*`` entry may survive.
-3. **Worker crash.**  A worker hard-exiting on a chosen item must not
+3. **Worker crash.**  A worker hard-exiting on its second slice (the
+   batch is large enough that it gets one) must not
    leak its attachment: the master sees its process sentinel fire,
    respawns, finishes bit-exact, and still unlinks on close.  (The
    opposite case — the *master* SIGKILLed, its workers leaving when
@@ -51,36 +55,51 @@ def _check(checks: dict[str, bool]) -> bool:
     return all(checks.values())
 
 
-def _population(rng):
-    return [
-        rng.integers(0, 20, size=LENGTH).astype(np.uint8)
-        for _ in range(POPULATION)
-    ]
+def _population(rng, size=POPULATION):
+    return [rng.integers(0, 20, size=LENGTH).astype(np.uint8) for _ in range(size)]
 
 
 def _scenario_view_lifecycle(world, non_targets) -> bool:
+    from repro.ga.fitness import score_batch
     from repro.ppi.shm import SharedProteomeView
 
     print("scenario 1: view share/attach/score/close ...", flush=True)
     engine = world.engine
+    names = (TARGET, *non_targets)
     before = _live_segments()
     view = SharedProteomeView.share(
-        engine.database, similarity_names=[TARGET, *non_targets]
+        engine.database,
+        similarity_names=list(names),
+        evidence={names: engine.evidence_arrays(names)},
     )
     handle = view.handle
     attached = SharedProteomeView.attach(handle)
-    db = attached.build_database()
+    worker = attached.build_engine(engine.config)
+    db = worker.database
     seq = np.random.default_rng(SEED).integers(0, 20, size=LENGTH).astype(np.uint8)
     want = engine.database.sequence_similarity(seq)
     got = db.sequence_similarity(seq)
     bit_exact = (want.counts != got.counts).nnz == 0
+    # A re-attached engine starts with the warmed problem's evidence: its
+    # first score_batch adds no evidence-cache entry and replaces none.
+    seeded = dict(worker._evidence_cache)
+    problems = [(TARGET, tuple(non_targets))] * POPULATION
+    seqs = _population(np.random.default_rng(SEED + 2))
+    scored = score_batch(worker, seqs, problems)[0] == score_batch(
+        engine, seqs, problems
+    )[0]
+    no_build = list(seeded) == [names] and all(
+        worker._evidence_cache.get(key) is entry for key, entry in seeded.items()
+    ) and len(worker._evidence_cache) == 1
     segment_live = len(_live_segments() - before) == 1
-    del db
+    del db, worker
     attached.close()
     view.close()
     return _check(
         {
             "rebuilt database bit-exact": bit_exact,
+            "re-attached engine scores the warmed problem bit-exact": scored,
+            "...without building its evidence": no_build,
             "exactly one live segment while open": segment_live,
             "segment unlinked after last close": _live_segments() == before,
         }
@@ -121,7 +140,9 @@ def _scenario_worker_crash(world, non_targets) -> bool:
 
     print("scenario 3: SIGKILLed worker leaks nothing ...", flush=True)
     before = _live_segments()
-    seqs = _population(np.random.default_rng(SEED + 1))
+    # Slices of 10, 8, 8, ...: worker 0 answers one slice, then dies
+    # holding its second.
+    seqs = _population(np.random.default_rng(SEED + 1), 40)
     expected = SerialScoreProvider(world.engine, TARGET, non_targets).scores(seqs)
     with MultiprocessScoreProvider(
         world.engine,

@@ -153,7 +153,7 @@ class InhibitorDesigner:
         if self.provider_factory is not None:
             provider = self.provider_factory(self.world.engine, target, non_targets)
             if self.telemetry is not None:
-                provider.telemetry = self.telemetry
+                provider.set_telemetry(self.telemetry)
             return provider
         from repro.providers import make_score_provider
 

@@ -221,6 +221,11 @@ class ScoreProvider(ABC):
         """
         return self.scores(sequences)
 
+    def set_telemetry(self, telemetry: MetricsRegistry | None) -> None:
+        """Attach (or, with None, detach) a metrics registry — to this
+        provider and to whatever runtime it reports through."""
+        self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
+
     @property
     def closed(self) -> bool:
         """True after :meth:`close` (until the provider is used again)."""

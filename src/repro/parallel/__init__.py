@@ -7,19 +7,23 @@ and send them back.  This package reproduces that architecture on
 :mod:`multiprocessing` as one request-on-demand protocol over
 point-to-point channels: each worker blocks on its own duplex pipe to
 the master, the master waits on every pipe and process sentinel at once,
-keeps the backlog and hands it out in guided-self-scheduling slices —
+keeps the backlog and hands it out in guided-self-scheduling slices
+never smaller than ``SLICE_FLOOR`` (8) while the backlog can give every
+worker that many, a short backlog split evenly over the workers —
 k candidates a worker scores in one call and answers in one reply —
 topping up a small per-worker window of slices as replies arrive and
 never sending a frame the worker's pipe cannot hold.  Workers are
 stateless and problem-agnostic — each maps the one shared-memory
-proteome segment the pool broadcasts, every candidate of a slice names
+proteome segment the pool broadcasts (it carries the warmed problems'
+PIPE evidence too, so a worker starts warm), every candidate of a slice names
 the design problem it is scored against, and a worker builds each
 candidate's similarity structure itself (the full sweep, as in
 Algorithm 2): slices carry candidates, replies carry score sets.
 
 * :mod:`repro.parallel.messages` — the wire protocol (slices, replies);
 * :mod:`repro.parallel.scheduler` — the master-side on-demand scheduler
-  the pool dispatches through (slice sizes, frame budgets, requeues),
+  the pool dispatches through (slice sizes and their floor, frame
+  budgets, requeues),
   testable without processes;
 * :mod:`repro.parallel.worker` — the worker main loop (Algorithm 2),
   which scores each slice with one :func:`repro.ga.fitness.score_batch`,

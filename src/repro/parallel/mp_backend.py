@@ -31,9 +31,13 @@ between.  The master keeps a batch's backlog in an
 :class:`~repro.parallel.scheduler.OnDemandScheduler` and hands it out in
 **slices**: k candidates a worker scores in one
 :func:`~repro.ga.fitness.score_batch` and answers in one reply.  The
-slice size needs no knob — guided self-scheduling,
-``ceil(backlog / (2 × live workers))``, at least 1 — so early slices
-are large and the tail still balances on demand.  It keeps
+slice size needs no knob — guided self-scheduling with a floor,
+``max(SLICE_FLOOR, ceil(backlog / (2 × live workers)))``, and a backlog
+short of ``live workers × SLICE_FLOOR`` split evenly over the workers
+holding none of it — so early slices are large, the tail balances on
+demand, and no slice pays a round trip for one candidate
+(:data:`~repro.parallel.scheduler.SLICE_FLOOR` = 8, the smallest slice
+within ~10 % of a large slice's cost per candidate).  It keeps
 :data:`IN_FLIGHT_WINDOW` slices in flight per worker — one executing,
 one prefetched, so a worker never idles for a master round trip.  Each
 reply is that worker's request for more: the master records it and tops
@@ -60,8 +64,10 @@ spawned on the first batch; death recovery refills it to that size.
 The broadcast is one shared-memory segment
 (:class:`~repro.ppi.shm.SharedProteomeView`), created when the pool
 starts: the proteome arrays plus the warmed problems' similarity
-structures.  Every worker, a respawned one too, gets a kilobyte-scale
-handle, maps the segment and builds its engine over it.  A worker that
+structures and PIPE evidence, built once in the master.  Every worker,
+a respawned one too, under every start method, gets a kilobyte-scale
+handle, maps the segment and builds its engine over it with the
+evidence already in its LRU — ready to score the moment it is up.  A worker that
 cannot map it (the segment was unlinked behind the pool's back) dies at
 once and is recovered like any other death; when the retry budget runs
 out, the batch degrades to serial scoring in the master (below).
@@ -207,17 +213,19 @@ def _worker_entry(worker_id, handle, config, faults, conn, master_ends):
     """Top-level function so it pickles under any start method.
 
     Maps the pool's proteome segment (``handle``), builds the worker's
-    engine over it and runs :func:`~repro.parallel.worker.worker_loop`
-    until the pipe ``conn`` says stop.  ``master_ends`` are the master's
-    ends of the pipes open at spawn — this worker's own and its older
-    siblings' — which a forked child inherits; held open here they would
-    hide the master's death."""
+    engine over it — evidence of every warmed problem included
+    (:meth:`~repro.ppi.shm.SharedProteomeView.build_engine`), the one
+    worker-init path under every start method — and runs
+    :func:`~repro.parallel.worker.worker_loop` until the pipe ``conn``
+    says stop.  ``master_ends`` are the master's ends of the pipes open
+    at spawn — this worker's own and its older siblings' — which a
+    forked child inherits; held open here they would hide the master's
+    death."""
     for end in master_ends:
         end.close()
     view = SharedProteomeView.attach(handle)
     try:
-        engine = PipeEngine(view.build_database(), config)
-        worker_loop(worker_id, engine, conn, faults)
+        worker_loop(worker_id, view.build_engine(config), conn, faults)
     finally:
         view.close()
 
@@ -296,9 +304,10 @@ class WorkerPool:
         self._budgets: dict[int, int] = {}
         self._unanswered: dict[int, int] = {}
         self._next_worker_id = 0
-        # Proteins of every warmed problem, in first-seen order: what is
-        # precomputed before the fork and placed in the shm segment.
-        self._warm_names: dict[str, None] = {}
+        # The protein names (target first) of every warmed problem, in
+        # first-seen order: their similarity CSRs and evidence are built
+        # before the first spawn and placed in the shm segment.
+        self._warm_problems: dict[tuple[str, ...], None] = {}
         self._epoch = 0
         self.dispatched = 0
         self.slices = 0
@@ -321,12 +330,13 @@ class WorkerPool:
         and return it in wire form.
 
         Problems warmed before the pool starts have their similarity
-        structures precomputed before the fork and placed in the shared
-        proteome segment; one first named later is warmed worker-side on
-        first sight.
+        structures and evidence built in the master and placed in the
+        shared proteome segment, so a worker's first slice of one builds
+        nothing; one first named later is built worker-side on first
+        sight.
         """
         problem = make_problem(self.engine.database.graph, target, non_targets)
-        self._warm_names.update(dict.fromkeys((target, *problem[1])))
+        self._warm_problems[(target, *problem[1])] = None
         return problem
 
     # -- lifecycle ---------------------------------------------------------
@@ -367,19 +377,29 @@ class WorkerPool:
     def _ensure_started(self) -> None:
         if self._workers:
             return
-        # Warm the engine cache *before* sharing so the segment carries the
-        # preprocessed target/non-target structures and no worker
-        # recomputes them (the paper's offline preprocessing + broadcast).
+        # Warm the engine *before* sharing so the segment carries the
+        # preprocessed target/non-target structures and each problem's
+        # evidence, and no worker recomputes them (the paper's offline
+        # preprocessing + broadcast).
         with self.telemetry.span("parallel.spawn"):
-            names = list(self._warm_names)
+            problems = list(self._warm_problems)
+            names = list(dict.fromkeys(n for names in problems for n in names))
             database = self.engine.database
             database.precompute(names)
             if self._shm_view is None:
-                # One segment holds the proteome arrays plus the
-                # preprocessed target/non-target similarity CSRs; workers
-                # get the handle, not the engine.
+                # One segment holds the proteome arrays, the target and
+                # non-target similarity CSRs and the problems' evidence;
+                # workers get the handle, not the engine.
+                evidence = {
+                    names: arrays
+                    for names in problems
+                    if (arrays := self.engine.evidence_arrays(names)) is not None
+                }
                 self._shm_view = SharedProteomeView.share(
-                    database, similarity_names=names, telemetry=self.telemetry
+                    database,
+                    similarity_names=names,
+                    evidence=evidence,
+                    telemetry=self.telemetry,
                 )
             for _ in range(self.num_workers):
                 self._spawn_worker()
@@ -853,6 +873,12 @@ class MultiprocessScoreProvider(CachingScoreProvider):
     ) -> list[ScoreSet]:
         # Workers full-sweep: provenance is advisory (see ScoreProvider).
         return self.pool.score(arrays, [self.problem] * len(arrays))
+
+    def set_telemetry(self, telemetry: MetricsRegistry | None) -> None:
+        """Attach a registry to this provider and to its :attr:`pool`, so
+        the ``parallel.*``/``shm.*`` metrics land in it too."""
+        super().set_telemetry(telemetry)
+        self.pool.telemetry = self.telemetry
 
     def runtime_stats(self) -> dict[str, object]:
         """:meth:`WorkerPool.stats` plus this provider's ``cache`` counters."""

@@ -19,17 +19,32 @@ from itertools import islice
 
 from repro.parallel.messages import WorkResult
 
-__all__ = ["OnDemandScheduler"]
+__all__ = ["SLICE_FLOOR", "OnDemandScheduler"]
+
+#: The fewest candidates a slice takes while the backlog can give every
+#: live worker that many.  A slice pays a fixed ~140–210 µs per call (one
+#: ``score_batch``, a frame each way) on top of ~110 µs per candidate, so
+#: small slices cost more per candidate.  The per-call table of a
+#: full-sweep ``score_batch`` on the benchmark's ``small`` profile reads,
+#: in µs per candidate: 253–323 at k = 1, 186–231 at 2, 151–227 at 4,
+#: 126–130 at 8, 113–136 at 16 and 105–113 at k ≥ 32.  The floor is the
+#: smallest k within ~10 % of the k ≥ 32 cost: 8.  Below it the tail of
+#: a batch is a run of round trips rather than work.
+SLICE_FLOOR = 8
 
 
 class OnDemandScheduler:
     """Hand the next slice of the backlog to whichever worker asks first,
     and track which worker holds what.
 
-    Slices are sized by guided self-scheduling:
-    ``ceil(backlog / (2 × workers))`` candidates, at least one — large
-    while much is left, shrinking to single candidates so the tail still
-    balances on demand.  ``frame(sequence_ids)`` returns a slice's wire
+    Slices are sized by guided self-scheduling with a floor:
+    ``max(SLICE_FLOOR, ceil(backlog / (2 × workers)))`` candidates — large
+    while much is left, never smaller than :data:`SLICE_FLOOR` — so the
+    tail balances on demand without a run of one-candidate round trips.
+    A backlog smaller than ``workers × SLICE_FLOOR`` is instead split
+    evenly over the live workers that hold no slice of the batch, so no
+    worker idles on a short batch; the last slice takes what is left.
+    ``frame(sequence_ids)`` returns a slice's wire
     frame; a slice whose frame exceeds the ``budget`` its worker's pipe
     can hold is trimmed until it fits, and a single candidate that does
     not fit on its own goes only to an ``idle`` worker (one with nothing
@@ -61,9 +76,18 @@ class OnDemandScheduler:
         self._retries: dict[int, int] = {}
 
     def slice_size(self, workers: int) -> int:
-        """The guided size of the next slice among ``workers`` live
-        workers: ``ceil(backlog / (2 × workers))``, at least 1."""
-        return max(1, -(-len(self._pending) // (2 * workers)))
+        """The size of the next slice among ``workers`` live workers:
+        ``max(SLICE_FLOOR, ceil(backlog / (2 × workers)))``, or, when the
+        backlog is short of ``workers × SLICE_FLOOR``, an even share of
+        it among the live workers holding no slice of this batch.  Never
+        more than the backlog (nor less than 1)."""
+        backlog = len(self._pending)
+        if backlog < workers * SLICE_FLOOR:
+            free = workers - sum(1 for held in self._held.values() if held)
+            if free > 0:
+                return max(1, -(-backlog // free))
+        guided = -(-backlog // (2 * workers))
+        return max(1, min(backlog, max(SLICE_FLOOR, guided)))
 
     def next_for(
         self, worker_id: int, *, workers: int, budget: int, idle: bool

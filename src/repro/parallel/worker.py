@@ -22,8 +22,10 @@ persists is scratch memory: the thread's
 sweep tiles and fused groups overwrite before reading, so a warm worker
 does not fault its working set in again on every slice).  The
 problems arrive on the :class:`~repro.parallel.messages.WorkSlice` (the
-engine's known-protein cache fills with a problem's structures the first
-time a slice names it, unless the shm segment already carries them).
+engine's known-protein and evidence caches fill with a problem's
+structures the first time a slice names it, unless the shm segment
+already carries them — it does for every problem warmed before the pool
+started).
 Structures neither arrive nor leave: ``score_batch`` runs with no
 similarity cache, the full-sweep reference, and the reply carries the
 score sets.  Each reply also carries the worker's own ``getrusage``

@@ -54,6 +54,25 @@ class InteractionGraph:
         for a, b in interactions:
             self.add_interaction(a, b)
 
+    @classmethod
+    def from_adjacency(
+        cls, proteins: Sequence[Protein], adjacency: sp.spmatrix
+    ) -> "InteractionGraph":
+        """The graph whose :meth:`adjacency_matrix` is ``adjacency`` (a
+        symmetric 0/1 matrix in ``proteins`` order), built in one pass
+        over its rows rather than one :meth:`add_interaction` per edge."""
+        graph = cls(proteins)
+        csr = sp.csr_matrix(adjacency)
+        if csr.shape != (len(graph), len(graph)):
+            raise ValueError(
+                f"adjacency of shape {csr.shape} for {len(graph)} proteins"
+            )
+        indices = csr.indices.tolist()
+        bounds = csr.indptr.tolist()
+        graph._adjacency = [set(indices[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        graph._num_edges = (csr.nnz + int(np.count_nonzero(csr.diagonal()))) // 2
+        return graph
+
     # -- construction -------------------------------------------------------
 
     def add_interaction(self, a: str, b: str) -> bool:

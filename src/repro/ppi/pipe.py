@@ -246,8 +246,9 @@ class PipeEngine:
     for every candidate scored against the same target/non-targets — the
     GA's hot loop.  A campaign is one entry; a service juggling many
     problems is capped at :attr:`EVIDENCE_CACHE_SIZE` entries instead of
-    growing without bound.  Each forked worker owns an independent copy,
-    so the mutation is process-local and needs no locking.
+    growing without bound.  Each pool worker owns an independent one,
+    seeded from the shared proteome segment (:meth:`adopt_evidence`), so
+    the mutation is process-local and needs no locking.
     """
 
     #: Problems whose evidence factor is kept (least recently used
@@ -576,6 +577,35 @@ class PipeEngine:
                 fmax[:, b] = block.max(axis=(1, 2))
         return fmax / (fmax + self.config.saturation)
 
+    def evidence_arrays(
+        self, names: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """The evidence of the problem ``names`` as the compiled pass reads
+        it — ``(indptr, indices, data, bounds)``, int32, int32, float64,
+        int64 — built now unless the LRU holds it; None when an entry is
+        not a non-negative integer.  These arrays are the whole evidence:
+        :meth:`adopt_evidence` rebuilds the entry from them."""
+        return self._evidence(tuple(names)).native
+
+    def adopt_evidence(
+        self,
+        names: Sequence[str],
+        arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    ) -> None:
+        """Seed the evidence LRU with the problem ``names``'s evidence as
+        :meth:`evidence_arrays` returned it, built by another engine over
+        the same database and config; the arrays are adopted as-is
+        (zero-copy; treat them as read-only).  A pool worker seeds its
+        engine this way from the shared proteome segment, so its first
+        slice of a warmed problem builds nothing."""
+        indptr, indices, data, bounds = arrays
+        matrix = sp.csr_matrix(
+            (data, indices, indptr),
+            shape=(indptr.size - 1, int(bounds[-1])),
+            copy=False,
+        )
+        self._remember(tuple(names), _Evidence(matrix, bounds.tolist(), arrays))
+
     def _evidence(self, names: tuple[str, ...]) -> _Evidence:
         """``hstack([adjacency @ M_bᵀ for b in names])``, the column
         bounds of each protein's block and the compiled pass's view of
@@ -611,10 +641,16 @@ class PipeEngine:
                 np.ascontiguousarray(data),
                 np.array(bounds, dtype=np.int64),
             )
+        return self._remember(names, _Evidence(evidence, bounds, native))
+
+    def _remember(self, names: tuple[str, ...], entry: _Evidence) -> _Evidence:
+        """Put ``entry`` in the evidence LRU, evicting the least recently
+        used past :attr:`EVIDENCE_CACHE_SIZE`."""
+        self._evidence_cache.pop(names, None)
         while len(self._evidence_cache) >= self.EVIDENCE_CACHE_SIZE:
             self._evidence_cache.popitem(last=False)
             self.telemetry.count("pipe.evidence_cache.evictions")
-        entry = self._evidence_cache[names] = _Evidence(evidence, bounds, native)
+        self._evidence_cache[names] = entry
         self.telemetry.set_gauge(
             "pipe.evidence_cache.size", len(self._evidence_cache)
         )

@@ -9,16 +9,22 @@ broadcasts instead:
   of a :class:`~repro.ppi.database.PipeDatabase` (``concatenated``,
   ``offsets``, ``valid_columns``, ``score_rows`` when the database has
   them, the adjacency CSR buffers, and the precomputed known-protein
-  similarity CSRs) into **one** ``multiprocessing.shared_memory`` segment,
-  so workers map the kernel's gather source instead of rebuilding it.
+  similarity CSRs) plus each warmed problem's PIPE evidence (the
+  ``indptr``/``indices``/``data``/``bounds`` arrays of
+  :meth:`~repro.ppi.pipe.PipeEngine.evidence_arrays`) into **one**
+  ``multiprocessing.shared_memory`` segment, so workers map the kernel's
+  gather source and the result block's right-hand factor instead of
+  rebuilding them.
 * :class:`SharedProteomeHandle` — the lightweight picklable descriptor a
   worker receives instead of the engine: the segment name plus array
   specs and small metadata (protein names, the substitution matrix,
   scalar config).  Kilobytes on the wire regardless of proteome size.
-* :meth:`SharedProteomeView.attach` / :meth:`~SharedProteomeView.build_database`
+* :meth:`SharedProteomeView.attach` / :meth:`~SharedProteomeView.build_engine`
   — worker side: map the segment and rebuild a fully functional
   :class:`~repro.ppi.database.PipeDatabase` whose arrays are zero-copy
-  views into shared physical memory.
+  views into shared physical memory, and an engine over it whose
+  evidence LRU already holds every warmed problem — a pool worker is
+  ready to score as soon as it has mapped the segment.
 
 Lifecycle
 ---------
@@ -54,7 +60,13 @@ from repro.telemetry import NULL_REGISTRY, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ppi.database import PipeDatabase
+    from repro.ppi.pipe import PipeConfig, PipeEngine
     from repro.substitution.matrix import SubstitutionMatrix
+
+#: A problem's evidence as :meth:`~repro.ppi.pipe.PipeEngine.evidence_arrays`
+#: returns it: ``(indptr, indices, data, bounds)``.
+EvidenceArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+_EVIDENCE_PARTS = ("indptr", "indices", "data", "bounds")
 
 __all__ = ["ArraySpec", "SharedProteomeHandle", "SharedProteomeView"]
 
@@ -83,6 +95,8 @@ class SharedProteomeHandle:
     where each array lives inside it, and the small metadata that is
     cheaper to pickle than to share (protein names, the substitution
     matrix — a few kilobytes — and the scalar PIPE parameters).
+    ``evidence`` names the problems whose evidence rides along, the
+    ``i``-th under the keys ``evidence.<i>.*``.
     """
 
     token: str
@@ -91,6 +105,7 @@ class SharedProteomeHandle:
     arrays: dict[str, ArraySpec]
     adjacency_shape: tuple[int, int]
     similarities: dict[str, dict[str, object]]
+    evidence: tuple[tuple[str, ...], ...]
     protein_names: tuple[str, ...]
     matrix: "SubstitutionMatrix"
     window_size: int
@@ -163,6 +178,7 @@ class SharedProteomeView:
         database: "PipeDatabase",
         *,
         similarity_names: list[str] | None = None,
+        evidence: dict[tuple[str, ...], EvidenceArrays] | None = None,
         telemetry: MetricsRegistry | None = None,
     ) -> "SharedProteomeView":
         """Pack a database's read-only arrays into one shared segment.
@@ -170,7 +186,10 @@ class SharedProteomeView:
         ``similarity_names`` selects which known-protein similarity CSRs
         ride along (typically the target and non-targets — the paper's
         offline preprocessing); they are computed on demand if not yet
-        cached.
+        cached.  ``evidence`` maps a problem's protein names (target
+        first) to its evidence arrays, built by the master's engine
+        (:meth:`~repro.ppi.pipe.PipeEngine.evidence_arrays`); they ride
+        along too.
         """
         arrays: dict[str, np.ndarray] = {
             "concatenated": np.ascontiguousarray(database.concatenated),
@@ -191,6 +210,10 @@ class SharedProteomeView:
                     getattr(rows, part)
                 )
             similarities[name] = {"shape": (rows.num_windows, rows.num_proteins)}
+        problems = tuple(evidence or ())
+        for i, names in enumerate(problems):
+            for part, arr in zip(_EVIDENCE_PARTS, evidence[names]):
+                arrays[f"evidence.{i}.{part}"] = np.ascontiguousarray(arr)
 
         specs: dict[str, ArraySpec] = {}
         cursor = 0
@@ -216,6 +239,7 @@ class SharedProteomeView:
             arrays=specs,
             adjacency_shape=tuple(adjacency.shape),
             similarities=similarities,
+            evidence=problems,
             protein_names=tuple(database.graph.names),
             matrix=database.matrix,
             window_size=database.window_size,
@@ -311,11 +335,16 @@ class SharedProteomeView:
     ) -> "PipeDatabase":
         """Rebuild a fully functional database over the shared arrays.
 
-        The interaction graph is reconstructed from the shared adjacency;
-        each protein's ``encoded`` cache is pre-seeded with a zero-copy
-        slice of the shared concatenated proteome, and the known-protein
-        similarity cache is prefilled with the shared CSRs — a worker
-        database costs O(names + edges) private memory, not O(proteome).
+        The master validated every protein and edge when it built the
+        database, so nothing is checked again: the residues are decoded
+        in one pass over the shared concatenated proteome and each
+        protein's ``encoded`` cache is a zero-copy slice of it
+        (:meth:`~repro.sequences.protein.Protein.trusted`), the
+        interaction graph is read off the shared adjacency in bulk
+        (:meth:`~repro.ppi.graph.InteractionGraph.from_adjacency`), and
+        the known-protein similarity cache is prefilled with the shared
+        CSRs — a worker database costs O(names + edges) private memory,
+        not O(proteome).
         """
         from repro.ppi.database import PipeDatabase, SequenceSimilarity
         from repro.ppi.graph import InteractionGraph
@@ -324,22 +353,15 @@ class SharedProteomeView:
         handle = self.handle
         concatenated = self.array("concatenated")
         offsets = self.array("offsets")
-        proteins: list[Protein] = []
-        for i, name in enumerate(handle.protein_names):
-            encoded = concatenated[int(offsets[i]) : int(offsets[i + 1])]
-            protein = Protein(name, decode(encoded))
-            protein.__dict__["_encoded"] = encoded
-            proteins.append(protein)
-        graph = InteractionGraph(proteins)
+        bounds = offsets.tolist()
+        residues = decode(concatenated[: bounds[-1]])
+        proteins = [
+            Protein.trusted(name, residues[lo:hi], concatenated[lo:hi])
+            for name, lo, hi in zip(handle.protein_names, bounds, bounds[1:])
+        ]
         adjacency = self.adjacency()
-        coo = adjacency.tocoo()
-        for i, j in zip(coo.row, coo.col):
-            if i <= j:
-                graph.add_interaction(
-                    handle.protein_names[i], handle.protein_names[j]
-                )
         database = PipeDatabase.from_arrays(
-            graph,
+            InteractionGraph.from_adjacency(proteins, adjacency),
             handle.matrix,
             handle.window_size,
             handle.threshold,
@@ -369,6 +391,22 @@ class SharedProteomeView:
         database._shm_view = self
         return database
 
+    def build_engine(self, config: "PipeConfig") -> "PipeEngine":
+        """A :class:`~repro.ppi.pipe.PipeEngine` over :meth:`build_database`
+        whose evidence LRU holds every problem the segment carries
+        (:meth:`~repro.ppi.pipe.PipeEngine.adopt_evidence`, zero-copy):
+        the one way a pool worker builds its engine, under every start
+        method.  A problem first named later is built on first sight."""
+        from repro.ppi.pipe import PipeEngine
+
+        engine = PipeEngine(self.build_database(), config)
+        for i, names in enumerate(self.handle.evidence):
+            engine.adopt_evidence(
+                names,
+                tuple(self.array(f"evidence.{i}.{part}") for part in _EVIDENCE_PARTS),
+            )
+        return engine
+
     # -- lifecycle -----------------------------------------------------------
 
     def stats(self) -> dict[str, object]:
@@ -380,6 +418,7 @@ class SharedProteomeView:
             "bytes": self.handle.nbytes,
             "arrays": len(self.handle.arrays),
             "similarities": len(self.handle.similarities),
+            "evidence": len(self.handle.evidence),
             "owner": self.owner,
             "open_views": open_views,
             "closed": self._closed,

@@ -38,6 +38,18 @@ class Protein:
             raise ValueError(f"protein name must be a non-empty token, got {self.name!r}")
         object.__setattr__(self, "sequence", validate_sequence(self.sequence, name=f"protein {self.name}"))
 
+    @classmethod
+    def trusted(cls, name: str, sequence: str, encoded: np.ndarray) -> "Protein":
+        """A protein rebuilt from parts another :class:`Protein` already
+        validated — a shared proteome's name, residues and ``encoded``
+        view — without validating them again."""
+        protein = object.__new__(cls)
+        object.__setattr__(protein, "name", name)
+        object.__setattr__(protein, "sequence", sequence)
+        object.__setattr__(protein, "annotations", {})
+        protein.__dict__["_encoded"] = encoded
+        return protein
+
     def __len__(self) -> int:
         return len(self.sequence)
 

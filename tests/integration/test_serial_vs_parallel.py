@@ -73,3 +73,28 @@ def test_designer_with_parallel_provider_factory(tiny_world, tiny_problem):
     assert result.fitness >= 0.0
     assert created  # the factory was actually used
     assert not created[0].pool._workers  # closed by design()
+
+
+def test_designer_registry_reaches_a_factory_built_pool(tiny_world, tiny_problem):
+    """A factory that builds a process provider without ``telemetry=``
+    still reports the pool's ``parallel.*`` and ``shm.*`` metrics into
+    the designer's registry."""
+    from repro.core.designer import InhibitorDesigner
+    from repro.telemetry import MetricsRegistry
+
+    target, _ = tiny_problem
+    registry = MetricsRegistry()
+    designer = InhibitorDesigner(
+        tiny_world,
+        population_size=8,
+        candidate_length=24,
+        non_target_limit=4,
+        provider_factory=lambda engine, name, non_targets: MultiprocessScoreProvider(
+            engine, name, non_targets, num_workers=1
+        ),
+        telemetry=registry,
+    )
+    designer.design(target, seed=5, termination=2)
+    assert registry.counter("parallel.dispatched").value > 0
+    assert registry.counter("parallel.slices").value > 0
+    assert registry.counter("shm.unlinks").value == 1

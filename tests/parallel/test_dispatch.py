@@ -140,7 +140,9 @@ def test_death_redispatches_only_the_dead_workers_window(
     handed to them and never answered — the survivors' replies are all
     wanted (nothing was duplicated), and the scores are bit-exact."""
     target, non_targets = tiny_problem
-    seqs = [rng.integers(0, 20, size=25).astype(np.uint8) for _ in range(8)]
+    # 64 candidates go out in slices of 16, 12, 9, 8, 8, 8 and 3: each
+    # worker is handed a third slice while the other still holds work.
+    seqs = [rng.integers(0, 20, size=25).astype(np.uint8) for _ in range(64)]
     expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(seqs)
     with MultiprocessScoreProvider(
         tiny_engine,

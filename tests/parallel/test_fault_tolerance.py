@@ -43,7 +43,7 @@ def test_crashed_worker_respawned_batch_completes(
     target, non_targets = tiny_problem
     telemetry = MetricsRegistry()
     serial = SerialScoreProvider(tiny_engine, target, non_targets)
-    seqs = _seqs(rng, 6)
+    seqs = _seqs(rng, 40)  # slices of 10, 8, 8...: worker 0 gets a second
     expected = serial.scores(seqs)
     with MultiprocessScoreProvider(
         tiny_engine,
@@ -169,12 +169,12 @@ def test_failed_batch_keeps_its_backlog_in_the_master(
     )
     try:
         with pytest.raises(WorkerFailureError):
-            provider.scores(_seqs(rng, 8))
+            provider.scores(_seqs(rng, 32))
         stats = provider.pool.stats()
         assert stats["slices"] == mp_backend.IN_FLIGHT_WINDOW
-        # Guided slices of ceil(8 / 2) = 4 and ceil(4 / 2) = 2: the last
-        # two candidates never left the master.
-        assert stats["dispatched"] == 6
+        # Slices of ceil(32 / 2) = 16 and max(SLICE_FLOOR, ceil(16 / 2))
+        # = 8: the last eight candidates never left the master.
+        assert stats["dispatched"] == 24
     finally:
         start = time.monotonic()
         provider.close()

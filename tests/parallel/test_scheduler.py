@@ -4,7 +4,7 @@ import pytest
 
 from repro.ga.fitness import ScoreSet
 from repro.parallel.messages import WorkResult
-from repro.parallel.scheduler import OnDemandScheduler
+from repro.parallel.scheduler import SLICE_FLOOR, OnDemandScheduler
 
 UNLIMITED = 1 << 30
 
@@ -41,9 +41,9 @@ class TestOnDemand:
 
     def test_exhausts(self):
         sched = _sched(2)
-        assert _hand(sched, 0) == (0,)
-        assert _hand(sched, 0) == (1,)
-        assert _hand(sched, 0) is None
+        assert _hand(sched, 0, workers=2) == (0,)
+        assert _hand(sched, 0, workers=2) == (1,)
+        assert _hand(sched, 0, workers=2) is None
 
     def test_done_after_all_results(self):
         sched = _sched(2)
@@ -57,9 +57,9 @@ class TestOnDemand:
 
     def test_in_flight_remaining_and_missing_track_the_batch(self):
         sched = _sched(4)
-        first = _hand(sched, 7, workers=2)
-        _hand(sched, 7, workers=2)
-        _hand(sched, 3, workers=2)
+        first = _hand(sched, 7, workers=4)
+        _hand(sched, 7, workers=4)
+        _hand(sched, 3, workers=4)
         # Three handed out (in flight), one still in the backlog.
         assert sched.backlog == 1
         assert sched.remaining == 4 and sched.missing() == [0, 1, 2, 3]
@@ -79,7 +79,7 @@ class TestOnDemand:
     def test_results_in_order_incomplete_raises(self):
         # An incomplete batch is never "done", and says what it is owed.
         sched = _sched(2)
-        sched.record(_result(_hand(sched, 0), 0))
+        sched.record(_result(_hand(sched, 0, workers=2), 0))
         assert not sched.done
         assert sched.missing() == [1] and sched.remaining == 1
 
@@ -117,60 +117,86 @@ class TestOnDemand:
 
 
 class TestSlices:
-    """Guided slice sizes and the frame budget, in a scripted order."""
+    """Slice sizes, the floor and the frame budget, in a scripted order."""
 
     def test_guided_slice_sizes(self):
-        """``ceil(backlog / (2 × workers))``, at least 1: large slices
-        first, single candidates at the tail."""
-        sched = _sched(20)
-        handed = [_hand(sched, i % 2, workers=2) for i in range(9)]
-        assert [len(s) for s in handed] == [5, 4, 3, 2, 2, 1, 1, 1, 1]
-        assert [sid for s in handed for sid in s] == list(range(20))
+        """``max(SLICE_FLOOR, ceil(backlog / (2 × workers)))``: large
+        slices first, never fewer than the floor while the backlog can
+        give every worker that many, and the last slice takes the rest —
+        no run of one-candidate slices at the tail."""
+        assert SLICE_FLOOR == 8
+        sched = _sched(40)
+        handed = [_hand(sched, i % 2, workers=2) for i in range(5)]
+        # 40 -> 10; 30 -> 8 (guided 8); 22 -> 8 (guided 6); 14 is short of
+        # 2 × 8 but both workers hold a slice -> 8; the last 6.
+        assert [len(s) for s in handed] == [10, 8, 8, 8, 6]
+        assert [sid for s in handed for sid in s] == list(range(40))
         assert _hand(sched, 0, workers=2) is None
         # One worker halves the backlog; the size follows the live count.
-        sched = _sched(9)
-        assert [len(_hand(sched, 0)) for _ in range(4)] == [5, 2, 1, 1]
-        assert sched.slice_size(workers=3) == 1
+        sched = _sched(20)
+        assert [len(_hand(sched, 0)) for _ in range(3)] == [10, 8, 2]
+        assert sched.slice_size(workers=3) == 1  # empty: never below 1
+
+    def test_a_short_backlog_is_split_evenly_over_the_free_workers(self):
+        """A backlog short of ``workers × SLICE_FLOOR`` goes out in even
+        shares to the workers holding nothing, so none idles on a short
+        batch (a service round of ~10 candidates)."""
+        sched = _sched(10)
+        assert [len(_hand(sched, w, workers=2)) for w in (0, 1)] == [5, 5]
+        sched = _sched(11)
+        assert [len(_hand(sched, w, workers=2)) for w in (0, 1)] == [6, 5]
+        sched = _sched(4)
+        assert [len(_hand(sched, w, workers=3)) for w in (0, 1, 2)] == [2, 1, 1]
+        # Once every worker holds a slice, the floor applies again.
+        sched = _sched(12)
+        assert _hand(sched, 0, workers=2) == tuple(range(6))
+        assert _hand(sched, 0, workers=2) == tuple(range(6, 12))
 
     def test_requeue_by_slice(self):
         """A death readmits every candidate of the worker's
         unacknowledged slices, ahead of the rest, and the next slice is
         sized over the new backlog."""
-        sched = _sched(12)
-        first = _hand(sched, 0, workers=2)  # 0..2
-        other = _hand(sched, 1, workers=2)  # 3..5
-        second = _hand(sched, 0, workers=2)  # 6..7
+        sched = _sched(40)
+        first = _hand(sched, 0, workers=2)  # 0..9
+        other = _hand(sched, 1, workers=2)  # 10..17
+        second = _hand(sched, 0, workers=2)  # 18..25
+        assert (len(first), len(other), len(second)) == (10, 8, 8)
         sched.record(_result(first, 0))
         assert sched.requeue_lost(0) == list(second)
-        assert [sched.retries(sid) for sid in (*first, *second)] == [0, 0, 0, 1, 1]
-        assert sched.backlog == 6
-        assert _hand(sched, 2, workers=2) == (6, 7)  # ceil(6 / 4) = 2
+        assert [sched.retries(sid) for sid in (*first, *second)] == [0] * 10 + [1] * 8
+        assert sched.backlog == 22
+        # max(8, ceil(22 / 4)) = 8: exactly the readmitted slice.
+        assert _hand(sched, 2, workers=2) == second
         # The answered slice and the survivor's are untouched.
         assert sched.record(_result(other, 1))
-        assert sched.missing() == [6, 7, 8, 9, 10, 11]
+        assert sched.missing() == list(range(18, 40))
 
     def test_trimmed_to_the_frame_budget(self):
-        """A slice whose frame exceeds the budget shrinks until it fits;
-        a candidate too large on its own waits for an idle worker."""
+        """A slice whose frame exceeds the budget shrinks until it fits
+        (below the floor: the pipe comes first); a candidate too large on
+        its own waits for an idle worker."""
         frames = []
-        sched = _sched(8, sizes=[10, 10, 10, 10, 100, 10, 10, 10], frames=frames)
-        # Guided size 4 -> 40 bytes > 35: trimmed to 3 (30 bytes).
-        assert sched.next_for(0, workers=1, budget=35, idle=True) == (
-            (0, 1, 2),
-            bytes(30),
+        sizes = [10] * 12 + [100] + [10] * 11
+        sched = _sched(24, sizes=sizes, frames=frames)
+        # Guided size 12 -> 120 bytes > 45: trimmed to 12 × 45 // 120 = 4.
+        assert sched.next_for(0, workers=1, budget=45, idle=True) == (
+            (0, 1, 2, 3),
+            bytes(40),
         )
-        assert frames == [(0, 1, 2, 3), (0, 1, 2)]
+        assert frames == [tuple(range(12)), (0, 1, 2, 3)]
         frames.clear()
-        # Guided size 3 over (3, 4, 5) -> 120 bytes: down to (3,) alone.
-        assert _hand(sched, 0, budget=35, idle=False) == (3,)
-        # Candidate 4 alone is 100 bytes: not for a worker with work
+        # Each floor-sized slice from here holds candidate 12 -> 170-190
+        # bytes: down to 2.
+        for pair in ((4, 5), (6, 7), (8, 9), (10, 11)):
+            assert _hand(sched, 0, budget=45, idle=False) == pair
+        # Candidate 12 alone is 100 bytes: not for a worker with work
         # unanswered (its pipe could not take it while it replies) ...
-        assert _hand(sched, 0, budget=35, idle=False) is None
-        assert sched.backlog == 4
+        assert _hand(sched, 0, budget=45, idle=False) is None
+        assert sched.backlog == 12
         # ... only for an idle one, which is reading its pipe.
-        assert _hand(sched, 1, budget=35, idle=True) == (4,)
-        assert _hand(sched, 0, budget=35, idle=False) == (5, 6)
-        assert (4,) in frames
+        assert _hand(sched, 1, budget=45, idle=True) == (12,)
+        assert _hand(sched, 0, budget=45, idle=False) == (13, 14, 15, 16)
+        assert (12,) in frames
 
 
 class TestRequeue:

@@ -93,7 +93,7 @@ def test_no_segment_leak_after_worker_sigkill(tiny_engine, tiny_problem, rng):
         telemetry=telemetry,
     ) as provider:
         serial = SerialScoreProvider(tiny_engine, target, non_targets)
-        seqs = _seqs(rng, 6)
+        seqs = _seqs(rng, 40)  # worker 0 gets a second slice
         expected = serial.scores(seqs)
         out = provider.scores(seqs)
         for got, want in zip(out, expected):

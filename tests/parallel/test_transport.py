@@ -186,7 +186,7 @@ def test_replies_completed_before_a_death_are_recorded(
     the answer is read off the dead worker's pipe and recorded before
     its slices are requeued, so only what it still held is scored again."""
     target, non_targets = tiny_problem
-    seqs = _seqs(rng, 6)
+    seqs = _seqs(rng, 24)
     expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(
         [s.copy() for s in seqs]
     )
@@ -199,8 +199,9 @@ def test_replies_completed_before_a_death_are_recorded(
         assert pool.score(seqs, [problem] * len(seqs)) == expected
         stats = pool.stats()
     assert stats["fault_tolerance"]["worker_deaths"] == 1
-    # Its one answer — the first guided slice, ceil(6 / 2) = 3 — counted.
-    assert stats["workers"][0]["items"] == 3.0
+    # Its one answer — the first slice, ceil(24 / 2) = 12 — counted; the
+    # second (max(SLICE_FLOOR, ceil(12 / 2)) = 8) died with it.
+    assert stats["workers"][0]["items"] == 12.0
     assert pool.retries == _unanswered_items(stats) > 0
     assert pool.dispatched == len(seqs) + pool.retries
     assert pool.stale_dropped == 0 and pool.degraded_items == 0
@@ -544,3 +545,33 @@ def test_every_start_method_scores_slices_bit_exact(
     assert stats["fault_tolerance"]["degraded_items"] == 0
     assert stats["shm"] is not None
     assert _segments() == segments
+
+
+@pytest.mark.parametrize(
+    "start_method",
+    multiprocessing.get_all_start_methods(),
+    ids=lambda method: f"{method}-shm",
+)
+def test_a_problem_named_after_start_scores_bit_exact(
+    start_method, tiny_engine, tiny_problem, monkeypatch, rng
+):
+    """The segment carries the evidence of the problems warmed before
+    the pool started; one first named later is built worker-side on
+    first sight — under every start method, bit-exact with serial, in a
+    batch that mixes it with the warmed one."""
+    target, non_targets = tiny_problem
+    late_target, late_non_targets = non_targets[0], [target, *non_targets[1:]]
+    seqs = _seqs(rng, 20)
+    expected = SerialScoreProvider(tiny_engine, target, non_targets).scores(
+        [s.copy() for s in seqs[:10]]
+    ) + SerialScoreProvider(tiny_engine, late_target, late_non_targets).scores(
+        [s.copy() for s in seqs[10:]]
+    )
+    monkeypatch.setattr(WorkerPool, "START_METHOD", start_method)
+    with WorkerPool(tiny_engine, num_workers=2) as pool:
+        warmed = pool.warm(target, non_targets)
+        pool.score(seqs[:2], [warmed] * 2)  # starts the pool
+        late = pool.warm(late_target, late_non_targets)
+        assert pool._shm_view.handle.evidence == ((target, *non_targets),)
+        assert pool.score(seqs, [warmed] * 10 + [late] * 10) == expected
+        assert pool.stats()["fault_tolerance"]["degraded_items"] == 0

@@ -67,6 +67,58 @@ def test_rebuilt_database_is_bit_exact(shared_view, tiny_engine, rng):
     assert (a.counts != b.counts).nnz == 0
 
 
+def test_rebuilt_graph_and_proteins_match_the_masters(shared_view, tiny_engine):
+    """The worker's graph is read off the shared adjacency in bulk and
+    its proteins are rebuilt unvalidated: both must equal the master's."""
+    # The database pins the view its proteins' encoded arrays live in.
+    database = SharedProteomeView.attach(shared_view.handle).build_database()
+    graph = database.graph
+    source = tiny_engine.database.graph
+    assert graph.num_edges == source.num_edges
+    assert graph.edges() == source.edges()
+    assert (graph.adjacency_matrix() != source.adjacency_matrix()).nnz == 0
+    for ours, theirs in zip(graph.proteins, source.proteins):
+        assert ours == theirs
+        assert np.array_equal(ours.encoded, theirs.encoded)
+        assert not ours.encoded.flags.writeable
+
+
+def test_attached_engine_starts_with_the_masters_evidence(
+    tiny_engine, tiny_problem, rng
+):
+    """The segment carries each warmed problem's evidence: an engine
+    built over an attached segment holds arrays identical to the
+    master's (zero-copy views of the segment), and its first
+    ``score_batch`` of that problem adds no evidence-cache entry."""
+    from repro.ga.fitness import score_batch
+
+    target, non_targets = tiny_problem
+    names = (target, *non_targets)
+    master = tiny_engine.evidence_arrays(names)
+    with SharedProteomeView.share(
+        tiny_engine.database, similarity_names=list(names), evidence={names: master}
+    ) as owner:
+        view = SharedProteomeView.attach(owner.handle)
+        try:
+            engine = view.build_engine(tiny_engine.config)
+            assert list(engine._evidence_cache) == [names]
+            entry = engine._evidence_cache[names]
+            for ours, theirs in zip(entry.native, master):
+                assert ours.dtype == theirs.dtype
+                assert np.array_equal(ours, theirs)
+                assert not ours.flags.writeable and not ours.flags.owndata
+            assert entry.bounds == tiny_engine._evidence(names).bounds
+            seqs = [rng.integers(0, 20, size=30).astype(np.uint8) for _ in range(5)]
+            problems = [(target, tuple(non_targets))] * len(seqs)
+            scores, _ = score_batch(engine, seqs, problems)
+            assert scores == score_batch(tiny_engine, seqs, problems)[0]
+            assert list(engine._evidence_cache) == [names]
+            assert engine._evidence_cache[names] is entry
+            del engine, entry
+        finally:
+            view.close()
+
+
 def test_precomputed_similarities_prefilled(shared_view, tiny_engine, tiny_problem):
     target, non_targets = tiny_problem
     view = SharedProteomeView.attach(shared_view.handle)

@@ -9,7 +9,7 @@ from repro.ga.fitness import ScoreSet
 from repro.ga.population import Individual, Population
 from repro.ga.diversity import mean_pairwise_hamming, positional_entropy
 from repro.parallel.messages import WorkResult
-from repro.parallel.scheduler import OnDemandScheduler
+from repro.parallel.scheduler import SLICE_FLOOR, OnDemandScheduler
 from repro.ppi.graph import InteractionGraph
 from repro.ppi.sites import predict_binding_sites
 from repro.sequences.protein import Protein
@@ -90,6 +90,58 @@ def test_ondemand_scheduler_complete_and_ordered(n_items, n_workers, budget, pyr
     # Complete: every candidate handed out once, in order, and answered.
     assert handed == list(range(n_items))
     assert sched.done and sched.missing() == [] and sched.remaining == 0
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(min_value=1, max_value=200),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=400),
+    st.randoms(use_true_random=False),
+)
+def test_slices_keep_the_floor_and_reach_every_worker(
+    n_items, n_workers, budget, pyrandom
+):
+    """Over any backlog, live-worker count and frame budget: the slices
+    sum to the batch; none is below ``min(SLICE_FLOOR, ceil(backlog /
+    workers))`` unless the budget trimmed it (the frame of the slice as
+    sized did not fit); and when the batch has at least one candidate per worker,
+    every worker's first request — the pool's first hand-out pass, one
+    slice per worker before any reply — gets a slice."""
+    sizes = [pyrandom.randrange(1, 8) for _ in range(n_items)]
+    sched = OnDemandScheduler(
+        range(n_items), lambda sids: bytes(sum(sizes[s] for s in sids))
+    )
+    handed: list[int] = []
+    outstanding: list[tuple[tuple[int, ...], int]] = []
+
+    def hand(worker: int) -> bool:
+        backlog = sched.backlog
+        sized = sched.slice_size(n_workers)
+        idle = all(w != worker for _, w in outstanding)
+        got = sched.next_for(worker, workers=n_workers, budget=budget, idle=idle)
+        if got is None:
+            return False
+        sids, _ = got
+        floor = min(SLICE_FLOOR, -(-backlog // n_workers))
+        # Without requeues the backlog is the tail of the batch in order.
+        head = range(len(handed), min(n_items, len(handed) + sized))
+        assert len(sids) >= floor or sum(sizes[s] for s in head) > budget
+        assert sids == tuple(range(len(handed), len(handed) + len(sids)))
+        handed.extend(sids)
+        outstanding.append((sids, worker))
+        return True
+
+    first_pass = [hand(w) for w in range(n_workers)]
+    if n_items >= n_workers:
+        assert all(first_pass)
+    while sched.backlog:
+        if not hand(pyrandom.randrange(n_workers)) or pyrandom.random() < 0.5:
+            sids, worker = outstanding.pop(pyrandom.randrange(len(outstanding)))
+            result = WorkResult(sids, worker, tuple(ScoreSet(0.5, ()) for _ in sids))
+            assert sched.record(result)
+    assert handed == list(range(n_items))
+    assert sum(len(sids) for sids, _ in outstanding) <= n_items
 
 
 # --- diversity ---------------------------------------------------------------

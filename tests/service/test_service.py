@@ -282,7 +282,9 @@ def test_cancel_pending_job_and_lifecycle_validation(tiny_world, tmp_path):
 def test_file_control_plane_submit_cancel_and_rejection(tiny_world, tmp_path):
     root = tmp_path / "svc"
     with _service(
-        tiny_world, root, faults=FaultPlan(delay=0.01)
+        # A slow job (40 ms a slice, one slice a generation) so the evict
+        # lands mid-run.
+        tiny_world, root, faults=FaultPlan(delay=0.04)
     ) as service:
         # Submit requests are admitted in FIFO order at the next poll.
         write_submit_request(root, _spec(job_id="job-file-1"))
@@ -383,7 +385,9 @@ def test_recovery_readmits_interrupted_jobs_bit_exact(tiny_world, tmp_path):
     root = tmp_path / "svc"
     spec = _spec(generations=6, job_id="job-crash")
     with _service(
-        tiny_world, root, faults=FaultPlan(delay=0.01)
+        # A slow job (40 ms a slice, one slice a generation) so the evict
+        # lands mid-run.
+        tiny_world, root, faults=FaultPlan(delay=0.04)
     ) as service:
         service.submit(spec)
         assert _wait(lambda: service.status("job-crash")["generations_done"] >= 2)
